@@ -67,10 +67,6 @@ def upper_verdict(name: str, empirical: float, bound: float, se: float) -> Verdi
     return Verdict(name, empirical, bound, se, empirical <= bound + SE_SLACK * se)
 
 
-def lower_verdict(name: str, empirical: float, bound: float, se: float) -> Verdict:
-    return Verdict(name, empirical, bound, se, empirical >= bound - SE_SLACK * se)
-
-
 def proportion_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n) if n else float("inf")
 
@@ -462,6 +458,8 @@ def extend_with_event(problem: SearchProblem, event, event_actions,
         action_distribution=action_distribution,
         neighbors=neighbors,
         flaws_present=None,
+        # the base problem's affects sets never cover the event flaw m
+        affects=None,
         declared_charges=None,
         default_weights=None,
         flaw_labels=None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LllError, SearchProblem, normalized_measure, state_list
+from .core import LllError, SearchProblem, state_list
 from .rng import BATCH_TAG, run_stream
 
 
@@ -194,9 +194,3 @@ def exact_statistics(tables: ChainTables) -> ExactChainStats:
     visits = np.zeros(n)
     visits[trans_ids] = visits_t
     return ExactChainStats(expected_steps, flaw_counts, absorption, visits)
-
-
-def uniform_init_distribution(problem: SearchProblem):
-    """theta = mu helper: the normalized measure as initial distribution."""
-    mu = normalized_measure(problem)
-    return lambda s: mu[s]

@@ -11,7 +11,9 @@ instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import compress
 from typing import Any, Callable, Iterable, Sequence
 
 from .rng import RandomSource, source_for_run
@@ -39,6 +41,14 @@ class SearchProblem:
     ``sample_action`` is the fast path used by runs; the optional
     ``action_distribution`` returns the exact distribution {state: prob}
     and enables oracle mode (charges, chain solves, support checks).
+
+    ``affects(i)`` lists the flaws whose presence can change when flaw
+    ``i`` is addressed, ``i`` included.  Declare it only when that holds
+    for every reachable state and every action outcome, e.g. when the
+    action writes only variables that those flaws read;
+    ``validate_problem`` checks it on enumerable instances.  ``run`` then
+    re-evaluates only ``affects(i)`` after each step; ``None`` means a
+    full rescan of the flaws at every step.
     """
 
     name: str
@@ -52,6 +62,7 @@ class SearchProblem:
     action_distribution: Callable[[int, State], dict[State, float]] | None = None
     enumerate_states: Callable[[], Iterable[State]] | None = None
     flaws_present: Callable[[State], list[int]] | None = None
+    affects: Callable[[int], Iterable[int]] | None = None
     init_distribution: Callable[[State], float] | None = None
     init_ratio: float | None = None  # max over states of theta / normalized mu
     declared_charges: Sequence[float] | None = None
@@ -69,11 +80,6 @@ class SearchProblem:
         if self.flaw_labels is not None:
             return self.flaw_labels[i]
         return str(i)
-
-    def with_metadata(self, **kw) -> "SearchProblem":
-        md = dict(self.metadata)
-        md.update(kw)
-        return replace(self, metadata=md)
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,15 @@ class FlawChoiceStrategy:
     def choose(self, present: list[int], state: State, history: list[int]) -> int:
         raise NotImplementedError
 
+    def observe(self, i: int, step: int) -> None:
+        """Called after flaw ``i`` is addressed at step ``step``."""
+
+    def priority(self, num_flaws: int) -> tuple[Sequence[int], Sequence[int]] | None:
+        """``(rank, order)`` with ``order[rank[i]] == i`` when ``choose``
+        always returns the present flaw of least fixed rank, so ``run`` may
+        pick from a heap of ranks instead of calling ``choose``; else None."""
+        return None
+
 
 class LowestIndexStrategy(FlawChoiceStrategy):
     """Lowest flaw index first; flaw list order is declaration order."""
@@ -132,6 +147,9 @@ class LowestIndexStrategy(FlawChoiceStrategy):
     def choose(self, present, state, history):
         return min(present)
 
+    def priority(self, num_flaws):
+        return range(num_flaws), range(num_flaws)
+
 
 class FixedPriorityStrategy(FlawChoiceStrategy):
     """Addresses the present flaw that comes first in a fixed permutation."""
@@ -139,12 +157,16 @@ class FixedPriorityStrategy(FlawChoiceStrategy):
     name = "fixed_priority"
 
     def __init__(self, permutation: Sequence[int]):
-        self.rank = {flaw: pos for pos, flaw in enumerate(permutation)}
-        if len(self.rank) != len(permutation):
+        self.order = list(permutation)
+        self.rank = {flaw: pos for pos, flaw in enumerate(self.order)}
+        if len(self.rank) != len(self.order):
             raise LllError("fixed_priority permutation has repeated entries")
 
     def choose(self, present, state, history):
         return min(present, key=lambda i: self.rank[i])
+
+    def priority(self, num_flaws):
+        return self.rank, self.order
 
 
 class RecencyStrategy(FlawChoiceStrategy):
@@ -161,6 +183,9 @@ class RecencyStrategy(FlawChoiceStrategy):
 
     def choose(self, present, state, history):
         return max(present, key=lambda i: (self.last_addressed.get(i, -1), -i))
+
+    def observe(self, i, step):
+        self.last_addressed[i] = step
 
 
 class CustomStrategy(FlawChoiceStrategy):
@@ -208,6 +233,11 @@ def run(
     Deterministic in (problem, strategy, seed, run_index, max_steps).
     Stops at the first flawless state or after ``max_steps`` steps; the
     censored case returns ``terminated=False`` rather than raising.
+
+    Without ``problem.affects`` every step rescans all flaws.  With it,
+    the initial scan fills a presence map that each step updates from
+    ``affects(i)`` alone, and strategies that declare a ``priority``
+    pick from a heap of ranks with lazy deletion.
     """
     if max_steps < 0:
         raise LllError("max_steps must be nonnegative")
@@ -215,23 +245,41 @@ def run(
     strategy.reset()
     rng = source_for_run(seed, run_index)
     state = problem.sample_init(rng)
-    counts = [0] * problem.num_flaws
+    m = problem.num_flaws
+    counts = [0] * m
     history: list[int] = []
     steps_rec: list[tuple[int, State, float | None]] = []
     initial = state
 
+    present = problem.present_flaws(state)
+    num_present = len(present)
+    affects = problem.affects
+    heap = None
+    if affects is not None:
+        is_present = problem.present
+        # flags[j]: 0 absent, 1 present, 2 absent but its rank still in the heap
+        flags = bytearray(m)
+        for j in present:
+            flags[j] = 1
+        prio = strategy.priority(m)
+        if prio is not None:
+            rank, order = prio
+            heap = sorted(rank[j] for j in present)
+        absent = 2 if heap is not None else 0
+
     steps = 0
-    while True:
-        present = problem.present_flaws(state)
-        if not present:
-            terminated = True
-            break
-        if steps >= max_steps:
-            terminated = False
-            break
-        i = strategy.choose(present, state, history)
-        if i not in present:
-            raise LllError("invalid strategy")
+    while num_present and steps < max_steps:
+        if heap is not None:
+            while flags[order[heap[0]]] != 1:
+                flags[order[heappop(heap)]] = 0
+            i = order[heap[0]]
+        else:
+            if affects is not None:
+                present = list(compress(range(m), flags))
+            i = strategy.choose(present, state, history)
+            chose_present = i in present if affects is None else 0 <= i < m and flags[i]
+            if not chose_present:
+                raise LllError("invalid strategy")
         nxt = problem.sample_action(i, state, rng)
         rho = None
         if check_support or record_trajectory:
@@ -241,16 +289,29 @@ def run(
                 if check_support and (rho is None or rho <= 0):
                     raise LllError("inconsistent actions")
         counts[i] += 1
-        if isinstance(strategy, RecencyStrategy):
-            strategy.last_addressed[i] = steps
+        strategy.observe(i, steps)
         history.append(i)
         if record_trajectory:
             steps_rec.append((i, nxt, rho))
         state = nxt
         steps += 1
+        if affects is None:
+            present = problem.present_flaws(state)
+            num_present = len(present)
+            continue
+        for j in affects(i):
+            if is_present(j, state):
+                if flags[j] != 1:
+                    if not flags[j] and heap is not None:
+                        heappush(heap, rank[j])
+                    flags[j] = 1
+                    num_present += 1
+            elif flags[j] == 1:
+                flags[j] = absent
+                num_present -= 1
 
     traj = Trajectory(initial, tuple(steps_rec)) if record_trajectory else None
-    return RunReport(terminated, steps, tuple(counts), state, seed, traj)
+    return RunReport(num_present == 0, steps, tuple(counts), state, seed, traj)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +439,30 @@ def validate_problem(problem: SearchProblem, check_causality: bool = True) -> No
     Verifies action distributions sum to one on every (flaw, member state),
     the neighborhood relation is symmetric, and the causality cover holds:
     every arc that leaves a flaw present-but-new (or re-present) lands the
-    causing flaw in the target flaw's neighborhood.
+    causing flaw in the target flaw's neighborhood.  A declared ``affects``
+    must contain each flaw itself and every flaw whose presence differs
+    between a state and any outcome of addressing the flaw there.
     """
-    for i in range(problem.num_flaws):
+    m = problem.num_flaws
+    for i in range(m):
         for j in problem.neighbors(i):
             if i not in problem.neighbors(j):
                 raise LllError(f"neighborhood not symmetric at ({i},{j})")
+    affects = None
+    if problem.affects is not None:
+        affects = [frozenset(problem.affects(i)) for i in range(m)]
+        for i in range(m):
+            if i not in affects[i]:
+                raise LllError(f"affects({i}) must include {i}")
     if problem.action_distribution is None or problem.enumerate_states is None:
         return
+
+    def present_set(s):
+        return frozenset(j for j in range(m) if problem.present(j, s))
+
     states = state_list(problem)
     for s in states:
+        before = present_set(s) if affects is not None else None
         for i in problem.present_flaws(s):
             dist = problem.action_distribution(i, s)
             if not dist:
@@ -395,6 +470,15 @@ def validate_problem(problem: SearchProblem, check_causality: bool = True) -> No
             total = sum(dist.values())
             if abs(total - 1.0) > PROB_TOL:
                 raise LllError(f"action probabilities for flaw {i} sum to {total}")
+            if affects is not None:
+                for t, p in dist.items():
+                    if p <= 0:
+                        continue
+                    outside = (before ^ present_set(t)) - affects[i]
+                    if outside:
+                        raise LllError(
+                            f"affects cover violated: flaw {i} changes {min(outside)}"
+                        )
             if check_causality:
                 gamma_i = problem.neighbors(i)
                 for t, p in dist.items():

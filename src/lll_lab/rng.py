@@ -82,18 +82,6 @@ class RandomSource:
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice_from_cdf(self, cdf) -> int:
-        """Index sampled from a cumulative distribution (monotone list)."""
-        u = self.u01()
-        lo, hi = 0, len(cdf) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if u < cdf[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
 
 def source_for_run(master_seed: int, run_index: int = 0) -> RandomSource:
     return RandomSource(run_stream(master_seed, run_index))

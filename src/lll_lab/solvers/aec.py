@@ -57,13 +57,17 @@ class GraphInstance:
             deg[v] += 1
         return max(deg) if deg else 0
 
-    def incident(self) -> list[list[int]]:
-        """edge ids incident to each vertex"""
-        out: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for ei, (u, v) in enumerate(self.edges):
-            out[u].append(ei)
-            out[v].append(ei)
-        return out
+    def incident(self) -> tuple[tuple[int, ...], ...]:
+        """edge ids incident to each vertex; built once per graph"""
+        cached = self.__dict__.get("_incident")
+        if cached is None:
+            out: list[list[int]] = [[] for _ in range(self.num_vertices)]
+            for ei, (u, v) in enumerate(self.edges):
+                out[u].append(ei)
+                out[v].append(ei)
+            cached = tuple(map(tuple, out))
+            object.__setattr__(self, "_incident", cached)
+        return cached
 
     @staticmethod
     def complete(n: int) -> "GraphInstance":
@@ -145,7 +149,7 @@ def coloring_is_acyclic(g: GraphInstance, coloring: Sequence[int]) -> bool:
 
 
 def four_available(g: GraphInstance, coloring: Sequence[int], edge_id: int, q: int,
-                   incident: list[list[int]] | None = None) -> list[int]:
+                   incident: Sequence[Sequence[int]] | None = None) -> list[int]:
     """Colors usable on the edge without breaking properness or closing a
     bichromatic 4-cycle."""
     if incident is None:

@@ -145,6 +145,9 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
         present=present,
         sample_action=sample_action,
         neighbors=lambda i: graph.adj[i],
+        # resampling clause i rewrites only its variables, so only the
+        # clauses sharing one can change
+        affects=lambda i: graph.adj[i],
         sample_init=sample_init,
         canon=lambda s: bytes(s),
         weight=lambda s: 1.0,
@@ -245,6 +248,8 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
         flaws_present=flaws_present,
         sample_action=sample_action,
         neighbors=lambda i: adj[i],
+        # assigning x_i unsets at most one clause through x_i
+        affects=lambda i: adj[i],
         sample_init=lambda rng: empty,
         canon=lambda s: bytes(b & 0xFF for b in s),
         weight=weight,

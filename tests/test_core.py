@@ -97,6 +97,7 @@ def test_charge_empty_flaw_is_zero():
         neighbors=lambda i: frozenset() if i == 2 else p.neighbors(i),
         declared_charges=None,
         flaws_present=None,
+        affects=None,
         flaw_labels=None,
     )
     assert charge(q, 2) == 0.0
@@ -172,6 +173,30 @@ def test_validate_catches_causality_gap(two_clause_mt):
     bad = replace(two_clause_mt, neighbors=lambda i: frozenset({i}))
     with pytest.raises(LllError, match="causality"):
         validate_problem(bad)
+
+
+def test_validate_catches_affects_gap(two_clause_mt):
+    from dataclasses import replace
+
+    # resampling clause 0 rewrites x1 and x2, which can violate clause 1
+    bad = replace(two_clause_mt, affects=lambda i: frozenset({i}))
+    with pytest.raises(LllError, match="affects cover violated: flaw 0 changes 1"):
+        validate_problem(bad)
+    without_self = replace(two_clause_mt, affects=lambda i: frozenset({1 - i}))
+    with pytest.raises(LllError, match="must include"):
+        validate_problem(without_self)
+
+
+def test_event_extension_drops_affects(two_clause_mt):
+    """The base problem's affects sets know nothing of the event flaw."""
+    from lll_lab.analysis import extend_with_event
+
+    def event_actions(s):
+        return {(a, b) + s[2:]: 0.25 for a in (0, 1) for b in (0, 1)}
+
+    ext = extend_with_event(two_clause_mt, lambda s: s[0] == s[1] == 1, event_actions, [0, 1])
+    assert ext.affects is None
+    validate_problem(ext)
 
 
 def test_causality_cover_on_shipped_solvers(two_clause_mt):
