@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import chain
 from .core import (
+    DEFAULT_MAX_STEPS,
     LllError,
+    RunReport,
     SearchProblem,
     all_charges,
     computed_init_ratio,
@@ -69,6 +71,24 @@ def upper_verdict(name: str, empirical: float, bound: float, se: float) -> Verdi
 
 def proportion_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n) if n else float("inf")
+
+
+def mean_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error.  Refuses fewer than two
+    samples: their spread, and so the verdict's slack, is undefined."""
+    values = np.asarray(values)
+    if len(values) < 2:
+        raise LllError("a mean needs at least two runs to estimate its standard error")
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
+def verdict_report(op: str, verdicts: list[Verdict], **fields) -> dict:
+    """A suite's report: its fields, its verdicts and whether all pass.
+    Refuses an empty verdict list, which would pass having tested nothing."""
+    if not verdicts:
+        raise LllError(f"{op}: no verdicts to check")
+    return {"op": op, **fields, "verdicts": verdicts,
+            "all_pass": all(v.passed for v in verdicts)}
 
 
 def wilson_interval(successes: int, n: int, z: float = SE_SLACK) -> tuple[float, float]:
@@ -140,6 +160,23 @@ def dependency_graph_of(problem: SearchProblem) -> DependencyGraph:
 # batched running (chain fast path with a generic fallback)
 
 
+def iter_runs(
+    problem: SearchProblem,
+    run_indices: Iterable[int],
+    seed: int,
+    strategy=None,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    record_trajectory: bool = False,
+) -> Iterator[RunReport]:
+    """One ``run`` report per run index, in order; the package's only loop
+    over run indices.  The strategy (by default the problem's recommended
+    one) is resolved once; ``run`` resets it at the start of every run,
+    whose stream is keyed by (seed, run index)."""
+    strategy = recommended_strategy(problem) if strategy is None else make_strategy(strategy)
+    for r in run_indices:
+        yield run(problem, strategy, max_steps, seed, r, record_trajectory=record_trajectory)
+
+
 @dataclass
 class BatchStats:
     runs: int
@@ -156,15 +193,14 @@ def run_many(
     runs: int,
     seed: int,
     strategy=None,
-    max_steps: int = 10**6,
+    max_steps: int = DEFAULT_MAX_STEPS,
     collect_sequences: bool = False,
     use_chain: bool | None = None,
 ) -> BatchStats:
     """Sample independent runs; uses the exact-chain sampler when the
     problem enumerates and the strategy is state-deterministic, else the
-    step-by-step runner with per-run streams (seed, run index)."""
-    strategy = strategy if strategy is not None else recommended_strategy(problem)
-    strategy = make_strategy(strategy)
+    step-by-step runner (``iter_runs``)."""
+    strategy = recommended_strategy(problem) if strategy is None else make_strategy(strategy)
     chain_ok = (
         problem.enumerate_states is not None
         and problem.action_distribution is not None
@@ -189,32 +225,26 @@ def run_many(
         if collect_sequences:
             # runs longer than the recording cap keep a None sentinel;
             # one-sided consumers must treat them conservatively
-            sequences = []
-            seqs = result.sequences
-            for r in range(runs):
-                if result.sequence_overflow[r]:
-                    sequences.append(None)
-                else:
-                    row = seqs[r]
-                    sequences.append(tuple(int(x) for x in row[row >= 0]))
+            sequences = [None if over else tuple(int(x) for x in row[row >= 0])
+                         for row, over in zip(result.sequences, result.sequence_overflow)]
         return BatchStats(runs, result.steps, result.terminated, result.flaw_counts,
                           final_canon, sequences, final_states)
     steps = np.zeros(runs, dtype=np.int64)
     terminated = np.zeros(runs, dtype=bool)
     counts = np.zeros((runs, problem.num_flaws), dtype=np.int32)
-    final_canon: list[bytes] = []
     final_states: list = []
     sequences = [] if collect_sequences else None
-    for r in range(runs):
-        rep = run(problem, strategy, max_steps, seed, r, record_trajectory=collect_sequences)
-        steps[r] = rep.steps
-        terminated[r] = rep.terminated
-        counts[r] = rep.resample_counts
-        final_canon.append(problem.canon(rep.final_state))
+    reports = iter_runs(problem, range(runs), seed, strategy, max_steps,
+                        record_trajectory=collect_sequences)
+    # filled row by row, so no report outlives its run: holding every
+    # report's count tuple until the end grows peak memory with the runs
+    for k, rep in enumerate(reports):
+        steps[k], terminated[k], counts[k] = rep.steps, rep.terminated, rep.resample_counts
         final_states.append(rep.final_state)
         if collect_sequences:
             sequences.append(rep.trajectory.witness_sequence)
-    return BatchStats(runs, steps, terminated, counts, final_canon, sequences, final_states)
+    return BatchStats(runs, steps, terminated, counts, [problem.canon(s) for s in final_states],
+                      sequences, final_states)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +277,12 @@ def check_witness_tree_lemma(
     graph = dependency_graph_of(problem)
     if charges is None:
         charges = problem.declared_charges or all_charges(problem)
-    lam = problem.init_ratio if problem.init_ratio is not None else computed_init_ratio(problem)
+    lam = computed_init_ratio(problem)
+    trees = [tw for root in range(problem.num_flaws)
+             for tw in enumerate_witness_trees(root, graph, list(charges), max_tree_nodes)]
+    if not trees:
+        raise LllError(f"no witness trees with at most {max_tree_nodes} nodes to check")
     stats = run_many(problem, runs, seed, strategy, collect_sequences=True)
-    trees = []
-    for root in range(problem.num_flaws):
-        for tree, w in enumerate_witness_trees(root, graph, list(charges), max_tree_nodes):
-            trees.append((tree, w))
     canon_to_slot = {t.canonical(): k for k, (t, _) in enumerate(trees)}
     hits = np.zeros(len(trees), dtype=np.int64)
     seq_counts: dict[tuple[int, ...], int] = {}
@@ -271,19 +301,11 @@ def check_witness_tree_lemma(
                 seen_slots.add(slot)
         for slot in seen_slots:
             hits[slot] += mult
-    verdicts = []
-    for k, (tree, w) in enumerate(trees):
-        p_hat = hits[k] / runs
-        se = proportion_se(p_hat, runs)
-        name = f"tree[{tree.canonical().decode()}]"
-        verdicts.append(upper_verdict(name, p_hat, lam * w, se))
-    return {
-        "op": "check_witness_tree_lemma",
-        "runs": runs,
-        "trees": len(trees),
-        "verdicts": verdicts,
-        "all_pass": all(v.passed for v in verdicts),
-    }
+    p_hats = hits / runs
+    verdicts = [upper_verdict(f"tree[{tree.canonical().decode()}]", p_hats[k], lam * w,
+                              proportion_se(p_hats[k], runs))
+                for k, (tree, w) in enumerate(trees)]
+    return verdict_report("check_witness_tree_lemma", verdicts, runs=runs, trees=len(trees))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +330,7 @@ def check_resample_bounds(
     graph = dependency_graph_of(problem)
     if charges is None:
         charges = problem.declared_charges or all_charges(problem)
-    lam = problem.init_ratio if problem.init_ratio is not None else computed_init_ratio(problem)
+    lam = computed_init_ratio(problem)
     if mode == "cluster":
         if psi is None:
             psi = problem.default_weights
@@ -328,24 +350,14 @@ def check_resample_bounds(
         raise LllError(f"unknown mode {mode!r}")
     if stats is None:
         stats = run_many(problem, runs, seed, strategy)
-    runs = stats.runs
     verdicts = []
     for i in range(problem.num_flaws):
-        col = stats.flaw_counts[:, i]
-        mean = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(runs)) if runs > 1 else float("inf")
+        mean, se = mean_se(stats.flaw_counts[:, i])
         verdicts.append(upper_verdict(f"N[{problem.label(i)}]", mean, bounds[i], se))
-    total_mean = float(stats.steps.mean())
-    total_se = float(stats.steps.std(ddof=1) / math.sqrt(runs)) if runs > 1 else float("inf")
+    total_mean, total_se = mean_se(stats.steps)
     tb = total_bound if total_bound is not None else float(sum(bounds))
     verdicts.append(upper_verdict("total_steps", total_mean, tb, total_se))
-    return {
-        "op": "check_resample_bounds",
-        "mode": mode,
-        "runs": runs,
-        "verdicts": verdicts,
-        "all_pass": all(v.passed for v in verdicts),
-    }
+    return verdict_report("check_resample_bounds", verdicts, mode=mode, runs=stats.runs)
 
 
 def check_event_probability(
@@ -391,28 +403,16 @@ def check_event_probability(
         sorted(event_neighbors), {j: graph.adj[j] for j in event_neighbors},
         {j: psi[j] for j in event_neighbors},
     )
-    lam = problem.init_ratio if problem.init_ratio is not None else computed_init_ratio(problem)
-    bound = lam * gamma_e * zeta
+    bound = computed_init_ratio(problem) * gamma_e * zeta
     # memoize per-state event membership for the trajectory scan
     member = {s: bool(event(s)) for s in states}
-    strategy = strategy if strategy is not None else recommended_strategy(problem)
-    hits = 0
-    for r in range(runs):
-        rep = run(problem, strategy, 10**6, seed, r, record_trajectory=True)
-        if member[rep.trajectory.initial_state] or any(
-            member[s] for (_, s, _) in rep.trajectory.steps
-        ):
-            hits += 1
+    hits = sum(
+        member[rep.trajectory.initial_state] or any(member[s] for (_, s, _) in rep.trajectory.steps)
+        for rep in iter_runs(problem, range(runs), seed, strategy, record_trajectory=True)
+    )
     p_hat = hits / runs
-    se = proportion_se(p_hat, runs)
-    verdict = upper_verdict("event_probability", p_hat, bound, se)
-    return {
-        "op": "check_event_probability",
-        "runs": runs,
-        "charge": gamma_e,
-        "verdicts": [verdict],
-        "all_pass": verdict.passed,
-    }
+    verdict = upper_verdict("event_probability", p_hat, bound, proportion_se(p_hat, runs))
+    return verdict_report("check_event_probability", [verdict], runs=runs, charge=gamma_e)
 
 
 def extend_with_event(problem: SearchProblem, event, event_actions,
@@ -539,7 +539,7 @@ def output_distribution(
         {j: graph.adj[j] for j in range(problem.num_flaws)},
         {j: psi[j] for j in range(problem.num_flaws)},
     )
-    lam = problem.init_ratio if problem.init_ratio is not None else computed_init_ratio(problem)
+    lam = computed_init_ratio(problem)
     factor = lam * u_all
     stats = run_many(problem, runs, seed, strategy)
     report = empirical_distribution(stats)
@@ -572,15 +572,8 @@ def output_distribution(
                             h2_high >= h2_bound))
     verdicts.append(Verdict("entropy_inf", report.entropy_inf, hinf_bound, pmax_se,
                             hinf_high >= hinf_bound))
-    support_floor = math.exp(hinf_bound)
-    return {
-        "op": "output_distribution",
-        "runs": runs,
-        "distribution": report,
-        "support_lower_bound": support_floor,
-        "verdicts": verdicts,
-        "all_pass": all(v.passed for v in verdicts),
-    }
+    return verdict_report("output_distribution", verdicts, runs=runs, distribution=report,
+                          support_lower_bound=math.exp(hinf_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +689,7 @@ def partial_avoidance(
     violation rate against max(0, gamma_i zeta_i - psi_i) and the mean
     address count against psi_i.  Requires the initial distribution to be
     the measure itself."""
-    lam = problem.init_ratio if problem.init_ratio is not None else computed_init_ratio(problem)
-    if abs(lam - 1.0) > 1e-9:
+    if abs(computed_init_ratio(problem) - 1.0) > 1e-9:
         raise LllError("partial avoidance requires the measure as initial distribution")
     lp = labeled_problem(problem, cfg)
     stats = run_many(lp, runs, seed, strategy)
@@ -719,16 +711,9 @@ def partial_avoidance(
         bound = max(0.0, cfg.charges[i] * cfg.zeta[i] - cfg.psi[i])
         verdicts.append(upper_verdict(f"nu[{problem.label(i)}]", p_hat, bound, se))
     for i in range(m):
-        col = stats.flaw_counts[:, i]
-        mean = float(col.mean())
-        se = float(col.std(ddof=1) / math.sqrt(runs)) if runs > 1 else float("inf")
+        mean, se = mean_se(stats.flaw_counts[:, i])
         verdicts.append(upper_verdict(f"N[{problem.label(i)}]", mean, cfg.psi[i], se))
-    return {
-        "op": "partial_avoidance",
-        "runs": runs,
-        "verdicts": verdicts,
-        "all_pass": all(v.passed for v in verdicts),
-    }
+    return verdict_report("partial_avoidance", verdicts, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -774,16 +759,9 @@ def run_core_truncated(
         if fail_by_state[int(k)]:
             failures += 1
     p_hat = failures / runs
-    se = proportion_se(p_hat, runs)
-    verdict = upper_verdict("non_core_failure", p_hat, bound, se)
-    steps_mean = float(result.steps.mean())
-    return {
-        "op": "run_core_truncated",
-        "runs": runs,
-        "mean_steps": steps_mean,
-        "verdicts": [verdict],
-        "all_pass": verdict.passed,
-    }
+    verdict = upper_verdict("non_core_failure", p_hat, bound, proportion_se(p_hat, runs))
+    return verdict_report("run_core_truncated", [verdict], runs=runs,
+                          mean_steps=float(result.steps.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -804,21 +782,11 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
     lam = clique.color_ratio()
     total_w = sum(edge_weights.values())
     bound = (1.0 + 1.5 * lam) ** 2 / (n2 - 1) * total_w
-    vals = np.zeros(runs)
-    strategy = recommended_strategy(problem)
-    for r in range(runs):
-        rep = run(problem, strategy, 10**6, seed, r)
-        vals[r] = sum(edge_weights.get(e, 0.0) for e in rep.final_state)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(runs))
+    mean, se = mean_se(np.array(
+        [sum(edge_weights.get(e, 0.0) for e in rep.final_state)
+         for rep in iter_runs(problem, range(runs), seed)], dtype=float))
     verdict = upper_verdict("expected_weight", mean, bound, se)
-    return {
-        "op": "weight_analysis",
-        "kind": "matching",
-        "runs": runs,
-        "verdicts": [verdict],
-        "all_pass": verdict.passed,
-    }
+    return verdict_report("weight_analysis", [verdict], kind="matching", runs=runs)
 
 
 def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: int = 0) -> dict:
@@ -833,11 +801,7 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
     if spec is None:
         raise LllError("coloring weight analysis needs a weight spec")
     proper = [s for s in problem.enumerate_states() if coloring_is_proper_vertex(g, s)]
-    strategy = recommended_strategy(problem)
-    outs = []
-    for r in range(runs):
-        rep = run(problem, strategy, 10**6, seed, r)
-        outs.append(rep.final_state)
+    outs = [rep.final_state for rep in iter_runs(problem, range(runs), seed)]
     verdicts = []
     from .solvers.coloring import ball
 
@@ -848,17 +812,9 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
         vals = np.array([fn({u: s[u] for u in keep}) for s in outs])
         if (vals < 0).any():
             raise LllError("local weight functions must be nonnegative")
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(runs))
-        bound = r_v * a_v * expectation
-        verdicts.append(upper_verdict(f"W[{v}]", mean, bound, se))
-    return {
-        "op": "weight_analysis",
-        "kind": "coloring",
-        "runs": runs,
-        "verdicts": verdicts,
-        "all_pass": all(v.passed for v in verdicts),
-    }
+        mean, se = mean_se(vals)
+        verdicts.append(upper_verdict(f"W[{v}]", mean, r_v * a_v * expectation, se))
+    return verdict_report("weight_analysis", verdicts, kind="coloring", runs=runs)
 
 
 # ---------------------------------------------------------------------------

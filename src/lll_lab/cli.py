@@ -293,18 +293,13 @@ def cmd_gen(args) -> int:
 
 
 def _worker_counts(payload):
-    spec, seed, start, count = payload
+    spec, seed, run_indices = payload
     problem = build_problem(spec)
-    strategy = recommended_strategy(problem)
-    steps = np.zeros(count, dtype=np.int64)
-    flaw_counts = np.zeros((count, problem.num_flaws), dtype=np.int64)
-    terminated = np.zeros(count, dtype=bool)
-    for off in range(count):
-        rep = run(problem, strategy, 10**6, seed, start + off)
-        steps[off] = rep.steps
-        terminated[off] = rep.terminated
-        flaw_counts[off] = rep.resample_counts
-    return steps, terminated, flaw_counts
+    rows = [(rep.steps, rep.terminated, rep.resample_counts)
+            for rep in analysis.iter_runs(problem, run_indices, seed)]
+    steps, terminated, flaw_counts = zip(*rows)
+    return (np.array(steps, dtype=np.int64), np.array(terminated, dtype=bool),
+            np.array(flaw_counts, dtype=np.int64).reshape(len(rows), problem.num_flaws))
 
 
 def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
@@ -312,10 +307,8 @@ def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
     processes; aggregation is in run-index order, so the result is
     byte-identical to the single-process loop."""
     chunk = max(1, (runs + workers - 1) // workers)
-    payloads = [
-        (spec, seed, start, min(chunk, runs - start))
-        for start in range(0, runs, chunk)
-    ]
+    indices = range(runs)
+    payloads = [(spec, seed, indices[k:k + chunk]) for k in range(0, runs, chunk)]
     if workers <= 1 or len(payloads) == 1:
         parts = [_worker_counts(p) for p in payloads]
     else:
@@ -373,7 +366,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--colors", "--q", type=int, default=None, dest="colors")
     p_verify.add_argument("--bias", default=None)
     p_verify.add_argument("--parallel", type=int, default=1,
-                          help="worker processes for Monte-Carlo loops")
+                          help="worker processes for the resamples suite on "
+                               "problems too large to enumerate")
     p_verify.add_argument("--json", default=None)
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -389,14 +383,11 @@ def main(argv=None) -> int:
     p_gen.set_defaults(fn=cmd_gen)
 
     args = parser.parse_args(argv)
-    if hasattr(args, "seed"):
-        args.seed = resolve_seed(args.seed)
     try:
+        if hasattr(args, "seed"):
+            args.seed = resolve_seed(args.seed)
         return args.fn(args)
-    except LllError as exc:
-        _info(f"error: {exc}")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (LllError, OSError) as exc:
         _info(f"error: {exc}")
         return EXIT_USAGE
 

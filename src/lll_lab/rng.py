@@ -21,13 +21,21 @@ INIT_TAG = 0x696E6974  # "init"
 
 
 def resolve_seed(seed: int | None) -> int:
-    """Explicit seed, else the LLL_LAB_SEED environment variable, else 0."""
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0
+    """Explicit seed, else the LLL_LAB_SEED environment variable, else 0.
+    Refuses anything but a non-negative integer."""
+    source = "seed"
+    if seed is None:
+        seed = os.environ.get(SEED_ENV_VAR, 0)
+        source = SEED_ENV_VAR
+    try:
+        value = int(seed)
+    except ValueError:
+        value = -1
+    if value < 0:
+        from .core import LllError  # core imports this module
+
+        raise LllError(f"{source} must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def run_stream(master_seed: int, run_index: int = 0, tag: int = 0) -> np.random.Generator:

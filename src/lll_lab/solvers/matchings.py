@@ -285,7 +285,7 @@ def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
     sum (1 + (2n-1)(lam n - 1) psi)^4, a valid stand-in for the exact
     enumeration at any instance size.
     """
-    from ..analysis import PartialAvoidanceConfig, labeled_problem
+    from ..analysis import PartialAvoidanceConfig, iter_runs, labeled_problem
     from ..core import run as run_one
 
     problem = rainbow_matching(clique)
@@ -307,15 +307,10 @@ def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
         problem, [alpha] * m, zeta=[zeta_closed] * m
     )
     lp = labeled_problem(problem, cfg)
-    sizes = []
-    all_terminated = True
-    last_matching = None
-    for r in range(runs):
-        rep = run_one(lp, "lowest_index", max_steps, seed, r)
-        all_terminated &= rep.terminated
-        stripped = strip_conflicts(clique, rep.final_state[0])
-        last_matching = stripped
-        sizes.append(len(stripped))
+    outs = [(rep.terminated, strip_conflicts(clique, rep.final_state[0]))
+            for rep in iter_runs(lp, range(runs), seed, "lowest_index", max_steps)]
+    sizes = [len(matching) for _, matching in outs]
+    last_matching = outs[-1][1] if outs else None
     exact_bound, asymptotic = rainbow_partial_bound(clique, alpha)
     return {
         "op": "rainbow_partial",
@@ -325,6 +320,6 @@ def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
         "exact_bound": exact_bound,
         "asymptotic_bound": asymptotic,
         "alpha": alpha,
-        "all_terminated": all_terminated,
+        "all_terminated": all(terminated for terminated, _ in outs),
         "last_matching": sorted(sorted(e) for e in last_matching) if last_matching is not None else None,
     }

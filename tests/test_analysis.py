@@ -13,11 +13,13 @@ from lll_lab.analysis import (
     dependency_graph_of,
     empirical_distribution,
     exact_run_statistics,
+    iter_runs,
     labeled_problem,
     output_distribution,
     partial_avoidance,
     run_core_truncated,
     run_many,
+    verdict_report,
     wilson_interval,
 )
 from lll_lab.core import LllError, run, state_list, normalized_measure
@@ -550,3 +552,43 @@ def test_harness_detects_violated_density_bound(two_clause_mt):
     verdicts must fail."""
     report = output_distribution(two_clause_mt, psi=[1e-9, 1e-9], runs=30_000, seed=22)
     assert not report["all_pass"]
+
+
+# ---------------------------------------------------------------------------
+# the run driver
+
+
+def test_iter_runs_matches_run_per_index(two_clause_mt):
+    """A strategy given by name is resolved once and reset per run, which
+    reproduces a fresh strategy per run; indices need not start at 0."""
+    reports = list(iter_runs(two_clause_mt, range(5, 25), 3, "recency", record_trajectory=True))
+    assert reports == [run(two_clause_mt, "recency", seed=3, run_index=r, record_trajectory=True)
+                       for r in range(5, 25)]
+
+
+# ---------------------------------------------------------------------------
+# verdicts that would pass having tested nothing
+
+
+def test_matching_weight_refuses_single_run():
+    from lll_lab.analysis import matching_weight_analysis
+
+    p = rainbow_matching(colored_k6())
+    with pytest.raises(LllError, match="two runs"):
+        matching_weight_analysis(p, {e: 1.0 for e in colored_k6().edges()}, runs=1)
+
+
+def test_verdict_report_refuses_empty():
+    with pytest.raises(LllError, match="no verdicts"):
+        verdict_report("check_resample_bounds", [], runs=10)
+
+
+def test_witness_lemma_refuses_empty_tree_set_before_sampling(two_clause_mt, monkeypatch):
+    import lll_lab.analysis as analysis
+
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(analysis, "run_many", sample)
+    with pytest.raises(LllError, match="no witness trees"):
+        check_witness_tree_lemma(two_clause_mt, runs=100, max_tree_nodes=0)

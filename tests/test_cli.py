@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from lll_lab.cli import main
 
 K6_ONE_CONFLICT = "\n".join(
@@ -321,3 +323,44 @@ def test_solve_aec_clique_mt(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["valid"]
+
+
+TWO_CLAUSES = "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n"
+
+
+def test_verify_single_run_refused(tmp_path, capsys):
+    """One run has no sample spread: the slack would be infinite."""
+    cnf = write(tmp_path, "f.cnf", TWO_CLAUSES)
+    code, out, err = run_cli(
+        ["verify", "ksat-mt", cnf, "--suite", "resamples", "--runs", "1", "--psi", "0.3",
+         "--seed", "1"], capsys,
+    )
+    assert code == 1 and out == ""
+    assert "error:" in err and "two runs" in err
+
+
+def test_verify_empty_tree_set_refused(tmp_path, capsys):
+    cnf = write(tmp_path, "f.cnf", TWO_CLAUSES)
+    code, out, err = run_cli(
+        ["verify", "ksat-mt", cnf, "--suite", "witness", "--tree-nodes", "0", "--runs", "100",
+         "--seed", "1"], capsys,
+    )
+    assert code == 1 and out == ""
+    assert "error:" in err and "no witness trees" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "gen"])
+@pytest.mark.parametrize("seed_arg,env", [(["--seed", "-1"], None), ([], "abc")])
+def test_bad_seed_refused(tmp_path, capsys, monkeypatch, command, seed_arg, env):
+    if env is None:
+        monkeypatch.delenv("LLL_LAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LLL_LAB_SEED", env)
+    if command == "verify":
+        argv = ["verify", "ksat-mt", write(tmp_path, "f.cnf", TWO_CLAUSES),
+                "--suite", "resamples", "--runs", "100", "--psi", "0.3"]
+    else:
+        argv = ["gen", "ksat", "--n", "4"]
+    code, out, err = run_cli(argv + seed_arg, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "non-negative integer" in err
