@@ -75,7 +75,7 @@ def _validate_output(spec: dict, problem, state) -> bool:
         cnf = problem.metadata["cnf"]
         if solver == "ksat-mt":
             return cnf.satisfied(state)
-        return all(v != UNSET for v in state) and cnf.satisfied(state)
+        return UNSET not in state and cnf.satisfied(state)
     if solver in ("aec-backtrack", "aec-clique-mt"):
         g = problem.metadata["graph"]
         full = all(c >= 0 for c in state)
@@ -91,6 +91,9 @@ def _state_json(spec: dict, problem, state):
     solver = spec["solver"]
     if solver == "rainbow":
         return sorted(list(e) for e in state)
+    if solver in ("ksat-backtrack", "ksat-backtrack-biased"):
+        # byte states mark an unassigned variable by UNSET; print it as -1
+        return [-1 if v == UNSET else v for v in state]
     return list(state)
 
 

@@ -144,6 +144,17 @@ def coloring_is_acyclic(g: GraphInstance, coloring: Sequence[int]) -> bool:
     return True
 
 
+def _coloring_canon(offset: int, top: int) -> Callable[[Sequence[int]], bytes]:
+    """Canonical encoding of colorings whose entries plus ``offset`` lie in
+    0..top: one byte per edge while that fits, else two (big-endian), so
+    no two colorings share an encoding."""
+    if top <= 0xFF:
+        return lambda s: bytes(c + offset for c in s)
+    if top > 0xFFFF:
+        raise LllError("too many colors for a two-byte canonical encoding")
+    return lambda s: bytes(b for c in s for b in divmod(c + offset, 256))
+
+
 # ---------------------------------------------------------------------------
 # backtracking solver
 
@@ -164,8 +175,8 @@ def four_available(g: GraphInstance, coloring: Sequence[int], edge_id: int, q: i
             forbidden.add(coloring[ei])
     avail = [c for c in range(q) if c not in forbidden]
     out = []
+    test = list(coloring)
     for c in avail:
-        test = list(coloring)
         test[edge_id] = c
         bad = False
         for ei in incident[u]:
@@ -195,6 +206,7 @@ def aec_backtrack(g: GraphInstance, q: int,
         raise LllError("q too small: no guaranteed available color")
     m = len(g.edges)
     incident = g.incident()
+    canon = _coloring_canon(1, q)  # UNCOLORED encodes as 0, color c as c + 1
 
     def present(i, state):
         return state[i] == UNCOLORED
@@ -271,7 +283,7 @@ def aec_backtrack(g: GraphInstance, q: int,
         sample_action=sample_action,
         neighbors=neighbors,
         sample_init=lambda rng: blank,
-        canon=lambda s: bytes((c + 1) & 0xFF for c in s),
+        canon=canon,
         weight=lambda s: 1.0,
         action_distribution=action_distribution,
         enumerate_states=enumerate_states if m <= 6 and q <= 10 else None,
@@ -507,6 +519,7 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
     finds them quickly.
     """
     delta = g.max_degree()
+    canon = _coloring_canon(0, q - 1)
     if eps is None or c is None:
         _, eps_opt, c_opt = clique_constant_optimum()
         eps = eps_opt if eps is None else eps
@@ -604,7 +617,7 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
             sample_action=sample_action,
             neighbors=lambda i: graph.adj[i],
             sample_init=sample_init,
-            canon=lambda s: bytes(v & 0xFF for v in s),
+            canon=canon,
             weight=lambda s: 1.0,
             action_distribution=action_distribution,
             enumerate_states=(lambda: _all_colorings(m_edges, q)) if q ** m_edges <= 400000 else None,

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from ..core import LllError, SearchProblem
 from ..criteria import BacktrackChargeTable, DependencyGraph
 
-UNSET = -1
+# value of an unassigned variable in a backtracking state: states are
+# ``bytes`` over {0, 1, UNSET}, so a state is its own canonical encoding
+UNSET = 0xFF
 
 
 @dataclass(frozen=True)
@@ -168,26 +171,40 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
 def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
                           product_measure: bool) -> SearchProblem:
     n = cnf.num_vars
-    clause_vars = [sorted(cnf.clause_vars(ci)) for ci in range(len(cnf.clauses))]
-    clauses_of = [[] for _ in range(n + 1)]
-    for ci, vs in enumerate(clause_vars):
-        for v in vs:
-            clauses_of[v].append(ci)
-    var_neighbors = [set() for _ in range(n + 1)]
-    for vs in clause_vars:
-        for a in vs:
-            var_neighbors[a].update(vs)
-    adj = tuple(frozenset(u - 1 for u in var_neighbors[v] | {v}) for v in range(1, n + 1))
+    # clauses_of[v]: (variables, getter, falsifying values) of each clause
+    # through x_{v+1}, in ascending clause order; a state violates the
+    # clause exactly when the getter reads the falsifying values
+    clauses_of: list = [[] for _ in range(n)]
+    adj_sets = [{v} for v in range(n)]
+    falsifying = bytearray(n)
+    for clause in cnf.clauses:
+        vs = [abs(lit) - 1 for lit in clause]
+        for lit, u in zip(clause, vs):
+            falsifying[u] = _falsifying_value(lit)
+        get = itemgetter(*vs)
+        entry = (vs, get, get(falsifying))
+        for u in vs:
+            clauses_of[u].append(entry)
+            adj_sets[u].update(vs)
+    adj = tuple(map(frozenset, adj_sets))
+
+    def violated_clause(vals, v):
+        """Variables of the lowest clause through x_{v+1} that ``vals``
+        violates, or None."""
+        for vs, get, want in clauses_of[v]:
+            if get(vals) == want:
+                return vs
+        return None
 
     def assign_outcome(state, v, val):
-        """State after assigning v <- val, backtracking on violation."""
-        vals = list(state)
-        vals[v - 1] = val
-        violated = [ci for ci in clauses_of[v] if cnf.violated(vals, ci)]
-        if violated:
-            for u in clause_vars[min(violated)]:
-                vals[u - 1] = UNSET
-        return tuple(vals)
+        """State after assigning x_{v+1} <- val, backtracking on violation."""
+        vals = bytearray(state)
+        vals[v] = val
+        vs = violated_clause(vals, v)
+        if vs is not None:
+            for u in vs:
+                vals[u] = UNSET
+        return bytes(vals)
 
     def present(i, state):
         return state[i] == UNSET
@@ -198,14 +215,14 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
     def sample_action(i, state, rng):
         p0 = value_probs[i][0]
         val = 0 if rng.u01() < p0 else 1
-        return assign_outcome(state, i + 1, val)
+        return assign_outcome(state, i, val)
 
     def action_distribution(i, state):
         out: dict = {}
         for val in (0, 1):
             p = value_probs[i][val]
             if p > 0.0:
-                nxt = assign_outcome(state, i + 1, val)
+                nxt = assign_outcome(state, i, val)
                 out[nxt] = out.get(nxt, 0.0) + p
         return out
 
@@ -221,25 +238,23 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
     # satisfying assignments; the biased analysis weights by the product
     # of assigned values' probabilities
     weight = product_weight if product_measure else (lambda s: 1.0)
-    empty = tuple([UNSET] * n)
+    empty = bytes([UNSET]) * n
 
     def enumerate_states():
-        # partial assignments with no violated clause
-        def rec(prefix):
-            if len(prefix) == n:
-                yield tuple(prefix)
-                return
-            v = len(prefix) + 1
-            for val in (UNSET, 0, 1):
-                prefix.append(val)
-                if val == UNSET or not any(
-                    cnf.violated(prefix + [UNSET] * (n - len(prefix)), ci)
-                    for ci in clauses_of[v]
-                ):
-                    yield from rec(prefix)
-                prefix.pop()
+        # partial assignments with no violated clause, x_1 varying slowest
+        vals = bytearray(empty)
 
-        return rec([])
+        def rec(v):
+            if v == n:
+                yield bytes(vals)
+                return
+            for val in (UNSET, 0, 1):
+                vals[v] = val
+                if val == UNSET or violated_clause(vals, v) is None:
+                    yield from rec(v + 1)
+            vals[v] = UNSET
+
+        return rec(0)
 
     return SearchProblem(
         name=name,
@@ -251,7 +266,7 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
         # assigning x_i unsets at most one clause through x_i
         affects=lambda i: adj[i],
         sample_init=lambda rng: empty,
-        canon=lambda s: bytes(b & 0xFF for b in s),
+        canon=bytes,
         weight=weight,
         action_distribution=action_distribution,
         enumerate_states=enumerate_states if n <= 12 else None,
@@ -265,12 +280,13 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
 def ksat_backtrack(cnf: CnfInstance) -> SearchProblem:
     """Backtracking assignment search with uniform coins.
 
-    States are partial assignments violating nothing; each flaw is an
-    unassigned variable.  Run it with the lowest-index strategy (the one
+    States are partial assignments violating nothing, as ``bytes`` with
+    one byte per variable (0, 1 or ``UNSET``); each flaw is an unassigned
+    variable.  Run it with the lowest-index strategy (the one
     the tail bound is proved for); the charge table is available from
     ``ksat_backtrack_table``.
     """
-    uniform = tuple((0.5, 0.5) for _ in range(cnf.num_vars))
+    uniform = ((0.5, 0.5),) * cnf.num_vars
     return _backtracking_problem(cnf, uniform, "ksat_backtrack", product_measure=False)
 
 

@@ -4,6 +4,7 @@ Problems that declare ``affects`` let the engine re-evaluate only the
 flaws an action can touch.  These properties check, on random small
 CNFs, that the tracked present set always equals a full rescan and that
 whole runs match a reference loop that rescans every flaw at every step.
+They also check the byte-string states of the backtracking solvers.
 """
 
 from dataclasses import replace
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 from lll_lab.core import CustomStrategy, make_strategy, run, validate_problem
 from lll_lab.rng import source_for_run
 from lll_lab.solvers import CnfInstance, ksat_backtrack, ksat_backtrack_biased, ksat_mt
+from lll_lab.solvers.ksat import UNSET, count_partial_satisfying
 
 MAX_STEPS = 200
-SOLVERS = ("ksat_mt", "ksat_backtrack", "ksat_backtrack_biased")
+BACKTRACKING = ("ksat_backtrack", "ksat_backtrack_biased")
+SOLVERS = ("ksat_mt", *BACKTRACKING)
 
 
 @st.composite
@@ -30,9 +33,9 @@ def cnfs(draw, max_vars=6, max_clauses=5):
 
 
 @st.composite
-def problems(draw):
+def problems(draw, solvers=SOLVERS):
     cnf = draw(cnfs())
-    solver = draw(st.sampled_from(SOLVERS))
+    solver = draw(st.sampled_from(solvers))
     if solver == "ksat_mt":
         return ksat_mt(cnf)
     if solver == "ksat_backtrack":
@@ -108,3 +111,21 @@ def test_declared_affects_pass_validation(problem):
     """The affects cover holds on every enumerated transition."""
     assert problem.affects is not None
     validate_problem(problem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=problems(BACKTRACKING), seed=st.integers(0, 2**16))
+def test_backtracking_states_are_byte_strings(problem, seed):
+    """Every state is ``bytes`` over {0, 1, UNSET}, is its own canonical
+    encoding and violates no clause; enumeration yields each partial
+    satisfying assignment once."""
+    cnf = problem.metadata["cnf"]
+    rep = run(problem, "lowest_index", MAX_STEPS, seed, record_trajectory=True)
+    for s in rep.trajectory.states():
+        assert type(s) is bytes and len(s) == cnf.num_vars
+        assert set(s) <= {0, 1, UNSET}
+        assert problem.canon(s) == s
+        assert not any(cnf.violated(s, ci) for ci in range(len(cnf.clauses)))
+    states = list(problem.enumerate_states())
+    assert all(type(s) is bytes for s in states)
+    assert len(set(states)) == len(states) == count_partial_satisfying(cnf)

@@ -3,7 +3,10 @@
 Each digest covers an output that the benchmark pins do not: the CLI
 JSON of the ``event``, ``partial`` and ``resamples`` suites (serial and
 fanned out), ``solve rainbow-partial``, and the verdicts of the two
-weighted-output analyses.  A change that alters any of them changes the
+weighted-output analyses; and for the backtracking satisfiability solvers
+a censored solve (``final_state`` holds -1 entries), a traced solve with
+its witness forest, a biased solve, and the witness suite on the
+exact-chain path.  A change that alters any of them changes the
 mapping from seed to output, and must say so.
 """
 
@@ -25,6 +28,10 @@ from lll_lab.solvers import (
 from lll_lab.formats import parse_colored_clique
 
 CNF = "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n"
+CNF6 = "p cnf 6 4\n1 2 3 0\n-1 -2 4 0\n-3 5 6 0\n2 -4 -6 0\n"
+# variable-disjoint clauses keep the backtracking solver commutative
+CNF6_DISJOINT = "p cnf 6 2\n1 2 3 0\n-4 5 -6 0\n"
+BIAS6 = [[0.3, 0.7], [0.6, 0.4], [0.5, 0.5], [0.8, 0.2], [0.1, 0.9], [0.45, 0.55]]
 
 DIGESTS = {
     "event":
@@ -45,6 +52,14 @@ DIGESTS = {
         "41ac517bf6d191c6d14166073a5eed5ab24127a15ac4227befaf16ca576964ce",
     "coloring-weight":
         "7476d55d82745baf824cac95a1b1e3927d9456a994d4825e588ade3354635c67",
+    "solve-ksat-backtrack-censored":
+        "3f43630c612a7f66adafbf6a1c2781e122171c5e4b10a94316826484b7fef645",
+    "solve-ksat-backtrack-trace":
+        "c3963218af79d64e263f6145b6a7fa599a08f25d6d01e55ef34f564c384a77fe",
+    "solve-ksat-backtrack-biased":
+        "5f1df2638a34700919fcd8cb7ca8aea83af36ee0ecb6d98b98346e33b0fcd5e3",
+    "verify-ksat-backtrack-witness":
+        "acce89aa324aa9a8b61320d69e1bd8ea9f2d39ef1fba19def5a3c32ca8aecbde",
 }
 
 
@@ -52,8 +67,8 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def cli_stdout(argv, capsys) -> str:
-    assert main(argv) == 0
+def cli_stdout(argv, capsys, code=0) -> str:
+    assert main(argv) == code
     return capsys.readouterr().out
 
 
@@ -130,3 +145,34 @@ def test_coloring_weight_verdicts():
     p = vertex_coloring_greedy(g, 4, WeightSpec((0,), {0: 1}, {0: indicator}))
     report = coloring_weight_analysis(p, runs=300, seed=3)
     assert verdicts_digest(report) == DIGESTS["coloring-weight"]
+
+
+def test_solve_ksat_backtrack_censored_json(workdir, capsys):
+    (workdir / "f6.cnf").write_text(CNF6)
+    out = cli_stdout(["solve", "ksat-backtrack", "f6.cnf", "--max-steps", "3", "--seed", "1"],
+                     capsys, code=2)
+    assert -1 in json.loads(out)["final_state"]
+    assert digest(out) == DIGESTS["solve-ksat-backtrack-censored"]
+
+
+def test_solve_ksat_backtrack_trace_json(workdir, capsys):
+    (workdir / "f6.cnf").write_text(CNF6)
+    out = cli_stdout(["solve", "ksat-backtrack", "f6.cnf", "--trace", "--seed", "4"], capsys)
+    assert json.loads(out)["steps"] > 6  # the run backtracks at least once
+    assert digest(out) == DIGESTS["solve-ksat-backtrack-trace"]
+
+
+def test_solve_ksat_backtrack_biased_json(workdir, capsys):
+    (workdir / "f6.cnf").write_text(CNF6)
+    (workdir / "bias.json").write_text(json.dumps(BIAS6))
+    out = cli_stdout(["solve", "ksat-backtrack-biased", "f6.cnf", "--bias", "bias.json",
+                      "--seed", "3"], capsys)
+    assert digest(out) == DIGESTS["solve-ksat-backtrack-biased"]
+
+
+def test_verify_ksat_backtrack_witness_json(workdir, capsys):
+    # six variables: enumerable, so the suite samples on the exact chain
+    (workdir / "d6.cnf").write_text(CNF6_DISJOINT)
+    out = cli_stdout(["verify", "ksat-backtrack", "d6.cnf", "--suite", "witness", "--runs", "300",
+                      "--seed", "4"], capsys)
+    assert digest(out) == DIGESTS["verify-ksat-backtrack-witness"]

@@ -270,3 +270,26 @@ def test_even_cycle_enumeration_theta_graph():
     cycles = enumerate_even_cycles(g)
     assert len(cycles) == 3
     assert all(len(c) == 4 for c in cycles)
+
+
+# ---------------------------------------------------------------------------
+# canonical encodings at 256 colors or more
+
+
+def test_backtrack_canon_distinct_at_256_colors():
+    problem = aec_backtrack(triangle(), 257)
+    assert problem.canon((0, 1, 2)) != problem.canon((256, 1, 2))
+    assert problem.canon((255, 1, 2)) != problem.canon((UNCOLORED, 1, 2))
+    # below 255 colors every edge keeps its one-byte encoding c + 1
+    assert aec_backtrack(triangle(), 255).canon((254, UNCOLORED, 0)) == bytes((255, 0, 1))
+
+
+def test_clique_mt_canon_distinct_above_256_colors():
+    problem, _ = aec_clique_mt(triangle(), 257)
+    assert problem.canon((0, 1, 2)) != problem.canon((256, 1, 2))
+    assert aec_clique_mt(triangle(), 256)[0].canon((255, 0, 1)) == bytes((255, 0, 1))
+
+
+def test_canon_refuses_more_colors_than_two_bytes_hold():
+    with pytest.raises(LllError, match="two-byte canonical encoding"):
+        aec_backtrack(triangle(), 1 << 16)

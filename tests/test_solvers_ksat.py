@@ -121,7 +121,7 @@ def test_biased_point_mass_deterministic():
     dists = [{0: 0.0, 1: 1.0}] * 3
     problem = ksat_backtrack_biased(cnf, dists)
     rep = run(problem, "lowest_index", seed=0)
-    assert rep.terminated and rep.final_state == (1, 1, 1) and rep.steps == 3
+    assert rep.terminated and rep.final_state == bytes((1, 1, 1)) and rep.steps == 3
 
 
 def test_biased_rejects_bad_distribution():
