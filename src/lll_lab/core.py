@@ -42,13 +42,14 @@ class SearchProblem:
     ``action_distribution`` returns the exact distribution {state: prob}
     and enables oracle mode (charges, chain solves, support checks).
 
-    ``affects(i)`` lists the flaws whose presence can change when flaw
-    ``i`` is addressed, ``i`` included.  Declare it only when that holds
-    for every reachable state and every action outcome, e.g. when the
-    action writes only variables that those flaws read;
+    ``affects(i, state, nxt)`` lists the flaws whose presence may differ
+    between ``state`` and ``nxt``, the outcome of addressing flaw ``i`` at
+    ``state``, with ``i`` included.  It must hold for every reachable
+    state and every action outcome; a static declaration ignores the two
+    states (e.g. the flaws that read a variable the action writes).
     ``validate_problem`` checks it on enumerable instances.  ``run`` then
-    re-evaluates only ``affects(i)`` after each step; ``None`` means a
-    full rescan of the flaws at every step.
+    re-evaluates only those flaws after each step; ``None`` means a full
+    rescan of the flaws at every step.
     """
 
     name: str
@@ -62,7 +63,7 @@ class SearchProblem:
     action_distribution: Callable[[int, State], dict[State, float]] | None = None
     enumerate_states: Callable[[], Iterable[State]] | None = None
     flaws_present: Callable[[State], list[int]] | None = None
-    affects: Callable[[int], Iterable[int]] | None = None
+    affects: Callable[[int, State, State], Iterable[int]] | None = None
     init_distribution: Callable[[State], float] | None = None
     init_ratio: float | None = None  # max over states of theta / normalized mu
     declared_charges: Sequence[float] | None = None
@@ -236,8 +237,8 @@ def run(
 
     Without ``problem.affects`` every step rescans all flaws.  With it,
     the initial scan fills a presence map that each step updates from
-    ``affects(i)`` alone, and strategies that declare a ``priority``
-    pick from a heap of ranks with lazy deletion.
+    ``affects(i, state, nxt)`` alone, and strategies that declare a
+    ``priority`` pick from a heap of ranks with lazy deletion.
     """
     if max_steps < 0:
         raise LllError("max_steps must be nonnegative")
@@ -293,13 +294,13 @@ def run(
         history.append(i)
         if record_trajectory:
             steps_rec.append((i, nxt, rho))
-        state = nxt
+        prev, state = state, nxt
         steps += 1
         if affects is None:
             present = problem.present_flaws(state)
             num_present = len(present)
             continue
-        for j in affects(i):
+        for j in affects(i, prev, state):
             if is_present(j, state):
                 if flags[j] != 1:
                     if not flags[j] and heap is not None:
@@ -440,20 +441,15 @@ def validate_problem(problem: SearchProblem, check_causality: bool = True) -> No
     the neighborhood relation is symmetric, and the causality cover holds:
     every arc that leaves a flaw present-but-new (or re-present) lands the
     causing flaw in the target flaw's neighborhood.  A declared ``affects``
-    must contain each flaw itself and every flaw whose presence differs
-    between a state and any outcome of addressing the flaw there.
+    must return, for every enumerated transition (s, t) of flaw i, a set
+    that contains i and every flaw whose presence differs between s and t.
     """
     m = problem.num_flaws
     for i in range(m):
         for j in problem.neighbors(i):
             if i not in problem.neighbors(j):
                 raise LllError(f"neighborhood not symmetric at ({i},{j})")
-    affects = None
-    if problem.affects is not None:
-        affects = [frozenset(problem.affects(i)) for i in range(m)]
-        for i in range(m):
-            if i not in affects[i]:
-                raise LllError(f"affects({i}) must include {i}")
+    affects = problem.affects
     if problem.action_distribution is None or problem.enumerate_states is None:
         return
 
@@ -474,7 +470,10 @@ def validate_problem(problem: SearchProblem, check_causality: bool = True) -> No
                 for t, p in dist.items():
                     if p <= 0:
                         continue
-                    outside = (before ^ present_set(t)) - affects[i]
+                    touched = frozenset(affects(i, s, t))
+                    if i not in touched:
+                        raise LllError(f"affects({i}) must include {i}")
+                    outside = (before ^ present_set(t)) - touched
                     if outside:
                         raise LllError(
                             f"affects cover violated: flaw {i} changes {min(outside)}"

@@ -162,33 +162,36 @@ def _coloring_canon(offset: int, top: int) -> Callable[[Sequence[int]], bytes]:
 def four_available(g: GraphInstance, coloring: Sequence[int], edge_id: int, q: int,
                    incident: Sequence[Sequence[int]] | None = None) -> list[int]:
     """Colors usable on the edge without breaking properness or closing a
-    bichromatic 4-cycle."""
+    bichromatic 4-cycle.
+
+    The coloring must be proper.  Color c on uv closes a 4-cycle with a
+    color c2 used at u exactly when the walk from v along c2, then c, then
+    c2 lands on u, that is when the far ends of the c2 edges at v and at u
+    are joined by an edge of color c.  Colors already on edges at u or v
+    (the edge's own included) are never available.
+    """
     if incident is None:
         incident = g.incident()
-    (u, v) = g.edges[edge_id]
-    forbidden = set()
-    for ei in incident[u]:
-        if coloring[ei] != UNCOLORED:
-            forbidden.add(coloring[ei])
+    edges = g.edges
+    (u, v) = edges[edge_id]
+    forbidden = {coloring[ei] for ei in incident[u]}
+    forbidden.update(coloring[ei] for ei in incident[v])
+    far_v = {}
     for ei in incident[v]:
-        if coloring[ei] != UNCOLORED:
-            forbidden.add(coloring[ei])
-    avail = [c for c in range(q) if c not in forbidden]
-    out = []
-    test = list(coloring)
-    for c in avail:
-        test[edge_id] = c
-        bad = False
-        for ei in incident[u]:
-            c2 = coloring[ei]
-            if ei != edge_id and c2 != UNCOLORED:
-                cyc = bichromatic_cycle_through(g, test, edge_id, c2)
-                if cyc is not None and len(cyc) == 4:
-                    bad = True
-                    break
-        if not bad:
-            out.append(c)
-    return out
+        c2 = coloring[ei]
+        if ei != edge_id and c2 != UNCOLORED:
+            (a, b) = edges[ei]
+            far_v[c2] = b if a == v else a
+    for ei in incident[u]:
+        x = far_v.get(coloring[ei]) if ei != edge_id else None
+        if x is None:
+            continue
+        (a, b) = edges[ei]
+        y = b if a == u else a
+        for ej in incident[x]:
+            if y in edges[ej]:  # ej joins the two far ends
+                forbidden.add(coloring[ej])
+    return [c for c in range(q) if c not in forbidden]
 
 
 def aec_backtrack(g: GraphInstance, q: int,
@@ -210,9 +213,6 @@ def aec_backtrack(g: GraphInstance, q: int,
 
     def present(i, state):
         return state[i] == UNCOLORED
-
-    def flaws_present(state):
-        return [i for i in range(m) if state[i] == UNCOLORED]
 
     def _outcome(state, edge_id, color):
         test = list(state)
@@ -258,6 +258,11 @@ def aec_backtrack(g: GraphInstance, q: int,
         # a backtracking step can uncolor any edge on a cycle through i
         return all_flaws
 
+    def affects(i, state, nxt):
+        # a colored edge i means no cycle closed and only edge i changed;
+        # a closed cycle uncolors its edges but the last two, i among them
+        return (i,) if nxt[i] != UNCOLORED else all_flaws
+
     def enumerate_states():
         def rec(prefix):
             if len(prefix) == m:
@@ -279,9 +284,9 @@ def aec_backtrack(g: GraphInstance, q: int,
         name="aec_backtrack",
         num_flaws=m,
         present=present,
-        flaws_present=flaws_present,
         sample_action=sample_action,
         neighbors=neighbors,
+        affects=affects,
         sample_init=lambda rng: blank,
         canon=canon,
         weight=lambda s: 1.0,

@@ -150,7 +150,7 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
         neighbors=lambda i: graph.adj[i],
         # resampling clause i rewrites only its variables, so only the
         # clauses sharing one can change
-        affects=lambda i: graph.adj[i],
+        affects=lambda i, s, t: graph.adj[i],
         sample_init=sample_init,
         canon=lambda s: bytes(s),
         weight=lambda s: 1.0,
@@ -264,7 +264,7 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
         sample_action=sample_action,
         neighbors=lambda i: adj[i],
         # assigning x_i unsets at most one clause through x_i
-        affects=lambda i: adj[i],
+        affects=lambda i, s, t: adj[i],
         sample_init=lambda rng: empty,
         canon=bytes,
         weight=weight,

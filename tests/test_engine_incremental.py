@@ -2,19 +2,27 @@
 
 Problems that declare ``affects`` let the engine re-evaluate only the
 flaws an action can touch.  These properties check, on random small
-CNFs, that the tracked present set always equals a full rescan and that
-whole runs match a reference loop that rescans every flaw at every step.
-They also check the byte-string states of the backtracking solvers.
+CNFs and on random small graphs for ``aec_backtrack``, that the tracked
+present set always equals a full rescan and that whole runs match a
+reference loop that rescans every flaw at every step.  They also check
+the byte-string states of the backtracking solvers.
 """
 
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lll_lab.core import CustomStrategy, make_strategy, run, validate_problem
 from lll_lab.rng import source_for_run
-from lll_lab.solvers import CnfInstance, ksat_backtrack, ksat_backtrack_biased, ksat_mt
+from lll_lab.solvers import (
+    CnfInstance,
+    GraphInstance,
+    aec_backtrack,
+    ksat_backtrack,
+    ksat_backtrack_biased,
+    ksat_mt,
+)
 from lll_lab.solvers.ksat import UNSET, count_partial_satisfying
 
 MAX_STEPS = 200
@@ -73,24 +81,19 @@ def reference_rule(spec):
     return lambda present, last: min(present, key=rank.__getitem__)
 
 
-@settings(max_examples=150, deadline=None)
-@given(problem=problems(), seed=st.integers(0, 2**16), data=st.data())
-def test_run_matches_full_rescan_reference(problem, seed, data):
-    assert problem.affects is not None
-    perm = data.draw(st.permutations(range(problem.num_flaws)))
+def check_runs_match_reference(problem, perm, seed, max_steps=MAX_STEPS):
     for spec in ("lowest_index", "recency", ("fixed_priority", perm)):
-        want = reference_run(problem, reference_rule(spec), MAX_STEPS, seed)
+        want = reference_run(problem, reference_rule(spec), max_steps, seed)
         for engine_problem in (problem, replace(problem, affects=None)):
-            rep = run(engine_problem, make_strategy(spec), MAX_STEPS, seed,
+            rep = run(engine_problem, make_strategy(spec), max_steps, seed,
                       record_trajectory=True)
             got = (rep.terminated, rep.steps, rep.resample_counts, rep.final_state,
                    rep.trajectory.witness_sequence)
             assert got == want, (spec, engine_problem.affects)
+    return want
 
 
-@settings(max_examples=150, deadline=None)
-@given(problem=problems(), seed=st.integers(0, 2**16))
-def test_tracked_present_set_equals_rescan(problem, seed):
+def check_tracked_present_set(problem, seed, max_steps=MAX_STEPS):
     """A custom strategy sees the tracked present list before every step;
     after the last step, termination must agree with a rescan."""
     checked = []
@@ -100,9 +103,23 @@ def test_tracked_present_set_equals_rescan(problem, seed):
         checked.append(state)
         return present[-1]
 
-    rep = run(problem, CustomStrategy(check), MAX_STEPS, seed)
+    rep = run(problem, CustomStrategy(check), max_steps, seed)
     assert len(checked) == rep.steps
     assert rep.terminated == (not problem.present_flaws(rep.final_state))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems(), seed=st.integers(0, 2**16), data=st.data())
+def test_run_matches_full_rescan_reference(problem, seed, data):
+    assert problem.affects is not None
+    check_runs_match_reference(problem, data.draw(st.permutations(range(problem.num_flaws))),
+                               seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=problems(), seed=st.integers(0, 2**16))
+def test_tracked_present_set_equals_rescan(problem, seed):
+    check_tracked_present_set(problem, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,3 +146,65 @@ def test_backtracking_states_are_byte_strings(problem, seed):
     states = list(problem.enumerate_states())
     assert all(type(s) is bytes for s in states)
     assert len(set(states)) == len(states) == count_partial_satisfying(cnf)
+
+
+# ---------------------------------------------------------------------------
+# aec_backtrack: a step that closes a cycle falls back to every flaw
+
+AEC_MAX_STEPS = 2000
+# K_{3,3} at q = 5: seed 16 closes bichromatic 6-cycles and backtracks
+K33 = GraphInstance.from_edge_list(6, [(a, b) for a in range(3) for b in range(3, 6)])
+
+
+@st.composite
+def max_degree_3_graphs(draw):
+    """Random graphs of max degree 3: on 6-12 vertices, or bipartite with
+    3-5 vertices a side, whose many 6-cycles make runs backtrack."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+        pairs = [(x, a + y) for x in range(a) for y in range(b)]
+    else:
+        a, b = draw(st.integers(6, 12)), 0
+        pairs = [(x, y) for x in range(a) for y in range(x + 1, a)]
+    draw(st.randoms(use_true_random=False)).shuffle(pairs)
+    deg = [0] * (a + b)
+    edges = []
+    for (x, y) in pairs:
+        if deg[x] < 3 and deg[y] < 3:
+            edges.append((x, y))
+            deg[x] += 1
+            deg[y] += 1
+    return GraphInstance.from_edge_list(a + b, edges)
+
+
+@st.composite
+def aec_cases(draw):
+    """An ``aec_backtrack`` problem with q from 2(maxdeg - 1) + 1 upward,
+    and a flaw permutation for the fixed-priority strategy."""
+    g = draw(max_degree_3_graphs())
+    q = 2 * (g.max_degree() - 1) + 1 + draw(st.sampled_from((0, 0, 1, 4)))
+    return aec_backtrack(g, q), draw(st.permutations(range(len(g.edges))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=aec_cases(), seed=st.integers(0, 2**16))
+@example(case=(aec_backtrack(K33, 5), tuple(reversed(range(9)))), seed=16)
+def test_aec_run_matches_full_rescan_reference(case, seed):
+    problem, perm = case
+    assert problem.affects is not None
+    terminated, steps, *_ = check_runs_match_reference(problem, perm, seed, AEC_MAX_STEPS)
+    assert terminated
+    event("backtracks" if steps > problem.num_flaws else "no backtrack")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=aec_cases(), seed=st.integers(0, 2**16))
+@example(case=(aec_backtrack(K33, 5), ()), seed=16)
+def test_aec_tracked_present_set_equals_rescan(case, seed):
+    check_tracked_present_set(case[0], seed, AEC_MAX_STEPS)
+
+
+def test_aec_example_backtracks():
+    """The explicit example above exercises the all-flaws fallback."""
+    rep = run(aec_backtrack(K33, 5), "lowest_index", AEC_MAX_STEPS, 16)
+    assert rep.terminated and rep.steps > len(K33.edges)

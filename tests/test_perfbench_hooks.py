@@ -1,0 +1,49 @@
+"""The benchmark's per-layer tracer (``perfbench/layers.py``) patches
+package names from outside the package.  Instrumenting and undoing it
+here makes a rename of any patched name fail a test instead of a
+benchmark run.  Nothing under ``perfbench/`` is written.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from lll_lab import analysis, cli, core
+from lll_lab.solvers import aec
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+K33 = "6 9\n" + "".join(f"{a} {b}\n" for a in range(3) for b in range(3, 6))
+
+
+def load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def hooked():
+    return (cli.main, cli.run, analysis.run, core.source_for_run,
+            core.SearchProblem.present_flaws, core.LowestIndexStrategy.choose,
+            aec.GraphInstance.incident, aec.bichromatic_cycle_through)
+
+
+def test_instrument_and_undo(tmp_path, capsys):
+    layers = load_layers()
+    before = hooked()
+    tracer = layers.Tracer()
+    undo = layers.instrument(tracer)
+    try:
+        assert all(a is not b for a, b in zip(hooked(), before))
+        path = tmp_path / "k33.txt"
+        path.write_text(K33)
+        assert cli.main(["solve", "aec-backtrack", str(path), "--colors", "5",
+                         "--seed", "16"]) == 0
+    finally:
+        undo()
+    assert all(a is b for a, b in zip(hooked(), before))
+    capsys.readouterr()
+    metrics = layers.layer_metrics(*tracer.fold(), tracer.counts, tracer.sequences)
+    # one run of 13 steps that backtracks; one flaw scan per run
+    assert metrics["core.runs"] == 1 and metrics["core.steps"] == 13
+    assert metrics["core.flaw_scans_per_step"] == 1 / 13
+    assert 0 < metrics["solvers.aec.cycle_walks_per_step"] < 2

@@ -6,7 +6,8 @@ fanned out), ``solve rainbow-partial``, and the verdicts of the two
 weighted-output analyses; and for the backtracking satisfiability solvers
 a censored solve (``final_state`` holds -1 entries), a traced solve with
 its witness forest, a biased solve, and the witness suite on the
-exact-chain path.  A change that alters any of them changes the
+exact-chain path; and a traced ``aec-backtrack`` solve whose run closes
+bichromatic cycles and backtracks.  A change that alters any of them changes the
 mapping from seed to output, and must say so.
 """
 
@@ -31,6 +32,8 @@ CNF = "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n"
 CNF6 = "p cnf 6 4\n1 2 3 0\n-1 -2 4 0\n-3 5 6 0\n2 -4 -6 0\n"
 # variable-disjoint clauses keep the backtracking solver commutative
 CNF6_DISJOINT = "p cnf 6 2\n1 2 3 0\n-4 5 -6 0\n"
+# K_{3,3}: max degree 3, so q = 5 is the fewest colors aec-backtrack accepts
+K33 = "6 9\n" + "".join(f"{a} {b}\n" for a in range(3) for b in range(3, 6))
 BIAS6 = [[0.3, 0.7], [0.6, 0.4], [0.5, 0.5], [0.8, 0.2], [0.1, 0.9], [0.45, 0.55]]
 
 DIGESTS = {
@@ -60,6 +63,8 @@ DIGESTS = {
         "5f1df2638a34700919fcd8cb7ca8aea83af36ee0ecb6d98b98346e33b0fcd5e3",
     "verify-ksat-backtrack-witness":
         "acce89aa324aa9a8b61320d69e1bd8ea9f2d39ef1fba19def5a3c32ca8aecbde",
+    "solve-aec-backtrack-trace":
+        "494bb852b42b24e6c4e46047c620b124ce6995fe05ee9e38baa56b0a3e1e8fb9",
 }
 
 
@@ -176,3 +181,11 @@ def test_verify_ksat_backtrack_witness_json(workdir, capsys):
     out = cli_stdout(["verify", "ksat-backtrack", "d6.cnf", "--suite", "witness", "--runs", "300",
                       "--seed", "4"], capsys)
     assert digest(out) == DIGESTS["verify-ksat-backtrack-witness"]
+
+
+def test_solve_aec_backtrack_trace_json(workdir, capsys):
+    (workdir / "k33.txt").write_text(K33)
+    out = cli_stdout(["solve", "aec-backtrack", "k33.txt", "--colors", "5", "--trace",
+                      "--seed", "16"], capsys)
+    assert json.loads(out)["steps"] > 9  # a closed cycle uncolored edges at least once
+    assert digest(out) == DIGESTS["solve-aec-backtrack-trace"]

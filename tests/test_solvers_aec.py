@@ -1,8 +1,11 @@
 """Acyclic edge coloring: backtracking solver, clique-certified resampler."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from lll_lab.core import LllError, run, validate_problem
 from lll_lab.criteria import backtracking_criterion, clique_lll_check
@@ -71,6 +74,71 @@ def test_four_available_count():
     assert len(avail) >= 9 - 2 * (delta - 1)
 
 
+def full_walk_four_available(g, coloring, edge_id, q):
+    """Reference: the earlier definition, which walks the whole
+    bichromatic path through the edge for every candidate color."""
+    incident = g.incident()
+    (u, v) = g.edges[edge_id]
+    forbidden = {coloring[ei] for ei in incident[u] + incident[v] if coloring[ei] != UNCOLORED}
+    out = []
+    test = list(coloring)
+    for c in (c for c in range(q) if c not in forbidden):
+        test[edge_id] = c
+        if not any(
+            ei != edge_id and coloring[ei] != UNCOLORED
+            and len(bichromatic_cycle_through(g, test, edge_id, coloring[ei]) or ()) == 4
+            for ei in incident[u]
+        ):
+            out.append(c)
+    return out
+
+
+def test_four_available_drops_four_cycle_closer():
+    # edges of K4: (0,1),(0,2),(0,3),(1,2),(1,3),(2,3); 1-2-3-0 colored 1, 0, 1
+    coloring = [UNCOLORED, UNCOLORED, 1, 1, UNCOLORED, 0]
+    assert four_available(k4(), coloring, 0, 5) == [2, 3, 4]
+    assert full_walk_four_available(k4(), coloring, 0, 5) == [2, 3, 4]
+
+
+@st.composite
+def acyclic_partial_colorings(draw):
+    """A dense graph of max degree 3 and a proper partial coloring of it
+    with no bichromatic cycle, built by coloring edges one at a time."""
+    n = draw(st.integers(4, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    draw(st.randoms(use_true_random=False)).shuffle(pairs)
+    deg = [0] * n
+    edges = []
+    for (a, b) in pairs:
+        if deg[a] < 3 and deg[b] < 3:
+            edges.append((a, b))
+            deg[a] += 1
+            deg[b] += 1
+    g = GraphInstance.from_edge_list(n, edges)
+    q = draw(st.integers(2, 5))
+    coloring = [UNCOLORED] * len(edges)
+    for ei in draw(st.permutations(range(len(edges)))):
+        coloring[ei] = draw(st.integers(UNCOLORED, q - 1))
+        if not coloring_is_acyclic(g, coloring):
+            coloring[ei] = UNCOLORED
+    return g, q, coloring
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=acyclic_partial_colorings())
+def test_four_available_matches_full_walk(case):
+    """Same list on every edge, colored or not, of an acyclic partial coloring."""
+    g, q, coloring = case
+    for ei in range(len(g.edges)):
+        want = full_walk_four_available(g, coloring, ei, q)
+        assert four_available(g, coloring, ei, q) == want
+        event("colored edge" if coloring[ei] != UNCOLORED else "uncolored edge")
+        (u, v) = g.edges[ei]
+        nearby = {coloring[e] for e in g.incident()[u] + g.incident()[v]}
+        if want != [c for c in range(q) if c not in nearby]:
+            event("a color closes a 4-cycle")
+
+
 # ---------------------------------------------------------------------------
 # backtracking solver
 
@@ -96,6 +164,22 @@ def test_aec_backtrack_k4():
         assert rep.terminated
         assert all(c != UNCOLORED for c in rep.final_state)
         assert coloring_is_acyclic(g, rep.final_state)
+
+
+def six_cycle():
+    return GraphInstance.from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+def test_validate_aec_backtrack_affects():
+    """A step that leaves edge i colored changes only flaw i; one that
+    closes the bichromatic 6-cycle uncolors four edges, so ``(i,)`` alone
+    does not cover it."""
+    p = aec_backtrack(six_cycle(), 3)
+    assert p.enumerate_states is not None
+    validate_problem(p)
+    narrow = replace(p, affects=lambda i, s, t: (i,))
+    with pytest.raises(LllError, match="affects cover violated: flaw 0 changes 2"):
+        validate_problem(narrow)
 
 
 def test_aec_backtrack_random_graphs():
