@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain as chain_iter, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -179,13 +180,44 @@ def iter_runs(
 
 @dataclass
 class BatchStats:
+    """Per-run step and address counts plus two reducers over the runs.
+
+    ``outputs`` maps each distinct final canon to (the first final state
+    with that canon, its run count), in order of first occurrence.
+    ``sequence_counts`` (when collected) maps each witness sequence to its
+    run count; runs whose full sequence is unknown, because it overflowed
+    the record or the run was censored, count under ``None``.
+    """
+
     runs: int
     steps: np.ndarray
     terminated: np.ndarray
     flaw_counts: np.ndarray
-    final_canon: list[bytes]
-    sequences: list[tuple[int, ...]] | None
-    final_states: list | None = None
+    outputs: dict[bytes, tuple[object, int]]
+    sequence_counts: dict[tuple[int, ...] | None, int] | None = None
+
+    @property
+    def censored(self) -> int:
+        return self.runs - int(np.count_nonzero(self.terminated))
+
+    @property
+    def sequences(self) -> Iterator[tuple[int, ...] | None] | None:
+        """One witness sequence per run, grouped by sequence rather than in
+        run order; expanded lazily from ``sequence_counts``."""
+        if self.sequence_counts is None:
+            return None
+        return chain_iter.from_iterable(repeat(s, c) for s, c in self.sequence_counts.items())
+
+
+def _output_counts(problem: SearchProblem, finals: Iterable[tuple[object, int]]) -> dict:
+    """Fold (final state, runs) pairs, in order of first occurrence, into
+    canon -> (first state, runs)."""
+    out: dict[bytes, tuple[object, int]] = {}
+    for state, c in finals:
+        key = problem.canon(state)
+        first, total = out.get(key, (state, 0))
+        out[key] = (first, total + c)
+    return out
 
 
 def run_many(
@@ -199,7 +231,8 @@ def run_many(
 ) -> BatchStats:
     """Sample independent runs; uses the exact-chain sampler when the
     problem enumerates and the strategy is state-deterministic, else the
-    step-by-step runner (``iter_runs``)."""
+    step-by-step runner (``iter_runs``).  Either way, no per-run state or
+    sequence outlives the reducers of ``BatchStats``."""
     strategy = recommended_strategy(problem) if strategy is None else make_strategy(strategy)
     chain_ok = (
         problem.enumerate_states is not None
@@ -216,35 +249,39 @@ def run_many(
         if strategy.name == "fixed_priority":
             priority = sorted(range(problem.num_flaws), key=lambda i: strategy.rank[i])
         tables = chain.build_chain_tables(problem, priority)
-        cap = 96
         result = chain.run_batch(tables, runs, seed, max_steps,
-                                 record_sequences=collect_sequences, sequence_cap=cap)
-        final_states = [tables.states[k] for k in result.final_ids]
-        final_canon = [problem.canon(s) for s in final_states]
-        sequences = None
-        if collect_sequences:
-            # runs longer than the recording cap keep a None sentinel;
-            # one-sided consumers must treat them conservatively
-            sequences = [None if over else tuple(int(x) for x in row[row >= 0])
-                         for row, over in zip(result.sequences, result.sequence_overflow)]
+                                 record_sequences=collect_sequences, sequence_cap=96)
+        ids, first, mult = np.unique(result.final_ids, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        finals = [(tables.states[k], c) for k, c in zip(ids[order].tolist(), mult[order].tolist())]
+        outputs = _output_counts(problem, finals)
+        sequences = chain.sequence_counts(result) if collect_sequences else None
         return BatchStats(runs, result.steps, result.terminated, result.flaw_counts,
-                          final_canon, sequences, final_states)
+                          outputs, sequences)
     steps = np.zeros(runs, dtype=np.int64)
     terminated = np.zeros(runs, dtype=bool)
     counts = np.zeros((runs, problem.num_flaws), dtype=np.int32)
-    final_states: list = []
-    sequences = [] if collect_sequences else None
+    finals: dict = {}
+    sequences: dict | None = {} if collect_sequences else None
     reports = iter_runs(problem, range(runs), seed, strategy, max_steps,
                         record_trajectory=collect_sequences)
     # filled row by row, so no report outlives its run: holding every
     # report's count tuple until the end grows peak memory with the runs
     for k, rep in enumerate(reports):
         steps[k], terminated[k], counts[k] = rep.steps, rep.terminated, rep.resample_counts
-        final_states.append(rep.final_state)
+        finals[rep.final_state] = finals.get(rep.final_state, 0) + 1
         if collect_sequences:
-            sequences.append(rep.trajectory.witness_sequence)
-    return BatchStats(runs, steps, terminated, counts, [problem.canon(s) for s in final_states],
-                      sequences, final_states)
+            seq = rep.trajectory.witness_sequence if rep.terminated else None
+            sequences[seq] = sequences.get(seq, 0) + 1
+    return BatchStats(runs, steps, terminated, counts, _output_counts(problem, finals.items()),
+                      sequences)
+
+
+def refuse_censored(stats: BatchStats, op: str) -> None:
+    """Refuse a verdict over runs that include censored ones: their
+    counts and outputs are those of a run cut short, not of the algorithm."""
+    if stats.censored:
+        raise LllError(f"{op}: {stats.censored} of {stats.runs} runs censored at the step cap")
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +322,10 @@ def check_witness_tree_lemma(
     stats = run_many(problem, runs, seed, strategy, collect_sequences=True)
     canon_to_slot = {t.canonical(): k for k, (t, _) in enumerate(trees)}
     hits = np.zeros(len(trees), dtype=np.int64)
-    seq_counts: dict[tuple[int, ...], int] = {}
-    overflow = 0
-    for s in stats.sequences:
-        if s is None:
-            overflow += 1  # unrecorded long run: charge it to every tree
-        else:
-            seq_counts[s] = seq_counts.get(s, 0) + 1
-    hits += overflow
-    for seq, mult in seq_counts.items():
+    for seq, mult in stats.sequence_counts.items():
+        if seq is None:
+            hits += mult  # overflowed or censored run: charge it to every tree
+            continue
         seen_slots = set()
         for _, tree in trees_of_sequence(seq, graph, max_nodes=max_tree_nodes):
             slot = canon_to_slot.get(tree.canonical())
@@ -321,12 +353,13 @@ def check_resample_bounds(
     strategy=None,
     charges: Sequence[float] | None = None,
     total_bound: float | None = None,
-    stats: "BatchStats | None" = None,
+    sample: Callable[[], BatchStats] | None = None,
     zeta_override: Mapping[int, float] | None = None,
 ) -> dict:
     """Mean per-flaw address counts against lambda_init * psi_i (cluster
     mode) or lambda_init * q_i/q_empty (shearer mode); refuses when the
-    matching criterion fails."""
+    matching criterion fails, before sampling, and when a run is censored.
+    ``sample`` replaces ``run_many`` as the source of the runs."""
     graph = dependency_graph_of(problem)
     if charges is None:
         charges = problem.declared_charges or all_charges(problem)
@@ -348,8 +381,8 @@ def check_resample_bounds(
         bounds = [lam * r for r in srep.ratios]
     else:
         raise LllError(f"unknown mode {mode!r}")
-    if stats is None:
-        stats = run_many(problem, runs, seed, strategy)
+    stats = sample() if sample is not None else run_many(problem, runs, seed, strategy)
+    refuse_censored(stats, "check_resample_bounds")
     verdicts = []
     for i in range(problem.num_flaws):
         mean, se = mean_se(stats.flaw_counts[:, i])
@@ -491,9 +524,7 @@ class DistributionReport:
 
 
 def empirical_distribution(stats: BatchStats) -> DistributionReport:
-    counts: dict[bytes, int] = {}
-    for c in stats.final_canon:
-        counts[c] = counts.get(c, 0) + 1
+    counts = {c: mult for c, (_, mult) in stats.outputs.items()}
     n = stats.runs
     nu = {k: v / n for k, v in counts.items()}
     intervals = {k: wilson_interval(v, n) for k, v in counts.items()}
@@ -542,6 +573,7 @@ def output_distribution(
     lam = computed_init_ratio(problem)
     factor = lam * u_all
     stats = run_many(problem, runs, seed, strategy)
+    refuse_censored(stats, "output_distribution")
     report = empirical_distribution(stats)
     mu_by_canon = {problem.canon(s): p for s, p in oracle.mu.items()}
     verdicts = []
@@ -693,18 +725,14 @@ def partial_avoidance(
         raise LllError("partial avoidance requires the measure as initial distribution")
     lp = labeled_problem(problem, cfg)
     stats = run_many(lp, runs, seed, strategy)
+    refuse_censored(stats, "partial_avoidance")
     m = problem.num_flaws
     # final flaw presence is judged on the base state, labels ignored
     verdicts = []
     counts = np.zeros(m, dtype=np.int64)
-    presence_cache: dict[bytes, list[int]] = {}
-    for c, st in zip(stats.final_canon, stats.final_states):
-        flags = presence_cache.get(c)
-        if flags is None:
-            flags = [i for i in range(m) if problem.present(i, st[0])]
-            presence_cache[c] = flags
-        for i in flags:
-            counts[i] += 1
+    for st, mult in stats.outputs.values():
+        for i in problem.present_flaws(st[0]):
+            counts[i] += mult
     for i in range(m):
         p_hat = counts[i] / runs
         se = proportion_se(p_hat, runs)
@@ -751,13 +779,9 @@ def run_core_truncated(
         bound += flaw_measures[i] * z
     tables = chain.build_chain_tables(problem, flaw_subset=core_set)
     result = chain.run_batch(tables, runs, seed)
-    failures = 0
-    fail_by_state: dict[int, bool] = {}
-    for k in np.unique(result.final_ids):
-        fail_by_state[int(k)] = bool(problem.present_flaws(tables.states[int(k)]))
-    for k in result.final_ids:
-        if fail_by_state[int(k)]:
-            failures += 1
+    ids, mult = np.unique(result.final_ids, return_counts=True)
+    failures = sum(c for k, c in zip(ids.tolist(), mult.tolist())
+                   if problem.present_flaws(tables.states[k]))
     p_hat = failures / runs
     verdict = upper_verdict("non_core_failure", p_hat, bound, proportion_se(p_hat, runs))
     return verdict_report("run_core_truncated", [verdict], runs=runs,

@@ -20,13 +20,19 @@ from .rng import BATCH_TAG, run_stream
 
 @dataclass
 class ChainTables:
+    """Transition rows padded to one width: row ``k`` lists its targets in
+    ascending order with their cumulative probabilities, the last real
+    entry pinned to exactly 1.0; padding repeats the last target at
+    cumulative 1.0, so no draw in [0, 1) ever reaches it.  Absorbing rows
+    hold the state itself."""
+
     problem: SearchProblem
     states: list
     index: dict
     absorbing: np.ndarray  # bool per state
     chosen_flaw: np.ndarray  # int per state, -1 when absorbing
-    row_targets: list[np.ndarray | None]
-    row_cum: list[np.ndarray | None]
+    row_targets: np.ndarray  # states x width state ids
+    row_cum: np.ndarray  # states x width cumulative probabilities
     init_ids: np.ndarray
     init_cum: np.ndarray
 
@@ -55,8 +61,7 @@ def build_chain_tables(
     rank = {f: r for r, f in enumerate(priority)} if priority is not None else None
     absorbing = np.zeros(n, dtype=bool)
     chosen = np.full(n, -1, dtype=np.int64)
-    row_targets: list[np.ndarray | None] = [None] * n
-    row_cum: list[np.ndarray | None] = [None] * n
+    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for k, s in enumerate(states):
         present = problem.present_flaws(s)
         if flaw_subset is not None:
@@ -73,17 +78,32 @@ def build_chain_tables(
         if abs(total - 1.0) > 1e-9:
             raise LllError(f"action distribution sums to {total}")
         order = np.argsort(targets)
-        row_targets[k] = targets[order]
-        row_cum[k] = np.cumsum(probs[order] / total)
+        rows[k] = targets[order], _pinned_cumsum(probs[order] / total)
+    width = max((t.size for t, _ in rows.values()), default=1)
+    row_targets = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
+    row_cum = np.ones((n, width))
+    for k, (targets, cum) in rows.items():
+        row_targets[k, :targets.size] = targets
+        row_targets[k, targets.size:] = targets[-1]
+        row_cum[k, :cum.size] = cum
     init_p = np.array([problem.init_distribution(s) for s in states], dtype=float)
     if init_p.sum() <= 0:
         raise LllError("initial distribution has no mass")
     init_p = init_p / init_p.sum()
     keep = init_p > 0
     init_ids = np.nonzero(keep)[0]
-    init_cum = np.cumsum(init_p[keep])
+    init_cum = _pinned_cumsum(init_p[keep])
     return ChainTables(problem, states, index, absorbing, chosen, row_targets, row_cum,
                        init_ids, init_cum)
+
+
+def _pinned_cumsum(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums whose last entry is exactly 1.0: rounding can leave
+    it just below (``cumsum([0.1] * 10)[-1]`` is 0.9999999999999999), and
+    a draw above it would then map past the last outcome."""
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return cum
 
 
 @dataclass
@@ -92,7 +112,7 @@ class BatchResult:
     final_ids: np.ndarray
     terminated: np.ndarray
     flaw_counts: np.ndarray  # runs x m address counts
-    sequences: np.ndarray | None  # runs x cap int16 flaw ids, -1 padding
+    sequences: np.ndarray | None  # runs x cap flaw ids, -1 padding
     sequence_overflow: np.ndarray | None
 
 
@@ -105,7 +125,12 @@ def run_batch(
     sequence_cap: int = 64,
 ) -> BatchResult:
     """Sample ``runs`` independent chains; statistics only depend on
-    (seed, runs), not on how callers batch them."""
+    (seed, runs), not on how callers batch them.
+
+    Each step draws one uniform per alive run, in run order, and maps it
+    to the first row entry whose cumulative probability is not below it
+    (``searchsorted`` with ``side="left"``), one column at a time.
+    """
     rng = run_stream(seed, 0, BATCH_TAG)
     n_runs = int(runs)
     m = tables.problem.num_flaws
@@ -113,30 +138,55 @@ def run_batch(
     current = tables.init_ids[np.searchsorted(tables.init_cum, u)]
     steps = np.zeros(n_runs, dtype=np.int64)
     counts = np.zeros((n_runs, m), dtype=np.int32)
-    seqs = np.full((n_runs, sequence_cap), -1, dtype=np.int16) if record_sequences else None
-    overflow = np.zeros(n_runs, dtype=bool) if record_sequences else None
-    alive = ~tables.absorbing[current]
+    seqs = overflow = None
+    if record_sequences:
+        # the smallest signed type that holds every flaw id and the padding
+        seqs = np.full((n_runs, sequence_cap), -1, dtype=np.min_scalar_type(-max(m, 1)))
+        overflow = np.zeros(n_runs, dtype=bool)
+    # the last column is 1.0 in every row, never below a draw: skip it
+    cum_columns = np.ascontiguousarray(tables.row_cum[:, :-1].T)
+    idx = np.nonzero(~tables.absorbing[current])[0]
     t = 0
-    while alive.any() and t < max_steps:
-        idx = np.nonzero(alive)[0]
+    while idx.size and t < max_steps:
         cur = current[idx]
         draws = rng.random(idx.size)
-        nxt = np.empty(idx.size, dtype=np.int64)
+        pos = np.zeros(idx.size, dtype=np.intp)
+        for column in cum_columns:
+            pos += column[cur] < draws
+        nxt = tables.row_targets[cur, pos]
         flaws = tables.chosen_flaw[cur]
-        for s in np.unique(cur):
-            mask = cur == s
-            nxt[mask] = tables.row_targets[s][np.searchsorted(tables.row_cum[s], draws[mask])]
-        np.add.at(counts, (idx, flaws), 1)
+        counts[idx, flaws] += 1  # run indices are unique within a step
         if record_sequences:
             if t < sequence_cap:
-                seqs[idx, t] = flaws.astype(np.int16)
+                seqs[idx, t] = flaws
             else:
                 overflow[idx] = True
         current[idx] = nxt
         steps[idx] += 1
-        alive[idx] = ~tables.absorbing[nxt]
+        idx = idx[~tables.absorbing[nxt]]
         t += 1
-    return BatchResult(steps, current, ~alive, counts, seqs, overflow)
+    return BatchResult(steps, current, tables.absorbing[current], counts, seqs, overflow)
+
+
+def sequence_counts(result: BatchResult) -> dict:
+    """Recorded witness sequences with their run counts, from one
+    ``np.unique`` over the rows viewed as opaque byte strings.  Runs whose
+    full sequence is unknown (longer than the record, or censored) count
+    under ``None``."""
+    known = result.terminated & ~result.sequence_overflow
+    width = min(int(result.steps.max(initial=0)), result.sequences.shape[1])
+    rows = np.ascontiguousarray(result.sequences[known, :width])
+    out: dict = {}
+    if rows.size:
+        as_bytes = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+        distinct, mult = np.unique(as_bytes, return_counts=True)
+        for row, c in zip(distinct.view(rows.dtype).reshape(-1, width).tolist(), mult.tolist()):
+            out[tuple(f for f in row if f >= 0)] = c
+    elif len(rows):  # every known run absorbed before its first step
+        out[()] = len(rows)
+    if len(rows) < known.size:
+        out[None] = known.size - len(rows)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,34 +206,30 @@ def exact_statistics(tables: ChainTables) -> ExactChainStats:
     address counts, expected steps, and the exact output distribution."""
     n = tables.num_states
     trans_ids = np.nonzero(~tables.absorbing)[0]
+    init_full = np.zeros(n)
+    init_full[tables.init_ids] = np.diff(tables.init_cum, prepend=0.0)
     if trans_ids.size == 0:
-        init = np.zeros(n)
-        init[tables.init_ids] = np.diff(np.concatenate([[0.0], tables.init_cum]))
-        absorption = {tables.states[k]: float(init[k]) for k in range(n) if init[k] > 0}
+        absorption = {tables.states[k]: float(p) for k, p in enumerate(init_full) if p > 0}
         return ExactChainStats(0.0, np.zeros(tables.problem.num_flaws), absorption, np.zeros(n))
-    pos = {s: k for k, s in enumerate(trans_ids)}
     nt = trans_ids.size
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[trans_ids] = np.arange(nt)
+    targets = tables.row_targets[trans_ids]
+    probs = np.diff(tables.row_cum[trans_ids], prepend=0.0, axis=1)  # padding adds 0
+    rows = np.broadcast_to(np.arange(nt)[:, None], targets.shape)
+    to_absorbing = tables.absorbing[targets]
     p_tt = np.zeros((nt, nt))
     p_ta = np.zeros((nt, n))
-    for row, s in enumerate(trans_ids):
-        targets = tables.row_targets[s]
-        cum = tables.row_cum[s]
-        probs = np.diff(np.concatenate([[0.0], cum]))
-        for t_id, p in zip(targets, probs):
-            if tables.absorbing[t_id]:
-                p_ta[row, t_id] += p
-            else:
-                p_tt[row, pos[t_id]] += p
-    init_full = np.zeros(n)
-    init_full[tables.init_ids] = np.diff(np.concatenate([[0.0], tables.init_cum]))
+    np.add.at(p_ta, (rows[to_absorbing], targets[to_absorbing]), probs[to_absorbing])
+    keep = ~to_absorbing
+    np.add.at(p_tt, (rows[keep], pos[targets[keep]]), probs[keep])
     init_t = init_full[trans_ids]
     # expected visits: v = init_t (I - P)^-1, solved as (I - P)^T v = init_t
     visits_t = np.linalg.solve(np.eye(nt) - p_tt.T, init_t)
     expected_steps = float(visits_t.sum())
     m = tables.problem.num_flaws
     flaw_counts = np.zeros(m)
-    for row, s in enumerate(trans_ids):
-        flaw_counts[tables.chosen_flaw[s]] += visits_t[row]
+    np.add.at(flaw_counts, tables.chosen_flaw[trans_ids], visits_t)
     absorbed = visits_t @ p_ta
     absorbed_full = absorbed + np.where(tables.absorbing, init_full, 0.0)
     absorption = {

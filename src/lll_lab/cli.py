@@ -228,15 +228,15 @@ def cmd_verify(args) -> int:
             problem, runs=runs, seed=args.seed, max_tree_nodes=args.tree_nodes,
         )
     elif suite == "resamples":
-        stats = None
+        sample = None
         if args.parallel > 1 and problem.enumerate_states is None:
-            steps, terminated, flaw_counts = parallel_run_counts(
-                spec, runs, args.seed, args.parallel
-            )
-            stats = analysis.BatchStats(runs, steps, terminated, flaw_counts, [], None)
+            # called only once the weights and the criterion have passed
+            def sample():
+                counts = parallel_run_counts(spec, runs, args.seed, args.parallel)
+                return analysis.BatchStats(runs, *counts, outputs={})
         report = analysis.check_resample_bounds(
             problem, psi=psi, runs=runs, seed=args.seed, mode=args.mode or "cluster",
-            stats=stats,
+            sample=sample,
         )
     elif suite == "distribution":
         report = analysis.output_distribution(problem, psi=psi, runs=runs, seed=args.seed)

@@ -20,6 +20,7 @@ from lll_lab.analysis import (
     dependency_graph_of,
     output_distribution,
     partial_avoidance,
+    run_many,
 )
 from lll_lab.core import charge, run
 from lll_lab.criteria import (
@@ -332,14 +333,11 @@ def test_11_rainbow_support_size():
     lam = clique.color_ratio()
     p = rainbow_matching(clique)
     floor = math.exp(-3 * lam * 5) * count_perfect_matchings(10)
-    distinct = set()
-    n = 10**6
-    for r in range(n):
-        rep = run(p, "lowest_index", seed=1112, run_index=r)
-        distinct.add(p.canon(rep.final_state))
-    ok = len(distinct) >= floor
+    # K10 enumerates, so run_many takes the exact-chain path
+    distinct = len(run_many(p, 10**6, 1112, "lowest_index").outputs)
+    ok = distinct >= floor
     _line(11, ok,
-          f"distinct rainbow outputs {len(distinct)} >= e^(-3 lam n) (2n-1)!! = {floor:.2f} at 1e6 runs")
+          f"distinct rainbow outputs {distinct} >= e^(-3 lam n) (2n-1)!! = {floor:.2f} at 1e6 runs")
 
 
 def test_12_clique_constant_and_k4_runs():

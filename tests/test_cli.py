@@ -263,6 +263,29 @@ def test_parallel_counts_match_serial(tmp_path, capsys):
     assert (s1 == s2).all() and (t1 == t2).all() and (f1 == f2).all()
 
 
+@pytest.mark.parametrize("extra,message", [
+    ([], "cluster mode needs a weight vector"),
+    (["--psi", "0.001"], "cluster expansion condition fails"),
+])
+def test_parallel_resamples_refused_before_sampling(tmp_path, capsys, monkeypatch,
+                                                    extra, message):
+    """23 variables are too many to enumerate, so --parallel would sample
+    on workers; the weights and the criterion are checked first."""
+    import lll_lab.cli as cli
+
+    def sample(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(cli, "parallel_run_counts", sample)
+    clauses = "".join(f"{v} {v + 1} {v + 2} 0\n" for v in range(1, 22))
+    cnf = write(tmp_path, "f.cnf", f"p cnf 23 21\n{clauses}")
+    code, out, err = run_cli(["verify", "ksat-mt", cnf, "--suite", "resamples",
+                              "--runs", "20000", "--parallel", "2", "--seed", "1", *extra],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_solve_rainbow_partial(tmp_path, capsys):
     _, clique_text, _ = run_cli(["gen", "colored-clique", "--n", "8",
                                  "--multiplicity", "3", "--seed", "40"], capsys)

@@ -47,3 +47,30 @@ def test_instrument_and_undo(tmp_path, capsys):
     assert metrics["core.runs"] == 1 and metrics["core.steps"] == 13
     assert metrics["core.flaw_scans_per_step"] == 1 / 13
     assert 0 < metrics["solvers.aec.cycle_walks_per_step"] < 2
+
+
+def test_traced_witness_suite_reads_sequence_reducer(tmp_path, capsys):
+    """The tracer reads ``BatchStats.sequences`` as one entry per run; its
+    distinct-sequence share must equal the one in the sampler's rows."""
+    from lll_lab import chain
+    from lll_lab.build import build_problem
+
+    text = "p cnf 4 3\n1 2 3 0\n-1 -2 3 0\n2 -3 4 0\n"
+    path = tmp_path / "f.cnf"
+    path.write_text(text)
+    layers = load_layers()
+    tracer = layers.Tracer()
+    undo = layers.instrument(tracer)
+    try:
+        assert cli.main(["verify", "ksat-mt", str(path), "--suite", "witness",
+                         "--runs", "3000", "--seed", "9"]) == 0
+    finally:
+        undo()
+    capsys.readouterr()
+    assert len(tracer.sequences) == 1
+    metrics = layers.layer_metrics(*tracer.fold(), tracer.counts, tracer.sequences)
+    tables = chain.build_chain_tables(build_problem({"solver": "ksat-mt", "instance_text": text}))
+    result = chain.run_batch(tables, 3000, 9, record_sequences=True, sequence_cap=96)
+    distinct = {tuple(row[row >= 0].tolist()) for row in result.sequences}
+    assert metrics["analysis.distinct_sequences_frac"] == len(distinct) / 3000
+    assert metrics["chain.batch_rounds"] == int(result.steps.max())

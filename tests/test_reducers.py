@@ -1,0 +1,263 @@
+"""The exact-chain batch sampler and the reducers of ``run_many``.
+
+``chain.run_batch`` samples every alive run in one vectorized pass per
+step over padded transition rows; these properties check it against a
+reference copy of the per-state loop it replaced.  ``BatchStats`` keeps
+distinct outputs and witness sequences with their run counts instead of
+per-run lists; on both paths those counts must equal counts rebuilt run
+by run.  Censored runs must count against a bound or be refused.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lll_lab.analysis as analysis
+from lll_lab import chain
+from lll_lab.analysis import (
+    PartialAvoidanceConfig,
+    check_resample_bounds,
+    check_witness_tree_lemma,
+    iter_runs,
+    output_distribution,
+    partial_avoidance,
+    run_many,
+)
+from lll_lab.core import LllError, SearchProblem
+from lll_lab.rng import BATCH_TAG, run_stream
+from lll_lab.solvers import CnfInstance, ksat_mt
+
+
+@st.composite
+def ksat_mt_problems(draw, max_vars=6, max_clauses=5):
+    n = draw(st.integers(1, max_vars))
+    clauses = []
+    for _ in range(draw(st.integers(1, max_clauses))):
+        vs = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(3, n), unique=True))
+        clauses.append(tuple(sorted((v if draw(st.booleans()) else -v for v in vs), key=abs)))
+    return ksat_mt(CnfInstance(n, tuple(clauses)))
+
+
+def reference_batch(problem, runs, seed, max_steps, sequence_cap):
+    """The sampler before padded rows: one ``searchsorted`` per distinct
+    current state, over per-row arrays built without the pin to 1.0."""
+    states = list(problem.enumerate_states())
+    index = {s: k for k, s in enumerate(states)}
+    n, m = len(states), problem.num_flaws
+    absorbing = np.zeros(n, dtype=bool)
+    chosen = np.full(n, -1, dtype=np.int64)
+    row_targets, row_cum = [None] * n, [None] * n
+    for k, s in enumerate(states):
+        present = problem.present_flaws(s)
+        if not present:
+            absorbing[k] = True
+            continue
+        chosen[k] = i = min(present)
+        dist = problem.action_distribution(i, s)
+        targets = np.array([index[t] for t in dist], dtype=np.int64)
+        probs = np.array(list(dist.values()), dtype=float)
+        order = np.argsort(targets)
+        row_targets[k] = targets[order]
+        row_cum[k] = np.cumsum(probs[order] / probs.sum())
+    init_p = np.array([problem.init_distribution(s) for s in states], dtype=float)
+    init_p = init_p / init_p.sum()
+    init_ids = np.nonzero(init_p > 0)[0]
+    init_cum = np.cumsum(init_p[init_p > 0])
+
+    rng = run_stream(seed, 0, BATCH_TAG)
+    current = init_ids[np.searchsorted(init_cum, rng.random(runs))]
+    steps = np.zeros(runs, dtype=np.int64)
+    counts = np.zeros((runs, m), dtype=np.int32)
+    seqs = np.full((runs, sequence_cap), -1, dtype=np.int64)
+    overflow = np.zeros(runs, dtype=bool)
+    alive = ~absorbing[current]
+    t = 0
+    while alive.any() and t < max_steps:
+        idx = np.nonzero(alive)[0]
+        cur = current[idx]
+        draws = rng.random(idx.size)
+        nxt = np.empty(idx.size, dtype=np.int64)
+        flaws = chosen[cur]
+        for s in np.unique(cur):
+            mask = cur == s
+            nxt[mask] = row_targets[s][np.searchsorted(row_cum[s], draws[mask])]
+        np.add.at(counts, (idx, flaws), 1)
+        if t < sequence_cap:
+            seqs[idx, t] = flaws
+        else:
+            overflow[idx] = True
+        current[idx] = nxt
+        steps[idx] += 1
+        alive[idx] = ~absorbing[nxt]
+        t += 1
+    return steps, current, ~alive, counts, seqs, overflow
+
+
+def per_run_sequences(result):
+    return Counter(None if over or not done else tuple(int(f) for f in row if f >= 0)
+                   for row, over, done in zip(result.sequences, result.sequence_overflow,
+                                              result.terminated))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ksat_mt_problems(), st.integers(0, 2**32 - 1), st.integers(1, 300),
+       st.integers(0, 40), st.integers(1, 8))
+def test_run_batch_matches_per_state_loop(problem, seed, runs, max_steps, cap):
+    tables = chain.build_chain_tables(problem)
+    result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=True,
+                             sequence_cap=cap)
+    steps, final_ids, terminated, counts, seqs, overflow = reference_batch(
+        problem, runs, seed, max_steps, cap)
+    assert (result.steps == steps).all()
+    assert (result.final_ids == final_ids).all()
+    assert (result.terminated == terminated).all()
+    assert (result.flaw_counts == counts).all()
+    assert (result.sequences == seqs).all()
+    assert (result.sequence_overflow == overflow).all()
+    assert chain.sequence_counts(result) == per_run_sequences(result)
+
+
+# ---------------------------------------------------------------------------
+# stub problems: exact ends of rows and wide flaw ids
+
+
+def fan_out(outcomes):
+    """State 0 has flaw 0; addressing it moves to one of ``outcomes``
+    flawless states, uniformly."""
+    return SearchProblem(
+        name="fan-out",
+        num_flaws=1,
+        present=lambda i, s: s == 0,
+        sample_action=lambda i, s, rng: 1 + rng.randint(outcomes),
+        neighbors=lambda i: frozenset({0}),
+        sample_init=lambda rng: 0,
+        canon=lambda s: bytes([s]),
+        action_distribution=lambda i, s: {t: 1.0 / outcomes for t in range(1, outcomes + 1)},
+        enumerate_states=lambda: range(outcomes + 1),
+        init_distribution=lambda s: float(s == 0),
+    )
+
+
+class TopDraws:
+    """Every uniform draw is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("outcomes", [10, 21])
+def test_row_end_pinned_to_one(monkeypatch, outcomes):
+    """Rounding leaves the cumulative sum of ten 0.1 outcomes at
+    0.9999999999999999 and of 21 outcomes of 1/21 six units lower; the
+    pin makes the largest possible draw land on the last outcome."""
+    probs = np.full(outcomes, 1.0 / outcomes)
+    assert np.cumsum(probs / probs.sum())[-1] < 1.0
+    tables = chain.build_chain_tables(fan_out(outcomes))
+    assert tables.row_cum[0, outcomes - 1] == 1.0 and tables.init_cum[-1] == 1.0
+    monkeypatch.setattr(chain, "run_stream", lambda *args: TopDraws())
+    result = chain.run_batch(tables, 3, seed=0)
+    assert result.terminated.all() and (result.steps == 1).all()
+    assert [tables.states[k] for k in result.final_ids] == [outcomes] * 3
+    # the same for a uniform initial state: the top draw starts in the last one
+    tables = chain.build_chain_tables(replace(fan_out(outcomes), init_distribution=lambda s: 1.0))
+    assert tables.init_cum[-1] == 1.0
+    result = chain.run_batch(tables, 3, seed=0)
+    assert (result.steps == 0).all()
+    assert [tables.states[k] for k in result.final_ids] == [outcomes] * 3
+
+
+def test_flaw_ids_beyond_int16_are_recorded():
+    m = 40_000
+    problem = SearchProblem(
+        name="wide",
+        num_flaws=m,
+        present=lambda i, s: s == 0 and i == m - 1,
+        sample_action=lambda i, s, rng: 1,
+        neighbors=lambda i: frozenset({i}),
+        sample_init=lambda rng: 0,
+        canon=lambda s: bytes([s]),
+        action_distribution=lambda i, s: {1: 1.0},
+        enumerate_states=lambda: [0, 1],
+        init_distribution=lambda s: float(s == 0),
+        flaws_present=lambda s: [m - 1] if s == 0 else [],
+    )
+    stats = run_many(problem, 5, 1, collect_sequences=True)
+    assert stats.sequence_counts == {(m - 1,): 5}
+    assert list(stats.sequences) == [(m - 1,)] * 5
+    assert (stats.flaw_counts[:, m - 1] == 1).all()
+
+
+# ---------------------------------------------------------------------------
+# reducers against per-run counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(ksat_mt_problems(), st.integers(0, 2**32 - 1), st.integers(2, 60),
+       st.sampled_from(["lowest_index", "recency"]), st.integers(0, 6))
+def test_step_path_reducers_match_per_run_reports(problem, seed, runs, strategy, max_steps):
+    stats = run_many(problem, runs, seed, strategy, max_steps, collect_sequences=True,
+                     use_chain=False)
+    reports = list(iter_runs(problem, range(runs), seed, strategy, max_steps,
+                             record_trajectory=True))
+    outputs = Counter(problem.canon(rep.final_state) for rep in reports)
+    assert {c: n for c, (_, n) in stats.outputs.items()} == outputs
+    assert list(stats.outputs) == list(outputs)  # order of first occurrence
+    firsts = {}
+    for rep in reports:
+        firsts.setdefault(problem.canon(rep.final_state), rep.final_state)
+    assert {c: s for c, (s, _) in stats.outputs.items()} == firsts
+    sequences = Counter(rep.trajectory.witness_sequence if rep.terminated else None
+                        for rep in reports)
+    assert stats.sequence_counts == sequences
+    assert Counter(stats.sequences) == sequences
+    assert stats.censored == sum(not rep.terminated for rep in reports)
+
+
+def test_chain_path_outputs_in_order_of_first_occurrence(two_clause_mt):
+    stats = run_many(two_clause_mt, 2_000, 4)
+    tables = chain.build_chain_tables(two_clause_mt)
+    result = chain.run_batch(tables, 2_000, 4)
+    finals = [tables.states[k] for k in result.final_ids]
+    outputs = Counter(two_clause_mt.canon(s) for s in finals)
+    assert list(stats.outputs) == list(outputs)
+    assert {c: n for c, (_, n) in stats.outputs.items()} == outputs
+
+
+# ---------------------------------------------------------------------------
+# censored runs
+
+
+@pytest.fixture
+def one_step_runs(monkeypatch):
+    """``run_many`` with every run cut after one step."""
+    real = analysis.run_many
+    monkeypatch.setattr(analysis, "run_many", lambda *a, **k: real(*a, **{**k, "max_steps": 1}))
+
+
+def test_censored_runs_are_charged_to_every_tree(two_clause_mt, one_step_runs):
+    stats = analysis.run_many(two_clause_mt, 4_000, 2, collect_sequences=True)
+    assert stats.censored > 0
+    assert stats.sequence_counts[None] == stats.censored
+    report = check_witness_tree_lemma(two_clause_mt, runs=4_000, seed=2)
+    assert all(v.empirical >= stats.censored / 4_000 for v in report["verdicts"])
+
+
+def test_resample_bounds_refuse_censored_stats(two_clause_mt):
+    with pytest.raises(LllError, match="censored"):
+        check_resample_bounds(two_clause_mt, psi=[0.25, 0.25],
+                              sample=lambda: run_many(two_clause_mt, 4_000, 2, max_steps=1))
+
+
+def test_distribution_refuses_censored_runs(two_clause_mt, one_step_runs):
+    with pytest.raises(LllError, match="censored"):
+        output_distribution(two_clause_mt, psi=[0.25, 0.25], runs=4_000, seed=2)
+
+
+def test_partial_avoidance_refuses_censored_runs(two_clause_mt, one_step_runs):
+    cfg = PartialAvoidanceConfig.build(two_clause_mt, [0.3, 0.3])
+    with pytest.raises(LllError, match="censored"):
+        partial_avoidance(two_clause_mt, cfg, runs=4_000, seed=2)
