@@ -9,7 +9,7 @@ small against each bound.  A verdict failure is a hard test failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain as chain_iter, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -23,12 +23,11 @@ from .core import (
     SearchProblem,
     all_charges,
     computed_init_ratio,
+    event_charge,
     make_strategy,
     measure_of_flaws,
-    normalized_measure,
     recommended_strategy,
     run,
-    state_list,
 )
 from .criteria import (
     DependencyGraph,
@@ -133,11 +132,11 @@ def build_oracle(problem: SearchProblem, state_cap: int = 10**6,
     """Exact tables for an enumerable problem: normalized measure, the
     flawless set and conditioned distribution, exact charges, and the
     signed independent-set polynomials when the flaw count permits."""
-    states = state_list(problem)
+    space = problem.space
+    states, mu = space.states, space.mu
     if len(states) > state_cap:
         raise LllError("state space exceeds oracle cap")
-    mu = normalized_measure(problem, states)
-    flawless = [s for s in states if not problem.present_flaws(s)]
+    flawless = [s for s, present in zip(states, space.present) if not present]
     mass = sum(mu[s] for s in flawless)
     lll = {s: mu[s] / mass for s in flawless} if mass > 0 else None
     charges = all_charges(problem)
@@ -284,6 +283,18 @@ def refuse_censored(stats: BatchStats, op: str) -> None:
         raise LllError(f"{op}: {stats.censored} of {stats.runs} runs censored at the step cap")
 
 
+def uncensored(reports: Iterable[RunReport], op: str) -> Iterator[RunReport]:
+    """Pass run reports through; once they are used up, refuse as
+    ``refuse_censored`` does if any run was censored."""
+    runs = censored = 0
+    for rep in reports:
+        runs += 1
+        censored += not rep.terminated
+        yield rep
+    if censored:
+        raise LllError(f"{op}: {censored} of {runs} runs censored at the step cap")
+
+
 # ---------------------------------------------------------------------------
 # witness tree lemma
 
@@ -410,19 +421,15 @@ def check_event_probability(
 
     ``event_actions`` defaults to resampling from the measure itself
     (always a valid commutative extension); ``event_neighbors`` defaults
-    to every flaw.
+    to every flaw.  Refuses censored runs.
     """
-    from .core import event_charge as _event_charge
-
     if psi is None:
         psi = problem.default_weights
     if psi is None:
         raise LllError("needs a weight vector")
-    states = state_list(problem)
-    mu = normalized_measure(problem, states)
+    space = problem.space
     if event_actions is None:
-        mu_items = list(mu.items())
-        event_actions = lambda s: dict(mu_items)
+        event_actions = lambda s: space.mu  # shared, never mutated
     if event_neighbors is None:
         event_neighbors = list(range(problem.num_flaws))
     if check_extension:
@@ -430,7 +437,7 @@ def check_event_probability(
         comm = check_commutativity(ext)
         if not comm.commutative:
             raise LllError("event extension is not commutative; bound not applicable")
-    gamma_e = _event_charge(problem, event, event_actions, states)
+    gamma_e = event_charge(problem, event, event_actions)
     graph = dependency_graph_of(problem)
     zeta = independent_weight_sum(
         sorted(event_neighbors), {j: graph.adj[j] for j in event_neighbors},
@@ -438,10 +445,11 @@ def check_event_probability(
     )
     bound = computed_init_ratio(problem) * gamma_e * zeta
     # memoize per-state event membership for the trajectory scan
-    member = {s: bool(event(s)) for s in states}
+    member = {s: bool(event(s)) for s in space.states}
+    reports = iter_runs(problem, range(runs), seed, strategy, record_trajectory=True)
     hits = sum(
         member[rep.trajectory.initial_state] or any(member[s] for (_, s, _) in rep.trajectory.steps)
-        for rep in iter_runs(problem, range(runs), seed, strategy, record_trajectory=True)
+        for rep in uncensored(reports, "check_event_probability")
     )
     p_hat = hits / runs
     verdict = upper_verdict("event_probability", p_hat, bound, proportion_se(p_hat, runs))
@@ -479,8 +487,6 @@ def extend_with_event(problem: SearchProblem, event, event_actions,
             if u < acc:
                 return t
         return t
-
-    from dataclasses import replace
 
     return replace(
         problem,
@@ -548,7 +554,6 @@ def output_distribution(
     runs: int = 10**5,
     seed: int = 0,
     strategy=None,
-    oracle: OracleTables | None = None,
 ) -> dict:
     """Empirical output distribution with the pointwise density bound
     nu(s) <= lambda_init * (independent-set weight sum) * mu(s) and the
@@ -562,8 +567,7 @@ def output_distribution(
         psi = problem.default_weights
     if psi is None:
         raise LllError("needs a weight vector")
-    if oracle is None:
-        oracle = build_oracle(problem)
+    oracle = build_oracle(problem)
     graph = oracle.graph
     u_all = independent_weight_sum(
         list(range(problem.num_flaws)),
@@ -796,7 +800,7 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
                              seed: int = 0) -> dict:
     """Expected output weight of the rainbow-matching solver against
     (1 + 3 lambda/2)^2 / (2n - 1) times the total edge weight; weights
-    must be nonnegative for the bound to apply."""
+    must be nonnegative for the bound to apply.  Refuses censored runs."""
     clique = problem.metadata.get("clique")
     if clique is None:
         raise LllError("matching weight analysis needs a rainbow problem")
@@ -806,9 +810,9 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
     lam = clique.color_ratio()
     total_w = sum(edge_weights.values())
     bound = (1.0 + 1.5 * lam) ** 2 / (n2 - 1) * total_w
+    reports = uncensored(iter_runs(problem, range(runs), seed), "matching_weight_analysis")
     mean, se = mean_se(np.array(
-        [sum(edge_weights.get(e, 0.0) for e in rep.final_state)
-         for rep in iter_runs(problem, range(runs), seed)], dtype=float))
+        [sum(edge_weights.get(e, 0.0) for e in rep.final_state) for rep in reports], dtype=float))
     verdict = upper_verdict("expected_weight", mean, bound, se)
     return verdict_report("weight_analysis", [verdict], kind="matching", runs=runs)
 
@@ -816,7 +820,7 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
 def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: int = 0) -> dict:
     """Per-vertex weighted-output bound for the greedy coloring: the
     empirical mean of each local function against r_v * a_v times its
-    expectation under uniform proper colorings."""
+    expectation under uniform proper colorings.  Refuses censored runs."""
     from .solvers.coloring import local_weight_bound, coloring_is_proper_vertex
 
     g = problem.metadata["graph"]
@@ -825,7 +829,8 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
     if spec is None:
         raise LllError("coloring weight analysis needs a weight spec")
     proper = [s for s in problem.enumerate_states() if coloring_is_proper_vertex(g, s)]
-    outs = [rep.final_state for rep in iter_runs(problem, range(runs), seed)]
+    reports = uncensored(iter_runs(problem, range(runs), seed), "coloring_weight_analysis")
+    outs = [rep.final_state for rep in reports]
     verdicts = []
     from .solvers.coloring import ball
 
@@ -857,9 +862,7 @@ def report_to_json_dict(report: dict) -> dict:
             out[k] = v.to_json_dict()
         elif isinstance(v, list) and v and isinstance(v[0], Verdict):
             out[k] = [x.to_json_dict() for x in v]
-        elif isinstance(v, DistributionReport):
-            out[k] = v.to_json_dict()
-        elif isinstance(v, (CommutativityReport,)):
+        elif isinstance(v, (DistributionReport, CommutativityReport)):
             out[k] = v.to_json_dict()
         elif isinstance(v, (bool, int, float, str)) or v is None:
             out[k] = v

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LllError, SearchProblem, state_list
+from .core import LllError, SearchProblem
 from .rng import BATCH_TAG, run_stream
 
 
@@ -36,10 +36,6 @@ class ChainTables:
     init_ids: np.ndarray
     init_cum: np.ndarray
 
-    @property
-    def num_states(self) -> int:
-        return len(self.states)
-
 
 def build_chain_tables(
     problem: SearchProblem,
@@ -55,15 +51,14 @@ def build_chain_tables(
         raise LllError("chain tables require oracle mode")
     if problem.init_distribution is None:
         raise LllError("chain tables require an explicit initial distribution")
-    states = state_list(problem)
-    index = {s: k for k, s in enumerate(states)}
+    space = problem.space
+    states, index = space.states, space.index
     n = len(states)
     rank = {f: r for r, f in enumerate(priority)} if priority is not None else None
     absorbing = np.zeros(n, dtype=bool)
     chosen = np.full(n, -1, dtype=np.int64)
     rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k, s in enumerate(states):
-        present = problem.present_flaws(s)
+    for k, (s, present) in enumerate(zip(states, space.present)):
         if flaw_subset is not None:
             present = [i for i in present if i in flaw_subset]
         if not present:
@@ -71,7 +66,7 @@ def build_chain_tables(
             continue
         i = min(present, key=(lambda f: rank[f]) if rank is not None else (lambda f: f))
         chosen[k] = i
-        dist = problem.action_distribution(i, s)
+        dist = space.dist(i, s)
         targets = np.array([index[t] for t in dist], dtype=np.int64)
         probs = np.array(list(dist.values()), dtype=float)
         total = probs.sum()
@@ -198,19 +193,18 @@ class ExactChainStats:
     expected_steps: float
     expected_flaw_counts: np.ndarray  # E[N_i]
     absorption: dict  # state -> probability over absorbing states
-    transient_visits: np.ndarray  # expected visits per state
 
 
 def exact_statistics(tables: ChainTables) -> ExactChainStats:
-    """Solve the absorbing chain: expected visits, expected per-flaw
-    address counts, expected steps, and the exact output distribution."""
-    n = tables.num_states
+    """Solve the absorbing chain: expected per-flaw address counts,
+    expected steps, and the exact output distribution."""
+    n = len(tables.states)
     trans_ids = np.nonzero(~tables.absorbing)[0]
     init_full = np.zeros(n)
     init_full[tables.init_ids] = np.diff(tables.init_cum, prepend=0.0)
     if trans_ids.size == 0:
         absorption = {tables.states[k]: float(p) for k, p in enumerate(init_full) if p > 0}
-        return ExactChainStats(0.0, np.zeros(tables.problem.num_flaws), absorption, np.zeros(n))
+        return ExactChainStats(0.0, np.zeros(tables.problem.num_flaws), absorption)
     nt = trans_ids.size
     pos = np.full(n, -1, dtype=np.int64)
     pos[trans_ids] = np.arange(nt)
@@ -237,6 +231,4 @@ def exact_statistics(tables: ChainTables) -> ExactChainStats:
         for k in range(n)
         if tables.absorbing[k] and absorbed_full[k] > 0
     }
-    visits = np.zeros(n)
-    visits[trans_ids] = visits_t
-    return ExactChainStats(expected_steps, flaw_counts, absorption, visits)
+    return ExactChainStats(expected_steps, flaw_counts, absorption)

@@ -12,6 +12,7 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import compress
 from typing import Any, Callable, Iterable, Sequence
@@ -81,6 +82,50 @@ class SearchProblem:
         if self.flaw_labels is not None:
             return self.flaw_labels[i]
         return str(i)
+
+    @cached_property
+    def space(self) -> StateSpace:
+        """The enumerated state space, built on first use (oracle mode)."""
+        return StateSpace(self)
+
+
+class StateSpace:
+    """One enumeration of an oracle-mode problem, shared by every exact
+    computation on it: the states in enumeration order, their ``index``,
+    each state's present flaw list, the normalized measure ``mu`` and
+    memoized action distributions ``dist(i, s)``.  Memoized distributions
+    are shared, so no consumer may mutate one.  The space keeps only the
+    weight and action closures, no reference back to the problem.
+    """
+
+    def __init__(self, problem: SearchProblem):
+        if problem.enumerate_states is None:
+            raise LllError("exact computation requires oracle mode")
+        self.states = list(problem.enumerate_states())
+        self.index = {s: k for k, s in enumerate(self.states)}
+        self.present = [problem.present_flaws(s) for s in self.states]
+        self._weight = problem.weight
+        self._action_distribution = problem.action_distribution
+        self._dists: dict = {}
+
+    @cached_property
+    def mu(self) -> dict[State, float]:
+        """The declared weights normalized over the enumerated states."""
+        weights = {s: float(self._weight(s)) for s in self.states}
+        total = sum(weights.values())
+        if total <= 0:
+            raise LllError("measure has no mass")
+        return {s: w / total for s, w in weights.items()}
+
+    def dist(self, i: int, s: State) -> dict[State, float]:
+        out = self._dists.get((i, s))
+        if out is None:
+            out = self._dists[i, s] = self._action_distribution(i, s)
+        return out
+
+    def members(self, i: int) -> list[State]:
+        """The states where flaw ``i`` is present, in enumeration order."""
+        return [s for s, present in zip(self.states, self.present) if i in present]
 
 
 @dataclass(frozen=True)
@@ -319,23 +364,6 @@ def run(
 # oracle-mode helpers
 
 
-def state_list(problem: SearchProblem) -> list[State]:
-    if problem.enumerate_states is None:
-        raise LllError("charge requires oracle mode")
-    return list(problem.enumerate_states())
-
-
-def normalized_measure(problem: SearchProblem, states: list[State] | None = None) -> dict[State, float]:
-    """Normalize the declared weights over the enumerated state space."""
-    if states is None:
-        states = state_list(problem)
-    weights = {s: float(problem.weight(s)) for s in states}
-    total = sum(weights.values())
-    if total <= 0:
-        raise LllError("measure has no mass")
-    return {s: w / total for s, w in weights.items()}
-
-
 def _charge_of_distributions(
     mu: dict[State, float],
     members: list[State],
@@ -359,56 +387,41 @@ def _charge_of_distributions(
     return worst
 
 
-def charge(problem: SearchProblem, i: int, states: list[State] | None = None,
-           mu: dict[State, float] | None = None) -> float:
+def charge(problem: SearchProblem, i: int) -> float:
     """Exact charge of flaw i: the worst-case density of "sample the flaw
     under mu, then address it" against mu.  Always >= mu(f_i); equals
     mu(f_i) exactly when the actions resample perfectly.
     """
     if problem.action_distribution is None:
         raise LllError("charge requires oracle mode")
-    if states is None:
-        states = state_list(problem)
-    if mu is None:
-        mu = normalized_measure(problem, states)
-    members = [s for s in states if problem.present(i, s)]
+    space = problem.space
+    members = space.members(i)
     if not members:
         return 0.0
-    return _charge_of_distributions(mu, members, lambda s: problem.action_distribution(i, s))
+    return _charge_of_distributions(space.mu, members, lambda s: space.dist(i, s))
 
 
 def event_charge(
     problem: SearchProblem,
     event: Callable[[State], bool],
     event_actions: Callable[[State], dict[State, float]],
-    states: list[State] | None = None,
 ) -> float:
     """Charge of an extra flaw defined by an arbitrary event with its own
     resampling distributions, under the same enumerable measure."""
-    if problem.enumerate_states is None:
-        raise LllError("charge requires oracle mode")
-    if states is None:
-        states = state_list(problem)
-    mu = normalized_measure(problem, states)
-    members = [s for s in states if event(s)]
+    space = problem.space
+    members = [s for s in space.states if event(s)]
     if not members:
         return 0.0
-    return _charge_of_distributions(mu, members, event_actions)
+    return _charge_of_distributions(space.mu, members, event_actions)
 
 
 def all_charges(problem: SearchProblem) -> list[float]:
-    states = state_list(problem)
-    mu = normalized_measure(problem, states)
-    return [charge(problem, i, states, mu) for i in range(problem.num_flaws)]
+    return [charge(problem, i) for i in range(problem.num_flaws)]
 
 
 def measure_of_flaws(problem: SearchProblem) -> list[float]:
-    states = state_list(problem)
-    mu = normalized_measure(problem, states)
-    out = []
-    for i in range(problem.num_flaws):
-        out.append(sum(mu[s] for s in states if problem.present(i, s)))
-    return out
+    space = problem.space
+    return [sum(space.mu[s] for s in space.members(i)) for i in range(problem.num_flaws)]
 
 
 def computed_init_ratio(problem: SearchProblem) -> float:
@@ -417,10 +430,9 @@ def computed_init_ratio(problem: SearchProblem) -> float:
         return problem.init_ratio
     if problem.init_distribution is None or problem.enumerate_states is None:
         raise LllError("init ratio unknown; supply init_distribution or init_ratio")
-    states = state_list(problem)
-    mu = normalized_measure(problem, states)
+    mu = problem.space.mu
     worst = 0.0
-    for s in states:
+    for s in problem.space.states:
         th = problem.init_distribution(s)
         if th == 0.0:
             continue
@@ -437,8 +449,10 @@ def computed_init_ratio(problem: SearchProblem) -> float:
 def validate_problem(problem: SearchProblem, check_causality: bool = True) -> None:
     """Exhaustive invariant check for enumerable instances.
 
-    Verifies action distributions sum to one on every (flaw, member state),
-    the neighborhood relation is symmetric, and the causality cover holds:
+    Verifies that a declared ``flaws_present`` lists exactly the flaws
+    ``present`` finds at every state, action distributions sum to one on
+    every (flaw, member state) and stay inside the enumerated states, the
+    neighborhood relation is symmetric, and the causality cover holds:
     every arc that leaves a flaw present-but-new (or re-present) lands the
     causing flaw in the target flaw's neighborhood.  A declared ``affects``
     must return, for every enumerated transition (s, t) of flaw i, a set
@@ -452,39 +466,39 @@ def validate_problem(problem: SearchProblem, check_causality: bool = True) -> No
     affects = problem.affects
     if problem.action_distribution is None or problem.enumerate_states is None:
         return
-
-    def present_set(s):
-        return frozenset(j for j in range(m) if problem.present(j, s))
-
-    states = state_list(problem)
-    for s in states:
-        before = present_set(s) if affects is not None else None
-        for i in problem.present_flaws(s):
-            dist = problem.action_distribution(i, s)
+    space = problem.space
+    for s, listed in zip(space.states, space.present):
+        if problem.flaws_present is not None:
+            scanned = [j for j in range(m) if problem.present(j, s)]
+            if listed != scanned:
+                raise LllError(f"flaws_present lists {listed} where present finds {scanned}")
+        for i in listed:
+            dist = space.dist(i, s)
             if not dist:
                 raise LllError(f"flaw {i} has empty action set")
             total = sum(dist.values())
             if abs(total - 1.0) > PROB_TOL:
                 raise LllError(f"action probabilities for flaw {i} sum to {total}")
-            if affects is not None:
-                for t, p in dist.items():
-                    if p <= 0:
-                        continue
+            gamma_i = problem.neighbors(i)
+            for t, p in dist.items():
+                if p <= 0:
+                    continue
+                k = space.index.get(t)
+                if k is None:
+                    raise LllError(f"flaw {i} leads outside the enumerated states")
+                after = space.present[k]
+                if affects is not None:
                     touched = frozenset(affects(i, s, t))
                     if i not in touched:
                         raise LllError(f"affects({i}) must include {i}")
-                    outside = (before ^ present_set(t)) - touched
+                    outside = (frozenset(listed) ^ frozenset(after)) - touched
                     if outside:
                         raise LllError(
                             f"affects cover violated: flaw {i} changes {min(outside)}"
                         )
-            if check_causality:
-                gamma_i = problem.neighbors(i)
-                for t, p in dist.items():
-                    if p <= 0:
-                        continue
-                    for j in problem.present_flaws(t):
-                        if (j == i or not problem.present(j, s)) and j not in gamma_i:
+                if check_causality:
+                    for j in after:
+                        if (j == i or j not in listed) and j not in gamma_i:
                             raise LllError(
                                 f"causality cover violated: flaw {i} introduces {j}"
                             )

@@ -520,8 +520,7 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
 
     Flaw ids order paths before cycles; run with the paths-first priority
     (the default lowest-index strategy does exactly that), so cycle flaws
-    are only addressed on proper colorings where per-color-pair search
-    finds them quickly.
+    are only addressed on proper colorings.
     """
     delta = g.max_degree()
     canon = _coloring_canon(0, q - 1)
@@ -558,17 +557,6 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
         if i < num_paths:
             return state[es[0]] == state[es[1]]
         return _is_bichromatic(state, ordered_cycles[i - num_paths])
-
-    def flaws_present(state):
-        found = [i for i in range(num_paths) if state[flaw_edges[i][0]] == state[flaw_edges[i][1]]]
-        if found:
-            return found
-        # proper coloring: bichromatic cycles located per color pair
-        out = []
-        for j in range(num_paths, m):
-            if present(j, state):
-                out.append(j)
-        return out
 
     def sample_action(i, state, rng):
         vals = list(state)
@@ -618,7 +606,6 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
             name="aec_clique_mt",
             num_flaws=m,
             present=present,
-            flaws_present=flaws_present,
             sample_action=sample_action,
             neighbors=lambda i: graph.adj[i],
             sample_init=sample_init,

@@ -179,8 +179,13 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         rng.shuffle(verts)
         return frozenset(_edge(verts[2 * k], verts[2 * k + 1]) for k in range(n))
 
-    def canon(matching):
-        return b"".join(bytes((u, v)) for (u, v) in sorted(matching))
+    if n2 <= 256:
+        def canon(matching):
+            return b"".join(bytes((u, v)) for (u, v) in sorted(matching))
+    else:  # vertex ids past 255: two big-endian bytes per vertex
+        def canon(matching):
+            return b"".join(u.to_bytes(2, "big") + v.to_bytes(2, "big")
+                            for (u, v) in sorted(matching))
 
     total = count_perfect_matchings(n2)
     charge = 1.0 / ((n2 - 1) * (n2 - 3)) if n2 >= 4 else 0.0

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import LllError, SearchProblem, Trajectory, state_list
+from .core import LllError, SearchProblem, Trajectory
 from .criteria import DependencyGraph
 
 PRODUCT_REL_TOL = 1e-9
@@ -334,33 +334,28 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
     """
     if problem.action_distribution is None or problem.enumerate_states is None:
         raise LllError("commutativity check requires oracle mode")
-    states = state_list(problem)
-    if len(states) > state_cap:
+    space = problem.space
+    if len(space.states) > state_cap:
         raise LllError("state space too large for exhaustive commutativity check")
     m = problem.num_flaws
-    present_map = {s: problem.present_flaws(s) for s in states}
+    present_map = dict(zip(space.states, space.present))
     violations: list[dict] = []
     checked = 0
 
     def two_step_products(i: int, j: int) -> dict[tuple, dict[float, int]]:
         """(s1, s3) -> multiset of rho products over i-then-j paths."""
         out: dict[tuple, dict[float, int]] = {}
-        for s1 in states:
+        for s1 in space.states:
             if i not in present_map[s1]:
                 continue
-            for s2, p12 in problem.action_distribution(i, s1).items():
+            for s2, p12 in space.dist(i, s1).items():
                 if p12 <= 0 or j not in present_map[s2]:
                     continue
-                for s3, p23 in problem.action_distribution(j, s2).items():
+                for s3, p23 in space.dist(j, s2).items():
                     if p23 <= 0:
                         continue
                     bucket = out.setdefault((s1, s3), {})
-                    prod = p12 * p23
-                    key_p = prod
-                    for q in bucket:
-                        if abs(q - prod) <= PRODUCT_REL_TOL * max(q, prod):
-                            key_p = q
-                            break
+                    key_p = _matching_key(bucket, p12 * p23)
                     bucket[key_p] = bucket.get(key_p, 0) + 1
         return out
 
@@ -373,14 +368,12 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
             checked += 1
             fwd = two_step_products(i, j)
             bwd = two_step_products(j, i)
-            keys = set(fwd) | set(bwd)
-            for key in keys:
+            for key in set(fwd) | set(bwd):
                 f = fwd.get(key, {})
                 b = bwd.get(key, {})
-                products = set(f) | set(b)
-                for p in products:
-                    cf = _matched_count(f, p)
-                    cb = _matched_count(b, p)
+                for p in set(f) | set(b):
+                    cf = f.get(_matching_key(f, p), 0)
+                    cb = b.get(_matching_key(b, p), 0)
                     if cf != cb:
                         violations.append({
                             "flaws": (i, j),
@@ -395,11 +388,9 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
     return CommutativityReport(not violations, checked, tuple(violations))
 
 
-def _matched_count(bucket: dict[float, int], p: float) -> int:
-    for q, c in bucket.items():
-        if abs(q - p) <= PRODUCT_REL_TOL * max(q, p):
-            return c
-    return 0
+def _matching_key(bucket: dict[float, int], p: float) -> float:
+    """The first product in ``bucket`` equal to ``p`` up to tolerance, else ``p``."""
+    return next((q for q in bucket if abs(q - p) <= PRODUCT_REL_TOL * max(q, p)), p)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from lll_lab.analysis import (
     verdict_report,
     wilson_interval,
 )
-from lll_lab.core import LllError, run, state_list, normalized_measure
+from lll_lab.core import LllError, run
 from lll_lab.criteria import neighborhood_sum
 from lll_lab.solvers import CnfInstance, ksat_mt
 from lll_lab.solvers.matchings import EdgeColoredClique, rainbow_matching
@@ -216,8 +216,7 @@ def test_unreachable_flaw_has_zero_counts():
 
 
 def test_event_probability_single_state(two_clause_mt):
-    states = state_list(two_clause_mt)
-    mu = normalized_measure(two_clause_mt)
+    mu = two_clause_mt.space.mu
     sigma0 = (1, 1, 1)
     report = check_event_probability(
         two_clause_mt,
@@ -497,7 +496,7 @@ def test_exact_output_density_bound_any_strategy(two_clause_mt):
     psi = [0.25, 0.25]
     graph = dependency_graph_of(two_clause_mt)
     u = independent_weight_sum([0, 1], graph.adj, {0: psi[0], 1: psi[1]})
-    mu = normalized_measure(two_clause_mt)
+    mu = two_clause_mt.space.mu
     for priority in ([0, 1], [1, 0]):
         tables = chain.build_chain_tables(two_clause_mt, priority)
         stats = chain.exact_statistics(tables)
@@ -592,3 +591,46 @@ def test_witness_lemma_refuses_empty_tree_set_before_sampling(two_clause_mt, mon
     monkeypatch.setattr(analysis, "run_many", sample)
     with pytest.raises(LllError, match="no witness trees"):
         check_witness_tree_lemma(two_clause_mt, runs=100, max_tree_nodes=0)
+
+
+# ---------------------------------------------------------------------------
+# censored runs in the step-runner suites
+
+
+@pytest.fixture
+def zero_step_cap(monkeypatch):
+    """Every run ``iter_runs`` makes is cut at zero steps, so a run whose
+    initial state has a flaw is censored."""
+    import lll_lab.analysis as analysis
+
+    real_run = analysis.run
+
+    def capped(problem, strategy, max_steps, *args, **kwargs):
+        return real_run(problem, strategy, 0, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", capped)
+
+
+def test_event_probability_refuses_censored(two_clause_mt, zero_step_cap):
+    with pytest.raises(LllError, match=r"check_event_probability: \d+ of 400 runs censored"):
+        check_event_probability(two_clause_mt, event=lambda s: two_clause_mt.present(0, s),
+                                psi=[0.25, 0.25], runs=400, seed=4)
+
+
+def test_matching_weight_refuses_censored(zero_step_cap):
+    from lll_lab.analysis import matching_weight_analysis
+
+    p = rainbow_matching(colored_k6())
+    with pytest.raises(LllError, match=r"matching_weight_analysis: \d+ of 400 runs censored"):
+        matching_weight_analysis(p, {e: 1.0 for e in colored_k6().edges()}, runs=400, seed=13)
+
+
+def test_coloring_weight_refuses_censored(zero_step_cap):
+    from lll_lab.analysis import coloring_weight_analysis
+    from lll_lab.solvers import GraphInstance, WeightSpec, vertex_coloring_greedy
+
+    g = GraphInstance.from_edge_list(5, [(i, i + 1) for i in range(4)])
+    spec = WeightSpec((0,), {0: 1}, {0: lambda colors: 1.0})
+    p = vertex_coloring_greedy(g, 4, spec)
+    with pytest.raises(LllError, match=r"coloring_weight_analysis: \d+ of 100 runs censored"):
+        coloring_weight_analysis(p, runs=100, seed=3)

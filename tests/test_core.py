@@ -10,9 +10,7 @@ from lll_lab.core import (
     charge,
     computed_init_ratio,
     event_charge,
-    normalized_measure,
     run,
-    state_list,
     validate_problem,
 )
 from lll_lab.rng import source_for_run
@@ -139,9 +137,8 @@ def test_event_charge_identity_and_point(two_clause_mt):
     p = two_clause_mt
     got = event_charge(p, lambda s: p.present(0, s), lambda s: p.action_distribution(0, s))
     assert abs(got - charge(p, 0)) < 1e-12
-    states = state_list(p)
-    mu = normalized_measure(p)
-    sigma0 = states[0]
+    mu = p.space.mu
+    sigma0 = p.space.states[0]
     got = event_charge(p, lambda s: s == sigma0, lambda s: dict(mu))
     assert abs(got - mu[sigma0]) < 1e-12
 
@@ -185,6 +182,41 @@ def test_validate_catches_affects_gap(two_clause_mt):
     without_self = replace(two_clause_mt, affects=lambda i, s, t: frozenset({1 - i}))
     with pytest.raises(LllError, match="must include"):
         validate_problem(without_self)
+
+
+def test_validate_catches_partial_flaws_present():
+    """A declared flaws_present must list exactly what present finds."""
+    from dataclasses import replace
+
+    from lll_lab.solvers import ksat_backtrack
+
+    good = ksat_backtrack(CnfInstance(3, ((1, 2, 3),)))
+    validate_problem(good)
+    bad = replace(good, flaws_present=lambda s: [])
+    with pytest.raises(LllError, match=r"flaws_present lists \[\] where present finds \[0, 1, 2\]"):
+        validate_problem(bad)
+
+
+def test_state_space_is_shared_and_holds_no_problem():
+    """One enumeration per problem, memoized distributions, and no
+    reference cycle: the problem is freed without the cyclic collector."""
+    import gc
+    import weakref
+
+    p = ksat_mt(CnfInstance(3, ((1, 2, 3), (-1, -2, 3))))
+    space = p.space
+    assert p.space is space and space.states[space.index[(1, 0, 1)]] == (1, 0, 1)
+    assert space.present[space.index[(0, 0, 0)]] == [0]
+    assert space.dist(0, (0, 0, 0)) is space.dist(0, (0, 0, 0))
+    assert sum(space.mu.values()) == pytest.approx(1.0)
+    ref = weakref.ref(p)
+    gc.disable()
+    try:
+        del p
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(space.states) == 8
 
 
 def test_event_extension_drops_affects(two_clause_mt):

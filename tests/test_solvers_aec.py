@@ -333,18 +333,21 @@ def test_validate_aec_clique_mt_problem():
 
 
 def test_clique_mt_paths_found_before_cycles():
-    """With an improper coloring on the board, only path flaws surface;
-    cycle flaws are searched only on proper colorings."""
-    g = GraphInstance.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    """Every present flaw is listed, cycles included, and paths have the
+    lowest ids, so the lowest-index strategy addresses a path first."""
+    g = GraphInstance.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
     problem, _ = aec_clique_mt(g, 3)
     num_paths = problem.metadata["num_paths"]
-    # edges sorted: (0,1),(0,3),(1,2),(2,3); the 4-cycle uses all four
-    bicolored = (0, 1, 1, 0)  # proper and alternating: only the cycle flaw
-    present = problem.flaws_present(bicolored)
-    assert present and all(i >= num_paths for i in present)
-    clash = (0, 0, 1, 1)  # edges (0,1) and (0,3) meet at vertex 0 in color 0
-    present = problem.flaws_present(clash)
-    assert present and all(i < num_paths for i in present)
+    # edges sorted: (0,1),(0,3),(1,2),(2,3),(3,4); the 4-cycle uses the first four
+    bicolored = (0, 1, 1, 0, 2)  # proper and alternating: only the cycle flaw
+    assert problem.present_flaws(bicolored) == [num_paths]
+    # alternating on the cycle, and the pendant edge (3,4) repeats the
+    # color of (2,3) at vertex 3: path flaw 5 and cycle flaw 6 together
+    both = (2, 1, 1, 2, 2)
+    assert problem.present_flaws(both) == [5, num_paths]
+    assert num_paths == 6
+    # and so at every state: validate_problem compares the two scans
+    validate_problem(problem)
 
 
 def test_even_cycle_enumeration_theta_graph():

@@ -146,10 +146,8 @@ def test_backtrack_charges_match_exact_enumeration():
     incoming-mass maxima on an enumerable instance."""
     cnf = CnfInstance(4, ((1, 2, 3), (-2, 3, 4)))
     problem = ksat_backtrack(cnf)
-    from lll_lab.core import normalized_measure, state_list
-
-    states = state_list(problem)
-    mu = normalized_measure(problem, states)
+    states = problem.space.states
+    mu = problem.space.mu
     table = ksat_backtrack_table(cnf)
     got: dict = {}
     for s in states:

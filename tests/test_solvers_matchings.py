@@ -174,3 +174,18 @@ def test_rainbow_partial_mean_against_bound():
     var = sum((s - mean) ** 2 for s in sizes) / (len(sizes) - 1)
     se = math.sqrt(var / len(sizes))
     assert mean >= out["exact_bound"] - 4 * se
+
+
+def test_canon_two_bytes_per_vertex_above_256_vertices():
+    """Vertex ids past 255 do not fit one byte: a 258-vertex clique encodes
+    every vertex in two bytes, while K6 keeps one byte per vertex."""
+    n2 = 258
+    colors = {(u, v): u * n2 + v for u in range(n2) for v in range(u + 1, n2)}
+    problem = rainbow_matching(EdgeColoredClique(n2, colors))
+    low = frozenset((2 * k, 2 * k + 1) for k in range(n2 // 2))
+    high = (low - {(0, 1), (256, 257)}) | {(0, 256), (1, 257)}
+    assert len(problem.canon(low)) == 2 * n2
+    assert problem.canon(low) != problem.canon(high)
+    assert problem.canon(low)[-4:] == bytes((1, 0, 1, 1))
+    k6 = rainbow_matching(colored_k6())
+    assert k6.canon(frozenset({(0, 1), (2, 3), (4, 5)})) == bytes(range(6))

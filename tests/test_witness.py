@@ -437,12 +437,10 @@ def test_forest_probability_bound_measure_start():
     import math
     from dataclasses import replace
 
-    from lll_lab.core import normalized_measure, state_list
-
     cnf = CnfInstance(3, ((1, 2, 3),))
     base = ksat_backtrack(cnf)
-    states = state_list(base)
-    mu = normalized_measure(base, states)
+    states = base.space.states
+    mu = base.space.mu
     cdf = []
     acc = 0.0
     for s in states:
