@@ -267,7 +267,9 @@ def run_many(
     # filled row by row, so no report outlives its run: holding every
     # report's count tuple until the end grows peak memory with the runs
     for k, rep in enumerate(reports):
-        steps[k], terminated[k], counts[k] = rep.steps, rep.terminated, rep.resample_counts
+        steps[k], terminated[k] = rep.steps, rep.terminated
+        if rep.steps:  # the counts sum to the steps, so a 0-step row stays zero
+            counts[k] = rep.resample_counts
         finals[rep.final_state] = finals.get(rep.final_state, 0) + 1
         if collect_sequences:
             seq = rep.trajectory.witness_sequence if rep.terminated else None

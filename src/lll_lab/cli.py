@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -220,6 +221,8 @@ def cmd_verify(args) -> int:
     runs = args.runs
     if runs <= 0:
         raise LllError("--runs must be positive")
+    if args.parallel < 1:
+        raise LllError("--parallel must be at least 1")
     psi = list(problem.default_weights) if problem.default_weights else None
     if args.psi is not None:
         psi = [args.psi] * problem.num_flaws
@@ -312,10 +315,13 @@ def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
     chunk = max(1, (runs + workers - 1) // workers)
     indices = range(runs)
     payloads = [(spec, seed, indices[k:k + chunk]) for k in range(0, runs, chunk)]
-    if workers <= 1 or len(payloads) == 1:
+    # the pool starts all its processes at once, so it gets no more than
+    # there are chunks to run and cores to run them on
+    processes = min(workers, len(payloads), os.cpu_count() or 1)
+    if processes <= 1:
         parts = [_worker_counts(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_worker_counts, payloads))
     steps = np.concatenate([p[0] for p in parts])
     terminated = np.concatenate([p[1] for p in parts])

@@ -1,14 +1,28 @@
 """Deterministic randomness plumbing shared by the whole package.
 
 All randomness flows through numpy's PCG64.  A run is identified by the
-pair (master seed, run index); its stream is PCG64 seeded with
-``SeedSequence((master_seed, run_index))``.  Monte-Carlo drivers may fan
-runs out across workers and still aggregate identical statistics because
-each run owns an independent, reproducible stream.
+triple (master seed, run index, tag); its stream is bit for bit
+``PCG64(SeedSequence((master_seed, run_index, tag)))``, with tag 0 for
+the per-run streams of ``core.run``.  Monte-Carlo drivers may fan runs
+out across workers and still aggregate identical statistics because each
+run owns an independent, reproducible stream.
+
+``SeedSequence`` hashing costs more than a short run, so this module
+does that step itself, vectorized over a block of consecutive run
+indices: the same uint32 hash and mixing rounds on arrays, giving each
+run the four uint64 words that ``SeedSequence.generate_state(4,
+np.uint64)`` returns.  numpy's own ``PCG64`` is then seeded from those
+words, so every run still gets a bit generator of its own.  The last
+block computed for each (master seed, tag) is memoized per process; a
+run index that continues it doubles the block (up to ``_MAX_BLOCK``),
+any other computes that index alone.  The memo is a pure cache: a
+stream depends only on its triple, never on the order in which indices
+are asked for.  The tests compare every word with ``SeedSequence``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -38,10 +52,140 @@ def resolve_seed(seed: int | None) -> int:
     return value
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_PCG64_WORDS = 4  # uint64 words PCG64 asks its seed sequence for
+_MAX_BLOCK = 1024
+_MEMO_KEYS = 16  # (seed, tag) pairs kept; a few streams interleave at most
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's split of a non-negative integer into uint32 words,
+    least significant first; 0 is one word, and no word is padded."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+@functools.cache
+def _hash_chain(h: int, mult: int, steps: int) -> np.ndarray:
+    """SeedSequence's hash constant over ``steps`` steps of
+    ``h <- h * mult``, as a column of ``steps + 1`` uint32 values."""
+    seq = [h]
+    for _ in range(steps):
+        seq.append(seq[-1] * mult & _MASK32)
+    return np.array(seq, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray, at: int, n: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` at hash-constant steps ``at`` to
+    ``at + n - 1``, one step per row of the result."""
+    values = (values ^ chain[at:at + n]) * chain[at + 1:at + n + 1]
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+_OTHERS = [[d for d in range(_POOL_SIZE) if d != src] for src in range(_POOL_SIZE)]
+_CYCLE = list(range(_POOL_SIZE)) * 2  # generate_state reads the pool cyclically
+
+
+def _state_words(seed: int, tag: int, start: int, count: int) -> np.ndarray:
+    """``SeedSequence((seed, r, tag)).generate_state(4, np.uint64)`` for
+    the ``count`` run indices r from ``start``, one row per index.
+
+    The indices must share ``r >> 32``: an index of 2^32 or more adds
+    entropy words, and the high words must be the same across the block.
+    All arithmetic is on uint32 arrays, which wrap without a warning.
+    """
+    head = _uint32_words(seed)
+    high = start >> 32
+    words = head + [0] + (_uint32_words(high) if high else []) + _uint32_words(tag)
+    extra = max(0, len(words) - _POOL_SIZE)
+    words += [0] * (_POOL_SIZE - len(words))  # the pool fill hashes 0 past the entropy
+    entropy = np.array(words, dtype=np.uint32)[:, None].repeat(count, axis=1)
+    low = start & _MASK32
+    entropy[len(head)] = np.arange(low, low + count, dtype=np.uint32)
+
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * extra)
+    pool = _hashmix(entropy[:_POOL_SIZE], chain, 0, _POOL_SIZE)
+    at = _POOL_SIZE
+    # every pool word into every other one, sources in order
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain, at, len(dst)))
+        at += len(dst)
+    # entropy words past the pool (long seeds or run indices) into every pool word
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, chain, at, _POOL_SIZE))
+        at += _POOL_SIZE
+
+    chain = _hash_chain(_INIT_B, _MULT_B, 2 * _PCG64_WORDS)
+    state = _hashmix(pool[_CYCLE], chain, 0, 2 * _PCG64_WORDS).astype(np.uint64)
+    # uint32 pairs read as little-endian uint64, as SeedSequence does
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << np.uint64(32))).T)
+
+
+_EMPTY = np.zeros((0, _PCG64_WORDS), dtype=np.uint64)
+_blocks: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+
+
+def _run_words(seed: int, run_index: int, tag: int) -> np.ndarray:
+    """The four PCG64 seed words of one run, from the per-process memo."""
+    key = (seed, tag)
+    start, block = _blocks.get(key, (0, _EMPTY))
+    k = run_index - start
+    if 0 <= k < len(block):
+        return block[k]
+    if min(seed, run_index, tag) < 0:
+        raise ValueError("expected non-negative integer")
+    count = min(2 * len(block), _MAX_BLOCK) if block.size and k == len(block) else 1
+    count = min(count, (((run_index >> 32) + 1) << 32) - run_index)  # one r >> 32 per block
+    _blocks.pop(key, None)
+    if len(_blocks) >= _MEMO_KEYS:
+        del _blocks[next(iter(_blocks))]  # the least recently extended
+    block = _state_words(seed, tag, run_index, count)
+    _blocks[key] = (run_index, block)
+    return block[0]
+
+
+@functools.cache
+def _state_words_type() -> type:
+    """An ``ISeedSequence`` that hands numpy's PCG64 seeding the words
+    SeedSequence would generate.  Built on first use: ``numpy.random``
+    loads lazily, and importing it costs more than building a problem."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _PCG64_WORDS or dtype is not np.uint64:
+                raise ValueError("only PCG64's four uint64 seed words are stored")
+            return self.words
+
+    return StateWords
+
+
 def run_stream(master_seed: int, run_index: int = 0, tag: int = 0) -> np.random.Generator:
-    """Generator for one run, derived from (master_seed, run_index, tag)."""
-    ss = np.random.SeedSequence((int(master_seed), int(run_index), int(tag)))
-    return np.random.Generator(np.random.PCG64(ss))
+    """Generator for one run, derived from (master_seed, run_index, tag):
+    the stream of ``PCG64(SeedSequence((master_seed, run_index, tag)))``."""
+    words = _run_words(int(master_seed), int(run_index), int(tag))
+    return np.random.Generator(np.random.PCG64(_state_words_type()(words)))
 
 
 class RandomSource:
@@ -49,9 +193,10 @@ class RandomSource:
 
     Hot loops consume ``u01``/``randint`` from pre-drawn blocks, which is
     roughly an order of magnitude faster than per-call Generator methods.
-    Blocks start small (cheap for short runs) and double up to a cap; the
-    block schedule is fixed, so the consumption order -- one u01 per
-    primitive call -- stays deterministic per seed.
+    Blocks start small (cheap for short runs) and double up to a cap.
+    ``Generator.random(k)`` draws the stream's next k doubles, so the
+    values handed out, one per primitive call in call order, are the
+    stream's consecutive doubles whatever the block sizes.
     """
 
     __slots__ = ("_gen", "_buf", "_pos", "_block", "_cap")
@@ -63,12 +208,15 @@ class RandomSource:
         self._buf = generator.random(block)
         self._pos = 0
 
+    def _refill(self) -> None:
+        self._block = min(self._block * 2, self._cap)
+        self._buf = self._gen.random(self._block)
+        self._pos = 0
+
     def u01(self) -> float:
         """Uniform float in [0, 1)."""
         if self._pos >= self._block:
-            self._block = min(self._block * 2, self._cap)
-            self._buf = self._gen.random(self._block)
-            self._pos = 0
+            self._refill()
         v = self._buf[self._pos]
         self._pos += 1
         return v
@@ -85,10 +233,20 @@ class RandomSource:
         return self.u01() < p
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates using this source's stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates using this source's stream: position i,
+        from the last down to 1, swaps with ``randint(i + 1)``.  The
+        uniforms are read from the buffer a slice at a time."""
+        i = len(items) - 1
+        while i > 0:
+            if self._pos >= self._block:
+                self._refill()
+            take = min(i, self._block - self._pos)
+            draws = self._buf[self._pos:self._pos + take].tolist()
+            self._pos += take
+            for u in draws:
+                j = int(u * (i + 1))
+                items[i], items[j] = items[j], items[i]
+                i -= 1
 
 
 def source_for_run(master_seed: int, run_index: int = 0) -> RandomSource:

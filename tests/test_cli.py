@@ -286,6 +286,61 @@ def test_parallel_resamples_refused_before_sampling(tmp_path, capsys, monkeypatc
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_parallel_below_one_refused_before_sampling(tmp_path, capsys, monkeypatch, workers):
+    import lll_lab.analysis as analysis
+
+    def run(*args, **kwargs):
+        raise AssertionError("ran before refusing")
+
+    monkeypatch.setattr(analysis, "run", run)
+    _, clique_text, _ = run_cli(["gen", "colored-clique", "--n", "4",
+                                 "--multiplicity", "2", "--seed", "30"], capsys)
+    path = write(tmp_path, "k8.txt", clique_text)
+    code, out, err = run_cli(["verify", "rainbow", path, "--suite", "resamples",
+                              "--runs", "200", "--parallel", workers], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--parallel" in err
+
+
+@pytest.mark.parametrize("cpus,processes", [(4, 4), (1000, 60), (1, None)])
+def test_parallel_pool_sized_by_chunks_and_cores(tmp_path, capsys, monkeypatch,
+                                                 cpus, processes):
+    """The pool starts every process up front, so ``--parallel 64`` on 300
+    runs (60 chunks of 5) asks for no more than the chunks and the cores;
+    one core runs the chunks in-process.  No real process is started."""
+    import os
+
+    import lll_lab.cli as cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _, clique_text, _ = run_cli(["gen", "colored-clique", "--n", "6",
+                                 "--multiplicity", "2", "--seed", "5"], capsys)
+    path = write(tmp_path, "k12.txt", clique_text)
+    argv = ["verify", "rainbow", path, "--suite", "resamples", "--runs", "300", "--seed", "6"]
+    _, serial, _ = run_cli([*argv, "--parallel", "1"], capsys)
+    assert sizes == []
+    code, out, _ = run_cli([*argv, "--parallel", "64"], capsys)
+    assert code == 0 and out == serial
+    assert sizes == ([] if processes is None else [processes])
+
+
 def test_solve_rainbow_partial(tmp_path, capsys):
     _, clique_text, _ = run_cli(["gen", "colored-clique", "--n", "8",
                                  "--multiplicity", "3", "--seed", "40"], capsys)

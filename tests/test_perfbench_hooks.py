@@ -74,3 +74,31 @@ def test_traced_witness_suite_reads_sequence_reducer(tmp_path, capsys):
     distinct = {tuple(row[row >= 0].tolist()) for row in result.sequences}
     assert metrics["analysis.distinct_sequences_frac"] == len(distinct) / 3000
     assert metrics["chain.batch_rounds"] == int(result.steps.max())
+
+
+def test_traced_step_suite_times_one_stream_per_run(tmp_path, capsys):
+    """``rng.stream_setup_us_per_run`` divides the ``rng.source_for_run``
+    time by the runs, so each ``core.run`` span must hold exactly one
+    stream set-up span, whatever the stream derivation memoizes."""
+    capsys.readouterr()
+    assert cli.main(["gen", "colored-clique", "--n", "6", "--multiplicity", "2",
+                     "--seed", "5"]) == 0
+    path = tmp_path / "k12.txt"
+    path.write_text(capsys.readouterr().out)
+    layers = load_layers()
+    tracer = layers.Tracer()
+    undo = layers.instrument(tracer)
+    try:
+        assert cli.main(["verify", "rainbow", str(path), "--suite", "resamples",
+                         "--runs", "1500", "--seed", "6"]) == 0
+    finally:
+        undo()
+    capsys.readouterr()
+    names = [tracer.names[i] for i in tracer.span_name]
+    runs = [k for k, name in enumerate(names) if name == "core.run"]
+    streams = [tracer.span_parent[k] for k, name in enumerate(names)
+               if name == "rng.source_for_run"]
+    assert len(runs) == 1500 and sorted(streams) == runs
+    _, calls = tracer.fold()
+    metrics = layers.layer_metrics(*tracer.fold(), tracer.counts, tracer.sequences)
+    assert calls["rng.source_for_run"] == calls["core.run"] == metrics["core.runs"] == 1500
