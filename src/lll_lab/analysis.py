@@ -45,6 +45,7 @@ from .witness import (
 )
 
 SE_SLACK = 4.0
+STATE_CAP = 10**6  # largest state space the exact tables enumerate
 
 
 @dataclass(frozen=True)
@@ -127,33 +128,30 @@ class OracleTables:
         return sum(p for s, p in self.mu.items() if event(s))
 
 
-def build_oracle(problem: SearchProblem, state_cap: int = 10**6,
+def _capped_space(problem: SearchProblem, state_cap: int):
+    space = problem.space
+    if len(space.states) > state_cap:
+        raise LllError("state space exceeds oracle cap")
+    return space
+
+
+def build_oracle(problem: SearchProblem, state_cap: int = STATE_CAP,
                  shearer_cap: int = 20) -> OracleTables:
     """Exact tables for an enumerable problem: normalized measure, the
     flawless set and conditioned distribution, exact charges, and the
     signed independent-set polynomials when the flaw count permits."""
-    space = problem.space
+    space = _capped_space(problem, state_cap)
     states, mu = space.states, space.mu
-    if len(states) > state_cap:
-        raise LllError("state space exceeds oracle cap")
     flawless = [s for s, present in zip(states, space.present) if not present]
     mass = sum(mu[s] for s in flawless)
     lll = {s: mu[s] / mass for s in flawless} if mass > 0 else None
     charges = all_charges(problem)
     flaw_measures = measure_of_flaws(problem)
-    graph = dependency_graph_of(problem)
     shearer = None
     if problem.num_flaws <= shearer_cap:
-        shearer = shearer_polynomials(charges, graph)
+        shearer = shearer_polynomials(charges, problem.graph)
     return OracleTables(problem, states, mu, flawless, lll, charges, flaw_measures,
-                        shearer, graph)
-
-
-def dependency_graph_of(problem: SearchProblem) -> DependencyGraph:
-    return DependencyGraph(
-        problem.num_flaws,
-        tuple(frozenset(problem.neighbors(i)) for i in range(problem.num_flaws)),
-    )
+                        shearer, problem.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,6 @@ def check_witness_tree_lemma(
     max_tree_nodes: int = 3,
     seed: int = 0,
     charges: Sequence[float] | None = None,
-    require_commutative: bool = True,
 ) -> dict:
     """Empirical occurrence frequency of every witness tree up to the node
     cap against its charge-product bound lambda_init * prod gamma.
@@ -316,15 +313,13 @@ def check_witness_tree_lemma(
     Refuses non-commutative problems: the bound provably fails in
     general without the swap property.
     """
-    if require_commutative:
-        comm = check_commutativity(problem)
-        if not comm.commutative:
-            raise LllError(
-                "witness-tree bound requires a commutative problem: without "
-                "the swap property the bound provably fails (see the "
-                "Harvey-Vondrak counterexample for resampling oracles)"
-            )
-    graph = dependency_graph_of(problem)
+    if not check_commutativity(problem).commutative:
+        raise LllError(
+            "witness-tree bound requires a commutative problem: without "
+            "the swap property the bound provably fails (see the "
+            "Harvey-Vondrak counterexample for resampling oracles)"
+        )
+    graph = problem.graph
     if charges is None:
         charges = problem.declared_charges or all_charges(problem)
     lam = computed_init_ratio(problem)
@@ -373,7 +368,7 @@ def check_resample_bounds(
     mode) or lambda_init * q_i/q_empty (shearer mode); refuses when the
     matching criterion fails, before sampling, and when a run is censored.
     ``sample`` replaces ``run_many`` as the source of the runs."""
-    graph = dependency_graph_of(problem)
+    graph = problem.graph
     if charges is None:
         charges = problem.declared_charges or all_charges(problem)
     lam = computed_init_ratio(problem)
@@ -415,7 +410,6 @@ def check_event_probability(
     runs: int = 10**5,
     seed: int = 0,
     strategy=None,
-    check_extension: bool = True,
 ) -> dict:
     """Pr[the trajectory ever visits the event, initial state included]
     against lambda_init * charge(event) * independent-subset sum over the
@@ -434,15 +428,13 @@ def check_event_probability(
         event_actions = lambda s: space.mu  # shared, never mutated
     if event_neighbors is None:
         event_neighbors = list(range(problem.num_flaws))
-    if check_extension:
-        ext = extend_with_event(problem, event, event_actions, event_neighbors)
-        comm = check_commutativity(ext)
-        if not comm.commutative:
-            raise LllError("event extension is not commutative; bound not applicable")
+    ext = extend_with_event(problem, event, event_actions, event_neighbors)
+    if not check_commutativity(ext).commutative:
+        raise LllError("event extension is not commutative; bound not applicable")
     gamma_e = event_charge(problem, event, event_actions)
-    graph = dependency_graph_of(problem)
+    adj = problem.graph.adj
     zeta = independent_weight_sum(
-        sorted(event_neighbors), {j: graph.adj[j] for j in event_neighbors},
+        sorted(event_neighbors), {j: adj[j] for j in event_neighbors},
         {j: psi[j] for j in event_neighbors},
     )
     bound = computed_init_ratio(problem) * gamma_e * zeta
@@ -450,7 +442,7 @@ def check_event_probability(
     member = {s: bool(event(s)) for s in space.states}
     reports = iter_runs(problem, range(runs), seed, strategy, record_trajectory=True)
     hits = sum(
-        member[rep.trajectory.initial_state] or any(member[s] for (_, s, _) in rep.trajectory.steps)
+        member[rep.trajectory.initial_state] or any(member[s] for (_, s) in rep.trajectory.steps)
         for rep in uncensored(reports, "check_event_probability")
     )
     p_hat = hits / runs
@@ -464,13 +456,8 @@ def extend_with_event(problem: SearchProblem, event, event_actions,
     adjacency into the declared neighborhood."""
     m = problem.num_flaws
     extra = frozenset(event_neighbors) | {m}
-    base_neighbors = problem.neighbors
-
-    def neighbors(i):
-        if i == m:
-            return extra
-        base = frozenset(base_neighbors(i))
-        return base | {m} if i in extra else base
+    graph = DependencyGraph(m + 1, tuple(
+        adj | {m} if i in extra else adj for i, adj in enumerate(problem.graph.adj)) + (extra,))
 
     def present(i, s):
         return event(s) if i == m else problem.present(i, s)
@@ -497,7 +484,7 @@ def extend_with_event(problem: SearchProblem, event, event_actions,
         present=present,
         sample_action=sample_action,
         action_distribution=action_distribution,
-        neighbors=neighbors,
+        graph=graph,
         flaws_present=None,
         # the base problem's affects sets never cover the event flaw m
         affects=None,
@@ -569,19 +556,16 @@ def output_distribution(
         psi = problem.default_weights
     if psi is None:
         raise LllError("needs a weight vector")
-    oracle = build_oracle(problem)
-    graph = oracle.graph
+    mu = _capped_space(problem, STATE_CAP).mu
+    flaws = range(problem.num_flaws)
     u_all = independent_weight_sum(
-        list(range(problem.num_flaws)),
-        {j: graph.adj[j] for j in range(problem.num_flaws)},
-        {j: psi[j] for j in range(problem.num_flaws)},
-    )
+        list(flaws), dict(enumerate(problem.graph.adj)), {j: psi[j] for j in flaws})
     lam = computed_init_ratio(problem)
     factor = lam * u_all
     stats = run_many(problem, runs, seed, strategy)
     refuse_censored(stats, "output_distribution")
     report = empirical_distribution(stats)
-    mu_by_canon = {problem.canon(s): p for s, p in oracle.mu.items()}
+    mu_by_canon = {problem.canon(s): p for s, p in mu.items()}
     verdicts = []
     for canon, p_hat in sorted(report.nu.items()):
         se = proportion_se(p_hat, runs)
@@ -592,8 +576,8 @@ def output_distribution(
     # level: the test statistic is the unbiased collision estimate (order
     # 2) or the top frequency (order infinity), each deflated by 4 errors
     # before passing through -log.
-    h2_mu = renyi_entropy(oracle.mu, 2.0)
-    hinf_mu = renyi_entropy(oracle.mu, float("inf"))
+    h2_mu = renyi_entropy(mu, 2.0)
+    hinf_mu = renyi_entropy(mu, float("inf"))
     log_u = math.log(u_all) + math.log(lam)
     h2_bound = h2_mu - 2.0 * log_u
     hinf_bound = hinf_mu - log_u
@@ -629,11 +613,10 @@ class PartialAvoidanceConfig:
     def build(problem: SearchProblem, psi: Sequence[float],
               charges: Sequence[float] | None = None,
               zeta: Sequence[float] | None = None) -> "PartialAvoidanceConfig":
-        graph = dependency_graph_of(problem)
         if charges is None:
             charges = problem.declared_charges or all_charges(problem)
         if zeta is None:
-            zeta = [neighborhood_sum(i, graph, list(psi)) for i in range(problem.num_flaws)]
+            zeta = [neighborhood_sum(i, problem.graph, list(psi)) for i in range(problem.num_flaws)]
         keep = []
         for p, g, z in zip(psi, charges, zeta):
             keep.append(min(1.0, p / (z * g)) if g > 0 and z > 0 else 1.0)
@@ -704,7 +687,7 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
-        neighbors=problem.neighbors,
+        graph=problem.graph,
         sample_init=sample_init,
         canon=lambda st: problem.canon(st[0]) + st[1].to_bytes((m + 7) // 8, "little"),
         weight=lambda st: problem.weight(st[0]) * label_prob(st[1]),
@@ -767,7 +750,7 @@ def run_core_truncated(
     Requires the restricted condition gamma_i * (sum over independent
     subsets of the core part of the neighborhood) <= psi_i for every i.
     """
-    graph = dependency_graph_of(problem)
+    graph = problem.graph
     charges = problem.declared_charges or all_charges(problem)
     core_set = set(core)
     for i in range(problem.num_flaws):

@@ -107,10 +107,9 @@ def _trace_json(problem, report) -> dict:
     traj = report.trajectory
     seq = traj.witness_sequence
     out: dict = {"witness_sequence": [problem.label(w) for w in seq]}
-    graph = analysis.dependency_graph_of(problem)
     out["witness_trees"] = [
         {"step": k, **tree.to_json_dict()}
-        for k, tree in trees_of_sequence(seq, graph, max_nodes=8)
+        for k, tree in trees_of_sequence(seq, problem.graph, max_nodes=8)
     ]
     if problem.unassigned is not None:
         out["witness_forest"] = forest_from_trajectory(traj, problem).to_json_dict()
@@ -232,7 +231,7 @@ def cmd_verify(args) -> int:
         )
     elif suite == "resamples":
         sample = None
-        if args.parallel > 1 and problem.enumerate_states is None:
+        if _processes(args.parallel, runs) > 1 and problem.enumerate_states is None:
             # called only once the weights and the criterion have passed
             def sample():
                 counts = parallel_run_counts(spec, runs, args.seed, args.parallel)
@@ -308,16 +307,21 @@ def _worker_counts(payload):
             np.array(flaw_counts, dtype=np.int64).reshape(len(rows), problem.num_flaws))
 
 
+def _processes(workers: int, runs: int) -> int:
+    """How many processes ``workers`` get for ``runs`` runs: no more than
+    there are runs to share and cores to run them on."""
+    return min(workers, runs, os.cpu_count() or 1)
+
+
 def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
     """Step/termination/address-count statistics fanned out over worker
     processes; aggregation is in run-index order, so the result is
-    byte-identical to the single-process loop."""
-    chunk = max(1, (runs + workers - 1) // workers)
+    byte-identical to the single-process loop.  Each process gets one
+    chunk of run indices, so it builds the problem once."""
+    chunk = -(-runs // _processes(workers, runs))
     indices = range(runs)
     payloads = [(spec, seed, indices[k:k + chunk]) for k in range(0, runs, chunk)]
-    # the pool starts all its processes at once, so it gets no more than
-    # there are chunks to run and cores to run them on
-    processes = min(workers, len(payloads), os.cpu_count() or 1)
+    processes = len(payloads)
     if processes <= 1:
         parts = [_worker_counts(p) for p in payloads]
     else:

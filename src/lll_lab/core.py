@@ -2,7 +2,7 @@
 
 A search problem is a state space with a list of flaws (bad subsets),
 per-flaw action distributions used to *address* a flaw at a state, a
-symmetric causality neighborhood over flaw indices, a measure over states
+symmetric causality graph over flaw indices, a measure over states
 used in the analysis, and an initial-state sampler.  ``run`` walks the
 induced multi-digraph until a flawless state is reached; ``charge``
 computes the compatibility charge of a flaw exactly on enumerable
@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .rng import RandomSource, source_for_run
+
+if TYPE_CHECKING:  # criteria imports this module
+    from .criteria import DependencyGraph
 
 PROB_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**6
@@ -39,6 +42,11 @@ class SearchProblem:
     estimation.  ``weight`` is the unnormalized analysis measure; oracle
     machinery normalizes it once over ``enumerate_states`` when available.
 
+    ``graph`` is the causality graph: addressing flaw ``i`` can make
+    present only flaws in ``graph.adj[i]`` (``i`` itself only through a
+    self-loop).  Every criterion, witness tree and commutativity check
+    reads it; ``validate_problem`` checks it on enumerable instances.
+
     ``sample_action`` is the fast path used by runs; the optional
     ``action_distribution`` returns the exact distribution {state: prob}
     and enables oracle mode (charges, chain solves, support checks).
@@ -57,7 +65,7 @@ class SearchProblem:
     num_flaws: int
     present: Callable[[int, State], bool]
     sample_action: Callable[[int, State, RandomSource], State]
-    neighbors: Callable[[int], frozenset[int]]
+    graph: DependencyGraph
     sample_init: Callable[[RandomSource], State]
     canon: Callable[[State], bytes]
     weight: Callable[[State], float] = lambda s: 1.0
@@ -130,17 +138,17 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Execution record: initial state plus (flaw, resulting state, rho) steps."""
+    """Execution record: initial state plus (flaw, resulting state) steps."""
 
     initial_state: State
-    steps: tuple[tuple[int, State, float | None], ...]
+    steps: tuple[tuple[int, State], ...]
 
     @property
     def witness_sequence(self) -> tuple[int, ...]:
-        return tuple(w for (w, _, _) in self.steps)
+        return tuple(w for (w, _) in self.steps)
 
     def states(self) -> list[State]:
-        return [self.initial_state] + [s for (_, s, _) in self.steps]
+        return [self.initial_state] + [s for (_, s) in self.steps]
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,8 @@ class RunReport:
 
 
 class FlawChoiceStrategy:
-    """Picks which present flaw to address; may depend on the full history.
+    """Picks which present flaw to address; ``observe`` lets a strategy
+    keep whatever part of the history it needs.
 
     The commutative-setting theorems are strategy-agnostic; the
     backtracking tail bound and the greedy-coloring weight bound require
@@ -172,7 +181,7 @@ class FlawChoiceStrategy:
     def reset(self) -> None:
         pass
 
-    def choose(self, present: list[int], state: State, history: list[int]) -> int:
+    def choose(self, present: list[int], state: State) -> int:
         raise NotImplementedError
 
     def observe(self, i: int, step: int) -> None:
@@ -190,7 +199,7 @@ class LowestIndexStrategy(FlawChoiceStrategy):
 
     name = "lowest_index"
 
-    def choose(self, present, state, history):
+    def choose(self, present, state):
         return min(present)
 
     def priority(self, num_flaws):
@@ -208,7 +217,7 @@ class FixedPriorityStrategy(FlawChoiceStrategy):
         if len(self.rank) != len(self.order):
             raise LllError("fixed_priority permutation has repeated entries")
 
-    def choose(self, present, state, history):
+    def choose(self, present, state):
         return min(present, key=lambda i: self.rank[i])
 
     def priority(self, num_flaws):
@@ -227,7 +236,7 @@ class RecencyStrategy(FlawChoiceStrategy):
     def reset(self):
         self.last_addressed = {}
 
-    def choose(self, present, state, history):
+    def choose(self, present, state):
         return max(present, key=lambda i: (self.last_addressed.get(i, -1), -i))
 
     def observe(self, i, step):
@@ -235,15 +244,15 @@ class RecencyStrategy(FlawChoiceStrategy):
 
 
 class CustomStrategy(FlawChoiceStrategy):
-    """Arbitrary callback on (present, state, history of addressed flaws)."""
+    """Arbitrary callback on (present flaws, state)."""
 
     name = "custom"
 
-    def __init__(self, fn: Callable[[list[int], State, list[int]], int]):
+    def __init__(self, fn: Callable[[list[int], State], int]):
         self.fn = fn
 
-    def choose(self, present, state, history):
-        return self.fn(present, state, history)
+    def choose(self, present, state):
+        return self.fn(present, state)
 
 
 def make_strategy(spec: str | FlawChoiceStrategy | None) -> FlawChoiceStrategy:
@@ -293,8 +302,7 @@ def run(
     state = problem.sample_init(rng)
     m = problem.num_flaws
     counts = [0] * m
-    history: list[int] = []
-    steps_rec: list[tuple[int, State, float | None]] = []
+    steps_rec: list[tuple[int, State]] = []
     initial = state
 
     present = problem.present_flaws(state)
@@ -322,23 +330,18 @@ def run(
         else:
             if affects is not None:
                 present = list(compress(range(m), flags))
-            i = strategy.choose(present, state, history)
+            i = strategy.choose(present, state)
             chose_present = i in present if affects is None else 0 <= i < m and flags[i]
             if not chose_present:
                 raise LllError("invalid strategy")
         nxt = problem.sample_action(i, state, rng)
-        rho = None
-        if check_support or record_trajectory:
-            if problem.action_distribution is not None:
-                dist = problem.action_distribution(i, state)
-                rho = dist.get(nxt)
-                if check_support and (rho is None or rho <= 0):
-                    raise LllError("inconsistent actions")
+        if check_support and problem.action_distribution is not None:
+            if problem.action_distribution(i, state).get(nxt, 0.0) <= 0:
+                raise LllError("inconsistent actions")
         counts[i] += 1
         strategy.observe(i, steps)
-        history.append(i)
         if record_trajectory:
-            steps_rec.append((i, nxt, rho))
+            steps_rec.append((i, nxt))
         prev, state = state, nxt
         steps += 1
         if affects is None:
@@ -446,23 +449,23 @@ def computed_init_ratio(problem: SearchProblem) -> float:
 # invariant validation
 
 
-def validate_problem(problem: SearchProblem, check_causality: bool = True) -> None:
+def validate_problem(problem: SearchProblem) -> None:
     """Exhaustive invariant check for enumerable instances.
 
-    Verifies that a declared ``flaws_present`` lists exactly the flaws
+    Verifies that the causality graph has one vertex per flaw and is
+    symmetric, a declared ``flaws_present`` lists exactly the flaws
     ``present`` finds at every state, action distributions sum to one on
-    every (flaw, member state) and stay inside the enumerated states, the
-    neighborhood relation is symmetric, and the causality cover holds:
-    every arc that leaves a flaw present-but-new (or re-present) lands the
-    causing flaw in the target flaw's neighborhood.  A declared ``affects``
-    must return, for every enumerated transition (s, t) of flaw i, a set
-    that contains i and every flaw whose presence differs between s and t.
+    every (flaw, member state) and stay inside the enumerated states, and
+    the causality cover holds: every arc that leaves a flaw present-but-new
+    (or re-present) lands the causing flaw in the target flaw's
+    neighborhood.  A declared ``affects`` must return, for every enumerated
+    transition (s, t) of flaw i, a set that contains i and every flaw whose
+    presence differs between s and t.
     """
     m = problem.num_flaws
-    for i in range(m):
-        for j in problem.neighbors(i):
-            if i not in problem.neighbors(j):
-                raise LllError(f"neighborhood not symmetric at ({i},{j})")
+    if problem.graph.m != m:
+        raise LllError(f"causality graph has {problem.graph.m} vertices for {m} flaws")
+    problem.graph.check_symmetric()
     affects = problem.affects
     if problem.action_distribution is None or problem.enumerate_states is None:
         return
@@ -479,7 +482,7 @@ def validate_problem(problem: SearchProblem, check_causality: bool = True) -> No
             total = sum(dist.values())
             if abs(total - 1.0) > PROB_TOL:
                 raise LllError(f"action probabilities for flaw {i} sum to {total}")
-            gamma_i = problem.neighbors(i)
+            gamma_i = problem.graph.adj[i]
             for t, p in dist.items():
                 if p <= 0:
                     continue
@@ -496,9 +499,6 @@ def validate_problem(problem: SearchProblem, check_causality: bool = True) -> No
                         raise LllError(
                             f"affects cover violated: flaw {i} changes {min(outside)}"
                         )
-                if check_causality:
-                    for j in after:
-                        if (j == i or j not in listed) and j not in gamma_i:
-                            raise LllError(
-                                f"causality cover violated: flaw {i} introduces {j}"
-                            )
+                for j in after:
+                    if (j == i or j not in listed) and j not in gamma_i:
+                        raise LllError(f"causality cover violated: flaw {i} introduces {j}")

@@ -254,10 +254,6 @@ def aec_backtrack(g: GraphInstance, q: int,
     blank = tuple([UNCOLORED] * m)
     all_flaws = frozenset(range(m))
 
-    def neighbors(i):
-        # a backtracking step can uncolor any edge on a cycle through i
-        return all_flaws
-
     def affects(i, state, nxt):
         # a colored edge i means no cycle closed and only edge i changed;
         # a closed cycle uncolors its edges but the last two, i among them
@@ -285,7 +281,8 @@ def aec_backtrack(g: GraphInstance, q: int,
         num_flaws=m,
         present=present,
         sample_action=sample_action,
-        neighbors=neighbors,
+        # a backtracking step can uncolor any edge on a cycle through i
+        graph=DependencyGraph(m, (all_flaws,) * m),
         affects=affects,
         sample_init=lambda rng: blank,
         canon=canon,
@@ -607,7 +604,7 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
             num_flaws=m,
             present=present,
             sample_action=sample_action,
-            neighbors=lambda i: graph.adj[i],
+            graph=graph,
             sample_init=sample_init,
             canon=canon,
             weight=lambda s: 1.0,

@@ -104,7 +104,6 @@ def vertex_coloring_greedy(
         flaw_adj.append(frozenset(
             e2 * q + c2 for e2 in range(m_edges) if lsq[e1][e2] for c2 in range(q)
         ))
-    graph = DependencyGraph(m, tuple(flaw_adj))
 
     def present(i, state):
         e, c = divmod(i, q)
@@ -174,7 +173,7 @@ def vertex_coloring_greedy(
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
-        neighbors=lambda i: graph.adj[i],
+        graph=DependencyGraph(m, tuple(flaw_adj)),
         sample_init=sample_init,
         canon=lambda s: bytes(s),
         weight=lambda s: 1.0,
@@ -191,7 +190,6 @@ def vertex_coloring_greedy(
             "weights": weights,
             "priority": priority,
             "strategy": "lowest_index" if priority is None else ("fixed_priority", priority),
-            "dependency_graph": graph,
         },
     )
 

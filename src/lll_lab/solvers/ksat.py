@@ -147,7 +147,7 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
         num_flaws=m,
         present=present,
         sample_action=sample_action,
-        neighbors=lambda i: graph.adj[i],
+        graph=graph,
         # resampling clause i rewrites only its variables, so only the
         # clauses sharing one can change
         affects=lambda i, s, t: graph.adj[i],
@@ -160,7 +160,7 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
         init_ratio=1.0,
         declared_charges=tuple(0.5 ** len(c) for c in cnf.clauses),
         flaw_labels=tuple(f"c{i}" for i in range(m)),
-        metadata={"cnf": cnf, "k": k, "graph": graph},
+        metadata={"cnf": cnf, "k": k},
     )
 
 
@@ -262,7 +262,7 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
-        neighbors=lambda i: adj[i],
+        graph=DependencyGraph(n, adj),
         # assigning x_i unsets at most one clause through x_i
         affects=lambda i, s, t: adj[i],
         sample_init=lambda rng: empty,

@@ -154,12 +154,8 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
     pairs = clique.conflict_pairs()
     m = len(pairs)
     pair_vertices = [frozenset(p[0]) | frozenset(p[1]) for p in pairs]
-    adj = []
-    for i in range(m):
-        adj.append(frozenset(
-            j for j in range(m) if pair_vertices[i] & pair_vertices[j]
-        ))
-    graph = DependencyGraph(m, tuple(adj))
+    adj = tuple(frozenset(j for j in range(m) if pair_vertices[i] & pair_vertices[j])
+                for i in range(m))
 
     def present(i, matching):
         e1, e2 = pairs[i]
@@ -196,7 +192,7 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
-        neighbors=lambda i: graph.adj[i],
+        graph=DependencyGraph(m, adj),
         sample_init=sample_init,
         canon=canon,
         weight=lambda s: 1.0,
@@ -207,7 +203,7 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         declared_charges=tuple(charge for _ in range(m)),
         default_weights=tuple(psi for _ in range(m)),
         flaw_labels=tuple(f"{p[0]}~{p[1]}" for p in pairs),
-        metadata={"clique": clique, "pairs": pairs, "graph": graph, "strategy": "lowest_index"},
+        metadata={"clique": clique, "pairs": pairs, "strategy": "lowest_index"},
     )
 
 

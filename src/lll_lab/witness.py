@@ -207,7 +207,7 @@ def introduced_sets(trajectory: Trajectory, problem: SearchProblem) -> tuple[fro
     s0 = problem.unassigned(states[0])
     rec = []
     labels = problem.flaw_labels
-    for t, (w, _, _) in enumerate(trajectory.steps):
+    for t, (w, _) in enumerate(trajectory.steps):
         before = problem.unassigned(states[t])
         after = problem.unassigned(states[t + 1])
         var = labels[w] if labels is not None else w
@@ -363,7 +363,7 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
     # removes it (causality cover), so no valid i-then-i trajectory exists
     for i in range(m):
         for j in range(i + 1, m):
-            if j in problem.neighbors(i):
+            if j in problem.graph.adj[i]:
                 continue
             checked += 1
             fwd = two_step_products(i, j)

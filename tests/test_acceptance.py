@@ -17,7 +17,6 @@ from lll_lab.analysis import (
     PartialAvoidanceConfig,
     check_resample_bounds,
     check_witness_tree_lemma,
-    dependency_graph_of,
     output_distribution,
     partial_avoidance,
     run_many,
@@ -274,8 +273,7 @@ def test_09_partial_avoidance_overconstrained():
         clauses.append(tuple((v + 1) * (1 if signs >> v & 1 else -1) for v in range(3)))
     p = ksat_mt(CnfInstance(3, tuple(clauses)))
     psi = [0.2] * 8
-    graph = dependency_graph_of(p)
-    zetas = [neighborhood_sum(i, graph, psi) for i in range(8)]
+    zetas = [neighborhood_sum(i, p.graph, psi) for i in range(8)]
     violated = any(p.declared_charges[i] * zetas[i] > psi[i] for i in range(8))
     cfg = PartialAvoidanceConfig.build(p, psi)
     report = partial_avoidance(p, cfg, runs=10**5, seed=99)
@@ -315,7 +313,7 @@ def test_10_commutativity_certification():
         num_flaws=2,
         present=lambda i, s: s[i] == 1,
         sample_action=sample_action,
-        neighbors=lambda i: frozenset(),
+        graph=DependencyGraph.from_edges(2, []),
         sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s),
         action_distribution=action_distribution,

@@ -10,7 +10,6 @@ from lll_lab.analysis import (
     check_event_probability,
     check_resample_bounds,
     check_witness_tree_lemma,
-    dependency_graph_of,
     empirical_distribution,
     exact_run_statistics,
     iter_runs,
@@ -23,7 +22,7 @@ from lll_lab.analysis import (
     wilson_interval,
 )
 from lll_lab.core import LllError, run
-from lll_lab.criteria import neighborhood_sum
+from lll_lab.criteria import DependencyGraph, neighborhood_sum
 from lll_lab.solvers import CnfInstance, ksat_mt
 from lll_lab.solvers.matchings import EdgeColoredClique, rainbow_matching
 
@@ -167,7 +166,7 @@ def test_witness_lemma_refuses_noncommutative():
         num_flaws=2,
         present=lambda i, s: s[i] == 1,
         sample_action=sample_action,
-        neighbors=lambda i: frozenset(),
+        graph=DependencyGraph.from_edges(2, []),
         sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s),
         action_distribution=action_distribution,
@@ -236,7 +235,7 @@ def test_event_probability_flaw_consistency(two_clause_mt):
         two_clause_mt,
         event=lambda s: two_clause_mt.present(0, s),
         event_actions=lambda s: two_clause_mt.action_distribution(0, s),
-        event_neighbors=sorted(two_clause_mt.neighbors(0)),
+        event_neighbors=sorted(two_clause_mt.graph.adj[0]),
         psi=[0.25, 0.25],
         runs=20_000,
         seed=5,
@@ -279,6 +278,34 @@ def test_output_distribution_pointwise(two_clause_mt):
     assert report["support_lower_bound"] > 1.0
 
 
+def test_output_distribution_refuses_past_state_cap(two_clause_mt, monkeypatch):
+    """A space past the state cap is refused before any run is sampled."""
+    import lll_lab.analysis as analysis
+
+    def run_many(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(analysis, "run_many", run_many)
+    monkeypatch.setattr(analysis, "STATE_CAP", len(two_clause_mt.space.states) - 1)
+    with pytest.raises(LllError, match="state space exceeds oracle cap"):
+        output_distribution(two_clause_mt, psi=[0.25, 0.25], runs=10)
+
+
+def test_output_distribution_builds_no_oracle(two_clause_mt, monkeypatch):
+    """The suite reads the measure and the graph; charges, flaw measures
+    and Shearer polynomials are never computed."""
+    import lll_lab.analysis as analysis
+
+    def build_oracle(*args, **kwargs):
+        raise AssertionError("built the oracle tables")
+
+    monkeypatch.setattr(analysis, "build_oracle", build_oracle)
+    monkeypatch.setattr(analysis, "all_charges", build_oracle)
+    monkeypatch.setattr(analysis, "shearer_polynomials", build_oracle)
+    report = output_distribution(two_clause_mt, psi=[0.25, 0.25], runs=2_000, seed=8)
+    assert report["all_pass"]
+
+
 # ---------------------------------------------------------------------------
 # partial avoidance
 
@@ -297,7 +324,7 @@ def test_partial_avoidance_keep_probability_one_is_identity(two_clause_mt):
 def test_partial_avoidance_overconstrained():
     p = ksat_mt(all_clauses_3sat())
     psi = [0.2] * 8
-    graph = dependency_graph_of(p)
+    graph = p.graph
     zeta = [neighborhood_sum(i, graph, psi) for i in range(8)]
     cluster_lhs = [p.declared_charges[i] * zeta[i] for i in range(8)]
     assert any(l > psi[i] for i, l in enumerate(cluster_lhs))  # truly violated
@@ -349,7 +376,7 @@ def test_core_truncation_refuses_bad_restriction():
 def test_shearer_blowup_direction():
     """Two flaws joined by an edge with gamma_1 + gamma_2 -> 1: q_empty
     tends to zero and the measured expected address counts grow."""
-    from lll_lab.criteria import DependencyGraph, shearer_polynomials
+    from lll_lab.criteria import shearer_polynomials
 
     g = DependencyGraph.from_edges(2, [(0, 1)])
     prev_counts = 0.0
@@ -444,11 +471,8 @@ def test_core_truncation_empty_core_flawless_start():
 def test_neighborhood_violating_tree_never_occurs(two_clause_mt):
     from lll_lab.witness import WitnessTree, occurs
 
-    graph = dependency_graph_of(two_clause_mt)
     impossible = WitnessTree([0, 1], [-1, 0])  # fine shape...
     # make it violate the neighborhood by pruning the adjacency
-    from lll_lab.criteria import DependencyGraph
-
     pruned = DependencyGraph.from_edges(2, [], self_loops=[0, 1])
     hits = 0
     for seed in range(200):
@@ -494,8 +518,7 @@ def test_exact_output_density_bound_any_strategy(two_clause_mt):
     from lll_lab.criteria import independent_weight_sum
 
     psi = [0.25, 0.25]
-    graph = dependency_graph_of(two_clause_mt)
-    u = independent_weight_sum([0, 1], graph.adj, {0: psi[0], 1: psi[1]})
+    u = independent_weight_sum([0, 1], two_clause_mt.graph.adj, {0: psi[0], 1: psi[1]})
     mu = two_clause_mt.space.mu
     for priority in ([0, 1], [1, 0]):
         tables = chain.build_chain_tables(two_clause_mt, priority)
@@ -511,8 +534,7 @@ def test_exact_address_counts_bounded_any_strategy(two_clause_mt):
     from lll_lab.criteria import shearer_polynomials
 
     psi = [0.25, 0.25]
-    graph = dependency_graph_of(two_clause_mt)
-    srep = shearer_polynomials([0.125, 0.125], graph)
+    srep = shearer_polynomials([0.125, 0.125], two_clause_mt.graph)
     for priority in ([0, 1], [1, 0]):
         tables = chain.build_chain_tables(two_clause_mt, priority)
         stats = chain.exact_statistics(tables)

@@ -27,6 +27,26 @@ def write(tmp_path, name, text):
     return str(f)
 
 
+def inline_pool(sizes):
+    """A stand-in for ``ProcessPoolExecutor`` that records each pool's size
+    in ``sizes`` and maps in this process: no real process is started."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    return InlinePool
+
+
 def test_solve_ksat_backtrack_end_to_end(tmp_path, capsys):
     cnf = write(tmp_path, "f.cnf", "p cnf 4 2\n1 2 3 0\n-2 3 4 0\n")
     code, out, err = run_cli(["solve", "ksat-backtrack", cnf, "--seed", "5"], capsys)
@@ -111,7 +131,7 @@ def test_criteria_rainbow_preset_cluster(tmp_path, capsys):
     p = rainbow_matching(clique)
     doc = {
         "m": p.num_flaws,
-        "adjacency": [sorted(p.neighbors(i)) for i in range(p.num_flaws)],
+        "adjacency": p.graph.neighbor_lists(),
         "gamma": list(p.declared_charges),
         "psi": list(p.default_weights),
         "mode": "cluster",
@@ -314,21 +334,7 @@ def test_parallel_pool_sized_by_chunks_and_cores(tmp_path, capsys, monkeypatch,
     import lll_lab.cli as cli
 
     sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     _, clique_text, _ = run_cli(["gen", "colored-clique", "--n", "6",
                                  "--multiplicity", "2", "--seed", "5"], capsys)
@@ -339,6 +345,36 @@ def test_parallel_pool_sized_by_chunks_and_cores(tmp_path, capsys, monkeypatch,
     code, out, _ = run_cli([*argv, "--parallel", "64"], capsys)
     assert code == 0 and out == serial
     assert sizes == ([] if processes is None else [processes])
+
+
+@pytest.mark.parametrize("cpus,builds", [(1, 1), (4, 1 + 4)])
+def test_parallel_builds_once_per_process(tmp_path, capsys, monkeypatch, cpus, builds):
+    """``--parallel 64`` on 300 runs gives each process one chunk, so each
+    builds the problem once; on one core ``verify`` samples on the problem
+    it built itself.  The report is the one of ``--parallel 1``."""
+    import os
+
+    import lll_lab.cli as cli
+
+    calls = []
+
+    def build_problem(spec):
+        calls.append(spec["solver"])
+        return original(spec)
+
+    original = cli.build_problem
+    monkeypatch.setattr(cli, "build_problem", build_problem)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _, clique_text, _ = run_cli(["gen", "colored-clique", "--n", "6",
+                                 "--multiplicity", "2", "--seed", "5"], capsys)
+    path = write(tmp_path, "k12.txt", clique_text)
+    argv = ["verify", "rainbow", path, "--suite", "resamples", "--runs", "300", "--seed", "6"]
+    _, serial, _ = run_cli([*argv, "--parallel", "1"], capsys)
+    calls.clear()
+    code, out, _ = run_cli([*argv, "--parallel", "64"], capsys)
+    assert code == 0 and out == serial
+    assert len(calls) == builds
 
 
 def test_solve_rainbow_partial(tmp_path, capsys):

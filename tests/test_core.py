@@ -13,6 +13,7 @@ from lll_lab.core import (
     run,
     validate_problem,
 )
+from lll_lab.criteria import DependencyGraph
 from lll_lab.rng import source_for_run
 from lll_lab.solvers import CnfInstance, ksat_mt, vertex_coloring_greedy
 from lll_lab.solvers.aec import GraphInstance
@@ -92,7 +93,7 @@ def test_charge_empty_flaw_is_zero():
         present=lambda i, s: False if i == 2 else p.present(i, s),
         action_distribution=lambda i, s: {s: 1.0} if i == 2 else p.action_distribution(i, s),
         sample_action=lambda i, s, rng: s if i == 2 else p.sample_action(i, s, rng),
-        neighbors=lambda i: frozenset() if i == 2 else p.neighbors(i),
+        graph=DependencyGraph(3, p.graph.adj + (frozenset(),)),
         declared_charges=None,
         flaws_present=None,
         affects=None,
@@ -156,10 +157,7 @@ def test_measure_support_violation():
 def test_validate_catches_asymmetric_neighbors(two_clause_mt):
     from dataclasses import replace
 
-    bad = replace(
-        two_clause_mt,
-        neighbors=lambda i: frozenset({1}) if i == 0 else frozenset({1}),
-    )
+    bad = replace(two_clause_mt, graph=DependencyGraph(2, (frozenset({1}), frozenset({1}))))
     with pytest.raises(LllError, match="symmetric"):
         validate_problem(bad)
 
@@ -167,8 +165,17 @@ def test_validate_catches_asymmetric_neighbors(two_clause_mt):
 def test_validate_catches_causality_gap(two_clause_mt):
     from dataclasses import replace
 
-    bad = replace(two_clause_mt, neighbors=lambda i: frozenset({i}))
+    bad = replace(two_clause_mt, graph=DependencyGraph.from_edges(2, [], self_loops=[0, 1]))
     with pytest.raises(LllError, match="causality"):
+        validate_problem(bad)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_validate_catches_graph_size_mismatch(two_clause_mt, m):
+    from dataclasses import replace
+
+    bad = replace(two_clause_mt, graph=DependencyGraph.from_edges(m, [], self_loops=range(m)))
+    with pytest.raises(LllError, match=f"{m} vertices for 2 flaws"):
         validate_problem(bad)
 
 
@@ -241,7 +248,7 @@ def test_causality_cover_on_shipped_solvers(two_clause_mt):
 def test_invalid_strategy_errors(two_clause_mt):
     from lll_lab.core import CustomStrategy
 
-    bad = CustomStrategy(lambda present, state, history: 1 - present[0] if len(present) == 1 else present[0])
+    bad = CustomStrategy(lambda present, state: 1 - present[0] if len(present) == 1 else present[0])
     # find a seed where exactly one flaw is present at some step
     with pytest.raises(LllError, match="invalid strategy"):
         for seed in range(50):
@@ -303,11 +310,11 @@ def test_rainbow_k20_terminates_rainbow():
 def test_trajectory_steps_were_valid(two_clause_mt):
     """Recorded steps address present flaws with positive declared mass."""
     for seed in range(20):
-        rep = run(two_clause_mt, seed=seed, record_trajectory=True)
+        rep = run(two_clause_mt, seed=seed, record_trajectory=True, check_support=True)
         states = rep.trajectory.states()
-        for t, (w, nxt, rho) in enumerate(rep.trajectory.steps):
+        for t, (w, nxt) in enumerate(rep.trajectory.steps):
             assert two_clause_mt.present(w, states[t])
-            assert rho is not None and rho > 0
+            assert two_clause_mt.action_distribution(w, states[t]).get(nxt, 0.0) > 0
 
 
 def test_validate_backtracking_solvers():
@@ -369,7 +376,7 @@ def test_fixed_priority_strategy(two_clause_mt):
         rep = run(two_clause_mt, rev, seed=seed, record_trajectory=True)
         # whenever both flaws were present, flaw 1 went first
         states = rep.trajectory.states()
-        for t, (w, _, _) in enumerate(rep.trajectory.steps):
+        for t, (w, _) in enumerate(rep.trajectory.steps):
             present = two_clause_mt.present_flaws(states[t])
             if len(present) == 2:
                 assert w == 1
@@ -378,7 +385,7 @@ def test_fixed_priority_strategy(two_clause_mt):
 def test_custom_strategy_valid_callback(two_clause_mt):
     from lll_lab.core import CustomStrategy
 
-    highest = CustomStrategy(lambda present, state, history: max(present))
+    highest = CustomStrategy(lambda present, state: max(present))
     rep = run(two_clause_mt, highest, seed=3)
     assert rep.terminated
 

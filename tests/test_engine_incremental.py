@@ -98,7 +98,7 @@ def check_tracked_present_set(problem, seed, max_steps=MAX_STEPS):
     after the last step, termination must agree with a rescan."""
     checked = []
 
-    def check(present, state, history):
+    def check(present, state):
         assert present == problem.present_flaws(state)
         checked.append(state)
         return present[-1]

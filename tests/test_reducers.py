@@ -28,6 +28,7 @@ from lll_lab.analysis import (
     run_many,
 )
 from lll_lab.core import LllError, SearchProblem
+from lll_lab.criteria import DependencyGraph
 from lll_lab.rng import BATCH_TAG, run_stream
 from lll_lab.solvers import CnfInstance, ksat_mt
 
@@ -133,7 +134,7 @@ def fan_out(outcomes):
         num_flaws=1,
         present=lambda i, s: s == 0,
         sample_action=lambda i, s, rng: 1 + rng.randint(outcomes),
-        neighbors=lambda i: frozenset({0}),
+        graph=DependencyGraph.from_edges(1, [], self_loops=[0]),
         sample_init=lambda rng: 0,
         canon=lambda s: bytes([s]),
         action_distribution=lambda i, s: {t: 1.0 / outcomes for t in range(1, outcomes + 1)},
@@ -177,7 +178,7 @@ def test_flaw_ids_beyond_int16_are_recorded():
         num_flaws=m,
         present=lambda i, s: s == 0 and i == m - 1,
         sample_action=lambda i, s, rng: 1,
-        neighbors=lambda i: frozenset({i}),
+        graph=DependencyGraph.from_edges(m, [], self_loops=range(m)),
         sample_init=lambda rng: 0,
         canon=lambda s: bytes([s]),
         action_distribution=lambda i, s: {1: 1.0},

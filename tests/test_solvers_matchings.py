@@ -5,7 +5,7 @@ import math
 import pytest
 
 from lll_lab.core import LllError, all_charges, run, validate_problem
-from lll_lab.criteria import cluster_expansion_check, DependencyGraph
+from lll_lab.criteria import cluster_expansion_check
 from lll_lab.formats import generate_colored_clique
 from lll_lab.rng import source_for_run
 from lll_lab.solvers import EdgeColoredClique, rainbow_matching, rainbow_partial
@@ -109,7 +109,7 @@ def test_k20_terminates_with_rainbow_output():
     assert clique.color_ratio() <= 27 / 128 + 1e-9
     p = rainbow_matching(clique)
     psi = list(p.default_weights)
-    graph = DependencyGraph(p.num_flaws, tuple(p.neighbors(i) for i in range(p.num_flaws)))
+    graph = p.graph
     zeta = closed_form_zeta(clique, psi[0])
     crit = cluster_expansion_check(
         list(p.declared_charges), graph, psi,

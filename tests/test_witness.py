@@ -101,7 +101,7 @@ def test_occurs_single_node_and_root_presence(two_clause_mt):
     """A single-node tree occurs exactly when its label occurs with no
     earlier neighbor in the sequence; and some tree rooted at i occurs
     whenever i occurs at all."""
-    g = DependencyGraph(2, tuple(two_clause_mt.neighbors(i) for i in range(2)))
+    g = two_clause_mt.graph
     for seed in range(40):
         rep = run(two_clause_mt, seed=seed, record_trajectory=True)
         seq = rep.trajectory.witness_sequence
@@ -295,7 +295,7 @@ def test_constructed_product_mismatch_fails():
         num_flaws=2,
         present=present,
         sample_action=sample_action,
-        neighbors=lambda i: frozenset(),
+        graph=DependencyGraph.from_edges(2, []),
         sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s),
         action_distribution=action_distribution,
