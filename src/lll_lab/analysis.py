@@ -22,6 +22,7 @@ from .core import (
     RunReport,
     SearchProblem,
     all_charges,
+    capped_space,
     computed_init_ratio,
     event_charge,
     make_strategy,
@@ -128,19 +129,12 @@ class OracleTables:
         return sum(p for s, p in self.mu.items() if event(s))
 
 
-def _capped_space(problem: SearchProblem, state_cap: int):
-    space = problem.space
-    if len(space.states) > state_cap:
-        raise LllError("state space exceeds oracle cap")
-    return space
-
-
 def build_oracle(problem: SearchProblem, state_cap: int = STATE_CAP,
                  shearer_cap: int = 20) -> OracleTables:
     """Exact tables for an enumerable problem: normalized measure, the
     flawless set and conditioned distribution, exact charges, and the
     signed independent-set polynomials when the flaw count permits."""
-    space = _capped_space(problem, state_cap)
+    space = capped_space(problem, state_cap, "state space exceeds oracle cap")
     states, mu = space.states, space.mu
     flawless = [s for s, present in zip(states, space.present) if not present]
     mass = sum(mu[s] for s in flawless)
@@ -556,7 +550,7 @@ def output_distribution(
         psi = problem.default_weights
     if psi is None:
         raise LllError("needs a weight vector")
-    mu = _capped_space(problem, STATE_CAP).mu
+    mu = capped_space(problem, STATE_CAP, "state space exceeds oracle cap").mu
     flaws = range(problem.num_flaws)
     u_all = independent_weight_sum(
         list(flaws), dict(enumerate(problem.graph.adj)), {j: psi[j] for j in flaws})
@@ -695,7 +689,7 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
         enumerate_states=enumerate_states if problem.enumerate_states else None,
         init_distribution=(lambda st: base_init(st[0]) * label_prob(st[1])) if base_init else None,
         init_ratio=problem.init_ratio,
-        metadata={"base": problem, "config": cfg, "strategy": problem.metadata.get("strategy")},
+        metadata={"strategy": problem.metadata.get("strategy")},
     )
 
 
@@ -829,15 +823,6 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
         mean, se = mean_se(vals)
         verdicts.append(upper_verdict(f"W[{v}]", mean, r_v * a_v * expectation, se))
     return verdict_report("weight_analysis", verdicts, kind="coloring", runs=runs)
-
-
-# ---------------------------------------------------------------------------
-# exact chain statistics convenience
-
-
-def exact_run_statistics(problem: SearchProblem, priority: list[int] | None = None):
-    tables = chain.build_chain_tables(problem, priority)
-    return chain.exact_statistics(tables)
 
 
 def report_to_json_dict(report: dict) -> dict:

@@ -121,6 +121,9 @@ def cmd_solve(args) -> int:
         return _solve_rainbow_partial(args)
     spec = _spec_from_args(args)
     problem = build_problem(spec)
+    if args.trace and problem.unassigned is not None and args.strategy not in (None, "lowest_index"):
+        raise LllError(f"--trace needs --strategy lowest_index for {args.solver}, not "
+                       f"{args.strategy}: its witness forest is defined only for that order")
     strategy = args.strategy if args.strategy else recommended_strategy(problem)
     report = run(problem, strategy, args.max_steps, args.seed,
                  record_trajectory=bool(args.trace))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import compress, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .rng import RandomSource, source_for_run
@@ -106,10 +106,10 @@ class StateSpace:
     weight and action closures, no reference back to the problem.
     """
 
-    def __init__(self, problem: SearchProblem):
+    def __init__(self, problem: SearchProblem, states: list[State] | None = None):
         if problem.enumerate_states is None:
             raise LllError("exact computation requires oracle mode")
-        self.states = list(problem.enumerate_states())
+        self.states = list(problem.enumerate_states()) if states is None else states
         self.index = {s: k for k, s in enumerate(self.states)}
         self.present = [problem.present_flaws(s) for s in self.states]
         self._weight = problem.weight
@@ -134,6 +134,24 @@ class StateSpace:
     def members(self, i: int) -> list[State]:
         """The states where flaw ``i`` is present, in enumeration order."""
         return [s for s, present in zip(self.states, self.present) if i in present]
+
+
+def capped_space(problem: SearchProblem, cap: int, refusal: str) -> StateSpace:
+    """``problem.space``, refused with ``refusal`` past ``cap`` states.  A
+    space not yet built is refused after drawing at most ``cap + 1``
+    states, before any flaw scan; one that fits is cached where
+    ``problem.space`` keeps it."""
+    space = problem.__dict__.get("space")
+    if space is None:
+        if problem.enumerate_states is None:
+            raise LllError("exact computation requires oracle mode")
+        states = list(islice(problem.enumerate_states(), cap + 1))
+        if len(states) > cap:
+            raise LllError(refusal)
+        space = problem.__dict__["space"] = StateSpace(problem, states)
+    if len(space.states) > cap:
+        raise LllError(refusal)
+    return space
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Hashable, Mapping, Sequence
 
 from .core import LllError
 
@@ -43,6 +43,22 @@ class DependencyGraph:
         return DependencyGraph(m, tuple(frozenset(s) for s in nbrs))
 
     @staticmethod
+    def from_scopes(scopes: Sequence[Collection[Hashable]]) -> "DependencyGraph":
+        """Flaws are dependent when their scopes, the variables each one
+        reads, share a variable; a flaw with a nonempty scope is its own
+        neighbor.  Each neighborhood is inserted in ascending flaw order:
+        that fixes its iteration order, and with it the float sums that
+        criteria accumulate over it."""
+        readers = scope_readers(scopes)
+        adj = []
+        for scope in scopes:
+            around = set()
+            for x in scope:
+                around.update(readers[x])
+            adj.append(frozenset(sorted(around)))
+        return DependencyGraph(len(adj), tuple(adj))
+
+    @staticmethod
     def from_neighbor_lists(adj: Sequence[Sequence[int]]) -> "DependencyGraph":
         g = DependencyGraph(len(adj), tuple(frozenset(a) for a in adj))
         g.check_symmetric()
@@ -59,6 +75,15 @@ class DependencyGraph:
 
     def neighbor_lists(self) -> list[list[int]]:
         return [sorted(s) for s in self.adj]
+
+
+def scope_readers(scopes: Sequence[Collection[Hashable]]) -> dict[Hashable, list[int]]:
+    """Variable -> the flaws whose scope holds it, in ascending order."""
+    readers: dict = {}
+    for i, scope in enumerate(scopes):
+        for x in set(scope):
+            readers.setdefault(x, []).append(i)
+    return readers
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core import LllError, SearchProblem
-from ..criteria import BacktrackChargeTable, CliqueLllConfig, DependencyGraph
+from ..criteria import BacktrackChargeTable, CliqueLllConfig, DependencyGraph, scope_readers
 
 UNCOLORED = -1
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -194,8 +194,7 @@ def four_available(g: GraphInstance, coloring: Sequence[int], edge_id: int, q: i
     return [c for c in range(q) if c not in forbidden]
 
 
-def aec_backtrack(g: GraphInstance, q: int,
-                  cycle_bound: Callable[[int], float] | None = None) -> SearchProblem:
+def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
     """Backtracking acyclic-edge-coloring search.
 
     States are proper, bichromatic-cycle-free partial colorings; each
@@ -292,13 +291,7 @@ def aec_backtrack(g: GraphInstance, q: int,
         init_distribution=(lambda s: 1.0 if s == blank else 0.0),
         unassigned=lambda s: frozenset(f"e{i}" for i in range(m) if s[i] == UNCOLORED),
         flaw_labels=tuple(f"e{i}" for i in range(m)),
-        metadata={
-            "graph": g,
-            "q": q,
-            "Q": q - 2 * (delta - 1),
-            "strategy": "lowest_index",
-            "cycle_bound": cycle_bound,
-        },
+        metadata={"graph": g, "q": q, "strategy": "lowest_index"},
     )
 
 
@@ -533,11 +526,7 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
     num_paths = len(paths)
     m = len(flaw_edges)
 
-    adj = []
-    for i in range(m):
-        si = set(flaw_edges[i])
-        adj.append(frozenset(j for j in range(m) if si & set(flaw_edges[j])))
-    graph = DependencyGraph(m, tuple(adj))
+    graph = DependencyGraph.from_scopes(flaw_edges)
 
     def _is_bichromatic(state, ordered):
         c0 = state[ordered[0]]
@@ -582,10 +571,13 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
         q * (q - 1) / float(q) ** len(cy) for cy in cycles
     ]
 
+    # one clique per edge: its readers, inserted in ascending order (clique
+    # sums follow iteration order); an edge no flaw reads gets an empty one
+    readers = scope_readers(flaw_edges)
     cliques = []
     x: dict = {}
     for ei in range(m_edges):
-        members = frozenset(i for i in range(m) if ei in flaw_edges[i])
+        members = frozenset(readers.get(ei, ()))
         cliques.append(members)
         for i in members:
             if i < num_paths:
@@ -605,6 +597,9 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
             present=present,
             sample_action=sample_action,
             graph=graph,
+            # resampling flaw i redraws only its edges, so only the flaws
+            # reading one of them can change
+            affects=lambda i, s, t: graph.adj[i],
             sample_init=sample_init,
             canon=canon,
             weight=lambda s: 1.0,
@@ -616,8 +611,7 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
             flaw_labels=tuple(
                 [f"path{p}" for p in paths] + [f"cycle{tuple(cy)}" for cy in cycles]
             ),
-            metadata={"graph": g, "q": q, "num_paths": num_paths, "strategy": "lowest_index",
-                      "clique_config": cfg, "eps": eps, "c": c},
+            metadata={"graph": g, "q": q, "num_paths": num_paths, "strategy": "lowest_index"},
         ),
         cfg,
     )

@@ -65,17 +65,6 @@ def ball(g: GraphInstance, center: int, radius: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def line_graph_square_adjacent(g: GraphInstance, e1: int, e2: int) -> bool:
-    """Edges within distance two of each other in the line graph."""
-    s1, s2 = set(g.edges[e1]), set(g.edges[e2])
-    if s1 & s2:
-        return True
-    for (a, b) in g.edges:
-        if {a, b} & s1 and {a, b} & s2:
-            return True
-    return False
-
-
 def vertex_coloring_greedy(
     g: GraphInstance, q: int, weights: WeightSpec | None = None
 ) -> SearchProblem:
@@ -97,13 +86,11 @@ def vertex_coloring_greedy(
     if weights is not None:
         weights.validate(g)
 
-    lsq = [[line_graph_square_adjacent(g, a, b) for b in range(m_edges)] for a in range(m_edges)]
-    flaw_adj = []
-    for i in range(m):
-        e1 = i // q
-        flaw_adj.append(frozenset(
-            e2 * q + c2 for e2 in range(m_edges) if lsq[e1][e2] for c2 in range(q)
-        ))
+    # flaw (e, c) reads the edges that share an endpoint with e, so two
+    # flaws meet exactly when some edge touches both of theirs
+    incident = g.incident()
+    near = [frozenset(incident[u] + incident[v]) for (u, v) in g.edges]
+    graph = DependencyGraph.from_scopes([near[i // q] for i in range(m)])
 
     def present(i, state):
         e, c = divmod(i, q)
@@ -173,7 +160,10 @@ def vertex_coloring_greedy(
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
-        graph=DependencyGraph(m, tuple(flaw_adj)),
+        graph=graph,
+        # a repair recolors only the endpoints of its edge, so only flaws
+        # on edges at those endpoints can change
+        affects=lambda i, s, t: graph.adj[i],
         sample_init=sample_init,
         canon=lambda s: bytes(s),
         weight=lambda s: 1.0,
@@ -186,7 +176,6 @@ def vertex_coloring_greedy(
         metadata={
             "graph": g,
             "q": q,
-            "delta": delta,
             "weights": weights,
             "priority": priority,
             "strategy": "lowest_index" if priority is None else ("fixed_priority", priority),

@@ -81,17 +81,6 @@ class CnfInstance:
                 return False
         return True
 
-    def sharing_graph(self) -> DependencyGraph:
-        m = len(self.clauses)
-        adj = [set() for _ in range(m)]
-        var_sets = [self.clause_vars(i) for i in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                if var_sets[i] & var_sets[j]:
-                    adj[i].add(j)
-                    adj[j].add(i)
-        return DependencyGraph(m, tuple(frozenset(a) for a in adj))
-
 
 def _falsifying_value(lit: int) -> int:
     return 0 if lit > 0 else 1
@@ -112,8 +101,8 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
         raise LllError("formula needs at least one clause")
     m = len(cnf.clauses)
     n = cnf.num_vars
-    graph = cnf.sharing_graph()
     clause_var_lists = [sorted(cnf.clause_vars(i)) for i in range(m)]
+    graph = DependencyGraph.from_scopes(clause_var_lists)
 
     def present(i, state):
         return cnf.violated(state, i)
@@ -141,7 +130,6 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
     def enumerate_states():
         return itertools.product((0, 1), repeat=n)
 
-    k = cnf.uniform_k
     return SearchProblem(
         name="ksat_mt",
         num_flaws=m,
@@ -160,7 +148,7 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
         init_ratio=1.0,
         declared_charges=tuple(0.5 ** len(c) for c in cnf.clauses),
         flaw_labels=tuple(f"c{i}" for i in range(m)),
-        metadata={"cnf": cnf, "k": k},
+        metadata={"cnf": cnf},
     )
 
 
@@ -273,7 +261,7 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
         init_distribution=(lambda s: 1.0 if s == empty else 0.0),
         unassigned=lambda s: frozenset(f"x{v}" for v in range(1, n + 1) if s[v - 1] == UNSET),
         flaw_labels=tuple(f"x{v}" for v in range(1, n + 1)),
-        metadata={"cnf": cnf, "strategy": "lowest_index", "value_probs": value_probs},
+        metadata={"cnf": cnf, "strategy": "lowest_index"},
     )
 
 

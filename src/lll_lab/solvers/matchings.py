@@ -153,9 +153,6 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
     n = clique.half
     pairs = clique.conflict_pairs()
     m = len(pairs)
-    pair_vertices = [frozenset(p[0]) | frozenset(p[1]) for p in pairs]
-    adj = tuple(frozenset(j for j in range(m) if pair_vertices[i] & pair_vertices[j])
-                for i in range(m))
 
     def present(i, matching):
         e1, e2 = pairs[i]
@@ -192,7 +189,8 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
-        graph=DependencyGraph(m, adj),
+        # a conflict pair reads the partners of its four vertices
+        graph=DependencyGraph.from_scopes([e1 + e2 for e1, e2 in pairs]),
         sample_init=sample_init,
         canon=canon,
         weight=lambda s: 1.0,
@@ -203,7 +201,7 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         declared_charges=tuple(charge for _ in range(m)),
         default_weights=tuple(psi for _ in range(m)),
         flaw_labels=tuple(f"{p[0]}~{p[1]}" for p in pairs),
-        metadata={"clique": clique, "pairs": pairs, "strategy": "lowest_index"},
+        metadata={"clique": clique, "strategy": "lowest_index"},
     )
 
 

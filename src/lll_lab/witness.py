@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import LllError, SearchProblem, Trajectory
+from .core import LllError, SearchProblem, Trajectory, capped_space
 from .criteria import DependencyGraph
 
 PRODUCT_REL_TOL = 1e-9
@@ -334,9 +334,8 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
     """
     if problem.action_distribution is None or problem.enumerate_states is None:
         raise LllError("commutativity check requires oracle mode")
-    space = problem.space
-    if len(space.states) > state_cap:
-        raise LllError("state space too large for exhaustive commutativity check")
+    space = capped_space(problem, state_cap,
+                         "state space too large for exhaustive commutativity check")
     m = problem.num_flaws
     present_map = dict(zip(space.states, space.present))
     violations: list[dict] = []

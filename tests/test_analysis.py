@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lll_lab import chain
 from lll_lab.analysis import (
     PartialAvoidanceConfig,
     build_oracle,
@@ -11,7 +12,6 @@ from lll_lab.analysis import (
     check_resample_bounds,
     check_witness_tree_lemma,
     empirical_distribution,
-    exact_run_statistics,
     iter_runs,
     labeled_problem,
     output_distribution,
@@ -25,6 +25,7 @@ from lll_lab.core import LllError, run
 from lll_lab.criteria import DependencyGraph, neighborhood_sum
 from lll_lab.solvers import CnfInstance, ksat_mt
 from lll_lab.solvers.matchings import EdgeColoredClique, rainbow_matching
+from lll_lab.witness import check_commutativity
 
 
 def colored_k6(pairs=1):
@@ -102,7 +103,7 @@ def test_oracle_lll_distribution_bound(two_clause_mt):
 
 
 def test_exact_statistics_match_simulation(two_clause_mt):
-    exact = exact_run_statistics(two_clause_mt)
+    exact = chain.exact_statistics(chain.build_chain_tables(two_clause_mt))
     stats = run_many(two_clause_mt, runs=60_000, seed=5)
     mean = stats.steps.mean()
     se = stats.steps.std(ddof=1) / math.sqrt(stats.runs)
@@ -125,7 +126,7 @@ def test_chain_and_slow_path_agree_in_distribution(two_clause_mt):
 
 
 def test_exact_absorption_sums_to_one(two_clause_mt):
-    exact = exact_run_statistics(two_clause_mt)
+    exact = chain.exact_statistics(chain.build_chain_tables(two_clause_mt))
     assert abs(sum(exact.absorption.values()) - 1.0) < 1e-12
 
 
@@ -289,6 +290,33 @@ def test_output_distribution_refuses_past_state_cap(two_clause_mt, monkeypatch):
     monkeypatch.setattr(analysis, "STATE_CAP", len(two_clause_mt.space.states) - 1)
     with pytest.raises(LllError, match="state space exceeds oracle cap"):
         output_distribution(two_clause_mt, psi=[0.25, 0.25], runs=10)
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda p: output_distribution(p, psi=[0.1] * p.num_flaws, runs=10),
+    lambda p: build_oracle(p, state_cap=10),
+    lambda p: check_commutativity(p, state_cap=10),
+], ids=["output_distribution", "build_oracle", "check_commutativity"])
+def test_state_caps_refuse_before_enumerating(monkeypatch, refuse):
+    """A space past its cap is refused after drawing at most cap + 1 of
+    its 4,096 states."""
+    import dataclasses
+
+    import lll_lab.analysis as analysis
+
+    problem = ksat_mt(CnfInstance(12, tuple((v, v + 1, v + 2) for v in range(1, 11))))
+    drawn = 0
+
+    def counting_enumerate():
+        nonlocal drawn
+        for s in problem.enumerate_states():
+            drawn += 1
+            yield s
+
+    monkeypatch.setattr(analysis, "STATE_CAP", 10)
+    with pytest.raises(LllError, match="state space"):
+        refuse(dataclasses.replace(problem, enumerate_states=counting_enumerate))
+    assert drawn <= 11
 
 
 def test_output_distribution_builds_no_oracle(two_clause_mt, monkeypatch):
@@ -514,7 +542,6 @@ def test_witness_lemma_holds_under_recency_strategy(two_clause_mt):
 def test_exact_output_density_bound_any_strategy(two_clause_mt):
     """The exact absorption distribution respects nu(s) <= u * mu(s) under
     both flaw orders, with u the independent-set weight sum."""
-    from lll_lab import chain
     from lll_lab.criteria import independent_weight_sum
 
     psi = [0.25, 0.25]
@@ -530,7 +557,6 @@ def test_exact_output_density_bound_any_strategy(two_clause_mt):
 def test_exact_address_counts_bounded_any_strategy(two_clause_mt):
     """Exact expected address counts stay below psi (cluster) and the
     q-ratios (shearer) for both flaw orders."""
-    from lll_lab import chain
     from lll_lab.criteria import shearer_polynomials
 
     psi = [0.25, 0.25]

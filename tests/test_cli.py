@@ -271,6 +271,22 @@ def test_solve_trace_embeds_witness_data(tmp_path, capsys):
     assert [str(v) for v in addressed] == trace["witness_sequence"]
 
 
+def test_solve_trace_refuses_recency_before_running(tmp_path, capsys, monkeypatch):
+    """The witness forest is defined only for the lowest-index order, so a
+    traced backtracking solve under another strategy is refused up front."""
+    import lll_lab.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before refusing")
+
+    monkeypatch.setattr(cli, "run", never)
+    cnf = write(tmp_path, "f.cnf", "p cnf 6 4\n1 2 3 0\n-1 -2 4 0\n3 -4 5 0\n-3 5 6 0\n")
+    code, out, err = run_cli(["solve", "ksat-backtrack", cnf, "--trace", "--strategy",
+                              "recency", "--seed", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--trace" in err and "--strategy" in err
+
+
 def test_parallel_counts_match_serial(tmp_path, capsys):
     from lll_lab.cli import parallel_run_counts
 

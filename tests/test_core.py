@@ -62,9 +62,9 @@ def test_run_report_invariants(two_clause_mt):
 def test_expected_steps_one_clause_2sat(one_clause_2sat_mt):
     """Absorbing-chain oracle: from the uniform start the expected step
     count is (1/4) * (1 / (3/4)) = 1/3."""
-    from lll_lab.analysis import exact_run_statistics
+    from lll_lab import chain
 
-    stats = exact_run_statistics(one_clause_2sat_mt)
+    stats = chain.exact_statistics(chain.build_chain_tables(one_clause_2sat_mt))
     # independent derivation: solve the 4-state chain by hand
     # E[steps | start 00] = 1 + (1/4) E[steps | 00] -> 4/3, weighted by 1/4
     assert math.isclose(stats.expected_steps, 1.0 / 3.0, abs_tol=1e-12)

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lll_lab.build import build_problem
 from lll_lab.core import LllError
 from lll_lab.criteria import (
     BacktrackChargeTable,
@@ -25,6 +28,16 @@ from lll_lab.criteria import (
     shearer_polynomials,
     subset_product_sum,
 )
+from lll_lab.formats import (
+    generate_colored_clique,
+    generate_graph,
+    generate_ksat,
+    serialize_dimacs,
+    serialize_graph,
+)
+from lll_lab.rng import source_for_run
+from lll_lab.solvers import aec_clique_mt, ksat_mt, rainbow_matching, vertex_coloring_greedy
+from lll_lab.solvers.aec import enumerate_even_cycles, enumerate_two_paths
 
 
 def brute_subset_sum(indices, psi):
@@ -554,3 +567,77 @@ def test_clique_trimmed_ratio_bound_single_clique_counterexample():
     assert abs(exact - 2.0) < 1e-12
     assert exact > rep.details["ratio_bounds"][0]  # trimmed form undershoots
     assert abs(exact - rep.details["ratio_bounds_full"][0]) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dependency graphs from flaw scopes
+
+
+def pairwise_graph(scopes):
+    """The dependency relation by definition: the flaws whose scopes meet
+    flaw i's, inserted in ascending order."""
+    sets = [set(s) for s in scopes]
+    return tuple(frozenset(j for j in range(len(sets)) if si & sets[j]) for si in sets)
+
+
+def assert_same_graph(graph, reference):
+    """Equal as sets and in iteration order, which the float sums of the
+    criteria follow."""
+    assert graph.adj == reference
+    assert [list(a) for a in graph.adj] == [list(a) for a in reference]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scopes=st.lists(st.lists(st.integers(0, 400), max_size=4), max_size=160))
+def test_from_scopes_matches_pairwise_definition(scopes):
+    """Shared variables, repeated variables, singleton and empty scopes."""
+    graph = DependencyGraph.from_scopes(scopes)
+    assert graph.m == len(scopes)
+    assert_same_graph(graph, pairwise_graph(scopes))
+
+
+def _ksat_case():
+    cnf = generate_ksat(600, 3, 3, source_for_run(1, 0))
+    return ksat_mt(cnf), [{abs(lit) for lit in c} for c in cnf.clauses]
+
+
+def _rainbow_case():
+    clique = generate_colored_clique(10, 3, source_for_run(2, 0))
+    return rainbow_matching(clique), [set(e1 + e2) for e1, e2 in clique.conflict_pairs()]
+
+
+def _coloring_case():
+    """Flaw (e, c) depends on (e', c') when e and e' are within distance
+    two in the line graph: some edge, e or e' included, touches both."""
+    g, q = generate_graph(60, 3, source_for_run(3, 0), 80), 4
+    ends = [set(e) for e in g.edges]
+    near = [{f for f in range(len(ends)) if ends[f] & a} for a in ends]
+    return vertex_coloring_greedy(g, q), [near[i // q] for i in range(len(ends) * q)]
+
+
+def _aec_clique_case():
+    g = generate_graph(20, 3, source_for_run(4, 0), 28)
+    flaw_edges = enumerate_two_paths(g) + enumerate_even_cycles(g)
+    return aec_clique_mt(g, 10)[0], flaw_edges
+
+
+@pytest.mark.parametrize("case", [_ksat_case, _rainbow_case, _coloring_case, _aec_clique_case],
+                         ids=["ksat_mt", "rainbow", "vertex_coloring", "aec_clique_mt"])
+def test_solver_graphs_match_pairwise_definition(case):
+    problem, scopes = case()
+    assert problem.num_flaws == len(scopes) > 100
+    assert_same_graph(problem.graph, pairwise_graph(scopes))
+
+
+@pytest.mark.parametrize("spec", [
+    {"solver": "vertex-coloring", "colors": 4,
+     "instance_text": serialize_graph(generate_graph(300, 3, source_for_run(5, 0), 449))},
+    {"solver": "ksat-mt",
+     "instance_text": serialize_dimacs(generate_ksat(3200, 3, 2, source_for_run(6, 0)))},
+], ids=["vertex-coloring", "ksat-mt"])
+def test_scope_graphs_build_at_benchmark_scale(spec):
+    """No wall-clock bound: a pairwise builder shows up as a slow suite
+    (about 20 s for the coloring graph, against milliseconds)."""
+    problem = build_problem(spec)
+    assert problem.graph.m == problem.num_flaws > 1000
+    problem.graph.check_symmetric()

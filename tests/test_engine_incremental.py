@@ -2,10 +2,11 @@
 
 Problems that declare ``affects`` let the engine re-evaluate only the
 flaws an action can touch.  These properties check, on random small
-CNFs and on random small graphs for ``aec_backtrack``, that the tracked
-present set always equals a full rescan and that whole runs match a
-reference loop that rescans every flaw at every step.  They also check
-the byte-string states of the backtracking solvers.
+CNFs, on random small graphs for ``aec_clique_mt`` and
+``vertex_coloring_greedy``, and on random graphs for ``aec_backtrack``,
+that the tracked present set always equals a full rescan and that whole
+runs match a reference loop that rescans every flaw at every step.  They
+also check the byte-string states of the backtracking solvers.
 """
 
 from dataclasses import replace
@@ -19,15 +20,18 @@ from lll_lab.solvers import (
     CnfInstance,
     GraphInstance,
     aec_backtrack,
+    aec_clique_mt,
     ksat_backtrack,
     ksat_backtrack_biased,
     ksat_mt,
+    vertex_coloring_greedy,
 )
 from lll_lab.solvers.ksat import UNSET, count_partial_satisfying
 
 MAX_STEPS = 200
 BACKTRACKING = ("ksat_backtrack", "ksat_backtrack_biased")
-SOLVERS = ("ksat_mt", *BACKTRACKING)
+GRAPH_SOLVERS = ("aec_clique_mt", "vertex_coloring_greedy")
+SOLVERS = ("ksat_mt", *BACKTRACKING, *GRAPH_SOLVERS)
 
 
 @st.composite
@@ -41,9 +45,23 @@ def cnfs(draw, max_vars=6, max_clauses=5):
 
 
 @st.composite
+def small_graphs(draw, max_vertices=5, max_edges=6):
+    """Graphs small enough to enumerate every coloring."""
+    n = draw(st.integers(2, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=max_edges, unique=True))
+    return GraphInstance.from_edge_list(n, edges)
+
+
+@st.composite
 def problems(draw, solvers=SOLVERS):
-    cnf = draw(cnfs())
     solver = draw(st.sampled_from(solvers))
+    if solver == "aec_clique_mt":
+        return aec_clique_mt(draw(small_graphs()), draw(st.integers(2, 3)))[0]
+    if solver == "vertex_coloring_greedy":
+        g = draw(small_graphs())
+        return vertex_coloring_greedy(g, g.max_degree() + draw(st.integers(1, 2)))
+    cnf = draw(cnfs())
     if solver == "ksat_mt":
         return ksat_mt(cnf)
     if solver == "ksat_backtrack":

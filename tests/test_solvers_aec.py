@@ -326,6 +326,23 @@ def test_aec_clique_mt_declared_charges_match_enumeration():
     assert abs(exact[cyc] - 3 * 2 / 81.0) < 1e-12
 
 
+def test_aec_clique_mt_clique_cover_is_flaws_per_edge():
+    """One clique per edge holding the flaws that contain it, in ascending
+    insertion order; an edge in no path or cycle gets an empty clique."""
+    from lll_lab.formats import generate_graph
+
+    base = generate_graph(20, 3, source_for_run(4, 0), 28)
+    g = GraphInstance.from_edge_list(22, list(base.edges) + [(20, 21)])
+    problem, cfg = aec_clique_mt(g, 10)
+    flaw_edges = enumerate_two_paths(g) + enumerate_even_cycles(g)
+    want = [frozenset(i for i, es in enumerate(flaw_edges) if ei in es)
+            for ei in range(len(g.edges))]
+    assert problem.num_flaws == len(flaw_edges) > 200
+    assert cfg.cliques[-1] == frozenset()
+    assert list(cfg.cliques) == want
+    assert [list(c) for c in cfg.cliques] == [list(c) for c in want]
+
+
 def test_validate_aec_clique_mt_problem():
     g = GraphInstance.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     problem, _ = aec_clique_mt(g, 3)

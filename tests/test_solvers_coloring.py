@@ -7,7 +7,6 @@ from lll_lab.solvers import GraphInstance, WeightSpec, vertex_coloring_greedy
 from lll_lab.solvers.coloring import (
     ball,
     coloring_is_proper_vertex,
-    line_graph_square_adjacent,
     local_weight_bound,
     matchings_of,
 )
@@ -39,11 +38,14 @@ def test_charge_exact_on_cycle():
 
 
 def test_line_graph_square():
-    g = path(6)
-    # edges 0-1,1-2,2-3,3-4,4-5 -> ids 0..4
-    assert line_graph_square_adjacent(g, 0, 1)
-    assert line_graph_square_adjacent(g, 0, 2)
-    assert not line_graph_square_adjacent(g, 0, 3)
+    """Flaws depend on each other when their edges are within distance two
+    in the line graph."""
+    q = 3
+    adj = vertex_coloring_greedy(path(6), q).graph.adj
+    # edges 0-1,1-2,2-3,3-4,4-5 -> ids 0..4; flaw (e, c) has id e * q + c
+    assert 1 * q + 2 in adj[0]
+    assert 2 * q in adj[0]
+    assert 3 * q + 1 not in adj[0]
 
 
 def test_repair_never_creates_flaws_and_caps_recolorings():
