@@ -17,6 +17,9 @@ import numpy as np
 from .core import LllError, SearchProblem
 from .rng import BATCH_TAG, run_stream
 
+# transient states of the dense absorbing-chain solve: 128 MB of float64
+DENSE_TRANSIENT_CAP = 4096
+
 
 @dataclass
 class ChainTables:
@@ -28,7 +31,6 @@ class ChainTables:
 
     problem: SearchProblem
     states: list
-    index: dict
     absorbing: np.ndarray  # bool per state
     chosen_flaw: np.ndarray  # int per state, -1 when absorbing
     row_targets: np.ndarray  # states x width state ids
@@ -42,7 +44,8 @@ def build_chain_tables(
     priority: list[int] | None = None,
     flaw_subset: set[int] | None = None,
 ) -> ChainTables:
-    """Transition rows under lowest-index (or fixed-priority) flaw choice.
+    """Transition rows under lowest-index (or fixed-priority) flaw choice,
+    selected from each chosen flaw's ``space.rows``.
 
     ``flaw_subset`` restricts attention to a core subset: only those flaws
     are ever addressed and absorption means none of them is present.
@@ -52,35 +55,36 @@ def build_chain_tables(
     if problem.init_distribution is None:
         raise LllError("chain tables require an explicit initial distribution")
     space = problem.space
-    states, index = space.states, space.index
+    states = space.states
     n = len(states)
-    rank = {f: r for r, f in enumerate(priority)} if priority is not None else None
-    absorbing = np.zeros(n, dtype=bool)
-    chosen = np.full(n, -1, dtype=np.int64)
-    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for k, (s, present) in enumerate(zip(states, space.present)):
-        if flaw_subset is not None:
-            present = [i for i in present if i in flaw_subset]
-        if not present:
-            absorbing[k] = True
-            continue
-        i = min(present, key=(lambda f: rank[f]) if rank is not None else (lambda f: f))
-        chosen[k] = i
-        dist = space.dist(i, s)
-        targets = np.array([index[t] for t in dist], dtype=np.int64)
-        probs = np.array(list(dist.values()), dtype=float)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise LllError(f"action distribution sums to {total}")
-        order = np.argsort(targets)
-        rows[k] = targets[order], _pinned_cumsum(probs[order] / total)
-    width = max((t.size for t, _ in rows.values()), default=1)
+    present = space.present
+    if flaw_subset is not None:
+        present = [[i for i in p if i in flaw_subset] for p in present]
+    key = None if priority is None else {f: r for r, f in enumerate(priority)}.__getitem__
+    chosen = np.array([min(p, key=key) if p else -1 for p in present], dtype=np.int64)
+    absorbing = chosen < 0
+    flaws = np.unique(chosen[~absorbing]).tolist()
+    sizes = np.zeros(n, dtype=np.int64)
+    for i in flaws:
+        sizes[chosen == i] = np.diff(space.rows(i).indptr)[chosen == i]
+    width = int(sizes.max(initial=1))
     row_targets = np.repeat(np.arange(n, dtype=np.int64)[:, None], width, axis=1)
     row_cum = np.ones((n, width))
-    for k, (targets, cum) in rows.items():
-        row_targets[k, :targets.size] = targets
-        row_targets[k, targets.size:] = targets[-1]
-        row_cum[k, :cum.size] = cum
+    for i in flaws:
+        rows = space.rows(i)
+        # rows of one length stacked: ``sum(axis=1)`` adds each row as
+        # ``probs.sum()`` adds it alone, so every normalized row is unchanged
+        for size in np.unique(sizes[chosen == i]).tolist():
+            ks = np.flatnonzero((chosen == i) & (sizes == size))
+            at = rows.indptr[ks, None] + np.arange(size)
+            total = rows.probs[at].sum(axis=1)
+            bad = np.abs(total - 1.0) > 1e-9
+            if bad.any():
+                raise LllError(f"action distribution sums to {total[bad][0]}")
+            at = np.take_along_axis(at, np.argsort(rows.targets[at], axis=1), axis=1)
+            row_targets[ks, :size] = rows.targets[at]
+            row_targets[ks, size:] = rows.targets[at[:, -1:]]
+            row_cum[ks, :size] = _pinned_cumsum(rows.probs[at] / total[:, None])
     init_p = np.array([problem.init_distribution(s) for s in states], dtype=float)
     if init_p.sum() <= 0:
         raise LllError("initial distribution has no mass")
@@ -88,16 +92,16 @@ def build_chain_tables(
     keep = init_p > 0
     init_ids = np.nonzero(keep)[0]
     init_cum = _pinned_cumsum(init_p[keep])
-    return ChainTables(problem, states, index, absorbing, chosen, row_targets, row_cum,
-                       init_ids, init_cum)
+    return ChainTables(problem, states, absorbing, chosen, row_targets, row_cum, init_ids,
+                       init_cum)
 
 
 def _pinned_cumsum(probs: np.ndarray) -> np.ndarray:
     """Cumulative sums whose last entry is exactly 1.0: rounding can leave
     it just below (``cumsum([0.1] * 10)[-1]`` is 0.9999999999999999), and
     a draw above it would then map past the last outcome."""
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = 1.0
     return cum
 
 
@@ -206,6 +210,8 @@ def exact_statistics(tables: ChainTables) -> ExactChainStats:
         absorption = {tables.states[k]: float(p) for k, p in enumerate(init_full) if p > 0}
         return ExactChainStats(0.0, np.zeros(tables.problem.num_flaws), absorption)
     nt = trans_ids.size
+    if nt > DENSE_TRANSIENT_CAP:
+        raise LllError(f"{nt} transient states exceed the dense solve cap {DENSE_TRANSIENT_CAP}")
     pos = np.full(n, -1, dtype=np.int64)
     pos[trans_ids] = np.arange(nt)
     targets = tables.row_targets[trans_ids]

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import compress, islice
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .rng import RandomSource, source_for_run
 
@@ -24,6 +26,8 @@ if TYPE_CHECKING:  # criteria imports this module
 
 PROB_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**6
+# transition entries in one set of rows: 160 MB of targets and probabilities
+ROW_ENTRY_BUDGET = 10**7
 
 
 class LllError(Exception):
@@ -101,8 +105,9 @@ class StateSpace:
     """One enumeration of an oracle-mode problem, shared by every exact
     computation on it: the states in enumeration order, their ``index``,
     each state's present flaw list, the normalized measure ``mu`` and
-    memoized action distributions ``dist(i, s)``.  Memoized distributions
-    are shared, so no consumer may mutate one.  The space keeps only the
+    memoized action distributions ``dist(i, s)``, and each flaw's
+    ``rows(i)`` built from them.  Memoized distributions and rows are
+    shared, so no consumer may mutate one.  The space keeps only the
     weight and action closures, no reference back to the problem.
     """
 
@@ -115,6 +120,7 @@ class StateSpace:
         self._weight = problem.weight
         self._action_distribution = problem.action_distribution
         self._dists: dict = {}
+        self._rows: dict[int, TransitionRows] = {}
 
     @cached_property
     def mu(self) -> dict[State, float]:
@@ -125,15 +131,58 @@ class StateSpace:
             raise LllError("measure has no mass")
         return {s: w / total for s, w in weights.items()}
 
+    @cached_property
+    def mu_vector(self) -> np.ndarray:
+        """``mu`` by state id."""
+        return np.fromiter(self.mu.values(), dtype=float, count=len(self.states))
+
     def dist(self, i: int, s: State) -> dict[State, float]:
         out = self._dists.get((i, s))
         if out is None:
             out = self._dists[i, s] = self._action_distribution(i, s)
         return out
 
-    def members(self, i: int) -> list[State]:
-        """The states where flaw ``i`` is present, in enumeration order."""
-        return [s for s, present in zip(self.states, self.present) if i in present]
+    def rows(self, i: int) -> TransitionRows:
+        """Flaw ``i``'s transition rows, built on first use from ``dist``."""
+        if i not in self._rows:
+            members = [k for k, present in enumerate(self.present) if i in present]
+            self._rows[i] = self.transition_rows(members, lambda s: self.dist(i, s), f"flaw {i}")
+        return self._rows[i]
+
+    def transition_rows(self, members: list[int], dist_of: Callable[[State], dict],
+                        what: str) -> TransitionRows:
+        """Rows at the ascending state ids ``members``, each holding
+        ``dist_of(state)`` in its iteration order, zero probabilities
+        included.  Refused past ``ROW_ENTRY_BUDGET`` entries, checked
+        while appending, and on a target outside the enumerated states."""
+        sizes = np.zeros(len(self.states) + 1, dtype=np.int64)
+        targets, probs = [], []
+        for k in members:
+            dist = dist_of(self.states[k])
+            try:
+                targets += [self.index[t] for t in dist]
+            except KeyError:
+                raise LllError(f"{what} leads outside the enumerated states") from None
+            if len(targets) > ROW_ENTRY_BUDGET:
+                raise LllError(f"{what} has more than {ROW_ENTRY_BUDGET} transition entries")
+            probs += dist.values()
+            sizes[k + 1] = len(dist)
+        return TransitionRows(np.cumsum(sizes), np.array(targets, dtype=np.int64),
+                              np.array(probs, dtype=float))
+
+
+class TransitionRows(NamedTuple):
+    """Action distributions in CSR form over state ids: state ``k``'s row
+    is entries ``indptr[k]:indptr[k + 1]`` of ``targets`` (state ids) and
+    ``probs``, in distribution order; other states have empty rows."""
+
+    indptr: np.ndarray
+    targets: np.ndarray
+    probs: np.ndarray
+
+    def row_ids(self) -> np.ndarray:
+        """The state id of every entry."""
+        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
 
 
 def capped_space(problem: SearchProblem, cap: int, refusal: str) -> StateSpace:
@@ -385,27 +434,16 @@ def run(
 # oracle-mode helpers
 
 
-def _charge_of_distributions(
-    mu: dict[State, float],
-    members: list[State],
-    dist_of: Callable[[State], dict[State, float]],
-) -> float:
-    """max over target states of (sum over flaw members of mu * rho) / mu."""
-    incoming: dict[State, float] = {}
-    for s in members:
-        for t, p in dist_of(s).items():
-            if p == 0.0:
-                continue
-            incoming[t] = incoming.get(t, 0.0) + mu[s] * p
-    worst = 0.0
-    for t, mass in incoming.items():
-        mu_t = mu.get(t, 0.0)
-        if mu_t <= 0.0:
-            if mass > PROB_TOL:
-                raise LllError("measure support violation")
-            continue
-        worst = max(worst, mass / mu_t)
-    return worst
+def _charge_of_rows(space: StateSpace, rows: TransitionRows) -> float:
+    """max over target states of (sum over rows of mu * rho) / mu, the
+    sums scattered in entry order as a sequential loop would add them."""
+    mu = space.mu_vector
+    mass = np.zeros(mu.size)
+    np.add.at(mass, rows.targets, mu[rows.row_ids()] * rows.probs)
+    if np.any((mass > PROB_TOL) & (mu <= 0.0)):
+        raise LllError("measure support violation")
+    reached = mu > 0.0
+    return float((mass[reached] / mu[reached]).max(initial=0.0))
 
 
 def charge(problem: SearchProblem, i: int) -> float:
@@ -415,11 +453,7 @@ def charge(problem: SearchProblem, i: int) -> float:
     """
     if problem.action_distribution is None:
         raise LllError("charge requires oracle mode")
-    space = problem.space
-    members = space.members(i)
-    if not members:
-        return 0.0
-    return _charge_of_distributions(space.mu, members, lambda s: space.dist(i, s))
+    return _charge_of_rows(problem.space, problem.space.rows(i))
 
 
 def event_charge(
@@ -430,10 +464,8 @@ def event_charge(
     """Charge of an extra flaw defined by an arbitrary event with its own
     resampling distributions, under the same enumerable measure."""
     space = problem.space
-    members = [s for s in space.states if event(s)]
-    if not members:
-        return 0.0
-    return _charge_of_distributions(space.mu, members, event_actions)
+    members = [k for k, s in enumerate(space.states) if event(s)]
+    return _charge_of_rows(space, space.transition_rows(members, event_actions, "the event"))
 
 
 def all_charges(problem: SearchProblem) -> list[float]:
@@ -441,8 +473,10 @@ def all_charges(problem: SearchProblem) -> list[float]:
 
 
 def measure_of_flaws(problem: SearchProblem) -> list[float]:
-    space = problem.space
-    return [sum(space.mu[s] for s in space.members(i)) for i in range(problem.num_flaws)]
+    """mu summed in state order over the states where each flaw has a row."""
+    mu = problem.space.mu_vector
+    return [sum(mu[np.diff(problem.space.rows(i).indptr) > 0].tolist())
+            for i in range(problem.num_flaws)]
 
 
 def computed_init_ratio(problem: SearchProblem) -> float:

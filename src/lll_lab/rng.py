@@ -15,7 +15,8 @@ np.uint64)`` returns.  numpy's own ``PCG64`` is then seeded from those
 words, so every run still gets a bit generator of its own.  The last
 block computed for each (master seed, tag) is memoized per process; a
 run index that continues it doubles the block (up to ``_MAX_BLOCK``),
-any other computes that index alone.  The memo is a pure cache: a
+any other computes that index alone, through ``SeedSequence`` itself,
+which costs less than the arrays for one index.  The memo is a pure cache: a
 stream depends only on its triple, never on the order in which indices
 are asked for.  The tests compare every word with ``SeedSequence``.
 """
@@ -157,7 +158,11 @@ def _run_words(seed: int, run_index: int, tag: int) -> np.ndarray:
     _blocks.pop(key, None)
     if len(_blocks) >= _MEMO_KEYS:
         del _blocks[next(iter(_blocks))]  # the least recently extended
-    block = _state_words(seed, tag, run_index, count)
+    if count == 1:  # SeedSequence itself costs less than the arrays for one index
+        block = np.random.SeedSequence((seed, run_index, tag)).generate_state(
+            _PCG64_WORDS, np.uint64)[None]
+    else:
+        block = _state_words(seed, tag, run_index, count)
     _blocks[key] = (run_index, block)
     return block[0]
 

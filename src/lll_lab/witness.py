@@ -14,7 +14,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .core import LllError, SearchProblem, Trajectory, capped_space
+import numpy as np
+
+from .core import LllError, SearchProblem, Trajectory, TransitionRows, capped_space
 from .criteria import DependencyGraph
 
 PRODUCT_REL_TOL = 1e-9
@@ -330,34 +332,19 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
     (s1, s3), an injective probability-preserving swap of the two-step
     trajectories exists iff the i-then-j and j-then-i paths have equal
     counts at every product value (Hall's condition on the bipartite
-    equal-product graph, applied per endpoint class).
+    equal-product graph, applied per endpoint class).  Both directions'
+    paths are joined from ``space.rows`` on the middle state, sorted by
+    (s1, s3, product) and compared entry by entry, products up to
+    ``PRODUCT_REL_TOL``; one pair is held at a time, and each
+    non-commuting pair reports where its lists first part.
     """
     if problem.action_distribution is None or problem.enumerate_states is None:
         raise LllError("commutativity check requires oracle mode")
     space = capped_space(problem, state_cap,
                          "state space too large for exhaustive commutativity check")
-    m = problem.num_flaws
-    present_map = dict(zip(space.states, space.present))
+    m, n = problem.num_flaws, len(space.states)
     violations: list[dict] = []
     checked = 0
-
-    def two_step_products(i: int, j: int) -> dict[tuple, dict[float, int]]:
-        """(s1, s3) -> multiset of rho products over i-then-j paths."""
-        out: dict[tuple, dict[float, int]] = {}
-        for s1 in space.states:
-            if i not in present_map[s1]:
-                continue
-            for s2, p12 in space.dist(i, s1).items():
-                if p12 <= 0 or j not in present_map[s2]:
-                    continue
-                for s3, p23 in space.dist(j, s2).items():
-                    if p23 <= 0:
-                        continue
-                    bucket = out.setdefault((s1, s3), {})
-                    key_p = _matching_key(bucket, p12 * p23)
-                    bucket[key_p] = bucket.get(key_p, 0) + 1
-        return out
-
     # i-then-i pairs need no check: without a self-loop, addressing i
     # removes it (causality cover), so no valid i-then-i trajectory exists
     for i in range(m):
@@ -365,31 +352,51 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
             if j in problem.graph.adj[i]:
                 continue
             checked += 1
-            fwd = two_step_products(i, j)
-            bwd = two_step_products(j, i)
-            for key in set(fwd) | set(bwd):
-                f = fwd.get(key, {})
-                b = bwd.get(key, {})
-                for p in set(f) | set(b):
-                    cf = f.get(_matching_key(f, p), 0)
-                    cb = b.get(_matching_key(b, p), 0)
-                    if cf != cb:
-                        violations.append({
-                            "flaws": (i, j),
-                            "endpoints": (problem.canon(key[0]).hex(), problem.canon(key[1]).hex()),
-                            "product": p,
-                            "count_forward": cf,
-                            "count_backward": cb,
-                        })
-                        if len(violations) >= max_violations:
-                            return CommutativityReport(False, checked, tuple(violations))
-                        break
+            fwd = _two_step_paths(space.rows(i), space.rows(j), n)
+            bwd = _two_step_paths(space.rows(j), space.rows(i), n)
+            found = _first_mismatch(fwd, bwd)
+            if found is None:
+                continue
+            end, product, cf, cb = found
+            s1, s3 = (problem.canon(space.states[k]).hex() for k in divmod(end, n))
+            violations.append({"flaws": (i, j), "endpoints": (s1, s3), "product": product,
+                               "count_forward": cf, "count_backward": cb})
+            if len(violations) >= max_violations:
+                return CommutativityReport(False, checked, tuple(violations))
     return CommutativityReport(not violations, checked, tuple(violations))
 
 
-def _matching_key(bucket: dict[float, int], p: float) -> float:
-    """The first product in ``bucket`` equal to ``p`` up to tolerance, else ``p``."""
-    return next((q for q in bucket if abs(q - p) <= PRODUCT_REL_TOL * max(q, p)), p)
+def _two_step_paths(first: TransitionRows, second: TransitionRows,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoints ``s1 * n + s3`` and probability products of every
+    positive two-step path, ``first`` then ``second``, sorted by both."""
+    live = first.probs > 0
+    s1, mid, p12 = first.row_ids()[live], first.targets[live], first.probs[live]
+    start = second.indptr[mid]
+    sizes = second.indptr[mid + 1] - start
+    hop = np.repeat(np.arange(mid.size), sizes)
+    at = np.arange(hop.size) + np.repeat(start - (np.cumsum(sizes) - sizes), sizes)
+    live = second.probs[at] > 0
+    hop, at = hop[live], at[live]
+    ends = s1[hop] * n + second.targets[at]
+    products = p12[hop] * second.probs[at]
+    order = np.lexsort((products, ends))
+    return ends[order], products[order]
+
+
+def _first_mismatch(fwd: tuple[np.ndarray, np.ndarray],
+                    bwd: tuple[np.ndarray, np.ndarray]) -> tuple[int, float, int, int] | None:
+    """(endpoints, product, forward count, backward count) at the first
+    entry where the sorted path lists part, or None when they agree."""
+    close = lambda a, b: np.abs(a - b) <= PRODUCT_REL_TOL * np.maximum(a, b)
+    t = min(fwd[0].size, bwd[0].size)
+    parted = np.flatnonzero((fwd[0][:t] != bwd[0][:t]) | ~close(fwd[1][:t], bwd[1][:t]))
+    if not parted.size and fwd[0].size == bwd[0].size:
+        return None
+    t = parted[0] if parted.size else t
+    end, product = min((ends[t], products[t]) for ends, products in (fwd, bwd) if t < ends.size)
+    cf, cb = (int(((ends == end) & close(products, product)).sum()) for ends, products in (fwd, bwd))
+    return int(end), float(product), cf, cb
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,10 @@ def test_traced_witness_suite_reads_sequence_reducer(tmp_path, capsys):
     distinct = {tuple(row[row >= 0].tolist()) for row in result.sequences}
     assert metrics["analysis.distinct_sequences_frac"] == len(distinct) / 3000
     assert metrics["chain.batch_rounds"] == int(result.steps.max())
+    # the commutativity check and the chain tables keep the names the tracer patches
+    _, calls = tracer.fold()
+    assert calls["witness.commutativity"] == calls["chain.tables"] == 1
+    assert metrics["witness.commutativity_s"] > 0 and metrics["chain.tables_s"] > 0
 
 
 def test_traced_step_suite_times_one_stream_per_run(tmp_path, capsys):

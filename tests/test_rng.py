@@ -75,6 +75,22 @@ def test_consecutive_indices_double_the_block_and_lone_ones_do_not():
     assert start == 7 and len(block) == 1
 
 
+@pytest.mark.parametrize("run_index", [0, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 3])
+@pytest.mark.parametrize("tag", [0, BATCH_TAG])
+def test_lone_index_blocks_equal_seed_sequence(run_index, tag):
+    """A lone index is derived by ``SeedSequence`` itself; the index after
+    it continues the block through the vectorized derivation, unless the
+    block would cross a multiple of 2^32."""
+    seed = 2**70 + 9
+    room = 2**32 - (run_index + 1) % 2**32  # indices left before the next multiple
+    rng._blocks.clear()
+    for r, size in ((run_index, 1), (run_index + 1, min(2, room))):
+        words = rng._run_words(seed, r, tag)
+        assert np.array_equal(words, reference(seed, r, tag).generate_state(4, np.uint64))
+        start, block = rng._blocks[(seed, tag)]
+        assert (start, block.shape, block.dtype) == (r, (size, 4), np.uint64)
+
+
 def test_negative_inputs_refused():
     with pytest.raises(ValueError):
         run_stream(-1, 0)
