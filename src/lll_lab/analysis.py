@@ -47,6 +47,7 @@ from .witness import (
 
 SE_SLACK = 4.0
 STATE_CAP = 10**6  # largest state space the exact tables enumerate
+ORACLE_SHEARER_CAP = 20  # most flaws whose Shearer polynomials build_oracle computes
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,7 @@ class OracleTables:
         return sum(p for s, p in self.mu.items() if event(s))
 
 
-def build_oracle(problem: SearchProblem, state_cap: int = STATE_CAP,
-                 shearer_cap: int = 20) -> OracleTables:
+def build_oracle(problem: SearchProblem, state_cap: int = STATE_CAP) -> OracleTables:
     """Exact tables for an enumerable problem: normalized measure, the
     flawless set and conditioned distribution, exact charges, and the
     signed independent-set polynomials when the flaw count permits."""
@@ -142,7 +142,7 @@ def build_oracle(problem: SearchProblem, state_cap: int = STATE_CAP,
     charges = all_charges(problem)
     flaw_measures = measure_of_flaws(problem)
     shearer = None
-    if problem.num_flaws <= shearer_cap:
+    if problem.num_flaws <= ORACLE_SHEARER_CAP:
         shearer = shearer_polynomials(charges, problem.graph)
     return OracleTables(problem, states, mu, flawless, lll, charges, flaw_measures,
                         shearer, problem.graph)
@@ -473,7 +473,6 @@ def extend_with_event(problem: SearchProblem, event, event_actions,
 
     return replace(
         problem,
-        name=problem.name + "+event",
         num_flaws=m + 1,
         present=present,
         sample_action=sample_action,
@@ -676,7 +675,6 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
     base_init = problem.init_distribution
 
     return SearchProblem(
-        name=problem.name + "+labels",
         num_flaws=m,
         present=present,
         flaws_present=flaws_present,

@@ -65,7 +65,6 @@ class SearchProblem:
     rescan of the flaws at every step.
     """
 
-    name: str
     num_flaws: int
     present: Callable[[int, State], bool]
     sample_action: Callable[[int, State, RandomSource], State]
@@ -473,10 +472,12 @@ def all_charges(problem: SearchProblem) -> list[float]:
 
 
 def measure_of_flaws(problem: SearchProblem) -> list[float]:
-    """mu summed in state order over the states where each flaw has a row."""
-    mu = problem.space.mu_vector
-    return [sum(mu[np.diff(problem.space.rows(i).indptr) > 0].tolist())
-            for i in range(problem.num_flaws)]
+    """mu summed in state order over the states holding each flaw."""
+    held: list[list[float]] = [[] for _ in range(problem.num_flaws)]
+    for w, present in zip(problem.space.mu_vector.tolist(), problem.space.present):
+        for i in present:
+            held[i].append(w)
+    return [sum(ws) for ws in held]
 
 
 def computed_init_ratio(problem: SearchProblem) -> float:

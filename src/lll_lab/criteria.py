@@ -285,8 +285,7 @@ def enumerate_independent_sets(vertices: Sequence[int], adjacency, cap: int = SH
     return out
 
 
-def shearer_polynomials(gamma: Sequence, graph: DependencyGraph,
-                        flaw_cap: int = SHEARER_FLAW_CAP) -> ShearerReport:
+def shearer_polynomials(gamma: Sequence, graph: DependencyGraph) -> ShearerReport:
     """Signed independent-set polynomials q_S and the pass/fail verdict.
 
     q_S = sum over independent I containing S of (-1)^{|I|-|S|} gamma_I;
@@ -296,8 +295,8 @@ def shearer_polynomials(gamma: Sequence, graph: DependencyGraph,
     """
     if graph.m != len(gamma):
         raise LllError("dimension mismatch between charges and graph")
-    if graph.m > flaw_cap:
-        raise LllError(f"shearer_polynomials capped at m <= {flaw_cap}")
+    if graph.m > SHEARER_FLAW_CAP:
+        raise LllError(f"shearer_polynomials capped at m <= {SHEARER_FLAW_CAP}")
     all_v = list(range(graph.m))
     neg = {i: -gamma[i] for i in all_v}
     ind_sets = enumerate_independent_sets(all_v, graph.adj)

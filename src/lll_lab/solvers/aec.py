@@ -20,9 +20,11 @@ from typing import Callable, Iterable, Sequence
 
 from ..core import LllError, SearchProblem
 from ..criteria import BacktrackChargeTable, CliqueLllConfig, DependencyGraph, scope_readers
+from .variables import variable_setting
 
 UNCOLORED = -1
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+MAX_CYCLE_LENGTH = 400  # longest cycle the backtracking criterion's series adds
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,6 @@ def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
         return rec([])
 
     return SearchProblem(
-        name="aec_backtrack",
         num_flaws=m,
         present=present,
         sample_action=sample_action,
@@ -304,7 +305,6 @@ def aec_backtracking_criterion(
     g: GraphInstance, q: int,
     psi: float | None = None,
     cycle_bound: Callable[[int], float] | None = None,
-    max_length: int = 400,
 ) -> dict:
     """Closed-form evaluation of the backtracking condition:
     zeta = 1/(psi Q) + (1/Q) sum over cycle lengths 2L >= 6 of
@@ -323,7 +323,7 @@ def aec_backtracking_criterion(
     series = 0.0
     length = 6
     prev_ratio = None
-    while length <= max_length:
+    while length <= MAX_CYCLE_LENGTH:
         term = bound(length) * psi ** (length - 3)
         series += term
         if term < 1e-15 * max(series, 1.0):
@@ -371,8 +371,7 @@ def golden_section_minimum(fn: Callable[[float], float], lo: float, hi: float,
     return x, fn(x)
 
 
-def enumerate_even_cycles(g: GraphInstance, max_count: int = 200000,
-                          max_length: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_even_cycles(g: GraphInstance, max_count: int = 200000) -> list[tuple[int, ...]]:
     """All simple even cycles as sorted edge-id tuples (each cycle once)."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
     for ei, (u, v) in enumerate(g.edges):
@@ -386,7 +385,7 @@ def enumerate_even_cycles(g: GraphInstance, max_count: int = 200000,
                 continue
             if nxt == start and len(edge_path) >= 2:
                 cyc = tuple(sorted(edge_path + [ei]))
-                if len(cyc) % 2 == 0 and (max_length is None or len(cyc) <= max_length):
+                if len(cyc) % 2 == 0:
                     cycles.add(cyc)
                     if len(cycles) > max_count:
                         raise LllError("even-cycle enumeration cap exceeded")
@@ -498,7 +497,7 @@ def enumerate_two_paths(g: GraphInstance) -> list[tuple[int, int]]:
 
 
 def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float | None = None,
-                  cycle_cap: int = 200000, warn: Callable[[str], None] | None = None
+                  warn: Callable[[str], None] | None = None
                   ) -> tuple[SearchProblem, CliqueLllConfig]:
     """Resampling search over all edge colorings with path and cycle flaws.
 
@@ -513,63 +512,40 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
     are only addressed on proper colorings.
     """
     delta = g.max_degree()
-    canon = _coloring_canon(0, q - 1)
-    if eps is None or c is None:
-        _, eps_opt, c_opt = clique_constant_optimum()
-        eps = eps_opt if eps is None else eps
-        c = c_opt if c is None else c
+    opt, eps_opt, c_opt = clique_constant_optimum()
+    eps = eps_opt if eps is None else eps
+    c = c_opt if c is None else c
     m_edges = len(g.edges)
     paths = enumerate_two_paths(g)
-    cycles = list(enumerate_even_cycles(g, max_count=cycle_cap))
+    cycles = enumerate_even_cycles(g)
     ordered_cycles = [_cycle_order_from(g, cy, cy[0]) for cy in cycles]
-    flaw_edges: list[tuple[int, ...]] = [tuple(p) for p in paths] + [tuple(cy) for cy in cycles]
+    flaw_edges = paths + cycles
     num_paths = len(paths)
-    m = len(flaw_edges)
-
-    graph = DependencyGraph.from_scopes(flaw_edges)
-
-    def _is_bichromatic(state, ordered):
-        c0 = state[ordered[0]]
-        c1 = state[ordered[1]]
-        if c0 == c1:
-            return False
-        for pos, ei in enumerate(ordered):
-            if state[ei] != (c0 if pos % 2 == 0 else c1):
-                return False
-        return True
 
     def present(i, state):
-        es = flaw_edges[i]
         if i < num_paths:
-            return state[es[0]] == state[es[1]]
-        return _is_bichromatic(state, ordered_cycles[i - num_paths])
-
-    def sample_action(i, state, rng):
-        vals = list(state)
-        for ei in flaw_edges[i]:
-            vals[ei] = rng.randint(q)
-        return tuple(vals)
-
-    def action_distribution(i, state):
-        import itertools as _it
-
-        es = flaw_edges[i]
-        p = (1.0 / q) ** len(es)
-        out = {}
-        for combo in _it.product(range(q), repeat=len(es)):
-            vals = list(state)
-            for ei, col in zip(es, combo):
-                vals[ei] = col
-            key = tuple(vals)
-            out[key] = out.get(key, 0.0) + p
-        return out
-
-    def sample_init(rng):
-        return tuple(rng.randint(q) for _ in range(m_edges))
+            a, b = flaw_edges[i]
+            return state[a] == state[b]
+        # bichromatic: the colors alternate around the cycle, and differ
+        ordered = ordered_cycles[i - num_paths]
+        c0, c1 = state[ordered[0]], state[ordered[1]]
+        return (c0 != c1 and all(state[e] == c0 for e in ordered[::2])
+                and all(state[e] == c1 for e in ordered[1::2]))
 
     charges = [1.0 / q] * num_paths + [
         q * (q - 1) / float(q) ** len(cy) for cy in cycles
     ]
+    problem = variable_setting(
+        m_edges, q, flaw_edges, present,
+        draw=lambda rng: rng.randint(q),
+        canon=_coloring_canon(0, q - 1),
+        enumerable=q ** m_edges <= 400000,
+        declared_charges=tuple(charges),
+        flaw_labels=tuple(
+            [f"path{p}" for p in paths] + [f"cycle{cy}" for cy in cycles]
+        ),
+        metadata={"graph": g, "q": q, "num_paths": num_paths, "strategy": "lowest_index"},
+    )
 
     # one clique per edge: its readers, inserted in ascending order (clique
     # sums follow iteration order); an edge no flaw reads gets an empty one
@@ -585,42 +561,10 @@ def aec_clique_mt(g: GraphInstance, q: int, eps: float | None = None, c: float |
             else:
                 ln = len(flaw_edges[i])
                 x[(i, ei)] = (c / (1.0 + eps) ** (ln / 2.0)) / float(delta - 1) ** (ln - 2)
-    cfg = CliqueLllConfig(graph, tuple(cliques), x)
-    opt, _, _ = clique_constant_optimum()
+    cfg = CliqueLllConfig(problem.graph, tuple(cliques), x)
     if q < opt * (delta - 1) and warn is not None:
         warn(f"q={q} below the checker threshold {opt * (delta - 1):.3f}; running anyway")
-
-    return (
-        SearchProblem(
-            name="aec_clique_mt",
-            num_flaws=m,
-            present=present,
-            sample_action=sample_action,
-            graph=graph,
-            # resampling flaw i redraws only its edges, so only the flaws
-            # reading one of them can change
-            affects=lambda i, s, t: graph.adj[i],
-            sample_init=sample_init,
-            canon=canon,
-            weight=lambda s: 1.0,
-            action_distribution=action_distribution,
-            enumerate_states=(lambda: _all_colorings(m_edges, q)) if q ** m_edges <= 400000 else None,
-            init_distribution=(lambda s: (1.0 / q) ** m_edges),
-            init_ratio=1.0,
-            declared_charges=tuple(charges),
-            flaw_labels=tuple(
-                [f"path{p}" for p in paths] + [f"cycle{tuple(cy)}" for cy in cycles]
-            ),
-            metadata={"graph": g, "q": q, "num_paths": num_paths, "strategy": "lowest_index"},
-        ),
-        cfg,
-    )
-
-
-def _all_colorings(m_edges: int, q: int):
-    import itertools as _it
-
-    return _it.product(range(q), repeat=m_edges)
+    return problem, cfg
 
 
 def random_bounded_degree_graph(n: int, max_degree: int, rng, target_edges: int | None = None) -> GraphInstance:

@@ -155,7 +155,6 @@ def vertex_coloring_greedy(
         priority = hot + cold
 
     return SearchProblem(
-        name="vertex_coloring_greedy",
         num_flaws=m,
         present=present,
         flaws_present=flaws_present,

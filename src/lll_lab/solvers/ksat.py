@@ -12,13 +12,13 @@ distributions and is paired with the asymmetric per-variable criterion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 from ..core import LllError, SearchProblem
 from ..criteria import BacktrackChargeTable, DependencyGraph
+from .variables import variable_setting
 
 # value of an unassigned variable in a backtracking state: states are
 # ``bytes`` over {0, 1, UNSET}, so a state is its own canonical encoding
@@ -100,52 +100,14 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
     if not cnf.clauses:
         raise LllError("formula needs at least one clause")
     m = len(cnf.clauses)
-    n = cnf.num_vars
-    clause_var_lists = [sorted(cnf.clause_vars(i)) for i in range(m)]
-    graph = DependencyGraph.from_scopes(clause_var_lists)
-
-    def present(i, state):
-        return cnf.violated(state, i)
-
-    def sample_action(i, state, rng):
-        vals = list(state)
-        for v in clause_var_lists[i]:
-            vals[v - 1] = 1 if rng.coin() else 0
-        return tuple(vals)
-
-    def action_distribution(i, state):
-        out = {}
-        kvars = clause_var_lists[i]
-        p = 0.5 ** len(kvars)
-        for combo in itertools.product((0, 1), repeat=len(kvars)):
-            vals = list(state)
-            for v, b in zip(kvars, combo):
-                vals[v - 1] = b
-            out[tuple(vals)] = out.get(tuple(vals), 0.0) + p
-        return out
-
-    def sample_init(rng):
-        return tuple(1 if rng.coin() else 0 for _ in range(n))
-
-    def enumerate_states():
-        return itertools.product((0, 1), repeat=n)
-
-    return SearchProblem(
-        name="ksat_mt",
-        num_flaws=m,
-        present=present,
-        sample_action=sample_action,
-        graph=graph,
-        # resampling clause i rewrites only its variables, so only the
-        # clauses sharing one can change
-        affects=lambda i, s, t: graph.adj[i],
-        sample_init=sample_init,
-        canon=lambda s: bytes(s),
-        weight=lambda s: 1.0,
-        action_distribution=action_distribution,
-        enumerate_states=enumerate_states if n <= 22 else None,
-        init_distribution=(lambda s: 0.5 ** n),
-        init_ratio=1.0,
+    return variable_setting(
+        cnf.num_vars, 2, [sorted(v - 1 for v in cnf.clause_vars(i)) for i in range(m)],
+        present=lambda i, state: cnf.violated(state, i),
+        # a coin, not randint(2): a draw below one half gives 1, and every
+        # seed's output depends on that
+        draw=lambda rng: 1 if rng.coin() else 0,
+        canon=bytes,
+        enumerable=cnf.num_vars <= 22,
         declared_charges=tuple(0.5 ** len(c) for c in cnf.clauses),
         flaw_labels=tuple(f"c{i}" for i in range(m)),
         metadata={"cnf": cnf},
@@ -156,8 +118,7 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
 # backtracking solver
 
 
-def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
-                          product_measure: bool) -> SearchProblem:
+def _backtracking_problem(cnf: CnfInstance, value_probs, product_measure: bool) -> SearchProblem:
     n = cnf.num_vars
     # clauses_of[v]: (variables, getter, falsifying values) of each clause
     # through x_{v+1}, in ascending clause order; a state violates the
@@ -245,7 +206,6 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, name: str,
         return rec(0)
 
     return SearchProblem(
-        name=name,
         num_flaws=n,
         present=present,
         flaws_present=flaws_present,
@@ -275,7 +235,7 @@ def ksat_backtrack(cnf: CnfInstance) -> SearchProblem:
     ``ksat_backtrack_table``.
     """
     uniform = ((0.5, 0.5),) * cnf.num_vars
-    return _backtracking_problem(cnf, uniform, "ksat_backtrack", product_measure=False)
+    return _backtracking_problem(cnf, uniform, product_measure=False)
 
 
 def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int, float]]) -> SearchProblem:
@@ -290,7 +250,7 @@ def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int,
         if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9 or (p0 == 0.0 and p1 == 0.0):
             raise LllError("zero-probability value: each variable needs a distribution over {0,1}")
         probs.append((p0, p1))
-    return _backtracking_problem(cnf, tuple(probs), "ksat_backtrack_biased", product_measure=True)
+    return _backtracking_problem(cnf, tuple(probs), product_measure=True)
 
 
 def ksat_backtrack_table(cnf: CnfInstance) -> BacktrackChargeTable:
@@ -393,18 +353,16 @@ def backtrack_lambda_init(cnf: CnfInstance) -> float:
     return float(count_partial_satisfying(cnf))
 
 
-def random_bounded_degree_cnf(n: int, k: int, degree: int, rng, max_tries: int = 10**5) -> CnfInstance:
-    """Random k-CNF with every variable in at most ``degree`` clauses;
-    packs clauses greedily until no variable has spare capacity."""
+def random_bounded_degree_cnf(n: int, k: int, degree: int, rng) -> CnfInstance:
+    """Random k-CNF with every variable in at most ``degree`` clauses; packs
+    up to 10^5 clauses greedily until no variable has spare capacity."""
     if n == 0:
         return CnfInstance(0, ())
     if k > n:
         raise LllError("clause size exceeds variable count")
     budget = [degree] * (n + 1)
     clauses: list[tuple[int, ...]] = []
-    tries = 0
-    while tries < max_tries:
-        tries += 1
+    for _ in range(10**5):
         avail = [v for v in range(1, n + 1) if budget[v] > 0]
         if len(avail) < k:
             break

@@ -184,7 +184,6 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
     charge = 1.0 / ((n2 - 1) * (n2 - 3)) if n2 >= 4 else 0.0
     psi = 3.0 / (4.0 * n * n)
     return SearchProblem(
-        name="rainbow_matching",
         num_flaws=m,
         present=present,
         flaws_present=flaws_present,

@@ -21,6 +21,7 @@ from .criteria import DependencyGraph
 
 PRODUCT_REL_TOL = 1e-9
 ENUM_TREE_NODE_CAP = 8
+MAX_VIOLATIONS = 3  # non-commuting pairs check_commutativity reports before it stops
 
 
 @dataclass
@@ -324,8 +325,7 @@ class CommutativityReport:
         }
 
 
-def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
-                        max_violations: int = 3) -> CommutativityReport:
+def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5) -> CommutativityReport:
     """Exhaustively certify the swap property on an enumerable instance.
 
     For every non-neighboring ordered flaw pair (i, j) and endpoints
@@ -361,7 +361,7 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5,
             s1, s3 = (problem.canon(space.states[k]).hex() for k in divmod(end, n))
             violations.append({"flaws": (i, j), "endpoints": (s1, s3), "product": product,
                                "count_forward": cf, "count_backward": cb})
-            if len(violations) >= max_violations:
+            if len(violations) >= MAX_VIOLATIONS:
                 return CommutativityReport(False, checked, tuple(violations))
     return CommutativityReport(not violations, checked, tuple(violations))
 

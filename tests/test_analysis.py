@@ -163,7 +163,6 @@ def test_witness_lemma_refuses_noncommutative():
         return t
 
     problem = SearchProblem(
-        name="broken",
         num_flaws=2,
         present=lambda i, s: s[i] == 1,
         sample_action=sample_action,

@@ -53,7 +53,7 @@ def random_rows():
         return {t: w / sum(weights) for t, w in zip(targets, weights)}
 
     return SearchProblem(
-        name="random_rows", num_flaws=3, present=lambda i, s: s % (i + 2) == 0,
+        num_flaws=3, present=lambda i, s: s % (i + 2) == 0,
         sample_action=lambda i, s, rng: s, graph=DependencyGraph.from_edges(3, []),
         sample_init=lambda rng: 0, canon=lambda s: bytes([s]),
         weight=lambda s: 1.0 + s % 7, action_distribution=action_distribution,
@@ -230,6 +230,22 @@ def test_charges_and_measures_equal_the_dictionary_loops(name):
         space, [s for s in space.states if event(s)], dense)
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_measure_of_flaws_builds_no_action_distribution(name):
+    """Membership comes from the present lists alone, so the flaw
+    measures of a problem whose actions fan out widely cost no rows."""
+    problem = BUILDERS[name]()
+    calls = []
+
+    def counting(i, s):
+        calls.append((i, s))
+        return problem.action_distribution(i, s)
+
+    fake = dataclasses.replace(problem, action_distribution=counting)
+    assert measure_of_flaws(fake) == measure_of_flaws(problem)
+    assert calls == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(BUILDERS)))
 def test_chain_tables_equal_the_per_row_builder(data, name):
@@ -290,7 +306,7 @@ def escaping(flaw_leaves: int):
         return out
 
     return SearchProblem(
-        name="escaping", num_flaws=2, present=lambda i, s: s[i] == 1,
+        num_flaws=2, present=lambda i, s: s[i] == 1,
         sample_action=lambda i, s, rng: tuple(0 if k == i else v for k, v in enumerate(s)),
         graph=DependencyGraph.from_edges(2, []), sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s), action_distribution=action_distribution,

@@ -291,7 +291,6 @@ def test_constructed_product_mismatch_fails():
     from lll_lab.core import SearchProblem
 
     problem = SearchProblem(
-        name="broken",
         num_flaws=2,
         present=present,
         sample_action=sample_action,
