@@ -225,21 +225,20 @@ def run_many(
     step-by-step runner (``iter_runs``).  Either way, no per-run state or
     sequence outlives the reducers of ``BatchStats``."""
     strategy = recommended_strategy(problem) if strategy is None else make_strategy(strategy)
+    # the chain needs a choice that is a fixed order of the flaws
+    prio = strategy.priority(problem.num_flaws)
     chain_ok = (
         problem.enumerate_states is not None
         and problem.action_distribution is not None
         and problem.init_distribution is not None
-        and strategy.name in ("lowest_index", "fixed_priority")
+        and prio is not None
     )
     if use_chain is None:
         use_chain = chain_ok
     if use_chain and not chain_ok:
         raise LllError("chain fast path unavailable for this problem/strategy")
     if use_chain:
-        priority = None
-        if strategy.name == "fixed_priority":
-            priority = sorted(range(problem.num_flaws), key=lambda i: strategy.rank[i])
-        tables = chain.build_chain_tables(problem, priority)
+        tables = chain.build_chain_tables(problem, prio[1])
         result = chain.run_batch(tables, runs, seed, max_steps,
                                  record_sequences=collect_sequences, sequence_cap=96)
         ids, first, mult = np.unique(result.final_ids, return_index=True, return_counts=True)

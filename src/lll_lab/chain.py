@@ -11,6 +11,7 @@ step-by-step runner uses, an order of magnitude faster.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class ChainTables:
 
 def build_chain_tables(
     problem: SearchProblem,
-    priority: list[int] | None = None,
+    priority: Sequence[int] | None = None,
     flaw_subset: set[int] | None = None,
 ) -> ChainTables:
     """Transition rows under lowest-index (or fixed-priority) flaw choice,

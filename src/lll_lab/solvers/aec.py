@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core import LllError, SearchProblem
-from ..criteria import BacktrackChargeTable, CliqueLllConfig, DependencyGraph, scope_readers
-from .variables import variable_setting
+from ..criteria import BacktrackChargeTable, CliqueLllConfig, scope_readers
+from .variables import backtracking_setting, variable_setting
 
 UNCOLORED = -1
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -210,12 +210,22 @@ def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
         raise LllError("q too small: no guaranteed available color")
     m = len(g.edges)
     incident = g.incident()
-    canon = _coloring_canon(1, q)  # UNCOLORED encodes as 0, color c as c + 1
 
-    def present(i, state):
-        return state[i] == UNCOLORED
+    def available(i, state):
+        avail = four_available(g, state, i, q, incident)
+        if not avail:
+            raise LllError("no 4-available color: state violates the availability bound")
+        return avail
 
-    def _outcome(state, edge_id, color):
+    def choices(i, state):
+        avail = available(i, state)
+        return dict.fromkeys(avail, 1.0 / len(avail))
+
+    def draw(i, state, rng):
+        avail = available(i, state)
+        return avail[rng.randint(len(avail))]
+
+    def outcome(edge_id, state, color):
         test = list(state)
         test[edge_id] = color
         cycles = []
@@ -234,65 +244,15 @@ def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
                 test[ei] = UNCOLORED
         return tuple(test)
 
-    def sample_action(i, state, rng):
-        avail = four_available(g, state, i, q, incident)
-        if not avail:
-            raise LllError("no 4-available color: state violates the availability bound")
-        color = avail[rng.randint(len(avail))]
-        return _outcome(state, i, color)
-
-    def action_distribution(i, state):
-        avail = four_available(g, state, i, q, incident)
-        if not avail:
-            raise LllError("no 4-available color: state violates the availability bound")
-        p = 1.0 / len(avail)
-        out: dict = {}
-        for c in avail:
-            nxt = _outcome(state, i, c)
-            out[nxt] = out.get(nxt, 0.0) + p
-        return out
-
-    blank = tuple([UNCOLORED] * m)
-    all_flaws = frozenset(range(m))
-
-    def affects(i, state, nxt):
-        # a colored edge i means no cycle closed and only edge i changed;
-        # a closed cycle uncolors its edges but the last two, i among them
-        return (i,) if nxt[i] != UNCOLORED else all_flaws
-
-    def enumerate_states():
-        def rec(prefix):
-            if len(prefix) == m:
-                yield tuple(prefix)
-                return
-            prefix.append(UNCOLORED)
-            yield from rec(prefix)
-            prefix.pop()
-            for c in range(q):
-                cand = prefix + [c] + [UNCOLORED] * (m - len(prefix) - 1)
-                if coloring_is_acyclic(g, cand):
-                    prefix.append(c)
-                    yield from rec(prefix)
-                    prefix.pop()
-
-        return rec([])
-
-    return SearchProblem(
-        num_flaws=m,
-        present=present,
-        sample_action=sample_action,
-        # a backtracking step can uncolor any edge on a cycle through i
-        graph=DependencyGraph(m, (all_flaws,) * m),
-        affects=affects,
-        sample_init=lambda rng: blank,
-        canon=canon,
-        weight=lambda s: 1.0,
-        action_distribution=action_distribution,
-        enumerate_states=enumerate_states if m <= 6 and q <= 10 else None,
-        init_distribution=(lambda s: 1.0 if s == blank else 0.0),
-        unassigned=lambda s: frozenset(f"e{i}" for i in range(m) if s[i] == UNCOLORED),
+    return backtracking_setting(
+        (UNCOLORED,) * m, range(q), choices, draw, outcome,
+        # a closed cycle can run anywhere in the graph
+        reach=(frozenset(range(m)),) * m,
+        consistent=lambda vals, v: coloring_is_acyclic(g, vals),
+        enumerable=m <= 6 and q <= 10,
         flaw_labels=tuple(f"e{i}" for i in range(m)),
-        metadata={"graph": g, "q": q, "strategy": "lowest_index"},
+        canon=_coloring_canon(1, q),  # UNCOLORED encodes as 0, color c as c + 1
+        metadata={"graph": g, "q": q},
     )
 
 

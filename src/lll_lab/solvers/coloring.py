@@ -165,7 +165,6 @@ def vertex_coloring_greedy(
         affects=lambda i, s, t: graph.adj[i],
         sample_init=sample_init,
         canon=lambda s: bytes(s),
-        weight=lambda s: 1.0,
         action_distribution=action_distribution,
         enumerate_states=enumerate_states if q ** n <= 500000 else None,
         init_distribution=(lambda s: (1.0 / q) ** n),

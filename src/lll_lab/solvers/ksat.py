@@ -17,8 +17,8 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from ..core import LllError, SearchProblem
-from ..criteria import BacktrackChargeTable, DependencyGraph
-from .variables import variable_setting
+from ..criteria import BacktrackChargeTable
+from .variables import backtracking_setting, variable_setting
 
 # value of an unassigned variable in a backtracking state: states are
 # ``bytes`` over {0, 1, UNSET}, so a state is its own canonical encoding
@@ -118,13 +118,13 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
 # backtracking solver
 
 
-def _backtracking_problem(cnf: CnfInstance, value_probs, product_measure: bool) -> SearchProblem:
+def _backtracking_problem(cnf: CnfInstance, value_probs, **declared) -> SearchProblem:
     n = cnf.num_vars
     # clauses_of[v]: (variables, getter, falsifying values) of each clause
     # through x_{v+1}, in ascending clause order; a state violates the
     # clause exactly when the getter reads the falsifying values
     clauses_of: list = [[] for _ in range(n)]
-    adj_sets = [{v} for v in range(n)]
+    reach = [{v} for v in range(n)]
     falsifying = bytearray(n)
     for clause in cnf.clauses:
         vs = [abs(lit) - 1 for lit in clause]
@@ -134,8 +134,7 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, product_measure: bool) 
         entry = (vs, get, get(falsifying))
         for u in vs:
             clauses_of[u].append(entry)
-            adj_sets[u].update(vs)
-    adj = tuple(map(frozenset, adj_sets))
+            reach[u].update(vs)
 
     def violated_clause(vals, v):
         """Variables of the lowest clause through x_{v+1} that ``vals``
@@ -145,7 +144,7 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, product_measure: bool) 
                 return vs
         return None
 
-    def assign_outcome(state, v, val):
+    def assign_outcome(v, state, val):
         """State after assigning x_{v+1} <- val, backtracking on violation."""
         vals = bytearray(state)
         vals[v] = val
@@ -155,73 +154,20 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, product_measure: bool) 
                 vals[u] = UNSET
         return bytes(vals)
 
-    def present(i, state):
-        return state[i] == UNSET
-
-    def flaws_present(state):
-        return [i for i in range(n) if state[i] == UNSET]
-
-    def sample_action(i, state, rng):
-        p0 = value_probs[i][0]
-        val = 0 if rng.u01() < p0 else 1
-        return assign_outcome(state, i, val)
-
-    def action_distribution(i, state):
-        out: dict = {}
-        for val in (0, 1):
-            p = value_probs[i][val]
-            if p > 0.0:
-                nxt = assign_outcome(state, i, val)
-                out[nxt] = out.get(nxt, 0.0) + p
-        return out
-
-    def product_weight(state):
-        w = 1.0
-        for v in range(n):
-            val = state[v]
-            if val != UNSET:
-                w *= value_probs[v][val]
-        return w
-
-    # the uniform-coin analysis uses the uniform measure over partial
-    # satisfying assignments; the biased analysis weights by the product
-    # of assigned values' probabilities
-    weight = product_weight if product_measure else (lambda s: 1.0)
-    empty = bytes([UNSET]) * n
-
-    def enumerate_states():
-        # partial assignments with no violated clause, x_1 varying slowest
-        vals = bytearray(empty)
-
-        def rec(v):
-            if v == n:
-                yield bytes(vals)
-                return
-            for val in (UNSET, 0, 1):
-                vals[v] = val
-                if val == UNSET or violated_clause(vals, v) is None:
-                    yield from rec(v + 1)
-            vals[v] = UNSET
-
-        return rec(0)
-
-    return SearchProblem(
-        num_flaws=n,
-        present=present,
-        flaws_present=flaws_present,
-        sample_action=sample_action,
-        graph=DependencyGraph(n, adj),
-        # assigning x_i unsets at most one clause through x_i
-        affects=lambda i, s, t: adj[i],
-        sample_init=lambda rng: empty,
-        canon=bytes,
-        weight=weight,
-        action_distribution=action_distribution,
-        enumerate_states=enumerate_states if n <= 12 else None,
-        init_distribution=(lambda s: 1.0 if s == empty else 0.0),
-        unassigned=lambda s: frozenset(f"x{v}" for v in range(1, n + 1) if s[v - 1] == UNSET),
+    laws = [{val: p for val, p in enumerate(probs) if p > 0.0} for probs in value_probs]
+    return backtracking_setting(
+        bytes([UNSET]) * n, (0, 1),
+        choices=lambda i, state: laws[i],
+        draw=lambda i, state, rng: 0 if rng.u01() < value_probs[i][0] else 1,
+        outcome=assign_outcome,
+        # a violated clause through x_i is unassigned whole
+        reach=tuple(map(frozenset, reach)),
+        consistent=lambda vals, v: violated_clause(vals, v) is None,
+        enumerable=n <= 12,
         flaw_labels=tuple(f"x{v}" for v in range(1, n + 1)),
-        metadata={"cnf": cnf, "strategy": "lowest_index"},
+        canon=bytes,
+        metadata={"cnf": cnf},
+        **declared,
     )
 
 
@@ -232,10 +178,10 @@ def ksat_backtrack(cnf: CnfInstance) -> SearchProblem:
     one byte per variable (0, 1 or ``UNSET``); each flaw is an unassigned
     variable.  Run it with the lowest-index strategy (the one
     the tail bound is proved for); the charge table is available from
-    ``ksat_backtrack_table``.
+    ``ksat_backtrack_table``.  The analysis measure is uniform over
+    partial satisfying assignments.
     """
-    uniform = ((0.5, 0.5),) * cnf.num_vars
-    return _backtracking_problem(cnf, uniform, product_measure=False)
+    return _backtracking_problem(cnf, ((0.5, 0.5),) * cnf.num_vars)
 
 
 def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int, float]]) -> SearchProblem:
@@ -250,42 +196,40 @@ def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int,
         if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9 or (p0 == 0.0 and p1 == 0.0):
             raise LllError("zero-probability value: each variable needs a distribution over {0,1}")
         probs.append((p0, p1))
-    return _backtracking_problem(cnf, tuple(probs), product_measure=True)
+
+    def product_weight(state):
+        w = 1.0
+        for v in range(cnf.num_vars):
+            val = state[v]
+            if val != UNSET:
+                w *= probs[v][val]
+        return w
+
+    return _backtracking_problem(cnf, tuple(probs), weight=product_weight)
 
 
 def ksat_backtrack_table(cnf: CnfInstance) -> BacktrackChargeTable:
     """Charge table of the uniform backtracking solver: 1/2 for the empty
     set and 1/2 for each clause through the variable."""
-    variables = tuple(f"x{v}" for v in range(1, cnf.num_vars + 1))
-    entries: dict = {}
-    for v in range(1, cnf.num_vars + 1):
-        name = f"x{v}"
-        table: dict = {frozenset(): 0.5}
-        for ci in range(len(cnf.clauses)):
-            vs = cnf.clause_vars(ci)
-            if v in vs:
-                table[frozenset(f"x{u}" for u in vs)] = 0.5
-        entries[name] = table
-    return BacktrackChargeTable(variables, entries, span=frozenset(variables))
+    return _charge_table(cnf, 0.5, [0.5] * len(cnf.clauses))
 
 
 def ksat_biased_table(cnf: CnfInstance, distributions: Sequence[Mapping[int, float]]) -> BacktrackChargeTable:
     """Charge table of the biased solver: gamma_empty = 1 and, per clause,
     the product-measure probability that the clause is violated."""
+    return _charge_table(cnf, 1.0, clause_violation_probs(cnf, distributions))
+
+
+def _charge_table(cnf: CnfInstance, empty: float, clause_charges: Sequence[float]) -> BacktrackChargeTable:
+    """``empty`` for each variable's empty set; each clause adds its charge
+    to the entry of its variable set in each of its variables, so clauses
+    over the same variables add up."""
     variables = tuple(f"x{v}" for v in range(1, cnf.num_vars + 1))
-    entries: dict = {}
-    for v in range(1, cnf.num_vars + 1):
-        name = f"x{v}"
-        table: dict = {frozenset(): 1.0}
-        for ci, clause in enumerate(cnf.clauses):
-            vs = cnf.clause_vars(ci)
-            if v not in vs:
-                continue
-            p = 1.0
-            for lit in clause:
-                p *= distributions[abs(lit) - 1].get(_falsifying_value(lit), 0.0)
-            table[frozenset(f"x{u}" for u in vs)] = table.get(frozenset(f"x{u}" for u in vs), 0.0) + p
-        entries[name] = table
+    entries = {name: {frozenset(): empty} for name in variables}
+    for ci, charge in enumerate(clause_charges):
+        scope = frozenset(f"x{u}" for u in cnf.clause_vars(ci))
+        for name in scope:
+            entries[name][scope] = entries[name].get(scope, 0.0) + charge
     return BacktrackChargeTable(variables, entries, span=frozenset(variables))
 
 

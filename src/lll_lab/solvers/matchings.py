@@ -192,7 +192,6 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         graph=DependencyGraph.from_scopes([e1 + e2 for e1, e2 in pairs]),
         sample_init=sample_init,
         canon=canon,
-        weight=lambda s: 1.0,
         action_distribution=action_distribution,
         enumerate_states=(lambda: perfect_matchings(range(n2))) if n2 <= 10 else None,
         init_distribution=(lambda s: 1.0 / total),

@@ -1,6 +1,9 @@
-"""The variable setting of Moser and Tardos: a flaw is a predicate on a
-set of variables, its scope, and addressing it redraws those variables
-uniformly.  ``variable_setting`` derives the rest of the problem."""
+"""The two settings the solvers are stated in.  In the variable setting
+of Moser and Tardos a flaw is a predicate on a set of variables, its
+scope, and addressing it redraws those variables uniformly; in the
+backtracking setting a flaw is an unassigned variable, and addressing it
+assigns a value that may unassign others.  ``variable_setting`` and
+``backtracking_setting`` derive the rest of each problem."""
 
 from __future__ import annotations
 
@@ -57,5 +60,69 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
             (lambda: itertools.product(range(domain), repeat=num_vars)) if enumerable else None),
         init_distribution=lambda s: theta,
         init_ratio=1.0,
+        **declared,
+    )
+
+
+def backtracking_setting(blank: Sequence, domain: Sequence, choices: Callable, draw: Callable,
+                         outcome: Callable, reach: Sequence[frozenset], consistent: Callable,
+                         enumerable: bool, flaw_labels: Sequence[str], **declared) -> SearchProblem:
+    """The backtracking setting of Grytczuk, Kozik and Micek and of
+    Esperet and Parreau.  A state is a partial assignment of the
+    variables of ``blank``, the immutable state in which every variable
+    holds the same unassigned marker, and flaw ``i`` is variable ``i``
+    unassigned.  Addressing it assigns ``draw(i, state, rng)``, whose
+    exact law is ``choices(i, state)`` ({value: probability}, in outcome
+    order); ``outcome(i, state, value)`` is the state after that
+    assignment and any backtrack.  A backtrack may unassign only the
+    variables in ``reach[i]``, ``i`` among them, and an outcome that
+    leaves ``i`` assigned changed no other variable.  Runs start at
+    ``blank`` under the lowest-index strategy that the tail bound
+    assumes.  The states are enumerated only when ``enumerable``: variable
+    0 varies slowest, unassigned first and then ``domain`` in order, and
+    an assignment of variable ``v`` is kept when ``consistent(vals, v)``
+    holds for the list ``vals`` with ``v``'s successors unassigned.
+    ``declared`` holds the remaining fields."""
+    n = len(blank)
+    unset = blank[0] if n else None
+    metadata = {**declared.pop("metadata", {}), "strategy": "lowest_index"}
+
+    def action_distribution(i, state):
+        out = {}
+        for value, p in choices(i, state).items():
+            nxt = outcome(i, state, value)
+            out[nxt] = out.get(nxt, 0.0) + p
+        return out
+
+    def enumerate_states():
+        vals = list(blank)
+
+        def rec(v):
+            if v == n:
+                yield type(blank)(vals)
+                return
+            for value in (unset, *domain):
+                vals[v] = value
+                if value == unset or consistent(vals, v):
+                    yield from rec(v + 1)
+            vals[v] = unset
+
+        return rec(0)
+
+    return SearchProblem(
+        num_flaws=n,
+        present=lambda i, state: state[i] == unset,
+        flaws_present=lambda state: [i for i in range(n) if state[i] == unset],
+        sample_action=lambda i, state, rng: outcome(i, state, draw(i, state, rng)),
+        graph=DependencyGraph(n, tuple(reach)),
+        # an outcome that leaves i assigned wrote variable i only
+        affects=lambda i, state, nxt: (i,) if nxt[i] != unset else reach[i],
+        sample_init=lambda rng: blank,
+        action_distribution=action_distribution,
+        enumerate_states=enumerate_states if enumerable else None,
+        init_distribution=lambda s: 1.0 if s == blank else 0.0,
+        unassigned=lambda s: frozenset(flaw_labels[v] for v in range(n) if s[v] == unset),
+        flaw_labels=flaw_labels,
+        metadata=metadata,
         **declared,
     )

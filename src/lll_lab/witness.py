@@ -83,15 +83,20 @@ class WitnessTree:
         return WitnessTree(list(d["labels"]), list(d["parents"]))
 
 
-def build_witness_tree(sequence: Sequence[int], k: int, graph: DependencyGraph) -> WitnessTree:
+def build_witness_tree(sequence: Sequence[int], k: int, graph: DependencyGraph,
+                       max_nodes: int | None = None) -> WitnessTree | None:
     """Backward witness-tree construction for step k of a flaw sequence.
 
     Starting from a single node labelled sequence[k-1], walk j = k-1 .. 1
     and attach sequence[j-1] to the deepest node whose label neighbors it
-    (lowest node id on depth ties); drop it if no node is eligible.
+    (lowest node id on depth ties); drop it if no node is eligible.  The
+    tree only grows, so the build returns None as soon as it would attach
+    a node past ``max_nodes``.
     """
     if not (1 <= k <= len(sequence)):
         raise LllError("witness-tree index out of range")
+    if max_nodes is not None and max_nodes < 1:
+        return None
     labels = [sequence[k - 1]]
     parents = [-1]
     depths = [0]
@@ -104,6 +109,8 @@ def build_witness_tree(sequence: Sequence[int], k: int, graph: DependencyGraph) 
                 best = node
                 best_depth = depths[node]
         if best >= 0:
+            if len(labels) == max_nodes:
+                return None
             labels.append(w)
             parents.append(best)
             depths.append(best_depth + 1)
@@ -114,8 +121,8 @@ def trees_of_sequence(sequence: Sequence[int], graph: DependencyGraph,
                       max_nodes: int | None = None) -> Iterator[tuple[int, WitnessTree]]:
     """All (k, tree) pairs of a sequence, optionally capped by node count."""
     for k in range(1, len(sequence) + 1):
-        t = build_witness_tree(sequence, k, graph)
-        if max_nodes is None or len(t) <= max_nodes:
+        t = build_witness_tree(sequence, k, graph, max_nodes)
+        if t is not None:
             yield k, t
 
 

@@ -21,7 +21,7 @@ from lll_lab.analysis import (
     verdict_report,
     wilson_interval,
 )
-from lll_lab.core import LllError, run
+from lll_lab.core import FlawChoiceStrategy, LllError, RecencyStrategy, run
 from lll_lab.criteria import DependencyGraph, neighborhood_sum
 from lll_lab.solvers import CnfInstance, ksat_mt
 from lll_lab.solvers.matchings import EdgeColoredClique, rainbow_matching
@@ -123,6 +123,44 @@ def test_chain_and_slow_path_agree_in_distribution(two_clause_mt):
         p_slow = sd.nu.get(canon, 0.0)
         se = math.sqrt(p_fast * (1 - p_fast) / sd.runs)
         assert abs(p_fast - p_slow) < 5 * se + 1e-3
+
+
+class ReverseIndexStrategy(FlawChoiceStrategy):
+    """Highest index first: a fixed order under a name of its own."""
+
+    name = "reverse_index"
+
+    def choose(self, present, state):
+        return max(present)
+
+    def priority(self, num_flaws):
+        order = list(range(num_flaws - 1, -1, -1))
+        return {f: r for r, f in enumerate(order)}, order
+
+
+def test_run_many_takes_the_chain_path_from_the_declared_priority(monkeypatch):
+    """The chain path follows ``strategy.priority``, not the strategy's
+    name: a declared order under another name is sampled on the chain in
+    that order, and recency, which declares none, is refused there."""
+    built = []
+    original = chain.build_chain_tables
+
+    def spy(problem, priority=None, flaw_subset=None):
+        tables = original(problem, priority, flaw_subset)
+        built.append(tables)
+        return tables
+
+    monkeypatch.setattr(chain, "build_chain_tables", spy)
+    problem = ksat_mt(CnfInstance(3, ((1, 2), (1, 3))))  # both violated at 000
+    run_many(problem, runs=50, seed=3, strategy=ReverseIndexStrategy())
+    (tables,) = built
+    present = problem.space.present
+    assert [0, 1] in present
+    assert tables.chosen_flaw.tolist() == [max(p) if p else -1 for p in present]
+    run_many(problem, runs=50, seed=3, strategy=RecencyStrategy())
+    assert len(built) == 1
+    with pytest.raises(LllError, match="chain fast path unavailable"):
+        run_many(problem, runs=50, seed=3, strategy=RecencyStrategy(), use_chain=True)
 
 
 def test_exact_absorption_sums_to_one(two_clause_mt):

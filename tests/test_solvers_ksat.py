@@ -141,16 +141,12 @@ def test_biased_charge_table_matches_product_measure():
     assert clause_violation_probs(cnf, dists) == [pytest.approx(expected)]
 
 
-def test_backtrack_charges_match_exact_enumeration():
-    """The declared table gamma values dominate the exact per-(v, S)
-    incoming-mass maxima on an enumerable instance."""
-    cnf = CnfInstance(4, ((1, 2, 3), (-2, 3, 4)))
-    problem = ksat_backtrack(cnf)
-    states = problem.space.states
+def exact_backtrack_charges(problem):
+    """(variable, introduced set) -> max over targets t of the incoming
+    mass sum_s mu(s) A(s, t) / mu(t), by enumeration."""
     mu = problem.space.mu
-    table = ksat_backtrack_table(cnf)
     got: dict = {}
-    for s in states:
+    for s in problem.space.states:
         for i in problem.present_flaws(s):
             for t, p in problem.action_distribution(i, s).items():
                 before = problem.unassigned(s)
@@ -159,12 +155,39 @@ def test_backtrack_charges_match_exact_enumeration():
                 key = (f"x{i+1}", intro)
                 got.setdefault(key, {})
                 got[key][t] = got[key].get(t, 0.0) + mu[s] * p
-    for (v, intro), incoming in got.items():
-        exact = max(mass / mu[t] for t, mass in incoming.items())
-        declared = table.entries[v].get(intro, 0.0)
-        assert exact <= declared + 1e-9
-        if intro == frozenset():
-            assert abs(exact - 0.5) < 1e-9
+    return {key: max(mass / mu[t] for t, mass in incoming.items())
+            for key, incoming in got.items()}
+
+
+# the second formula has two clauses over one variable set: their charges add
+CHARGE_CNFS = (CnfInstance(4, ((1, 2, 3), (-2, 3, 4))), CnfInstance(3, ((1, 2, 3), (-1, -2, -3))))
+
+
+def test_backtrack_charges_match_exact_enumeration():
+    """The declared table gamma values dominate the exact per-(v, S)
+    incoming-mass maxima on an enumerable instance."""
+    for cnf in CHARGE_CNFS:
+        table = ksat_backtrack_table(cnf)
+        for (v, intro), exact in exact_backtrack_charges(ksat_backtrack(cnf)).items():
+            declared = table.entries[v].get(intro, 0.0)
+            assert exact <= declared + 1e-9
+            if intro == frozenset():
+                assert abs(exact - 0.5) < 1e-9
+    whole = frozenset({"x1", "x2", "x3"})
+    assert ksat_backtrack_table(CHARGE_CNFS[1]).entries["x1"][whole] == 1.0
+
+
+@pytest.mark.parametrize("p0", [0.25, 0.5, 0.75])
+def test_biased_charges_match_exact_enumeration(p0):
+    """The biased table, under the product measure, dominates the exact
+    charges, and is exact on the clause sets and the empty set."""
+    for cnf in CHARGE_CNFS:
+        dists = [{0: p0, 1: 1.0 - p0}] * cnf.num_vars
+        table = ksat_biased_table(cnf, dists)
+        for (v, intro), exact in exact_backtrack_charges(ksat_backtrack_biased(cnf, dists)).items():
+            assert abs(exact - table.entries[v][intro]) < 1e-9
+    whole = frozenset({"x1", "x2", "x3"})
+    assert ksat_biased_table(CHARGE_CNFS[1], [{0: 0.5, 1: 0.5}] * 3).entries["x1"][whole] == 0.25
 
 
 def test_count_partial_satisfying_matches_enumeration():

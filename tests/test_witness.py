@@ -97,6 +97,25 @@ def test_distinct_steps_give_distinct_trees():
         assert len(set(canons)) == len(canons)
 
 
+def test_capped_trees_equal_filtered_full_builds():
+    """A build that stops once its tree passes ``max_nodes`` yields the
+    same (k, tree) stream as building every tree and dropping the large
+    ones, on random sequences, any sequence included."""
+    rng = random.Random(13)
+    for trial in range(120):
+        m = rng.randint(1, 6)
+        edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5]
+        loops = [i for i in range(m) if rng.random() < 0.5]
+        g = DependencyGraph.from_edges(m, edges, loops)
+        seq = [rng.randrange(m) for _ in range(rng.randint(1, 14))]
+        for max_nodes in range(0, 7):
+            capped = [(k, t.labels, t.parents)
+                      for k, t in trees_of_sequence(seq, g, max_nodes=max_nodes)]
+            full = [(k, t.labels, t.parents) for k in range(1, len(seq) + 1)
+                    for t in [build_witness_tree(seq, k, g)] if len(t) <= max_nodes]
+            assert capped == full
+
+
 def test_occurs_single_node_and_root_presence(two_clause_mt):
     """A single-node tree occurs exactly when its label occurs with no
     earlier neighbor in the sequence; and some tree rooted at i occurs
