@@ -229,7 +229,6 @@ def run_many(
     prio = strategy.priority(problem.num_flaws)
     chain_ok = (
         problem.enumerate_states is not None
-        and problem.action_distribution is not None
         and problem.init_distribution is not None
         and prio is not None
     )
@@ -455,27 +454,16 @@ def extend_with_event(problem: SearchProblem, event, event_actions,
     def present(i, s):
         return event(s) if i == m else problem.present(i, s)
 
-    def action_distribution(i, s):
-        return event_actions(s) if i == m else problem.action_distribution(i, s)
-
     def sample_action(i, s, rng):
-        if i != m:
-            return problem.sample_action(i, s, rng)
-        dist = event_actions(s)
-        u = rng.u01()
-        acc = 0.0
-        for t, p in dist.items():
-            acc += p
-            if u < acc:
-                return t
-        return t
+        return rng.choice(event_actions(s)) if i == m else problem.sample_action(i, s, rng)
 
     return replace(
         problem,
-        num_flaws=m + 1,
         present=present,
         sample_action=sample_action,
-        action_distribution=action_distribution,
+        # declared, so that ``replace`` does not carry the base's law over
+        # to flaw m; the base flaws keep the base's resolved law
+        action_distribution=lambda i, s: event_actions(s) if i == m else problem.space.dist(i, s),
         graph=graph,
         flaws_present=None,
         # the base problem's affects sets never cover the event flaw m
@@ -639,17 +627,6 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
         new_labels = labels | (1 << i) if keep else labels & ~(1 << i)
         return (nxt, new_labels)
 
-    def action_distribution(i, st):
-        s, labels = st
-        out = {}
-        p_keep = cfg.keep_probs[i]
-        for t, p in problem.action_distribution(i, s).items():
-            if p_keep > 0.0:
-                out[(t, labels | (1 << i))] = out.get((t, labels | (1 << i)), 0.0) + p * p_keep
-            if p_keep < 1.0:
-                out[(t, labels & ~(1 << i))] = out.get((t, labels & ~(1 << i)), 0.0) + p * (1 - p_keep)
-        return out
-
     def sample_init(rng):
         s = problem.sample_init(rng)
         labels = 0
@@ -674,7 +651,6 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
     base_init = problem.init_distribution
 
     return SearchProblem(
-        num_flaws=m,
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
@@ -682,7 +658,6 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
         sample_init=sample_init,
         canon=lambda st: problem.canon(st[0]) + st[1].to_bytes((m + 7) // 8, "little"),
         weight=lambda st: problem.weight(st[0]) * label_prob(st[1]),
-        action_distribution=action_distribution if problem.action_distribution else None,
         enumerate_states=enumerate_states if problem.enumerate_states else None,
         init_distribution=(lambda st: base_init(st[0]) * label_prob(st[1])) if base_init else None,
         init_ratio=problem.init_ratio,

@@ -51,8 +51,6 @@ def build_chain_tables(
     ``flaw_subset`` restricts attention to a core subset: only those flaws
     are ever addressed and absorption means none of them is present.
     """
-    if problem.action_distribution is None or problem.enumerate_states is None:
-        raise LllError("chain tables require oracle mode")
     if problem.init_distribution is None:
         raise LllError("chain tables require an explicit initial distribution")
     space = problem.space

@@ -12,14 +12,14 @@ instances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import RandomSource, source_for_run
+from .rng import RandomSource, exact_distribution, source_for_run
 
 if TYPE_CHECKING:  # criteria imports this module
     from .criteria import DependencyGraph
@@ -51,9 +51,11 @@ class SearchProblem:
     self-loop).  Every criterion, witness tree and commutativity check
     reads it; ``validate_problem`` checks it on enumerable instances.
 
-    ``sample_action`` is the fast path used by runs; the optional
-    ``action_distribution`` returns the exact distribution {state: prob}
-    and enables oracle mode (charges, chain solves, support checks).
+    ``sample_action`` is the action, drawing through the ``RandomSource``
+    primitives.  Exact computations read its law {state: prob} from a
+    replay along every branch of its draws (``rng.exact_distribution``)
+    unless ``action_distribution`` declares it; ``validate_problem``
+    checks a declared law.  ``enumerate_states`` enables oracle mode.
 
     ``affects(i, state, nxt)`` lists the flaws whose presence may differ
     between ``state`` and ``nxt``, the outcome of addressing flaw ``i`` at
@@ -65,7 +67,6 @@ class SearchProblem:
     rescan of the flaws at every step.
     """
 
-    num_flaws: int
     present: Callable[[int, State], bool]
     sample_action: Callable[[int, State, RandomSource], State]
     graph: DependencyGraph
@@ -83,6 +84,10 @@ class SearchProblem:
     unassigned: Callable[[State], frozenset] | None = None  # backtracking only
     flaw_labels: Sequence[str] | None = None
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def num_flaws(self) -> int:
+        return self.graph.m
 
     def present_flaws(self, state: State) -> list[int]:
         if self.flaws_present is not None:
@@ -103,9 +108,9 @@ class SearchProblem:
 class StateSpace:
     """One enumeration of an oracle-mode problem, shared by every exact
     computation on it: the states in enumeration order, their ``index``,
-    each state's present flaw list, the normalized measure ``mu`` and
-    memoized action distributions ``dist(i, s)``, and each flaw's
-    ``rows(i)`` built from them.  Memoized distributions and rows are
+    each state's present flaw list, the normalized measure ``mu``, the
+    memoized action laws ``dist(i, s)`` (declared, else replayed), and
+    each flaw's ``rows(i)`` built from them.  Memoized laws and rows are
     shared, so no consumer may mutate one.  The space keeps only the
     weight and action closures, no reference back to the problem.
     """
@@ -117,7 +122,8 @@ class StateSpace:
         self.index = {s: k for k, s in enumerate(self.states)}
         self.present = [problem.present_flaws(s) for s in self.states]
         self._weight = problem.weight
-        self._action_distribution = problem.action_distribution
+        self._action_distribution = (problem.action_distribution
+                                     or partial(exact_distribution, problem.sample_action))
         self._dists: dict = {}
         self._rows: dict[int, TransitionRows] = {}
 
@@ -347,7 +353,6 @@ def run(
     seed: int = 0,
     run_index: int = 0,
     record_trajectory: bool = False,
-    check_support: bool = False,
 ) -> RunReport:
     """Walk the search digraph from a fresh initial sample.
 
@@ -401,9 +406,6 @@ def run(
             if not chose_present:
                 raise LllError("invalid strategy")
         nxt = problem.sample_action(i, state, rng)
-        if check_support and problem.action_distribution is not None:
-            if problem.action_distribution(i, state).get(nxt, 0.0) <= 0:
-                raise LllError("inconsistent actions")
         counts[i] += 1
         strategy.observe(i, steps)
         if record_trajectory:
@@ -450,8 +452,6 @@ def charge(problem: SearchProblem, i: int) -> float:
     under mu, then address it" against mu.  Always >= mu(f_i); equals
     mu(f_i) exactly when the actions resample perfectly.
     """
-    if problem.action_distribution is None:
-        raise LllError("charge requires oracle mode")
     return _charge_of_rows(problem.space, problem.space.rows(i))
 
 
@@ -505,22 +505,21 @@ def computed_init_ratio(problem: SearchProblem) -> float:
 def validate_problem(problem: SearchProblem) -> None:
     """Exhaustive invariant check for enumerable instances.
 
-    Verifies that the causality graph has one vertex per flaw and is
-    symmetric, a declared ``flaws_present`` lists exactly the flaws
-    ``present`` finds at every state, action distributions sum to one on
-    every (flaw, member state) and stay inside the enumerated states, and
-    the causality cover holds: every arc that leaves a flaw present-but-new
-    (or re-present) lands the causing flaw in the target flaw's
-    neighborhood.  A declared ``affects`` must return, for every enumerated
-    transition (s, t) of flaw i, a set that contains i and every flaw whose
-    presence differs between s and t.
+    Verifies that the causality graph is symmetric, a declared
+    ``flaws_present`` lists exactly the flaws ``present`` finds at every
+    state, a declared ``action_distribution`` has the support of the
+    sampler's replayed law and its probabilities within ``PROB_TOL``,
+    action distributions sum to one on every (flaw, member state) and stay
+    inside the enumerated states, and the causality cover holds: every arc
+    that leaves a flaw present-but-new (or re-present) lands the causing
+    flaw in the target flaw's neighborhood.  A declared ``affects`` must
+    return, for every enumerated transition (s, t) of flaw i, a set that
+    contains i and every flaw whose presence differs between s and t.
     """
     m = problem.num_flaws
-    if problem.graph.m != m:
-        raise LllError(f"causality graph has {problem.graph.m} vertices for {m} flaws")
     problem.graph.check_symmetric()
     affects = problem.affects
-    if problem.action_distribution is None or problem.enumerate_states is None:
+    if problem.enumerate_states is None:
         return
     space = problem.space
     for s, listed in zip(space.states, space.present):
@@ -530,6 +529,12 @@ def validate_problem(problem: SearchProblem) -> None:
                 raise LllError(f"flaws_present lists {listed} where present finds {scanned}")
         for i in listed:
             dist = space.dist(i, s)
+            if problem.action_distribution is not None:
+                replayed = exact_distribution(problem.sample_action, i, s)
+                if {t for t, p in dist.items() if p > 0} != replayed.keys() or any(
+                        abs(dist[t] - p) > PROB_TOL for t, p in replayed.items()):
+                    raise LllError(f"inconsistent actions: flaw {i} at {s!r} declares a law "
+                                   "its sampler does not follow")
             if not dist:
                 raise LllError(f"flaw {i} has empty action set")
             total = sum(dist.values())

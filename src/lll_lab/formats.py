@@ -19,6 +19,13 @@ from .solvers.ksat import CnfInstance, random_bounded_degree_cnf
 from .solvers.matchings import EdgeColoredClique
 
 
+def _ints(tokens: list[str], what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise LllError(f"bad {what}: expected integers, got {' '.join(tokens)!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # DIMACS
 
@@ -36,15 +43,11 @@ def parse_dimacs(text: str) -> CnfInstance:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise LllError(f"line {lineno}: bad DIMACS header")
-            num_vars, declared_clauses = int(parts[2]), int(parts[3])
+            num_vars, declared_clauses = _ints(parts[2:], f"DIMACS header on line {lineno}")
             continue
         if num_vars is None:
             raise LllError(f"line {lineno}: clause before DIMACS header")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise LllError(f"line {lineno}: bad literal {tok!r}") from None
+        for lit in _ints(line.split(), f"literal on line {lineno}"):
             if lit == 0:
                 if not current:
                     raise LllError(f"line {lineno}: empty clause")
@@ -81,13 +84,13 @@ def parse_graph(text: str) -> GraphInstance:
     head = lines[0].split()
     if len(head) != 2:
         raise LllError("graph header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _ints(head, "graph header")
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != 2:
             raise LllError(f"line {lineno}: edge line must be 'u v'")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _ints(parts, f"edge on line {lineno}")
         edges.append((u, v))
     if len(edges) != m:
         raise LllError(f"header declares {m} edges, found {len(edges)}")
@@ -115,7 +118,7 @@ def parse_colored_clique(text: str) -> EdgeColoredClique:
         parts = line.split()
         if len(parts) != 3:
             raise LllError(f"line {lineno}: expected 'u v color'")
-        u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+        u, v, c = _ints(parts, f"edge on line {lineno}")
         if u == v:
             raise LllError(f"line {lineno}: self-loop")
         key = (min(u, v), max(u, v))
@@ -123,6 +126,8 @@ def parse_colored_clique(text: str) -> EdgeColoredClique:
             raise LllError(f"line {lineno}: duplicate edge {key}")
         colors[key] = c
         max_v = max(max_v, u, v)
+    if not colors:
+        raise LllError("colored-clique file has no edges")
     return EdgeColoredClique(max_v + 1, colors)
 
 

@@ -237,6 +237,17 @@ class RandomSource:
     def bernoulli(self, p: float) -> bool:
         return self.u01() < p
 
+    def choice(self, dist: dict):
+        """A key of ``dist`` ({outcome: probability}): the first, in key
+        order, whose cumulative probability exceeds one uniform."""
+        u = self.u01()
+        acc = 0.0
+        for t, p in dist.items():
+            acc += p
+            if u < acc:
+                return t
+        return t
+
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates using this source's stream: position i,
         from the last down to 1, swaps with ``randint(i + 1)``.  The
@@ -256,3 +267,60 @@ class RandomSource:
 
 def source_for_run(master_seed: int, run_index: int = 0) -> RandomSource:
     return RandomSource(run_stream(master_seed, run_index))
+
+
+class _Replay:
+    """``RandomSource``'s primitives along one branch of their draws: draw
+    d takes branch ``path[d]``, or 0 past the path, and records its width."""
+
+    def __init__(self, path: list[int]):
+        self.path = path
+        self.widths: list[int] = []
+        self.prob = 1.0
+
+    def _branch(self, width: int) -> int:
+        d = len(self.widths)
+        self.widths.append(width)
+        return self.path[d] if d < len(self.path) else 0
+
+    def u01(self):
+        from .core import LllError  # core imports this module
+
+        raise LllError("a raw u01() draw has no exact law")
+
+    def randint(self, n: int) -> int:
+        self.prob *= 1.0 / n
+        return self._branch(n)
+
+    def bernoulli(self, p: float) -> bool:
+        return self.choice({True: p, False: 1.0 - p})
+
+    def coin(self) -> bool:
+        return self.bernoulli(0.5)
+
+    def choice(self, dist: dict):
+        outcomes = [t for t, p in dist.items() if p > 0.0]
+        t = outcomes[self._branch(len(outcomes))]
+        self.prob *= dist[t]
+        return t
+
+
+def exact_distribution(sample, *args) -> dict:
+    """The law {outcome: probability} of ``sample(*args, rng)`` when
+    ``rng`` draws through ``randint``, ``coin``, ``bernoulli`` and
+    ``choice``: one run along every branch of the draws, the first draw
+    varying slowest.  A draw's branches follow the order of the uniforms
+    they cover; one of probability zero is skipped.  A branch's probability
+    is the product of its draws' in draw order; an outcome's adds its
+    branches' in visiting order."""
+    out: dict = {}
+    paths: list[list[int]] = [[]]  # a stack: the next path to run is on top
+    while paths:
+        path = paths.pop()
+        rng = _Replay(path)
+        t = sample(*args, rng)
+        out[t] = out.get(t, 0.0) + rng.prob
+        # the other branches of each draw past the path, the last draw's on top
+        for d in range(len(path), len(rng.widths)):
+            paths += [path + [0] * (d - len(path)) + [k] for k in range(rng.widths[d] - 1, 0, -1)]
+    return out

@@ -35,6 +35,8 @@ class GraphInstance:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.num_vertices < 0:
+            raise LllError(f"negative vertex count {self.num_vertices}")
         seen = set()
         for (u, v) in self.edges:
             if u == v:
@@ -211,18 +213,10 @@ def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
     m = len(g.edges)
     incident = g.incident()
 
-    def available(i, state):
+    def draw(i, state, rng):
         avail = four_available(g, state, i, q, incident)
         if not avail:
             raise LllError("no 4-available color: state violates the availability bound")
-        return avail
-
-    def choices(i, state):
-        avail = available(i, state)
-        return dict.fromkeys(avail, 1.0 / len(avail))
-
-    def draw(i, state, rng):
-        avail = available(i, state)
         return avail[rng.randint(len(avail))]
 
     def outcome(edge_id, state, color):
@@ -244,11 +238,18 @@ def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
                 test[ei] = UNCOLORED
         return tuple(test)
 
+    def consistent(vals, v):
+        # the earlier edges are colored acyclically: only edge v can clash
+        (a, b) = g.edges[v]
+        near = {vals[e] for e in incident[a] + incident[b] if e != v} - {UNCOLORED}
+        return vals[v] not in near and not any(
+            bichromatic_cycle_through(g, vals, v, c) for c in near)
+
     return backtracking_setting(
-        (UNCOLORED,) * m, range(q), choices, draw, outcome,
+        (UNCOLORED,) * m, range(q), draw, outcome,
         # a closed cycle can run anywhere in the graph
         reach=(frozenset(range(m)),) * m,
-        consistent=lambda vals, v: coloring_is_acyclic(g, vals),
+        consistent=consistent,
         enumerable=m <= 6 and q <= 10,
         flaw_labels=tuple(f"e{i}" for i in range(m)),
         canon=_coloring_canon(1, q),  # UNCOLORED encodes as 0, color c as c + 1

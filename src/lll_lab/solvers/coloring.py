@@ -118,24 +118,6 @@ def vertex_coloring_greedy(
             vals[w] = opts[rng.randint(len(opts))]
         return tuple(vals)
 
-    def action_distribution(i, state):
-        e, _ = divmod(i, q)
-        (u, v) = g.edges[e]
-        out: dict = {}
-        first = allowed_colors(list(state), u)
-        p1 = 1.0 / len(first)
-        for cu in first:
-            mid = list(state)
-            mid[u] = cu
-            second = allowed_colors(mid, v)
-            p2 = 1.0 / len(second)
-            for cv in second:
-                nxt = list(mid)
-                nxt[v] = cv
-                key = tuple(nxt)
-                out[key] = out.get(key, 0.0) + p1 * p2
-        return out
-
     def sample_init(rng):
         return tuple(rng.randint(q) for _ in range(n))
 
@@ -155,7 +137,6 @@ def vertex_coloring_greedy(
         priority = hot + cold
 
     return SearchProblem(
-        num_flaws=m,
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
@@ -165,7 +146,6 @@ def vertex_coloring_greedy(
         affects=lambda i, s, t: graph.adj[i],
         sample_init=sample_init,
         canon=lambda s: bytes(s),
-        action_distribution=action_distribution,
         enumerate_states=enumerate_states if q ** n <= 500000 else None,
         init_distribution=(lambda s: (1.0 / q) ** n),
         init_ratio=1.0,

@@ -118,7 +118,7 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
 # backtracking solver
 
 
-def _backtracking_problem(cnf: CnfInstance, value_probs, **declared) -> SearchProblem:
+def _backtracking_problem(cnf: CnfInstance, p0: Sequence[float], **declared) -> SearchProblem:
     n = cnf.num_vars
     # clauses_of[v]: (variables, getter, falsifying values) of each clause
     # through x_{v+1}, in ascending clause order; a state violates the
@@ -154,11 +154,9 @@ def _backtracking_problem(cnf: CnfInstance, value_probs, **declared) -> SearchPr
                 vals[u] = UNSET
         return bytes(vals)
 
-    laws = [{val: p for val, p in enumerate(probs) if p > 0.0} for probs in value_probs]
     return backtracking_setting(
         bytes([UNSET]) * n, (0, 1),
-        choices=lambda i, state: laws[i],
-        draw=lambda i, state, rng: 0 if rng.u01() < value_probs[i][0] else 1,
+        draw=lambda i, state, rng: 0 if rng.bernoulli(p0[i]) else 1,
         outcome=assign_outcome,
         # a violated clause through x_i is unassigned whole
         reach=tuple(map(frozenset, reach)),
@@ -181,7 +179,7 @@ def ksat_backtrack(cnf: CnfInstance) -> SearchProblem:
     ``ksat_backtrack_table``.  The analysis measure is uniform over
     partial satisfying assignments.
     """
-    return _backtracking_problem(cnf, ((0.5, 0.5),) * cnf.num_vars)
+    return _backtracking_problem(cnf, (0.5,) * cnf.num_vars)
 
 
 def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int, float]]) -> SearchProblem:
@@ -205,7 +203,7 @@ def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int,
                 w *= probs[v][val]
         return w
 
-    return _backtracking_problem(cnf, tuple(probs), weight=product_weight)
+    return _backtracking_problem(cnf, [p0 for p0, _ in probs], weight=product_weight)
 
 
 def ksat_backtrack_table(cnf: CnfInstance) -> BacktrackChargeTable:

@@ -9,7 +9,6 @@ over perfect matchings, so each charge equals 1/((2n-1)(2n-3)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from ..core import LllError, SearchProblem
@@ -102,41 +101,13 @@ def _switch_walk_sample(matching: set[Edge], pair: tuple[Edge, Edge], rng) -> fr
         r = len(rest)
         pick = rest[rng.randint(r)]
         (x, y) = pick if rng.coin() else (pick[1], pick[0])
-        if rng.u01() < 1.0 - 1.0 / (2 * r + 1):
+        if rng.bernoulli(1.0 - 1.0 / (2 * r + 1)):
             current.discard((u, v))
             current.discard(_edge(x, y))
             current.add(_edge(u, y))
             current.add(_edge(v, x))
         queue = queue[1:]
     return frozenset(current)
-
-
-def _switch_walk_distribution(matching: frozenset[Edge], pair: tuple[Edge, Edge]) -> dict:
-    """Exact output distribution of the switch walk, by enumerating every
-    (edge pick, orientation, accept) branch."""
-    out: dict = {}
-
-    def rec(current: frozenset[Edge], queue: tuple[Edge, ...], pr: Fraction):
-        if not queue:
-            out[current] = out.get(current, Fraction(0)) + pr
-            return
-        (u, v) = queue[0]
-        rest = sorted(e for e in current if e not in queue)
-        r = len(rest)
-        p_pick = Fraction(1, 2 * r)
-        p_switch = Fraction(2 * r, 2 * r + 1)
-        for e in rest:
-            for (x, y) in (e, (e[1], e[0])):
-                switched = set(current)
-                switched.discard((u, v))
-                switched.discard(_edge(x, y))
-                switched.add(_edge(u, y))
-                switched.add(_edge(v, x))
-                rec(frozenset(switched), queue[1:], pr * p_pick * p_switch)
-                rec(current, queue[1:], pr * p_pick * (1 - p_switch))
-
-    rec(matching, (pair[0], pair[1]), Fraction(1))
-    return {k: float(v) for k, v in out.items()}
 
 
 def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
@@ -164,9 +135,6 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
     def sample_action(i, matching, rng):
         return _switch_walk_sample(matching, pairs[i], rng)
 
-    def action_distribution(i, matching):
-        return _switch_walk_distribution(matching, pairs[i])
-
     def sample_init(rng):
         verts = list(range(n2))
         rng.shuffle(verts)
@@ -184,7 +152,6 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
     charge = 1.0 / ((n2 - 1) * (n2 - 3)) if n2 >= 4 else 0.0
     psi = 3.0 / (4.0 * n * n)
     return SearchProblem(
-        num_flaws=m,
         present=present,
         flaws_present=flaws_present,
         sample_action=sample_action,
@@ -192,7 +159,6 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         graph=DependencyGraph.from_scopes([e1 + e2 for e1, e2 in pairs]),
         sample_init=sample_init,
         canon=canon,
-        action_distribution=action_distribution,
         enumerate_states=(lambda: perfect_matchings(range(n2))) if n2 <= 10 else None,
         init_distribution=(lambda s: 1.0 / total),
         init_ratio=1.0,

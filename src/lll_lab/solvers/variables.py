@@ -22,8 +22,10 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
     action redraws them in scope order, one ``draw(rng)`` each, and the
     initial state draws every variable in index order.  ``draw`` must be
     uniform over ``range(domain)``: the exact distributions, the product
-    measure and ``init_ratio = 1`` assume it.  The states are enumerated
-    only when ``enumerable``; ``declared`` holds the remaining fields."""
+    measure and ``init_ratio = 1`` assume it.  The product law over the
+    scope is declared: it builds faster than a replay of the sampler.  The
+    states are enumerated only when ``enumerable``; ``declared`` holds the
+    remaining fields."""
     graph = DependencyGraph.from_scopes(scopes)
     theta = (1.0 / domain) ** num_vars
 
@@ -46,7 +48,6 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
         return out
 
     return SearchProblem(
-        num_flaws=len(scopes),
         present=present,
         sample_action=sample_action,
         graph=graph,
@@ -64,20 +65,19 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
     )
 
 
-def backtracking_setting(blank: Sequence, domain: Sequence, choices: Callable, draw: Callable,
-                         outcome: Callable, reach: Sequence[frozenset], consistent: Callable,
-                         enumerable: bool, flaw_labels: Sequence[str], **declared) -> SearchProblem:
+def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outcome: Callable,
+                         reach: Sequence[frozenset], consistent: Callable, enumerable: bool,
+                         flaw_labels: Sequence[str], **declared) -> SearchProblem:
     """The backtracking setting of Grytczuk, Kozik and Micek and of
     Esperet and Parreau.  A state is a partial assignment of the
     variables of ``blank``, the immutable state in which every variable
     holds the same unassigned marker, and flaw ``i`` is variable ``i``
-    unassigned.  Addressing it assigns ``draw(i, state, rng)``, whose
-    exact law is ``choices(i, state)`` ({value: probability}, in outcome
-    order); ``outcome(i, state, value)`` is the state after that
-    assignment and any backtrack.  A backtrack may unassign only the
-    variables in ``reach[i]``, ``i`` among them, and an outcome that
-    leaves ``i`` assigned changed no other variable.  Runs start at
-    ``blank`` under the lowest-index strategy that the tail bound
+    unassigned.  Addressing it assigns ``draw(i, state, rng)``, whose law
+    is replayed from its draws, and ``outcome(i, state, value)`` is the
+    state after that assignment and any backtrack.  A backtrack may
+    unassign only the variables in ``reach[i]``, ``i`` among them, and an
+    outcome that leaves ``i`` assigned changed no other variable.  Runs
+    start at ``blank`` under the lowest-index strategy that the tail bound
     assumes.  The states are enumerated only when ``enumerable``: variable
     0 varies slowest, unassigned first and then ``domain`` in order, and
     an assignment of variable ``v`` is kept when ``consistent(vals, v)``
@@ -86,13 +86,6 @@ def backtracking_setting(blank: Sequence, domain: Sequence, choices: Callable, d
     n = len(blank)
     unset = blank[0] if n else None
     metadata = {**declared.pop("metadata", {}), "strategy": "lowest_index"}
-
-    def action_distribution(i, state):
-        out = {}
-        for value, p in choices(i, state).items():
-            nxt = outcome(i, state, value)
-            out[nxt] = out.get(nxt, 0.0) + p
-        return out
 
     def enumerate_states():
         vals = list(blank)
@@ -110,7 +103,6 @@ def backtracking_setting(blank: Sequence, domain: Sequence, choices: Callable, d
         return rec(0)
 
     return SearchProblem(
-        num_flaws=n,
         present=lambda i, state: state[i] == unset,
         flaws_present=lambda state: [i for i in range(n) if state[i] == unset],
         sample_action=lambda i, state, rng: outcome(i, state, draw(i, state, rng)),
@@ -118,7 +110,6 @@ def backtracking_setting(blank: Sequence, domain: Sequence, choices: Callable, d
         # an outcome that leaves i assigned wrote variable i only
         affects=lambda i, state, nxt: (i,) if nxt[i] != unset else reach[i],
         sample_init=lambda rng: blank,
-        action_distribution=action_distribution,
         enumerate_states=enumerate_states if enumerable else None,
         init_distribution=lambda s: 1.0 if s == blank else 0.0,
         unassigned=lambda s: frozenset(flaw_labels[v] for v in range(n) if s[v] == unset),

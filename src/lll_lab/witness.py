@@ -345,8 +345,6 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5) -> C
     ``PRODUCT_REL_TOL``; one pair is held at a time, and each
     non-commuting pair reports where its lists first part.
     """
-    if problem.action_distribution is None or problem.enumerate_states is None:
-        raise LllError("commutativity check requires oracle mode")
     space = capped_space(problem, state_cap,
                          "state space too large for exhaustive commutativity check")
     m, n = problem.num_flaws, len(space.states)

@@ -309,7 +309,6 @@ def test_10_commutativity_certification():
         return t
 
     broken = SearchProblem(
-        num_flaws=2,
         present=lambda i, s: s[i] == 1,
         sample_action=sample_action,
         graph=DependencyGraph.from_edges(2, []),

@@ -201,7 +201,6 @@ def test_witness_lemma_refuses_noncommutative():
         return t
 
     problem = SearchProblem(
-        num_flaws=2,
         present=lambda i, s: s[i] == 1,
         sample_action=sample_action,
         graph=DependencyGraph.from_edges(2, []),

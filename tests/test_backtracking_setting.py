@@ -2,8 +2,8 @@
 backtracking solvers (``ksat_backtrack``, ``ksat_backtrack_biased`` and
 ``aec_backtrack``) carried before they were built through it, kept here
 as references: the same present flaws, graph, unassigned sets,
-enumeration, exact distributions (keys, key order and float bits) and
-draws from equal streams.  The derived ``affects`` must pass
+enumeration, exact distributions replayed from the sampler (keys, key
+order and float bits) and draws from equal streams.  The derived ``affects`` must pass
 ``validate_problem`` and return ``(i,)`` on every step that does not
 backtrack."""
 
@@ -15,7 +15,7 @@ import pytest
 
 from lll_lab.core import validate_problem
 from lll_lab.criteria import DependencyGraph
-from lll_lab.rng import source_for_run
+from lll_lab.rng import exact_distribution, source_for_run
 from lll_lab.solvers import GraphInstance, aec_backtrack, ksat_backtrack, ksat_backtrack_biased
 from lll_lab.solvers.aec import (UNCOLORED, _coloring_canon, bichromatic_cycle_through,
                                  coloring_is_acyclic, four_available, random_bounded_degree_graph)
@@ -272,7 +272,7 @@ def test_port_matches_the_hand_written_closures(problem, ref):
         assert problem.weight(s).hex() == ref["weight"](s).hex()
         assert problem.init_distribution(s) == ref["init_distribution"](s)
         for i in present:
-            dist = problem.action_distribution(i, s)
+            dist = exact_distribution(problem.sample_action, i, s)
             assert bits(dist) == bits(ref["action_distribution"](i, s))
             for t in dist:
                 stepped = t[i] != s[i]  # i assigned: no backtrack

@@ -494,3 +494,30 @@ def test_bad_seed_refused(tmp_path, capsys, monkeypatch, command, seed_arg, env)
     code, out, err = run_cli(argv + seed_arg, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "non-negative integer" in err
+
+
+@pytest.mark.parametrize("argv,name,text", [
+    (["solve", "aec-backtrack", "--colors", "9"], "g.txt", "x y\n"),
+    (["solve", "ksat-mt"], "f.cnf", "p cnf x 1\n1 0\n"),
+    (["solve", "rainbow"], "k.txt", "0 1 a\n"),
+    (["solve", "rainbow"], "k.txt", ""),
+    (["verify", "rainbow", "--suite", "resamples", "--runs", "10"], "k.txt", ""),
+    (["solve", "aec-backtrack", "--colors", "9"], "g.txt", "-2 0\n"),
+    (["solve", "vertex-coloring", "--colors", "4"], "g.txt", "-2 0\n"),
+], ids=["graph-header-token", "dimacs-header-token", "clique-color-token", "solve-empty-clique",
+        "verify-empty-clique", "aec-negative-vertices", "coloring-negative-vertices"])
+def test_bad_instance_file_refused(tmp_path, capsys, argv, name, text):
+    """Bad instance files end in ``error:`` and exit 1, with no traceback
+    and no report."""
+    path = write(tmp_path, name, text)
+    code, out, err = run_cli(argv[:2] + [path] + argv[2:] + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_loads_no_fractions():
+    """``fractions`` (which loads ``decimal``) stays off the CLI's import path."""
+    code = "import sys, lll_lab.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

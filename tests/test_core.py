@@ -89,7 +89,6 @@ def test_charge_empty_flaw_is_zero():
 
     q = replace(
         p,
-        num_flaws=3,
         present=lambda i, s: False if i == 2 else p.present(i, s),
         action_distribution=lambda i, s: {s: 1.0} if i == 2 else p.action_distribution(i, s),
         sample_action=lambda i, s, rng: s if i == 2 else p.sample_action(i, s, rng),
@@ -167,15 +166,6 @@ def test_validate_catches_causality_gap(two_clause_mt):
 
     bad = replace(two_clause_mt, graph=DependencyGraph.from_edges(2, [], self_loops=[0, 1]))
     with pytest.raises(LllError, match="causality"):
-        validate_problem(bad)
-
-
-@pytest.mark.parametrize("m", [1, 3])
-def test_validate_catches_graph_size_mismatch(two_clause_mt, m):
-    from dataclasses import replace
-
-    bad = replace(two_clause_mt, graph=DependencyGraph.from_edges(m, [], self_loops=range(m)))
-    with pytest.raises(LllError, match=f"{m} vertices for 2 flaws"):
         validate_problem(bad)
 
 
@@ -263,8 +253,7 @@ def test_inconsistent_actions_detected(two_clause_mt):
         action_distribution=lambda i, s: {s: 1.0},  # claims it never moves
     )
     with pytest.raises(LllError, match="inconsistent actions"):
-        for seed in range(50):
-            run(lying, seed=seed, check_support=True)
+        validate_problem(lying)
 
 
 def test_single_step_frequencies_match_declared(two_clause_mt):
@@ -310,7 +299,7 @@ def test_rainbow_k20_terminates_rainbow():
 def test_trajectory_steps_were_valid(two_clause_mt):
     """Recorded steps address present flaws with positive declared mass."""
     for seed in range(20):
-        rep = run(two_clause_mt, seed=seed, record_trajectory=True, check_support=True)
+        rep = run(two_clause_mt, seed=seed, record_trajectory=True)
         states = rep.trajectory.states()
         for t, (w, nxt) in enumerate(rep.trajectory.steps):
             assert two_clause_mt.present(w, states[t])

@@ -53,7 +53,7 @@ def random_rows():
         return {t: w / sum(weights) for t, w in zip(targets, weights)}
 
     return SearchProblem(
-        num_flaws=3, present=lambda i, s: s % (i + 2) == 0,
+        present=lambda i, s: s % (i + 2) == 0,
         sample_action=lambda i, s, rng: s, graph=DependencyGraph.from_edges(3, []),
         sample_init=lambda rng: 0, canon=lambda s: bytes([s]),
         weight=lambda s: 1.0 + s % 7, action_distribution=action_distribution,
@@ -178,7 +178,7 @@ def reference_commutativity(problem, max_violations=3):
 def perturbed(problem, flaw, state, delta):
     """``problem`` with ``delta`` of flaw ``flaw``'s probability at
     ``state`` moved from its first outcome to its last."""
-    base = problem.action_distribution
+    base = problem.space.dist
 
     def action_distribution(i, s):
         dist = base(i, s)
@@ -306,7 +306,7 @@ def escaping(flaw_leaves: int):
         return out
 
     return SearchProblem(
-        num_flaws=2, present=lambda i, s: s[i] == 1,
+        present=lambda i, s: s[i] == 1,
         sample_action=lambda i, s, rng: tuple(0 if k == i else v for k, v in enumerate(s)),
         graph=DependencyGraph.from_edges(2, []), sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s), action_distribution=action_distribution,

@@ -130,7 +130,6 @@ def fan_out(outcomes):
     """State 0 has flaw 0; addressing it moves to one of ``outcomes``
     flawless states, uniformly."""
     return SearchProblem(
-        num_flaws=1,
         present=lambda i, s: s == 0,
         sample_action=lambda i, s, rng: 1 + rng.randint(outcomes),
         graph=DependencyGraph.from_edges(1, [], self_loops=[0]),
@@ -173,7 +172,6 @@ def test_row_end_pinned_to_one(monkeypatch, outcomes):
 def test_flaw_ids_beyond_int16_are_recorded():
     m = 40_000
     problem = SearchProblem(
-        num_flaws=m,
         present=lambda i, s: s == 0 and i == m - 1,
         sample_action=lambda i, s, rng: 1,
         graph=DependencyGraph.from_edges(m, [], self_loops=range(m)),

@@ -148,7 +148,7 @@ def exact_backtrack_charges(problem):
     got: dict = {}
     for s in problem.space.states:
         for i in problem.present_flaws(s):
-            for t, p in problem.action_distribution(i, s).items():
+            for t, p in problem.space.dist(i, s).items():
                 before = problem.unassigned(s)
                 after = problem.unassigned(t)
                 intro = frozenset(after - (before - {f"x{i+1}"}))

@@ -79,8 +79,8 @@ def test_resampler_is_exactly_uniform_on_k6():
     tv = 0.5 * sum(abs(c / n - 1 / 15) for c in counts.values())
     tv += 0.5 * (15 - len(counts)) / 15
     assert tv < 0.02
-    # and the declared distribution is uniform exactly
-    dist = p.action_distribution(0, start)
+    # and the exact distribution is uniform exactly
+    dist = p.space.dist(0, start)
     assert len(dist) == 15
     assert all(abs(v - 1 / 15) < 1e-12 for v in dist.values())
 

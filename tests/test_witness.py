@@ -310,7 +310,6 @@ def test_constructed_product_mismatch_fails():
     from lll_lab.core import SearchProblem
 
     problem = SearchProblem(
-        num_flaws=2,
         present=present,
         sample_action=sample_action,
         graph=DependencyGraph.from_edges(2, []),
