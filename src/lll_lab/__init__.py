@@ -33,15 +33,5 @@ from .criteria import (
     general_lll_check,
     shearer_polynomials,
 )
-from .witness import (
-    WitnessForest,
-    WitnessTree,
-    build_witness_forest,
-    build_witness_tree,
-    check_commutativity,
-    enumerate_witness_trees,
-    occurs,
-    stable_partition,
-)
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ from .criteria import (
     neighborhood_sum,
     shearer_polynomials,
 )
+from .solvers.coloring import ball, coloring_is_proper_vertex, local_weight_bound
 from .witness import (
     CommutativityReport,
     check_commutativity,
@@ -120,14 +121,6 @@ class OracleTables:
     flaw_measures: list[float]
     shearer: ShearerReport | None
     graph: DependencyGraph
-
-    def lll_probability(self, event: Callable) -> float:
-        if self.lll_distribution is None:
-            raise LllError("flawless set is empty")
-        return sum(p for s, p in self.lll_distribution.items() if event(s))
-
-    def mu_probability(self, event: Callable) -> float:
-        return sum(p for s, p in self.mu.items() if event(s))
 
 
 def build_oracle(problem: SearchProblem, state_cap: int = STATE_CAP) -> OracleTables:
@@ -772,8 +765,6 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
     """Per-vertex weighted-output bound for the greedy coloring: the
     empirical mean of each local function against r_v * a_v times its
     expectation under uniform proper colorings.  Refuses censored runs."""
-    from .solvers.coloring import local_weight_bound, coloring_is_proper_vertex
-
     g = problem.metadata["graph"]
     q = problem.metadata["q"]
     spec = problem.metadata.get("weights")
@@ -783,8 +774,6 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
     reports = uncensored(iter_runs(problem, range(runs), seed), "coloring_weight_analysis")
     outs = [rep.final_state for rep in reports]
     verdicts = []
-    from .solvers.coloring import ball
-
     for v in spec.vertices:
         r_v, a_v, expectation = local_weight_bound(g, q, spec, v, proper)
         fn = spec.functions[v]

@@ -45,21 +45,20 @@ def build_problem(spec: dict) -> SearchProblem:
             raise LllError("biased solver needs per-variable distributions")
         dists = [{0: p[0], 1: p[1]} for p in bias]
         return ksat_backtrack_biased(cnf, dists)
-    if solver == "aec-backtrack":
+    if solver in ("aec-backtrack", "aec-clique-mt", "vertex-coloring"):
         if "colors" not in spec:
-            raise LllError("aec-backtrack needs --colors")
-        return aec_backtrack(formats.parse_graph(text), int(spec["colors"]))
-    if solver == "aec-clique-mt":
-        if "colors" not in spec:
-            raise LllError("aec-clique-mt needs --colors")
-        problem, _ = aec_clique_mt(formats.parse_graph(text), int(spec["colors"]))
-        return problem
+            raise LllError(f"{solver} needs --colors")
+        q = int(spec["colors"])
+        if q < 1:
+            raise LllError(f"--colors must be at least 1, got {q}")
+        graph = formats.parse_graph(text)
+        if solver == "aec-backtrack":
+            return aec_backtrack(graph, q)
+        if solver == "aec-clique-mt":
+            return aec_clique_mt(graph, q)[0]
+        return vertex_coloring_greedy(graph, q)
     if solver == "rainbow":
         return rainbow_matching(formats.parse_colored_clique(text))
     if solver == "rainbow-partial":
         raise LllError("rainbow-partial is a solve-only pipeline; verify the plain rainbow solver instead")
-    if solver == "vertex-coloring":
-        if "colors" not in spec:
-            raise LllError("vertex-coloring needs --colors")
-        return vertex_coloring_greedy(formats.parse_graph(text), int(spec["colors"]))
     raise LllError(f"unknown solver {solver!r}")

@@ -4,6 +4,10 @@ Machine output is a single JSON document on stdout (byte-identical for
 identical command line and seed); the human-readable summary goes to
 stderr.  Exit codes: 0 success, 1 usage/parse error, 2 censored run,
 3 criterion failure.  The default seed comes from LLL_LAB_SEED.
+
+Each command loads the layers it uses when it runs: ``verify`` imports
+``analysis`` (with ``chain`` and ``witness``) and ``--parallel`` the
+process pool, so ``solve`` loads neither.
 """
 
 from __future__ import annotations
@@ -12,11 +16,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import analysis, formats
+from . import formats
 from .build import SOLVER_NAMES, build_problem
 from .core import LllError, recommended_strategy, run
 from .criteria import (
@@ -117,6 +120,8 @@ def _trace_json(problem, report) -> dict:
 
 
 def cmd_solve(args) -> int:
+    if args.max_steps < 0:
+        raise LllError("--max-steps must be non-negative")
     if args.solver == "rainbow-partial":
         return _solve_rainbow_partial(args)
     spec = _spec_from_args(args)
@@ -217,14 +222,16 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _spec_from_args(args)
-    problem = build_problem(spec)
+    from . import analysis
+
     suite = args.suite
     runs = args.runs
     if runs <= 0:
         raise LllError("--runs must be positive")
     if args.parallel < 1:
         raise LllError("--parallel must be at least 1")
+    spec = _spec_from_args(args)
+    problem = build_problem(spec)
     psi = list(problem.default_weights) if problem.default_weights else None
     if args.psi is not None:
         psi = [args.psi] * problem.num_flaws
@@ -281,6 +288,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for flag in ("n", "degree", "max_degree", "edges"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise LllError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
     rng = source_for_run(args.seed, 0)
     if args.family == "ksat":
         cnf = formats.generate_ksat(args.n, args.k, args.degree, rng)
@@ -301,6 +312,8 @@ def cmd_gen(args) -> int:
 
 
 def _worker_counts(payload):
+    from . import analysis
+
     spec, seed, run_indices = payload
     problem = build_problem(spec)
     rows = [(rep.steps, rep.terminated, rep.resample_counts)
@@ -328,6 +341,8 @@ def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
     if processes <= 1:
         parts = [_worker_counts(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_worker_counts, payloads))
     steps = np.concatenate([p[0] for p in parts])

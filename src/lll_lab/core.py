@@ -15,23 +15,18 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heappop, heappush
 from itertools import compress, islice
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .criteria import DependencyGraph
+from .errors import LllError
 from .rng import RandomSource, exact_distribution, source_for_run
-
-if TYPE_CHECKING:  # criteria imports this module
-    from .criteria import DependencyGraph
 
 PROB_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**6
 # transition entries in one set of rows: 160 MB of targets and probabilities
 ROW_ENTRY_BUDGET = 10**7
-
-
-class LllError(Exception):
-    """Engine-level contract violation (bad input, cap exceeded, ...)."""
 
 
 State = Any
@@ -232,11 +227,6 @@ class RunReport:
     seed: int
     trajectory: Trajectory | None = None
 
-    def check_invariants(self, problem: SearchProblem) -> None:
-        assert sum(self.resample_counts) == self.steps
-        if self.terminated:
-            assert not problem.present_flaws(self.final_state)
-
 
 class FlawChoiceStrategy:
     """Picks which present flaw to address; ``observe`` lets a strategy
@@ -313,18 +303,6 @@ class RecencyStrategy(FlawChoiceStrategy):
 
     def observe(self, i, step):
         self.last_addressed[i] = step
-
-
-class CustomStrategy(FlawChoiceStrategy):
-    """Arbitrary callback on (present flaws, state)."""
-
-    name = "custom"
-
-    def __init__(self, fn: Callable[[list[int], State], int]):
-        self.fn = fn
-
-    def choose(self, present, state):
-        return self.fn(present, state)
 
 
 def make_strategy(spec: str | FlawChoiceStrategy | None) -> FlawChoiceStrategy:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Hashable, Mapping, Sequence
 
-from .core import LllError
+from .errors import LllError
 
 BOUNDARY_TOL = 1e-12
 NEIGHBORHOOD_CAP = 25
@@ -72,9 +72,6 @@ class DependencyGraph:
 
     def are_adjacent(self, i: int, j: int) -> bool:
         return j in self.adj[i]
-
-    def neighbor_lists(self) -> list[list[int]]:
-        return [sorted(s) for s in self.adj]
 
 
 def scope_readers(scopes: Sequence[Collection[Hashable]]) -> dict[Hashable, list[int]]:

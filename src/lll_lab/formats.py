@@ -1,10 +1,12 @@
 """Instance file formats and generators.
 
-Formats round-trip: parse(serialize(parse(text))) equals parse(text).
+The instance formats round-trip: parse(serialize(parse(text))) equals
+parse(text).
  - CNF: DIMACS ("p cnf <vars> <clauses>", clauses end with 0)
  - graph: "<n> <m>" header then one "u v" line per edge, 0-indexed
  - edge-colored clique: one "u v color" line per edge of the clique
- - criteria: JSON {m, adjacency, gamma, psi, mode, ...}
+Criteria descriptions are JSON {m, adjacency, gamma, psi, mode, ...};
+they are only read.
 """
 
 from __future__ import annotations
@@ -171,32 +173,6 @@ def parse_criteria_json(text: str) -> dict:
         out["backtrack_psi"] = {k: float(v) for k, v in bt["psi"].items()}
         out["lambda_init"] = bt.get("lambda_init")
     return out
-
-
-def serialize_criteria_json(parsed: dict) -> str:
-    data = {
-        "m": parsed["m"],
-        "adjacency": parsed["graph"].neighbor_lists(),
-        "gamma": parsed["gamma"],
-        "psi": parsed["psi"],
-        "mode": parsed["mode"],
-    }
-    if "cliques" in parsed:
-        data["cliques"] = parsed["cliques"]
-        data["x"] = {f"{i},{v}": x for (i, v), x in parsed["x"].items()}
-    if "backtrack_table" in parsed:
-        table = parsed["backtrack_table"]
-        data["backtrack"] = {
-            "variables": list(table.variables),
-            "charges": {
-                str(v): [[sorted(s), gv] for s, gv in sorted(rows.items(), key=lambda kv: sorted(kv[0]))]
-                for v, rows in table.entries.items()
-            },
-            "span": sorted(table.span) if table.span is not None else None,
-            "psi": parsed["backtrack_psi"],
-            "lambda_init": parsed.get("lambda_init"),
-        }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

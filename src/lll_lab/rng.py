@@ -28,6 +28,8 @@ import os
 
 import numpy as np
 
+from .errors import LllError
+
 SEED_ENV_VAR = "LLL_LAB_SEED"
 
 # substream tags so batch drivers never collide with per-run streams
@@ -47,8 +49,6 @@ def resolve_seed(seed: int | None) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        from .core import LllError  # core imports this module
-
         raise LllError(f"{source} must be a non-negative integer, got {seed!r}")
     return value
 
@@ -284,8 +284,6 @@ class _Replay:
         return self.path[d] if d < len(self.path) else 0
 
     def u01(self):
-        from .core import LllError  # core imports this module
-
         raise LllError("a raw u01() draw has no exact law")
 
     def randint(self, n: int) -> int:

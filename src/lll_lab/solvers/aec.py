@@ -73,12 +73,6 @@ class GraphInstance:
             object.__setattr__(self, "_incident", cached)
         return cached
 
-    @staticmethod
-    def complete(n: int) -> "GraphInstance":
-        return GraphInstance.from_edge_list(
-            n, [(u, v) for u in range(n) for v in range(u + 1, n)]
-        )
-
 
 # ---------------------------------------------------------------------------
 # validity checking

@@ -33,6 +33,8 @@ class CnfInstance:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise LllError(f"negative variable count {self.num_vars}")
         for c in self.clauses:
             if not c:
                 raise LllError("empty clause")
@@ -42,11 +44,6 @@ class CnfInstance:
                     raise LllError(f"literal {lit} out of range")
             if len({abs(l) for l in c}) != len(c):
                 raise LllError("clause repeats a variable")
-
-    @property
-    def uniform_k(self) -> int | None:
-        sizes = {len(c) for c in self.clauses}
-        return sizes.pop() if len(sizes) == 1 else None
 
     def clause_vars(self, ci: int) -> frozenset[int]:
         return frozenset(abs(l) for l in self.clauses[ci])
@@ -193,7 +190,7 @@ def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int,
         p0, p1 = float(d.get(0, 0.0)), float(d.get(1, 0.0))
         if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9 or (p0 == 0.0 and p1 == 0.0):
             raise LllError("zero-probability value: each variable needs a distribution over {0,1}")
-        probs.append((p0, p1))
+        probs.append((p0, 1.0 - p0))  # the law the draw samples
 
     def product_weight(state):
         w = 1.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core import LllError, SearchProblem
+from ..core import LllError, SearchProblem, run
 from ..criteria import DependencyGraph
 
 Edge = tuple[int, int]
@@ -248,13 +248,13 @@ def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
     sum (1 + (2n-1)(lam n - 1) psi)^4, a valid stand-in for the exact
     enumeration at any instance size.
     """
+    # the verdict layer loads on use: every ``solve`` imports this module
     from ..analysis import PartialAvoidanceConfig, iter_runs, labeled_problem
-    from ..core import run as run_one
 
     problem = rainbow_matching(clique)
     pairs = clique.conflict_pairs()
     if not pairs:
-        rep = run_one(problem, "lowest_index", max_steps, seed, 0)
+        rep = run(problem, "lowest_index", max_steps, seed, 0)
         sizes = [clique.half] * runs
         return {"op": "rainbow_partial", "runs": runs, "sizes": sizes,
                 "mean_size": float(clique.half), "exact_bound": float(clique.half),

@@ -72,9 +72,6 @@ class WitnessTree:
             self._canon = enc(0)
         return self._canon
 
-    def same_tree(self, other: "WitnessTree") -> bool:
-        return self.canonical() == other.canonical()
-
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "parents": list(self.parents)}
 
@@ -302,13 +299,6 @@ def tree_to_stable_sequence(tree: WitnessTree, order: Sequence[int]) -> tuple[in
             raise LllError("tree levels must carry distinct labels")
         flat.extend(sorted(level, key=lambda v: rank[v]))
     return tuple(reversed(flat))
-
-
-def stable_sequence_to_tree(sequence: Sequence[int], graph: DependencyGraph) -> WitnessTree:
-    """Build the witness tree of the final step; for sequences whose
-    reversal is stable with a singleton first segment this inverts
-    ``tree_to_stable_sequence`` exactly."""
-    return build_witness_tree(sequence, len(sequence), graph)
 
 
 # ---------------------------------------------------------------------------

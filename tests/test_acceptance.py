@@ -341,7 +341,7 @@ def test_12_clique_constant_and_k4_runs():
     # record the optimum against the 8.59 sometimes quoted for this
     # expression: direct minimization lands near 9.6962, not 8.59
     ok = abs(opt - 9.69621) < 1e-3
-    g = GraphInstance.complete(4)
+    g = GraphInstance.from_edge_list(4, itertools.combinations(range(4), 2))
     q = math.ceil(opt * (g.max_degree() - 1))
     problem, cfg = aec_clique_mt(g, q, eps=eps, c=c)
     crit = clique_lll_check(list(problem.declared_charges), cfg)

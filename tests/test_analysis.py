@@ -77,8 +77,6 @@ def test_oracle_flags_empty_flawless_set():
     tables = build_oracle(p)
     assert tables.flawless == []
     assert tables.lll_distribution is None
-    with pytest.raises(LllError, match="empty"):
-        tables.lll_probability(lambda s: True)
 
 
 def test_oracle_lll_distribution_bound(two_clause_mt):
@@ -91,9 +89,9 @@ def test_oracle_lll_distribution_bound(two_clause_mt):
     crit = general_lll_check(tables.charges, tables.graph, psi, strict=False)
     assert crit.passed
     for i in range(2):
-        lhs = tables.lll_probability(lambda s, i=i: two_clause_mt.present(i, s))
+        lhs = sum(p for s, p in tables.lll_distribution.items() if two_clause_mt.present(i, s))
         around = sorted(tables.graph.adj[i] | {i})
-        rhs = tables.mu_probability(lambda s, i=i: two_clause_mt.present(i, s))
+        rhs = sum(p for s, p in tables.mu.items() if two_clause_mt.present(i, s))
         rhs *= subset_product_sum(around, psi)
         assert lhs <= rhs + 1e-12
 

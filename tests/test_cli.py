@@ -131,7 +131,7 @@ def test_criteria_rainbow_preset_cluster(tmp_path, capsys):
     p = rainbow_matching(clique)
     doc = {
         "m": p.num_flaws,
-        "adjacency": p.graph.neighbor_lists(),
+        "adjacency": [sorted(s) for s in p.graph.adj],
         "gamma": list(p.declared_charges),
         "psi": list(p.default_weights),
         "mode": "cluster",
@@ -345,12 +345,11 @@ def test_parallel_pool_sized_by_chunks_and_cores(tmp_path, capsys, monkeypatch,
     """The pool starts every process up front, so ``--parallel 64`` on 300
     runs (60 chunks of 5) asks for no more than the chunks and the cores;
     one core runs the chunks in-process.  No real process is started."""
+    import concurrent.futures
     import os
 
-    import lll_lab.cli as cli
-
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool(sizes))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     _, clique_text, _ = run_cli(["gen", "colored-clique", "--n", "6",
                                  "--multiplicity", "2", "--seed", "5"], capsys)
@@ -368,6 +367,7 @@ def test_parallel_builds_once_per_process(tmp_path, capsys, monkeypatch, cpus, b
     """``--parallel 64`` on 300 runs gives each process one chunk, so each
     builds the problem once; on one core ``verify`` samples on the problem
     it built itself.  The report is the one of ``--parallel 1``."""
+    import concurrent.futures
     import os
 
     import lll_lab.cli as cli
@@ -380,7 +380,7 @@ def test_parallel_builds_once_per_process(tmp_path, capsys, monkeypatch, cpus, b
 
     original = cli.build_problem
     monkeypatch.setattr(cli, "build_problem", build_problem)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", inline_pool([]))
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     _, clique_text, _ = run_cli(["gen", "colored-clique", "--n", "6",
                                  "--multiplicity", "2", "--seed", "5"], capsys)
@@ -504,20 +504,62 @@ def test_bad_seed_refused(tmp_path, capsys, monkeypatch, command, seed_arg, env)
     (["verify", "rainbow", "--suite", "resamples", "--runs", "10"], "k.txt", ""),
     (["solve", "aec-backtrack", "--colors", "9"], "g.txt", "-2 0\n"),
     (["solve", "vertex-coloring", "--colors", "4"], "g.txt", "-2 0\n"),
+    (["solve", "ksat-backtrack"], "f.cnf", "p cnf -2 0\n"),
+    (["solve", "aec-clique-mt", "--colors", "0"], "g.txt", "3 2\n0 1\n1 2\n"),
+    (["verify", "aec-clique-mt", "--suite", "resamples", "--runs", "10", "--colors", "0"],
+     "g.txt", "3 2\n0 1\n1 2\n"),
 ], ids=["graph-header-token", "dimacs-header-token", "clique-color-token", "solve-empty-clique",
-        "verify-empty-clique", "aec-negative-vertices", "coloring-negative-vertices"])
+        "verify-empty-clique", "aec-negative-vertices", "coloring-negative-vertices",
+        "ksat-negative-variables", "solve-zero-colors", "verify-zero-colors"])
 def test_bad_instance_file_refused(tmp_path, capsys, argv, name, text):
-    """Bad instance files end in ``error:`` and exit 1, with no traceback
-    and no report."""
+    """Bad instance files, and solver parameters out of range, end in
+    ``error:`` and exit 1, with no traceback and no report."""
     path = write(tmp_path, name, text)
     code, out, err = run_cli(argv[:2] + [path] + argv[2:] + ["--seed", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_cli_import_loads_no_fractions():
-    """``fractions`` (which loads ``decimal``) stays off the CLI's import path."""
-    code = "import sys, lll_lab.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+@pytest.mark.parametrize("argv,flag", [
+    (["colored-clique", "--n", "-1"], "--n"),
+    (["ksat", "--n", "5", "--degree", "-1"], "--degree"),
+    (["graph", "--n", "5", "--max-degree", "-1"], "--max-degree"),
+    (["graph", "--n", "5", "--edges", "-2"], "--edges"),
+])
+def test_gen_negative_size_refused(capsys, argv, flag):
+    code, out, err = run_cli(["gen", *argv, "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "ksat-mt", "--suite", "witness", "--runs", "0"], "--runs"),
+    (["verify", "ksat-mt", "--suite", "witness", "--parallel", "0"], "--parallel"),
+    (["solve", "ksat-backtrack", "--max-steps", "-1"], "--max-steps"),
+])
+def test_flags_checked_before_building(tmp_path, capsys, monkeypatch, argv, flag):
+    """A build can take seconds, so a bad flag is refused before it."""
+    import lll_lab.cli as cli
+
+    def never(spec):
+        raise AssertionError("built before refusing")
+
+    monkeypatch.setattr(cli, "build_problem", never)
+    path = write(tmp_path, "f.cnf", TWO_CLAUSES)
+    code, out, err = run_cli(argv[:2] + [path] + argv[2:] + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and flag in err
+
+
+def test_cli_import_loads_no_fractions(tmp_path):
+    """``fractions`` (which loads ``decimal``) stays off the CLI's import
+    path, and so do the verify layer and the process pool: neither the
+    import nor a whole ``solve`` loads them."""
+    cnf = write(tmp_path, "f.cnf", TWO_CLAUSES)
+    unused = ["lll_lab.analysis", "lll_lab.chain", "lll_lab.witness",
+              "concurrent.futures.process", "multiprocessing", "fractions", "decimal"]
+    for run in ["pass", f"lll_lab.cli.main(['solve', 'ksat-backtrack', {cnf!r}, '--seed', '1'])"]:
+        code = f"import sys, lll_lab.cli; {run}; print(sorted(set({unused!r}) & set(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert done.stdout.splitlines()[-1] == "[]"

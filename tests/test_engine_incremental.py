@@ -14,7 +14,7 @@ from dataclasses import replace
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from lll_lab.core import CustomStrategy, make_strategy, run, validate_problem
+from lll_lab.core import FlawChoiceStrategy, make_strategy, run, validate_problem
 from lll_lab.rng import source_for_run
 from lll_lab.solvers import (
     CnfInstance,
@@ -116,12 +116,13 @@ def check_tracked_present_set(problem, seed, max_steps=MAX_STEPS):
     after the last step, termination must agree with a rescan."""
     checked = []
 
-    def check(present, state):
-        assert present == problem.present_flaws(state)
-        checked.append(state)
-        return present[-1]
+    class Check(FlawChoiceStrategy):
+        def choose(self, present, state):
+            assert present == problem.present_flaws(state)
+            checked.append(state)
+            return present[-1]
 
-    rep = run(problem, CustomStrategy(check), max_steps, seed)
+    rep = run(problem, Check(), max_steps, seed)
     assert len(checked) == rep.steps
     assert rep.terminated == (not problem.present_flaws(rep.final_state))
 

@@ -1,4 +1,5 @@
-"""Instance formats round-trip and generators produce valid instances."""
+"""Instance formats round-trip, criteria JSON parses, and generators
+produce valid instances."""
 
 import pytest
 
@@ -12,7 +13,6 @@ from lll_lab.formats import (
     parse_dimacs,
     parse_graph,
     serialize_colored_clique,
-    serialize_criteria_json,
     serialize_dimacs,
     serialize_graph,
 )
@@ -69,18 +69,18 @@ def test_colored_clique_requires_completeness():
         parse_colored_clique("0 1 0\n0 2 0\n0 3 1\n")  # K_4 missing edges
 
 
-def test_criteria_json_roundtrip():
+def test_criteria_json_parse():
     text = """
     {"m": 2, "adjacency": [[1], [0]], "gamma": [0.125, 0.125],
      "psi": [0.25, 0.25], "mode": "cluster"}
     """
     parsed = parse_criteria_json(text)
-    once = serialize_criteria_json(parsed)
-    again = serialize_criteria_json(parse_criteria_json(once))
-    assert once == again
+    assert parsed["m"] == 2 and parsed["mode"] == "cluster"
+    assert parsed["graph"].adj == (frozenset({1}), frozenset({0}))
+    assert parsed["gamma"] == [0.125, 0.125] and parsed["psi"] == [0.25, 0.25]
 
 
-def test_criteria_json_backtrack_roundtrip():
+def test_criteria_json_backtrack_parse():
     text = """
     {"m": 0, "adjacency": [], "gamma": [], "psi": [], "mode": "backtrack",
      "backtrack": {"variables": ["x1", "x2"],
@@ -93,8 +93,10 @@ def test_criteria_json_backtrack_roundtrip():
     parsed = parse_criteria_json(text)
     table = parsed["backtrack_table"]
     assert table.entries["x1"][frozenset({"x1", "x2"})] == 0.5
-    once = serialize_criteria_json(parsed)
-    assert serialize_criteria_json(parse_criteria_json(once)) == once
+    assert table.entries["x2"][frozenset()] == 0.5
+    assert table.span == frozenset({"x1", "x2"})
+    assert parsed["backtrack_psi"] == {"x1": 0.75, "x2": 0.75}
+    assert parsed["lambda_init"] == 7.0
 
 
 def test_generators_produce_valid_instances():

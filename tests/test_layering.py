@@ -1,0 +1,123 @@
+"""The package's import graph runs one way.
+
+Each module of ``src/lll_lab`` is parsed with ``ast``, not imported.  Its
+module-level imports of package modules (under ``if`` and ``try`` blocks
+too) must form a DAG, so no module needs a function-level import to break
+a cycle; function-level package imports are left only where a command or
+a pipeline loads a later layer on use.
+"""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import lll_lab
+
+PACKAGE = Path(lll_lab.__file__).resolve().parent
+# function-level package imports allowed, as module -> (function, target),
+# None for any: the CLI loads each command's layer on dispatch, and
+# ``rainbow_partial`` is a solver-level pipeline that runs the verdict
+# layer's labeled problem
+ON_USE = {"lll_lab.cli": None,
+          "lll_lab.solvers.matchings": ("rainbow_partial", "lll_lab.analysis")}
+
+
+def module_names() -> dict[str, Path]:
+    out = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = ("lll_lab", *path.relative_to(PACKAGE).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = path
+    return out
+
+
+MODULES = module_names()
+
+
+def targets(node, module: str) -> list[str]:
+    """Package modules an import statement loads, each with the packages
+    above it that the importing module is not already inside."""
+    if isinstance(node, ast.Import):
+        named = [alias.name for alias in node.names]
+    elif node.level == 0:
+        named = [node.module]
+    else:
+        base = module if MODULES[module].name == "__init__.py" else module.rpartition(".")[0]
+        for _ in range(node.level - 1):
+            base = base.rpartition(".")[0]
+        stem = f"{base}.{node.module}" if node.module else base
+        named = [f"{stem}.{alias.name}" if f"{stem}.{alias.name}" in MODULES else stem
+                 for alias in node.names]
+    out = []
+    for name in named:
+        parts = name.split(".")
+        for k in range(2, len(parts) + 1):
+            prefix = ".".join(parts[:k])
+            inside = module == prefix or module.startswith(prefix + ".")
+            if prefix in MODULES and (prefix == name or not inside):
+                out.append(prefix)
+    return out
+
+
+def scan(module: str):
+    """(module-level targets, [(function, target)] of function-level
+    imports, whether the source names TYPE_CHECKING)."""
+    tree = ast.parse(MODULES[module].read_text())
+    top: set[str] = set()
+    deferred: list[tuple[str, str]] = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = function or getattr(node, "name", "<lambda>")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for target in targets(node, module):
+                if function is None:
+                    top.add(target)
+                else:
+                    deferred.append((function, target))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    names_it = any(
+        (isinstance(n, ast.Name) and n.id == "TYPE_CHECKING")
+        or (isinstance(n, ast.Attribute) and n.attr == "TYPE_CHECKING")
+        or (isinstance(n, ast.alias) and n.name == "TYPE_CHECKING")
+        for n in ast.walk(tree))
+    return top, deferred, names_it
+
+
+SCANS = {module: scan(module) for module in MODULES}
+
+
+def test_module_level_imports_form_a_dag():
+    # the scan is not vacuous: it finds imports the package has
+    assert "lll_lab.core" in SCANS["lll_lab.chain"][0]
+    assert "lll_lab.solvers" in SCANS["lll_lab.build"][0]
+    assert "lll_lab.solvers.variables" in SCANS["lll_lab.solvers.ksat"][0]
+    assert ("rainbow_partial", "lll_lab.analysis") in SCANS["lll_lab.solvers.matchings"][1]
+    graph = {module: top for module, (top, _, _) in SCANS.items()}
+    try:
+        order = list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+    assert set(order) == set(MODULES)
+
+
+def test_errors_module_is_a_leaf():
+    top, deferred, _ = SCANS["lll_lab.errors"]
+    assert top == set() and deferred == []
+
+
+def test_function_level_package_imports_only_on_use():
+    stray = [(module, function, target)
+             for module, (_, deferred, _) in SCANS.items()
+             for function, target in deferred
+             if module not in ON_USE or ON_USE[module] not in (None, (function, target))]
+    assert stray == []
+
+
+def test_no_module_uses_type_checking():
+    assert [module for module, (_, _, names_it) in SCANS.items() if names_it] == []
+

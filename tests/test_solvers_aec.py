@@ -30,7 +30,7 @@ UNCOLORED = -1
 
 
 def k4():
-    return GraphInstance.complete(4)
+    return GraphInstance.from_edge_list(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
 
 def triangle():

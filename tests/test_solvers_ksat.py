@@ -130,6 +130,14 @@ def test_biased_rejects_bad_distribution():
         ksat_backtrack_biased(cnf, [{0: 0.2, 1: 0.2}])
 
 
+def test_biased_measure_weighs_the_drawn_law():
+    """The draw gives 1 with probability 1 - p0; the measure weighs x1 = 1
+    by that same number, not by the given p1 (0.2 is not 1 - 0.8 in floats)."""
+    cnf = CnfInstance(2, ((1, 2),))
+    problem = ksat_backtrack_biased(cnf, [{0: 0.8, 1: 0.2}] * 2)
+    assert problem.weight(bytes([1, UNSET])) == 1 - 0.8
+
+
 def test_biased_charge_table_matches_product_measure():
     cnf = CnfInstance(3, ((1, -2, 3),))
     dists = [{0: 0.3, 1: 0.7}, {0: 0.6, 1: 0.4}, {0: 0.5, 1: 0.5}]
@@ -208,5 +216,4 @@ def test_random_bounded_degree_respects_caps():
     rng = source_for_run(99, 0)
     cnf = random_bounded_degree_cnf(20, 5, 2, rng)
     assert cnf.degree() <= 2
-    assert cnf.uniform_k == 5
     assert all(len(c) == 5 for c in cnf.clauses)
