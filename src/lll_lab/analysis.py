@@ -315,16 +315,26 @@ def check_witness_tree_lemma(
     stats = run_many(problem, runs, seed, strategy, collect_sequences=True)
     canon_to_slot = {t.canonical(): k for k, (t, _) in enumerate(trees)}
     hits = np.zeros(len(trees), dtype=np.int64)
+    # the tree of step k reads only the prefix seq[:k], so each distinct
+    # prefix is matched once: ``prefix_id[(id of seq[:k-1], seq[k-1])]`` is
+    # the id of seq[:k], and ``slot_of[id]`` its tree's slot (None: no slot)
+    prefix_id: dict[tuple[int, int], int] = {}
+    slot_of: list[int | None] = [None]
     for seq, mult in stats.sequence_counts.items():
         if seq is None:
             hits += mult  # overflowed or censored run: charge it to every tree
             continue
-        seen_slots = set()
-        for _, tree in trees_of_sequence(seq, graph, max_nodes=max_tree_nodes):
-            slot = canon_to_slot.get(tree.canonical())
-            if slot is not None:
-                seen_slots.add(slot)
-        for slot in seen_slots:
+        ids, new_steps = [], []
+        node = 0
+        for k, flaw in enumerate(seq, 1):
+            node = prefix_id.setdefault((node, flaw), len(slot_of))
+            if node == len(slot_of):
+                slot_of.append(None)
+                new_steps.append(k)
+            ids.append(node)
+        for k, tree in trees_of_sequence(seq, graph, max_tree_nodes, new_steps):
+            slot_of[ids[k - 1]] = canon_to_slot.get(tree.canonical())
+        for slot in {slot_of[node] for node in ids} - {None}:
             hits[slot] += mult
     p_hats = hits / runs
     verdicts = [upper_verdict(f"tree[{tree.canonical().decode()}]", p_hats[k], lam * w,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heappop, heappush
-from itertools import compress, islice
+from itertools import compress, islice, pairwise, product
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -100,6 +100,50 @@ class SearchProblem:
         return StateSpace(self)
 
 
+class ScopeLaw:
+    """The action law of the variable setting: a state is a tuple of
+    ``num_vars`` values in ``range(domain)``, and addressing flaw ``i``
+    redraws the variables ``scopes[i]`` uniformly.  ``law(i, state)`` is
+    {outcome: probability} with the first scope variable varying slowest.
+
+    A problem that declares this law as its ``action_distribution``, with
+    one scope per flaw and no ``flaws_present``, gets a ``StateSpace``
+    built from state ids: its states are ``product(range(domain),
+    repeat=num_vars)`` in order, so state ``k`` holds digit ``k //
+    domain**(num_vars - 1 - v) % domain`` in variable ``v``, and each
+    flaw's presence is read off a table over its scope's assignments.
+    A replaced law is a plain callable and takes the dictionary path."""
+
+    def __init__(self, num_vars: int, domain: int, scopes: Sequence[Sequence[int]]):
+        self.num_vars, self.domain, self.scopes = num_vars, domain, scopes
+
+    def __call__(self, i: int, state: State) -> dict[State, float]:
+        # each outcome rewrites the whole scope over one copy of the state
+        scope = self.scopes[i]
+        p = (1.0 / self.domain) ** len(scope)
+        vals = list(state)
+        out = {}
+        for combo in product(range(self.domain), repeat=len(scope)):
+            for v, x in zip(scope, combo):
+                vals[v] = x
+            out[tuple(vals)] = p
+        return out
+
+    def digit(self, ids: np.ndarray, v: int) -> np.ndarray:
+        """Variable ``v``'s value at each state id."""
+        return ids // self.domain ** (self.num_vars - 1 - v) % self.domain
+
+
+def scope_law(problem: SearchProblem) -> ScopeLaw | None:
+    """The problem's ``ScopeLaw`` when its space may be built from state
+    ids, else None."""
+    law = problem.action_distribution
+    if (isinstance(law, ScopeLaw) and len(law.scopes) == problem.num_flaws
+            and problem.flaws_present is None):
+        return law
+    return None
+
+
 class StateSpace:
     """One enumeration of an oracle-mode problem, shared by every exact
     computation on it: the states in enumeration order, their ``index``,
@@ -108,19 +152,63 @@ class StateSpace:
     each flaw's ``rows(i)`` built from them.  Memoized laws and rows are
     shared, so no consumer may mutate one.  The space keeps only the
     weight and action closures, no reference back to the problem.
+
+    Under a ``ScopeLaw`` (``scoped`` is then the law) the present lists
+    and rows come from scope arithmetic over state ids instead: ``present``
+    is called once per assignment of each flaw's scope, on a probe state,
+    and no law is called.  That relies on the contract that a flaw reads
+    only its scope, which ``validate_problem`` checks against a scan.
     """
 
     def __init__(self, problem: SearchProblem, states: list[State] | None = None):
         if problem.enumerate_states is None:
             raise LllError("exact computation requires oracle mode")
         self.states = list(problem.enumerate_states()) if states is None else states
-        self.index = {s: k for k, s in enumerate(self.states)}
-        self.present = [problem.present_flaws(s) for s in self.states]
+        self.scoped = scope_law(problem)
+        if self.scoped is None:
+            self.present = [problem.present_flaws(s) for s in self.states]
+        else:
+            self._members = self._scope_members(problem.present)
+            self.present = self._present_of_members()
         self._weight = problem.weight
         self._action_distribution = (problem.action_distribution
                                      or partial(exact_distribution, problem.sample_action))
         self._dists: dict = {}
         self._rows: dict[int, TransitionRows] = {}
+
+    @cached_property
+    def index(self) -> dict[State, int]:
+        return {s: k for k, s in enumerate(self.states)}
+
+    def _scope_members(self, present: Callable[[int, State], bool]) -> list[np.ndarray]:
+        """Each flaw's ascending state ids, from ``present`` evaluated on
+        every assignment of its scope over an all-zero probe state and
+        indexed by each state's scope digits, one variable at a time."""
+        law = self.scoped
+        ids = np.arange(len(self.states), dtype=np.int64)
+        probe = [0] * law.num_vars
+        members = []
+        for i, scope in enumerate(law.scopes):
+            table = []
+            for combo in product(range(law.domain), repeat=len(scope)):
+                for v, x in zip(scope, combo):
+                    probe[v] = x
+                table.append(bool(present(i, tuple(probe))))
+            code = np.zeros(ids.size, dtype=np.int64)
+            for v in scope:
+                probe[v] = 0
+                code = code * law.domain + law.digit(ids, v)
+            members.append(np.flatnonzero(np.array(table, dtype=bool)[code]))
+        return members
+
+    def _present_of_members(self) -> list[list[int]]:
+        """Each state's ascending flaw list, from the flaws' member ids."""
+        state_ids = np.concatenate([np.zeros(0, dtype=np.int64), *self._members])
+        flaw_ids = np.repeat(np.arange(len(self._members)),
+                             np.array([mem.size for mem in self._members], dtype=np.int64))
+        flat = flaw_ids[np.argsort(state_ids, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(state_ids, minlength=len(self.states))).tolist()
+        return [flat[a:b] for a, b in pairwise([0, *ends])]
 
     @cached_property
     def mu(self) -> dict[State, float]:
@@ -143,11 +231,37 @@ class StateSpace:
         return out
 
     def rows(self, i: int) -> TransitionRows:
-        """Flaw ``i``'s transition rows, built on first use from ``dist``."""
+        """Flaw ``i``'s transition rows, built on first use from ``dist``,
+        or from the scope arithmetic under a ``ScopeLaw``."""
         if i not in self._rows:
-            members = [k for k, present in enumerate(self.present) if i in present]
-            self._rows[i] = self.transition_rows(members, lambda s: self.dist(i, s), f"flaw {i}")
+            if self.scoped is not None:
+                self._rows[i] = self._scope_rows(i)
+            else:
+                members = [k for k, present in enumerate(self.present) if i in present]
+                self._rows[i] = self.transition_rows(members, lambda s: self.dist(i, s),
+                                                     f"flaw {i}")
         return self._rows[i]
+
+    def _scope_rows(self, i: int) -> TransitionRows:
+        """The rows ``transition_rows`` would build from ``ScopeLaw``:
+        each member's scope digits cleared, plus every scope assignment in
+        ``product`` order.  Refused past ``ROW_ENTRY_BUDGET`` entries
+        before anything is allocated."""
+        law, members = self.scoped, self._members[i]
+        scope = law.scopes[i]
+        width = law.domain ** len(scope)
+        if members.size * width > ROW_ENTRY_BUDGET:
+            raise LllError(f"flaw {i} has more than {ROW_ENTRY_BUDGET} transition entries")
+        base = members.copy()
+        offsets = np.zeros(1, dtype=np.int64)
+        for v in scope:
+            place = law.domain ** (law.num_vars - 1 - v)
+            base -= law.digit(members, v) * place
+            offsets = (offsets[:, None] + np.arange(law.domain) * place).ravel()
+        sizes = np.zeros(len(self.states) + 1, dtype=np.int64)
+        sizes[members + 1] = width
+        return TransitionRows(np.cumsum(sizes), (base[:, None] + offsets).ravel(),
+                              np.full(members.size * width, (1.0 / law.domain) ** len(scope)))
 
     def transition_rows(self, members: list[int], dist_of: Callable[[State], dict],
                         what: str) -> TransitionRows:
@@ -188,12 +302,15 @@ class TransitionRows(NamedTuple):
 def capped_space(problem: SearchProblem, cap: int, refusal: str) -> StateSpace:
     """``problem.space``, refused with ``refusal`` past ``cap`` states.  A
     space not yet built is refused after drawing at most ``cap + 1``
-    states, before any flaw scan; one that fits is cached where
-    ``problem.space`` keeps it."""
+    states, before any flaw scan, or under a ``ScopeLaw`` before any;
+    one that fits is cached where ``problem.space`` keeps it."""
     space = problem.__dict__.get("space")
     if space is None:
         if problem.enumerate_states is None:
             raise LllError("exact computation requires oracle mode")
+        law = scope_law(problem)
+        if law is not None and law.domain ** law.num_vars > cap:
+            raise LllError(refusal)
         states = list(islice(problem.enumerate_states(), cap + 1))
         if len(states) > cap:
             raise LllError(refusal)
@@ -484,9 +601,10 @@ def validate_problem(problem: SearchProblem) -> None:
     """Exhaustive invariant check for enumerable instances.
 
     Verifies that the causality graph is symmetric, a declared
-    ``flaws_present`` lists exactly the flaws ``present`` finds at every
-    state, a declared ``action_distribution`` has the support of the
-    sampler's replayed law and its probabilities within ``PROB_TOL``,
+    ``flaws_present`` (or, under a ``ScopeLaw``, the present lists read
+    off the scope tables) lists exactly the flaws ``present`` finds at
+    every state, a declared ``action_distribution`` has the support of
+    the sampler's replayed law and its probabilities within ``PROB_TOL``,
     action distributions sum to one on every (flaw, member state) and stay
     inside the enumerated states, and the causality cover holds: every arc
     that leaves a flaw present-but-new (or re-present) lands the causing
@@ -500,11 +618,13 @@ def validate_problem(problem: SearchProblem) -> None:
     if problem.enumerate_states is None:
         return
     space = problem.space
+    source = "flaws_present lists" if space.scoped is None else "scope tables list"
+    scan = problem.flaws_present is not None or space.scoped is not None
     for s, listed in zip(space.states, space.present):
-        if problem.flaws_present is not None:
+        if scan:
             scanned = [j for j in range(m) if problem.present(j, s)]
             if listed != scanned:
-                raise LllError(f"flaws_present lists {listed} where present finds {scanned}")
+                raise LllError(f"{source} {listed} where present finds {scanned}")
         for i in listed:
             dist = space.dist(i, s)
             if problem.action_distribution is not None:

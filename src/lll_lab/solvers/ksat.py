@@ -183,14 +183,7 @@ def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int,
     """Backtracking search sampling each variable from its own distribution
     over {0, 1}; the analysis measure weights a partial assignment by the
     product of its assigned values' probabilities."""
-    if len(distributions) != cnf.num_vars:
-        raise LllError("need one distribution per variable")
-    probs = []
-    for d in distributions:
-        p0, p1 = float(d.get(0, 0.0)), float(d.get(1, 0.0))
-        if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9 or (p0 == 0.0 and p1 == 0.0):
-            raise LllError("zero-probability value: each variable needs a distribution over {0,1}")
-        probs.append((p0, 1.0 - p0))  # the law the draw samples
+    probs = _drawn_laws(cnf, distributions)
 
     def product_weight(state):
         w = 1.0
@@ -201,6 +194,22 @@ def ksat_backtrack_biased(cnf: CnfInstance, distributions: Sequence[Mapping[int,
         return w
 
     return _backtracking_problem(cnf, [p0 for p0, _ in probs], weight=product_weight)
+
+
+def _drawn_laws(cnf: CnfInstance, distributions: Sequence[Mapping[int, float]]
+                ) -> list[tuple[float, float]]:
+    """Each variable's law as the draw samples it, ``(p0, 1 - p0)``: the
+    given p1 is checked but not used, so the draw, the measure and the
+    charge table read one number."""
+    if len(distributions) != cnf.num_vars:
+        raise LllError("need one distribution per variable")
+    laws = []
+    for d in distributions:
+        p0, p1 = float(d.get(0, 0.0)), float(d.get(1, 0.0))
+        if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9 or (p0 == 0.0 and p1 == 0.0):
+            raise LllError("zero-probability value: each variable needs a distribution over {0,1}")
+        laws.append((p0, 1.0 - p0))
+    return laws
 
 
 def ksat_backtrack_table(cnf: CnfInstance) -> BacktrackChargeTable:
@@ -229,11 +238,13 @@ def _charge_table(cnf: CnfInstance, empty: float, clause_charges: Sequence[float
 
 
 def clause_violation_probs(cnf: CnfInstance, distributions: Sequence[Mapping[int, float]]) -> list[float]:
+    """Each clause's violation probability under the drawn laws."""
+    laws = _drawn_laws(cnf, distributions)
     out = []
     for clause in cnf.clauses:
         p = 1.0
         for lit in clause:
-            p *= distributions[abs(lit) - 1].get(_falsifying_value(lit), 0.0)
+            p *= laws[abs(lit) - 1][_falsifying_value(lit)]
         out.append(p)
     return out
 

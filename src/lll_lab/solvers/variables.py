@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from ..core import SearchProblem
+from ..core import ScopeLaw, SearchProblem
 from ..criteria import DependencyGraph
 
 
@@ -23,7 +23,8 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
     initial state draws every variable in index order.  ``draw`` must be
     uniform over ``range(domain)``: the exact distributions, the product
     measure and ``init_ratio = 1`` assume it.  The product law over the
-    scope is declared: it builds faster than a replay of the sampler.  The
+    scope is declared as a ``core.ScopeLaw``, from which oracle mode builds
+    the present lists and transition rows by arithmetic on state ids.  The
     states are enumerated only when ``enumerable``; ``declared`` holds the
     remaining fields."""
     graph = DependencyGraph.from_scopes(scopes)
@@ -35,18 +36,6 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
             vals[v] = draw(rng)
         return tuple(vals)
 
-    def action_distribution(i, state):
-        # each outcome rewrites the whole scope over one copy of the state
-        scope = scopes[i]
-        p = (1.0 / domain) ** len(scope)
-        vals = list(state)
-        out = {}
-        for combo in itertools.product(range(domain), repeat=len(scope)):
-            for v, x in zip(scope, combo):
-                vals[v] = x
-            out[tuple(vals)] = p
-        return out
-
     return SearchProblem(
         present=present,
         sample_action=sample_action,
@@ -56,7 +45,7 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
         affects=lambda i, s, t: graph.adj[i],
         sample_init=lambda rng: tuple(draw(rng) for _ in range(num_vars)),
         canon=canon,
-        action_distribution=action_distribution,
+        action_distribution=ScopeLaw(num_vars, domain, scopes),
         enumerate_states=(
             (lambda: itertools.product(range(domain), repeat=num_vars)) if enumerable else None),
         init_distribution=lambda s: theta,

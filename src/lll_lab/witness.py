@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,9 +115,11 @@ def build_witness_tree(sequence: Sequence[int], k: int, graph: DependencyGraph,
 
 
 def trees_of_sequence(sequence: Sequence[int], graph: DependencyGraph,
-                      max_nodes: int | None = None) -> Iterator[tuple[int, WitnessTree]]:
-    """All (k, tree) pairs of a sequence, optionally capped by node count."""
-    for k in range(1, len(sequence) + 1):
+                      max_nodes: int | None = None,
+                      steps: Iterable[int] | None = None) -> Iterator[tuple[int, WitnessTree]]:
+    """The (k, tree) pairs of a sequence for k in ``steps`` (every step by
+    default), optionally capped by node count."""
+    for k in range(1, len(sequence) + 1) if steps is None else steps:
         t = build_witness_tree(sequence, k, graph, max_nodes)
         if t is not None:
             yield k, t

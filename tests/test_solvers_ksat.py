@@ -149,6 +149,20 @@ def test_biased_charge_table_matches_product_measure():
     assert clause_violation_probs(cnf, dists) == [pytest.approx(expected)]
 
 
+def test_biased_charge_table_reads_the_drawn_law():
+    """The table's clause charge is the measure's weight of the violating
+    value, 1 - p0, not the given p1 (0.2 is not 1 - 0.8 in floats)."""
+    cnf = CnfInstance(1, ((-1,),))
+    dists = [{0: 0.8, 1: 0.2}]
+    problem = ksat_backtrack_biased(cnf, dists)
+    assert clause_violation_probs(cnf, dists) == [problem.weight(bytes([1]))] == [1 - 0.8]
+    assert ksat_biased_table(cnf, dists).entries["x1"][frozenset({"x1"})] == 1 - 0.8
+    with pytest.raises(LllError, match="zero-probability"):
+        ksat_biased_table(cnf, [{0: 0.2, 1: 0.2}])
+    with pytest.raises(LllError, match="one distribution per variable"):
+        clause_violation_probs(cnf, dists * 2)
+
+
 def exact_backtrack_charges(problem):
     """(variable, introduced set) -> max over targets t of the incoming
     mass sum_s mu(s) A(s, t) / mu(t), by enumeration."""
