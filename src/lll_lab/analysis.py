@@ -19,12 +19,14 @@ from . import chain
 from .core import (
     DEFAULT_MAX_STEPS,
     LllError,
+    STATE_CAP,
     RunReport,
     SearchProblem,
+    action_law,
     all_charges,
     capped_space,
+    charge,
     computed_init_ratio,
-    event_charge,
     make_strategy,
     measure_of_flaws,
     recommended_strategy,
@@ -47,7 +49,6 @@ from .witness import (
 )
 
 SE_SLACK = 4.0
-STATE_CAP = 10**6  # largest state space the exact tables enumerate
 ORACLE_SHEARER_CAP = 20  # most flaws whose Shearer polynomials build_oracle computes
 
 
@@ -129,7 +130,10 @@ def build_oracle(problem: SearchProblem, state_cap: int = STATE_CAP) -> OracleTa
     signed independent-set polynomials when the flaw count permits."""
     space = capped_space(problem, state_cap, "state space exceeds oracle cap")
     states, mu = space.states, space.mu
-    flawless = [s for s, present in zip(states, space.present) if not present]
+    flawed = np.zeros(len(states), dtype=bool)
+    for ids in space.members:
+        flawed[ids] = True
+    flawless = [states[k] for k in np.flatnonzero(~flawed).tolist()]
     mass = sum(mu[s] for s in flawless)
     lll = {s: mu[s] / mass for s in flawless} if mass > 0 else None
     charges = all_charges(problem)
@@ -426,7 +430,8 @@ def check_event_probability(
     ext = extend_with_event(problem, event, event_actions, event_neighbors)
     if not check_commutativity(ext).commutative:
         raise LllError("event extension is not commutative; bound not applicable")
-    gamma_e = event_charge(problem, event, event_actions)
+    # ``event_charge`` exactly: the base space's states, measure and order
+    gamma_e = charge(ext, problem.num_flaws)
     adj = problem.graph.adj
     zeta = independent_weight_sum(
         sorted(event_neighbors), {j: adj[j] for j in event_neighbors},
@@ -450,6 +455,7 @@ def extend_with_event(problem: SearchProblem, event, event_actions,
     """The problem plus one extra flaw for the event, with symmetric
     adjacency into the declared neighborhood."""
     m = problem.num_flaws
+    law = action_law(problem)
     extra = frozenset(event_neighbors) | {m}
     graph = DependencyGraph(m + 1, tuple(
         adj | {m} if i in extra else adj for i, adj in enumerate(problem.graph.adj)) + (extra,))
@@ -466,7 +472,7 @@ def extend_with_event(problem: SearchProblem, event, event_actions,
         sample_action=sample_action,
         # declared, so that ``replace`` does not carry the base's law over
         # to flaw m; the base flaws keep the base's resolved law
-        action_distribution=lambda i, s: event_actions(s) if i == m else problem.space.dist(i, s),
+        action_distribution=lambda i, s: event_actions(s) if i == m else law(i, s),
         graph=graph,
         flaws_present=None,
         # the base problem's affects sets never cover the event flaw m
@@ -539,7 +545,7 @@ def output_distribution(
         psi = problem.default_weights
     if psi is None:
         raise LllError("needs a weight vector")
-    mu = capped_space(problem, STATE_CAP, "state space exceeds oracle cap").mu
+    mu = problem.space.mu
     flaws = range(problem.num_flaws)
     u_all = independent_weight_sum(
         list(flaws), dict(enumerate(problem.graph.adj)), {j: psi[j] for j in flaws})
@@ -646,10 +652,10 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
         return p
 
     def enumerate_states():
+        labelings = [labels for labels in range(1 << m) if label_prob(labels) > 0.0]
         for s in problem.enumerate_states():
-            for labels in range(1 << m):
-                if label_prob(labels) > 0.0:
-                    yield (s, labels)
+            for labels in labelings:
+                yield (s, labels)
 
     base_init = problem.init_distribution
 
@@ -780,7 +786,7 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
     spec = problem.metadata.get("weights")
     if spec is None:
         raise LllError("coloring weight analysis needs a weight spec")
-    proper = [s for s in problem.enumerate_states() if coloring_is_proper_vertex(g, s)]
+    proper = [s for s in problem.space.states if coloring_is_proper_vertex(g, s)]
     reports = uncensored(iter_runs(problem, range(runs), seed), "coloring_weight_analysis")
     outs = [rep.final_state for rep in reports]
     verdicts = []

@@ -56,11 +56,11 @@ def build_chain_tables(
     space = problem.space
     states = space.states
     n = len(states)
-    present = space.present
-    if flaw_subset is not None:
-        present = [[i for i in p if i in flaw_subset] for p in present]
-    key = None if priority is None else {f: r for r, f in enumerate(priority)}.__getitem__
-    chosen = np.array([min(p, key=key) if p else -1 for p in present], dtype=np.int64)
+    # members scattered in reverse priority: each state keeps its first flaw
+    chosen = np.full(n, -1, dtype=np.int64)
+    for i in reversed(range(problem.num_flaws) if priority is None else priority):
+        if flaw_subset is None or i in flaw_subset:
+            chosen[space.members[i]] = i
     absorbing = chosen < 0
     flaws = np.unique(chosen[~absorbing]).tolist()
     sizes = np.zeros(n, dtype=np.int64)
@@ -222,6 +222,14 @@ def exact_statistics(tables: ChainTables) -> ExactChainStats:
     np.add.at(p_ta, (rows[to_absorbing], targets[to_absorbing]), probs[to_absorbing])
     keep = ~to_absorbing
     np.add.at(p_tt, (rows[keep], pos[targets[keep]]), probs[keep])
+    # (I - P) is singular unless every transient state can reach absorption
+    reaches = frontier = p_ta.sum(axis=1) > 0
+    while frontier.any():
+        frontier = (p_tt[:, frontier] > 0).any(axis=1) & ~reaches
+        reaches = reaches | frontier
+    if not reaches.all():
+        raise LllError(f"the chain is never absorbed: no absorbing state is reachable from "
+                       f"{nt - int(reaches.sum())} of its {nt} transient states")
     init_t = init_full[trans_ids]
     # expected visits: v = init_t (I - P)^-1, solved as (I - P)^T v = init_t
     visits_t = np.linalg.solve(np.eye(nt) - p_tt.T, init_t)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from heapq import heappop, heappush
-from itertools import compress, islice, pairwise, product
+from itertools import compress, islice, product
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +25,8 @@ from .rng import RandomSource, exact_distribution, source_for_run
 
 PROB_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**6
+# largest state space oracle mode enumerates
+STATE_CAP = 10**6
 # transition entries in one set of rows: 160 MB of targets and probabilities
 ROW_ENTRY_BUDGET = 10**7
 
@@ -96,8 +98,11 @@ class SearchProblem:
 
     @cached_property
     def space(self) -> StateSpace:
-        """The enumerated state space, built on first use (oracle mode)."""
-        return StateSpace(self)
+        """The enumerated state space, built on first use (oracle mode):
+        every exact computation reads it.  Refused past ``STATE_CAP``
+        states before any flaw scan, and under a ``ScopeLaw`` before
+        drawing a state; ``capped_space`` applies a lower cap."""
+        return StateSpace(self, STATE_CAP, "state space exceeds oracle cap")
 
 
 class ScopeLaw:
@@ -134,46 +139,56 @@ class ScopeLaw:
         return ids // self.domain ** (self.num_vars - 1 - v) % self.domain
 
 
-def scope_law(problem: SearchProblem) -> ScopeLaw | None:
-    """The problem's ``ScopeLaw`` when its space may be built from state
-    ids, else None."""
-    law = problem.action_distribution
-    if (isinstance(law, ScopeLaw) and len(law.scopes) == problem.num_flaws
-            and problem.flaws_present is None):
-        return law
-    return None
+def action_law(problem: SearchProblem) -> Callable[[int, State], dict[State, float]]:
+    """The law ``law(i, s)`` = {outcome: probability} that exact
+    computations read: the declared ``action_distribution``, else the
+    replay of ``sample_action`` along every branch of its draws."""
+    return problem.action_distribution or partial(exact_distribution, problem.sample_action)
 
 
 class StateSpace:
     """One enumeration of an oracle-mode problem, shared by every exact
     computation on it: the states in enumeration order, their ``index``,
-    each state's present flaw list, the normalized measure ``mu``, the
-    memoized action laws ``dist(i, s)`` (declared, else replayed), and
-    each flaw's ``rows(i)`` built from them.  Memoized laws and rows are
-    shared, so no consumer may mutate one.  The space keeps only the
-    weight and action closures, no reference back to the problem.
+    the normalized measure ``mu``, each flaw's ``members`` as ascending
+    ``int64`` state ids, and each flaw's transition ``rows(i)``, the one
+    record of its law.  Rows are shared, so no consumer may mutate one.
+    The space keeps only the weight and law closures, no reference back
+    to the problem.
 
-    Under a ``ScopeLaw`` (``scoped`` is then the law) the present lists
-    and rows come from scope arithmetic over state ids instead: ``present``
-    is called once per assignment of each flaw's scope, on a probe state,
-    and no law is called.  That relies on the contract that a flaw reads
-    only its scope, which ``validate_problem`` checks against a scan.
+    On the dictionary path the members come from one ``present_flaws``
+    scan per state, and ``rows(i)`` calls the law once per member state.
+    Under a ``ScopeLaw`` (``scoped`` is then the law) both come from scope
+    arithmetic over state ids instead: ``present`` is called once per
+    assignment of each flaw's scope, on a probe state, and no law is
+    called.  That relies on the contract that a flaw reads only its
+    scope, which ``validate_problem`` checks against a scan.
+
+    A space past ``cap`` states is refused with ``refusal`` before any
+    flaw scan: after drawing ``cap + 1`` states, or under a ``ScopeLaw``
+    by count before drawing any.
     """
 
-    def __init__(self, problem: SearchProblem, states: list[State] | None = None):
+    def __init__(self, problem: SearchProblem, cap: int, refusal: str):
         if problem.enumerate_states is None:
             raise LllError("exact computation requires oracle mode")
-        self.states = list(problem.enumerate_states()) if states is None else states
-        self.scoped = scope_law(problem)
+        law = problem.action_distribution
+        self.scoped = law if (isinstance(law, ScopeLaw) and len(law.scopes) == problem.num_flaws
+                              and problem.flaws_present is None) else None
+        if self.scoped is not None and law.domain ** law.num_vars > cap:
+            raise LllError(refusal)
+        self.states = list(islice(problem.enumerate_states(), cap + 1))
+        if len(self.states) > cap:
+            raise LllError(refusal)
         if self.scoped is None:
-            self.present = [problem.present_flaws(s) for s in self.states]
+            held: list[list[int]] = [[] for _ in range(problem.num_flaws)]
+            for k, s in enumerate(self.states):
+                for i in problem.present_flaws(s):
+                    held[i].append(k)
+            self.members = [np.array(ids, dtype=np.int64) for ids in held]
         else:
-            self._members = self._scope_members(problem.present)
-            self.present = self._present_of_members()
+            self.members = self._scope_members(problem.present)
         self._weight = problem.weight
-        self._action_distribution = (problem.action_distribution
-                                     or partial(exact_distribution, problem.sample_action))
-        self._dists: dict = {}
+        self._law = action_law(problem)
         self._rows: dict[int, TransitionRows] = {}
 
     @cached_property
@@ -201,15 +216,6 @@ class StateSpace:
             members.append(np.flatnonzero(np.array(table, dtype=bool)[code]))
         return members
 
-    def _present_of_members(self) -> list[list[int]]:
-        """Each state's ascending flaw list, from the flaws' member ids."""
-        state_ids = np.concatenate([np.zeros(0, dtype=np.int64), *self._members])
-        flaw_ids = np.repeat(np.arange(len(self._members)),
-                             np.array([mem.size for mem in self._members], dtype=np.int64))
-        flat = flaw_ids[np.argsort(state_ids, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(state_ids, minlength=len(self.states))).tolist()
-        return [flat[a:b] for a, b in pairwise([0, *ends])]
-
     @cached_property
     def mu(self) -> dict[State, float]:
         """The declared weights normalized over the enumerated states."""
@@ -224,22 +230,16 @@ class StateSpace:
         """``mu`` by state id."""
         return np.fromiter(self.mu.values(), dtype=float, count=len(self.states))
 
-    def dist(self, i: int, s: State) -> dict[State, float]:
-        out = self._dists.get((i, s))
-        if out is None:
-            out = self._dists[i, s] = self._action_distribution(i, s)
-        return out
-
     def rows(self, i: int) -> TransitionRows:
-        """Flaw ``i``'s transition rows, built on first use from ``dist``,
-        or from the scope arithmetic under a ``ScopeLaw``."""
+        """Flaw ``i``'s transition rows, built on first use from the law
+        at each member state, or from the scope arithmetic under a
+        ``ScopeLaw``."""
         if i not in self._rows:
             if self.scoped is not None:
                 self._rows[i] = self._scope_rows(i)
             else:
-                members = [k for k, present in enumerate(self.present) if i in present]
-                self._rows[i] = self.transition_rows(members, lambda s: self.dist(i, s),
-                                                     f"flaw {i}")
+                self._rows[i] = self.transition_rows(self.members[i].tolist(),
+                                                     partial(self._law, i), f"flaw {i}")
         return self._rows[i]
 
     def _scope_rows(self, i: int) -> TransitionRows:
@@ -247,7 +247,7 @@ class StateSpace:
         each member's scope digits cleared, plus every scope assignment in
         ``product`` order.  Refused past ``ROW_ENTRY_BUDGET`` entries
         before anything is allocated."""
-        law, members = self.scoped, self._members[i]
+        law, members = self.scoped, self.members[i]
         scope = law.scopes[i]
         width = law.domain ** len(scope)
         if members.size * width > ROW_ENTRY_BUDGET:
@@ -300,24 +300,14 @@ class TransitionRows(NamedTuple):
 
 
 def capped_space(problem: SearchProblem, cap: int, refusal: str) -> StateSpace:
-    """``problem.space``, refused with ``refusal`` past ``cap`` states.  A
-    space not yet built is refused after drawing at most ``cap + 1``
-    states, before any flaw scan, or under a ``ScopeLaw`` before any;
-    one that fits is cached where ``problem.space`` keeps it."""
-    space = problem.__dict__.get("space")
-    if space is None:
-        if problem.enumerate_states is None:
-            raise LllError("exact computation requires oracle mode")
-        law = scope_law(problem)
-        if law is not None and law.domain ** law.num_vars > cap:
-            raise LllError(refusal)
-        states = list(islice(problem.enumerate_states(), cap + 1))
-        if len(states) > cap:
-            raise LllError(refusal)
-        space = problem.__dict__["space"] = StateSpace(problem, states)
-    if len(space.states) > cap:
+    """``problem.space``, refused with ``refusal`` past a cap below
+    ``STATE_CAP``: before any flaw scan when not yet built, and a space
+    that fits is cached where ``problem.space`` keeps it."""
+    if "space" not in problem.__dict__ and cap < STATE_CAP:
+        problem.__dict__["space"] = StateSpace(problem, cap, refusal)
+    if len(problem.space.states) > cap:
         raise LllError(refusal)
-    return space
+    return problem.space
 
 
 @dataclass(frozen=True)
@@ -568,11 +558,8 @@ def all_charges(problem: SearchProblem) -> list[float]:
 
 def measure_of_flaws(problem: SearchProblem) -> list[float]:
     """mu summed in state order over the states holding each flaw."""
-    held: list[list[float]] = [[] for _ in range(problem.num_flaws)]
-    for w, present in zip(problem.space.mu_vector.tolist(), problem.space.present):
-        for i in present:
-            held[i].append(w)
-    return [sum(ws) for ws in held]
+    mu = problem.space.mu_vector
+    return [sum(mu[ids].tolist()) for ids in problem.space.members]
 
 
 def computed_init_ratio(problem: SearchProblem) -> float:
@@ -581,16 +568,11 @@ def computed_init_ratio(problem: SearchProblem) -> float:
         return problem.init_ratio
     if problem.init_distribution is None or problem.enumerate_states is None:
         raise LllError("init ratio unknown; supply init_distribution or init_ratio")
-    mu = problem.space.mu
-    worst = 0.0
-    for s in problem.space.states:
-        th = problem.init_distribution(s)
-        if th == 0.0:
-            continue
-        if mu[s] <= 0.0:
-            raise LllError("measure support violation")
-        worst = max(worst, th / mu[s])
-    return worst
+    mu = problem.space.mu_vector
+    theta = np.array([problem.init_distribution(s) for s in problem.space.states], dtype=float)
+    if np.any((theta != 0.0) & (mu <= 0.0)):
+        raise LllError("measure support violation")
+    return float((theta[theta != 0.0] / mu[theta != 0.0]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +583,14 @@ def validate_problem(problem: SearchProblem) -> None:
     """Exhaustive invariant check for enumerable instances.
 
     Verifies that the causality graph is symmetric, a declared
-    ``flaws_present`` (or, under a ``ScopeLaw``, the present lists read
-    off the scope tables) lists exactly the flaws ``present`` finds at
-    every state, a declared ``action_distribution`` has the support of
-    the sampler's replayed law and its probabilities within ``PROB_TOL``,
-    action distributions sum to one on every (flaw, member state) and stay
-    inside the enumerated states, and the causality cover holds: every arc
-    that leaves a flaw present-but-new (or re-present) lands the causing
-    flaw in the target flaw's neighborhood.  A declared ``affects`` must
+    ``flaws_present`` (or, under a ``ScopeLaw``, the members read off the
+    scope tables) lists exactly the flaws ``present`` finds at every
+    state, each flaw's transition rows have the support of the sampler's
+    replayed law and its probabilities within ``PROB_TOL`` when a law is
+    declared, sum to one on every member state and stay inside the
+    enumerated states, and the causality cover holds: every arc that
+    leaves a flaw present-but-new (or re-present) lands the causing flaw
+    in the target flaw's neighborhood.  A declared ``affects`` must
     return, for every enumerated transition (s, t) of flaw i, a set that
     contains i and every flaw whose presence differs between s and t.
     """
@@ -617,44 +599,46 @@ def validate_problem(problem: SearchProblem) -> None:
     affects = problem.affects
     if problem.enumerate_states is None:
         return
-    space = problem.space
+    space, states = problem.space, problem.space.states
     source = "flaws_present lists" if space.scoped is None else "scope tables list"
     scan = problem.flaws_present is not None or space.scoped is not None
-    for s, listed in zip(space.states, space.present):
+    present: list[list[int]] = [[] for _ in states]
+    for i, ids in enumerate(space.members):
+        for k in ids.tolist():
+            present[k].append(i)
+    for k, (s, listed) in enumerate(zip(states, present)):
         if scan:
             scanned = [j for j in range(m) if problem.present(j, s)]
             if listed != scanned:
                 raise LllError(f"{source} {listed} where present finds {scanned}")
         for i in listed:
-            dist = space.dist(i, s)
+            rows = space.rows(i)
+            lo, hi = rows.indptr[k], rows.indptr[k + 1]
+            row = list(zip(rows.targets[lo:hi].tolist(), rows.probs[lo:hi].tolist()))
             if problem.action_distribution is not None:
+                dist = {states[t]: p for t, p in row}
                 replayed = exact_distribution(problem.sample_action, i, s)
                 if {t for t, p in dist.items() if p > 0} != replayed.keys() or any(
                         abs(dist[t] - p) > PROB_TOL for t, p in replayed.items()):
                     raise LllError(f"inconsistent actions: flaw {i} at {s!r} declares a law "
                                    "its sampler does not follow")
-            if not dist:
+            if not row:
                 raise LllError(f"flaw {i} has empty action set")
-            total = sum(dist.values())
+            total = sum(p for _, p in row)
             if abs(total - 1.0) > PROB_TOL:
                 raise LllError(f"action probabilities for flaw {i} sum to {total}")
             gamma_i = problem.graph.adj[i]
-            for t, p in dist.items():
+            for t, p in row:
                 if p <= 0:
                     continue
-                k = space.index.get(t)
-                if k is None:
-                    raise LllError(f"flaw {i} leads outside the enumerated states")
-                after = space.present[k]
+                after = present[t]
                 if affects is not None:
-                    touched = frozenset(affects(i, s, t))
+                    touched = frozenset(affects(i, s, states[t]))
                     if i not in touched:
                         raise LllError(f"affects({i}) must include {i}")
                     outside = (frozenset(listed) ^ frozenset(after)) - touched
                     if outside:
-                        raise LllError(
-                            f"affects cover violated: flaw {i} changes {min(outside)}"
-                        )
+                        raise LllError(f"affects cover violated: flaw {i} changes {min(outside)}")
                 for j in after:
                     if (j == i or j not in listed) and j not in gamma_i:
                         raise LllError(f"causality cover violated: flaw {i} introduces {j}")

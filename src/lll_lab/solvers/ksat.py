@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from ..core import LllError, SearchProblem
+from ..core import STATE_CAP, LllError, SearchProblem
 from ..criteria import BacktrackChargeTable
 from .variables import backtracking_setting, variable_setting
 
@@ -92,7 +92,7 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
 
     Flaws are clauses; actions redraw the clause's variables uniformly, so
     the actions form a perfect resampler and the charge is exactly 2^-k.
-    Enumeration is exposed for instances small enough to table.
+    Enumeration is exposed while the 2^n states fit ``STATE_CAP`` (n <= 19).
     """
     if not cnf.clauses:
         raise LllError("formula needs at least one clause")
@@ -104,7 +104,7 @@ def ksat_mt(cnf: CnfInstance) -> SearchProblem:
         # seed's output depends on that
         draw=lambda rng: 1 if rng.coin() else 0,
         canon=bytes,
-        enumerable=cnf.num_vars <= 22,
+        enumerable=2 ** cnf.num_vars <= STATE_CAP,
         declared_charges=tuple(0.5 ** len(c) for c in cnf.clauses),
         flaw_labels=tuple(f"c{i}" for i in range(m)),
         metadata={"cnf": cnf},

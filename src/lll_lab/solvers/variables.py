@@ -24,7 +24,7 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
     uniform over ``range(domain)``: the exact distributions, the product
     measure and ``init_ratio = 1`` assume it.  The product law over the
     scope is declared as a ``core.ScopeLaw``, from which oracle mode builds
-    the present lists and transition rows by arithmetic on state ids.  The
+    the flaw members and transition rows by arithmetic on state ids.  The
     states are enumerated only when ``enumerable``; ``declared`` holds the
     remaining fields."""
     graph = DependencyGraph.from_scopes(scopes)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lll_lab import chain
+from lll_lab import chain, core
 from lll_lab.analysis import (
     PartialAvoidanceConfig,
     build_oracle,
@@ -152,7 +152,7 @@ def test_run_many_takes_the_chain_path_from_the_declared_priority(monkeypatch):
     problem = ksat_mt(CnfInstance(3, ((1, 2), (1, 3))))  # both violated at 000
     run_many(problem, runs=50, seed=3, strategy=ReverseIndexStrategy())
     (tables,) = built
-    present = problem.space.present
+    present = [problem.present_flaws(s) for s in problem.space.states]
     assert [0, 1] in present
     assert tables.chosen_flaw.tolist() == [max(p) if p else -1 for p in present]
     run_many(problem, runs=50, seed=3, strategy=RecencyStrategy())
@@ -279,6 +279,28 @@ def test_event_probability_flaw_consistency(two_clause_mt):
     assert report["all_pass"]
 
 
+def test_event_suite_builds_the_event_rows_once():
+    """The event is a copy of clause 0 with no arc to clause 1, so the
+    commutativity check of the extension builds the event's rows; the
+    charge is read off them, equal to ``event_charge`` on the base."""
+    from collections import Counter
+
+    from lll_lab.core import event_charge
+
+    problem = ksat_mt(CnfInstance(4, ((1, 2), (3, 4))))
+    event = lambda s: problem.present(0, s)
+    calls = Counter()
+
+    def event_actions(s):
+        calls[s] += 1
+        return problem.action_distribution(0, s)
+
+    report = check_event_probability(problem, event, event_actions, event_neighbors=[0],
+                                     psi=[0.3, 0.3], runs=200, seed=4)
+    assert calls == Counter({s: 1 for s in problem.space.states if event(s)})
+    assert report["charge"] == event_charge(problem, event, event_actions) == 0.25
+
+
 def test_event_probability_whole_space_trivial(two_clause_mt):
     report = check_event_probability(
         two_clause_mt, event=lambda s: True, psi=[0.25, 0.25], runs=2_000, seed=6,
@@ -321,7 +343,7 @@ def test_output_distribution_refuses_past_state_cap(two_clause_mt, monkeypatch):
         raise AssertionError("sampled before refusing")
 
     monkeypatch.setattr(analysis, "run_many", run_many)
-    monkeypatch.setattr(analysis, "STATE_CAP", len(two_clause_mt.space.states) - 1)
+    monkeypatch.setattr(core, "STATE_CAP", 2 ** two_clause_mt.metadata["cnf"].num_vars - 1)
     with pytest.raises(LllError, match="state space exceeds oracle cap"):
         output_distribution(two_clause_mt, psi=[0.25, 0.25], runs=10)
 
@@ -336,8 +358,6 @@ def test_state_caps_refuse_before_enumerating(monkeypatch, refuse):
     its 4,096 states."""
     import dataclasses
 
-    import lll_lab.analysis as analysis
-
     problem = ksat_mt(CnfInstance(12, tuple((v, v + 1, v + 2) for v in range(1, 11))))
     drawn = 0
 
@@ -347,7 +367,7 @@ def test_state_caps_refuse_before_enumerating(monkeypatch, refuse):
             drawn += 1
             yield s
 
-    monkeypatch.setattr(analysis, "STATE_CAP", 10)
+    monkeypatch.setattr(core, "STATE_CAP", 10)
     with pytest.raises(LllError, match="state space"):
         refuse(dataclasses.replace(problem, enumerate_states=counting_enumerate))
     assert drawn <= 11

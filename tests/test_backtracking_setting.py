@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import pytest
 
-from lll_lab.core import validate_problem
+from lll_lab.core import action_law, validate_problem
 from lll_lab.criteria import DependencyGraph
 from lll_lab.rng import exact_distribution, source_for_run
 from lll_lab.solvers import GraphInstance, aec_backtrack, ksat_backtrack, ksat_backtrack_biased
@@ -294,9 +294,10 @@ def test_cases_cover_backtracks():
     for name, problem, _ in CASES:
         if problem.enumerate_states is None:
             continue
-        for s, present in zip(problem.space.states, problem.space.present):
-            for i in present:
-                if any(t[i] == s[i] for t in problem.space.dist(i, s)):
+        law = action_law(problem)
+        for s in problem.space.states:
+            for i in problem.present_flaws(s):
+                if any(t[i] == s[i] for t in law(i, s)):
                     backtracked.add(name.split("-")[0])
     assert backtracked == {"ksat", "biased", "aec"}
 

@@ -177,6 +177,27 @@ def test_verify_resamples_small(tmp_path, capsys):
     assert doc["all_pass"]
 
 
+def test_verify_resamples_past_the_state_cap_runs_steps(tmp_path, capsys, monkeypatch):
+    """2^20 assignments exceed ``core.STATE_CAP``: ``ksat-mt`` does not
+    enumerate them, and the suite samples on the step runner."""
+    from lll_lab import core
+    from lll_lab.formats import parse_dimacs
+    from lll_lab.solvers import ksat_mt
+
+    def no_space(*args):
+        raise AssertionError("built a state space")
+
+    monkeypatch.setattr(core, "StateSpace", no_space)
+    clauses = "".join(f"{v} -{v + 1} {v + 2} 0\n" for v in range(1, 19, 3)) + "18 19 -20 0\n"
+    text = f"p cnf 20 7\n{clauses}"
+    assert ksat_mt(parse_dimacs(text)).enumerate_states is None
+    cnf = write(tmp_path, "f.cnf", text)
+    code, out, _ = run_cli(["verify", "ksat-mt", cnf, "--suite", "resamples", "--runs", "200",
+                            "--seed", "1", "--psi", "0.3"], capsys)
+    assert code == 0
+    assert json.loads(out)["all_pass"]
+
+
 def test_verify_witness_small(tmp_path, capsys):
     cnf = write(tmp_path, "f.cnf", "p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
     code, out, _ = run_cli(

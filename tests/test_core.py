@@ -6,6 +6,7 @@ import pytest
 
 from lll_lab.core import (
     LllError,
+    SearchProblem,
     all_charges,
     charge,
     computed_init_ratio,
@@ -196,7 +197,7 @@ def test_validate_catches_partial_flaws_present():
 
 
 def test_state_space_is_shared_and_holds_no_problem():
-    """One enumeration per problem, memoized distributions, and no
+    """One enumeration per problem, members as state ids, and no
     reference cycle: the problem is freed without the cyclic collector."""
     import gc
     import weakref
@@ -204,8 +205,7 @@ def test_state_space_is_shared_and_holds_no_problem():
     p = ksat_mt(CnfInstance(3, ((1, 2, 3), (-1, -2, 3))))
     space = p.space
     assert p.space is space and space.states[space.index[(1, 0, 1)]] == (1, 0, 1)
-    assert space.present[space.index[(0, 0, 0)]] == [0]
-    assert space.dist(0, (0, 0, 0)) is space.dist(0, (0, 0, 0))
+    assert [i for i, ids in enumerate(space.members) if space.index[(0, 0, 0)] in ids] == [0]
     assert sum(space.mu.values()) == pytest.approx(1.0)
     ref = weakref.ref(p)
     gc.disable()
@@ -416,3 +416,22 @@ def test_causality_cover_all_shipped_solvers():
     ]
     for p in problems:
         validate_problem(p)
+
+
+def test_exact_statistics_refuses_a_chain_never_absorbed():
+    """(¬x1) ∧ (x1) has no flawless state, so no run is ever absorbed."""
+    from lll_lab import chain
+
+    tables = chain.build_chain_tables(ksat_mt(CnfInstance(2, ((-1,), (1,)))))
+    with pytest.raises(LllError, match="^the chain is never absorbed: no absorbing state is "
+                                       "reachable from 4 of its 4 transient states$"):
+        chain.exact_statistics(tables)
+    # state 1 steps to itself forever; state 0 steps to the flawless state 2
+    stuck = SearchProblem(
+        present=lambda i, s: s < 2, sample_action=lambda i, s, rng: s,
+        action_distribution=lambda i, s: {2 if s == 0 else 1: 1.0},
+        graph=DependencyGraph.from_edges(1, [], self_loops=[0]), sample_init=lambda rng: 0,
+        canon=lambda s: bytes([s]), enumerate_states=lambda: range(3),
+        init_distribution=lambda s: 1.0 if s == 0 else 0.0)
+    with pytest.raises(LllError, match="reachable from 1 of its 2 transient states$"):
+        chain.exact_statistics(chain.build_chain_tables(stuck))

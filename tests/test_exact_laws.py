@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 from lll_lab.analysis import PartialAvoidanceConfig, extend_with_event, labeled_problem
-from lll_lab.core import LllError, validate_problem
+from lll_lab.core import LllError, action_law, validate_problem
 from lll_lab.formats import generate_colored_clique
 from lll_lab.rng import exact_distribution, source_for_run
 from lll_lab.solvers import (CnfInstance, GraphInstance, aec_backtrack, ksat_backtrack,
@@ -92,7 +92,7 @@ def reference_labeled_law(problem, cfg):
         s, labels = st
         out = {}
         p_keep = cfg.keep_probs[i]
-        for t, p in problem.space.dist(i, s).items():
+        for t, p in action_law(problem)(i, s).items():
             if p_keep > 0.0:
                 out[(t, labels | (1 << i))] = out.get((t, labels | (1 << i)), 0.0) + p * p_keep
             if p_keep < 1.0:
@@ -105,9 +105,8 @@ def reference_labeled_law(problem, cfg):
 
 def replayed_laws(problem):
     """(flaw, state, replayed law) at every enumerated (flaw, state) pair."""
-    space = problem.space
-    for s, present in zip(space.states, space.present):
-        for i in present:
+    for s in problem.space.states:
+        for i in problem.present_flaws(s):
             yield i, s, exact_distribution(problem.sample_action, i, s)
 
 
@@ -182,7 +181,7 @@ def test_biased_backtracking_draws_one_with_one_minus_p0():
     p0 = 0.8
     problem = ksat_backtrack_biased(CNF, [{0: p0, 1: 0.2}] * CNF.num_vars)
     blank = bytes([UNSET]) * CNF.num_vars
-    law = problem.space.dist(0, blank)
+    law = action_law(problem)(0, blank)
     assert bits(law) == [(bytes([0]) + blank[1:], p0.hex()),
                          (bytes([1]) + blank[1:], (1 - p0).hex())]
     assert (1 - p0) != 0.2

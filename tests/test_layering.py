@@ -4,7 +4,8 @@ Each module of ``src/lll_lab`` is parsed with ``ast``, not imported.  Its
 module-level imports of package modules (under ``if`` and ``try`` blocks
 too) must form a DAG, so no module needs a function-level import to break
 a cycle; function-level package imports are left only where a command or
-a pipeline loads a later layer on use.
+a pipeline loads a later layer on use.  Oracle mode has one entry: only
+``core`` enumerates a problem's states.
 """
 
 import ast
@@ -121,3 +122,36 @@ def test_function_level_package_imports_only_on_use():
 def test_no_module_uses_type_checking():
     assert [module for module, (_, _, names_it) in SCANS.items() if names_it] == []
 
+
+
+def enumeration_calls(module: str) -> list[tuple[str | None, int]]:
+    """(innermost enclosing function, line) of every call of an
+    ``enumerate_states`` attribute in a module."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "enumerate_states"):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(MODULES[module].read_text()), None)
+    return found
+
+
+def test_only_core_enumerates_states():
+    """Outside ``core``, where ``problem.space`` applies the state cap, a
+    problem's states are enumerated only by a problem that wraps its
+    base, inside its own ``enumerate_states``."""
+    calls = {module: enumeration_calls(module) for module in MODULES}
+    # the scan is not vacuous: core builds the space from the enumeration,
+    # and the labeled problem wraps its base's
+    assert calls["lll_lab.core"]
+    assert "enumerate_states" in [function for function, _ in calls["lll_lab.analysis"]]
+    stray = [(module, function, line) for module, found in calls.items()
+             if module != "lll_lab.core"
+             for function, line in found if function != "enumerate_states"]
+    assert stray == []

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from lll_lab import chain, core
 from lll_lab.analysis import PartialAvoidanceConfig, labeled_problem
-from lll_lab.core import (LllError, SearchProblem, all_charges, charge, event_charge,
-                          measure_of_flaws)
+from lll_lab.core import (LllError, SearchProblem, action_law, all_charges, charge,
+                          event_charge, measure_of_flaws)
 from lll_lab.criteria import DependencyGraph
 from lll_lab.solvers import (CnfInstance, GraphInstance, ksat_backtrack, ksat_mt,
                              vertex_coloring_greedy)
@@ -83,6 +83,11 @@ def problem_named(name):
 # references: the per-state dictionary loops
 
 
+def scanned(problem):
+    """Each state's present flaws, from ``present_flaws`` at every state."""
+    return [problem.present_flaws(s) for s in problem.space.states]
+
+
 def reference_charge(space, members, dist_of):
     incoming = {}
     for s in members:
@@ -101,11 +106,12 @@ def reference_tables(problem, priority=None, flaw_subset=None):
     space = problem.space
     states, index = space.states, space.index
     n = len(states)
+    law = action_law(problem)
     rank = {f: r for r, f in enumerate(priority)} if priority is not None else None
     absorbing = np.zeros(n, dtype=bool)
     chosen = np.full(n, -1, dtype=np.int64)
     rows = {}
-    for k, (s, present) in enumerate(zip(states, space.present)):
+    for k, (s, present) in enumerate(zip(states, scanned(problem))):
         if flaw_subset is not None:
             present = [i for i in present if i in flaw_subset]
         if not present:
@@ -113,7 +119,7 @@ def reference_tables(problem, priority=None, flaw_subset=None):
             continue
         i = min(present, key=(lambda f: rank[f]) if rank is not None else (lambda f: f))
         chosen[k] = i
-        dist = space.dist(i, s)
+        dist = law(i, s)
         targets = np.array([index[t] for t in dist], dtype=np.int64)
         probs = np.array(list(dist.values()), dtype=float)
         total = probs.sum()
@@ -139,17 +145,18 @@ def reference_commutativity(problem, max_violations=3):
     """(commutative, checked_pairs) from the per-path product buckets,
     stopping at the ``max_violations``-th flaw pair that does not commute."""
     space = problem.space
-    present_map = dict(zip(space.states, space.present))
+    present_map = dict(zip(space.states, scanned(problem)))
+    law = action_law(problem)
 
     def two_step_products(i, j):
         out = {}
         for s1 in space.states:
             if i not in present_map[s1]:
                 continue
-            for s2, p12 in space.dist(i, s1).items():
+            for s2, p12 in law(i, s1).items():
                 if p12 <= 0 or j not in present_map[s2]:
                     continue
-                for s3, p23 in space.dist(j, s2).items():
+                for s3, p23 in law(j, s2).items():
                     if p23 <= 0:
                         continue
                     bucket = out.setdefault((s1, s3), {})
@@ -178,7 +185,7 @@ def reference_commutativity(problem, max_violations=3):
 def perturbed(problem, flaw, state, delta):
     """``problem`` with ``delta`` of flaw ``flaw``'s probability at
     ``state`` moved from its first outcome to its last."""
-    base = problem.space.dist
+    base = action_law(problem)
 
     def action_distribution(i, s):
         dist = base(i, s)
@@ -199,16 +206,18 @@ def perturbed(problem, flaw, state, delta):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_rows_reproduce_every_distribution_in_order(name):
     problem = problem_named(name)
-    space = problem.space
+    space, law, present_lists = problem.space, action_law(problem), scanned(problem)
     for i in range(problem.num_flaws):
+        assert space.members[i].dtype == np.int64
+        assert space.members[i].tolist() == [k for k, p in enumerate(present_lists) if i in p]
         rows = space.rows(i)
         assert rows.indptr.size == len(space.states) + 1
-        for k, (s, present) in enumerate(zip(space.states, space.present)):
+        for k, (s, present) in enumerate(zip(space.states, present_lists)):
             lo, hi = rows.indptr[k], rows.indptr[k + 1]
             if i not in present:
                 assert lo == hi
                 continue
-            dist = space.dist(i, s)
+            dist = law(i, s)
             assert [space.states[t] for t in rows.targets[lo:hi].tolist()] == list(dist)
             assert rows.probs[lo:hi].tolist() == list(dist.values())
 
@@ -216,13 +225,13 @@ def test_rows_reproduce_every_distribution_in_order(name):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_charges_and_measures_equal_the_dictionary_loops(name):
     problem = problem_named(name)
-    space = problem.space
-    expected = [reference_charge(space, [s for s, p in zip(space.states, space.present) if i in p],
-                                 lambda s, i=i: space.dist(i, s))
+    space, law, present_lists = problem.space, action_law(problem), scanned(problem)
+    expected = [reference_charge(space, [s for s, p in zip(space.states, present_lists) if i in p],
+                                 lambda s, i=i: law(i, s))
                 for i in range(problem.num_flaws)]
     assert all_charges(problem) == expected
     assert measure_of_flaws(problem) == [
-        sum(space.mu[s] for s, p in zip(space.states, space.present) if i in p)
+        sum(space.mu[s] for s, p in zip(space.states, present_lists) if i in p)
         for i in range(problem.num_flaws)]
     event = lambda s: space.index[s] % 3 == 0
     dense = lambda s: space.mu
@@ -276,7 +285,7 @@ def test_commutativity_equals_the_bucket_check(name):
 def test_one_perturbed_probability_equals_the_bucket_check(data, name, delta):
     base = problem_named(name)
     flaw = data.draw(st.integers(0, base.num_flaws - 1))
-    members = [s for s, p in zip(base.space.states, base.space.present) if flaw in p]
+    members = [s for s, p in zip(base.space.states, scanned(base)) if flaw in p]
     state = data.draw(st.sampled_from(members))
     problem = perturbed(base, flaw, state, delta)
     report = check_commutativity(problem)

@@ -50,9 +50,10 @@ def test_array_space_equals_the_dictionary_space(problem, data):
     reference = dictionary_built(problem)
     space, ref = problem.space, reference.space
     assert space.scoped is problem.action_distribution and ref.scoped is None
-    assert space.present == ref.present
     m = problem.num_flaws
     for i in range(m):
+        got, want = space.members[i], ref.members[i]
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
         for got, want in zip(space.rows(i), ref.rows(i)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
     priority = data.draw(st.permutations(range(m)))
@@ -135,4 +136,27 @@ def test_validate_catches_a_present_that_reads_outside_its_scope():
     with pytest.raises(LllError, match=r"^scope tables list \[\] where present finds \[1\]$"):
         validate_problem(reads_x1)
     # the dictionary path scans every state with ``present`` itself
-    assert dictionary_built(reads_x1).space.present[-1] == [1]
+    assert 7 not in reads_x1.space.members[1]
+    assert 7 in dictionary_built(reads_x1).space.members[1]
+
+
+def test_validate_reads_the_array_built_rows(monkeypatch):
+    """One wrong target in flaw 0's array-built row: the charge and the
+    chain read that row, so ``validate_problem`` checks it, not the law."""
+    cnf = CnfInstance(3, ((1, 2, 3), (-1, 2)))
+    validate_problem(ksat_mt(cnf))
+    scope_rows = core.StateSpace._scope_rows
+
+    def one_wrong_target(self, i):
+        rows = scope_rows(self, i)
+        if i == 0:  # (0, 0, 0) steps to (0, 0, 1) where the law says (0, 0, 0)
+            rows = rows._replace(targets=np.where(np.arange(rows.targets.size) == 0, 1,
+                                                  rows.targets))
+        return rows
+
+    monkeypatch.setattr(core.StateSpace, "_scope_rows", one_wrong_target)
+    wrong = ksat_mt(cnf)
+    assert core.charge(wrong, 0) == 0.25 and wrong.declared_charges[0] == 0.125
+    with pytest.raises(LllError, match=r"^inconsistent actions: flaw 0 at \(0, 0, 0\) declares "
+                                       r"a law its sampler does not follow$"):
+        validate_problem(wrong)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lll_lab.core import LllError, charge, run
+from lll_lab.core import LllError, action_law, charge, run
 from lll_lab.criteria import backtracking_criterion
 from lll_lab.rng import source_for_run
 from lll_lab.solvers import CnfInstance, ksat_backtrack, ksat_backtrack_biased, ksat_mt
@@ -170,7 +170,7 @@ def exact_backtrack_charges(problem):
     got: dict = {}
     for s in problem.space.states:
         for i in problem.present_flaws(s):
-            for t, p in problem.space.dist(i, s).items():
+            for t, p in action_law(problem)(i, s).items():
                 before = problem.unassigned(s)
                 after = problem.unassigned(t)
                 intro = frozenset(after - (before - {f"x{i+1}"}))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lll_lab.core import LllError, all_charges, run, validate_problem
+from lll_lab.core import LllError, action_law, all_charges, run, validate_problem
 from lll_lab.criteria import cluster_expansion_check
 from lll_lab.formats import generate_colored_clique
 from lll_lab.rng import source_for_run
@@ -80,7 +80,7 @@ def test_resampler_is_exactly_uniform_on_k6():
     tv += 0.5 * (15 - len(counts)) / 15
     assert tv < 0.02
     # and the exact distribution is uniform exactly
-    dist = p.space.dist(0, start)
+    dist = action_law(p)(0, start)
     assert len(dist) == 15
     assert all(abs(v - 1 / 15) < 1e-12 for v in dist.values())
 

@@ -179,9 +179,10 @@ def test_port_matches_the_hand_written_closures(problem, ref, q):
 
 
 def test_enumeration_follows_the_declared_bound():
-    wide = CnfInstance(23, ((1, 2, 3),))
+    # 2^20 states exceed ``core.STATE_CAP``, which ``problem.space`` enforces
+    wide = CnfInstance(20, ((1, 2, 3),))
     assert ksat_mt(wide).enumerate_states is None
-    assert ksat_mt(CnfInstance(22, ((1, 2, 3),))).enumerate_states is not None
+    assert ksat_mt(CnfInstance(19, ((1, 2, 3),))).enumerate_states is not None
     path = lambda n: GraphInstance.from_edge_list(n + 1, [(v, v + 1) for v in range(n)])
     assert aec_clique_mt(path(12), 3)[0].enumerate_states is None  # 3^12 > 400,000
     assert aec_clique_mt(path(11), 3)[0].enumerate_states is not None
