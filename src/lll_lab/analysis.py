@@ -15,19 +15,16 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import chain
+from . import chain, core
 from .core import (
     DEFAULT_MAX_STEPS,
     LllError,
-    STATE_CAP,
     RunReport,
     SearchProblem,
     action_law,
     all_charges,
-    capped_space,
     charge,
     computed_init_ratio,
-    make_strategy,
     measure_of_flaws,
     recommended_strategy,
     run,
@@ -41,6 +38,8 @@ from .criteria import (
     shearer_polynomials,
 )
 from .solvers.coloring import ball, coloring_is_proper_vertex, local_weight_bound
+from .solvers.matchings import (EdgeColoredClique, partial_weight, rainbow_matching,
+                                rainbow_partial_bound, strip_conflicts)
 from .witness import (
     CommutativityReport,
     check_commutativity,
@@ -78,12 +77,18 @@ def proportion_se(p_hat: float, n: int) -> float:
     return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n) if n else float("inf")
 
 
-def mean_se(values) -> tuple[float, float]:
-    """Sample mean and its standard error.  Refuses fewer than two
-    samples: their spread, and so the verdict's slack, is undefined."""
-    values = np.asarray(values)
-    if len(values) < 2:
+def refuse_single_run(runs: int) -> None:
+    """Refuse a mean over fewer than two runs: their spread, and so the
+    verdict's slack, is undefined.  Mean-based suites call it before
+    sampling."""
+    if runs < 2:
         raise LllError("a mean needs at least two runs to estimate its standard error")
+
+
+def mean_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error (``refuse_single_run`` first)."""
+    values = np.asarray(values)
+    refuse_single_run(len(values))
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
@@ -107,6 +112,27 @@ def wilson_interval(successes: int, n: int, z: float = SE_SLACK) -> tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def problem_charges(problem: SearchProblem) -> list[float]:
+    """The charges every suite reads: the problem's ``declared_charges``,
+    else the exact ones (oracle mode)."""
+    if problem.declared_charges is not None:
+        return list(problem.declared_charges)
+    return all_charges(problem)
+
+
+def problem_weights(problem: SearchProblem, psi: Sequence[float] | None,
+                    refusal: str) -> list[float]:
+    """``psi``, else the prewired ``default_weights``; refused with
+    ``refusal`` when neither is given, and refused unless positive."""
+    if psi is None:
+        psi = problem.default_weights
+    if psi is None:
+        raise LllError(refusal)
+    if not all(w > 0 for w in psi):
+        raise LllError("weights must be positive")
+    return list(psi)
+
+
 # ---------------------------------------------------------------------------
 # oracle tables
 
@@ -124,11 +150,11 @@ class OracleTables:
     graph: DependencyGraph
 
 
-def build_oracle(problem: SearchProblem, state_cap: int = STATE_CAP) -> OracleTables:
+def build_oracle(problem: SearchProblem) -> OracleTables:
     """Exact tables for an enumerable problem: normalized measure, the
     flawless set and conditioned distribution, exact charges, and the
     signed independent-set polynomials when the flaw count permits."""
-    space = capped_space(problem, state_cap, "state space exceeds oracle cap")
+    space = problem.space
     states, mu = space.states, space.mu
     flawed = np.zeros(len(states), dtype=bool)
     for ids in space.members:
@@ -153,15 +179,14 @@ def iter_runs(
     problem: SearchProblem,
     run_indices: Iterable[int],
     seed: int,
-    strategy=None,
     max_steps: int = DEFAULT_MAX_STEPS,
     record_trajectory: bool = False,
 ) -> Iterator[RunReport]:
     """One ``run`` report per run index, in order; the package's only loop
-    over run indices.  The strategy (by default the problem's recommended
-    one) is resolved once; ``run`` resets it at the start of every run,
-    whose stream is keyed by (seed, run index)."""
-    strategy = recommended_strategy(problem) if strategy is None else make_strategy(strategy)
+    over run indices.  The problem's recommended strategy is resolved
+    once; ``run`` resets it at the start of every run, whose stream is
+    keyed by (seed, run index)."""
+    strategy = recommended_strategy(problem)
     for r in run_indices:
         yield run(problem, strategy, max_steps, seed, r, record_trajectory=record_trajectory)
 
@@ -212,18 +237,17 @@ def run_many(
     problem: SearchProblem,
     runs: int,
     seed: int,
-    strategy=None,
     max_steps: int = DEFAULT_MAX_STEPS,
     collect_sequences: bool = False,
     use_chain: bool | None = None,
 ) -> BatchStats:
-    """Sample independent runs; uses the exact-chain sampler when the
-    problem enumerates and the strategy is state-deterministic, else the
-    step-by-step runner (``iter_runs``).  Either way, no per-run state or
-    sequence outlives the reducers of ``BatchStats``."""
-    strategy = recommended_strategy(problem) if strategy is None else make_strategy(strategy)
+    """Sample independent runs under the problem's recommended strategy;
+    uses the exact-chain sampler when the problem enumerates and the
+    strategy is state-deterministic, else the step-by-step runner
+    (``iter_runs``).  Either way, no per-run state or sequence outlives
+    the reducers of ``BatchStats``."""
     # the chain needs a choice that is a fixed order of the flaws
-    prio = strategy.priority(problem.num_flaws)
+    prio = recommended_strategy(problem).priority(problem.num_flaws)
     chain_ok = (
         problem.enumerate_states is not None
         and problem.init_distribution is not None
@@ -249,7 +273,7 @@ def run_many(
     counts = np.zeros((runs, problem.num_flaws), dtype=np.int32)
     finals: dict = {}
     sequences: dict | None = {} if collect_sequences else None
-    reports = iter_runs(problem, range(runs), seed, strategy, max_steps,
+    reports = iter_runs(problem, range(runs), seed, max_steps,
                         record_trajectory=collect_sequences)
     # filled row by row, so no report outlives its run: holding every
     # report's count tuple until the end grows peak memory with the runs
@@ -290,11 +314,9 @@ def uncensored(reports: Iterable[RunReport], op: str) -> Iterator[RunReport]:
 
 def check_witness_tree_lemma(
     problem: SearchProblem,
-    strategy=None,
     runs: int = 10**5,
     max_tree_nodes: int = 3,
     seed: int = 0,
-    charges: Sequence[float] | None = None,
 ) -> dict:
     """Empirical occurrence frequency of every witness tree up to the node
     cap against its charge-product bound lambda_init * prod gamma.
@@ -309,14 +331,13 @@ def check_witness_tree_lemma(
             "Harvey-Vondrak counterexample for resampling oracles)"
         )
     graph = problem.graph
-    if charges is None:
-        charges = problem.declared_charges or all_charges(problem)
+    charges = problem_charges(problem)
     lam = computed_init_ratio(problem)
     trees = [tw for root in range(problem.num_flaws)
-             for tw in enumerate_witness_trees(root, graph, list(charges), max_tree_nodes)]
+             for tw in enumerate_witness_trees(root, graph, charges, max_tree_nodes)]
     if not trees:
         raise LllError(f"no witness trees with at most {max_tree_nodes} nodes to check")
-    stats = run_many(problem, runs, seed, strategy, collect_sequences=True)
+    stats = run_many(problem, runs, seed, collect_sequences=True)
     canon_to_slot = {t.canonical(): k for k, (t, _) in enumerate(trees)}
     hits = np.zeros(len(trees), dtype=np.int64)
     # the tree of step k reads only the prefix seq[:k], so each distinct
@@ -357,38 +378,35 @@ def check_resample_bounds(
     runs: int = 10**5,
     seed: int = 0,
     mode: str = "cluster",
-    strategy=None,
-    charges: Sequence[float] | None = None,
     total_bound: float | None = None,
     sample: Callable[[], BatchStats] | None = None,
     zeta_override: Mapping[int, float] | None = None,
 ) -> dict:
     """Mean per-flaw address counts against lambda_init * psi_i (cluster
     mode) or lambda_init * q_i/q_empty (shearer mode); refuses when the
-    matching criterion fails, before sampling, and when a run is censored.
-    ``sample`` replaces ``run_many`` as the source of the runs."""
+    matching criterion fails or ``runs`` is below two, before sampling,
+    and when a run is censored.  ``sample`` replaces ``run_many`` as the
+    source of the runs."""
     graph = problem.graph
-    if charges is None:
-        charges = problem.declared_charges or all_charges(problem)
+    charges = problem_charges(problem)
     lam = computed_init_ratio(problem)
     if mode == "cluster":
-        if psi is None:
-            psi = problem.default_weights
-        if psi is None:
-            raise LllError("cluster mode needs a weight vector")
-        rep = cluster_expansion_check(list(charges), graph, list(psi),
-                                      zeta_override=zeta_override)
+        psi = problem_weights(problem, psi, "cluster mode needs a weight vector")
+        rep = cluster_expansion_check(charges, graph, psi, zeta_override=zeta_override)
         if not rep.passed:
             raise LllError("cluster expansion condition fails; bound not applicable")
         bounds = [lam * p for p in psi]
     elif mode == "shearer":
-        srep = shearer_polynomials(list(charges), graph)
+        srep = shearer_polynomials(charges, graph)
         if not srep.passed:
             raise LllError("shearer condition fails; bound not applicable")
         bounds = [lam * r for r in srep.ratios]
     else:
         raise LllError(f"unknown mode {mode!r}")
-    stats = sample() if sample is not None else run_many(problem, runs, seed, strategy)
+    refuse_single_run(runs)
+    if problem.enumerate_states is not None:
+        problem.space  # the state cap refuses before any run
+    stats = sample() if sample is not None else run_many(problem, runs, seed)
     refuse_censored(stats, "check_resample_bounds")
     verdicts = []
     for i in range(problem.num_flaws):
@@ -408,7 +426,6 @@ def check_event_probability(
     psi: Sequence[float] | None = None,
     runs: int = 10**5,
     seed: int = 0,
-    strategy=None,
 ) -> dict:
     """Pr[the trajectory ever visits the event, initial state included]
     against lambda_init * charge(event) * independent-subset sum over the
@@ -418,10 +435,7 @@ def check_event_probability(
     (always a valid commutative extension); ``event_neighbors`` defaults
     to every flaw.  Refuses censored runs.
     """
-    if psi is None:
-        psi = problem.default_weights
-    if psi is None:
-        raise LllError("needs a weight vector")
+    psi = problem_weights(problem, psi, "needs a weight vector")
     space = problem.space
     if event_actions is None:
         event_actions = lambda s: space.mu  # shared, never mutated
@@ -440,7 +454,7 @@ def check_event_probability(
     bound = computed_init_ratio(problem) * gamma_e * zeta
     # memoize per-state event membership for the trajectory scan
     member = {s: bool(event(s)) for s in space.states}
-    reports = iter_runs(problem, range(runs), seed, strategy, record_trajectory=True)
+    reports = iter_runs(problem, range(runs), seed, record_trajectory=True)
     hits = sum(
         member[rep.trajectory.initial_state] or any(member[s] for (_, s) in rep.trajectory.steps)
         for rep in uncensored(reports, "check_event_probability")
@@ -531,7 +545,6 @@ def output_distribution(
     psi: Sequence[float] | None = None,
     runs: int = 10**5,
     seed: int = 0,
-    strategy=None,
 ) -> dict:
     """Empirical output distribution with the pointwise density bound
     nu(s) <= lambda_init * (independent-set weight sum) * mu(s) and the
@@ -541,17 +554,14 @@ def output_distribution(
     verdict conservatively inflates the top frequency by its 4-sigma
     error before comparing.
     """
-    if psi is None:
-        psi = problem.default_weights
-    if psi is None:
-        raise LllError("needs a weight vector")
+    psi = problem_weights(problem, psi, "needs a weight vector")
     mu = problem.space.mu
     flaws = range(problem.num_flaws)
     u_all = independent_weight_sum(
         list(flaws), dict(enumerate(problem.graph.adj)), {j: psi[j] for j in flaws})
     lam = computed_init_ratio(problem)
     factor = lam * u_all
-    stats = run_many(problem, runs, seed, strategy)
+    stats = run_many(problem, runs, seed)
     refuse_censored(stats, "output_distribution")
     report = empirical_distribution(stats)
     mu_by_canon = {problem.canon(s): p for s, p in mu.items()}
@@ -599,20 +609,18 @@ class PartialAvoidanceConfig:
     keep_probs: tuple[float, ...]  # p_i = min(1, psi_i / (zeta_i gamma_i))
 
     @staticmethod
-    def build(problem: SearchProblem, psi: Sequence[float],
-              charges: Sequence[float] | None = None,
+    def build(problem: SearchProblem, psi: Sequence[float] | None,
               zeta: Sequence[float] | None = None) -> "PartialAvoidanceConfig":
-        if charges is None:
-            charges = problem.declared_charges or all_charges(problem)
+        """``zeta`` defaults to each flaw's exact neighborhood sum."""
+        psi = problem_weights(problem, psi, "partial suite needs --psi or prewired weights")
+        charges = problem_charges(problem)
         if zeta is None:
-            zeta = [neighborhood_sum(i, problem.graph, list(psi)) for i in range(problem.num_flaws)]
-        keep = []
-        for p, g, z in zip(psi, charges, zeta):
-            keep.append(min(1.0, p / (z * g)) if g > 0 and z > 0 else 1.0)
-        for p in keep:
-            if not (0.0 <= p <= 1.0):
-                raise LllError("keep probability out of range")
-        return PartialAvoidanceConfig(tuple(psi), tuple(charges), tuple(zeta), tuple(keep))
+            zeta = [neighborhood_sum(i, problem.graph, psi) for i in range(problem.num_flaws)]
+        keep = tuple(min(1.0, p / (z * g)) if g > 0 and z > 0 else 1.0
+                     for p, g, z in zip(psi, charges, zeta))
+        if not all(0.0 <= p <= 1.0 for p in keep):
+            raise LllError("keep probability out of range")
+        return PartialAvoidanceConfig(tuple(psi), tuple(charges), tuple(zeta), keep)
 
 
 def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> SearchProblem:
@@ -653,6 +661,9 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
 
     def enumerate_states():
         labelings = [labels for labels in range(1 << m) if label_prob(labels) > 0.0]
+        # refused by count: the base space times its label vectors
+        if len(problem.space.states) * len(labelings) > core.STATE_CAP:
+            raise LllError("state space exceeds oracle cap")
         for s in problem.enumerate_states():
             for labels in labelings:
                 yield (s, labels)
@@ -674,12 +685,49 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
     )
 
 
+def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
+                    max_steps: int = 10**6) -> dict:
+    """Many-edges regime: run the label-truncated matcher and strip one
+    edge per surviving conflict pair, reporting sizes against the exact
+    lower bound on the expected count (and its large-n asymptotic form).
+
+    The per-flaw truncation probability uses the closed-form neighborhood
+    sum (1 + (2n-1)(lam n - 1) psi)^4, a valid stand-in for the exact
+    enumeration at any instance size.
+    """
+    problem = rainbow_matching(clique)
+    n, m = clique.half, problem.num_flaws
+    if m:
+        alpha = partial_weight(clique)
+        zeta_closed = (1.0 + (2 * n - 1) * (clique.multiplicity() - 1) * alpha) ** 4
+        cfg = PartialAvoidanceConfig.build(problem, [alpha] * m, zeta=[zeta_closed] * m)
+        outs = [(rep.terminated, strip_conflicts(clique, rep.final_state[0]))
+                for rep in iter_runs(labeled_problem(problem, cfg), range(runs), seed, max_steps)]
+        exact_bound, asymptotic = rainbow_partial_bound(clique, alpha)
+    else:  # already rainbow: one plain run stands for every run
+        rep = run(problem, recommended_strategy(problem), max_steps, seed, 0)
+        outs = [(rep.terminated, rep.final_state)] * runs
+        alpha, exact_bound, asymptotic = None, float(n), float(n)
+    sizes = [len(matching) for _, matching in outs]
+    last_matching = outs[-1][1] if outs else None
+    return {
+        "op": "rainbow_partial",
+        "runs": runs,
+        "sizes": sizes,
+        "mean_size": float(sum(sizes) / len(sizes)),
+        "exact_bound": exact_bound,
+        "asymptotic_bound": asymptotic,
+        "alpha": alpha,
+        "all_terminated": all(terminated for terminated, _ in outs),
+        "last_matching": sorted(sorted(e) for e in last_matching) if last_matching is not None else None,
+    }
+
+
 def partial_avoidance(
     problem: SearchProblem,
     cfg: PartialAvoidanceConfig,
     runs: int = 10**5,
     seed: int = 0,
-    strategy=None,
 ) -> dict:
     """Run the label-truncated algorithm and check, per flaw, the output
     violation rate against max(0, gamma_i zeta_i - psi_i) and the mean
@@ -687,8 +735,11 @@ def partial_avoidance(
     the measure itself."""
     if abs(computed_init_ratio(problem) - 1.0) > 1e-9:
         raise LllError("partial avoidance requires the measure as initial distribution")
+    refuse_single_run(runs)
     lp = labeled_problem(problem, cfg)
-    stats = run_many(lp, runs, seed, strategy)
+    if lp.enumerate_states is not None:
+        lp.space  # the state cap refuses before any run
+    stats = run_many(lp, runs, seed)
     refuse_censored(stats, "partial_avoidance")
     m = problem.num_flaws
     # final flaw presence is judged on the base state, labels ignored
@@ -726,7 +777,7 @@ def run_core_truncated(
     subsets of the core part of the neighborhood) <= psi_i for every i.
     """
     graph = problem.graph
-    charges = problem.declared_charges or all_charges(problem)
+    charges = problem_charges(problem)
     core_set = set(core)
     for i in range(problem.num_flaws):
         restricted = sorted(set(graph.adj[i]) & core_set)
@@ -770,6 +821,7 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
     lam = clique.color_ratio()
     total_w = sum(edge_weights.values())
     bound = (1.0 + 1.5 * lam) ** 2 / (n2 - 1) * total_w
+    refuse_single_run(runs)
     reports = uncensored(iter_runs(problem, range(runs), seed), "matching_weight_analysis")
     mean, se = mean_se(np.array(
         [sum(edge_weights.get(e, 0.0) for e in rep.final_state) for rep in reports], dtype=float))
@@ -780,24 +832,24 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
 def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: int = 0) -> dict:
     """Per-vertex weighted-output bound for the greedy coloring: the
     empirical mean of each local function against r_v * a_v times its
-    expectation under uniform proper colorings.  Refuses censored runs."""
+    expectation under uniform proper colorings.  Refuses a negative local
+    function before sampling (``local_weight_bound`` evaluates it on every
+    proper coloring, every output among them), and censored runs."""
     g = problem.metadata["graph"]
     q = problem.metadata["q"]
     spec = problem.metadata.get("weights")
     if spec is None:
         raise LllError("coloring weight analysis needs a weight spec")
     proper = [s for s in problem.space.states if coloring_is_proper_vertex(g, s)]
+    bounds = [local_weight_bound(g, q, spec, v, proper) for v in spec.vertices]
+    refuse_single_run(runs)
     reports = uncensored(iter_runs(problem, range(runs), seed), "coloring_weight_analysis")
     outs = [rep.final_state for rep in reports]
     verdicts = []
-    for v in spec.vertices:
-        r_v, a_v, expectation = local_weight_bound(g, q, spec, v, proper)
+    for v, (r_v, a_v, expectation) in zip(spec.vertices, bounds):
         fn = spec.functions[v]
         keep = sorted(ball(g, v, spec.radii[v]))
-        vals = np.array([fn({u: s[u] for u in keep}) for s in outs])
-        if (vals < 0).any():
-            raise LllError("local weight functions must be nonnegative")
-        mean, se = mean_se(vals)
+        mean, se = mean_se(np.array([fn({u: s[u] for u in keep}) for s in outs]))
         verdicts.append(upper_verdict(f"W[{v}]", mean, r_v * a_v * expectation, se))
     return verdict_report("weight_analysis", verdicts, kind="coloring", runs=runs)
 

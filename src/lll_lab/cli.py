@@ -5,9 +5,10 @@ identical command line and seed); the human-readable summary goes to
 stderr.  Exit codes: 0 success, 1 usage/parse error, 2 censored run,
 3 criterion failure.  The default seed comes from LLL_LAB_SEED.
 
-Each command loads the layers it uses when it runs: ``verify`` imports
-``analysis`` (with ``chain`` and ``witness``) and ``--parallel`` the
-process pool, so ``solve`` loads neither.
+Each command loads the layers it uses when it runs: ``verify`` and
+``solve rainbow-partial`` import ``analysis`` (with ``chain`` and
+``witness``) and ``--parallel`` the process pool, so any other ``solve``
+loads neither.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .rng import resolve_seed, source_for_run
 from .solvers.aec import coloring_is_acyclic
 from .solvers.coloring import coloring_is_proper_vertex
 from .solvers.ksat import UNSET
-from .solvers.matchings import rainbow_partial, rainbow_validity
+from .solvers.matchings import rainbow_validity
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,7 +70,7 @@ def _spec_from_args(args) -> dict:
     if getattr(args, "colors", None) is not None:
         spec["colors"] = args.colors
     if getattr(args, "bias", None):
-        spec["bias"] = json.loads(_read(args.bias))
+        spec["bias"] = formats.parse_bias_json(_read(args.bias))
     return spec
 
 
@@ -155,6 +156,8 @@ def cmd_solve(args) -> int:
 
 
 def _solve_rainbow_partial(args) -> int:
+    from .analysis import rainbow_partial
+
     clique = formats.parse_colored_clique(_read(args.instance))
     out = rainbow_partial(clique, runs=1, seed=args.seed, max_steps=args.max_steps)
     doc = {
@@ -196,6 +199,8 @@ def cmd_criteria(args) -> int:
         doc = srep.to_json_dict()
         rep = srep
     elif mode == "clique":
+        if "cliques" not in parsed:
+            raise LllError("clique mode needs the criteria field 'cliques'")
         cfg = CliqueLllConfig(
             graph,
             tuple(frozenset(cl) for cl in parsed["cliques"]),
@@ -204,6 +209,8 @@ def cmd_criteria(args) -> int:
         rep = clique_lll_check(gamma, cfg)
         doc = rep.to_json_dict()
     elif mode == "backtrack":
+        if "backtrack_table" not in parsed:
+            raise LllError("backtrack mode needs the criteria field 'backtrack'")
         rep = backtracking_criterion(
             parsed["backtrack_table"], parsed["backtrack_psi"],
             lambda_init=parsed.get("lambda_init"),
@@ -230,11 +237,11 @@ def cmd_verify(args) -> int:
         raise LllError("--runs must be positive")
     if args.parallel < 1:
         raise LllError("--parallel must be at least 1")
+    if args.mode is not None and suite != "resamples":
+        raise LllError(f"--mode applies only to the resamples suite, not {suite}")
     spec = _spec_from_args(args)
     problem = build_problem(spec)
-    psi = list(problem.default_weights) if problem.default_weights else None
-    if args.psi is not None:
-        psi = [args.psi] * problem.num_flaws
+    psi = None if args.psi is None else [args.psi] * problem.num_flaws
     if suite == "witness":
         report = analysis.check_witness_tree_lemma(
             problem, runs=runs, seed=args.seed, max_tree_nodes=args.tree_nodes,
@@ -253,21 +260,11 @@ def cmd_verify(args) -> int:
     elif suite == "distribution":
         report = analysis.output_distribution(problem, psi=psi, runs=runs, seed=args.seed)
     elif suite == "partial":
-        if psi is None:
-            raise LllError("partial suite needs --psi or prewired weights")
         cfg = analysis.PartialAvoidanceConfig.build(problem, psi)
         report = analysis.partial_avoidance(problem, cfg, runs=runs, seed=args.seed)
-    elif suite == "event":
-        # canonical demonstration event: the first flaw's extension
+    else:  # event: the first flaw's extension, the canonical demonstration event
         report = analysis.check_event_probability(
-            problem,
-            event=lambda s: problem.present(0, s),
-            psi=psi,
-            runs=runs,
-            seed=args.seed,
-        )
-    else:
-        raise LllError(f"unknown suite {suite!r}")
+            problem, event=lambda s: problem.present(0, s), psi=psi, runs=runs, seed=args.seed)
     doc = analysis.report_to_json_dict(report)
     doc.update({
         "solver": args.solver,
@@ -292,6 +289,8 @@ def cmd_gen(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise LllError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
+    if args.family == "ksat" and args.k < 1:
+        raise LllError(f"--k must be at least 1, got {args.k}")
     rng = source_for_run(args.seed, 0)
     if args.family == "ksat":
         cnf = formats.generate_ksat(args.n, args.k, args.degree, rng)

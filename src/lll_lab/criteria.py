@@ -60,6 +60,9 @@ class DependencyGraph:
 
     @staticmethod
     def from_neighbor_lists(adj: Sequence[Sequence[int]]) -> "DependencyGraph":
+        for i, a in enumerate(adj):
+            if any(not 0 <= j < len(adj) for j in a):
+                raise LllError(f"adjacency of flaw {i} lists a flaw outside 0..{len(adj) - 1}")
         g = DependencyGraph(len(adj), tuple(frozenset(a) for a in adj))
         g.check_symmetric()
         return g

@@ -5,8 +5,9 @@ parse(text).
  - CNF: DIMACS ("p cnf <vars> <clauses>", clauses end with 0)
  - graph: "<n> <m>" header then one "u v" line per edge, 0-indexed
  - edge-colored clique: one "u v color" line per edge of the clique
-Criteria descriptions are JSON {m, adjacency, gamma, psi, mode, ...};
-they are only read.
+Criteria descriptions are JSON {m, adjacency, gamma, psi, mode, ...},
+and bias files a JSON list of per-variable [p0, p1] pairs; both are only
+read, and a malformed field is refused by name.
 """
 
 from __future__ import annotations
@@ -139,40 +140,72 @@ def serialize_colored_clique(k: EdgeColoredClique) -> str:
 
 
 # ---------------------------------------------------------------------------
-# criteria JSON
+# JSON inputs
+
+
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LllError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _convert(what: str, convert, value):
+    """``convert(value)``, refused with an error naming the field ``what``
+    when the value has the wrong shape or type."""
+    try:
+        return convert(value)
+    except KeyError as exc:
+        raise LllError(f"bad {what}: missing {exc}") from None
+    except (IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise LllError(f"bad {what}: {exc}") from None
 
 
 def parse_criteria_json(text: str) -> dict:
-    data = json.loads(text)
-    if "m" not in data:
+    data = _load_json(text, "criteria file")
+    if not isinstance(data, dict) or "m" not in data:
         raise LllError("criteria JSON needs 'm'")
-    m = int(data["m"])
+    m = _convert("criteria field 'm'", int, data["m"])
     adjacency = data.get("adjacency", [[] for _ in range(m)])
-    if len(adjacency) != m:
+    if _convert("criteria field 'adjacency'", len, adjacency) != m:
         raise LllError("adjacency must list neighbors for each flaw")
-    graph = DependencyGraph.from_neighbor_lists(adjacency)
+    graph = _convert("criteria field 'adjacency'", DependencyGraph.from_neighbor_lists, adjacency)
+    floats = lambda xs: [float(x) for x in xs]
     out = {
         "m": m,
         "graph": graph,
-        "gamma": [float(x) for x in data.get("gamma", [])],
-        "psi": [float(x) for x in data.get("psi", [])],
+        "gamma": _convert("criteria field 'gamma'", floats, data.get("gamma", [])),
+        "psi": _convert("criteria field 'psi'", floats, data.get("psi", [])),
         "mode": data.get("mode", "general"),
     }
     if "cliques" in data:
-        out["cliques"] = [sorted(int(i) for i in cl) for cl in data["cliques"]]
-        out["x"] = {tuple(map(int, k.split(","))): float(v) for k, v in data.get("x", {}).items()}
+        out["cliques"] = _convert("criteria field 'cliques'", lambda cls: [
+            sorted(int(i) for i in cl) for cl in cls], data["cliques"])
+        out["x"] = _convert("criteria field 'x'", lambda x: {
+            tuple(map(int, k.split(","))): float(v) for k, v in x.items()}, data.get("x", {}))
     if "backtrack" in data:
-        bt = data["backtrack"]
-        variables = tuple(bt["variables"])
-        entries = {
-            v: {frozenset(s): float(gv) for (s, gv) in ((tuple(e[0]), e[1]) for e in rows)}
-            for v, rows in bt["charges"].items()
-        }
-        span = frozenset(bt.get("span", variables))
-        out["backtrack_table"] = BacktrackChargeTable(variables, entries, span)
-        out["backtrack_psi"] = {k: float(v) for k, v in bt["psi"].items()}
-        out["lambda_init"] = bt.get("lambda_init")
+        out.update(_convert("criteria field 'backtrack'", _backtrack_block, data["backtrack"]))
     return out
+
+
+def _backtrack_block(bt: dict) -> dict:
+    variables = tuple(bt["variables"])
+    entries = {
+        v: {frozenset(s): float(gv) for (s, gv) in ((tuple(e[0]), e[1]) for e in rows)}
+        for v, rows in bt["charges"].items()
+    }
+    span = frozenset(bt.get("span", variables))
+    return {"backtrack_table": BacktrackChargeTable(variables, entries, span),
+            "backtrack_psi": {k: float(v) for k, v in bt["psi"].items()},
+            "lambda_init": bt.get("lambda_init")}
+
+
+def parse_bias_json(text: str) -> list[list[float]]:
+    """Per-variable ``[p0, p1]`` pairs of the biased backtracking solver."""
+    data = _load_json(text, "bias file")
+    if not isinstance(data, list) or any(not isinstance(p, list) or len(p) != 2 for p in data):
+        raise LllError("bias file must list one [p0, p1] pair per variable")
+    return _convert("bias file", lambda ps: [[float(p0), float(p1)] for p0, p1 in ps], data)
 
 
 # ---------------------------------------------------------------------------

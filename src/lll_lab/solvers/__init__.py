@@ -4,7 +4,7 @@ and criterion parameters."""
 
 from .ksat import CnfInstance, ksat_mt, ksat_backtrack, ksat_backtrack_biased
 from .aec import GraphInstance, aec_backtrack, aec_clique_mt, aec_backtracking_criterion
-from .matchings import EdgeColoredClique, rainbow_matching, rainbow_partial
+from .matchings import EdgeColoredClique, rainbow_matching
 from .coloring import WeightSpec, vertex_coloring_greedy
 
 __all__ = [
@@ -19,6 +19,5 @@ __all__ = [
     "aec_clique_mt",
     "aec_backtracking_criterion",
     "rainbow_matching",
-    "rainbow_partial",
     "vertex_coloring_greedy",
 ]

@@ -155,7 +155,6 @@ def vertex_coloring_greedy(
             "graph": g,
             "q": q,
             "weights": weights,
-            "priority": priority,
             "strategy": "lowest_index" if priority is None else ("fixed_priority", priority),
         },
     )
@@ -201,6 +200,7 @@ def local_weight_bound(g: GraphInstance, q: int, spec: WeightSpec, center: int,
     fraction of colorings of its radius ball, a the matching-weighted
     series with per-edge weight q/(q - maxdeg)^2, and the expectation of
     the local function under uniform proper colorings of the whole graph.
+    Refuses a negative value of the local function at any of them.
     """
     delta = g.max_degree()
     local = ball(g, center, spec.radii[center])
@@ -217,6 +217,9 @@ def local_weight_bound(g: GraphInstance, q: int, spec: WeightSpec, center: int,
     keep = sorted(local)
     acc = 0.0
     for coloring in proper_colorings:
-        acc += fn({v: coloring[v] for v in keep})
+        value = fn({v: coloring[v] for v in keep})
+        if value < 0:
+            raise LllError("local weight functions must be nonnegative")
+        acc += value
     expectation = acc / len(proper_colorings) if proper_colorings else float("nan")
     return r, a, expectation

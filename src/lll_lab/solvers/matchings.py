@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core import LllError, SearchProblem, run
+from ..core import LllError, SearchProblem
 from ..criteria import DependencyGraph
 
 Edge = tuple[int, int]
@@ -236,53 +236,3 @@ def strip_conflicts(clique: EdgeColoredClique, matching: frozenset[Edge]) -> fro
         if e1 in matching and e2 in matching:
             doomed.add(min(e1, e2))
     return frozenset(e for e in matching if e not in doomed)
-
-
-def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
-                    max_steps: int = 10**6) -> dict:
-    """Many-edges regime: run the label-truncated matcher and strip one
-    edge per surviving conflict pair, reporting sizes against the exact
-    lower bound on the expected count (and its large-n asymptotic form).
-
-    The per-flaw truncation probability uses the closed-form neighborhood
-    sum (1 + (2n-1)(lam n - 1) psi)^4, a valid stand-in for the exact
-    enumeration at any instance size.
-    """
-    # the verdict layer loads on use: every ``solve`` imports this module
-    from ..analysis import PartialAvoidanceConfig, iter_runs, labeled_problem
-
-    problem = rainbow_matching(clique)
-    pairs = clique.conflict_pairs()
-    if not pairs:
-        rep = run(problem, "lowest_index", max_steps, seed, 0)
-        sizes = [clique.half] * runs
-        return {"op": "rainbow_partial", "runs": runs, "sizes": sizes,
-                "mean_size": float(clique.half), "exact_bound": float(clique.half),
-                "asymptotic_bound": float(clique.half), "alpha": None,
-                "all_terminated": True,
-                "last_matching": sorted(sorted(e) for e in rep.final_state)}
-    n = clique.half
-    lam_n = clique.multiplicity()
-    alpha = partial_weight(clique)
-    zeta_closed = (1.0 + (2 * n - 1) * (lam_n - 1) * alpha) ** 4
-    m = len(pairs)
-    cfg = PartialAvoidanceConfig.build(
-        problem, [alpha] * m, zeta=[zeta_closed] * m
-    )
-    lp = labeled_problem(problem, cfg)
-    outs = [(rep.terminated, strip_conflicts(clique, rep.final_state[0]))
-            for rep in iter_runs(lp, range(runs), seed, "lowest_index", max_steps)]
-    sizes = [len(matching) for _, matching in outs]
-    last_matching = outs[-1][1] if outs else None
-    exact_bound, asymptotic = rainbow_partial_bound(clique, alpha)
-    return {
-        "op": "rainbow_partial",
-        "runs": runs,
-        "sizes": sizes,
-        "mean_size": float(sum(sizes) / len(sizes)),
-        "exact_bound": exact_bound,
-        "asymptotic_bound": asymptotic,
-        "alpha": alpha,
-        "all_terminated": all(terminated for terminated, _ in outs),
-        "last_matching": sorted(sorted(e) for e in last_matching) if last_matching is not None else None,
-    }

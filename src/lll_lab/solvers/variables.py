@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from ..core import ScopeLaw, SearchProblem
+from ..core import STATE_CAP, ScopeLaw, SearchProblem
 from ..criteria import DependencyGraph
 
 
@@ -67,7 +67,8 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
     unassign only the variables in ``reach[i]``, ``i`` among them, and an
     outcome that leaves ``i`` assigned changed no other variable.  Runs
     start at ``blank`` under the lowest-index strategy that the tail bound
-    assumes.  The states are enumerated only when ``enumerable``: variable
+    assumes.  The states are enumerated only when ``enumerable`` and the
+    (len(domain) + 1)^n partial assignments fit ``STATE_CAP``: variable
     0 varies slowest, unassigned first and then ``domain`` in order, and
     an assignment of variable ``v`` is kept when ``consistent(vals, v)``
     holds for the list ``vals`` with ``v``'s successors unassigned.
@@ -99,7 +100,8 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
         # an outcome that leaves i assigned wrote variable i only
         affects=lambda i, state, nxt: (i,) if nxt[i] != unset else reach[i],
         sample_init=lambda rng: blank,
-        enumerate_states=enumerate_states if enumerable else None,
+        enumerate_states=(
+            enumerate_states if enumerable and (len(domain) + 1) ** n <= STATE_CAP else None),
         init_distribution=lambda s: 1.0 if s == blank else 0.0,
         unassigned=lambda s: frozenset(flaw_labels[v] for v in range(n) if s[v] == unset),
         flaw_labels=flaw_labels,

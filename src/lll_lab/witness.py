@@ -22,6 +22,7 @@ from .criteria import DependencyGraph
 PRODUCT_REL_TOL = 1e-9
 ENUM_TREE_NODE_CAP = 8
 MAX_VIOLATIONS = 3  # non-commuting pairs check_commutativity reports before it stops
+COMMUTATIVITY_STATE_CAP = 2 * 10**5  # largest state space check_commutativity enumerates
 
 
 @dataclass
@@ -324,7 +325,7 @@ class CommutativityReport:
         }
 
 
-def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5) -> CommutativityReport:
+def check_commutativity(problem: SearchProblem) -> CommutativityReport:
     """Exhaustively certify the swap property on an enumerable instance.
 
     For every non-neighboring ordered flaw pair (i, j) and endpoints
@@ -337,7 +338,7 @@ def check_commutativity(problem: SearchProblem, state_cap: int = 2 * 10**5) -> C
     ``PRODUCT_REL_TOL``; one pair is held at a time, and each
     non-commuting pair reports where its lists first part.
     """
-    space = capped_space(problem, state_cap,
+    space = capped_space(problem, COMMUTATIVITY_STATE_CAP,
                          "state space too large for exhaustive commutativity check")
     m, n = problem.num_flaws, len(space.states)
     violations: list[dict] = []

@@ -330,7 +330,7 @@ def test_11_rainbow_support_size():
     p = rainbow_matching(clique)
     floor = math.exp(-3 * lam * 5) * count_perfect_matchings(10)
     # K10 enumerates, so run_many takes the exact-chain path
-    distinct = len(run_many(p, 10**6, 1112, "lowest_index").outputs)
+    distinct = len(run_many(p, 10**6, 1112).outputs)
     ok = distinct >= floor
     _line(11, ok,
           f"distinct rainbow outputs {distinct} >= e^(-3 lam n) (2n-1)!! = {floor:.2f} at 1e6 runs")

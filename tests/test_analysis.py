@@ -1,10 +1,11 @@
 """Oracles, chain statistics, and the Monte-Carlo verdict suites."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from lll_lab import chain, core
+from lll_lab import chain, core, witness
 from lll_lab.analysis import (
     PartialAvoidanceConfig,
     build_oracle,
@@ -38,6 +39,11 @@ def colored_k6(pairs=1):
     if pairs >= 1:
         colors[(2, 3)] = colors[(0, 1)]
     return EdgeColoredClique(6, colors)
+
+
+def with_strategy(problem, strategy):
+    """``problem`` run under ``strategy`` instead of its recommended one."""
+    return replace(problem, metadata={**problem.metadata, "strategy": strategy})
 
 
 def all_clauses_3sat():
@@ -150,15 +156,16 @@ def test_run_many_takes_the_chain_path_from_the_declared_priority(monkeypatch):
 
     monkeypatch.setattr(chain, "build_chain_tables", spy)
     problem = ksat_mt(CnfInstance(3, ((1, 2), (1, 3))))  # both violated at 000
-    run_many(problem, runs=50, seed=3, strategy=ReverseIndexStrategy())
+    run_many(with_strategy(problem, ReverseIndexStrategy()), runs=50, seed=3)
     (tables,) = built
     present = [problem.present_flaws(s) for s in problem.space.states]
     assert [0, 1] in present
     assert tables.chosen_flaw.tolist() == [max(p) if p else -1 for p in present]
-    run_many(problem, runs=50, seed=3, strategy=RecencyStrategy())
+    recency = with_strategy(problem, RecencyStrategy())
+    run_many(recency, runs=50, seed=3)
     assert len(built) == 1
     with pytest.raises(LllError, match="chain fast path unavailable"):
-        run_many(problem, runs=50, seed=3, strategy=RecencyStrategy(), use_chain=True)
+        run_many(recency, runs=50, seed=3, use_chain=True)
 
 
 def test_exact_absorption_sums_to_one(two_clause_mt):
@@ -348,12 +355,12 @@ def test_output_distribution_refuses_past_state_cap(two_clause_mt, monkeypatch):
         output_distribution(two_clause_mt, psi=[0.25, 0.25], runs=10)
 
 
-@pytest.mark.parametrize("refuse", [
-    lambda p: output_distribution(p, psi=[0.1] * p.num_flaws, runs=10),
-    lambda p: build_oracle(p, state_cap=10),
-    lambda p: check_commutativity(p, state_cap=10),
+@pytest.mark.parametrize("cap,refuse", [
+    ((core, "STATE_CAP"), lambda p: output_distribution(p, psi=[0.1] * p.num_flaws, runs=10)),
+    ((core, "STATE_CAP"), build_oracle),
+    ((witness, "COMMUTATIVITY_STATE_CAP"), check_commutativity),
 ], ids=["output_distribution", "build_oracle", "check_commutativity"])
-def test_state_caps_refuse_before_enumerating(monkeypatch, refuse):
+def test_state_caps_refuse_before_enumerating(monkeypatch, cap, refuse):
     """A space past its cap is refused after drawing at most cap + 1 of
     its 4,096 states."""
     import dataclasses
@@ -367,7 +374,7 @@ def test_state_caps_refuse_before_enumerating(monkeypatch, refuse):
             drawn += 1
             yield s
 
-    monkeypatch.setattr(core, "STATE_CAP", 10)
+    monkeypatch.setattr(*cap, 10)
     with pytest.raises(LllError, match="state space"):
         refuse(dataclasses.replace(problem, enumerate_states=counting_enumerate))
     assert drawn <= 11
@@ -584,7 +591,7 @@ def test_witness_lemma_holds_under_recency_strategy(two_clause_mt):
     """The occurrence bound is strategy-agnostic for commutative
     problems: the recency strategy must satisfy it too."""
     report = check_witness_tree_lemma(
-        two_clause_mt, strategy="recency", runs=30_000, max_tree_nodes=3, seed=19,
+        with_strategy(two_clause_mt, "recency"), runs=30_000, max_tree_nodes=3, seed=19,
     )
     assert report["all_pass"]
 
@@ -631,8 +638,8 @@ def test_harness_detects_violated_count_bound(two_clause_mt):
     """Shrinking the claimed bound far below the truth must flip the
     verdict: the one-sided suites are not vacuously green."""
     report = check_resample_bounds(
-        two_clause_mt, psi=[0.25, 0.25], runs=30_000, seed=20, mode="cluster",
-        charges=[0.125, 0.125], total_bound=1e-6,
+        replace(two_clause_mt, declared_charges=(0.125, 0.125)), psi=[0.25, 0.25],
+        runs=30_000, seed=20, mode="cluster", total_bound=1e-6,
     )
     total = [v for v in report["verdicts"] if v.name == "total_steps"][0]
     assert not total.passed
@@ -642,8 +649,8 @@ def test_harness_detects_violated_count_bound(two_clause_mt):
 def test_harness_detects_violated_tree_bound(two_clause_mt):
     """Understating the charges breaks the witness-tree verdicts."""
     report = check_witness_tree_lemma(
-        two_clause_mt, runs=30_000, max_tree_nodes=1, seed=21,
-        charges=[1e-9, 1e-9],
+        replace(two_clause_mt, declared_charges=(1e-9, 1e-9)), runs=30_000,
+        max_tree_nodes=1, seed=21,
     )
     assert not report["all_pass"]
 
@@ -662,7 +669,8 @@ def test_harness_detects_violated_density_bound(two_clause_mt):
 def test_iter_runs_matches_run_per_index(two_clause_mt):
     """A strategy given by name is resolved once and reset per run, which
     reproduces a fresh strategy per run; indices need not start at 0."""
-    reports = list(iter_runs(two_clause_mt, range(5, 25), 3, "recency", record_trajectory=True))
+    reports = list(iter_runs(with_strategy(two_clause_mt, "recency"), range(5, 25), 3,
+                             record_trajectory=True))
     assert reports == [run(two_clause_mt, "recency", seed=3, run_index=r, record_trajectory=True)
                        for r in range(5, 25)]
 

@@ -546,6 +546,7 @@ def test_bad_instance_file_refused(tmp_path, capsys, argv, name, text):
     (["ksat", "--n", "5", "--degree", "-1"], "--degree"),
     (["graph", "--n", "5", "--max-degree", "-1"], "--max-degree"),
     (["graph", "--n", "5", "--edges", "-2"], "--edges"),
+    (["ksat", "--n", "5", "--k", "0"], "--k"),
 ])
 def test_gen_negative_size_refused(capsys, argv, flag):
     code, out, err = run_cli(["gen", *argv, "--seed", "1"], capsys)
@@ -557,6 +558,8 @@ def test_gen_negative_size_refused(capsys, argv, flag):
     (["verify", "ksat-mt", "--suite", "witness", "--runs", "0"], "--runs"),
     (["verify", "ksat-mt", "--suite", "witness", "--parallel", "0"], "--parallel"),
     (["solve", "ksat-backtrack", "--max-steps", "-1"], "--max-steps"),
+    (["verify", "ksat-mt", "--suite", "witness", "--mode", "shearer"], "--mode"),
+    (["verify", "ksat-mt", "--suite", "distribution", "--mode", "cluster"], "--mode"),
 ])
 def test_flags_checked_before_building(tmp_path, capsys, monkeypatch, argv, flag):
     """A build can take seconds, so a bad flag is refused before it."""
@@ -570,6 +573,37 @@ def test_flags_checked_before_building(tmp_path, capsys, monkeypatch, argv, flag
     code, out, err = run_cli(argv[:2] + [path] + argv[2:] + ["--seed", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("text,field", [
+    ("{not json", "not valid JSON"),
+    ('{"m": "x"}', "'m'"),
+    ('{"m": 2, "adjacency": [[5], [0]], "gamma": [0.1, 0.1], "psi": [0.2, 0.2]}',
+     "adjacency"),
+    ('{"m": 0, "mode": "backtrack", "backtrack": {"charges": {}, "psi": {}}}', "'variables'"),
+    ('{"m": 1, "mode": "clique", "gamma": [0.1]}', "'cliques'"),
+    ('{"m": 1, "mode": "backtrack"}', "'backtrack'"),
+], ids=["not-json", "m-not-integer", "adjacency-out-of-range", "backtrack-no-variables",
+        "clique-no-cliques", "backtrack-no-block"])
+def test_malformed_criteria_json_refused_by_field(tmp_path, capsys, text, field):
+    path = write(tmp_path, "crit.json", text)
+    code, out, err = run_cli(["criteria", path], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[[0.5]]", "[p0, p1]"),
+    ("{bad", "bias file is not valid JSON"),
+    ('[[0.5, "x"]]', "bias file"),
+], ids=["short-pair", "not-json", "not-a-number"])
+def test_malformed_bias_file_refused(tmp_path, capsys, text, message):
+    cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 0\n")
+    bias = write(tmp_path, "bias.json", text)
+    code, out, err = run_cli(["solve", "ksat-backtrack-biased", cnf, "--bias", bias,
+                              "--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_cli_import_loads_no_fractions(tmp_path):

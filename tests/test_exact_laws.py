@@ -164,8 +164,8 @@ def test_rainbow_law_matches_the_fraction_reference(n2, seed):
 def test_labeled_law_has_the_reference_bits(base):
     problem = base()
     m = problem.num_flaws
-    cfg = PartialAvoidanceConfig.build(problem, [0.3] * m,
-                                       charges=[0.5 - 0.1 * i for i in range(m)])
+    planted = dataclasses.replace(problem, declared_charges=tuple(0.5 - 0.1 * i for i in range(m)))
+    cfg = PartialAvoidanceConfig.build(planted, [0.3] * m)
     assert 0.0 < min(cfg.keep_probs) and max(cfg.keep_probs) < 1.0
     labeled = labeled_problem(problem, cfg)
     assert labeled.action_distribution is None

@@ -3,8 +3,8 @@
 Each module of ``src/lll_lab`` is parsed with ``ast``, not imported.  Its
 module-level imports of package modules (under ``if`` and ``try`` blocks
 too) must form a DAG, so no module needs a function-level import to break
-a cycle; function-level package imports are left only where a command or
-a pipeline loads a later layer on use.  Oracle mode has one entry: only
+a cycle; function-level package imports are left only where a command
+loads a later layer on use.  Oracle mode has one entry: only
 ``core`` enumerates a problem's states.
 """
 
@@ -16,11 +16,8 @@ import lll_lab
 
 PACKAGE = Path(lll_lab.__file__).resolve().parent
 # function-level package imports allowed, as module -> (function, target),
-# None for any: the CLI loads each command's layer on dispatch, and
-# ``rainbow_partial`` is a solver-level pipeline that runs the verdict
-# layer's labeled problem
-ON_USE = {"lll_lab.cli": None,
-          "lll_lab.solvers.matchings": ("rainbow_partial", "lll_lab.analysis")}
+# None for any: only the CLI, which loads each command's layer on dispatch
+ON_USE = {"lll_lab.cli": None}
 
 
 def module_names() -> dict[str, Path]:
@@ -97,7 +94,7 @@ def test_module_level_imports_form_a_dag():
     assert "lll_lab.core" in SCANS["lll_lab.chain"][0]
     assert "lll_lab.solvers" in SCANS["lll_lab.build"][0]
     assert "lll_lab.solvers.variables" in SCANS["lll_lab.solvers.ksat"][0]
-    assert ("rainbow_partial", "lll_lab.analysis") in SCANS["lll_lab.solvers.matchings"][1]
+    assert ("_solve_rainbow_partial", "lll_lab.analysis") in SCANS["lll_lab.cli"][1]
     graph = {module: top for module, (top, _, _) in SCANS.items()}
     try:
         order = list(graphlib.TopologicalSorter(graph).static_order())

@@ -196,10 +196,9 @@ def test_flaw_ids_beyond_int16_are_recorded():
 @given(ksat_mt_problems(), st.integers(0, 2**32 - 1), st.integers(2, 60),
        st.sampled_from(["lowest_index", "recency"]), st.integers(0, 6))
 def test_step_path_reducers_match_per_run_reports(problem, seed, runs, strategy, max_steps):
-    stats = run_many(problem, runs, seed, strategy, max_steps, collect_sequences=True,
-                     use_chain=False)
-    reports = list(iter_runs(problem, range(runs), seed, strategy, max_steps,
-                             record_trajectory=True))
+    problem = replace(problem, metadata={**problem.metadata, "strategy": strategy})
+    stats = run_many(problem, runs, seed, max_steps, collect_sequences=True, use_chain=False)
+    reports = list(iter_runs(problem, range(runs), seed, max_steps, record_trajectory=True))
     outputs = Counter(problem.canon(rep.final_state) for rep in reports)
     assert {c: n for c, (_, n) in stats.outputs.items()} == outputs
     assert list(stats.outputs) == list(outputs)  # order of first occurrence

@@ -1,6 +1,7 @@
 """Per-run streams: the batched derivation against numpy's SeedSequence,
 the memo that holds its blocks, and the buffered RandomSource."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lll_lab import analysis, rng
-from lll_lab.core import FixedPriorityStrategy, run
+from lll_lab.core import run
 from lll_lab.rng import BATCH_TAG, INIT_TAG, RandomSource, run_stream
 from lll_lab.solvers import CnfInstance, ksat_mt
 
@@ -103,23 +104,23 @@ def test_run_independent_of_visit_order(strategy):
     """``run`` depends on (seed, run index) alone: runs visited in a
     shuffled order, interleaved with another seed's runs and with a
     batch-tagged stream, equal fresh single-index runs."""
+    spec = ("fixed_priority", [3, 1, 0, 2]) if strategy == "fixed_priority" else strategy
     problem = ksat_mt(CnfInstance(5, ((1, 2, 3), (-1, -2, 3), (2, -3, 4), (-4, 5, 1))))
-    make = (lambda: FixedPriorityStrategy([3, 1, 0, 2])) if strategy == "fixed_priority" \
-        else (lambda: strategy)
+    problem = dataclasses.replace(problem, metadata={**problem.metadata, "strategy": spec})
     indices = list(range(300)) + [2**32 - 1, 2**32, 2**32 + 1]
     fresh = {}
     for seed in (17, 18):
         for r in indices:
             rng._blocks.clear()
-            fresh[seed, r] = run(problem, make(), seed=seed, run_index=r,
+            fresh[seed, r] = run(problem, spec, seed=seed, run_index=r,
                                  record_trajectory=True)
     order = indices[:]
     random.Random(3).shuffle(order)
     backward = order[::-1]
     rng._blocks.clear()
     seen = {}
-    first = analysis.iter_runs(problem, order, 17, make(), record_trajectory=True)
-    second = analysis.iter_runs(problem, backward, 18, make(), record_trajectory=True)
+    first = analysis.iter_runs(problem, order, 17, record_trajectory=True)
+    second = analysis.iter_runs(problem, backward, 18, record_trajectory=True)
     for k, (a, b) in enumerate(zip(first, second)):
         seen[17, order[k]] = a
         seen[18, backward[k]] = b

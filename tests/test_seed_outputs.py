@@ -16,14 +16,13 @@ import json
 
 import pytest
 
-from lll_lab.analysis import coloring_weight_analysis, matching_weight_analysis
+from lll_lab.analysis import coloring_weight_analysis, matching_weight_analysis, rainbow_partial
 from lll_lab.cli import main
 from lll_lab.solvers import (
     EdgeColoredClique,
     GraphInstance,
     WeightSpec,
     rainbow_matching,
-    rainbow_partial,
     vertex_coloring_greedy,
 )
 from lll_lab.formats import parse_colored_clique

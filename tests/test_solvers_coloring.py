@@ -114,7 +114,7 @@ def test_priority_strategy_prefers_weighted_edges():
     p = vertex_coloring_greedy(g, 4, spec)
     strat = recommended_strategy(p)
     # flaws on the edge inside the ball of vertex 0 outrank the rest
-    hot = p.metadata["priority"][0]
+    hot = p.metadata["strategy"][1][0]
     assert hot // p.metadata["q"] == 0
 
 

@@ -8,7 +8,8 @@ from lll_lab.core import LllError, action_law, all_charges, run, validate_proble
 from lll_lab.criteria import cluster_expansion_check
 from lll_lab.formats import generate_colored_clique
 from lll_lab.rng import source_for_run
-from lll_lab.solvers import EdgeColoredClique, rainbow_matching, rainbow_partial
+from lll_lab.analysis import rainbow_partial
+from lll_lab.solvers import EdgeColoredClique, rainbow_matching
 from lll_lab.solvers.matchings import (
     count_perfect_matchings,
     partial_weight,

@@ -8,10 +8,12 @@ from collections import Counter
 import pytest
 
 from lll_lab import chain, core
-from lll_lab.analysis import check_event_probability, coloring_weight_analysis, output_distribution
+from lll_lab.analysis import (PartialAvoidanceConfig, check_event_probability,
+                              check_witness_tree_lemma, coloring_weight_analysis, labeled_problem,
+                              output_distribution)
 from lll_lab.core import LllError, all_charges, computed_init_ratio, event_charge, measure_of_flaws
-from lll_lab.solvers import (CnfInstance, GraphInstance, WeightSpec, ksat_mt,
-                             vertex_coloring_greedy)
+from lll_lab.solvers import (CnfInstance, GraphInstance, WeightSpec, aec_backtrack, ksat_backtrack,
+                             ksat_mt, variables, vertex_coloring_greedy)
 
 
 def ksat_scoped():
@@ -105,3 +107,42 @@ def test_capped_space_applies_only_a_lower_cap(monkeypatch):
     assert space is problem.space and len(space.states) == 32
     with pytest.raises(LllError, match="^over 8$"):
         core.capped_space(problem, 8, "over 8")
+
+
+def matching(edges):
+    return GraphInstance.from_edge_list(2 * edges, [(2 * e, 2 * e + 1) for e in range(edges)])
+
+
+def test_backtracking_spaces_are_refused_by_count(monkeypatch):
+    """A 6-edge matching at q = 10 has 11^6 partial colorings, past the
+    cap: it declares no enumeration, so a suite refuses it without
+    drawing a state (it used to draw 10^6 + 1 first).  11^5 colorings
+    and the 3^12 assignments of a 12-variable ksat-backtrack still fit."""
+    with pytest.raises(LllError, match="oracle mode"):
+        check_witness_tree_lemma(aec_backtrack(matching(6), 10), runs=10)
+    assert aec_backtrack(matching(5), 10).enumerate_states is not None
+    cnf = CnfInstance(12, tuple((v, v + 1, v + 2) for v in range(1, 11)))
+    assert ksat_backtrack(cnf).enumerate_states is not None
+    # the count decides at the cap itself: 3 edges at q = 2 have 3^3 = 27
+    monkeypatch.setattr(variables, "STATE_CAP", 26)
+    assert aec_backtrack(matching(3), 2).enumerate_states is None
+    monkeypatch.setattr(variables, "STATE_CAP", 27)
+    calls = Counter()
+    assert len(counted(aec_backtrack(matching(3), 2), calls).space.states) == 27
+    assert calls["states"] == 27
+
+
+def test_labeled_space_is_refused_by_count(monkeypatch):
+    """Base states times label vectors past the cap is refused before
+    the labeled enumeration yields a state; the base is drawn once."""
+    base_calls, calls = Counter(), Counter()
+    base = counted(ksat_scoped(), base_calls)
+    cfg = PartialAvoidanceConfig.build(base, [0.05, 0.05])
+    assert all(0.0 < p < 1.0 for p in cfg.keep_probs)  # 4 label vectors, 32 * 4 states
+    monkeypatch.setattr(core, "STATE_CAP", 32 * 4 - 1)
+    labeled = counted(labeled_problem(base, cfg), calls)
+    with pytest.raises(LllError, match="^state space exceeds oracle cap$"):
+        labeled.space
+    assert calls["states"] == 0 and base_calls["states"] == 32
+    monkeypatch.setattr(core, "STATE_CAP", 32 * 4)
+    assert len(labeled_problem(ksat_scoped(), cfg).space.states) == 32 * 4
