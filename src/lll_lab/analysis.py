@@ -123,11 +123,14 @@ def problem_charges(problem: SearchProblem) -> list[float]:
 def problem_weights(problem: SearchProblem, psi: Sequence[float] | None,
                     refusal: str) -> list[float]:
     """``psi``, else the prewired ``default_weights``; refused with
-    ``refusal`` when neither is given, and refused unless positive."""
+    ``refusal`` when neither is given, and refused unless it holds one
+    positive weight per flaw."""
     if psi is None:
         psi = problem.default_weights
     if psi is None:
         raise LllError(refusal)
+    if len(psi) != problem.num_flaws:
+        raise LllError(f"{len(psi)} weights given for {problem.num_flaws} flaws")
     if not all(w > 0 for w in psi):
         raise LllError("weights must be positive")
     return list(psi)
@@ -686,7 +689,7 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
 
 
 def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
-                    max_steps: int = 10**6) -> dict:
+                    max_steps: int = DEFAULT_MAX_STEPS) -> dict:
     """Many-edges regime: run the label-truncated matcher and strip one
     edge per surviving conflict pair, reporting sizes against the exact
     lower bound on the expected count (and its large-n asymptotic form).
@@ -775,7 +778,14 @@ def run_core_truncated(
     of mu(f) times the independent-subset weight sum of its neighborhood.
     Requires the restricted condition gamma_i * (sum over independent
     subsets of the core part of the neighborhood) <= psi_i for every i.
+    Runs address the core flaws in the order of ``recommended_strategy``,
+    which must be a fixed one.
     """
+    prio = recommended_strategy(problem).priority(problem.num_flaws)
+    if prio is None:
+        raise LllError("core truncation needs a fixed flaw order; the recommended strategy "
+                       "has none")
+    psi = problem_weights(problem, psi, "core truncation needs a weight vector")
     graph = problem.graph
     charges = problem_charges(problem)
     core_set = set(core)
@@ -790,9 +800,9 @@ def run_core_truncated(
     for i in range(problem.num_flaws):
         if i in core_set:
             continue
-        z = neighborhood_sum(i, graph, list(psi))
+        z = neighborhood_sum(i, graph, psi)
         bound += flaw_measures[i] * z
-    tables = chain.build_chain_tables(problem, flaw_subset=core_set)
+    tables = chain.build_chain_tables(problem, prio[1], flaw_subset=core_set)
     result = chain.run_batch(tables, runs, seed)
     ids, mult = np.unique(result.final_ids, return_counts=True)
     failures = sum(c for k, c in zip(ids.tolist(), mult.tolist())
@@ -835,9 +845,11 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
     expectation under uniform proper colorings.  Refuses a negative local
     function before sampling (``local_weight_bound`` evaluates it on every
     proper coloring, every output among them), and censored runs."""
+    if "weights" not in problem.metadata:  # only the greedy coloring declares the key
+        raise LllError("coloring weight analysis needs a greedy coloring problem")
     g = problem.metadata["graph"]
     q = problem.metadata["q"]
-    spec = problem.metadata.get("weights")
+    spec = problem.metadata["weights"]
     if spec is None:
         raise LllError("coloring weight analysis needs a weight spec")
     proper = [s for s in problem.space.states if coloring_is_proper_vertex(g, s)]

@@ -1,64 +1,91 @@
-"""Rebuildable solver specs: a picklable description from which any
-worker process can reconstruct the same SearchProblem.  Used by the CLI
-and by the parallel Monte-Carlo driver."""
+"""The CLI's solver table, and rebuildable solver specs: a picklable
+description from which any worker process can reconstruct the same
+SearchProblem.  Used by the CLI and by the parallel Monte-Carlo driver."""
 
 from __future__ import annotations
 
-from .core import LllError, SearchProblem
-from . import formats
-from .solvers import (
-    aec_backtrack,
-    aec_clique_mt,
-    ksat_backtrack,
-    ksat_backtrack_biased,
-    ksat_mt,
-    rainbow_matching,
-    vertex_coloring_greedy,
-)
+from typing import Callable, NamedTuple
 
-SOLVER_NAMES = (
-    "ksat-mt",
-    "ksat-backtrack",
-    "ksat-backtrack-biased",
-    "aec-backtrack",
-    "aec-clique-mt",
-    "rainbow",
-    "rainbow-partial",
-    "vertex-coloring",
-)
+from . import formats
+from .core import LllError, SearchProblem
+from .solvers import (aec_backtrack, aec_clique_mt, ksat_backtrack, ksat_backtrack_biased,
+                      ksat_mt, rainbow_matching, vertex_coloring_greedy)
+from .solvers.aec import coloring_is_acyclic
+from .solvers.coloring import coloring_is_proper_vertex
+from .solvers.ksat import UNSET
+from .solvers.matchings import rainbow_validity
+
+
+class Solver(NamedTuple):
+    """One solver as the CLI knows it: its build from a spec (refusals
+    included), the spec fields past the instance that the build needs, each
+    set by its CLI flag, its engine-free output check, and its state's JSON."""
+
+    build: Callable[[dict], SearchProblem]
+    reads: tuple[str, ...]
+    valid: Callable[[SearchProblem, object], bool]
+    state_json: Callable[[object], object] = list
+
+
+def _cnf(spec: dict):
+    return formats.parse_dimacs(spec["instance_text"])
+
+
+def _graph_and_colors(spec: dict):
+    """The graph instance and ``colors``, refused before parsing when below 1."""
+    q = int(spec["colors"])
+    if q < 1:
+        raise LllError(f"--colors must be at least 1, got {q}")
+    return formats.parse_graph(spec["instance_text"]), q
+
+
+def _satisfied(problem: SearchProblem, state) -> bool:
+    return UNSET not in state and problem.metadata["cnf"].satisfied(state)
+
+
+def _acyclic(problem: SearchProblem, state) -> bool:
+    return all(c >= 0 for c in state) and coloring_is_acyclic(problem.metadata["graph"], state)
+
+
+def _unset_as_minus_one(state) -> list[int]:
+    # byte states mark an unassigned variable by UNSET
+    return [-1 if v == UNSET else v for v in state]
+
+
+SOLVERS = {
+    "ksat-mt": Solver(lambda spec: ksat_mt(_cnf(spec)), (), _satisfied),
+    "ksat-backtrack": Solver(lambda spec: ksat_backtrack(_cnf(spec)), (), _satisfied,
+                             _unset_as_minus_one),
+    "ksat-backtrack-biased": Solver(
+        lambda spec: ksat_backtrack_biased(_cnf(spec), [{0: p0, 1: p1} for p0, p1 in spec["bias"]]),
+        ("bias",), _satisfied, _unset_as_minus_one),
+    "aec-backtrack": Solver(lambda spec: aec_backtrack(*_graph_and_colors(spec)), ("colors",),
+                            _acyclic),
+    "aec-clique-mt": Solver(lambda spec: aec_clique_mt(*_graph_and_colors(spec))[0], ("colors",),
+                            _acyclic),
+    "rainbow": Solver(
+        lambda spec: rainbow_matching(formats.parse_colored_clique(spec["instance_text"])), (),
+        lambda problem, state: rainbow_validity(problem.metadata["clique"], state),
+        lambda state: sorted(list(e) for e in state)),
+    "vertex-coloring": Solver(
+        lambda spec: vertex_coloring_greedy(*_graph_and_colors(spec)), ("colors",),
+        lambda problem, state: coloring_is_proper_vertex(problem.metadata["graph"], state)),
+}
+PIPELINE = "rainbow-partial"  # solve-only, on rainbow instances; reads no optional field
+_after = list(SOLVERS).index("rainbow") + 1
+SOLVER_NAMES = (*list(SOLVERS)[:_after], PIPELINE, *list(SOLVERS)[_after:])
 
 
 def build_problem(spec: dict) -> SearchProblem:
     """Construct a solver's SearchProblem from a picklable spec dict:
-    {"solver": name, "instance_text": str, optional "colors": int,
-    "bias": list of [p0, p1]}."""
+    {"solver": name, "instance_text": str} plus the fields the solver
+    reads, "colors": int or "bias": list of [p0, p1]."""
     solver = spec["solver"]
-    text = spec["instance_text"]
-    if solver == "ksat-mt":
-        return ksat_mt(formats.parse_dimacs(text))
-    if solver == "ksat-backtrack":
-        return ksat_backtrack(formats.parse_dimacs(text))
-    if solver == "ksat-backtrack-biased":
-        cnf = formats.parse_dimacs(text)
-        bias = spec.get("bias")
-        if bias is None:
-            raise LllError("biased solver needs per-variable distributions")
-        dists = [{0: p[0], 1: p[1]} for p in bias]
-        return ksat_backtrack_biased(cnf, dists)
-    if solver in ("aec-backtrack", "aec-clique-mt", "vertex-coloring"):
-        if "colors" not in spec:
-            raise LllError(f"{solver} needs --colors")
-        q = int(spec["colors"])
-        if q < 1:
-            raise LllError(f"--colors must be at least 1, got {q}")
-        graph = formats.parse_graph(text)
-        if solver == "aec-backtrack":
-            return aec_backtrack(graph, q)
-        if solver == "aec-clique-mt":
-            return aec_clique_mt(graph, q)[0]
-        return vertex_coloring_greedy(graph, q)
-    if solver == "rainbow":
-        return rainbow_matching(formats.parse_colored_clique(text))
-    if solver == "rainbow-partial":
-        raise LllError("rainbow-partial is a solve-only pipeline; verify the plain rainbow solver instead")
-    raise LllError(f"unknown solver {solver!r}")
+    if solver == PIPELINE:
+        raise LllError(f"{PIPELINE} is a solve-only pipeline; verify the plain rainbow solver instead")
+    if solver not in SOLVERS:
+        raise LllError(f"unknown solver {solver!r}")
+    for field in SOLVERS[solver].reads:
+        if spec.get(field) is None:
+            raise LllError(f"{solver} needs --{field}")
+    return SOLVERS[solver].build(spec)

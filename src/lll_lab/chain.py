@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LllError, SearchProblem
+from .core import DEFAULT_MAX_STEPS, LllError, SearchProblem
 from .rng import BATCH_TAG, run_stream
 
 # transient states of the dense absorbing-chain solve: 128 MB of float64
@@ -118,7 +118,7 @@ def run_batch(
     tables: ChainTables,
     runs: int,
     seed: int,
-    max_steps: int = 10**6,
+    max_steps: int = DEFAULT_MAX_STEPS,
     record_sequences: bool = False,
     sequence_cap: int = 64,
 ) -> BatchResult:

@@ -21,21 +21,12 @@ import sys
 import numpy as np
 
 from . import formats
-from .build import SOLVER_NAMES, build_problem
-from .core import LllError, recommended_strategy, run
-from .criteria import (
-    CliqueLllConfig,
-    backtracking_criterion,
-    cluster_expansion_check,
-    general_lll_check,
-    clique_lll_check,
-    shearer_polynomials,
-)
+from .build import PIPELINE, SOLVER_NAMES, SOLVERS, build_problem
+from .core import DEFAULT_MAX_STEPS, LllError, recommended_strategy, run
+from .criteria import (NEIGHBORHOOD_CAP, CliqueLllConfig, backtracking_criterion,
+                       cluster_expansion_check, clique_lll_check, general_lll_check,
+                       shearer_polynomials)
 from .rng import resolve_seed, source_for_run
-from .solvers.aec import coloring_is_acyclic
-from .solvers.coloring import coloring_is_proper_vertex
-from .solvers.ksat import UNSET
-from .solvers.matchings import rainbow_validity
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,40 +57,21 @@ def _read(path: str) -> str:
 
 
 def _spec_from_args(args) -> dict:
+    """The build spec of ``args``, refusing first a flag its solver does not read."""
+    reads = SOLVERS[args.solver].reads if args.solver in SOLVERS else ()
+    for flag in ("colors", "bias"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise LllError(f"{args.solver} does not read --{flag}")
     spec = {"solver": args.solver, "instance_text": _read(args.instance)}
-    if getattr(args, "colors", None) is not None:
+    if args.colors is not None:
         spec["colors"] = args.colors
-    if getattr(args, "bias", None):
+    if args.bias is not None:
         spec["bias"] = formats.parse_bias_json(_read(args.bias))
     return spec
 
 
 def _validate_output(spec: dict, problem, state) -> bool:
-    solver = spec["solver"]
-    if solver in ("ksat-mt", "ksat-backtrack", "ksat-backtrack-biased"):
-        cnf = problem.metadata["cnf"]
-        if solver == "ksat-mt":
-            return cnf.satisfied(state)
-        return UNSET not in state and cnf.satisfied(state)
-    if solver in ("aec-backtrack", "aec-clique-mt"):
-        g = problem.metadata["graph"]
-        full = all(c >= 0 for c in state)
-        return full and coloring_is_acyclic(g, state)
-    if solver == "rainbow":
-        return rainbow_validity(problem.metadata["clique"], state)
-    if solver == "vertex-coloring":
-        return coloring_is_proper_vertex(problem.metadata["graph"], state)
-    return True
-
-
-def _state_json(spec: dict, problem, state):
-    solver = spec["solver"]
-    if solver == "rainbow":
-        return sorted(list(e) for e in state)
-    if solver in ("ksat-backtrack", "ksat-backtrack-biased"):
-        # byte states mark an unassigned variable by UNSET; print it as -1
-        return [-1 if v == UNSET else v for v in state]
-    return list(state)
+    return SOLVERS[spec["solver"]].valid(problem, state)
 
 
 def _trace_json(problem, report) -> dict:
@@ -123,9 +95,9 @@ def _trace_json(problem, report) -> dict:
 def cmd_solve(args) -> int:
     if args.max_steps < 0:
         raise LllError("--max-steps must be non-negative")
-    if args.solver == "rainbow-partial":
-        return _solve_rainbow_partial(args)
     spec = _spec_from_args(args)
+    if args.solver == PIPELINE:
+        return _solve_rainbow_partial(args, spec["instance_text"])
     problem = build_problem(spec)
     if args.trace and problem.unassigned is not None and args.strategy not in (None, "lowest_index"):
         raise LllError(f"--trace needs --strategy lowest_index for {args.solver}, not "
@@ -142,7 +114,7 @@ def cmd_solve(args) -> int:
         "terminated": report.terminated,
         "steps": report.steps,
         "valid": valid,
-        "final_state": _state_json(spec, problem, report.final_state),
+        "final_state": SOLVERS[args.solver].state_json(report.final_state),
         "resample_counts": list(report.resample_counts),
     }
     if args.trace:
@@ -155,14 +127,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK if valid else EXIT_USAGE
 
 
-def _solve_rainbow_partial(args) -> int:
+def _solve_rainbow_partial(args, text: str) -> int:
     from .analysis import rainbow_partial
 
-    clique = formats.parse_colored_clique(_read(args.instance))
-    out = rainbow_partial(clique, runs=1, seed=args.seed, max_steps=args.max_steps)
+    out = rainbow_partial(formats.parse_colored_clique(text), runs=1, seed=args.seed,
+                          max_steps=args.max_steps)
     doc = {
         "op": "solve",
-        "solver": "rainbow-partial",
+        "solver": PIPELINE,
         "seed": args.seed,
         "max_steps": args.max_steps,
         "terminated": out["all_terminated"],
@@ -184,42 +156,40 @@ def _solve_rainbow_partial(args) -> int:
 # criteria
 
 
+def _clique_check(parsed: dict, args):
+    if "cliques" not in parsed:
+        raise LllError("clique mode needs the criteria field 'cliques'")
+    cliques = tuple(frozenset(cl) for cl in parsed["cliques"])
+    return clique_lll_check(parsed["gamma"], CliqueLllConfig(parsed["graph"], cliques, parsed["x"]))
+
+
+def _backtrack_check(parsed: dict, args):
+    if "backtrack_table" not in parsed:
+        raise LllError("backtrack mode needs the criteria field 'backtrack'")
+    return backtracking_criterion(parsed["backtrack_table"], parsed["backtrack_psi"],
+                                  lambda_init=parsed.get("lambda_init"))
+
+
+# criterion mode -> its check of the parsed criteria file; every report
+# has ``passed`` and ``to_json_dict``
+CRITERIA = {
+    "general": lambda parsed, args: general_lll_check(
+        parsed["gamma"], parsed["graph"], parsed["psi"]),
+    "cluster": lambda parsed, args: cluster_expansion_check(
+        parsed["gamma"], parsed["graph"], parsed["psi"], cap=args.cap),
+    "shearer": lambda parsed, args: shearer_polynomials(parsed["gamma"], parsed["graph"]),
+    "clique": _clique_check,
+    "backtrack": _backtrack_check,
+}
+
+
 def cmd_criteria(args) -> int:
     parsed = formats.parse_criteria_json(_read(args.criteria))
-    mode = args.mode or parsed.get("mode", "general")
-    gamma, psi, graph = parsed["gamma"], parsed["psi"], parsed["graph"]
-    if mode == "general":
-        rep = general_lll_check(gamma, graph, psi)
-        doc = rep.to_json_dict()
-    elif mode == "cluster":
-        rep = cluster_expansion_check(gamma, graph, psi, cap=args.cap)
-        doc = rep.to_json_dict()
-    elif mode == "shearer":
-        srep = shearer_polynomials(gamma, graph)
-        doc = srep.to_json_dict()
-        rep = srep
-    elif mode == "clique":
-        if "cliques" not in parsed:
-            raise LllError("clique mode needs the criteria field 'cliques'")
-        cfg = CliqueLllConfig(
-            graph,
-            tuple(frozenset(cl) for cl in parsed["cliques"]),
-            parsed["x"],
-        )
-        rep = clique_lll_check(gamma, cfg)
-        doc = rep.to_json_dict()
-    elif mode == "backtrack":
-        if "backtrack_table" not in parsed:
-            raise LllError("backtrack mode needs the criteria field 'backtrack'")
-        rep = backtracking_criterion(
-            parsed["backtrack_table"], parsed["backtrack_psi"],
-            lambda_init=parsed.get("lambda_init"),
-        )
-        doc = rep.to_json_dict()
-    else:
+    mode = args.mode or parsed["mode"]
+    if not isinstance(mode, str) or mode not in CRITERIA:  # the file's mode is any JSON value
         raise LllError(f"unknown mode {mode!r}")
-    doc["mode"] = mode
-    _emit(doc, args.json)
+    rep = CRITERIA[mode](parsed, args)
+    _emit({**rep.to_json_dict(), "mode": mode}, args.json)
     _info(f"criterion {mode}: {'pass' if rep.passed else 'FAIL'}")
     return EXIT_OK if rep.passed else EXIT_CRITERION_FAIL
 
@@ -228,55 +198,58 @@ def cmd_criteria(args) -> int:
 # verify
 
 
+def _resamples(analysis, problem, spec: dict, args, psi):
+    # workers sample only once the weights and the criterion have passed
+    parallel = _processes(args.parallel, args.runs) > 1 and problem.enumerate_states is None
+    sample = lambda: analysis.BatchStats(
+        args.runs, *parallel_run_counts(spec, args.runs, args.seed, args.parallel), outputs={})
+    return analysis.check_resample_bounds(problem, psi=psi, runs=args.runs, seed=args.seed,
+                                          mode=args.mode or "cluster",
+                                          sample=sample if parallel else None)
+
+
+# verify suite -> its call into ``analysis``, which ``cmd_verify`` loads
+# and passes in, so each suite function is looked up when it is called
+SUITES = {
+    "witness": lambda analysis, problem, spec, args, psi: analysis.check_witness_tree_lemma(
+        problem, runs=args.runs, seed=args.seed, max_tree_nodes=args.tree_nodes),
+    "resamples": _resamples,
+    "distribution": lambda analysis, problem, spec, args, psi: analysis.output_distribution(
+        problem, psi=psi, runs=args.runs, seed=args.seed),
+    "partial": lambda analysis, problem, spec, args, psi: analysis.partial_avoidance(
+        problem, analysis.PartialAvoidanceConfig.build(problem, psi), runs=args.runs,
+        seed=args.seed),
+    # the first flaw's extension, the canonical demonstration event
+    "event": lambda analysis, problem, spec, args, psi: analysis.check_event_probability(
+        problem, event=lambda s: problem.present(0, s), psi=psi, runs=args.runs, seed=args.seed),
+}
+
+
 def cmd_verify(args) -> int:
     from . import analysis
 
-    suite = args.suite
-    runs = args.runs
-    if runs <= 0:
+    if args.runs <= 0:
         raise LllError("--runs must be positive")
     if args.parallel < 1:
         raise LllError("--parallel must be at least 1")
-    if args.mode is not None and suite != "resamples":
-        raise LllError(f"--mode applies only to the resamples suite, not {suite}")
+    if args.mode is not None and args.suite != "resamples":
+        raise LllError(f"--mode applies only to the resamples suite, not {args.suite}")
     spec = _spec_from_args(args)
     problem = build_problem(spec)
     psi = None if args.psi is None else [args.psi] * problem.num_flaws
-    if suite == "witness":
-        report = analysis.check_witness_tree_lemma(
-            problem, runs=runs, seed=args.seed, max_tree_nodes=args.tree_nodes,
-        )
-    elif suite == "resamples":
-        sample = None
-        if _processes(args.parallel, runs) > 1 and problem.enumerate_states is None:
-            # called only once the weights and the criterion have passed
-            def sample():
-                counts = parallel_run_counts(spec, runs, args.seed, args.parallel)
-                return analysis.BatchStats(runs, *counts, outputs={})
-        report = analysis.check_resample_bounds(
-            problem, psi=psi, runs=runs, seed=args.seed, mode=args.mode or "cluster",
-            sample=sample,
-        )
-    elif suite == "distribution":
-        report = analysis.output_distribution(problem, psi=psi, runs=runs, seed=args.seed)
-    elif suite == "partial":
-        cfg = analysis.PartialAvoidanceConfig.build(problem, psi)
-        report = analysis.partial_avoidance(problem, cfg, runs=runs, seed=args.seed)
-    else:  # event: the first flaw's extension, the canonical demonstration event
-        report = analysis.check_event_probability(
-            problem, event=lambda s: problem.present(0, s), psi=psi, runs=runs, seed=args.seed)
+    report = SUITES[args.suite](analysis, problem, spec, args, psi)
     doc = analysis.report_to_json_dict(report)
     doc.update({
         "solver": args.solver,
-        "suite": suite,
+        "suite": args.suite,
         "seed": args.seed,
         "instance": args.instance,
-        "params": {"runs": runs, "psi": args.psi, "mode": args.mode,
+        "params": {"runs": args.runs, "psi": args.psi, "mode": args.mode,
                    "tree_nodes": args.tree_nodes, "colors": args.colors},
     })
     _emit(doc, args.json)
     ok = bool(report.get("all_pass"))
-    _info(f"suite {suite}: {'pass' if ok else 'FAIL'}")
+    _info(f"suite {args.suite}: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CRITERION_FAIL
 
 
@@ -284,25 +257,28 @@ def cmd_verify(args) -> int:
 # gen
 
 
+def _gen_ksat(args, rng) -> str:
+    if args.k < 1:
+        raise LllError(f"--k must be at least 1, got {args.k}")
+    return formats.serialize_dimacs(formats.generate_ksat(args.n, args.k, args.degree, rng))
+
+
+# gen family -> its instance text, from the flags and the seed's run-0 stream
+FAMILIES = {
+    "ksat": _gen_ksat,
+    "graph": lambda args, rng: formats.serialize_graph(
+        formats.generate_graph(args.n, args.max_degree, rng, args.edges)),
+    "colored-clique": lambda args, rng: formats.serialize_colored_clique(
+        formats.generate_colored_clique(args.n, args.multiplicity, rng)),
+}
+
+
 def cmd_gen(args) -> int:
     for flag in ("n", "degree", "max_degree", "edges"):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise LllError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
-    if args.family == "ksat" and args.k < 1:
-        raise LllError(f"--k must be at least 1, got {args.k}")
-    rng = source_for_run(args.seed, 0)
-    if args.family == "ksat":
-        cnf = formats.generate_ksat(args.n, args.k, args.degree, rng)
-        sys.stdout.write(formats.serialize_dimacs(cnf))
-    elif args.family == "graph":
-        g = formats.generate_graph(args.n, args.max_degree, rng, args.edges)
-        sys.stdout.write(formats.serialize_graph(g))
-    elif args.family == "colored-clique":
-        k = formats.generate_colored_clique(args.n, args.multiplicity, rng)
-        sys.stdout.write(formats.serialize_colored_clique(k))
-    else:
-        raise LllError(f"unknown family {args.family!r}")
+    sys.stdout.write(FAMILIES[args.family](args, source_for_run(args.seed, 0)))
     return EXIT_OK
 
 
@@ -360,49 +336,43 @@ def main(argv=None) -> int:
         description="stochastic local-search lab: solvers, criteria, verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    on_solver = argparse.ArgumentParser(add_help=False)  # what solve and verify share
+    on_solver.add_argument("solver", choices=SOLVER_NAMES)
+    on_solver.add_argument("instance")
+    on_solver.add_argument("--seed", type=int, default=None)
+    on_solver.add_argument("--colors", "--q", type=int, default=None, dest="colors")
+    on_solver.add_argument("--bias", default=None, help="JSON file of per-variable [p0,p1]")
+    on_solver.add_argument("--json", default=None, help="write the JSON report here")
 
-    p_solve = sub.add_parser("solve", help="run a solver on an instance file")
-    p_solve.add_argument("solver", choices=SOLVER_NAMES)
-    p_solve.add_argument("instance")
-    p_solve.add_argument("--seed", type=int, default=None)
-    p_solve.add_argument("--max-steps", type=int, default=10**6)
+    p_solve = sub.add_parser("solve", parents=[on_solver], help="run a solver on an instance file")
+    p_solve.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p_solve.add_argument("--strategy", choices=["lowest_index", "recency"], default=None)
-    p_solve.add_argument("--colors", "--q", type=int, default=None, dest="colors")
-    p_solve.add_argument("--bias", default=None, help="JSON file of per-variable [p0,p1]")
     p_solve.add_argument("--trace", action="store_true",
                          help="embed the witness sequence/trees/forest in the report")
-    p_solve.add_argument("--json", default=None, help="write the JSON report here")
     p_solve.set_defaults(fn=cmd_solve)
 
     p_crit = sub.add_parser("criteria", help="evaluate a criterion from a JSON description")
     p_crit.add_argument("criteria")
-    p_crit.add_argument("--mode", choices=["general", "cluster", "shearer", "clique", "backtrack"],
-                        default=None)
-    p_crit.add_argument("--cap", type=int, default=25,
+    p_crit.add_argument("--mode", choices=CRITERIA, default=None)
+    p_crit.add_argument("--cap", type=int, default=NEIGHBORHOOD_CAP,
                         help="neighborhood enumeration cap for cluster mode")
     p_crit.add_argument("--json", default=None)
     p_crit.set_defaults(fn=cmd_criteria)
 
-    p_verify = sub.add_parser("verify", help="run a Monte-Carlo verdict suite")
-    p_verify.add_argument("solver", choices=SOLVER_NAMES)
-    p_verify.add_argument("instance")
-    p_verify.add_argument("--suite", required=True,
-                          choices=["witness", "resamples", "distribution", "partial", "event"])
+    p_verify = sub.add_parser("verify", parents=[on_solver],
+                              help="run a Monte-Carlo verdict suite")
+    p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--runs", type=int, default=10**5)
-    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--mode", choices=["cluster", "shearer"], default=None)
     p_verify.add_argument("--psi", type=float, default=None)
     p_verify.add_argument("--tree-nodes", type=int, default=3)
-    p_verify.add_argument("--colors", "--q", type=int, default=None, dest="colors")
-    p_verify.add_argument("--bias", default=None)
     p_verify.add_argument("--parallel", type=int, default=1,
                           help="worker processes for the resamples suite on "
                                "problems too large to enumerate")
-    p_verify.add_argument("--json", default=None)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a random instance on stdout")
-    p_gen.add_argument("family", choices=["ksat", "graph", "colored-clique"])
+    p_gen.add_argument("family", choices=FAMILIES)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--k", type=int, default=3)
     p_gen.add_argument("--degree", type=int, default=2)

@@ -452,6 +452,23 @@ def test_core_truncation_partial_core(two_clause_mt):
     assert v.bound >= v.empirical - 4 * v.se
 
 
+def test_core_truncation_follows_the_recommended_order(monkeypatch, two_clause_mt):
+    """Core truncation builds its chain under the problem's own flaw
+    order, the one ``run_many`` passes, not under lowest index."""
+    orders = []
+    original = chain.build_chain_tables
+
+    def spy(problem, priority=None, flaw_subset=None):
+        orders.append(None if priority is None else list(priority))
+        return original(problem, priority, flaw_subset)
+
+    monkeypatch.setattr(chain, "build_chain_tables", spy)
+    p = with_strategy(two_clause_mt, ("fixed_priority", [1, 0]))
+    run_core_truncated(p, core=[0, 1], psi=[0.25, 0.25], runs=100, seed=1)
+    run_many(p, 100, 1)
+    assert orders == [[1, 0], [1, 0]]
+
+
 def test_core_truncation_refuses_bad_restriction():
     p = ksat_mt(all_clauses_3sat())
     with pytest.raises(LllError, match="restricted criterion"):

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from lll_lab import cli
+from lll_lab.build import SOLVER_NAMES, SOLVERS
 from lll_lab.cli import main
+from lll_lab.core import DEFAULT_MAX_STEPS
 
 K6_ONE_CONFLICT = "\n".join(
     f"{u} {v} {u * 6 + v if not (u == 2 and v == 3) else 1}"
@@ -583,8 +586,9 @@ def test_flags_checked_before_building(tmp_path, capsys, monkeypatch, argv, flag
     ('{"m": 0, "mode": "backtrack", "backtrack": {"charges": {}, "psi": {}}}', "'variables'"),
     ('{"m": 1, "mode": "clique", "gamma": [0.1]}', "'cliques'"),
     ('{"m": 1, "mode": "backtrack"}', "'backtrack'"),
+    ('{"m": 1, "gamma": [0.1], "psi": [0.2], "mode": ["general"]}', "unknown mode"),
 ], ids=["not-json", "m-not-integer", "adjacency-out-of-range", "backtrack-no-variables",
-        "clique-no-cliques", "backtrack-no-block"])
+        "clique-no-cliques", "backtrack-no-block", "mode-not-a-string"])
 def test_malformed_criteria_json_refused_by_field(tmp_path, capsys, text, field):
     path = write(tmp_path, "crit.json", text)
     code, out, err = run_cli(["criteria", path], capsys)
@@ -618,3 +622,104 @@ def test_cli_import_loads_no_fractions(tmp_path):
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True, timeout=60)
         assert done.stdout.splitlines()[-1] == "[]"
+
+
+def instance_size(text: str, field: int) -> int:
+    return int(text.split()[field])
+
+
+def fully_assigned(state, size, values):
+    return len(state) == size and all(0 <= v < values for v in state)
+
+
+# solver -> (gen arguments, solver flags, check of the printed final state
+# against the instance text); a new solver needs an entry here
+GEN_THEN_SOLVE = {
+    "ksat-mt": (["ksat", "--n", "12", "--k", "3"], [],
+                lambda state, text: fully_assigned(state, instance_size(text, 2), 2)),
+    "ksat-backtrack": (["ksat", "--n", "12", "--k", "3"], [],
+                       lambda state, text: fully_assigned(state, instance_size(text, 2), 2)),
+    "ksat-backtrack-biased": (["ksat", "--n", "12", "--k", "3"], ["--bias", "bias.json"],
+                              lambda state, text: fully_assigned(state, instance_size(text, 2), 2)),
+    "aec-backtrack": (["graph", "--n", "8"], ["--colors", "9"],
+                      lambda state, text: fully_assigned(state, instance_size(text, 1), 9)),
+    "aec-clique-mt": (["graph", "--n", "8"], ["--colors", "20"],
+                      lambda state, text: fully_assigned(state, instance_size(text, 1), 20)),
+    "rainbow": (["colored-clique", "--n", "5"], [],
+                lambda state, text: len(state) == 5 and state == sorted(state)
+                and all(len(e) == 2 and e[0] < e[1] for e in state)
+                and sorted(v for e in state for v in e) == list(range(10))),
+    "vertex-coloring": (["graph", "--n", "8"], ["--colors", "4"],
+                        lambda state, text: fully_assigned(state, instance_size(text, 0), 4)),
+}
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_gen_then_solve_every_solver(tmp_path, capsys, solver):
+    gen_args, flags, check = GEN_THEN_SOLVE[solver]
+    code, text, _ = run_cli(["gen", *gen_args, "--seed", "3"], capsys)
+    assert code == 0
+    path = write(tmp_path, "instance.txt", text)
+    write(tmp_path, "bias.json", json.dumps([[0.5, 0.5]] * 12))
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    code, out, _ = run_cli(["solve", solver, path, *flags, "--seed", "4"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["terminated"] and doc["valid"]
+    assert doc["max_steps"] == DEFAULT_MAX_STEPS
+    assert check(doc["final_state"], text)
+
+
+def test_each_choice_list_is_its_table(capsys):
+    """Every ``choices=`` is its table's keys, in order, as ``--help``
+    prints them."""
+    assert [name for name in SOLVER_NAMES if name != "rainbow-partial"] == list(SOLVERS)
+    for command, tables in [("solve", [SOLVER_NAMES]), ("verify", [SOLVER_NAMES, cli.SUITES]),
+                            ("criteria", [cli.CRITERIA]), ("gen", [cli.FAMILIES])]:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        for table in tables:
+            assert "{" + ",".join(table) + "}" in usage
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "ksat-backtrack", "--bias", "bias.json"], "--bias"),
+    (["solve", "ksat-mt", "--colors", "4"], "--colors"),
+    (["solve", "ksat-backtrack-biased", "--colors", "4", "--bias", "bias.json"], "--colors"),
+    (["solve", "rainbow", "--colors", "4"], "--colors"),
+    (["solve", "rainbow-partial", "--bias", "bias.json"], "--bias"),
+    (["solve", "aec-backtrack", "--colors", "9", "--bias", "bias.json"], "--bias"),
+    (["verify", "ksat-mt", "--suite", "witness", "--colors", "4"], "--colors"),
+    (["verify", "vertex-coloring", "--suite", "witness", "--colors", "4", "--bias", "bias.json"],
+     "--bias"),
+])
+def test_unread_solver_flags_refused_before_building(tmp_path, capsys, monkeypatch, argv, flag):
+    """A flag that the solver's table entry does not read is an error, not
+    a silent no-op (``--bias`` on ``ksat-backtrack`` used to run uniform
+    coins)."""
+    import lll_lab.analysis as analysis
+
+    def never(*args, **kwargs):
+        raise AssertionError("built before refusing")
+
+    monkeypatch.setattr(cli, "build_problem", never)
+    monkeypatch.setattr(analysis, "rainbow_partial", never)
+    path = write(tmp_path, "f.cnf", TWO_CLAUSES)
+    write(tmp_path, "bias.json", json.dumps([[0.5, 0.5]] * 3))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(argv[:2] + [path] + argv[2:] + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"does not read {flag}" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["solve", "ksat-backtrack-biased"], "--bias"),
+    (["solve", "aec-backtrack"], "--colors"),
+    (["verify", "vertex-coloring", "--suite", "witness"], "--colors"),
+])
+def test_needed_solver_flags_refused_when_missing(tmp_path, capsys, argv, flag):
+    path = write(tmp_path, "instance.txt", "p cnf 3 1\n1 2 3 0\n" if "ksat" in argv[1]
+                 else "3 2\n0 1\n1 2\n")
+    code, out, err = run_cli(argv[:2] + [path] + argv[2:] + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"needs {flag}" in err

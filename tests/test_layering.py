@@ -103,6 +103,14 @@ def test_module_level_imports_form_a_dag():
     assert set(order) == set(MODULES)
 
 
+def test_cli_imports_no_solver():
+    """The CLI knows solvers only through ``build.SOLVERS``."""
+    top, deferred, _ = SCANS["lll_lab.cli"]
+    loaded = top | {target for _, target in deferred}
+    assert "lll_lab.build" in top  # the scan is not vacuous
+    assert [m for m in loaded if m == "lll_lab.solvers" or m.startswith("lll_lab.solvers.")] == []
+
+
 def test_errors_module_is_a_leaf():
     top, deferred, _ = SCANS["lll_lab.errors"]
     assert top == set() and deferred == []

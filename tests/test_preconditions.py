@@ -6,6 +6,8 @@ patched to raise, each input refusal of each suite still surfaces: as
 CLI.  So no refusal waits on Monte-Carlo work.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from lll_lab import analysis, chain, core
@@ -114,6 +116,11 @@ LIBRARY = {
         rainbow_matching(colored_k6()), {(0, 1): -1.0}, runs=100), "nonnegative"),
     "negative-weight-function": (lambda: coloring_weight_analysis(
         weighted_path(lambda c: -1.0), runs=100), "nonnegative"),
+    "not-a-coloring": (lambda: coloring_weight_analysis(two_clauses(), runs=100),
+                       "needs a greedy coloring problem"),
+    "recency-core-truncation": (lambda: run_core_truncated(
+        replace(two_clauses(), metadata={**two_clauses().metadata, "strategy": "recency"}),
+        [0], [0.25] * 2, runs=100), "fixed flaw order"),
 }
 
 
@@ -122,6 +129,22 @@ def test_library_refusals_come_before_sampling(no_sampling, case):
     refuse, message = LIBRARY[case]
     with pytest.raises(LllError, match=message):
         refuse()
+
+
+def test_weights_of_the_wrong_length_refused(no_sampling):
+    """ψ holds one weight per flaw: too few used to end in ``IndexError``,
+    too many passed unread."""
+    calls = [
+        lambda: output_distribution(two_clauses(), psi=[0.25], runs=10),
+        lambda: PartialAvoidanceConfig.build(two_clauses(), [0.25]),
+        lambda: check_event_probability(two_clauses(), lambda s: True, psi=[0.25] * 3,
+                                        runs=100),
+        lambda: check_resample_bounds(two_clauses(), psi=[0.25] * 3, runs=100),
+        lambda: run_core_truncated(two_clauses(), [0], [0.25], runs=100),
+    ]
+    for call in calls:
+        with pytest.raises(LllError, match=r"^\d weights given for 2 flaws$"):
+            call()
 
 
 STATE_CAPPED = {
