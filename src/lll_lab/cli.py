@@ -14,9 +14,11 @@ loads neither.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -208,20 +210,34 @@ def _resamples(analysis, problem, spec: dict, args, psi):
                                           sample=sample if parallel else None)
 
 
-# verify suite -> its call into ``analysis``, which ``cmd_verify`` loads
-# and passes in, so each suite function is looked up when it is called
+class Suite(NamedTuple):
+    """One verify suite: its call into ``analysis``, which ``cmd_verify``
+    loads and passes in, so each suite function is looked up when it is
+    called; and whether it reads ``--psi`` under the given flags."""
+
+    run: Callable
+    reads_psi: Callable[[argparse.Namespace], bool] = lambda args: True
+
+
 SUITES = {
-    "witness": lambda analysis, problem, spec, args, psi: analysis.check_witness_tree_lemma(
-        problem, runs=args.runs, seed=args.seed, max_tree_nodes=args.tree_nodes),
-    "resamples": _resamples,
-    "distribution": lambda analysis, problem, spec, args, psi: analysis.output_distribution(
-        problem, psi=psi, runs=args.runs, seed=args.seed),
-    "partial": lambda analysis, problem, spec, args, psi: analysis.partial_avoidance(
-        problem, analysis.PartialAvoidanceConfig.build(problem, psi), runs=args.runs,
-        seed=args.seed),
+    "witness": Suite(
+        lambda analysis, problem, spec, args, psi: analysis.check_witness_tree_lemma(
+            problem, runs=args.runs, seed=args.seed, max_tree_nodes=args.tree_nodes),
+        reads_psi=lambda args: False),
+    # shearer mode bounds by Shearer's polynomials, with no weight vector
+    "resamples": Suite(_resamples, reads_psi=lambda args: (args.mode or "cluster") == "cluster"),
+    "distribution": Suite(
+        lambda analysis, problem, spec, args, psi: analysis.output_distribution(
+            problem, psi=psi, runs=args.runs, seed=args.seed)),
+    "partial": Suite(
+        lambda analysis, problem, spec, args, psi: analysis.partial_avoidance(
+            problem, analysis.PartialAvoidanceConfig.build(problem, psi), runs=args.runs,
+            seed=args.seed)),
     # the first flaw's extension, the canonical demonstration event
-    "event": lambda analysis, problem, spec, args, psi: analysis.check_event_probability(
-        problem, event=lambda s: problem.present(0, s), psi=psi, runs=args.runs, seed=args.seed),
+    "event": Suite(
+        lambda analysis, problem, spec, args, psi: analysis.check_event_probability(
+            problem, event=lambda s: problem.present(0, s), psi=psi, runs=args.runs,
+            seed=args.seed)),
 }
 
 
@@ -234,10 +250,14 @@ def cmd_verify(args) -> int:
         raise LllError("--parallel must be at least 1")
     if args.mode is not None and args.suite != "resamples":
         raise LllError(f"--mode applies only to the resamples suite, not {args.suite}")
+    suite = SUITES[args.suite]
+    if args.psi is not None and not suite.reads_psi(args):
+        mode = f" in {args.mode} mode" if args.mode else ""
+        raise LllError(f"the {args.suite} suite{mode} does not read --psi")
     spec = _spec_from_args(args)
     problem = build_problem(spec)
     psi = None if args.psi is None else [args.psi] * problem.num_flaws
-    report = SUITES[args.suite](analysis, problem, spec, args, psi)
+    report = suite.run(analysis, problem, spec, args, psi)
     doc = analysis.report_to_json_dict(report)
     doc.update({
         "solver": args.solver,
@@ -263,22 +283,45 @@ def _gen_ksat(args, rng) -> str:
     return formats.serialize_dimacs(formats.generate_ksat(args.n, args.k, args.degree, rng))
 
 
-# gen family -> its instance text, from the flags and the seed's run-0 stream
+class Family(NamedTuple):
+    """One ``gen`` family: its instance text, from the flags and the
+    seed's run-0 stream, and the optional flags it reads, each with the
+    default it takes when not given."""
+
+    make: Callable[[argparse.Namespace, object], str]
+    flags: dict[str, int | None]
+
+
 FAMILIES = {
-    "ksat": _gen_ksat,
-    "graph": lambda args, rng: formats.serialize_graph(
+    "ksat": Family(_gen_ksat, {"k": 3, "degree": 2}),
+    "graph": Family(lambda args, rng: formats.serialize_graph(
         formats.generate_graph(args.n, args.max_degree, rng, args.edges)),
-    "colored-clique": lambda args, rng: formats.serialize_colored_clique(
+        {"max_degree": 3, "edges": None}),
+    "colored-clique": Family(lambda args, rng: formats.serialize_colored_clique(
         formats.generate_colored_clique(args.n, args.multiplicity, rng)),
+        {"multiplicity": 2}),
 }
+# every family's optional flags, in table order; each parses to None when not given
+GEN_FLAGS = tuple(dict.fromkeys(flag for family in FAMILIES.values() for flag in family.flags))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def cmd_gen(args) -> int:
+    family = FAMILIES[args.family]
+    for flag in GEN_FLAGS:
+        if getattr(args, flag) is not None and flag not in family.flags:
+            raise LllError(f"gen {args.family} does not read {_flag(flag)}")
+    for flag, default in family.flags.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     for flag in ("n", "degree", "max_degree", "edges"):
         value = getattr(args, flag)
         if value is not None and value < 0:
-            raise LllError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
-    sys.stdout.write(FAMILIES[args.family](args, source_for_run(args.seed, 0)))
+            raise LllError(f"{_flag(flag)} must be non-negative, got {value}")
+    sys.stdout.write(family.make(args, source_for_run(args.seed, 0)))
     return EXIT_OK
 
 
@@ -330,7 +373,10 @@ def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
 # entry point
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` keeps no
+    state between calls, and each ``choices=`` is its live table."""
     parser = argparse.ArgumentParser(
         prog="lll-lab",
         description="stochastic local-search lab: solvers, criteria, verification",
@@ -374,15 +420,15 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("gen", help="generate a random instance on stdout")
     p_gen.add_argument("family", choices=FAMILIES)
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--k", type=int, default=3)
-    p_gen.add_argument("--degree", type=int, default=2)
-    p_gen.add_argument("--max-degree", type=int, default=3)
-    p_gen.add_argument("--edges", type=int, default=None)
-    p_gen.add_argument("--multiplicity", type=int, default=2)
+    for flag in GEN_FLAGS:
+        p_gen.add_argument(_flag(flag), type=int, default=None)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.set_defaults(fn=cmd_gen)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "seed"):
             args.seed = resolve_seed(args.seed)

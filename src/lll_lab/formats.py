@@ -81,23 +81,25 @@ def serialize_dimacs(cnf: CnfInstance) -> str:
 
 
 def parse_graph(text: str) -> GraphInstance:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.strip().startswith("#")]
-    if not lines:
+    rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and not line.startswith("#")]
+    if not rows:
         raise LllError("empty graph file")
-    head = lines[0].split()
+    head = rows[0][1].split()
     if len(head) != 2:
         raise LllError("graph header must be 'n m'")
     n, m = _ints(head, "graph header")
     edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise LllError(f"line {lineno}: edge line must be 'u v'")
         u, v = _ints(parts, f"edge on line {lineno}")
-        edges.append((u, v))
+        edges.append((u, v) if u <= v else (v, u))
     if len(edges) != m:
         raise LllError(f"header declares {m} edges, found {len(edges)}")
-    return GraphInstance.from_edge_list(n, edges)
+    edges.sort()
+    return GraphInstance(n, tuple(edges))
 
 
 def serialize_graph(g: GraphInstance) -> str:

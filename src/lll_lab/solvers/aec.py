@@ -9,7 +9,14 @@ proper partial coloring at most 2(maxdeg - 1) colors are 4-forbidden, so
 q > 2(maxdeg - 1) guarantees progress.  On creating a bichromatic cycle
 of length 2L the solver uncolors the cycle except its last two edges, so
 each step's charge is (number of compatible cycles) / Q with
-Q = q - 2(maxdeg - 1).
+Q = q - 2(maxdeg - 1).  A step walks a color c2 from the new edge only
+when both of its endpoints hold c2, since a cycle closing through the
+edge leaves it along c2 at both ends.
+
+Outputs are checked independently of the solver by
+``coloring_is_acyclic``: one partner map per color, then one pass per
+color pair over the vertices that hold both colors, so the check costs
+the color classes' sizes rather than a walk per edge and nearby color.
 """
 
 from __future__ import annotations
@@ -37,16 +44,22 @@ class GraphInstance:
     def __post_init__(self):
         if self.num_vertices < 0:
             raise LllError(f"negative vertex count {self.num_vertices}")
-        seen = set()
-        for (u, v) in self.edges:
+        # sorted edges put any duplicate next to its twin: one scan of
+        # adjacent pairs checks both
+        unsorted = False
+        prev = (-1, -1)  # below every edge with endpoints in range
+        for edge in self.edges:
+            (u, v) = edge
             if u == v:
                 raise LllError("self-loop in graph")
             if not (0 <= u < v < self.num_vertices):
                 raise LllError("edge endpoints out of range or unsorted")
-            if (u, v) in seen:
+            if edge == prev:
                 raise LllError("duplicate edge")
-            seen.add((u, v))
-        if list(self.edges) != sorted(self.edges):
+            if edge < prev:
+                unsorted = True
+            prev = edge
+        if unsorted:
             raise LllError("edges must be sorted")
 
     @staticmethod
@@ -124,21 +137,41 @@ def bichromatic_cycle_through(
 
 
 def coloring_is_acyclic(g: GraphInstance, coloring: Sequence[int]) -> bool:
-    """Proper and no bichromatic cycle, by per-color-pair inspection."""
-    if not coloring_is_proper(g, coloring):
-        return False
-    for ei in range(len(g.edges)):
-        if coloring[ei] == UNCOLORED:
+    """Proper and no bichromatic cycle, by one pass per color pair.
+
+    Each color's edges map every vertex they touch to its partner along
+    that color; a second partner at a vertex means the coloring is not
+    proper.  In a proper coloring a color pair's edges form paths and
+    even cycles, and only a vertex holding both colors lies inside one, so
+    each such vertex is visited once: walk both ways from it, and a walk
+    back to where it started is a bichromatic cycle.  A pair held at fewer
+    than four vertices cannot close one.  Uncolored entries are skipped.
+    """
+    partner: dict[int, dict[int, int]] = {}
+    for (u, v), c in zip(g.edges, coloring, strict=True):
+        if c == UNCOLORED:
             continue
-        used_nearby = set()
-        (u, v) = g.edges[ei]
-        for ids in (g.incident()[u], g.incident()[v]):
-            for e2 in ids:
-                if coloring[e2] != UNCOLORED:
-                    used_nearby.add(coloring[e2])
-        for c2 in used_nearby:
-            if c2 != coloring[ei] and bichromatic_cycle_through(g, coloring, ei, c2):
-                return False
+        along = partner.setdefault(c, {})
+        if u in along or v in along:
+            return False
+        along[u] = v
+        along[v] = u
+    maps = list(partner.values())
+    for k, first in enumerate(maps):
+        for second in maps[k + 1:]:
+            both = first.keys() & second.keys()
+            if len(both) < 4:
+                continue
+            while both:
+                start = both.pop()
+                for along, then in ((first, second), (second, first)):
+                    here = along.get(start)
+                    while here is not None:
+                        if here == start:
+                            return False
+                        both.discard(here)
+                        along, then = then, along
+                        here = along.get(here)
     return True
 
 
@@ -218,14 +251,14 @@ def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
         test[edge_id] = color
         cycles = []
         (u, v) = g.edges[edge_id]
-        nearby_colors = set()
+        # a (color, c2) cycle through uv leaves both u and v along c2 edges
+        at_v = {state[ei] for ei in incident[v]}
         for ei in incident[u]:
-            if ei != edge_id and test[ei] != UNCOLORED:
-                nearby_colors.add(test[ei])
-        for c2 in nearby_colors:
-            cyc = bichromatic_cycle_through(g, test, edge_id, c2)
-            if cyc is not None and len(cyc) >= 6:
-                cycles.append(cyc)
+            c2 = state[ei]
+            if ei != edge_id and c2 != UNCOLORED and c2 in at_v:
+                cyc = bichromatic_cycle_through(g, test, edge_id, c2)
+                if cyc is not None and len(cyc) >= 6:
+                    cycles.append(cyc)
         if cycles:
             cyc = min(cycles, key=lambda path: tuple(sorted(path)))
             for ei in cyc[:-2]:

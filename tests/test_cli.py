@@ -723,3 +723,53 @@ def test_needed_solver_flags_refused_when_missing(tmp_path, capsys, argv, flag):
     code, out, err = run_cli(argv[:2] + [path] + argv[2:] + ["--seed", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"needs {flag}" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify", "ksat-mt", "--suite", "witness", "--psi", "0.3"], "--psi"),
+    (["verify", "ksat-mt", "--suite", "resamples", "--mode", "shearer", "--psi", "0.3"], "--psi"),
+    (["gen", "graph", "--n", "5", "--k", "9"], "--k"),
+    (["gen", "graph", "--n", "5", "--degree", "2"], "--degree"),
+    (["gen", "ksat", "--n", "5", "--multiplicity", "7"], "--multiplicity"),
+    (["gen", "ksat", "--n", "5", "--edges", "4"], "--edges"),
+    (["gen", "colored-clique", "--n", "3", "--max-degree", "3"], "--max-degree"),
+])
+def test_unread_suite_and_family_flags_refused(tmp_path, capsys, argv, flag):
+    """A flag that the suite or ``gen`` family does not read is an error,
+    not a silent no-op, and it is refused before any instance file is
+    read: the verify calls here name a file that does not exist."""
+    if argv[0] == "verify":
+        argv = argv[:2] + [str(tmp_path / "missing.cnf")] + argv[2:]
+    code, out, err = run_cli(argv + ["--seed", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"does not read {flag}" in err
+
+
+@pytest.mark.parametrize("family,defaults", [
+    ("ksat", ["--k", "3", "--degree", "2"]),
+    ("graph", ["--max-degree", "3"]),
+    ("colored-clique", ["--multiplicity", "2"]),
+])
+def test_gen_family_flags_default_when_left_out(capsys, family, defaults):
+    _, bare, _ = run_cli(["gen", family, "--n", "6", "--seed", "2"], capsys)
+    _, given, _ = run_cli(["gen", family, "--n", "6", *defaults, "--seed", "2"], capsys)
+    assert bare == given != ""
+
+
+def test_cached_parser_keeps_no_state(capsys, monkeypatch):
+    """Every ``main`` call parses with one parser per process; a flag
+    given to one call is back at its default in the next, and each call
+    reads LLL_LAB_SEED anew."""
+    assert cli._parser() is cli._parser()
+    _, k4, _ = run_cli(["gen", "ksat", "--n", "12", "--k", "4", "--seed", "3"], capsys)
+    _, bare, _ = run_cli(["gen", "ksat", "--n", "12", "--seed", "3"], capsys)
+    _, k3, _ = run_cli(["gen", "ksat", "--n", "12", "--k", "3", "--seed", "3"], capsys)
+    assert bare == k3 != k4
+    from_env = []
+    for seed in ("5", "6"):
+        monkeypatch.setenv("LLL_LAB_SEED", seed)
+        from_env.append(run_cli(["gen", "ksat", "--n", "12"], capsys)[1])
+    monkeypatch.delenv("LLL_LAB_SEED")
+    explicit = [run_cli(["gen", "ksat", "--n", "12", "--seed", seed], capsys)[1]
+                for seed in ("5", "6")]
+    assert from_env == explicit and explicit[0] != explicit[1]

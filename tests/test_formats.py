@@ -54,6 +54,9 @@ def test_graph_rejects_malformed():
         parse_graph("3 2\n0 1\n")
     with pytest.raises(LllError, match="self-loop"):
         parse_graph("3 1\n1 1\n")
+    # line numbers count the blank and comment lines before the bad one
+    with pytest.raises(LllError, match="line 4"):
+        parse_graph("3 1\n\n# note\n0 x\n")
 
 
 def test_colored_clique_roundtrip():

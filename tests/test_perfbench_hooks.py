@@ -27,7 +27,12 @@ def hooked():
             aec.GraphInstance.incident, aec.bichromatic_cycle_through)
 
 
-def test_instrument_and_undo(tmp_path, capsys):
+def test_instrument_and_undo(tmp_path, capsys, monkeypatch):
+    # count every cycle walk, traced or not, under the tracer's wrapper
+    walks = []
+    walk = aec.bichromatic_cycle_through
+    monkeypatch.setattr(aec, "bichromatic_cycle_through",
+                        lambda *args: walks.append(args) or walk(*args))
     layers = load_layers()
     before = hooked()
     tracer = layers.Tracer()
@@ -47,6 +52,10 @@ def test_instrument_and_undo(tmp_path, capsys):
     assert metrics["core.runs"] == 1 and metrics["core.steps"] == 13
     assert metrics["core.flaw_scans_per_step"] == 1 / 13
     assert 0 < metrics["solvers.aec.cycle_walks_per_step"] < 2
+    # output validation is timed, and walks no cycle beyond those of core.run's steps
+    _, calls = tracer.fold()
+    assert calls["solvers.validate"] == 1 and metrics["solvers.validate_s"] > 0
+    assert calls["solvers.aec.cycle_walk"] == len(walks)
 
 
 def test_traced_witness_suite_reads_sequence_reducer(tmp_path, capsys):

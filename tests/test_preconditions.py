@@ -224,9 +224,11 @@ CLI = {
     **{f"negative-psi-{suite}": (["ksat-mt", "--suite", suite, "--psi", "-0.1"], TWO_CLAUSES,
                                  "weights must be positive")
        for suite in ("resamples", "distribution", "event", "partial")},
-    **{f"state-cap-{suite}": (["ksat-mt", "--suite", suite, "--psi", "0.3"], TWO_CLAUSES,
+    # the witness suite reads no --psi, and refuses one
+    **{f"state-cap-{suite}": (["ksat-mt", "--suite", suite, *psi], TWO_CLAUSES,
                               "state space exceeds oracle cap")
-       for suite in ("witness", "resamples", "distribution", "event", "partial")},
+       for suite, psi in [("witness", [])] + [(suite, ["--psi", "0.3"]) for suite in
+                                              ("resamples", "distribution", "event", "partial")]},
 }
 
 

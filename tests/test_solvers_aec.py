@@ -13,6 +13,7 @@ from lll_lab.rng import source_for_run
 from lll_lab.solvers import GraphInstance, aec_backtrack, aec_clique_mt
 from lll_lab.solvers.aec import (
     GOLDEN,
+    _cycle_order_from,
     aec_backtracking_criterion,
     aec_charge_table,
     bichromatic_cycle_through,
@@ -103,21 +104,30 @@ def test_four_available_drops_four_cycle_closer():
 @st.composite
 def acyclic_partial_colorings(draw):
     """A dense graph of max degree 3 and a proper partial coloring of it
-    with no bichromatic cycle, built by coloring edges one at a time."""
+    with no bichromatic cycle, built by coloring edges one at a time.
+    Some graphs hold a planted 6- or 8-cycle whose edges but the last
+    alternate colors 0 and 1, so coloring that edge can close a
+    bichromatic cycle, which random colorings seldom allow."""
     n = draw(st.integers(4, 8))
+    length = draw(st.sampled_from([0] + [k for k in (6, 8) if k <= n]))
+    cycle = [(a, (a + 1) % length) for a in range(length)]
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     draw(st.randoms(use_true_random=False)).shuffle(pairs)
-    deg = [0] * n
-    edges = []
+    deg = [2 if a < length else 0 for a in range(n)]
+    edges = list(cycle)
     for (a, b) in pairs:
-        if deg[a] < 3 and deg[b] < 3:
+        if deg[a] < 3 and deg[b] < 3 and (a, b) not in edges and (b, a) not in edges:
             edges.append((a, b))
             deg[a] += 1
             deg[b] += 1
     g = GraphInstance.from_edge_list(n, edges)
     q = draw(st.integers(2, 5))
     coloring = [UNCOLORED] * len(edges)
+    for k, (a, b) in enumerate(cycle[:-1]):
+        coloring[g.edges.index((min(a, b), max(a, b)))] = k % 2
     for ei in draw(st.permutations(range(len(edges)))):
+        if coloring[ei] != UNCOLORED:
+            continue
         coloring[ei] = draw(st.integers(UNCOLORED, q - 1))
         if not coloring_is_acyclic(g, coloring):
             coloring[ei] = UNCOLORED
@@ -137,6 +147,131 @@ def test_four_available_matches_full_walk(case):
         nearby = {coloring[e] for e in g.incident()[u] + g.incident()[v]}
         if want != [c for c in range(q) if c not in nearby]:
             event("a color closes a 4-cycle")
+
+
+def acyclic_by_definition(g, coloring):
+    """Reference: the coloring is proper, and no even cycle of the graph
+    alternates two distinct colors."""
+    if not coloring_is_proper(g, coloring):
+        return False
+    for cyc in enumerate_even_cycles(g):
+        ordered = _cycle_order_from(g, cyc, cyc[0])
+        evens = {coloring[e] for e in ordered[::2]}
+        odds = {coloring[e] for e in ordered[1::2]}
+        if len(evens) == len(odds) == 1 and evens != odds and UNCOLORED not in evens | odds:
+            return False
+    return True
+
+
+@st.composite
+def colorings_to_validate(draw):
+    """A graph of max degree at most 4 and a coloring with at most 5 colors:
+    any coloring (rarely proper), a proper one, or a proper one around a
+    planted bichromatic even cycle, which random colorings almost never
+    hold."""
+    n = draw(st.integers(4, 8))
+    kind = draw(st.sampled_from(["any", "proper", "planted"]))
+    length = draw(st.sampled_from([k for k in (4, 6, 8) if k <= n])) if kind == "planted" else 0
+    edges = [(a, (a + 1) % length) for a in range(length)]
+    deg = [2 if a < length else 0 for a in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for (a, b) in draw(st.lists(st.sampled_from(pairs), max_size=12)):
+        if deg[a] < 4 and deg[b] < 4 and (a, b) not in edges and (b, a) not in edges:
+            edges.append((a, b))
+            deg[a] += 1
+            deg[b] += 1
+    g = GraphInstance.from_edge_list(n, edges)
+    q = draw(st.integers(2, 5))
+    coloring = [UNCOLORED] * len(g.edges)
+    if kind == "any":
+        return g, [draw(st.integers(UNCOLORED, q - 1)) for _ in g.edges]
+    if kind == "planted":
+        pair = draw(st.permutations(range(q)))[:2]
+        for k, (a, b) in enumerate(edges[:length]):
+            coloring[g.edges.index((min(a, b), max(a, b)))] = pair[k % 2]
+    for ei in draw(st.permutations(range(len(g.edges)))):
+        if coloring[ei] != UNCOLORED:
+            continue
+        (u, v) = g.edges[ei]
+        near = {coloring[e] for e in g.incident()[u] + g.incident()[v]}
+        coloring[ei] = draw(st.sampled_from(
+            [UNCOLORED] + [c for c in range(q) if c not in near]))
+    return g, coloring
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=colorings_to_validate())
+def test_acyclic_check_matches_the_definition(case):
+    g, coloring = case
+    want = acyclic_by_definition(g, coloring)
+    assert coloring_is_acyclic(g, coloring) == want
+    if not coloring_is_proper(g, coloring):
+        event("improper")
+    else:
+        event("acyclic" if want else "proper with a bichromatic cycle")
+
+
+def test_acyclic_check_walks_no_cycle_through_an_edge(monkeypatch):
+    """Validating an ``aec-backtrack`` output on a 449-edge ``gen graph``
+    instance makes no ``bichromatic_cycle_through`` call."""
+    import lll_lab.solvers.aec as aec
+    from lll_lab.build import SOLVERS
+    from lll_lab.formats import generate_graph
+
+    g = generate_graph(300, 3, source_for_run(1, 0), 449)
+    assert len(g.edges) == 449
+    p = aec_backtrack(g, 9)
+    rep = run(p, "lowest_index", seed=1)
+    assert rep.terminated
+
+    def walked(*args):
+        raise AssertionError("validation walked a cycle through an edge")
+
+    monkeypatch.setattr(aec, "bichromatic_cycle_through", walked)
+    assert SOLVERS["aec-backtrack"].valid(p, rep.final_state)
+
+
+def unfiltered_outcome(g, state, edge_id, color):
+    """Reference: the earlier step outcome, which walks every color at the
+    edge's lower endpoint, whether or not the other endpoint holds it."""
+    test = list(state)
+    test[edge_id] = color
+    (u, v) = g.edges[edge_id]
+    nearby = {test[ei] for ei in g.incident()[u] if ei != edge_id and test[ei] != UNCOLORED}
+    cycles = [cyc for cyc in (bichromatic_cycle_through(g, test, edge_id, c2) for c2 in nearby)
+              if cyc is not None and len(cyc) >= 6]
+    if cycles:
+        for ei in min(cycles, key=lambda path: tuple(sorted(path)))[:-2]:
+            test[ei] = UNCOLORED
+    return tuple(test)
+
+
+class Pick:
+    """A random source whose draws all return index ``k``."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def randint(self, n):
+        return self.k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=acyclic_partial_colorings())
+def test_outcome_walks_only_colors_held_at_both_ends(case):
+    """Each uncolored edge, colored with each color the solver can draw,
+    ends in the same state as under the unfiltered walks."""
+    g, q, coloring = case
+    q = max(q, 2 * g.max_degree() - 1)  # the smallest palette the solver takes
+    p = aec_backtrack(g, q)
+    state = tuple(coloring)
+    for ei in p.present_flaws(state):
+        avail = four_available(g, state, ei, q)
+        for k, color in enumerate(avail):
+            got = p.sample_action(ei, state, Pick(k))
+            assert got == unfiltered_outcome(g, state, ei, color)
+            if got[ei] == UNCOLORED:
+                event("a cycle closes")
 
 
 # ---------------------------------------------------------------------------
