@@ -3,7 +3,7 @@
 The package bundles a flaws/actions run engine, local-lemma criterion
 checkers (general, cluster expansion, Shearer, clique, backtracking),
 witness-tree and witness-forest machinery with an exhaustive
-commutativity certifier, five concrete solvers, and a Monte-Carlo
+commutativity certifier, seven concrete solvers, and a Monte-Carlo
 verification harness for their distributional guarantees.
 """
 

@@ -242,7 +242,6 @@ def run_many(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     collect_sequences: bool = False,
-    use_chain: bool | None = None,
 ) -> BatchStats:
     """Sample independent runs under the problem's recommended strategy;
     uses the exact-chain sampler when the problem enumerates and the
@@ -251,16 +250,7 @@ def run_many(
     the reducers of ``BatchStats``."""
     # the chain needs a choice that is a fixed order of the flaws
     prio = recommended_strategy(problem).priority(problem.num_flaws)
-    chain_ok = (
-        problem.enumerate_states is not None
-        and problem.init_distribution is not None
-        and prio is not None
-    )
-    if use_chain is None:
-        use_chain = chain_ok
-    if use_chain and not chain_ok:
-        raise LllError("chain fast path unavailable for this problem/strategy")
-    if use_chain:
+    if problem.enumerate_states is not None and prio is not None:
         tables = chain.build_chain_tables(problem, prio[1])
         result = chain.run_batch(tables, runs, seed, max_steps,
                                  record_sequences=collect_sequences, sequence_cap=96)
@@ -671,8 +661,6 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
             for labels in labelings:
                 yield (s, labels)
 
-    base_init = problem.init_distribution
-
     return SearchProblem(
         present=present,
         flaws_present=flaws_present,
@@ -682,8 +670,8 @@ def labeled_problem(problem: SearchProblem, cfg: PartialAvoidanceConfig) -> Sear
         canon=lambda st: problem.canon(st[0]) + st[1].to_bytes((m + 7) // 8, "little"),
         weight=lambda st: problem.weight(st[0]) * label_prob(st[1]),
         enumerate_states=enumerate_states if problem.enumerate_states else None,
-        init_distribution=(lambda st: base_init(st[0]) * label_prob(st[1])) if base_init else None,
-        init_ratio=problem.init_ratio,
+        init_distribution=None if problem.init_distribution is None else (
+            lambda st: problem.init_distribution(st[0]) * label_prob(st[1])),
         metadata={"strategy": problem.metadata.get("strategy")},
     )
 
@@ -696,8 +684,11 @@ def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
 
     The per-flaw truncation probability uses the closed-form neighborhood
     sum (1 + (2n-1)(lam n - 1) psi)^4, a valid stand-in for the exact
-    enumeration at any instance size.
+    enumeration at any instance size.  Refuses ``runs`` below one, whose
+    mean size is undefined.
     """
+    if runs < 1:
+        raise LllError("rainbow_partial needs at least one run")
     problem = rainbow_matching(clique)
     n, m = clique.half, problem.num_flaws
     if m:

@@ -49,10 +49,9 @@ def build_chain_tables(
     selected from each chosen flaw's ``space.rows``.
 
     ``flaw_subset`` restricts attention to a core subset: only those flaws
-    are ever addressed and absorption means none of them is present.
+    are ever addressed and absorption means none of them is present.  The
+    chain starts from mu unless the problem states its initial law.
     """
-    if problem.init_distribution is None:
-        raise LllError("chain tables require an explicit initial distribution")
     space = problem.space
     states = space.states
     n = len(states)
@@ -84,7 +83,8 @@ def build_chain_tables(
             row_targets[ks, :size] = rows.targets[at]
             row_targets[ks, size:] = rows.targets[at[:, -1:]]
             row_cum[ks, :size] = _pinned_cumsum(rows.probs[at] / total[:, None])
-    init_p = np.array([problem.init_distribution(s) for s in states], dtype=float)
+    init = problem.init_distribution
+    init_p = space.mu_vector if init is None else np.array([init(s) for s in states], dtype=float)
     if init_p.sum() <= 0:
         raise LllError("initial distribution has no mass")
     init_p = init_p / init_p.sum()
@@ -102,6 +102,20 @@ def _pinned_cumsum(probs: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs, axis=-1)
     cum[..., -1] = 1.0
     return cum
+
+
+def _reaches_absorption(tables: ChainTables) -> np.ndarray:
+    """Per state, whether an absorbing state is reachable from it along
+    entries of positive probability, found backwards one step per round."""
+    reaches, rest = tables.absorbing.copy(), np.flatnonzero(~tables.absorbing)
+    while rest.size:
+        live = np.diff(tables.row_cum[rest], prepend=0.0, axis=1) > 0  # padding adds 0
+        now = (reaches[tables.row_targets[rest]] & live).any(axis=1)
+        if not now.any():
+            break
+        reaches[rest[now]] = True
+        rest = rest[~now]
+    return reaches
 
 
 @dataclass
@@ -128,7 +142,13 @@ def run_batch(
     Each step draws one uniform per alive run, in run order, and maps it
     to the first row entry whose cumulative probability is not below it
     (``searchsorted`` with ``side="left"``), one column at a time.
+    Refused before any draw when the initial law can draw a state that
+    never reaches absorption: every run from it would be censored.
     """
+    stuck = int(np.count_nonzero(~_reaches_absorption(tables)[tables.init_ids]))
+    if stuck:
+        raise LllError(f"the chain is never absorbed: no absorbing state is reachable from "
+                       f"{stuck} of the {tables.init_ids.size} states its initial law draws")
     rng = run_stream(seed, 0, BATCH_TAG)
     n_runs = int(runs)
     m = tables.problem.num_flaws
@@ -205,12 +225,14 @@ def exact_statistics(tables: ChainTables) -> ExactChainStats:
     trans_ids = np.nonzero(~tables.absorbing)[0]
     init_full = np.zeros(n)
     init_full[tables.init_ids] = np.diff(tables.init_cum, prepend=0.0)
-    if trans_ids.size == 0:
-        absorption = {tables.states[k]: float(p) for k, p in enumerate(init_full) if p > 0}
-        return ExactChainStats(0.0, np.zeros(tables.problem.num_flaws), absorption)
     nt = trans_ids.size
     if nt > DENSE_TRANSIENT_CAP:
         raise LllError(f"{nt} transient states exceed the dense solve cap {DENSE_TRANSIENT_CAP}")
+    # (I - P) is singular unless every transient state can reach absorption
+    stuck = nt - int(np.count_nonzero(_reaches_absorption(tables)[trans_ids]))
+    if stuck:
+        raise LllError(f"the chain is never absorbed: no absorbing state is reachable from "
+                       f"{stuck} of its {nt} transient states")
     pos = np.full(n, -1, dtype=np.int64)
     pos[trans_ids] = np.arange(nt)
     targets = tables.row_targets[trans_ids]
@@ -222,14 +244,6 @@ def exact_statistics(tables: ChainTables) -> ExactChainStats:
     np.add.at(p_ta, (rows[to_absorbing], targets[to_absorbing]), probs[to_absorbing])
     keep = ~to_absorbing
     np.add.at(p_tt, (rows[keep], pos[targets[keep]]), probs[keep])
-    # (I - P) is singular unless every transient state can reach absorption
-    reaches = frontier = p_ta.sum(axis=1) > 0
-    while frontier.any():
-        frontier = (p_tt[:, frontier] > 0).any(axis=1) & ~reaches
-        reaches = reaches | frontier
-    if not reaches.all():
-        raise LllError(f"the chain is never absorbed: no absorbing state is reachable from "
-                       f"{nt - int(reaches.sum())} of its {nt} transient states")
     init_t = init_full[trans_ids]
     # expected visits: v = init_t (I - P)^-1, solved as (I - P)^T v = init_t
     visits_t = np.linalg.solve(np.eye(nt) - p_tt.T, init_t)

@@ -62,6 +62,10 @@ class SearchProblem:
     ``validate_problem`` checks it on enumerable instances.  ``run`` then
     re-evaluates only those flaws after each step; ``None`` means a full
     rescan of the flaws at every step.
+
+    ``sample_init`` draws mu, the normalized ``weight``, unless
+    ``init_distribution`` states its law theta; a sampler that does not
+    draw mu must state it.  Every bound pays lambda_init = max theta/mu.
     """
 
     present: Callable[[int, State], bool]
@@ -74,8 +78,7 @@ class SearchProblem:
     enumerate_states: Callable[[], Iterable[State]] | None = None
     flaws_present: Callable[[State], list[int]] | None = None
     affects: Callable[[int, State, State], Iterable[int]] | None = None
-    init_distribution: Callable[[State], float] | None = None
-    init_ratio: float | None = None  # max over states of theta / normalized mu
+    init_distribution: Callable[[State], float] | None = None  # None: mu
     declared_charges: Sequence[float] | None = None
     default_weights: Sequence[float] | None = None  # prewired psi vector
     unassigned: Callable[[State], frozenset] | None = None  # backtracking only
@@ -427,8 +430,16 @@ def make_strategy(spec: str | FlawChoiceStrategy | None) -> FlawChoiceStrategy:
 
 
 def recommended_strategy(problem: SearchProblem) -> FlawChoiceStrategy:
-    """The strategy a solver's analysis assumes, from problem metadata."""
-    return make_strategy(problem.metadata.get("strategy"))
+    """The strategy a solver's analysis assumes, from problem metadata.
+    A fixed order that is not a permutation of the flaws is refused: a
+    flaw it omits would never be addressed."""
+    strategy = make_strategy(problem.metadata.get("strategy"))
+    if isinstance(strategy, FixedPriorityStrategy):
+        ranked, flaws = strategy.rank.keys(), set(range(problem.num_flaws))
+        if ranked != flaws:
+            raise LllError(f"fixed_priority order is not a permutation of the {len(flaws)} flaws: "
+                           f"missing {sorted(flaws - ranked)}, extra {sorted(ranked - flaws)}")
+    return strategy
 
 
 def run(
@@ -563,11 +574,10 @@ def measure_of_flaws(problem: SearchProblem) -> list[float]:
 
 
 def computed_init_ratio(problem: SearchProblem) -> float:
-    """lambda_init = max over states of theta(state)/mu(state), oracle mode."""
-    if problem.init_ratio is not None:
-        return problem.init_ratio
-    if problem.init_distribution is None or problem.enumerate_states is None:
-        raise LllError("init ratio unknown; supply init_distribution or init_ratio")
+    """lambda_init = max over states of theta(state)/mu(state): 1 for a
+    run that starts from mu, else computed in oracle mode."""
+    if problem.init_distribution is None:
+        return 1.0
     mu = problem.space.mu_vector
     theta = np.array([problem.init_distribution(s) for s in problem.space.states], dtype=float)
     if np.any((theta != 0.0) & (mu <= 0.0)):

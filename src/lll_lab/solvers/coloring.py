@@ -147,8 +147,6 @@ def vertex_coloring_greedy(
         sample_init=sample_init,
         canon=lambda s: bytes(s),
         enumerate_states=enumerate_states if q ** n <= 500000 else None,
-        init_distribution=(lambda s: (1.0 / q) ** n),
-        init_ratio=1.0,
         declared_charges=tuple(1.0 / (q - delta) ** 2 for _ in range(m)),
         flaw_labels=tuple(f"e{e}:c{c}" for e in range(m_edges) for c in range(q)),
         metadata={

@@ -81,14 +81,6 @@ def perfect_matchings(vertices: Sequence[int]) -> list[frozenset[Edge]]:
     return out
 
 
-def count_perfect_matchings(n2: int) -> int:
-    """(2n-1)!! perfect matchings of K_{2n}."""
-    out = 1
-    for k in range(n2 - 1, 0, -2):
-        out *= k
-    return out
-
-
 def _switch_walk_sample(matching: set[Edge], pair: tuple[Edge, Edge], rng) -> frozenset[Edge]:
     """Address a conflict pair: for each of its edges in declaration order,
     pick another matching edge uniformly with a random orientation and
@@ -148,7 +140,6 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
             return b"".join(u.to_bytes(2, "big") + v.to_bytes(2, "big")
                             for (u, v) in sorted(matching))
 
-    total = count_perfect_matchings(n2)
     charge = 1.0 / ((n2 - 1) * (n2 - 3)) if n2 >= 4 else 0.0
     psi = 3.0 / (4.0 * n * n)
     return SearchProblem(
@@ -160,8 +151,6 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         sample_init=sample_init,
         canon=canon,
         enumerate_states=(lambda: perfect_matchings(range(n2))) if n2 <= 10 else None,
-        init_distribution=(lambda s: 1.0 / total),
-        init_ratio=1.0,
         declared_charges=tuple(charge for _ in range(m)),
         default_weights=tuple(psi for _ in range(m)),
         flaw_labels=tuple(f"{p[0]}~{p[1]}" for p in pairs),

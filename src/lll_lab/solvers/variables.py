@@ -22,13 +22,12 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
     action redraws them in scope order, one ``draw(rng)`` each, and the
     initial state draws every variable in index order.  ``draw`` must be
     uniform over ``range(domain)``: the exact distributions, the product
-    measure and ``init_ratio = 1`` assume it.  The product law over the
+    measure and the start from that measure assume it.  The product law over the
     scope is declared as a ``core.ScopeLaw``, from which oracle mode builds
     the flaw members and transition rows by arithmetic on state ids.  The
     states are enumerated only when ``enumerable``; ``declared`` holds the
     remaining fields."""
     graph = DependencyGraph.from_scopes(scopes)
-    theta = (1.0 / domain) ** num_vars
 
     def sample_action(i, state, rng):
         vals = list(state)
@@ -48,8 +47,6 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
         action_distribution=ScopeLaw(num_vars, domain, scopes),
         enumerate_states=(
             (lambda: itertools.product(range(domain), repeat=num_vars)) if enumerable else None),
-        init_distribution=lambda s: theta,
-        init_ratio=1.0,
         **declared,
     )
 

@@ -1,6 +1,7 @@
 """Oracles, chain statistics, and the Monte-Carlo verdict suites."""
 
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -119,8 +120,9 @@ def test_exact_statistics_match_simulation(two_clause_mt):
 
 
 def test_chain_and_slow_path_agree_in_distribution(two_clause_mt):
-    fast = run_many(two_clause_mt, runs=30_000, seed=7, use_chain=True)
-    slow = run_many(two_clause_mt, runs=6_000, seed=7, use_chain=False)
+    fast = run_many(two_clause_mt, runs=30_000, seed=7)
+    # without an enumeration run_many takes the step path
+    slow = run_many(replace(two_clause_mt, enumerate_states=None), runs=6_000, seed=7)
     fd = empirical_distribution(fast)
     sd = empirical_distribution(slow)
     for canon, p_fast in fd.nu.items():
@@ -145,7 +147,7 @@ class ReverseIndexStrategy(FlawChoiceStrategy):
 def test_run_many_takes_the_chain_path_from_the_declared_priority(monkeypatch):
     """The chain path follows ``strategy.priority``, not the strategy's
     name: a declared order under another name is sampled on the chain in
-    that order, and recency, which declares none, is refused there."""
+    that order, and recency, which declares none, takes the step path."""
     built = []
     original = chain.build_chain_tables
 
@@ -164,8 +166,30 @@ def test_run_many_takes_the_chain_path_from_the_declared_priority(monkeypatch):
     recency = with_strategy(problem, RecencyStrategy())
     run_many(recency, runs=50, seed=3)
     assert len(built) == 1
-    with pytest.raises(LllError, match="chain fast path unavailable"):
-        run_many(recency, runs=50, seed=3, use_chain=True)
+
+
+@pytest.mark.parametrize("order,missing,extra", [([1], [0], []), ([0, 1, 2], [], [2]),
+                                                  ([2, 0], [1], [2])],
+                         ids=["omits-0", "adds-2", "2-for-1"])
+def test_fixed_order_must_be_a_permutation_of_the_flaws(monkeypatch, two_clause_mt, order,
+                                                        missing, extra):
+    """An order that omits flaw 0 used to leave it in 286 of 2,000 chain
+    outputs with no run censored, and to end in ``KeyError`` on the step
+    path; an extra flaw ended in ``IndexError``.  Each is refused before
+    any run, on either path."""
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr("lll_lab.analysis.run", sampled)
+    monkeypatch.setattr(chain, "run_batch", sampled)
+    problem = with_strategy(two_clause_mt, ("fixed_priority", order))
+    message = re.escape(f"fixed_priority order is not a permutation of the 2 flaws: "
+                        f"missing {missing}, extra {extra}")
+    for call in (lambda: run_many(problem, 2000, 1),
+                 lambda: run_many(replace(problem, enumerate_states=None), 2000, 1),
+                 lambda: run_core_truncated(problem, [0, 1], [0.25, 0.25], runs=100)):
+        with pytest.raises(LllError, match=message):
+            call()
 
 
 def test_exact_absorption_sums_to_one(two_clause_mt):
@@ -214,7 +238,6 @@ def test_witness_lemma_refuses_noncommutative():
         action_distribution=action_distribution,
         enumerate_states=lambda: [(a, b) for a in (0, 1) for b in (0, 1)],
         init_distribution=lambda s: 1.0 if s == (1, 1) else 0.0,
-        init_ratio=None,
     )
     with pytest.raises(LllError, match="commutative"):
         check_witness_tree_lemma(problem, runs=10)
@@ -426,7 +449,9 @@ def test_partial_avoidance_overconstrained():
 def test_partial_avoidance_requires_measure_start(two_clause_mt):
     from dataclasses import replace
 
-    shifted = replace(two_clause_mt, init_ratio=8.0)
+    # a point mass on one of the 8 states: lambda_init = 8
+    shifted = replace(two_clause_mt, sample_init=lambda rng: (0, 0, 0),
+                      init_distribution=lambda s: float(s == (0, 0, 0)))
     cfg = PartialAvoidanceConfig.build(two_clause_mt, psi=[0.5, 0.5])
     with pytest.raises(LllError, match="measure as initial"):
         partial_avoidance(shifted, cfg, runs=10)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -773,3 +774,20 @@ def test_cached_parser_keeps_no_state(capsys, monkeypatch):
     explicit = [run_cli(["gen", "ksat", "--n", "12", "--seed", seed], capsys)[1]
                 for seed in ("5", "6")]
     assert from_env == explicit and explicit[0] != explicit[1]
+
+
+def test_chain_that_never_finishes_refused_before_sampling(tmp_path, capsys):
+    """On this 7-edge graph at 3 colors no coloring of the 2,187 states
+    is free of flaws, so the chain has no absorbing state.  The witness
+    suite used to run 10^6 chain steps for 100 runs and exit 3 with every
+    run censored."""
+    code, out, _ = run_cli(["gen", "graph", "--n", "5", "--seed", "2"], capsys)
+    assert code == 0 and out.splitlines()[0] == "5 7"
+    graph = write(tmp_path, "g5.txt", out)
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", "aec-clique-mt", graph, "--colors", "3", "--suite",
+                              "witness", "--runs", "100", "--seed", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the chain is never absorbed: no absorbing state is reachable "
+                          "from 2187 of the 2187 states its initial law draws")
+    assert time.perf_counter() - start < 5.0

@@ -280,12 +280,18 @@ def test_single_step_frequencies_match_declared(two_clause_mt):
         assert abs(p_hat - prob) <= 4 * se
 
 
-def test_init_ratio_computed_vs_declared(two_clause_mt):
-    assert two_clause_mt.init_ratio == 1.0
+def test_init_ratio_of_a_mu_start_and_of_stated_laws(two_clause_mt):
     from dataclasses import replace
 
-    q = replace(two_clause_mt, init_ratio=None)
-    assert abs(computed_init_ratio(q) - 1.0) < 1e-12
+    assert two_clause_mt.init_distribution is None
+    assert computed_init_ratio(two_clause_mt) == 1.0
+    uniform = replace(two_clause_mt, init_distribution=lambda s: 0.125)
+    assert abs(computed_init_ratio(uniform) - 1.0) < 1e-12
+    point = replace(two_clause_mt, sample_init=lambda rng: (0, 0, 0),
+                    init_distribution=lambda s: float(s == (0, 0, 0)))
+    assert computed_init_ratio(point) == 8.0
+    with pytest.raises(LllError, match="^exact computation requires oracle mode$"):
+        computed_init_ratio(replace(point, enumerate_states=None))
 
 
 def test_rainbow_k20_terminates_rainbow():

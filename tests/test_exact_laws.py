@@ -3,8 +3,9 @@ against the laws the solvers used to write by hand, kept here as
 references: vertex coloring's, the rainbow switch walk's in ``Fraction``
 arithmetic and ``labeled_problem``'s.  The backtracking solvers' laws are
 compared with their references in ``test_backtracking_setting.py``.
-Also: the replay rules on small samplers, and ``validate_problem``'s
-comparison of declared laws with their replays."""
+Also: the replay rules on small samplers, ``validate_problem``'s
+comparison of declared laws with their replays, and the initial laws of
+the solvers that start from their measure."""
 
 import dataclasses
 from fractions import Fraction
@@ -16,8 +17,8 @@ from lll_lab.analysis import PartialAvoidanceConfig, extend_with_event, labeled_
 from lll_lab.core import LllError, action_law, validate_problem
 from lll_lab.formats import generate_colored_clique
 from lll_lab.rng import exact_distribution, source_for_run
-from lll_lab.solvers import (CnfInstance, GraphInstance, aec_backtrack, ksat_backtrack,
-                             ksat_backtrack_biased, ksat_mt, rainbow_matching,
+from lll_lab.solvers import (CnfInstance, GraphInstance, aec_backtrack, aec_clique_mt,
+                             ksat_backtrack, ksat_backtrack_biased, ksat_mt, rainbow_matching,
                              vertex_coloring_greedy)
 from lll_lab.solvers.coloring import adjacency_lists
 from lll_lab.solvers.ksat import UNSET
@@ -172,6 +173,27 @@ def test_labeled_law_has_the_reference_bits(base):
     reference = reference_labeled_law(problem, cfg)
     for i, s, law in replayed_laws(labeled):
         assert sorted(bits(law)) == sorted(bits(reference(i, s)))
+
+
+def path(n):
+    return GraphInstance.from_edge_list(n, [(v, v + 1) for v in range(n - 1)])
+
+
+@pytest.mark.parametrize("build,states", [
+    (lambda: ksat_mt(CnfInstance(4, ((1, 2, 3), (-2, -3, 4)))), 16),
+    (lambda: aec_clique_mt(path(5), 4)[0], 256),
+    (lambda: vertex_coloring_greedy(path(4), 3), 81),
+], ids=["ksat-mt", "aec-clique-mt", "vertex-coloring"])
+def test_initial_sampler_draws_the_measure(build, states):
+    """These solvers state no ``init_distribution``: their runs start from
+    mu, which every bound's lambda_init = 1 assumes, so the replay of
+    ``sample_init`` must give mu exactly.  ``rainbow_matching`` draws its
+    start with ``shuffle``, which the replay does not follow, so it is not
+    checked here."""
+    problem = build()
+    assert problem.init_distribution is None
+    assert len(problem.space.states) == states
+    assert exact_distribution(problem.sample_init) == problem.space.mu
 
 
 def test_biased_backtracking_draws_one_with_one_minus_p0():

@@ -20,10 +20,13 @@ from lll_lab.analysis import (
     matching_weight_analysis,
     output_distribution,
     partial_avoidance,
+    rainbow_partial,
     run_core_truncated,
 )
 from lll_lab.cli import main
 from lll_lab.core import LllError
+from lll_lab.formats import generate_colored_clique
+from lll_lab.rng import source_for_run
 from lll_lab.solvers import (CnfInstance, EdgeColoredClique, GraphInstance, WeightSpec,
                              ksat_backtrack, ksat_mt, rainbow_matching, vertex_coloring_greedy)
 
@@ -118,6 +121,9 @@ LIBRARY = {
         weighted_path(lambda c: -1.0), runs=100), "nonnegative"),
     "not-a-coloring": (lambda: coloring_weight_analysis(two_clauses(), runs=100),
                        "needs a greedy coloring problem"),
+    # K12 with two edges per color: ``runs=0`` ended in ZeroDivisionError
+    "no-runs-rainbow-partial": (lambda: rainbow_partial(
+        generate_colored_clique(6, 2, source_for_run(0, 0)), runs=0), "at least one run"),
     "recency-core-truncation": (lambda: run_core_truncated(
         replace(two_clauses(), metadata={**two_clauses().metadata, "strategy": "recency"}),
         [0], [0.25] * 2, runs=100), "fixed flaw order"),

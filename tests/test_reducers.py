@@ -5,7 +5,9 @@ step over padded transition rows; these properties check it against a
 reference copy of the per-state loop it replaced.  ``BatchStats`` keeps
 distinct outputs and witness sequences with their run counts instead of
 per-run lists; on both paths those counts must equal counts rebuilt run
-by run.  Censored runs must count against a bound or be refused.
+by run.  Censored runs must count against a bound or be refused, and a
+chain whose initial law can draw a state that never reaches absorption
+is refused before its first draw.
 """
 
 from collections import Counter
@@ -25,6 +27,7 @@ from lll_lab.analysis import (
     iter_runs,
     output_distribution,
     partial_avoidance,
+    run_core_truncated,
     run_many,
 )
 from lll_lab.core import LllError, SearchProblem
@@ -64,7 +67,8 @@ def reference_batch(problem, runs, seed, max_steps, sequence_cap):
         order = np.argsort(targets)
         row_targets[k] = targets[order]
         row_cum[k] = np.cumsum(probs[order] / probs.sum())
-    init_p = np.array([problem.init_distribution(s) for s in states], dtype=float)
+    theta = problem.init_distribution or problem.space.mu.get  # None: a start from mu
+    init_p = np.array([theta(s) for s in states], dtype=float)
     init_p = init_p / init_p.sum()
     init_ids = np.nonzero(init_p > 0)[0]
     init_cum = np.cumsum(init_p[init_p > 0])
@@ -109,6 +113,13 @@ def per_run_sequences(result):
        st.integers(0, 40), st.integers(1, 8))
 def test_run_batch_matches_per_state_loop(problem, seed, runs, max_steps, cap):
     tables = chain.build_chain_tables(problem)
+    # a run moves the lowest violated clause's variables to a satisfying
+    # assignment's values with positive probability, so every state of a
+    # satisfiable formula reaches absorption; an unsatisfiable one has none
+    if not tables.absorbing.any():
+        with pytest.raises(LllError, match="^the chain is never absorbed"):
+            chain.run_batch(tables, runs, seed, max_steps)
+        return
     result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=True,
                              sequence_cap=cap)
     steps, final_ids, terminated, counts, seqs, overflow = reference_batch(
@@ -188,6 +199,47 @@ def test_flaw_ids_beyond_int16_are_recorded():
     assert (stats.flaw_counts[:, m - 1] == 1).all()
 
 
+def loop_or_exit(init_distribution, sample_init):
+    """Flaw 0 is present at states 0 and 1: addressing it moves state 0 to
+    the flawless state 2, and leaves state 1 where it is."""
+    return SearchProblem(
+        present=lambda i, s: s < 2,
+        sample_action=lambda i, s, rng: 2 if s == 0 else 1,
+        action_distribution=lambda i, s: {2 if s == 0 else 1: 1.0},
+        graph=DependencyGraph.from_edges(1, [], self_loops=[0]),
+        sample_init=sample_init,
+        canon=lambda s: bytes([s]),
+        enumerate_states=lambda: range(3),
+        init_distribution=init_distribution,
+        declared_charges=(0.1,),
+    )
+
+
+def test_chain_never_absorbed_from_a_drawable_state_is_refused_before_drawing(monkeypatch):
+    """A run drawn at state 1 never ends: it used to run to the step cap
+    and count as censored.  The refusal names the drawable states that
+    cannot reach absorption; it comes before the sampler's first draw, in
+    ``run_many`` and in ``run_core_truncated`` alike."""
+    def drawn(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(chain, "run_stream", drawn)
+    from_mu = loop_or_exit(None, lambda rng: rng.randint(3))
+    message = ("^the chain is never absorbed: no absorbing state is reachable from 1 of the 3 "
+               "states its initial law draws$")
+    for call in (lambda: run_many(from_mu, 100, 0),
+                 lambda: run_core_truncated(from_mu, [0], [0.5], runs=100)):
+        with pytest.raises(LllError, match=message):
+            call()
+    stuck = loop_or_exit(lambda s: float(s == 1), lambda rng: 1)
+    with pytest.raises(LllError, match="reachable from 1 of the 1 states its initial"):
+        run_many(stuck, 100, 0)
+    monkeypatch.undo()
+    # started at state 0 the same chain is absorbed after one step
+    stats = run_many(loop_or_exit(lambda s: float(s == 0), lambda rng: 0), 100, 0)
+    assert stats.censored == 0 and (stats.steps == 1).all()
+
+
 # ---------------------------------------------------------------------------
 # reducers against per-run counts
 
@@ -197,7 +249,9 @@ def test_flaw_ids_beyond_int16_are_recorded():
        st.sampled_from(["lowest_index", "recency"]), st.integers(0, 6))
 def test_step_path_reducers_match_per_run_reports(problem, seed, runs, strategy, max_steps):
     problem = replace(problem, metadata={**problem.metadata, "strategy": strategy})
-    stats = run_many(problem, runs, seed, max_steps, collect_sequences=True, use_chain=False)
+    # without an enumeration run_many takes the step path
+    problem = replace(problem, enumerate_states=None)
+    stats = run_many(problem, runs, seed, max_steps, collect_sequences=True)
     reports = list(iter_runs(problem, range(runs), seed, max_steps, record_trajectory=True))
     outputs = Counter(problem.canon(rep.final_state) for rep in reports)
     assert {c: n for c, (_, n) in stats.outputs.items()} == outputs

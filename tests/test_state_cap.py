@@ -37,7 +37,9 @@ CONSUMERS = {
     "all_charges": all_charges,
     "event_charge": lambda p: event_charge(p, lambda s: True, lambda s: {s: 1.0}),
     "measure_of_flaws": measure_of_flaws,
-    "computed_init_ratio": lambda p: computed_init_ratio(dataclasses.replace(p, init_ratio=None)),
+    # a start from mu needs no space; a stated law is read over it
+    "computed_init_ratio": lambda p: computed_init_ratio(
+        dataclasses.replace(p, init_distribution=lambda s: 1.0)),
     "build_chain_tables": chain.build_chain_tables,
     "event": lambda p: check_event_probability(p, lambda s: True, psi=[0.1] * p.num_flaws,
                                                runs=10),

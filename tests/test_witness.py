@@ -470,8 +470,8 @@ def test_forest_probability_bound_measure_start():
                 return s
         return states[-1]
 
-    problem = replace(base, sample_init=sample_init,
-                      init_distribution=lambda s: mu[s], init_ratio=1.0)
+    # a sampler that draws mu: the problem states no initial law
+    problem = replace(base, sample_init=sample_init, init_distribution=None)
     runs = 30_000
     counts: dict = {}
     step_counts: dict = {}
