@@ -254,9 +254,8 @@ def run_many(
         tables = chain.build_chain_tables(problem, prio[1])
         result = chain.run_batch(tables, runs, seed, max_steps,
                                  record_sequences=collect_sequences, sequence_cap=96)
-        ids, first, mult = np.unique(result.final_ids, return_index=True, return_counts=True)
-        order = np.argsort(first)
-        finals = [(tables.states[k], c) for k, c in zip(ids[order].tolist(), mult[order].tolist())]
+        ids, mult = chain.final_counts(result.final_ids)
+        finals = [(tables.states[k], c) for k, c in zip(ids.tolist(), mult.tolist())]
         outputs = _output_counts(problem, finals)
         sequences = chain.sequence_counts(result) if collect_sequences else None
         return BatchStats(runs, result.steps, result.terminated, result.flaw_counts,
@@ -795,7 +794,7 @@ def run_core_truncated(
         bound += flaw_measures[i] * z
     tables = chain.build_chain_tables(problem, prio[1], flaw_subset=core_set)
     result = chain.run_batch(tables, runs, seed)
-    ids, mult = np.unique(result.final_ids, return_counts=True)
+    ids, mult = chain.final_counts(result.final_ids)
     failures = sum(c for k, c in zip(ids.tolist(), mult.tolist())
                    if problem.present_flaws(tables.states[k]))
     p_hat = failures / runs

@@ -6,6 +6,11 @@ is a Markov chain with known per-state transition rows.  This module
 builds those rows once, solves absorbing-chain statistics exactly, and
 samples large run batches vectorized — the same distributions the
 step-by-step runner uses, an order of magnitude faster.
+
+A batch keeps no per-run record beyond fixed-width counters: witness
+sequences are prefix ids into a trie that grows by one level per step,
+and final states fold into counts by one ``bincount``, so its
+bookkeeping costs time linear in the steps taken.
 """
 
 from __future__ import annotations
@@ -118,13 +123,73 @@ def _reaches_absorption(tables: ChainTables) -> np.ndarray:
     return reaches
 
 
+def _reachable_from_start(tables: ChainTables) -> np.ndarray:
+    """Per state, whether a run can visit it: the initial law's support
+    closed forward along entries of positive probability."""
+    seen = np.zeros(len(tables.states), dtype=bool)
+    seen[tables.init_ids] = True
+    frontier = tables.init_ids
+    while frontier.size:
+        live = np.diff(tables.row_cum[frontier], prepend=0.0, axis=1) > 0  # padding adds 0
+        nxt = np.unique(tables.row_targets[frontier][live])
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
+    return seen
+
+
+def _refuse_unabsorbed(tables: ChainTables) -> None:
+    """Refuse a chain in which a run can reach a state that never reaches
+    absorption: every run through it would be censored."""
+    reaches = _reaches_absorption(tables)
+    if reaches.all():
+        return
+    drawn = int(np.count_nonzero(~reaches[tables.init_ids]))
+    if drawn:
+        raise LllError(f"the chain is never absorbed: no absorbing state is reachable from "
+                       f"{drawn} of the {tables.init_ids.size} states its initial law draws")
+    seen = _reachable_from_start(tables)
+    stuck = int(np.count_nonzero(seen & ~reaches))
+    if stuck:
+        raise LllError(f"the chain is never absorbed: no absorbing state is reachable from "
+                       f"{stuck} of the {int(np.count_nonzero(seen))} states its runs can visit")
+
+
+# passes of the guide-table walk before the draws left fall back to a binary search
+GUIDE_PASSES = 4
+
+
+def _draw_starts(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, side="left")`` for sorted ``cum`` ending
+    at 1.0 and draws in [0, 1), through a guide table: bucket ``b`` of
+    2^k >= len(cum) holds the first entry not below b / 2^k, and a draw
+    walks forward from its bucket's entry.  ``u * 2^k`` is exact, so a
+    draw never starts past its answer.  A law whose mass sits on few
+    entries can leave many entries in one bucket; draws still unresolved
+    after ``GUIDE_PASSES`` passes take the binary search."""
+    buckets = 1 << (cum.size - 1).bit_length()
+    guide = np.searchsorted(cum, np.arange(buckets) / buckets)
+    pos = guide[(u * buckets).astype(np.intp)]
+    todo = np.flatnonzero(cum[pos] < u)
+    for _ in range(GUIDE_PASSES):
+        if not todo.size:
+            return pos
+        pos[todo] += 1
+        todo = todo[cum[pos[todo]] < u[todo]]
+    pos[todo] = np.searchsorted(cum, u[todo])
+    return pos
+
+
 @dataclass
 class BatchResult:
     steps: np.ndarray  # per-run step count (censored runs hit max_steps)
     final_ids: np.ndarray
     terminated: np.ndarray
     flaw_counts: np.ndarray  # runs x m address counts
-    sequences: np.ndarray | None  # runs x cap flaw ids, -1 padding
+    # per run, the prefix id of its recorded witness sequence (0: empty);
+    # prefix k extends prefix ``prefix_parent[k]`` by flaw ``prefix_flaw[k]``
+    sequence_ids: np.ndarray | None
+    prefix_parent: np.ndarray | None
+    prefix_flaw: np.ndarray | None
     sequence_overflow: np.ndarray | None
 
 
@@ -142,25 +207,24 @@ def run_batch(
     Each step draws one uniform per alive run, in run order, and maps it
     to the first row entry whose cumulative probability is not below it
     (``searchsorted`` with ``side="left"``), one column at a time.
-    Refused before any draw when the initial law can draw a state that
-    never reaches absorption: every run from it would be censored.
+    With ``record_sequences`` the first ``sequence_cap`` steps of each
+    run extend its prefix id: the alive runs' (prefix, flaw) pairs of a
+    step get new ids in sorted order, so equal sequences share one id.
+    Refused before any draw when a run can reach a state that never
+    reaches absorption: every run through it would be censored.
     """
-    stuck = int(np.count_nonzero(~_reaches_absorption(tables)[tables.init_ids]))
-    if stuck:
-        raise LllError(f"the chain is never absorbed: no absorbing state is reachable from "
-                       f"{stuck} of the {tables.init_ids.size} states its initial law draws")
+    _refuse_unabsorbed(tables)
     rng = run_stream(seed, 0, BATCH_TAG)
     n_runs = int(runs)
     m = tables.problem.num_flaws
-    u = rng.random(n_runs)
-    current = tables.init_ids[np.searchsorted(tables.init_cum, u)]
+    current = tables.init_ids[_draw_starts(tables.init_cum, rng.random(n_runs))]
     steps = np.zeros(n_runs, dtype=np.int64)
     counts = np.zeros((n_runs, m), dtype=np.int32)
-    seqs = overflow = None
+    seq_ids = overflow = None
     if record_sequences:
-        # the smallest signed type that holds every flaw id and the padding
-        seqs = np.full((n_runs, sequence_cap), -1, dtype=np.min_scalar_type(-max(m, 1)))
+        seq_ids = np.zeros(n_runs, dtype=np.int64)
         overflow = np.zeros(n_runs, dtype=bool)
+        parents, last_flaws, next_id = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)], 1
     # the last column is 1.0 in every row, never below a draw: skip it
     cum_columns = np.ascontiguousarray(tables.row_cum[:, :-1].T)
     idx = np.nonzero(~tables.absorbing[current])[0]
@@ -176,34 +240,60 @@ def run_batch(
         counts[idx, flaws] += 1  # run indices are unique within a step
         if record_sequences:
             if t < sequence_cap:
-                seqs[idx, t] = flaws
+                keys, inverse = np.unique(seq_ids[idx] * m + flaws, return_inverse=True)
+                parents.append(keys // m)
+                last_flaws.append(keys % m)
+                seq_ids[idx] = next_id + inverse
+                next_id += keys.size
             else:
                 overflow[idx] = True
         current[idx] = nxt
         steps[idx] += 1
         idx = idx[~tables.absorbing[nxt]]
         t += 1
-    return BatchResult(steps, current, tables.absorbing[current], counts, seqs, overflow)
+    prefix_parent = prefix_flaw = None
+    if record_sequences:
+        prefix_parent, prefix_flaw = np.concatenate(parents), np.concatenate(last_flaws)
+    return BatchResult(steps, current, tables.absorbing[current], counts, seq_ids,
+                       prefix_parent, prefix_flaw, overflow)
+
+
+def final_counts(final_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct final state ids in order of first occurrence, with
+    their run counts: one ``bincount`` and one ``minimum.at``, in time
+    linear in the runs and the states."""
+    mult = np.bincount(final_ids)
+    first = np.full(mult.size, final_ids.size, dtype=np.intp)
+    np.minimum.at(first, final_ids, np.arange(final_ids.size))
+    ids = np.flatnonzero(mult)
+    ids = ids[np.argsort(first[ids])]
+    return ids, mult[ids]
 
 
 def sequence_counts(result: BatchResult) -> dict:
-    """Recorded witness sequences with their run counts, from one
-    ``np.unique`` over the rows viewed as opaque byte strings.  Runs whose
+    """Recorded witness sequences with their run counts: one ``bincount``
+    over the prefix ids of the runs whose full sequence is known, each
+    distinct id rebuilt into its tuple along the parent links.  Runs whose
     full sequence is unknown (longer than the record, or censored) count
     under ``None``."""
     known = result.terminated & ~result.sequence_overflow
-    width = min(int(result.steps.max(initial=0)), result.sequences.shape[1])
-    rows = np.ascontiguousarray(result.sequences[known, :width])
+    mult = np.bincount(result.sequence_ids[known], minlength=1)
+    parent, flaw = result.prefix_parent.tolist(), result.prefix_flaw.tolist()
+    built: dict[int, tuple[int, ...]] = {0: ()}
     out: dict = {}
-    if rows.size:
-        as_bytes = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
-        distinct, mult = np.unique(as_bytes, return_counts=True)
-        for row, c in zip(distinct.view(rows.dtype).reshape(-1, width).tolist(), mult.tolist()):
-            out[tuple(f for f in row if f >= 0)] = c
-    elif len(rows):  # every known run absorbed before its first step
-        out[()] = len(rows)
-    if len(rows) < known.size:
-        out[None] = known.size - len(rows)
+    ids = np.flatnonzero(mult)
+    for k, c in zip(ids.tolist(), mult[ids].tolist()):
+        path, node = [], k
+        while node not in built:
+            path.append(node)
+            node = parent[node]
+        seq = built[node]
+        for node in reversed(path):
+            seq = built[node] = seq + (flaw[node],)
+        out[seq] = c
+    unknown = known.size - int(np.count_nonzero(known))
+    if unknown:
+        out[None] = unknown
     return out
 
 

@@ -379,7 +379,9 @@ class LowestIndexStrategy(FlawChoiceStrategy):
 
 
 class FixedPriorityStrategy(FlawChoiceStrategy):
-    """Addresses the present flaw that comes first in a fixed permutation."""
+    """Addresses the present flaw that comes first in a fixed permutation.
+    ``priority`` refuses an order that is not a permutation of the flaws:
+    a flaw it omits would never be addressed."""
 
     name = "fixed_priority"
 
@@ -388,11 +390,19 @@ class FixedPriorityStrategy(FlawChoiceStrategy):
         self.rank = {flaw: pos for pos, flaw in enumerate(self.order)}
         if len(self.rank) != len(self.order):
             raise LllError("fixed_priority permutation has repeated entries")
+        self.checked_for: int | None = None  # the flaw count the order was checked against
 
     def choose(self, present, state):
         return min(present, key=lambda i: self.rank[i])
 
     def priority(self, num_flaws):
+        if num_flaws != self.checked_for:
+            ranked, flaws = self.rank.keys(), set(range(num_flaws))
+            if ranked != flaws:
+                raise LllError(f"fixed_priority order is not a permutation of the {num_flaws} "
+                               f"flaws: missing {sorted(flaws - ranked)}, "
+                               f"extra {sorted(ranked - flaws)}")
+            self.checked_for = num_flaws
         return self.rank, self.order
 
 
@@ -430,15 +440,11 @@ def make_strategy(spec: str | FlawChoiceStrategy | None) -> FlawChoiceStrategy:
 
 
 def recommended_strategy(problem: SearchProblem) -> FlawChoiceStrategy:
-    """The strategy a solver's analysis assumes, from problem metadata.
-    A fixed order that is not a permutation of the flaws is refused: a
-    flaw it omits would never be addressed."""
+    """The strategy a solver's analysis assumes, from problem metadata,
+    with its priority checked against the flaws (see
+    ``FixedPriorityStrategy``)."""
     strategy = make_strategy(problem.metadata.get("strategy"))
-    if isinstance(strategy, FixedPriorityStrategy):
-        ranked, flaws = strategy.rank.keys(), set(range(problem.num_flaws))
-        if ranked != flaws:
-            raise LllError(f"fixed_priority order is not a permutation of the {len(flaws)} flaws: "
-                           f"missing {sorted(flaws - ranked)}, extra {sorted(ranked - flaws)}")
+    strategy.priority(problem.num_flaws)
     return strategy
 
 
@@ -465,9 +471,10 @@ def run(
         raise LllError("max_steps must be nonnegative")
     strategy = make_strategy(strategy)
     strategy.reset()
+    m = problem.num_flaws
+    prio = strategy.priority(m)  # refuses a fixed order that is not a permutation
     rng = source_for_run(seed, run_index)
     state = problem.sample_init(rng)
-    m = problem.num_flaws
     counts = [0] * m
     steps_rec: list[tuple[int, State]] = []
     initial = state
@@ -482,7 +489,6 @@ def run(
         flags = bytearray(m)
         for j in present:
             flags[j] = 1
-        prio = strategy.priority(m)
         if prio is not None:
             rank, order = prio
             heap = sorted(rank[j] for j in present)

@@ -1,6 +1,8 @@
 """Run engine, charges, and problem invariants."""
 
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -380,6 +382,27 @@ def test_fixed_priority_strategy(two_clause_mt):
             present = two_clause_mt.present_flaws(states[t])
             if len(present) == 2:
                 assert w == 1
+
+
+@pytest.mark.parametrize("order,missing,extra", [([1], [0], []), ([0, 1, 2], [], [2])],
+                         ids=["omits-0", "adds-2"])
+def test_run_refuses_a_fixed_order_that_is_not_a_permutation(monkeypatch, two_clause_mt, order,
+                                                              missing, extra):
+    """``run`` given such a strategy used to end in ``KeyError: 0`` once
+    the omitted flaw was the only one present.  It refuses before its
+    first draw, on the heap path and on the ``choose`` path alike."""
+    import lll_lab.core as core
+    from lll_lab.core import FixedPriorityStrategy
+
+    def drawn(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(core, "source_for_run", drawn)
+    message = re.escape(f"fixed_priority order is not a permutation of the 2 flaws: "
+                        f"missing {missing}, extra {extra}")
+    for problem in (two_clause_mt, replace(two_clause_mt, affects=None)):
+        with pytest.raises(LllError, match=message):
+            run(problem, FixedPriorityStrategy(order), seed=4)
 
 
 def test_custom_strategy_valid_callback(two_clause_mt):

@@ -60,7 +60,7 @@ def test_instrument_and_undo(tmp_path, capsys, monkeypatch):
 
 def test_traced_witness_suite_reads_sequence_reducer(tmp_path, capsys):
     """The tracer reads ``BatchStats.sequences`` as one entry per run; its
-    distinct-sequence share must equal the one in the sampler's rows."""
+    distinct-sequence share must equal the one of the sampler's sequence counts."""
     from lll_lab import chain
     from lll_lab.build import build_problem
 
@@ -80,7 +80,7 @@ def test_traced_witness_suite_reads_sequence_reducer(tmp_path, capsys):
     metrics = layers.layer_metrics(*tracer.fold(), tracer.counts, tracer.sequences)
     tables = chain.build_chain_tables(build_problem({"solver": "ksat-mt", "instance_text": text}))
     result = chain.run_batch(tables, 3000, 9, record_sequences=True, sequence_cap=96)
-    distinct = {tuple(row[row >= 0].tolist()) for row in result.sequences}
+    distinct = [seq for seq in chain.sequence_counts(result) if seq is not None]
     assert metrics["analysis.distinct_sequences_frac"] == len(distinct) / 3000
     assert metrics["chain.batch_rounds"] == int(result.steps.max())
     # the commutativity check and the chain tables keep the names the tracer patches

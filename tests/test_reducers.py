@@ -5,11 +5,14 @@ step over padded transition rows; these properties check it against a
 reference copy of the per-state loop it replaced.  ``BatchStats`` keeps
 distinct outputs and witness sequences with their run counts instead of
 per-run lists; on both paths those counts must equal counts rebuilt run
-by run.  Censored runs must count against a bound or be refused, and a
-chain whose initial law can draw a state that never reaches absorption
-is refused before its first draw.
+by run.  Start draws through the guide table and the fold of final
+states must equal their ``searchsorted`` and ``np.unique`` references.
+Censored runs must count against a bound or be refused, and a chain in
+which a run can reach a state that never reaches absorption is refused
+before its first draw.
 """
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -102,12 +105,6 @@ def reference_batch(problem, runs, seed, max_steps, sequence_cap):
     return steps, current, ~alive, counts, seqs, overflow
 
 
-def per_run_sequences(result):
-    return Counter(None if over or not done else tuple(int(f) for f in row if f >= 0)
-                   for row, over, done in zip(result.sequences, result.sequence_overflow,
-                                              result.terminated))
-
-
 @settings(max_examples=60, deadline=None)
 @given(ksat_mt_problems(), st.integers(0, 2**32 - 1), st.integers(1, 300),
        st.integers(0, 40), st.integers(1, 8))
@@ -128,9 +125,58 @@ def test_run_batch_matches_per_state_loop(problem, seed, runs, max_steps, cap):
     assert (result.final_ids == final_ids).all()
     assert (result.terminated == terminated).all()
     assert (result.flaw_counts == counts).all()
-    assert (result.sequences == seqs).all()
     assert (result.sequence_overflow == overflow).all()
-    assert chain.sequence_counts(result) == per_run_sequences(result)
+    # the reference's runs x cap matrix, read row by row
+    assert chain.sequence_counts(result) == Counter(
+        None if over or not done else tuple(int(f) for f in row if f >= 0)
+        for row, over, done in zip(seqs, overflow, terminated))
+
+
+LAWS = {
+    "point-mass": np.ones(1),
+    "uniform": np.full(1000, 1e-3),
+    # one bucket of the guide table spans all the small entries, so draws
+    # there outlast the walk's passes and take the binary search
+    "skewed": np.append(np.full(1000, 1e-9), 1.0 - 1e-6),
+}
+
+
+@pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+def test_guide_table_draw_equals_searchsorted(law):
+    cum = chain._pinned_cumsum(law / law.sum())
+    u = np.concatenate([np.random.default_rng(5).random(200_000), cum[:-1],
+                        np.nextafter(cum[:-1], 0.0), [0.0]])
+    assert (chain._draw_starts(cum, u) == np.searchsorted(cum, u, side="left")).all()
+
+
+def test_final_counts_match_the_unique_reference(two_clause_mt):
+    rng = np.random.default_rng(7)
+    result = chain.run_batch(chain.build_chain_tables(two_clause_mt), 3_000, 4)
+    for final_ids in (result.final_ids, rng.integers(0, 50, 5_000), rng.zipf(1.5, 5_000),
+                      np.array([7]), np.array([], dtype=np.int64)):
+        ids, first, mult = np.unique(final_ids, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        got_ids, got_mult = chain.final_counts(final_ids)
+        assert got_ids.tolist() == ids[order].tolist()
+        assert got_mult.tolist() == mult[order].tolist()
+
+
+def test_sequence_record_memory_at_1e5_runs():
+    """Peak traced memory of a recorded batch and its sequence counts: a
+    runs x 96 record and its byte-string sort took 17.9 MB, prefix ids
+    take 11.2 MB."""
+    problem = ksat_mt(CnfInstance(10, ((1, 2, 3), (-2, 4, 5), (-1, -4, 6), (3, -5, 7),
+                                       (-6, 8, 9), (-7, -8, 10))))
+    tables = chain.build_chain_tables(problem)
+    tracemalloc.start()
+    try:
+        result = chain.run_batch(tables, 10**5, 3, record_sequences=True, sequence_cap=96)
+        counts = chain.sequence_counts(result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts.values()) == 10**5
+    assert peak < 15 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +284,34 @@ def test_chain_never_absorbed_from_a_drawable_state_is_refused_before_drawing(mo
     # started at state 0 the same chain is absorbed after one step
     stats = run_many(loop_or_exit(lambda s: float(s == 0), lambda rng: 0), 100, 0)
     assert stats.censored == 0 and (stats.steps == 1).all()
+
+
+def test_chain_that_can_reach_a_stuck_state_is_refused_before_drawing(monkeypatch):
+    """Every start draws state 0, which reaches absorption, but half its
+    runs step to state 1 and stay there: at 10^4 steps 46 of 100 runs
+    used to be censored, and at 10^6 steps the batch ran for 11 s."""
+    stub = SearchProblem(
+        present=lambda i, s: s < 2,
+        sample_action=lambda i, s, rng: 1 + rng.randint(2) if s == 0 else 1,
+        action_distribution=lambda i, s: {1: 0.5, 2: 0.5} if s == 0 else {1: 1.0},
+        graph=DependencyGraph.from_edges(1, [], self_loops=[0]),
+        sample_init=lambda rng: 0,
+        canon=lambda s: bytes([s]),
+        enumerate_states=lambda: range(3),
+        init_distribution=lambda s: float(s == 0),
+        declared_charges=(0.1,),
+    )
+
+    def drawn(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(chain, "run_stream", drawn)
+    message = ("^the chain is never absorbed: no absorbing state is reachable from 1 of the 3 "
+               "states its runs can visit$")
+    for call in (lambda: run_many(stub, 100, 1, max_steps=10**4),
+                 lambda: run_core_truncated(stub, [0], [0.5], runs=100)):
+        with pytest.raises(LllError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
