@@ -1,16 +1,17 @@
 """Exact oracles on enumerable instances and seeded Monte-Carlo verdicts.
 
 Every distributional claim this package certifies is one-sided: the
-theory gives an upper (or lower) bound; estimates use Wilson intervals
-and a four-standard-error slack, with run counts chosen so the slack is
-small against each bound.  A verdict failure is a hard test failure.
+theory gives an upper (or lower) bound, and a verdict allows a slack of
+``SE_SLACK`` (four) standard errors, with run counts chosen so the slack
+is small against each bound.  Only the distribution report's per-output
+intervals are Wilson intervals; no verdict reads them.  A verdict
+failure is a hard test failure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain as chain_iter, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -196,13 +197,15 @@ def iter_runs(
 
 @dataclass
 class BatchStats:
-    """Per-run step and address counts plus two reducers over the runs.
+    """Per-run step and address counts, a reducer of the outputs and the
+    prefix trie of the witness sequences (when collected).
 
     ``outputs`` maps each distinct final canon to (the first final state
-    with that canon, its run count), in order of first occurrence.
-    ``sequence_counts`` (when collected) maps each witness sequence to its
-    run count; runs whose full sequence is unknown, because it overflowed
-    the record or the run was censored, count under ``None``.
+    with that canon, its run count), in order of first occurrence.  The
+    trie is the one of ``chain.BatchResult``: per run a prefix id (0 is
+    the empty sequence; -1 when censored or past ``chain.SEQUENCE_CAP``,
+    which only the chain path applies), per prefix its parent and last
+    flaw, a parent's id below its children's.
     """
 
     runs: int
@@ -210,19 +213,20 @@ class BatchStats:
     terminated: np.ndarray
     flaw_counts: np.ndarray
     outputs: dict[bytes, tuple[object, int]]
-    sequence_counts: dict[tuple[int, ...] | None, int] | None = None
+    sequence_ids: np.ndarray | None = None
+    prefix_parent: np.ndarray | None = None
+    prefix_flaw: np.ndarray | None = None
 
     @property
     def censored(self) -> int:
         return self.runs - int(np.count_nonzero(self.terminated))
 
     @property
-    def sequences(self) -> Iterator[tuple[int, ...] | None] | None:
-        """One witness sequence per run, grouped by sequence rather than in
-        run order; expanded lazily from ``sequence_counts``."""
-        if self.sequence_counts is None:
+    def sequences(self) -> Iterator[int | None] | None:
+        """One prefix id per run, in run order; ``None`` for an unknown run."""
+        if self.sequence_ids is None:
             return None
-        return chain_iter.from_iterable(repeat(s, c) for s, c in self.sequence_counts.items())
+        return (None if k < 0 else k for k in self.sequence_ids.tolist())
 
 
 def _output_counts(problem: SearchProblem, finals: Iterable[tuple[object, int]]) -> dict:
@@ -246,25 +250,25 @@ def run_many(
     """Sample independent runs under the problem's recommended strategy;
     uses the exact-chain sampler when the problem enumerates and the
     strategy is state-deterministic, else the step-by-step runner
-    (``iter_runs``).  Either way, no per-run state or sequence outlives
-    the reducers of ``BatchStats``."""
+    (``iter_runs``).  Either way, no per-run state or sequence tuple
+    outlives the reducers and the prefix trie of ``BatchStats``."""
     # the chain needs a choice that is a fixed order of the flaws
     prio = recommended_strategy(problem).priority(problem.num_flaws)
     if problem.enumerate_states is not None and prio is not None:
         tables = chain.build_chain_tables(problem, prio[1])
-        result = chain.run_batch(tables, runs, seed, max_steps,
-                                 record_sequences=collect_sequences, sequence_cap=96)
+        result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=collect_sequences)
         ids, mult = chain.final_counts(result.final_ids)
         finals = [(tables.states[k], c) for k, c in zip(ids.tolist(), mult.tolist())]
-        outputs = _output_counts(problem, finals)
-        sequences = chain.sequence_counts(result) if collect_sequences else None
         return BatchStats(runs, result.steps, result.terminated, result.flaw_counts,
-                          outputs, sequences)
+                          _output_counts(problem, finals), result.sequence_ids,
+                          result.prefix_parent, result.prefix_flaw)
     steps = np.zeros(runs, dtype=np.int64)
     terminated = np.zeros(runs, dtype=bool)
     counts = np.zeros((runs, problem.num_flaws), dtype=np.int32)
     finals: dict = {}
-    sequences: dict | None = {} if collect_sequences else None
+    sequence_ids = np.full(runs, -1, dtype=np.int64) if collect_sequences else None
+    # (parent id, flaw) -> prefix id, numbered from 1 in order of insertion
+    prefix_id: dict[tuple[int, int], int] = {}
     reports = iter_runs(problem, range(runs), seed, max_steps,
                         record_trajectory=collect_sequences)
     # filled row by row, so no report outlives its run: holding every
@@ -274,11 +278,14 @@ def run_many(
         if rep.steps:  # the counts sum to the steps, so a 0-step row stays zero
             counts[k] = rep.resample_counts
         finals[rep.final_state] = finals.get(rep.final_state, 0) + 1
-        if collect_sequences:
-            seq = rep.trajectory.witness_sequence if rep.terminated else None
-            sequences[seq] = sequences.get(seq, 0) + 1
+        if collect_sequences and rep.terminated:
+            node = 0
+            for flaw in rep.trajectory.witness_sequence:
+                node = prefix_id.setdefault((node, flaw), len(prefix_id) + 1)
+            sequence_ids[k] = node
+    trie = (sequence_ids, *np.array([(0, -1), *prefix_id]).T) if collect_sequences else ()
     return BatchStats(runs, steps, terminated, counts, _output_counts(problem, finals.items()),
-                      sequences)
+                      *trie)
 
 
 def refuse_censored(stats: BatchStats, op: str) -> None:
@@ -331,29 +338,30 @@ def check_witness_tree_lemma(
         raise LllError(f"no witness trees with at most {max_tree_nodes} nodes to check")
     stats = run_many(problem, runs, seed, collect_sequences=True)
     canon_to_slot = {t.canonical(): k for k, (t, _) in enumerate(trees)}
-    hits = np.zeros(len(trees), dtype=np.int64)
-    # the tree of step k reads only the prefix seq[:k], so each distinct
-    # prefix is matched once: ``prefix_id[(id of seq[:k-1], seq[k-1])]`` is
-    # the id of seq[:k], and ``slot_of[id]`` its tree's slot (None: no slot)
-    prefix_id: dict[tuple[int, int], int] = {}
-    slot_of: list[int | None] = [None]
-    for seq, mult in stats.sequence_counts.items():
-        if seq is None:
-            hits += mult  # overflowed or censored run: charge it to every tree
-            continue
-        ids, new_steps = [], []
-        node = 0
-        for k, flaw in enumerate(seq, 1):
-            node = prefix_id.setdefault((node, flaw), len(slot_of))
-            if node == len(slot_of):
-                slot_of.append(None)
-                new_steps.append(k)
-            ids.append(node)
-        for k, tree in trees_of_sequence(seq, graph, max_tree_nodes, new_steps):
-            slot_of[ids[k - 1]] = canon_to_slot.get(tree.canonical())
-        for slot in {slot_of[node] for node in ids} - {None}:
-            hits[slot] += mult
-    p_hats = hits / runs
+    known = stats.sequence_ids[stats.sequence_ids >= 0]
+    # an unknown run (censored, or past the sequence record) is charged to every tree
+    hits = [runs - known.size] * len(trees)
+    ends = np.bincount(known, minlength=stats.prefix_parent.size)  # known runs per end
+    parent, last_flaw = stats.prefix_parent.tolist(), stats.prefix_flaw.tolist()
+    # the prefixes some known run passes through: no tree is built for the rest
+    marked = {0}
+    for node in np.flatnonzero(ends).tolist():
+        while node not in marked:
+            marked.add(node)
+            node = parent[node]
+    # the tree of step k reads only the prefix seq[:k], so each marked
+    # prefix is matched once; a parent's id is below its children's, so
+    # its sequence and the slots of the trees along it are ready first
+    along: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {0: ((), frozenset())}
+    for node in sorted(marked)[1:]:
+        seq, slots = along[parent[node]]
+        seq += (last_flaw[node],)
+        found = trees_of_sequence(seq, graph, max_tree_nodes, [len(seq)])
+        slots |= {canon_to_slot.get(tree.canonical()) for _, tree in found} - {None}
+        along[node] = seq, slots
+        for slot in slots:
+            hits[slot] += ends[node]
+    p_hats = np.array(hits) / runs
     verdicts = [upper_verdict(f"tree[{tree.canonical().decode()}]", p_hats[k], lam * w,
                               proportion_se(p_hats[k], runs))
                 for k, (tree, w) in enumerate(trees)]

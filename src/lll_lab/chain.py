@@ -9,8 +9,10 @@ step-by-step runner uses, an order of magnitude faster.
 
 A batch keeps no per-run record beyond fixed-width counters: witness
 sequences are prefix ids into a trie that grows by one level per step,
-and final states fold into counts by one ``bincount``, so its
-bookkeeping costs time linear in the steps taken.
+with ``-1`` for a run whose sequence is unknown (longer than
+``SEQUENCE_CAP`` steps, or censored), and final states fold into counts
+by one ``bincount``, so its bookkeeping costs time linear in the steps
+taken.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .rng import BATCH_TAG, run_stream
 
 # transient states of the dense absorbing-chain solve: 128 MB of float64
 DENSE_TRANSIENT_CAP = 4096
+# steps of a run its recorded witness sequence holds; a longer run's is unknown
+SEQUENCE_CAP = 96
 
 
 @dataclass
@@ -185,12 +189,14 @@ class BatchResult:
     final_ids: np.ndarray
     terminated: np.ndarray
     flaw_counts: np.ndarray  # runs x m address counts
-    # per run, the prefix id of its recorded witness sequence (0: empty);
-    # prefix k extends prefix ``prefix_parent[k]`` by flaw ``prefix_flaw[k]``
+    # per run, the prefix id of its recorded witness sequence (0: empty),
+    # or -1 when the sequence is unknown: the run stepped past
+    # ``SEQUENCE_CAP`` or was censored.  Prefix k extends prefix
+    # ``prefix_parent[k]`` by flaw ``prefix_flaw[k]``; a parent's id is
+    # below its children's
     sequence_ids: np.ndarray | None
     prefix_parent: np.ndarray | None
     prefix_flaw: np.ndarray | None
-    sequence_overflow: np.ndarray | None
 
 
 def run_batch(
@@ -199,7 +205,6 @@ def run_batch(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     record_sequences: bool = False,
-    sequence_cap: int = 64,
 ) -> BatchResult:
     """Sample ``runs`` independent chains; statistics only depend on
     (seed, runs), not on how callers batch them.
@@ -207,7 +212,7 @@ def run_batch(
     Each step draws one uniform per alive run, in run order, and maps it
     to the first row entry whose cumulative probability is not below it
     (``searchsorted`` with ``side="left"``), one column at a time.
-    With ``record_sequences`` the first ``sequence_cap`` steps of each
+    With ``record_sequences`` the first ``SEQUENCE_CAP`` steps of each
     run extend its prefix id: the alive runs' (prefix, flaw) pairs of a
     step get new ids in sorted order, so equal sequences share one id.
     Refused before any draw when a run can reach a state that never
@@ -220,10 +225,9 @@ def run_batch(
     current = tables.init_ids[_draw_starts(tables.init_cum, rng.random(n_runs))]
     steps = np.zeros(n_runs, dtype=np.int64)
     counts = np.zeros((n_runs, m), dtype=np.int32)
-    seq_ids = overflow = None
+    seq_ids = prefix_parent = prefix_flaw = None
     if record_sequences:
         seq_ids = np.zeros(n_runs, dtype=np.int64)
-        overflow = np.zeros(n_runs, dtype=bool)
         parents, last_flaws, next_id = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)], 1
     # the last column is 1.0 in every row, never below a draw: skip it
     cum_columns = np.ascontiguousarray(tables.row_cum[:, :-1].T)
@@ -238,24 +242,21 @@ def run_batch(
         nxt = tables.row_targets[cur, pos]
         flaws = tables.chosen_flaw[cur]
         counts[idx, flaws] += 1  # run indices are unique within a step
-        if record_sequences:
-            if t < sequence_cap:
-                keys, inverse = np.unique(seq_ids[idx] * m + flaws, return_inverse=True)
-                parents.append(keys // m)
-                last_flaws.append(keys % m)
-                seq_ids[idx] = next_id + inverse
-                next_id += keys.size
-            else:
-                overflow[idx] = True
+        if record_sequences and t < SEQUENCE_CAP:
+            keys, inverse = np.unique(seq_ids[idx] * m + flaws, return_inverse=True)
+            parents.append(keys // m)
+            last_flaws.append(keys % m)
+            seq_ids[idx] = next_id + inverse
+            next_id += keys.size
         current[idx] = nxt
         steps[idx] += 1
         idx = idx[~tables.absorbing[nxt]]
         t += 1
-    prefix_parent = prefix_flaw = None
+    terminated = tables.absorbing[current]
     if record_sequences:
+        seq_ids[~terminated | (steps > SEQUENCE_CAP)] = -1
         prefix_parent, prefix_flaw = np.concatenate(parents), np.concatenate(last_flaws)
-    return BatchResult(steps, current, tables.absorbing[current], counts, seq_ids,
-                       prefix_parent, prefix_flaw, overflow)
+    return BatchResult(steps, current, terminated, counts, seq_ids, prefix_parent, prefix_flaw)
 
 
 def final_counts(final_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,33 +269,6 @@ def final_counts(final_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = np.flatnonzero(mult)
     ids = ids[np.argsort(first[ids])]
     return ids, mult[ids]
-
-
-def sequence_counts(result: BatchResult) -> dict:
-    """Recorded witness sequences with their run counts: one ``bincount``
-    over the prefix ids of the runs whose full sequence is known, each
-    distinct id rebuilt into its tuple along the parent links.  Runs whose
-    full sequence is unknown (longer than the record, or censored) count
-    under ``None``."""
-    known = result.terminated & ~result.sequence_overflow
-    mult = np.bincount(result.sequence_ids[known], minlength=1)
-    parent, flaw = result.prefix_parent.tolist(), result.prefix_flaw.tolist()
-    built: dict[int, tuple[int, ...]] = {0: ()}
-    out: dict = {}
-    ids = np.flatnonzero(mult)
-    for k, c in zip(ids.tolist(), mult[ids].tolist()):
-        path, node = [], k
-        while node not in built:
-            path.append(node)
-            node = parent[node]
-        seq = built[node]
-        for node in reversed(path):
-            seq = built[node] = seq + (flaw[node],)
-        out[seq] = c
-    unknown = known.size - int(np.count_nonzero(known))
-    if unknown:
-        out[None] = unknown
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +284,11 @@ class ExactChainStats:
 
 def exact_statistics(tables: ChainTables) -> ExactChainStats:
     """Solve the absorbing chain: expected per-flaw address counts,
-    expected steps, and the exact output distribution."""
+    expected steps, and the exact output distribution.  Only the
+    transient states a run can visit enter the solve; the others get no
+    visits whatever their rows hold."""
     n = len(tables.states)
-    trans_ids = np.nonzero(~tables.absorbing)[0]
+    trans_ids = np.flatnonzero(~tables.absorbing & _reachable_from_start(tables))
     init_full = np.zeros(n)
     init_full[tables.init_ids] = np.diff(tables.init_cum, prepend=0.0)
     nt = trans_ids.size
@@ -322,7 +298,7 @@ def exact_statistics(tables: ChainTables) -> ExactChainStats:
     stuck = nt - int(np.count_nonzero(_reaches_absorption(tables)[trans_ids]))
     if stuck:
         raise LllError(f"the chain is never absorbed: no absorbing state is reachable from "
-                       f"{stuck} of its {nt} transient states")
+                       f"{stuck} of the {nt} transient states its runs can visit")
     pos = np.full(n, -1, dtype=np.int64)
     pos[trans_ids] = np.arange(nt)
     targets = tables.row_targets[trans_ids]

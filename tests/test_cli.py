@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, determinism, end-to-end paths."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,9 @@ from lll_lab import cli
 from lll_lab.build import SOLVER_NAMES, SOLVERS
 from lll_lab.cli import main
 from lll_lab.core import DEFAULT_MAX_STEPS
+
+# the package for child interpreters, whether or not PYTHONPATH names it
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 K6_ONE_CONFLICT = "\n".join(
     f"{u} {v} {u * 6 + v if not (u == 2 and v == 3) else 1}"
@@ -242,7 +247,7 @@ def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lll_lab.cli", "gen", "ksat", "--n", "4", "--k", "2",
          "--degree", "1", "--seed", "0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("p cnf 4")
@@ -621,7 +626,7 @@ def test_cli_import_loads_no_fractions(tmp_path):
     for run in ["pass", f"lll_lab.cli.main(['solve', 'ksat-backtrack', {cnf!r}, '--seed', '1'])"]:
         code = f"import sys, lll_lab.cli; {run}; print(sorted(set({unused!r}) & set(sys.modules)))"
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, timeout=60)
+                              check=True, timeout=60, env=CHILD_ENV)
         assert done.stdout.splitlines()[-1] == "[]"
 
 

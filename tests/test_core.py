@@ -453,14 +453,23 @@ def test_exact_statistics_refuses_a_chain_never_absorbed():
 
     tables = chain.build_chain_tables(ksat_mt(CnfInstance(2, ((-1,), (1,)))))
     with pytest.raises(LllError, match="^the chain is never absorbed: no absorbing state is "
-                                       "reachable from 4 of its 4 transient states$"):
+                                       "reachable from 4 of the 4 transient states its runs "
+                                       "can visit$"):
         chain.exact_statistics(tables)
     # state 1 steps to itself forever; state 0 steps to the flawless state 2
-    stuck = SearchProblem(
-        present=lambda i, s: s < 2, sample_action=lambda i, s, rng: s,
-        action_distribution=lambda i, s: {2 if s == 0 else 1: 1.0},
-        graph=DependencyGraph.from_edges(1, [], self_loops=[0]), sample_init=lambda rng: 0,
-        canon=lambda s: bytes([s]), enumerate_states=lambda: range(3),
-        init_distribution=lambda s: 1.0 if s == 0 else 0.0)
-    with pytest.raises(LllError, match="reachable from 1 of its 2 transient states$"):
-        chain.exact_statistics(chain.build_chain_tables(stuck))
+    def stuck(init_distribution):
+        return SearchProblem(
+            present=lambda i, s: s < 2, sample_action=lambda i, s, rng: s,
+            action_distribution=lambda i, s: {2 if s == 0 else 1: 1.0},
+            graph=DependencyGraph.from_edges(1, [], self_loops=[0]), sample_init=lambda rng: 0,
+            canon=lambda s: bytes([s]), enumerate_states=lambda: range(3),
+            init_distribution=init_distribution)
+
+    # started at 0 no run visits state 1: the solve leaves it out
+    stats = chain.exact_statistics(chain.build_chain_tables(stuck(lambda s: float(s == 0))))
+    assert stats.expected_steps == 1.0 and stats.expected_flaw_counts.tolist() == [1.0]
+    assert stats.absorption == {2: 1.0}
+    # a start law that can draw state 1 is refused
+    with pytest.raises(LllError, match="reachable from 1 of the 2 transient states its runs "
+                                       "can visit$"):
+        chain.exact_statistics(chain.build_chain_tables(stuck(lambda s: float(s < 2))))

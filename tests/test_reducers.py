@@ -3,10 +3,13 @@
 ``chain.run_batch`` samples every alive run in one vectorized pass per
 step over padded transition rows; these properties check it against a
 reference copy of the per-state loop it replaced.  ``BatchStats`` keeps
-distinct outputs and witness sequences with their run counts instead of
-per-run lists; on both paths those counts must equal counts rebuilt run
-by run.  Start draws through the guide table and the fold of final
-states must equal their ``searchsorted`` and ``np.unique`` references.
+distinct outputs with their run counts instead of a per-run list, and
+witness sequences as a prefix trie; on both paths the counts and the
+sequences read back from the trie must equal those rebuilt run by run,
+and the witness suite's tree counts must equal a run-by-run count with
+``witness.occurs``.  Start draws through the guide table and the fold
+of final states must equal their ``searchsorted`` and ``np.unique``
+references.
 Censored runs must count against a bound or be refused, and a chain in
 which a run can reach a state that never reaches absorption is refused
 before its first draw.
@@ -33,10 +36,11 @@ from lll_lab.analysis import (
     run_core_truncated,
     run_many,
 )
-from lll_lab.core import LllError, SearchProblem
+from lll_lab.core import DEFAULT_MAX_STEPS, LllError, SearchProblem, Trajectory
 from lll_lab.criteria import DependencyGraph
 from lll_lab.rng import BATCH_TAG, run_stream
 from lll_lab.solvers import CnfInstance, ksat_mt
+from lll_lab.witness import enumerate_witness_trees, occurs
 
 
 @st.composite
@@ -105,6 +109,29 @@ def reference_batch(problem, runs, seed, max_steps, sequence_cap):
     return steps, current, ~alive, counts, seqs, overflow
 
 
+def reference_sequences(seqs, overflow, terminated):
+    """The reference's runs x cap matrix read row by row: a run's witness
+    sequence, or None when it overflowed the record or was censored."""
+    return [None if over or not done else tuple(int(f) for f in row if f >= 0)
+            for row, over, done in zip(seqs, overflow, terminated)]
+
+
+def trie_sequences(record):
+    """Each run's witness sequence rebuilt from a result's prefix trie
+    along the parent links, in run order; None for an unknown run (-1)."""
+    parent, flaw = record.prefix_parent.tolist(), record.prefix_flaw.tolist()
+    # a parent's id is below its children's
+    assert all(p < k for k, p in enumerate(parent) if k)
+    out = []
+    for k in record.sequence_ids.tolist():
+        seq = []
+        while k > 0:
+            seq.append(flaw[k])
+            k = parent[k]
+        out.append(None if k < 0 else tuple(reversed(seq)))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(ksat_mt_problems(), st.integers(0, 2**32 - 1), st.integers(1, 300),
        st.integers(0, 40), st.integers(1, 8))
@@ -117,19 +144,17 @@ def test_run_batch_matches_per_state_loop(problem, seed, runs, max_steps, cap):
         with pytest.raises(LllError, match="^the chain is never absorbed"):
             chain.run_batch(tables, runs, seed, max_steps)
         return
-    result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=True,
-                             sequence_cap=cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chain, "SEQUENCE_CAP", cap)
+        result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=True)
     steps, final_ids, terminated, counts, seqs, overflow = reference_batch(
         problem, runs, seed, max_steps, cap)
     assert (result.steps == steps).all()
     assert (result.final_ids == final_ids).all()
     assert (result.terminated == terminated).all()
     assert (result.flaw_counts == counts).all()
-    assert (result.sequence_overflow == overflow).all()
-    # the reference's runs x cap matrix, read row by row
-    assert chain.sequence_counts(result) == Counter(
-        None if over or not done else tuple(int(f) for f in row if f >= 0)
-        for row, over, done in zip(seqs, overflow, terminated))
+    assert (result.sequence_ids[overflow] == -1).all()
+    assert trie_sequences(result) == reference_sequences(seqs, overflow, terminated)
 
 
 LAWS = {
@@ -164,18 +189,19 @@ def test_final_counts_match_the_unique_reference(two_clause_mt):
 def test_sequence_record_memory_at_1e5_runs():
     """Peak traced memory of a recorded batch and its sequence counts: a
     runs x 96 record and its byte-string sort took 17.9 MB, prefix ids
-    take 11.2 MB."""
+    and one bincount over them take 11.1 MB."""
     problem = ksat_mt(CnfInstance(10, ((1, 2, 3), (-2, 4, 5), (-1, -4, 6), (3, -5, 7),
                                        (-6, 8, 9), (-7, -8, 10))))
     tables = chain.build_chain_tables(problem)
     tracemalloc.start()
     try:
-        result = chain.run_batch(tables, 10**5, 3, record_sequences=True, sequence_cap=96)
-        counts = chain.sequence_counts(result)
+        result = chain.run_batch(tables, 10**5, 3, record_sequences=True)
+        known = result.sequence_ids[result.sequence_ids >= 0]
+        counts = np.bincount(known, minlength=result.prefix_parent.size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(counts.values()) == 10**5
+    assert counts.sum() + (result.sequence_ids < 0).sum() == 10**5
     assert peak < 15 * 2**20
 
 
@@ -240,8 +266,9 @@ def test_flaw_ids_beyond_int16_are_recorded():
         flaws_present=lambda s: [m - 1] if s == 0 else [],
     )
     stats = run_many(problem, 5, 1, collect_sequences=True)
-    assert stats.sequence_counts == {(m - 1,): 5}
-    assert list(stats.sequences) == [(m - 1,)] * 5
+    # one prefix beyond the empty one, flaw m - 1, holding all 5 runs
+    assert stats.prefix_parent.tolist() == [0, 0] and stats.prefix_flaw[1] == m - 1
+    assert list(stats.sequences) == [1] * 5
     assert (stats.flaw_counts[:, m - 1] == 1).all()
 
 
@@ -334,10 +361,10 @@ def test_step_path_reducers_match_per_run_reports(problem, seed, runs, strategy,
     for rep in reports:
         firsts.setdefault(problem.canon(rep.final_state), rep.final_state)
     assert {c: s for c, (s, _) in stats.outputs.items()} == firsts
-    sequences = Counter(rep.trajectory.witness_sequence if rep.terminated else None
-                        for rep in reports)
-    assert stats.sequence_counts == sequences
-    assert Counter(stats.sequences) == sequences
+    sequences = [rep.trajectory.witness_sequence if rep.terminated else None
+                 for rep in reports]
+    assert trie_sequences(stats) == sequences
+    assert len(set(stats.sequences) - {None}) == len(set(sequences) - {None})
     assert stats.censored == sum(not rep.terminated for rep in reports)
 
 
@@ -349,6 +376,86 @@ def test_chain_path_outputs_in_order_of_first_occurrence(two_clause_mt):
     outputs = Counter(two_clause_mt.canon(s) for s in finals)
     assert list(stats.outputs) == list(outputs)
     assert {c: n for c, (_, n) in stats.outputs.items()} == outputs
+
+
+# ---------------------------------------------------------------------------
+# witness-tree counts against a run-by-run matcher
+
+# four overlapping clauses on 4 variables: some runs take 3 steps or more
+WITNESS_FORMULA = CnfInstance(4, ((1, 2, 3), (-1, -2, 3), (2, -3, 4), (1, -2, -4)))
+
+
+def check_witness_counts(monkeypatch, problem, runs, seed, sequences):
+    """Run the witness suite and compare each tree's empirical value with
+    the share of ``sequences`` (one per run, None when unknown) in which
+    ``witness.occurs`` finds it, an unknown run counting for every tree.
+    Returns the sequences the suite built trees of, one per call."""
+    built = []
+    real = analysis.trees_of_sequence
+    monkeypatch.setattr(analysis, "trees_of_sequence",
+                        lambda seq, *args: built.append(tuple(seq)) or real(seq, *args))
+    report = check_witness_tree_lemma(problem, runs=runs, seed=seed)
+    charges = analysis.problem_charges(problem)
+    trees = {f"tree[{t.canonical().decode()}]": t for root in range(problem.num_flaws)
+             for t, _ in enumerate_witness_trees(root, problem.graph, charges, 3)}
+    assert len(report["verdicts"]) == len(trees)
+    for v in report["verdicts"]:
+        hits = sum(mult for seq, mult in Counter(sequences).items()
+                   if seq is None or occurs(trees[v.name], Trajectory(None, tuple(
+                       (f, None) for f in seq)), problem.graph) is not None)
+        assert v.empirical == hits / runs, v.name
+    # one tree built per distinct prefix of a known run, and no other
+    known = {seq[:k] for seq in sequences if seq is not None for k in range(1, len(seq) + 1)}
+    assert sorted(built) == sorted(known)
+    return built
+
+
+def test_witness_counts_on_the_chain_path(monkeypatch):
+    problem = ksat_mt(WITNESS_FORMULA)
+    runs, seed = 3_000, 11
+    _, _, terminated, _, seqs, overflow = reference_batch(
+        problem, runs, seed, DEFAULT_MAX_STEPS, chain.SEQUENCE_CAP)
+    assert terminated.all() and not overflow.any()
+    check_witness_counts(monkeypatch, problem, runs, seed,
+                         reference_sequences(seqs, overflow, terminated))
+
+
+def test_witness_counts_on_the_step_path(monkeypatch):
+    problem = ksat_mt(WITNESS_FORMULA)
+    problem = replace(problem, metadata={**problem.metadata, "strategy": "recency"})
+    runs, seed = 1_000, 12
+    reports = iter_runs(problem, range(runs), seed, record_trajectory=True)
+    sequences = [rep.trajectory.witness_sequence if rep.terminated else None
+                 for rep in reports]
+    assert max(map(len, sequences)) > 2
+    check_witness_counts(monkeypatch, problem, runs, seed, sequences)
+
+
+def test_witness_counts_past_the_sequence_cap(monkeypatch):
+    """With a record of 2 steps, runs of 3 steps or more are unknown: they
+    count for every tree, and the prefixes only they reach build no tree."""
+    monkeypatch.setattr(chain, "SEQUENCE_CAP", 2)
+    problem = ksat_mt(WITNESS_FORMULA)
+    runs, seed = 200, 11
+    _, _, terminated, _, seqs, overflow = reference_batch(problem, runs, seed,
+                                                          DEFAULT_MAX_STEPS, 2)
+    assert overflow.any()
+    sequences = reference_sequences(seqs, overflow, terminated)
+    built = check_witness_counts(monkeypatch, problem, runs, seed, sequences)
+    overflowed = {tuple(int(f) for f in row[:k]) for row in seqs[overflow] for k in (1, 2)}
+    assert overflowed - set(built)  # the check above is not vacuous
+
+
+def test_witness_counts_of_censored_runs(monkeypatch):
+    problem = ksat_mt(WITNESS_FORMULA)
+    real = analysis.run_many
+    monkeypatch.setattr(analysis, "run_many", lambda *a, **k: real(*a, **{**k, "max_steps": 1}))
+    runs, seed = 3_000, 11
+    _, _, terminated, _, seqs, overflow = reference_batch(problem, runs, seed, 1,
+                                                          chain.SEQUENCE_CAP)
+    assert not terminated.all()
+    check_witness_counts(monkeypatch, problem, runs, seed,
+                         reference_sequences(seqs, overflow, terminated))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +472,7 @@ def one_step_runs(monkeypatch):
 def test_censored_runs_are_charged_to_every_tree(two_clause_mt, one_step_runs):
     stats = analysis.run_many(two_clause_mt, 4_000, 2, collect_sequences=True)
     assert stats.censored > 0
-    assert stats.sequence_counts[None] == stats.censored
+    assert (stats.sequence_ids == -1).sum() == stats.censored
     report = check_witness_tree_lemma(two_clause_mt, runs=4_000, seed=2)
     assert all(v.empirical >= stats.censored / 4_000 for v in report["verdicts"])
 
