@@ -10,8 +10,9 @@ failure is a hard test failure.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -22,9 +23,7 @@ from .core import (
     LllError,
     RunReport,
     SearchProblem,
-    action_law,
     all_charges,
-    charge,
     computed_init_ratio,
     measure_of_flaws,
     recommended_strategy,
@@ -439,13 +438,12 @@ def check_event_probability(
     space = problem.space
     if event_actions is None:
         event_actions = lambda s: space.mu  # shared, never mutated
-    if event_neighbors is None:
-        event_neighbors = list(range(problem.num_flaws))
-    ext = extend_with_event(problem, event, event_actions, event_neighbors)
-    if not check_commutativity(ext).commutative:
+    event_neighbors = range(problem.num_flaws) if event_neighbors is None else event_neighbors
+    # built once, at the first pair with the event or else for the charge
+    rows = functools.cache(lambda: core.event_rows(space, event, event_actions))
+    if not check_commutativity(problem, rows, event_neighbors).commutative:
         raise LllError("event extension is not commutative; bound not applicable")
-    # ``event_charge`` exactly: the base space's states, measure and order
-    gamma_e = charge(ext, problem.num_flaws)
+    gamma_e = core.charge_of_rows(space, rows())  # ``event_charge`` exactly
     adj = problem.graph.adj
     zeta = independent_weight_sum(
         sorted(event_neighbors), {j: adj[j] for j in event_neighbors},
@@ -462,39 +460,6 @@ def check_event_probability(
     p_hat = hits / runs
     verdict = upper_verdict("event_probability", p_hat, bound, proportion_se(p_hat, runs))
     return verdict_report("check_event_probability", [verdict], runs=runs, charge=gamma_e)
-
-
-def extend_with_event(problem: SearchProblem, event, event_actions,
-                      event_neighbors: Sequence[int]) -> SearchProblem:
-    """The problem plus one extra flaw for the event, with symmetric
-    adjacency into the declared neighborhood."""
-    m = problem.num_flaws
-    law = action_law(problem)
-    extra = frozenset(event_neighbors) | {m}
-    graph = DependencyGraph(m + 1, tuple(
-        adj | {m} if i in extra else adj for i, adj in enumerate(problem.graph.adj)) + (extra,))
-
-    def present(i, s):
-        return event(s) if i == m else problem.present(i, s)
-
-    def sample_action(i, s, rng):
-        return rng.choice(event_actions(s)) if i == m else problem.sample_action(i, s, rng)
-
-    return replace(
-        problem,
-        present=present,
-        sample_action=sample_action,
-        # declared, so that ``replace`` does not carry the base's law over
-        # to flaw m; the base flaws keep the base's resolved law
-        action_distribution=lambda i, s: event_actions(s) if i == m else law(i, s),
-        graph=graph,
-        flaws_present=None,
-        # the base problem's affects sets never cover the event flaw m
-        affects=None,
-        declared_charges=None,
-        default_weights=None,
-        flaw_labels=None,
-    )
 
 
 # ---------------------------------------------------------------------------

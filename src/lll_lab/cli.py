@@ -210,22 +210,30 @@ def _resamples(analysis, problem, spec: dict, args, psi):
                                           sample=sample if parallel else None)
 
 
+def _event(analysis, problem, spec: dict, args, psi):
+    if not problem.num_flaws:  # the event is flaw 0's extension, the canonical one
+        raise LllError("the event suite's event is flaw 0, and the problem has no flaws")
+    return analysis.check_event_probability(problem, lambda s: problem.present(0, s), psi=psi,
+                                            runs=args.runs, seed=args.seed)
+
+
 class Suite(NamedTuple):
     """One verify suite: its call into ``analysis``, which ``cmd_verify``
     loads and passes in, so each suite function is looked up when it is
-    called; and whether it reads ``--psi`` under the given flags."""
+    called; and the optional flags it reads under the given flags."""
 
     run: Callable
-    reads_psi: Callable[[argparse.Namespace], bool] = lambda args: True
+    reads: Callable[[argparse.Namespace], tuple[str, ...]] = lambda args: ("psi",)
 
 
 SUITES = {
     "witness": Suite(
         lambda analysis, problem, spec, args, psi: analysis.check_witness_tree_lemma(
             problem, runs=args.runs, seed=args.seed, max_tree_nodes=args.tree_nodes),
-        reads_psi=lambda args: False),
+        reads=lambda args: ("tree_nodes",)),
     # shearer mode bounds by Shearer's polynomials, with no weight vector
-    "resamples": Suite(_resamples, reads_psi=lambda args: (args.mode or "cluster") == "cluster"),
+    "resamples": Suite(_resamples, reads=lambda args: ("mode", "parallel") + (
+        ("psi",) if (args.mode or "cluster") == "cluster" else ())),
     "distribution": Suite(
         lambda analysis, problem, spec, args, psi: analysis.output_distribution(
             problem, psi=psi, runs=args.runs, seed=args.seed)),
@@ -233,12 +241,10 @@ SUITES = {
         lambda analysis, problem, spec, args, psi: analysis.partial_avoidance(
             problem, analysis.PartialAvoidanceConfig.build(problem, psi), runs=args.runs,
             seed=args.seed)),
-    # the first flaw's extension, the canonical demonstration event
-    "event": Suite(
-        lambda analysis, problem, spec, args, psi: analysis.check_event_probability(
-            problem, event=lambda s: problem.present(0, s), psi=psi, runs=args.runs,
-            seed=args.seed)),
+    "event": Suite(_event),
 }
+# the optional verify flags in the order they are checked, each with its default
+VERIFY_FLAGS = {"mode": None, "psi": None, "tree_nodes": 3, "parallel": 1}
 
 
 def cmd_verify(args) -> int:
@@ -246,14 +252,18 @@ def cmd_verify(args) -> int:
 
     if args.runs <= 0:
         raise LllError("--runs must be positive")
-    if args.parallel < 1:
+    if args.parallel is not None and args.parallel < 1:
         raise LllError("--parallel must be at least 1")
-    if args.mode is not None and args.suite != "resamples":
-        raise LllError(f"--mode applies only to the resamples suite, not {args.suite}")
     suite = SUITES[args.suite]
-    if args.psi is not None and not suite.reads_psi(args):
-        mode = f" in {args.mode} mode" if args.mode else ""
-        raise LllError(f"the {args.suite} suite{mode} does not read --psi")
+    reads = suite.reads(args)
+    for flag, default in VERIFY_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag == "mode" and flag not in reads:
+            raise LllError(f"--mode applies only to the resamples suite, not {args.suite}")
+        elif flag not in reads:
+            mode = f" in {args.mode} mode" if args.mode else ""
+            raise LllError(f"the {args.suite} suite{mode} does not read {_flag(flag)}")
     spec = _spec_from_args(args)
     problem = build_problem(spec)
     psi = None if args.psi is None else [args.psi] * problem.num_flaws
@@ -411,8 +421,8 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--runs", type=int, default=10**5)
     p_verify.add_argument("--mode", choices=["cluster", "shearer"], default=None)
     p_verify.add_argument("--psi", type=float, default=None)
-    p_verify.add_argument("--tree-nodes", type=int, default=3)
-    p_verify.add_argument("--parallel", type=int, default=1,
+    p_verify.add_argument("--tree-nodes", type=int, default=None)
+    p_verify.add_argument("--parallel", type=int, default=None,
                           help="worker processes for the resamples suite on "
                                "problems too large to enumerate")
     p_verify.set_defaults(fn=cmd_verify)

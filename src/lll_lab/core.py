@@ -537,7 +537,7 @@ def run(
 # oracle-mode helpers
 
 
-def _charge_of_rows(space: StateSpace, rows: TransitionRows) -> float:
+def charge_of_rows(space: StateSpace, rows: TransitionRows) -> float:
     """max over target states of (sum over rows of mu * rho) / mu, the
     sums scattered in entry order as a sequential loop would add them."""
     mu = space.mu_vector
@@ -554,7 +554,7 @@ def charge(problem: SearchProblem, i: int) -> float:
     under mu, then address it" against mu.  Always >= mu(f_i); equals
     mu(f_i) exactly when the actions resample perfectly.
     """
-    return _charge_of_rows(problem.space, problem.space.rows(i))
+    return charge_of_rows(problem.space, problem.space.rows(i))
 
 
 def event_charge(
@@ -564,9 +564,14 @@ def event_charge(
 ) -> float:
     """Charge of an extra flaw defined by an arbitrary event with its own
     resampling distributions, under the same enumerable measure."""
-    space = problem.space
+    return charge_of_rows(problem.space, event_rows(problem.space, event, event_actions))
+
+
+def event_rows(space: StateSpace, event: Callable[[State], bool],
+               event_actions: Callable[[State], dict[State, float]]) -> TransitionRows:
+    """An extra flaw's rows: ``event_actions`` at the states of ``event``."""
     members = [k for k, s in enumerate(space.states) if event(s)]
-    return _charge_of_rows(space, space.transition_rows(members, event_actions, "the event"))
+    return space.transition_rows(members, event_actions, "the event")
 
 
 def all_charges(problem: SearchProblem) -> list[float]:

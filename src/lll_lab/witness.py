@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -325,7 +325,9 @@ class CommutativityReport:
         }
 
 
-def check_commutativity(problem: SearchProblem) -> CommutativityReport:
+def check_commutativity(problem: SearchProblem,
+                        event_rows: Callable[[], TransitionRows] | None = None,
+                        event_neighbors: Collection[int] = ()) -> CommutativityReport:
     """Exhaustively certify the swap property on an enumerable instance.
 
     For every non-neighboring ordered flaw pair (i, j) and endpoints
@@ -337,30 +339,32 @@ def check_commutativity(problem: SearchProblem) -> CommutativityReport:
     (s1, s3, product) and compared entry by entry, products up to
     ``PRODUCT_REL_TOL``; one pair is held at a time, and each
     non-commuting pair reports where its lists first part.
+
+    With ``event_rows``, an event flaw m = ``num_flaws`` adjacent to
+    ``event_neighbors`` is paired with each flaw i outside them, after i's
+    own pairs; its rows are ``event_rows()``, called at each such pair.
     """
     space = capped_space(problem, COMMUTATIVITY_STATE_CAP,
                          "state space too large for exhaustive commutativity check")
-    m, n = problem.num_flaws, len(space.states)
+    m, n, adj = problem.num_flaws, len(space.states), problem.graph.adj
+    rows = lambda i: space.rows(i) if i < m else event_rows()
     violations: list[dict] = []
     checked = 0
     # i-then-i pairs need no check: without a self-loop, addressing i
     # removes it (causality cover), so no valid i-then-i trajectory exists
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j in problem.graph.adj[i]:
-                continue
-            checked += 1
-            fwd = _two_step_paths(space.rows(i), space.rows(j), n)
-            bwd = _two_step_paths(space.rows(j), space.rows(i), n)
-            found = _first_mismatch(fwd, bwd)
-            if found is None:
-                continue
-            end, product, cf, cb = found
-            s1, s3 = (problem.canon(space.states[k]).hex() for k in divmod(end, n))
-            violations.append({"flaws": (i, j), "endpoints": (s1, s3), "product": product,
-                               "count_forward": cf, "count_backward": cb})
-            if len(violations) >= MAX_VIOLATIONS:
-                return CommutativityReport(False, checked, tuple(violations))
+    pairs = ((i, j) for i in range(m) for j in range(i + 1, m + (event_rows is not None))
+             if (j not in adj[i] if j < m else i not in event_neighbors))
+    for checked, (i, j) in enumerate(pairs, 1):
+        found = _first_mismatch(_two_step_paths(rows(i), rows(j), n),
+                                _two_step_paths(rows(j), rows(i), n))
+        if found is None:
+            continue
+        end, product, cf, cb = found
+        s1, s3 = (problem.canon(space.states[k]).hex() for k in divmod(end, n))
+        violations.append({"flaws": (i, j), "endpoints": (s1, s3), "product": product,
+                           "count_forward": cf, "count_backward": cb})
+        if len(violations) >= MAX_VIOLATIONS:
+            return CommutativityReport(False, checked, tuple(violations))
     return CommutativityReport(not violations, checked, tuple(violations))
 
 

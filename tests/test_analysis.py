@@ -309,10 +309,11 @@ def test_event_probability_flaw_consistency(two_clause_mt):
     assert report["all_pass"]
 
 
-def test_event_suite_builds_the_event_rows_once():
+def test_event_suite_builds_the_event_rows_once(monkeypatch):
     """The event is a copy of clause 0 with no arc to clause 1, so the
-    commutativity check of the extension builds the event's rows; the
-    charge is read off them, equal to ``event_charge`` on the base."""
+    commutativity check pairs it with clause 1 and builds the event's
+    rows; the charge is read off them, equal to ``event_charge``.  The
+    event commutes with clause 1, so the suite runs and passes."""
     from collections import Counter
 
     from lll_lab.core import event_charge
@@ -325,8 +326,17 @@ def test_event_suite_builds_the_event_rows_once():
         calls[s] += 1
         return problem.action_distribution(0, s)
 
+    built = Counter()
+    transition_rows = core.StateSpace.transition_rows
+
+    def counting_rows(space, members, dist_of, what):
+        built[what] += 1
+        return transition_rows(space, members, dist_of, what)
+
+    monkeypatch.setattr(core.StateSpace, "transition_rows", counting_rows)
     report = check_event_probability(problem, event, event_actions, event_neighbors=[0],
                                      psi=[0.3, 0.3], runs=200, seed=4)
+    assert built["the event"] == 1 and report["all_pass"]
     assert calls == Counter({s: 1 for s in problem.space.states if event(s)})
     assert report["charge"] == event_charge(problem, event, event_actions) == 0.25
 

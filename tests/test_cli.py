@@ -739,6 +739,13 @@ def test_needed_solver_flags_refused_when_missing(tmp_path, capsys, argv, flag):
     (["gen", "ksat", "--n", "5", "--multiplicity", "7"], "--multiplicity"),
     (["gen", "ksat", "--n", "5", "--edges", "4"], "--edges"),
     (["gen", "colored-clique", "--n", "3", "--max-degree", "3"], "--max-degree"),
+    (["verify", "ksat-mt", "--suite", "distribution", "--psi", "0.3", "--tree-nodes", "7",
+      "--parallel", "4"], "--tree-nodes"),
+    (["verify", "ksat-mt", "--suite", "distribution", "--parallel", "4"], "--parallel"),
+    (["verify", "ksat-mt", "--suite", "event", "--parallel", "3"], "--parallel"),
+    (["verify", "ksat-mt", "--suite", "witness", "--parallel", "2"], "--parallel"),
+    (["verify", "ksat-mt", "--suite", "partial", "--tree-nodes", "2"], "--tree-nodes"),
+    (["verify", "ksat-mt", "--suite", "resamples", "--tree-nodes", "2"], "--tree-nodes"),
 ])
 def test_unread_suite_and_family_flags_refused(tmp_path, capsys, argv, flag):
     """A flag that the suite or ``gen`` family does not read is an error,
@@ -749,6 +756,18 @@ def test_unread_suite_and_family_flags_refused(tmp_path, capsys, argv, flag):
     code, out, err = run_cli(argv + ["--seed", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and f"does not read {flag}" in err
+
+
+@pytest.mark.parametrize("suite,given", [
+    (["--suite", "witness"], ["--tree-nodes", "3"]),
+    (["--suite", "resamples", "--psi", "0.5"], ["--parallel", "1"]),
+])
+def test_verify_flags_default_when_left_out(tmp_path, capsys, suite, given):
+    path = write(tmp_path, "f.cnf", "p cnf 4 2\n1 2 0\n3 4 0\n")
+    argv = ["verify", "ksat-mt", path, *suite, "--runs", "500", "--seed", "2"]
+    _, bare, _ = run_cli(argv, capsys)
+    _, explicit, _ = run_cli(argv + given, capsys)
+    assert bare == explicit != "" and json.loads(bare)["params"]["tree_nodes"] == 3
 
 
 @pytest.mark.parametrize("family,defaults", [

@@ -219,18 +219,6 @@ def test_state_space_is_shared_and_holds_no_problem():
     assert len(space.states) == 8
 
 
-def test_event_extension_drops_affects(two_clause_mt):
-    """The base problem's affects sets know nothing of the event flaw."""
-    from lll_lab.analysis import extend_with_event
-
-    def event_actions(s):
-        return {(a, b) + s[2:]: 0.25 for a in (0, 1) for b in (0, 1)}
-
-    ext = extend_with_event(two_clause_mt, lambda s: s[0] == s[1] == 1, event_actions, [0, 1])
-    assert ext.affects is None
-    validate_problem(ext)
-
-
 def test_causality_cover_on_shipped_solvers(two_clause_mt):
     validate_problem(two_clause_mt)
     validate_problem(rainbow_matching(colored_k6_one_conflict()))

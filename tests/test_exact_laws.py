@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from lll_lab.analysis import PartialAvoidanceConfig, extend_with_event, labeled_problem
+from lll_lab.analysis import PartialAvoidanceConfig, labeled_problem
 from lll_lab.core import LllError, action_law, validate_problem
 from lll_lab.formats import generate_colored_clique
 from lll_lab.rng import exact_distribution, source_for_run
@@ -295,22 +295,3 @@ def test_validate_refuses_a_declared_law_its_sampler_does_not_follow():
         draw=lambda rng: 1 if rng.bernoulli(0.6) else 0, canon=bytes, enumerable=True)
     with pytest.raises(LllError, match="inconsistent actions: flaw 0"):
         validate_problem(biased)
-
-
-def test_validate_checks_the_event_extension_law():
-    """``extend_with_event`` declares a law: the event's actions for the
-    event flaw and the base problem's law for the others."""
-    for base in (ksat_mt(CnfInstance(3, ((1, 2), (-2, 3)))),
-                 ksat_backtrack(CnfInstance(3, ((1, 2), (-2, 3)))),
-                 aec_backtrack(GraphInstance.from_edge_list(3, [(0, 1), (0, 2), (1, 2)]), 6)):
-        event = lambda s, base=base: s == base.space.states[-1]
-        ext = extend_with_event(base, event, lambda s, base=base: base.space.mu,
-                                range(base.num_flaws))
-        assert ext.num_flaws == base.num_flaws + 1
-        validate_problem(ext)
-        m = base.num_flaws
-        wrong = dataclasses.replace(
-            ext, action_distribution=lambda i, s, ext=ext, m=m: (
-                {s: 1.0} if i == m else ext.action_distribution(i, s)))
-        with pytest.raises(LllError, match=f"inconsistent actions: flaw {m}"):
-            validate_problem(wrong)

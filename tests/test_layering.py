@@ -182,7 +182,6 @@ SURFACE_ALLOWLIST = {
     "analysis.run_many": "the batched run driver of the suites",
     "analysis.refuse_censored": "the batched suites' censored-run refusal",
     "analysis.uncensored": "the step-runner suites' censored-run refusal",
-    "analysis.extend_with_event": "the event suite's extended problem",
     "analysis.DistributionReport": "the distribution suite's report",
     "analysis.empirical_distribution": "the distribution suite's estimate",
     "analysis.renyi_entropy": "the distribution suite's entropy bounds",
@@ -204,6 +203,7 @@ SURFACE_ALLOWLIST = {
     "cli.parallel_run_counts": "the split of verify --parallel runs among workers",
     "cli.main": "the console entry point",
     "core.StateSpace": "what problem.space holds",
+    "core.action_law": "the exact law that tests read; the space builds its rows from it",
     "core.FlawChoiceStrategy": "the base of every strategy",
     "core.LowestIndexStrategy": "a strategy that make_strategy builds by name",
     "core.FixedPriorityStrategy": "a strategy that make_strategy builds by name",

@@ -176,6 +176,21 @@ def test_coloring_weight_state_cap_refuses_before_sampling(no_sampling, monkeypa
         coloring_weight_analysis(weighted_path(lambda c: 1.0), runs=100)
 
 
+@pytest.mark.parametrize("problem,message", [
+    (non_commutative, "^event extension is not commutative; bound not applicable$"),
+    (two_clauses, "^the event has more than 50 transition entries$"),
+])
+def test_event_row_budget_is_the_event_suites_last_refusal(no_sampling, monkeypatch,
+                                                            problem, message):
+    """The event neighbors every flaw, so no pair reads its dense rows
+    (every state, each with the whole measure): only the charge builds
+    them, after the commutativity refusal.  The flaws' rows fit the budget."""
+    monkeypatch.setattr(core, "ROW_ENTRY_BUDGET", 50)
+    problem = problem()
+    with pytest.raises(LllError, match=message):
+        check_event_probability(problem, lambda s: True, psi=[0.25] * problem.num_flaws, runs=100)
+
+
 def test_single_run_is_refused_before_the_chain_is_built(monkeypatch):
     """``--runs 1`` used to build the chain tables and run the batch
     before ``mean_se`` refused it."""
@@ -219,6 +234,11 @@ CLI = {
                             "requires a commutative problem"),
     "commutative-event": (["ksat-backtrack", "--suite", "event", "--psi", "0.3"], BACKTRACK,
                           "event extension is not commutative"),
+    # the suite's event is flaw 0: these used to end in an IndexError
+    **{f"no-flaws-{argv[0]}": (argv + ["--suite", "event"], text, "the problem has no flaws")
+       for argv, text in [(["rainbow", "--psi", "0.3"], "0 1 0\n"),
+                          (["ksat-backtrack", "--psi", "0.3"], "p cnf 0 0\n"),
+                          (["vertex-coloring", "--colors", "2"], "5 0\n")]},
     "no-trees": (["ksat-mt", "--suite", "witness", "--tree-nodes", "0"], TWO_CLAUSES,
                  "no witness trees"),
     "single-run-resamples": (["ksat-mt", "--suite", "resamples", "--psi", "0.3", "--runs", "1"],

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from lll_lab.core import LllError, run
+from lll_lab.core import LllError, SearchProblem, action_law, event_rows, run
 from lll_lab.criteria import DependencyGraph, neighborhood_sum, shearer_polynomials
 from lll_lab.solvers import CnfInstance, ksat_backtrack, ksat_mt, vertex_coloring_greedy
 from lll_lab.solvers.aec import GraphInstance
@@ -321,6 +321,49 @@ def test_constructed_product_mismatch_fails():
     rep = check_commutativity(problem)
     assert not rep.commutative
     assert rep.violations
+
+
+def extended(problem, event, event_actions, neighbors):
+    """``problem`` with the event as flaw m = ``num_flaws``, adjacent to
+    itself and ``neighbors``, on the dictionary path: the extension that
+    ``check_commutativity``'s event pairs stand for."""
+    m, law = problem.num_flaws, action_law(problem)
+    extra = frozenset(neighbors) | {m}
+    adj = tuple(a | {m} if i in extra else a for i, a in enumerate(problem.graph.adj))
+    return SearchProblem(
+        present=lambda i, s: event(s) if i == m else problem.present(i, s),
+        sample_action=problem.sample_action, graph=DependencyGraph(m + 1, adj + (extra,)),
+        sample_init=problem.sample_init, canon=problem.canon,
+        action_distribution=lambda i, s: event_actions(s) if i == m else law(i, s),
+        enumerate_states=problem.enumerate_states)
+
+
+FIVE_CLAUSES = ksat_mt(CnfInstance(10, ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))))
+
+
+@pytest.mark.parametrize("problem,event,actions,neighbors", [
+    # a copy of clause 0 commutes with the clauses it does not neighbor
+    (FIVE_CLAUSES, lambda s: s[0] == s[1] == 0, lambda s: FIVE_CLAUSES.action_distribution(0, s),
+     [0]),
+    # a collapse to one state commutes with no clause: the check stops at
+    # MAX_VIOLATIONS, all of them event pairs, with base pairs still to come
+    (FIVE_CLAUSES, lambda s: True, lambda s: {(1,) * 10: 1.0}, []),
+    (FIVE_CLAUSES, lambda s: True, lambda s: {(1,) * 10: 1.0}, [0, 2]),
+    (ksat_mt(CnfInstance(3, ((1, 2, 3), (-1, -2, 3)))), lambda s: s == (1, 1, 1),
+     lambda s: {t: 0.125 for t in itertools.product((0, 1), repeat=3)}, []),
+    (vertex_coloring_greedy(GraphInstance.from_edge_list(4, [(0, 1), (1, 2), (2, 3)]), 3),
+     lambda s: s[0] == 0, None, [1]),
+], ids=["commuting-copy", "collapse", "collapse-neighbors", "point-event", "coloring"])
+def test_event_pairs_equal_the_extended_problem(problem, event, actions, neighbors):
+    """The event's pairs, over the base space's rows, report what the
+    check of the extended problem reports: the same pairs in the same
+    order, the same verdict and the same violations."""
+    space = problem.space
+    actions = actions or (lambda s: space.mu)
+    rows = event_rows(space, event, actions)
+    got = check_commutativity(problem, lambda: rows, neighbors)
+    assert got == check_commutativity(extended(problem, event, actions, neighbors))
+    assert got.checked_pairs > check_commutativity(problem).checked_pairs
 
 
 # ---------------------------------------------------------------------------
