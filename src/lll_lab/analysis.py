@@ -439,8 +439,10 @@ def check_event_probability(
     if event_actions is None:
         event_actions = lambda s: space.mu  # shared, never mutated
     event_neighbors = range(problem.num_flaws) if event_neighbors is None else event_neighbors
-    # built once, at the first pair with the event or else for the charge
-    rows = functools.cache(lambda: core.event_rows(space, event, event_actions))
+    # the event's state ids, one event call per state; its rows are built
+    # once, at the first pair with the event or else for the charge
+    held = [k for k, s in enumerate(space.states) if event(s)]
+    rows = functools.cache(lambda: space.transition_rows(held, event_actions, "the event"))
     if not check_commutativity(problem, rows, event_neighbors).commutative:
         raise LllError("event extension is not commutative; bound not applicable")
     gamma_e = core.charge_of_rows(space, rows())  # ``event_charge`` exactly
@@ -450,8 +452,8 @@ def check_event_probability(
         {j: psi[j] for j in event_neighbors},
     )
     bound = computed_init_ratio(problem) * gamma_e * zeta
-    # memoize per-state event membership for the trajectory scan
-    member = {s: bool(event(s)) for s in space.states}
+    member = dict.fromkeys(space.states, False)
+    member.update((space.states[k], True) for k in held)
     reports = iter_runs(problem, range(runs), seed, record_trajectory=True)
     hits = sum(
         member[rep.trajectory.initial_state] or any(member[s] for (_, s) in rep.trajectory.steps)

@@ -215,6 +215,8 @@ def run_batch(
     With ``record_sequences`` the first ``SEQUENCE_CAP`` steps of each
     run extend its prefix id: the alive runs' (prefix, flaw) pairs of a
     step get new ids in sorted order, so equal sequences share one id.
+    The pairs are ranked through a presence table over the prefixes the
+    previous step made, no larger than ``counts``, instead of by a sort.
     Refused before any draw when a run can reach a state that never
     reaches absorption: every run through it would be censored.
     """
@@ -229,6 +231,7 @@ def run_batch(
     if record_sequences:
         seq_ids = np.zeros(n_runs, dtype=np.int64)
         parents, last_flaws, next_id = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)], 1
+        made = 0  # the alive runs' prefix ids lie in made..next_id-1
     # the last column is 1.0 in every row, never below a draw: skip it
     cum_columns = np.ascontiguousarray(tables.row_cum[:, :-1].T)
     idx = np.nonzero(~tables.absorbing[current])[0]
@@ -243,10 +246,15 @@ def run_batch(
         flaws = tables.chosen_flaw[cur]
         counts[idx, flaws] += 1  # run indices are unique within a step
         if record_sequences and t < SEQUENCE_CAP:
-            keys, inverse = np.unique(seq_ids[idx] * m + flaws, return_inverse=True)
-            parents.append(keys // m)
+            pairs = (seq_ids[idx] - made) * m + flaws
+            seen = np.zeros((next_id - made) * m, dtype=bool)
+            seen[pairs] = True
+            keys = np.flatnonzero(seen)
+            parents.append(made + keys // m)
             last_flaws.append(keys % m)
-            seq_ids[idx] = next_id + inverse
+            made = next_id
+            rank = np.cumsum(seen, dtype=np.int32)  # a key's 1-based rank among the keys
+            seq_ids[idx] = np.int64(next_id - 1) + rank[pairs]
             next_id += keys.size
         current[idx] = nxt
         steps[idx] += 1

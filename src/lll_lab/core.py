@@ -63,6 +63,19 @@ class SearchProblem:
     re-evaluates only those flaws after each step; ``None`` means a full
     rescan of the flaws at every step.
 
+    An ``InPlaceAction`` as ``sample_action`` is the action written once,
+    as an update of a mutable working state.  ``run`` then keeps one
+    working state per run (a ``list`` for tuple states, a ``bytearray``
+    for ``bytes``), and ``present``, ``flaws_present``, ``affects`` and
+    the strategy read it by index, under this contract:
+
+    - ``affects(i, state, nxt)`` reads only ``nxt``: ``state`` is the
+      same object, already updated;
+    - a strategy's ``choose(present, state)`` copies ``state`` if it
+      keeps it, since the next step overwrites it;
+    - an update that reads values from before its own write reads them
+      before it writes.
+
     ``sample_init`` draws mu, the normalized ``weight``, unless
     ``init_distribution`` states its law theta; a sampler that does not
     draw mu must state it.  Every bound pays lambda_init = max theta/mu.
@@ -106,6 +119,25 @@ class SearchProblem:
         states before any flaw scan, and under a ``ScopeLaw`` before
         drawing a state; ``capped_space`` applies a lower cap."""
         return StateSpace(self, STATE_CAP, "state space exceeds oracle cap")
+
+
+class InPlaceAction:
+    """An action written once, as ``update(i, work, rng)``: address flaw
+    ``i`` by writing only the variables it changes in ``work``, the
+    mutable working form (``list`` or ``bytearray``) of a ``frozen``
+    state (``tuple`` or ``bytes``).  Called as ``sample_action(i, state,
+    rng)`` it is the pure action that exact computations replay: copy
+    ``state``, update the copy, freeze it.  ``run`` calls ``update`` on
+    one working state per run instead (see ``SearchProblem``)."""
+
+    def __init__(self, update: Callable[[int, Any, RandomSource], None], frozen: type):
+        self.update, self.frozen = update, frozen
+        self.working = {tuple: list, bytes: bytearray}[frozen]
+
+    def __call__(self, i: int, state: State, rng: RandomSource) -> State:
+        work = self.working(state)
+        self.update(i, work, rng)
+        return self.frozen(work)
 
 
 class ScopeLaw:
@@ -466,6 +498,13 @@ def run(
     the initial scan fills a presence map that each step updates from
     ``affects(i, state, nxt)`` alone, and strategies that declare a
     ``priority`` pick from a heap of ranks with lazy deletion.
+
+    When ``sample_action`` is an ``InPlaceAction`` the run keeps one
+    working state and each step writes only the variables it changes;
+    the flaw scans, ``affects`` and the strategy read that working state
+    (see ``SearchProblem``).  It is frozen into a new immutable state only
+    for each recorded trajectory step and for ``final_state``.  Any other
+    action returns a new state at every step.
     """
     if max_steps < 0:
         raise LllError("max_steps must be nonnegative")
@@ -474,10 +513,19 @@ def run(
     m = problem.num_flaws
     prio = strategy.priority(m)  # refuses a fixed order that is not a permutation
     rng = source_for_run(seed, run_index)
-    state = problem.sample_init(rng)
+    initial = problem.sample_init(rng)
+    action = problem.sample_action
+    if isinstance(action, InPlaceAction):
+        update, freeze = action.update, action.frozen
+        state = action.working(initial)
+
+        def advance(i, work, rng):
+            update(i, work, rng)
+            return work
+    else:
+        advance, freeze, state = action, _unchanged, initial
     counts = [0] * m
     steps_rec: list[tuple[int, State]] = []
-    initial = state
 
     present = problem.present_flaws(state)
     num_present = len(present)
@@ -507,11 +555,11 @@ def run(
             chose_present = i in present if affects is None else 0 <= i < m and flags[i]
             if not chose_present:
                 raise LllError("invalid strategy")
-        nxt = problem.sample_action(i, state, rng)
+        nxt = advance(i, state, rng)
         counts[i] += 1
         strategy.observe(i, steps)
         if record_trajectory:
-            steps_rec.append((i, nxt))
+            steps_rec.append((i, freeze(nxt)))
         prev, state = state, nxt
         steps += 1
         if affects is None:
@@ -530,7 +578,11 @@ def run(
                 num_present -= 1
 
     traj = Trajectory(initial, tuple(steps_rec)) if record_trajectory else None
-    return RunReport(num_present == 0, steps, tuple(counts), state, seed, traj)
+    return RunReport(num_present == 0, steps, tuple(counts), freeze(state), seed, traj)
+
+
+def _unchanged(state: State) -> State:
+    return state
 
 
 # ---------------------------------------------------------------------------

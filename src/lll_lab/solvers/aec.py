@@ -246,24 +246,26 @@ def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
             raise LllError("no 4-available color: state violates the availability bound")
         return avail[rng.randint(len(avail))]
 
-    def outcome(edge_id, state, color):
-        test = list(state)
-        test[edge_id] = color
-        cycles = []
+    def outcome(edge_id, coloring, color):
         (u, v) = g.edges[edge_id]
-        # a (color, c2) cycle through uv leaves both u and v along c2 edges
-        at_v = {state[ei] for ei in incident[v]}
+        # a (color, c2) cycle through uv leaves both u and v along c2 edges;
+        # the c2 are read before the edge is colored
+        at_v = {coloring[ei] for ei in incident[v]}
+        shared = []
         for ei in incident[u]:
-            c2 = state[ei]
+            c2 = coloring[ei]
             if ei != edge_id and c2 != UNCOLORED and c2 in at_v:
-                cyc = bichromatic_cycle_through(g, test, edge_id, c2)
-                if cyc is not None and len(cyc) >= 6:
-                    cycles.append(cyc)
+                shared.append(c2)
+        coloring[edge_id] = color
+        cycles = []
+        for c2 in shared:
+            cyc = bichromatic_cycle_through(g, coloring, edge_id, c2)
+            if cyc is not None and len(cyc) >= 6:
+                cycles.append(cyc)
         if cycles:
             cyc = min(cycles, key=lambda path: tuple(sorted(path)))
             for ei in cyc[:-2]:
-                test[ei] = UNCOLORED
-        return tuple(test)
+                coloring[ei] = UNCOLORED
 
     def consistent(vals, v):
         # the earlier edges are colored acyclically: only edge v can clash

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from ..core import LllError, SearchProblem
+from ..core import InPlaceAction, LllError, SearchProblem
 from ..criteria import DependencyGraph
 from .aec import GraphInstance
 
@@ -109,14 +109,11 @@ def vertex_coloring_greedy(
         avail = [c for c in range(q) if c not in used]
         return avail[: q - delta]
 
-    def sample_action(i, state, rng):
-        e, _ = divmod(i, q)
-        (u, v) = g.edges[e]
-        vals = list(state)
-        for w in (u, v):  # fixed order: lower endpoint first
+    def repair(i, vals, rng):
+        (u, v) = g.edges[i // q]
+        for w in (u, v):  # fixed order: lower endpoint first, its new color seen by the second
             opts = allowed_colors(vals, w)
             vals[w] = opts[rng.randint(len(opts))]
-        return tuple(vals)
 
     def sample_init(rng):
         return tuple(rng.randint(q) for _ in range(n))
@@ -139,7 +136,7 @@ def vertex_coloring_greedy(
     return SearchProblem(
         present=present,
         flaws_present=flaws_present,
-        sample_action=sample_action,
+        sample_action=InPlaceAction(repair, tuple),
         graph=graph,
         # a repair recolors only the endpoints of its edge, so only flaws
         # on edges at those endpoints can change

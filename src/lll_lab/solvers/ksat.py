@@ -121,17 +121,22 @@ def _backtracking_problem(cnf: CnfInstance, p0: Sequence[float], **declared) -> 
     # through x_{v+1}, in ascending clause order; a state violates the
     # clause exactly when the getter reads the falsifying values
     clauses_of: list = [[] for _ in range(n)]
-    reach = [{v} for v in range(n)]
-    falsifying = bytearray(n)
     for clause in cnf.clauses:
         vs = [abs(lit) - 1 for lit in clause]
-        for lit, u in zip(clause, vs):
-            falsifying[u] = _falsifying_value(lit)
         get = itemgetter(*vs)
-        entry = (vs, get, get(falsifying))
+        want = tuple(map(_falsifying_value, clause))
+        # a getter of one variable reads its value, not a 1-tuple
+        entry = (vs, get, want if len(vs) > 1 else want[0])
         for u in vs:
             clauses_of[u].append(entry)
-            reach[u].update(vs)
+    # a violated clause through x_{v+1} is unassigned whole; each set is
+    # filled clause by clause, which fixes its iteration order
+    reach = []
+    for v, entries in enumerate(clauses_of):
+        through = {v}
+        for vs, _, _ in entries:
+            through.update(vs)
+        reach.append(frozenset(through))
 
     def violated_clause(vals, v):
         """Variables of the lowest clause through x_{v+1} that ``vals``
@@ -141,22 +146,19 @@ def _backtracking_problem(cnf: CnfInstance, p0: Sequence[float], **declared) -> 
                 return vs
         return None
 
-    def assign_outcome(v, state, val):
-        """State after assigning x_{v+1} <- val, backtracking on violation."""
-        vals = bytearray(state)
+    def assign_outcome(v, vals, val):
+        """Assign x_{v+1} <- val in place, backtracking on violation."""
         vals[v] = val
         vs = violated_clause(vals, v)
         if vs is not None:
             for u in vs:
                 vals[u] = UNSET
-        return bytes(vals)
 
     return backtracking_setting(
         bytes([UNSET]) * n, (0, 1),
         draw=lambda i, state, rng: 0 if rng.bernoulli(p0[i]) else 1,
         outcome=assign_outcome,
-        # a violated clause through x_i is unassigned whole
-        reach=tuple(map(frozenset, reach)),
+        reach=reach,
         consistent=lambda vals, v: violated_clause(vals, v) is None,
         enumerable=n <= 12,
         flaw_labels=tuple(f"x{v}" for v in range(1, n + 1)),

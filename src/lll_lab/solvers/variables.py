@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from ..core import STATE_CAP, ScopeLaw, SearchProblem
+from ..core import STATE_CAP, InPlaceAction, ScopeLaw, SearchProblem
 from ..criteria import DependencyGraph
 
 
@@ -19,25 +19,24 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
                      enumerable: bool, **declared) -> SearchProblem:
     """States are tuples of ``num_vars`` values in ``range(domain)``.
     Flaw ``i`` reads the distinct 0-based variables ``scopes[i]``; its
-    action redraws them in scope order, one ``draw(rng)`` each, and the
-    initial state draws every variable in index order.  ``draw`` must be
-    uniform over ``range(domain)``: the exact distributions, the product
-    measure and the start from that measure assume it.  The product law over the
+    action redraws them in place in scope order, one ``draw(rng)`` each
+    (a ``core.InPlaceAction``), and the initial state draws every
+    variable in index order.  ``draw`` must be uniform over
+    ``range(domain)``: the exact distributions, the product measure and
+    the start from that measure assume it.  The product law over the
     scope is declared as a ``core.ScopeLaw``, from which oracle mode builds
     the flaw members and transition rows by arithmetic on state ids.  The
     states are enumerated only when ``enumerable``; ``declared`` holds the
     remaining fields."""
     graph = DependencyGraph.from_scopes(scopes)
 
-    def sample_action(i, state, rng):
-        vals = list(state)
+    def redraw(i, vals, rng):
         for v in scopes[i]:
             vals[v] = draw(rng)
-        return tuple(vals)
 
     return SearchProblem(
         present=present,
-        sample_action=sample_action,
+        sample_action=InPlaceAction(redraw, tuple),
         graph=graph,
         # addressing flaw i rewrites only its scope, so only the flaws
         # reading one of those variables can change
@@ -58,18 +57,20 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
     Esperet and Parreau.  A state is a partial assignment of the
     variables of ``blank``, the immutable state in which every variable
     holds the same unassigned marker, and flaw ``i`` is variable ``i``
-    unassigned.  Addressing it assigns ``draw(i, state, rng)``, whose law
-    is replayed from its draws, and ``outcome(i, state, value)`` is the
-    state after that assignment and any backtrack.  A backtrack may
-    unassign only the variables in ``reach[i]``, ``i`` among them, and an
-    outcome that leaves ``i`` assigned changed no other variable.  Runs
-    start at ``blank`` under the lowest-index strategy that the tail bound
-    assumes.  The states are enumerated only when ``enumerable`` and the
-    (len(domain) + 1)^n partial assignments fit ``STATE_CAP``: variable
-    0 varies slowest, unassigned first and then ``domain`` in order, and
-    an assignment of variable ``v`` is kept when ``consistent(vals, v)``
-    holds for the list ``vals`` with ``v``'s successors unassigned.
-    ``declared`` holds the remaining fields."""
+    unassigned.  Addressing it assigns ``draw(i, vals, rng)``, whose law
+    is replayed from its draws, and ``outcome(i, vals, value)`` makes that
+    assignment and any backtrack in ``vals``, the working form of the
+    state (a ``core.InPlaceAction``), reading the old values it needs
+    before its first write.  A backtrack may unassign only the variables
+    in ``reach[i]``, ``i`` among them, and an outcome that leaves ``i``
+    assigned changed no other variable.  Runs start at ``blank`` under
+    the lowest-index strategy that the tail bound assumes.  The states are
+    enumerated only when ``enumerable`` and the (len(domain) + 1)^n
+    partial assignments fit ``STATE_CAP``: variable 0 varies slowest,
+    unassigned first and then ``domain`` in order, and an assignment of
+    variable ``v`` is kept when ``consistent(vals, v)`` holds for the
+    list ``vals`` with ``v``'s successors unassigned.  ``declared`` holds
+    the remaining fields."""
     n = len(blank)
     unset = blank[0] if n else None
     metadata = {**declared.pop("metadata", {}), "strategy": "lowest_index"}
@@ -92,7 +93,8 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
     return SearchProblem(
         present=lambda i, state: state[i] == unset,
         flaws_present=lambda state: [i for i in range(n) if state[i] == unset],
-        sample_action=lambda i, state, rng: outcome(i, state, draw(i, state, rng)),
+        sample_action=InPlaceAction(lambda i, vals, rng: outcome(i, vals, draw(i, vals, rng)),
+                                    type(blank)),
         graph=DependencyGraph(n, tuple(reach)),
         # an outcome that leaves i assigned wrote variable i only
         affects=lambda i, state, nxt: (i,) if nxt[i] != unset else reach[i],

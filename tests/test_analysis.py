@@ -341,6 +341,23 @@ def test_event_suite_builds_the_event_rows_once(monkeypatch):
     assert report["charge"] == event_charge(problem, event, event_actions) == 0.25
 
 
+def test_event_suite_evaluates_the_event_once_per_state():
+    """The event's rows and the trajectory scan share one membership: on
+    13 variables the event is called once at each of the 8,192 states."""
+    problem = ksat_mt(CnfInstance(13, ((1, 2, 3), (-3, 4, 5), (6, 7, 8), (-8, 9, 10),
+                                       (11, 12, 13))))
+    calls = 0
+
+    def event(s):
+        nonlocal calls
+        calls += 1
+        return s[0] == s[1] == s[2] == 0
+
+    report = check_event_probability(problem, event, psi=[0.3] * 5, runs=300, seed=2)
+    assert calls == 2 ** 13 == len(problem.space.states)
+    assert report["verdicts"][0].empirical > 0
+
+
 def test_event_probability_whole_space_trivial(two_clause_mt):
     report = check_event_probability(
         two_clause_mt, event=lambda s: True, psi=[0.25, 0.25], runs=2_000, seed=6,

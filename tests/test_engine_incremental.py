@@ -5,7 +5,8 @@ flaws an action can touch.  These properties check, on random small
 CNFs, on random small graphs for ``aec_clique_mt`` and
 ``vertex_coloring_greedy``, and on random graphs for ``aec_backtrack``,
 that the tracked present set always equals a full rescan and that whole
-runs match a reference loop that rescans every flaw at every step.  They
+runs match a reference loop that rescans every flaw at every step, traced
+and untraced: an untraced run steps one working state in place.  They
 also check the byte-string states of the backtracking solvers.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import replace
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from lll_lab.core import FlawChoiceStrategy, make_strategy, run, validate_problem
+from lll_lab.core import FlawChoiceStrategy, InPlaceAction, make_strategy, run, validate_problem
 from lll_lab.rng import source_for_run
 from lll_lab.solvers import (
     CnfInstance,
@@ -73,18 +74,21 @@ def problems(draw, solvers=SOLVERS):
 
 
 def reference_run(problem, choose, max_steps, seed):
-    """Full rescan at every step; ``choose(present, last_addressed)``."""
+    """Full rescan at every step; ``choose(present, last_addressed)``.
+    Returns (terminated, steps, counts, final state, witness sequence,
+    every state visited)."""
     rng = source_for_run(seed, 0)
-    state = problem.sample_init(rng)
+    states = [problem.sample_init(rng)]
     counts = [0] * problem.num_flaws
     last_addressed: dict[int, int] = {}
     history: list[int] = []
     while True:
-        present = [j for j in range(problem.num_flaws) if problem.present(j, state)]
+        present = [j for j in range(problem.num_flaws) if problem.present(j, states[-1])]
         if not present or len(history) >= max_steps:
-            return not present, len(history), tuple(counts), state, tuple(history)
+            return (not present, len(history), tuple(counts), states[-1], tuple(history),
+                    states)
         i = choose(present, last_addressed)
-        state = problem.sample_action(i, state, rng)
+        states.append(problem.sample_action(i, states[-1], rng))
         counts[i] += 1
         last_addressed[i] = len(history)
         history.append(i)
@@ -100,14 +104,26 @@ def reference_rule(spec):
 
 
 def check_runs_match_reference(problem, perm, seed, max_steps=MAX_STEPS):
+    """Traced and untraced runs, with and without ``affects``, end where the
+    reference ends, in a state of the type ``sample_init`` draws.  A traced
+    run records the reference's states, each one a new object: a recorded
+    state that aliased the working state would change with it."""
+    frozen = type(problem.sample_init(source_for_run(seed, 0)))
     for spec in ("lowest_index", "recency", ("fixed_priority", perm)):
         want = reference_run(problem, reference_rule(spec), max_steps, seed)
         for engine_problem in (problem, replace(problem, affects=None)):
-            rep = run(engine_problem, make_strategy(spec), max_steps, seed,
-                      record_trajectory=True)
-            got = (rep.terminated, rep.steps, rep.resample_counts, rep.final_state,
-                   rep.trajectory.witness_sequence)
-            assert got == want, (spec, engine_problem.affects)
+            for traced in (True, False):
+                rep = run(engine_problem, make_strategy(spec), max_steps, seed,
+                          record_trajectory=traced)
+                got = (rep.terminated, rep.steps, rep.resample_counts, rep.final_state)
+                assert got == want[:4], (spec, engine_problem.affects, traced)
+                assert type(rep.final_state) is frozen
+                if traced:
+                    states = rep.trajectory.states()
+                    assert rep.trajectory.witness_sequence == want[4] and states == want[5]
+                    assert all(type(s) is frozen for s in states)
+                    # one-byte ``bytes`` objects are interned: equal ones are one object
+                    assert all(a is not b for a, b in zip(states, states[1:]) if len(a) > 1)
     return want
 
 
@@ -227,3 +243,25 @@ def test_aec_example_backtracks():
     """The explicit example above exercises the all-flaws fallback."""
     rep = run(aec_backtrack(K33, 5), "lowest_index", AEC_MAX_STEPS, 16)
     assert rep.terminated and rep.steps > len(K33.edges)
+
+
+class CopyingFormRaises(InPlaceAction):
+    """An in-place action whose pure, copying form must not be called."""
+
+    def __call__(self, i, state, rng):
+        raise AssertionError(f"flaw {i} was addressed through the copying form")
+
+
+def test_runs_never_take_the_copying_form():
+    """With the pure ``sample_action`` of a backtracking problem replaced by
+    one that raises, runs still finish, traced or not, with the same
+    report: every step goes through the in-place update."""
+    cnf = CnfInstance(6, ((1, 2), (-2, 3), (-1, -3), (4, -5), (5, 6), (-4, -6)))
+    for problem, seed in ((aec_backtrack(K33, 5), 16), (ksat_backtrack(cnf), 3)):
+        action = problem.sample_action
+        raising = replace(problem, sample_action=CopyingFormRaises(action.update, action.frozen))
+        for traced in (False, True):
+            want = run(problem, "lowest_index", AEC_MAX_STEPS, seed, record_trajectory=traced)
+            assert run(raising, "lowest_index", AEC_MAX_STEPS, seed,
+                       record_trajectory=traced) == want
+        assert want.terminated and want.steps > problem.num_flaws

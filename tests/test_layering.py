@@ -6,14 +6,17 @@ too) must form a DAG, so no module needs a function-level import to break
 a cycle; function-level package imports are left only where a command
 loads a later layer on use.  Oracle mode has one entry: only
 ``core`` enumerates a problem's states.  Every public function or class
-that no other module calls is allowlisted with the reason it stays.
+that no other module calls is allowlisted with the reason it stays, and
+``SearchProblem`` keeps to at most 16 fields.
 """
 
 import ast
+import dataclasses
 import graphlib
 from pathlib import Path
 
 import lll_lab
+from lll_lab.core import SearchProblem
 
 PACKAGE = Path(lll_lab.__file__).resolve().parent
 # function-level package imports allowed, as module -> (function, target),
@@ -161,6 +164,12 @@ def test_only_core_enumerates_states():
              if module != "lll_lab.core"
              for function, line in found if function != "enumerate_states"]
     assert stray == []
+
+
+def test_search_problem_keeps_to_sixteen_fields():
+    """A new field of the problem description comes in only when another
+    goes out."""
+    assert len(dataclasses.fields(SearchProblem)) <= 16
 
 
 # Public top-level functions and classes of the package that no other
