@@ -30,13 +30,13 @@ from .core import (
     run,
 )
 from .criteria import (
-    DependencyGraph,
     ShearerReport,
     cluster_expansion_check,
     independent_weight_sum,
     neighborhood_sum,
     shearer_polynomials,
 )
+from .dependency import DependencyGraph
 from .solvers.coloring import ball, coloring_is_proper_vertex, local_weight_bound
 from .solvers.matchings import (EdgeColoredClique, partial_weight, rainbow_matching,
                                 rainbow_partial_bound, strip_conflicts)
@@ -124,15 +124,15 @@ def problem_weights(problem: SearchProblem, psi: Sequence[float] | None,
                     refusal: str) -> list[float]:
     """``psi``, else the prewired ``default_weights``; refused with
     ``refusal`` when neither is given, and refused unless it holds one
-    positive weight per flaw."""
+    positive, finite weight per flaw."""
     if psi is None:
         psi = problem.default_weights
     if psi is None:
         raise LllError(refusal)
     if len(psi) != problem.num_flaws:
         raise LllError(f"{len(psi)} weights given for {problem.num_flaws} flaws")
-    if not all(w > 0 for w in psi):
-        raise LllError("weights must be positive")
+    if not all(0 < w < math.inf for w in psi):
+        raise LllError("weights must be positive and finite")
     return list(psi)
 
 

@@ -1,6 +1,9 @@
 """The CLI's solver table, and rebuildable solver specs: a picklable
 description from which any worker process can reconstruct the same
-SearchProblem.  Used by the CLI and by the parallel Monte-Carlo driver."""
+SearchProblem.  Used by the CLI and by the parallel Monte-Carlo driver.
+
+An entry loads its solver's module when it builds or checks a problem,
+so a command loads only the solver it names."""
 
 from __future__ import annotations
 
@@ -8,12 +11,6 @@ from typing import Callable, NamedTuple
 
 from . import formats
 from .core import LllError, SearchProblem
-from .solvers import (aec_backtrack, aec_clique_mt, ksat_backtrack, ksat_backtrack_biased,
-                      ksat_mt, rainbow_matching, vertex_coloring_greedy)
-from .solvers.aec import coloring_is_acyclic
-from .solvers.coloring import coloring_is_proper_vertex
-from .solvers.ksat import UNSET
-from .solvers.matchings import rainbow_validity
 
 
 class Solver(NamedTuple):
@@ -25,6 +22,29 @@ class Solver(NamedTuple):
     reads: tuple[str, ...]
     valid: Callable[[SearchProblem, object], bool]
     state_json: Callable[[object], object] = list
+
+
+# each solver module, loaded by the first entry that uses it
+
+
+def _ksat():
+    from .solvers import ksat
+    return ksat
+
+
+def _aec():
+    from .solvers import aec
+    return aec
+
+
+def _matchings():
+    from .solvers import matchings
+    return matchings
+
+
+def _coloring():
+    from .solvers import coloring
+    return coloring
 
 
 def _cnf(spec: dict):
@@ -40,36 +60,41 @@ def _graph_and_colors(spec: dict):
 
 
 def _satisfied(problem: SearchProblem, state) -> bool:
-    return UNSET not in state and problem.metadata["cnf"].satisfied(state)
+    return _ksat().UNSET not in state and problem.metadata["cnf"].satisfied(state)
 
 
 def _acyclic(problem: SearchProblem, state) -> bool:
-    return all(c >= 0 for c in state) and coloring_is_acyclic(problem.metadata["graph"], state)
+    return (all(c >= 0 for c in state)
+            and _aec().coloring_is_acyclic(problem.metadata["graph"], state))
 
 
 def _unset_as_minus_one(state) -> list[int]:
     # byte states mark an unassigned variable by UNSET
-    return [-1 if v == UNSET else v for v in state]
+    unset = _ksat().UNSET
+    return [-1 if v == unset else v for v in state]
 
 
 SOLVERS = {
-    "ksat-mt": Solver(lambda spec: ksat_mt(_cnf(spec)), (), _satisfied),
-    "ksat-backtrack": Solver(lambda spec: ksat_backtrack(_cnf(spec)), (), _satisfied,
+    "ksat-mt": Solver(lambda spec: _ksat().ksat_mt(_cnf(spec)), (), _satisfied),
+    "ksat-backtrack": Solver(lambda spec: _ksat().ksat_backtrack(_cnf(spec)), (), _satisfied,
                              _unset_as_minus_one),
     "ksat-backtrack-biased": Solver(
-        lambda spec: ksat_backtrack_biased(_cnf(spec), [{0: p0, 1: p1} for p0, p1 in spec["bias"]]),
+        lambda spec: _ksat().ksat_backtrack_biased(
+            _cnf(spec), [{0: p0, 1: p1} for p0, p1 in spec["bias"]]),
         ("bias",), _satisfied, _unset_as_minus_one),
-    "aec-backtrack": Solver(lambda spec: aec_backtrack(*_graph_and_colors(spec)), ("colors",),
-                            _acyclic),
-    "aec-clique-mt": Solver(lambda spec: aec_clique_mt(*_graph_and_colors(spec))[0], ("colors",),
-                            _acyclic),
+    "aec-backtrack": Solver(lambda spec: _aec().aec_backtrack(*_graph_and_colors(spec)),
+                            ("colors",), _acyclic),
+    "aec-clique-mt": Solver(lambda spec: _aec().aec_clique_mt(*_graph_and_colors(spec))[0],
+                            ("colors",), _acyclic),
     "rainbow": Solver(
-        lambda spec: rainbow_matching(formats.parse_colored_clique(spec["instance_text"])), (),
-        lambda problem, state: rainbow_validity(problem.metadata["clique"], state),
+        lambda spec: _matchings().rainbow_matching(
+            formats.parse_colored_clique(spec["instance_text"])), (),
+        lambda problem, state: _matchings().rainbow_validity(problem.metadata["clique"], state),
         lambda state: sorted(list(e) for e in state)),
     "vertex-coloring": Solver(
-        lambda spec: vertex_coloring_greedy(*_graph_and_colors(spec)), ("colors",),
-        lambda problem, state: coloring_is_proper_vertex(problem.metadata["graph"], state)),
+        lambda spec: _coloring().vertex_coloring_greedy(*_graph_and_colors(spec)), ("colors",),
+        lambda problem, state: _coloring().coloring_is_proper_vertex(problem.metadata["graph"],
+                                                                     state)),
 }
 PIPELINE = "rainbow-partial"  # solve-only, on rainbow instances; reads no optional field
 _after = list(SOLVERS).index("rainbow") + 1

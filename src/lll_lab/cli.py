@@ -5,10 +5,22 @@ identical command line and seed); the human-readable summary goes to
 stderr.  Exit codes: 0 success, 1 usage/parse error, 2 censored run,
 3 criterion failure.  The default seed comes from LLL_LAB_SEED.
 
-Each command loads the layers it uses when it runs: ``verify`` and
-``solve rainbow-partial`` import ``analysis`` (with ``chain`` and
-``witness``) and ``--parallel`` the process pool, so any other ``solve``
-loads neither.
+Each command loads the modules it runs when it runs.  Importing ``cli``
+loads ``build``, ``formats``, ``core``, ``rng``, ``errors`` and
+``dependency`` (the declarations every solver builds), and no solver.
+On top of these:
+ - ``solve <solver>`` loads that solver's modules: ``solvers.ksat`` for
+   the three ``ksat`` solvers, ``solvers.aec`` for ``aec-backtrack`` and
+   ``aec-clique-mt``, ``solvers.matchings`` for ``rainbow``, and
+   ``solvers.coloring`` with ``solvers.aec`` for ``vertex-coloring``;
+   every one but ``rainbow`` also loads ``solvers.variables``.
+   ``--trace`` adds ``witness``, and ``solve rainbow-partial`` loads
+   ``analysis`` (with ``criteria``, ``chain``, ``witness`` and the
+   solvers ``analysis`` reads);
+ - ``criteria`` loads ``criteria``;
+ - ``verify`` loads ``analysis`` as ``solve rainbow-partial`` does, and
+   ``--parallel`` the process pool;
+ - ``gen`` loads the solver module of its family.
 """
 
 from __future__ import annotations
@@ -25,9 +37,6 @@ import numpy as np
 from . import formats
 from .build import PIPELINE, SOLVER_NAMES, SOLVERS, build_problem
 from .core import DEFAULT_MAX_STEPS, LllError, recommended_strategy, run
-from .criteria import (NEIGHBORHOOD_CAP, CliqueLllConfig, backtracking_criterion,
-                       cluster_expansion_check, clique_lll_check, general_lll_check,
-                       shearer_polynomials)
 from .rng import resolve_seed, source_for_run
 
 EXIT_OK = 0
@@ -158,39 +167,46 @@ def _solve_rainbow_partial(args, text: str) -> int:
 # criteria
 
 
-def _clique_check(parsed: dict, args):
+def _clique_check(criteria, parsed: dict, args):
     if "cliques" not in parsed:
         raise LllError("clique mode needs the criteria field 'cliques'")
     cliques = tuple(frozenset(cl) for cl in parsed["cliques"])
-    return clique_lll_check(parsed["gamma"], CliqueLllConfig(parsed["graph"], cliques, parsed["x"]))
+    return criteria.clique_lll_check(
+        parsed["gamma"], criteria.CliqueLllConfig(parsed["graph"], cliques, parsed["x"]))
 
 
-def _backtrack_check(parsed: dict, args):
+def _backtrack_check(criteria, parsed: dict, args):
     if "backtrack_table" not in parsed:
         raise LllError("backtrack mode needs the criteria field 'backtrack'")
-    return backtracking_criterion(parsed["backtrack_table"], parsed["backtrack_psi"],
-                                  lambda_init=parsed.get("lambda_init"))
+    return criteria.backtracking_criterion(parsed["backtrack_table"], parsed["backtrack_psi"],
+                                           lambda_init=parsed.get("lambda_init"))
 
 
-# criterion mode -> its check of the parsed criteria file; every report
-# has ``passed`` and ``to_json_dict``
+# criterion mode -> its check of the parsed criteria file, given the
+# ``criteria`` module that ``cmd_criteria`` loads; every report has
+# ``passed`` and ``to_json_dict``
 CRITERIA = {
-    "general": lambda parsed, args: general_lll_check(
+    "general": lambda criteria, parsed, args: criteria.general_lll_check(
         parsed["gamma"], parsed["graph"], parsed["psi"]),
-    "cluster": lambda parsed, args: cluster_expansion_check(
+    "cluster": lambda criteria, parsed, args: criteria.cluster_expansion_check(
         parsed["gamma"], parsed["graph"], parsed["psi"], cap=args.cap),
-    "shearer": lambda parsed, args: shearer_polynomials(parsed["gamma"], parsed["graph"]),
+    "shearer": lambda criteria, parsed, args: criteria.shearer_polynomials(
+        parsed["gamma"], parsed["graph"]),
     "clique": _clique_check,
     "backtrack": _backtrack_check,
 }
 
 
 def cmd_criteria(args) -> int:
+    from . import criteria
+
+    if args.cap is None:
+        args.cap = criteria.NEIGHBORHOOD_CAP
     parsed = formats.parse_criteria_json(_read(args.criteria))
     mode = args.mode or parsed["mode"]
     if not isinstance(mode, str) or mode not in CRITERIA:  # the file's mode is any JSON value
         raise LllError(f"unknown mode {mode!r}")
-    rep = CRITERIA[mode](parsed, args)
+    rep = CRITERIA[mode](criteria, parsed, args)
     _emit({**rep.to_json_dict(), "mode": mode}, args.json)
     _info(f"criterion {mode}: {'pass' if rep.passed else 'FAIL'}")
     return EXIT_OK if rep.passed else EXIT_CRITERION_FAIL
@@ -410,7 +426,7 @@ def _parser() -> argparse.ArgumentParser:
     p_crit = sub.add_parser("criteria", help="evaluate a criterion from a JSON description")
     p_crit.add_argument("criteria")
     p_crit.add_argument("--mode", choices=CRITERIA, default=None)
-    p_crit.add_argument("--cap", type=int, default=NEIGHBORHOOD_CAP,
+    p_crit.add_argument("--cap", type=int, default=None,
                         help="neighborhood enumeration cap for cluster mode")
     p_crit.add_argument("--json", default=None)
     p_crit.set_defaults(fn=cmd_criteria)

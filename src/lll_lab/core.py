@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .criteria import DependencyGraph
+from .dependency import DependencyGraph
 from .errors import LllError
 from .rng import RandomSource, exact_distribution, source_for_run
 

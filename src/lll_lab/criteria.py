@@ -13,77 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Collection, Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from .dependency import BacktrackChargeTable, CliqueLllConfig, DependencyGraph
 from .errors import LllError
 
 BOUNDARY_TOL = 1e-12
 NEIGHBORHOOD_CAP = 25
 SHEARER_FLAW_CAP = 25
 SHEARER_FAMILY_CAP = 1 << 21
-
-
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Symmetric adjacency over m flaw indices; self-loops are meaningful
-    (i in adj[i] says addressing i can keep i present)."""
-
-    m: int
-    adj: tuple[frozenset[int], ...]
-
-    @staticmethod
-    def from_edges(m: int, edges: Sequence[tuple[int, int]],
-                   self_loops: Sequence[int] = ()) -> "DependencyGraph":
-        nbrs = [set() for _ in range(m)]
-        for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        for v in self_loops:
-            nbrs[v].add(v)
-        return DependencyGraph(m, tuple(frozenset(s) for s in nbrs))
-
-    @staticmethod
-    def from_scopes(scopes: Sequence[Collection[Hashable]]) -> "DependencyGraph":
-        """Flaws are dependent when their scopes, the variables each one
-        reads, share a variable; a flaw with a nonempty scope is its own
-        neighbor.  Each neighborhood is inserted in ascending flaw order:
-        that fixes its iteration order, and with it the float sums that
-        criteria accumulate over it."""
-        readers = scope_readers(scopes)
-        adj = []
-        for scope in scopes:
-            around = set()
-            for x in scope:
-                around.update(readers[x])
-            adj.append(frozenset(sorted(around)))
-        return DependencyGraph(len(adj), tuple(adj))
-
-    @staticmethod
-    def from_neighbor_lists(adj: Sequence[Sequence[int]]) -> "DependencyGraph":
-        for i, a in enumerate(adj):
-            if any(not 0 <= j < len(adj) for j in a):
-                raise LllError(f"adjacency of flaw {i} lists a flaw outside 0..{len(adj) - 1}")
-        g = DependencyGraph(len(adj), tuple(frozenset(a) for a in adj))
-        g.check_symmetric()
-        return g
-
-    def check_symmetric(self) -> None:
-        for i in range(self.m):
-            for j in self.adj[i]:
-                if i not in self.adj[j]:
-                    raise LllError(f"adjacency not symmetric at ({i},{j})")
-
-    def are_adjacent(self, i: int, j: int) -> bool:
-        return j in self.adj[i]
-
-
-def scope_readers(scopes: Sequence[Collection[Hashable]]) -> dict[Hashable, list[int]]:
-    """Variable -> the flaws whose scope holds it, in ascending order."""
-    readers: dict = {}
-    for i, scope in enumerate(scopes):
-        for x in set(scope):
-            readers.setdefault(x, []).append(i)
-    return readers
 
 
 @dataclass(frozen=True)
@@ -198,8 +136,8 @@ def _check_sizes(gamma, graph, psi):
     if not (len(gamma) == graph.m == len(psi)):
         raise LllError("dimension mismatch between charges, graph, and weights")
     for w in psi:
-        if not w > 0:
-            raise LllError("weights must be positive")
+        if not 0 < w < math.inf:
+            raise LllError("weights must be positive and finite")
 
 
 def general_lll_check(gamma: Sequence, graph: DependencyGraph, psi: Sequence,
@@ -324,43 +262,6 @@ def shearer_polynomials(gamma: Sequence, graph: DependencyGraph) -> ShearerRepor
     return ShearerReport(q, passed, ratios, q_empty)
 
 
-@dataclass(frozen=True)
-class CliqueLllConfig:
-    """Clique cover of the dependency graph with per-(flaw, clique) weights.
-
-    ``cliques[v]`` is a set of flaw indices forming a clique; every
-    dependency edge must lie inside some clique; x[(i, v)] in (0, 1) is
-    required for every i in cliques[v].
-    """
-
-    graph: DependencyGraph
-    cliques: tuple[frozenset[int], ...]
-    x: Mapping[tuple[int, int], float]
-
-    def validate(self) -> None:
-        covered = set()
-        touched = set()
-        for v, clique in enumerate(self.cliques):
-            for i in clique:
-                if (i, v) not in self.x:
-                    raise LllError(f"missing x entry for flaw {i} in clique {v}")
-                xv = self.x[(i, v)]
-                if not (0 < xv < 1):
-                    raise LllError("x entries must lie in (0,1)")
-                touched.add(i)
-            for i in clique:
-                for j in clique:
-                    if i < j:
-                        covered.add((i, j))
-        for i in range(self.graph.m):
-            if i not in touched:
-                # a flaw outside every clique would face no condition at all
-                raise LllError("clique cover incomplete: flaw in no clique")
-            for j in self.graph.adj[i]:
-                if i < j and (i, j) not in covered:
-                    raise LllError("clique cover incomplete")
-
-
 def clique_lll_check(gamma: Sequence, cfg: CliqueLllConfig) -> CriterionReport:
     """Clique local lemma: clique sums below one, and each charge below its
     x value deflated by the other cliques through the same flaw.
@@ -418,19 +319,6 @@ def clique_lll_check(gamma: Sequence, cfg: CliqueLllConfig) -> CriterionReport:
         details={"clique_sums": details_sums, "ratio_bounds": ratio_bounds,
                  "ratio_bounds_full": ratio_bounds_full},
     )
-
-
-@dataclass(frozen=True)
-class BacktrackChargeTable:
-    """Sparse charges gamma_S^v for a backtracking algorithm: only the
-    finitely many nonzero (variable, introduced-set) pairs are stored."""
-
-    variables: tuple
-    entries: Mapping[tuple, Mapping[frozenset, float]]  # v -> {S -> gamma}
-    span: frozenset | None = None  # unassigned vars reachable at start
-
-    def charges_for(self, v):
-        return self.entries.get(v, {})
 
 
 def backtracking_criterion(table: BacktrackChargeTable, psi: Mapping,

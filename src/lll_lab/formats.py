@@ -7,19 +7,21 @@ parse(text).
  - edge-colored clique: one "u v color" line per edge of the clique
 Criteria descriptions are JSON {m, adjacency, gamma, psi, mode, ...},
 and bias files a JSON list of per-variable [p0, p1] pairs; both are only
-read, and a malformed field is refused by name.
+read, and a malformed field is refused by name, as is a number that is
+not finite.
+
+Each parser and generator loads its family's solver module when it is
+called, so a command loads only the family it reads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
-from .core import LllError
-from .criteria import BacktrackChargeTable, DependencyGraph
+from .dependency import BacktrackChargeTable, DependencyGraph
+from .errors import LllError
 from .rng import RandomSource
-from .solvers.aec import GraphInstance, random_bounded_degree_graph
-from .solvers.ksat import CnfInstance, random_bounded_degree_cnf
-from .solvers.matchings import EdgeColoredClique
 
 
 def _ints(tokens: list[str], what: str) -> list[int]:
@@ -34,6 +36,8 @@ def _ints(tokens: list[str], what: str) -> list[int]:
 
 
 def parse_dimacs(text: str) -> CnfInstance:
+    from .solvers.ksat import CnfInstance
+
     num_vars = None
     declared_clauses = None
     clauses: list[tuple[int, ...]] = []
@@ -81,6 +85,8 @@ def serialize_dimacs(cnf: CnfInstance) -> str:
 
 
 def parse_graph(text: str) -> GraphInstance:
+    from .solvers.aec import GraphInstance
+
     rows = [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
             if line and not line.startswith("#")]
     if not rows:
@@ -114,6 +120,8 @@ def serialize_graph(g: GraphInstance) -> str:
 
 
 def parse_colored_clique(text: str) -> EdgeColoredClique:
+    from .solvers.matchings import EdgeColoredClique
+
     colors: dict = {}
     max_v = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,10 +153,19 @@ def serialize_colored_clique(k: EdgeColoredClique) -> str:
 # JSON inputs
 
 
+def _finite(token: str) -> float:
+    """A JSON number or constant (NaN, Infinity) as a float, refused
+    unless finite."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def _load_json(text: str, what: str):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise LllError(f"{what} is not valid JSON: {exc}") from None
 
 
@@ -159,7 +176,7 @@ def _convert(what: str, convert, value):
         return convert(value)
     except KeyError as exc:
         raise LllError(f"bad {what}: missing {exc}") from None
-    except (IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise LllError(f"bad {what}: {exc}") from None
 
 
@@ -215,17 +232,23 @@ def parse_bias_json(text: str) -> list[list[float]]:
 
 
 def generate_ksat(n: int, k: int, degree: int, rng: RandomSource) -> CnfInstance:
+    from .solvers.ksat import random_bounded_degree_cnf
+
     return random_bounded_degree_cnf(n, k, degree, rng)
 
 
 def generate_graph(n: int, max_degree: int, rng: RandomSource,
                    edges: int | None = None) -> GraphInstance:
+    from .solvers.aec import random_bounded_degree_graph
+
     return random_bounded_degree_graph(n, max_degree, rng, edges)
 
 
 def generate_colored_clique(n: int, multiplicity: int, rng: RandomSource) -> EdgeColoredClique:
     """K_{2n} with each color on at most ``multiplicity`` edges: shuffle
     the edges and color them in blocks."""
+    from .solvers.matchings import EdgeColoredClique
+
     n2 = 2 * n
     if multiplicity < 1 and n > 0:
         raise LllError("multiplicity must be at least 1")

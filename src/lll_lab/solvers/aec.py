@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core import LllError, SearchProblem
-from ..criteria import BacktrackChargeTable, CliqueLllConfig, scope_readers
+from ..dependency import BacktrackChargeTable, CliqueLllConfig, scope_readers
 from .variables import backtracking_setting, variable_setting
 
 UNCOLORED = -1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..core import InPlaceAction, LllError, SearchProblem
-from ..criteria import DependencyGraph
+from ..dependency import DependencyGraph
 from .aec import GraphInstance
 
 

@@ -12,12 +12,13 @@ distributions and is paired with the asymmetric per-variable criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
 
 from ..core import STATE_CAP, LllError, SearchProblem
-from ..criteria import BacktrackChargeTable
+from ..dependency import BacktrackChargeTable
 from .variables import backtracking_setting, variable_setting
 
 # value of an unassigned variable in a backtracking state: states are
@@ -208,6 +209,8 @@ def _drawn_laws(cnf: CnfInstance, distributions: Sequence[Mapping[int, float]]
     laws = []
     for d in distributions:
         p0, p1 = float(d.get(0, 0.0)), float(d.get(1, 0.0))
+        if not (math.isfinite(p0) and math.isfinite(p1)):
+            raise LllError(f"each variable's probabilities must be finite, got [{p0}, {p1}]")
         if p0 < 0 or p1 < 0 or abs(p0 + p1 - 1.0) > 1e-9 or (p0 == 0.0 and p1 == 0.0):
             raise LllError("zero-probability value: each variable needs a distribution over {0,1}")
         laws.append((p0, 1.0 - p0))

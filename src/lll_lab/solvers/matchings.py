@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..core import LllError, SearchProblem
-from ..criteria import DependencyGraph
+from ..dependency import DependencyGraph
 
 Edge = tuple[int, int]
 

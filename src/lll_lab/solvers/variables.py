@@ -11,7 +11,7 @@ import itertools
 from typing import Callable, Sequence
 
 from ..core import STATE_CAP, InPlaceAction, ScopeLaw, SearchProblem
-from ..criteria import DependencyGraph
+from ..dependency import DependencyGraph
 
 
 def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]],

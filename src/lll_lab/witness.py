@@ -17,7 +17,7 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import LllError, SearchProblem, Trajectory, TransitionRows, capped_space
-from .criteria import DependencyGraph
+from .dependency import DependencyGraph
 
 PRODUCT_REL_TOL = 1e-9
 ENUM_TREE_NODE_CAP = 8

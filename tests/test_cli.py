@@ -593,8 +593,15 @@ def test_flags_checked_before_building(tmp_path, capsys, monkeypatch, argv, flag
     ('{"m": 1, "mode": "clique", "gamma": [0.1]}', "'cliques'"),
     ('{"m": 1, "mode": "backtrack"}', "'backtrack'"),
     ('{"m": 1, "gamma": [0.1], "psi": [0.2], "mode": ["general"]}', "unknown mode"),
+    # a number that is not finite reached the checker, which reported FAIL with NaN
+    # values (exit 3); an integer too large for a float ended in a traceback
+    ('{"m": 2, "gamma": [0.1, 0.1], "psi": [Infinity, Infinity]}', "Infinity is not a finite"),
+    ('{"m": 1, "gamma": [NaN], "psi": [0.2]}', "NaN is not a finite"),
+    ('{"m": 1, "gamma": [0.1], "psi": [1e999]}', "1e999 is not a finite"),
+    ('{"m": 1, "gamma": [0.1], "psi": [1' + "0" * 400 + ']}', "'psi'"),
 ], ids=["not-json", "m-not-integer", "adjacency-out-of-range", "backtrack-no-variables",
-        "clique-no-cliques", "backtrack-no-block", "mode-not-a-string"])
+        "clique-no-cliques", "backtrack-no-block", "mode-not-a-string", "psi-infinity",
+        "gamma-nan", "psi-overflows-float", "psi-integer-overflows-float"])
 def test_malformed_criteria_json_refused_by_field(tmp_path, capsys, text, field):
     path = write(tmp_path, "crit.json", text)
     code, out, err = run_cli(["criteria", path], capsys)
@@ -606,7 +613,10 @@ def test_malformed_criteria_json_refused_by_field(tmp_path, capsys, text, field)
     ("[[0.5]]", "[p0, p1]"),
     ("{bad", "bias file is not valid JSON"),
     ('[[0.5, "x"]]', "bias file"),
-], ids=["short-pair", "not-json", "not-a-number"])
+    # NaN failed every comparison of the law check, and ran
+    ("[[NaN, 0.5]]", "NaN is not a finite number"),
+    ("[[0.5, -Infinity]]", "-Infinity is not a finite number"),
+], ids=["short-pair", "not-json", "not-a-number", "nan", "minus-infinity"])
 def test_malformed_bias_file_refused(tmp_path, capsys, text, message):
     cnf = write(tmp_path, "f.cnf", "p cnf 1 1\n1 0\n")
     bias = write(tmp_path, "bias.json", text)

@@ -130,6 +130,14 @@ def test_general_certain_flaw_fails():
         assert rep.values[0] > 1.0
 
 
+@pytest.mark.parametrize("check", [general_lll_check, cluster_expansion_check])
+@pytest.mark.parametrize("w", [math.inf, math.nan])
+def test_weights_that_are_not_finite_refused(check, w):
+    """An infinite weight made every value NaN (inf / inf), and the report FAIL."""
+    with pytest.raises(LllError, match="^weights must be positive and finite$"):
+        check([0.1, 0.1], DependencyGraph.from_edges(2, [(0, 1)]), [w, w])
+
+
 def test_general_isolated_flaw():
     g = DependencyGraph.from_edges(1, [], self_loops=[0])
     rep = general_lll_check([0.25], g, [1.0])

@@ -3,8 +3,10 @@
 Each module of ``src/lll_lab`` is parsed with ``ast``, not imported.  Its
 module-level imports of package modules (under ``if`` and ``try`` blocks
 too) must form a DAG, so no module needs a function-level import to break
-a cycle; function-level package imports are left only where a command
-loads a later layer on use.  Oracle mode has one entry: only
+a cycle; function-level package imports are left only where a command,
+a solver entry, a parser or a package export loads a later layer on use,
+each listed in ``ON_USE``, and with them the graph is still a DAG.
+Oracle mode has one entry: only
 ``core`` enumerates a problem's states.  Every public function or class
 that no other module calls is allowlisted with the reason it stays, and
 ``SearchProblem`` keeps to at most 16 fields.
@@ -19,9 +21,37 @@ import lll_lab
 from lll_lab.core import SearchProblem
 
 PACKAGE = Path(lll_lab.__file__).resolve().parent
-# function-level package imports allowed, as module -> (function, target),
-# None for any: only the CLI, which loads each command's layer on dispatch
-ON_USE = {"lll_lab.cli": None}
+# Function-level package imports allowed, as module -> {(function, target):
+# why the target loads on use}.  Importing a module of a package loads the
+# package first, which needs no entry of its own.
+ON_USE = {
+    "lll_lab": dict.fromkeys(
+        [("__getattr__", "lll_lab.core"), ("__getattr__", "lll_lab.dependency"),
+         ("__getattr__", "lll_lab.criteria")],
+        "a package export loads its module on first use"),
+    "lll_lab.solvers": dict.fromkeys(
+        [("__getattr__", f"lll_lab.solvers.{name}")
+         for name in ("ksat", "aec", "matchings", "coloring")],
+        "a package export loads its solver's module on first use"),
+    "lll_lab.build": dict.fromkeys(
+        [("_ksat", "lll_lab.solvers.ksat"), ("_aec", "lll_lab.solvers.aec"),
+         ("_matchings", "lll_lab.solvers.matchings"),
+         ("_coloring", "lll_lab.solvers.coloring")],
+        "a solver entry loads its module when it builds or checks a problem"),
+    "lll_lab.formats": dict.fromkeys(
+        [("parse_dimacs", "lll_lab.solvers.ksat"), ("generate_ksat", "lll_lab.solvers.ksat"),
+         ("parse_graph", "lll_lab.solvers.aec"), ("generate_graph", "lll_lab.solvers.aec"),
+         ("parse_colored_clique", "lll_lab.solvers.matchings"),
+         ("generate_colored_clique", "lll_lab.solvers.matchings")],
+        "a parser or generator loads its family's module when it is called"),
+    "lll_lab.cli": {
+        ("_trace_json", "lll_lab.witness"): "solve --trace builds witness trees",
+        ("_solve_rainbow_partial", "lll_lab.analysis"): "solve rainbow-partial runs a suite",
+        ("cmd_criteria", "lll_lab.criteria"): "the criteria command runs a checker",
+        ("cmd_verify", "lll_lab.analysis"): "the verify command runs a suite",
+        ("_worker_counts", "lll_lab.analysis"): "a verify --parallel worker runs the runs",
+    },
+}
 
 
 def module_names() -> dict[str, Path]:
@@ -96,15 +126,18 @@ SCANS = {module: scan(module) for module in MODULES}
 def test_module_level_imports_form_a_dag():
     # the scan is not vacuous: it finds imports the package has
     assert "lll_lab.core" in SCANS["lll_lab.chain"][0]
-    assert "lll_lab.solvers" in SCANS["lll_lab.build"][0]
+    assert "lll_lab.formats" in SCANS["lll_lab.build"][0]
     assert "lll_lab.solvers.variables" in SCANS["lll_lab.solvers.ksat"][0]
     assert ("_solve_rainbow_partial", "lll_lab.analysis") in SCANS["lll_lab.cli"][1]
     graph = {module: top for module, (top, _, _) in SCANS.items()}
-    try:
-        order = list(graphlib.TopologicalSorter(graph).static_order())
-    except graphlib.CycleError as exc:
-        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
-    assert set(order) == set(MODULES)
+    on_use = {module: top | {target for _, target in deferred}
+              for module, (top, deferred, _) in SCANS.items()}
+    for edges in (graph, on_use):  # on-use imports run one way too
+        try:
+            order = list(graphlib.TopologicalSorter(edges).static_order())
+        except graphlib.CycleError as exc:
+            raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+        assert set(order) == set(MODULES)
 
 
 def test_cli_imports_no_solver():
@@ -120,12 +153,22 @@ def test_errors_module_is_a_leaf():
     assert top == set() and deferred == []
 
 
+def allowed_on_use(module: str, function: str, target: str) -> bool:
+    """Whether ``ON_USE`` lists the import, or one of a module inside the
+    package ``target``."""
+    return any(f == function and (t == target or t.startswith(target + "."))
+               for f, t in ON_USE.get(module, {}))
+
+
 def test_function_level_package_imports_only_on_use():
     stray = [(module, function, target)
              for module, (_, deferred, _) in SCANS.items()
              for function, target in deferred
-             if module not in ON_USE or ON_USE[module] not in (None, (function, target))]
+             if not allowed_on_use(module, function, target)]
     assert stray == []
+    unused = [(module, pair) for module, pairs in ON_USE.items() for pair in pairs
+              if pair not in SCANS[module][1]]
+    assert unused == [], "ON_USE entries with no such import"
 
 
 def test_no_module_uses_type_checking():

@@ -115,6 +115,16 @@ LIBRARY = {
         two_clauses(), lambda s: True, psi=[-0.1] * 2, runs=100), "weights must be positive"),
     "negative-psi-partial": (lambda: partial(two_clauses(), [-0.1] * 2),
                              "weights must be positive"),
+    # an infinite or NaN weight made the bound infinite or NaN, and passed
+    **{f"{value}-psi-{suite}": (lambda call=call, value=value: call([float(value)] * 2),
+                                "weights must be positive and finite")
+       for value in ("inf", "nan")
+       for suite, call in [
+           ("resamples", lambda psi: check_resample_bounds(two_clauses(), psi, runs=100)),
+           ("distribution", lambda psi: output_distribution(two_clauses(), psi, runs=100)),
+           ("event", lambda psi: check_event_probability(two_clauses(), lambda s: True,
+                                                         psi=psi, runs=100)),
+           ("partial", lambda psi: partial(two_clauses(), psi))]},
     "negative-edge-weight": (lambda: matching_weight_analysis(
         rainbow_matching(colored_k6()), {(0, 1): -1.0}, runs=100), "nonnegative"),
     "negative-weight-function": (lambda: coloring_weight_analysis(
@@ -250,6 +260,9 @@ CLI = {
     **{f"negative-psi-{suite}": (["ksat-mt", "--suite", suite, "--psi", "-0.1"], TWO_CLAUSES,
                                  "weights must be positive")
        for suite in ("resamples", "distribution", "event", "partial")},
+    **{f"{value}-psi-{suite}": (["ksat-mt", "--suite", suite, "--psi", value], TWO_CLAUSES,
+                                "weights must be positive and finite")
+       for suite in ("resamples", "distribution", "event", "partial") for value in ("inf", "nan")},
     # the witness suite reads no --psi, and refuses one
     **{f"state-cap-{suite}": (["ksat-mt", "--suite", suite, *psi], TWO_CLAUSES,
                               "state space exceeds oracle cap")

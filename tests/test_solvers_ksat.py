@@ -1,5 +1,7 @@
 """Satisfiability solvers: charges, runs, tables, thresholds."""
 
+import math
+
 import pytest
 
 from lll_lab.core import LllError, action_law, charge, run
@@ -161,6 +163,14 @@ def test_biased_charge_table_reads_the_drawn_law():
         ksat_biased_table(cnf, [{0: 0.2, 1: 0.2}])
     with pytest.raises(LllError, match="one distribution per variable"):
         clause_violation_probs(cnf, dists * 2)
+
+
+@pytest.mark.parametrize("law", [{0: math.nan, 1: 0.5}, {0: 0.5, 1: math.nan},
+                                 {0: math.inf, 1: -math.inf}])
+def test_biased_law_refuses_a_probability_that_is_not_finite(law):
+    """NaN fails every comparison of the law check, so it used to pass."""
+    with pytest.raises(LllError, match="probabilities must be finite"):
+        ksat_backtrack_biased(CnfInstance(1, ((1,),)), [law])
 
 
 def exact_backtrack_charges(problem):
