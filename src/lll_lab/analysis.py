@@ -37,9 +37,6 @@ from .criteria import (
     shearer_polynomials,
 )
 from .dependency import DependencyGraph
-from .solvers.coloring import ball, coloring_is_proper_vertex, local_weight_bound
-from .solvers.matchings import (EdgeColoredClique, partial_weight, rainbow_matching,
-                                rainbow_partial_bound, strip_conflicts)
 from .witness import (
     CommutativityReport,
     check_commutativity,
@@ -661,6 +658,9 @@ def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
     enumeration at any instance size.  Refuses ``runs`` below one, whose
     mean size is undefined.
     """
+    from .solvers.matchings import (matching_edges, partial_weight, rainbow_matching,
+                                    rainbow_partial_bound, strip_conflicts)
+
     if runs < 1:
         raise LllError("rainbow_partial needs at least one run")
     problem = rainbow_matching(clique)
@@ -674,7 +674,7 @@ def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
         exact_bound, asymptotic = rainbow_partial_bound(clique, alpha)
     else:  # already rainbow: one plain run stands for every run
         rep = run(problem, recommended_strategy(problem), max_steps, seed, 0)
-        outs = [(rep.terminated, rep.final_state)] * runs
+        outs = [(rep.terminated, matching_edges(rep.final_state))] * runs
         alpha, exact_bound, asymptotic = None, float(n), float(n)
     sizes = [len(matching) for _, matching in outs]
     last_matching = outs[-1][1] if outs else None
@@ -787,6 +787,8 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
     """Expected output weight of the rainbow-matching solver against
     (1 + 3 lambda/2)^2 / (2n - 1) times the total edge weight; weights
     must be nonnegative for the bound to apply.  Refuses censored runs."""
+    from .solvers.matchings import matching_edges
+
     clique = problem.metadata.get("clique")
     if clique is None:
         raise LllError("matching weight analysis needs a rainbow problem")
@@ -799,7 +801,8 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
     refuse_single_run(runs)
     reports = uncensored(iter_runs(problem, range(runs), seed), "matching_weight_analysis")
     mean, se = mean_se(np.array(
-        [sum(edge_weights.get(e, 0.0) for e in rep.final_state) for rep in reports], dtype=float))
+        [sum(edge_weights.get(e, 0.0) for e in matching_edges(rep.final_state))
+         for rep in reports], dtype=float))
     verdict = upper_verdict("expected_weight", mean, bound, se)
     return verdict_report("weight_analysis", [verdict], kind="matching", runs=runs)
 
@@ -810,6 +813,8 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
     expectation under uniform proper colorings.  Refuses a negative local
     function before sampling (``local_weight_bound`` evaluates it on every
     proper coloring, every output among them), and censored runs."""
+    from .solvers.coloring import ball, coloring_is_proper_vertex, local_weight_bound
+
     if "weights" not in problem.metadata:  # only the greedy coloring declares the key
         raise LllError("coloring weight analysis needs a greedy coloring problem")
     g = problem.metadata["graph"]

@@ -90,7 +90,7 @@ SOLVERS = {
         lambda spec: _matchings().rainbow_matching(
             formats.parse_colored_clique(spec["instance_text"])), (),
         lambda problem, state: _matchings().rainbow_validity(problem.metadata["clique"], state),
-        lambda state: sorted(list(e) for e in state)),
+        lambda state: [list(e) for e in _matchings().matching_edges(state)]),
     "vertex-coloring": Solver(
         lambda spec: _coloring().vertex_coloring_greedy(*_graph_and_colors(spec)), ("colors",),
         lambda problem, state: _coloring().coloring_is_proper_vertex(problem.metadata["graph"],

@@ -15,10 +15,10 @@ On top of these:
    ``solvers.coloring`` with ``solvers.aec`` for ``vertex-coloring``;
    every one but ``rainbow`` also loads ``solvers.variables``.
    ``--trace`` adds ``witness``, and ``solve rainbow-partial`` loads
-   ``analysis`` (with ``criteria``, ``chain``, ``witness`` and the
-   solvers ``analysis`` reads);
+   ``analysis`` (with ``criteria``, ``chain`` and ``witness``) and
+   ``solvers.matchings``;
  - ``criteria`` loads ``criteria``;
- - ``verify`` loads ``analysis`` as ``solve rainbow-partial`` does, and
+ - ``verify`` loads ``analysis`` and the solver's modules, and
    ``--parallel`` the process pool;
  - ``gen`` loads the solver module of its family.
 """
@@ -198,6 +198,8 @@ CRITERIA = {
 
 
 def cmd_criteria(args) -> int:
+    if args.cap is not None and args.cap < 1:
+        raise LllError(f"--cap must be at least 1, got {args.cap}")
     from . import criteria
 
     if args.cap is None:

@@ -1,5 +1,11 @@
 """Rainbow perfect matchings in an edge-colored complete graph K_{2n}.
 
+A state is a perfect matching as its partner array: ``state[v]`` is the
+vertex matched to ``v``, as ``bytes`` on at most 256 vertices and as a
+``tuple`` above, where vertex ids do not fit a byte.  Its edges are the
+pairs ``(a, state[a])`` with ``a < state[a]``, listed by ``a``
+(``matching_edges``), which is their sorted order.
+
 Flaws are conflict pairs: two vertex-disjoint edges of the same color
 that sit in the current matching together.  A flaw is addressed by the
 two-phase switch walk below, a perfect resampler for the uniform measure
@@ -9,16 +15,12 @@ over perfect matchings, so each charge equals 1/((2n-1)(2n-3)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from ..core import LllError, SearchProblem
+from ..core import InPlaceAction, LllError, SearchProblem
 from ..dependency import DependencyGraph
 
 Edge = tuple[int, int]
-
-
-def _edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -77,29 +79,20 @@ def perfect_matchings(vertices: Sequence[int]) -> list[frozenset[Edge]]:
     for u in verts[1:]:
         rest = [w for w in verts[1:] if w != u]
         for m in perfect_matchings(rest):
-            out.append(m | {_edge(u, v)})
+            out.append(m | {(v, u)})
     return out
 
 
-def _switch_walk_sample(matching: set[Edge], pair: tuple[Edge, Edge], rng) -> frozenset[Edge]:
-    """Address a conflict pair: for each of its edges in declaration order,
-    pick another matching edge uniformly with a random orientation and
-    switch partners with probability 1 - 1/(2r+1), r the candidate count."""
-    current = set(matching)
-    queue = [pair[0], pair[1]]
-    while queue:
-        (u, v) = queue[0]
-        rest = sorted(e for e in current if e not in queue)
-        r = len(rest)
-        pick = rest[rng.randint(r)]
-        (x, y) = pick if rng.coin() else (pick[1], pick[0])
-        if rng.bernoulli(1.0 - 1.0 / (2 * r + 1)):
-            current.discard((u, v))
-            current.discard(_edge(x, y))
-            current.add(_edge(u, y))
-            current.add(_edge(v, x))
-        queue = queue[1:]
-    return frozenset(current)
+def matching_edges(matching: Sequence[int]) -> list[Edge]:
+    """The edges of a partner array, in sorted order."""
+    return [(a, b) for a, b in enumerate(matching) if a < b]
+
+
+def _partners(edges: Iterable[Edge], num_vertices: int, frozen: Callable) -> Sequence[int]:
+    work = [0] * num_vertices
+    for u, v in edges:
+        work[u], work[v] = v, u
+    return frozen(work)
 
 
 def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
@@ -116,41 +109,64 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
     n = clique.half
     pairs = clique.conflict_pairs()
     m = len(pairs)
+    frozen = bytes if n2 <= 256 else tuple
+    # filed[a][b]: (flaw, c, d) for each flaw whose first edge is (a, b)
+    # and second (c, d); the flaws are sorted by first edge
+    filed: list[dict] = [{} for _ in range(n2)]
+    for i, ((a, b), (c, d)) in enumerate(pairs):
+        filed[a].setdefault(b, []).append((i, c, d))
 
     def present(i, matching):
-        e1, e2 = pairs[i]
-        return e1 in matching and e2 in matching
+        (a, b), (c, d) = pairs[i]
+        return matching[a] == b and matching[c] == d
 
     def flaws_present(matching):
-        return [i for i in range(m) if pairs[i][0] in matching and pairs[i][1] in matching]
+        # by first edge in sorted order: ascending flaw ids
+        return [i for a, b in enumerate(matching) if a < b for i, c, d in filed[a].get(b, ())
+                if matching[c] == d]
 
-    def sample_action(i, matching, rng):
-        return _switch_walk_sample(matching, pairs[i], rng)
+    def switch_walk(i, work, rng):
+        """Address a conflict pair: for each of its edges (u, v) in
+        declaration order, pick another matching edge, one not yet
+        walked, uniformly from the ascending list, orient it as (x, y) by
+        a coin, and switch partners to (u, y), (v, x) with probability
+        1 - 1/(2r+1), r the candidate count."""
+        (u1, v1), (u2, v2) = pairs[i]
+        for u, v, queued in ((u1, v1, u2), (u2, v2, u2)):
+            rest = [a for a, b in enumerate(work) if a < b and a != u and a != queued]
+            r = len(rest)
+            x = rest[rng.randint(r)]
+            y = work[x]
+            if not rng.coin():
+                x, y = y, x
+            if rng.bernoulli(1.0 - 1.0 / (2 * r + 1)):
+                work[u], work[y], work[v], work[x] = y, u, x, v
 
     def sample_init(rng):
         verts = list(range(n2))
         rng.shuffle(verts)
-        return frozenset(_edge(verts[2 * k], verts[2 * k + 1]) for k in range(n))
+        return _partners(zip(verts[0::2], verts[1::2]), n2, frozen)
 
     if n2 <= 256:
         def canon(matching):
-            return b"".join(bytes((u, v)) for (u, v) in sorted(matching))
+            return bytes([x for a, b in enumerate(matching) if a < b for x in (a, b)])
     else:  # vertex ids past 255: two big-endian bytes per vertex
         def canon(matching):
-            return b"".join(u.to_bytes(2, "big") + v.to_bytes(2, "big")
-                            for (u, v) in sorted(matching))
+            return b"".join(a.to_bytes(2, "big") + b.to_bytes(2, "big")
+                            for a, b in enumerate(matching) if a < b)
 
     charge = 1.0 / ((n2 - 1) * (n2 - 3)) if n2 >= 4 else 0.0
     psi = 3.0 / (4.0 * n * n)
     return SearchProblem(
         present=present,
         flaws_present=flaws_present,
-        sample_action=sample_action,
+        sample_action=InPlaceAction(switch_walk, frozen),
         # a conflict pair reads the partners of its four vertices
         graph=DependencyGraph.from_scopes([e1 + e2 for e1, e2 in pairs]),
         sample_init=sample_init,
         canon=canon,
-        enumerate_states=(lambda: perfect_matchings(range(n2))) if n2 <= 10 else None,
+        enumerate_states=(lambda: [_partners(edges, n2, frozen)
+                                   for edges in perfect_matchings(range(n2))]) if n2 <= 10 else None,
         declared_charges=tuple(charge for _ in range(m)),
         default_weights=tuple(psi for _ in range(m)),
         flaw_labels=tuple(f"{p[0]}~{p[1]}" for p in pairs),
@@ -168,19 +184,15 @@ def closed_form_zeta(clique: EdgeColoredClique, psi: float) -> float:
     return (1.0 + (n2 - 1) * max(mult - 1, 0) * psi) ** 4
 
 
-def rainbow_validity(clique: EdgeColoredClique, matching: frozenset[Edge]) -> bool:
-    """Perfect and rainbow: covers every vertex, all colors distinct."""
-    seen = set()
-    colors = set()
-    for e in matching:
-        if e[0] in seen or e[1] in seen:
-            return False
-        seen.update(e)
-        c = clique.colors[e]
-        if c in colors:
-            return False
-        colors.add(c)
-    return len(seen) == clique.num_vertices
+def rainbow_validity(clique: EdgeColoredClique, matching: Sequence[int]) -> bool:
+    """Perfect and rainbow: a partner array over every vertex, all colors
+    distinct."""
+    n2 = clique.num_vertices
+    if len(matching) != n2 or any(not 0 <= b < n2 or b == a or matching[b] != a
+                                  for a, b in enumerate(matching)):
+        return False
+    colors = {clique.colors[e] for e in matching_edges(matching)}
+    return len(colors) == clique.half
 
 
 def partial_weight(clique: EdgeColoredClique) -> float:
@@ -217,11 +229,12 @@ def rainbow_partial_bound(clique: EdgeColoredClique, alpha: float) -> tuple[floa
     return exact, asymptotic
 
 
-def strip_conflicts(clique: EdgeColoredClique, matching: frozenset[Edge]) -> frozenset[Edge]:
+def strip_conflicts(clique: EdgeColoredClique, matching: Sequence[int]) -> list[Edge]:
     """Delete the lower-indexed edge of every surviving conflict pair; the
-    remainder is a rainbow (not necessarily perfect) matching."""
+    remaining edges, sorted, form a rainbow (not necessarily perfect)
+    matching."""
     doomed = set()
     for e1, e2 in clique.conflict_pairs():
-        if e1 in matching and e2 in matching:
+        if matching[e1[0]] == e1[1] and matching[e2[0]] == e2[1]:
             doomed.add(min(e1, e2))
-    return frozenset(e for e in matching if e not in doomed)
+    return [e for e in matching_edges(matching) if e not in doomed]

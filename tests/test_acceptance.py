@@ -83,12 +83,21 @@ def two_clause_instance():
     return ksat_mt(CnfInstance(3, ((1, 2, 3), (-1, -2, 3))))
 
 
+def partner_state(edges, n2):
+    """The rainbow solver's state of a perfect matching: its partner array."""
+    work = bytearray(n2)
+    for u, v in edges:
+        work[u], work[v] = v, u
+    return bytes(work)
+
+
 def test_01_resampling_oracle_exactness_k6():
     """Switch-walk resampling of a conflict pair lands uniformly on all
     15 perfect matchings of K_6."""
     started = time.time()
     p = rainbow_matching(colored_k6())
-    members = [m for m in perfect_matchings(range(6)) if p.present(0, m)]
+    members = [m for m in (partner_state(pm, 6) for pm in perfect_matchings(range(6)))
+               if p.present(0, m)]
     assert len(members) == 1  # mu restricted to the flaw is a point mass
     start = members[0]
     rng = source_for_run(1001, 0)

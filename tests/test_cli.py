@@ -152,6 +152,23 @@ def test_criteria_rainbow_preset_cluster(tmp_path, capsys):
     assert rep["pass"] and max(rep["values"]) < 1.0
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_criteria_cap_below_one_refused_before_reading(tmp_path, capsys, monkeypatch, cap):
+    """A cap below one is named as the fault, not the neighborhood it
+    would cut short, before the criteria file is read."""
+    doc = {"m": 2, "adjacency": [[1], [0]], "gamma": [0.1, 0.1], "psi": [0.2, 0.2],
+           "mode": "cluster"}
+    path = write(tmp_path, "c.json", json.dumps(doc))
+
+    def never(path):
+        raise AssertionError("read before refusing")
+
+    monkeypatch.setattr(cli, "_read", never)
+    code, out, err = run_cli(["criteria", path, "--cap", cap], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"--cap must be at least 1, got {cap}" in err
+
+
 def test_gen_and_solve_pipeline(tmp_path, capsys):
     code, out, _ = run_cli(["gen", "colored-clique", "--n", "5", "--multiplicity", "2",
                             "--seed", "4"], capsys)

@@ -12,19 +12,24 @@ also check the byte-string states of the backtracking solvers.
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from lll_lab import build
 from lll_lab.core import FlawChoiceStrategy, InPlaceAction, make_strategy, run, validate_problem
+from lll_lab.formats import generate_colored_clique
 from lll_lab.rng import source_for_run
 from lll_lab.solvers import (
     CnfInstance,
+    EdgeColoredClique,
     GraphInstance,
     aec_backtrack,
     aec_clique_mt,
     ksat_backtrack,
     ksat_backtrack_biased,
     ksat_mt,
+    rainbow_matching,
     vertex_coloring_greedy,
 )
 from lll_lab.solvers.ksat import UNSET, count_partial_satisfying
@@ -252,16 +257,56 @@ class CopyingFormRaises(InPlaceAction):
         raise AssertionError(f"flaw {i} was addressed through the copying form")
 
 
+def rainbow_258():
+    """A rainbow problem on 258 vertices, whose states are tuples, with
+    three conflict pairs on one color, started at the matching (2k, 2k + 1)
+    that holds all three."""
+    n2 = 258
+    colors = {(u, v): u * n2 + v for u in range(n2) for v in range(u + 1, n2)}
+    colors[(2, 3)] = colors[(256, 257)] = colors[(0, 1)]
+    start = tuple(k ^ 1 for k in range(n2))
+    return replace(rainbow_matching(EdgeColoredClique(n2, colors)), sample_init=lambda rng: start)
+
+
+def stepped_in_place(problem, seed):
+    """The report of a run, traced or not, which must equal the report of
+    the same run with the pure ``sample_action`` replaced by one that
+    raises: every step goes through the in-place update."""
+    action = problem.sample_action
+    raising = replace(problem, sample_action=CopyingFormRaises(action.update, action.frozen))
+    for traced in (False, True):
+        want = run(problem, "lowest_index", AEC_MAX_STEPS, seed, record_trajectory=traced)
+        assert run(raising, "lowest_index", AEC_MAX_STEPS, seed, record_trajectory=traced) == want
+    assert want.terminated
+    return want
+
+
 def test_runs_never_take_the_copying_form():
-    """With the pure ``sample_action`` of a backtracking problem replaced by
-    one that raises, runs still finish, traced or not, with the same
-    report: every step goes through the in-place update."""
     cnf = CnfInstance(6, ((1, 2), (-2, 3), (-1, -3), (4, -5), (5, 6), (-4, -6)))
     for problem, seed in ((aec_backtrack(K33, 5), 16), (ksat_backtrack(cnf), 3)):
-        action = problem.sample_action
-        raising = replace(problem, sample_action=CopyingFormRaises(action.update, action.frozen))
-        for traced in (False, True):
-            want = run(problem, "lowest_index", AEC_MAX_STEPS, seed, record_trajectory=traced)
-            assert run(raising, "lowest_index", AEC_MAX_STEPS, seed,
-                       record_trajectory=traced) == want
-        assert want.terminated and want.steps > problem.num_flaws
+        assert stepped_in_place(problem, seed).steps > problem.num_flaws
+    k12 = rainbow_matching(generate_colored_clique(6, 2, source_for_run(5, 0)))
+    assert sum(stepped_in_place(k12, seed).steps > 0 for seed in range(12)) > 3
+    big = stepped_in_place(rainbow_258(), 0)
+    assert isinstance(big.final_state, tuple) and big.steps > 0
+
+
+def solver_spec(name):
+    """A small instance of a ``build.SOLVERS`` entry, as its spec."""
+    if name.startswith("ksat"):
+        text = "p cnf 4 2\n1 2 3 0\n-2 3 4 0\n"
+    elif name == "rainbow":
+        text = "".join(f"{u} {v} {(u + v) % 5}\n" for u in range(6) for v in range(u + 1, 6))
+    else:
+        text = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+    return {"solver": name, "instance_text": text, "colors": 9 if name.startswith("aec") else 4,
+            "bias": [[0.5, 0.5]] * 4}
+
+
+@pytest.mark.parametrize("name", list(build.SOLVERS))
+def test_every_solver_acts_in_place(name):
+    """Every solver the CLI builds states its action as an in-place update."""
+    problem = build.build_problem(solver_spec(name))
+    assert isinstance(problem.sample_action, InPlaceAction)
+    rep = run(problem, "lowest_index", AEC_MAX_STEPS, 1)
+    assert rep.terminated and build.SOLVERS[name].valid(problem, rep.final_state)

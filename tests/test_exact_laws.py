@@ -22,7 +22,7 @@ from lll_lab.solvers import (CnfInstance, GraphInstance, aec_backtrack, aec_cliq
                              vertex_coloring_greedy)
 from lll_lab.solvers.coloring import adjacency_lists
 from lll_lab.solvers.ksat import UNSET
-from lll_lab.solvers.matchings import _edge, perfect_matchings
+from lll_lab.solvers.matchings import matching_edges, perfect_matchings
 from lll_lab.solvers.variables import variable_setting
 
 
@@ -60,6 +60,17 @@ def reference_coloring_law(g, q):
         return out
 
     return action_distribution
+
+
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def partner_state(edges, n2):
+    work = bytearray(n2)
+    for u, v in edges:
+        work[u], work[v] = v, u
+    return bytes(work)
 
 
 def reference_switch_walk_law(matching, pair):
@@ -144,14 +155,15 @@ def test_rainbow_law_matches_the_fraction_reference(n2, seed):
     problem = rainbow_matching(k)
     pairs = k.conflict_pairs()
     assert pairs
-    matchings = perfect_matchings(range(n2))
+    matchings = [partner_state(m, n2) for m in perfect_matchings(range(n2))]
     count = 0
     for i in range(problem.num_flaws):
         for s in matchings:
             if not problem.present(i, s):
                 continue
             law = exact_distribution(problem.sample_action, i, s)
-            reference = reference_switch_walk_law(s, pairs[i])
+            reference = {partner_state(t, n2): p for t, p in
+                         reference_switch_walk_law(frozenset(matching_edges(s)), pairs[i]).items()}
             assert law.keys() == reference.keys()
             assert all(abs(law[t] - p) <= 1e-15 for t, p in reference.items())
             count += 1

@@ -44,6 +44,14 @@ ON_USE = {
          ("parse_colored_clique", "lll_lab.solvers.matchings"),
          ("generate_colored_clique", "lll_lab.solvers.matchings")],
         "a parser or generator loads its family's module when it is called"),
+    "lll_lab.analysis": {
+        ("rainbow_partial", "lll_lab.solvers.matchings"):
+            "the rainbow pipeline builds and strips matchings",
+        ("matching_weight_analysis", "lll_lab.solvers.matchings"):
+            "the matching suite reads each output's edges",
+        ("coloring_weight_analysis", "lll_lab.solvers.coloring"):
+            "the coloring suite reads the local weight bounds",
+    },
     "lll_lab.cli": {
         ("_trace_json", "lll_lab.witness"): "solve --trace builds witness trees",
         ("_solve_rainbow_partial", "lll_lab.analysis"): "solve rainbow-partial runs a suite",

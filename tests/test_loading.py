@@ -99,6 +99,19 @@ def test_criteria_loads_criteria_and_no_solver(tmp_path):
     assert set(modules) == IMPORTED | {"lll_lab.criteria"}
 
 
+def test_verify_ksat_loads_no_other_solver(tmp_path):
+    """``analysis`` loads a solver module only in the function that reads
+    it, so a ``verify`` of a k-SAT solver loads no other solver."""
+    path = tmp_path / "instance.cnf"
+    path.write_text(INSTANCES["cnf"])
+    argv = ["verify", "ksat-mt", str(path), "--suite", "witness", "--runs", "200", "--seed", "1",
+            "--json", str(tmp_path / "out.json")]
+    modules, _ = loaded_after(f"assert cli.main({argv!r}) == 0")
+    solvers_loaded = {m for m in modules if m.startswith("lll_lab.solvers")}
+    assert solvers_loaded == SOLVE_LOADS["ksat-mt"]
+    assert {"lll_lab.analysis", "lll_lab.criteria"} <= set(modules)
+
+
 # every name ``lll_lab`` exported when it still imported its modules
 # eagerly, with the module that defines it
 PACKAGE_EXPORTS = {

@@ -51,7 +51,7 @@ DIGESTS = {
     "rainbow-partial-no-conflicts":
         "1547158352035f21bc6d869cea94427dcfaef19a3425986416d39425d2c06f0d",
     "matching-weight":
-        "41ac517bf6d191c6d14166073a5eed5ab24127a15ac4227befaf16ca576964ce",
+        "5c3a9c7f03a49ef6eb69ca4f25cfab0f61720d248f67eecdb4b9d41abf12d0b2",
     "coloring-weight":
         "7476d55d82745baf824cac95a1b1e3927d9456a994d4825e588ade3354635c67",
     "solve-ksat-backtrack-censored":
