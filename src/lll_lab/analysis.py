@@ -193,22 +193,26 @@ def iter_runs(
 
 @dataclass
 class BatchStats:
-    """Per-run step and address counts, a reducer of the outputs and the
-    prefix trie of the witness sequences (when collected).
+    """Per-run step and address counts, the final states and the prefix
+    trie of the witness sequences (when collected).
 
-    ``outputs`` maps each distinct final canon to (the first final state
-    with that canon, its run count), in order of first occurrence.  The
-    trie is the one of ``chain.BatchResult``: per run a prefix id (0 is
-    the empty sequence; -1 when censored or past ``chain.SEQUENCE_CAP``,
-    which only the chain path applies), per prefix its parent and last
-    flaw, a parent's id below its children's.
+    ``finals`` holds (final state, run count) pairs in order of first
+    occurrence, and ``outputs`` folds them by ``canon`` when first read:
+    each distinct final canon maps to (the first final state with that
+    canon, its run count), in order of first occurrence.  A suite that
+    reads no output calls no ``canon``.  The trie is the one of
+    ``chain.BatchResult``: per run a prefix id (0 is the empty sequence;
+    -1 when censored or past ``chain.SEQUENCE_CAP``, which only the chain
+    path applies), per prefix its parent and last flaw, a parent's id
+    below its children's.
     """
 
     runs: int
     steps: np.ndarray
     terminated: np.ndarray
     flaw_counts: np.ndarray
-    outputs: dict[bytes, tuple[object, int]]
+    finals: Iterable[tuple[object, int]] = ()
+    canon: Callable[[object], bytes] | None = None
     sequence_ids: np.ndarray | None = None
     prefix_parent: np.ndarray | None = None
     prefix_flaw: np.ndarray | None = None
@@ -224,16 +228,14 @@ class BatchStats:
             return None
         return (None if k < 0 else k for k in self.sequence_ids.tolist())
 
-
-def _output_counts(problem: SearchProblem, finals: Iterable[tuple[object, int]]) -> dict:
-    """Fold (final state, runs) pairs, in order of first occurrence, into
-    canon -> (first state, runs)."""
-    out: dict[bytes, tuple[object, int]] = {}
-    for state, c in finals:
-        key = problem.canon(state)
-        first, total = out.get(key, (state, 0))
-        out[key] = (first, total + c)
-    return out
+    @functools.cached_property
+    def outputs(self) -> dict[bytes, tuple[object, int]]:
+        out: dict[bytes, tuple[object, int]] = {}
+        for state, c in self.finals:
+            key = self.canon(state)
+            first, total = out.get(key, (state, 0))
+            out[key] = (first, total + c)
+        return out
 
 
 def run_many(
@@ -246,41 +248,58 @@ def run_many(
     """Sample independent runs under the problem's recommended strategy;
     uses the exact-chain sampler when the problem enumerates and the
     strategy is state-deterministic, else the step-by-step runner
-    (``iter_runs``).  Either way, no per-run state or sequence tuple
+    (``step_stats``).  Either way, no per-run state or sequence tuple
     outlives the reducers and the prefix trie of ``BatchStats``."""
     # the chain needs a choice that is a fixed order of the flaws
     prio = recommended_strategy(problem).priority(problem.num_flaws)
-    if problem.enumerate_states is not None and prio is not None:
-        tables = chain.build_chain_tables(problem, prio[1])
-        result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=collect_sequences)
-        ids, mult = chain.final_counts(result.final_ids)
-        finals = [(tables.states[k], c) for k, c in zip(ids.tolist(), mult.tolist())]
-        return BatchStats(runs, result.steps, result.terminated, result.flaw_counts,
-                          _output_counts(problem, finals), result.sequence_ids,
-                          result.prefix_parent, result.prefix_flaw)
-    steps = np.zeros(runs, dtype=np.int64)
-    terminated = np.zeros(runs, dtype=bool)
-    counts = np.zeros((runs, problem.num_flaws), dtype=np.int32)
-    finals: dict = {}
-    sequence_ids = np.full(runs, -1, dtype=np.int64) if collect_sequences else None
+    if problem.enumerate_states is None or prio is None:
+        return step_stats(problem, range(runs), seed, max_steps, collect_sequences)
+    tables = chain.build_chain_tables(problem, prio[1])
+    result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=collect_sequences)
+    ids, mult = chain.final_counts(result.final_ids)
+    finals = [(tables.states[k], c) for k, c in zip(ids.tolist(), mult.tolist())]
+    return BatchStats(runs, result.steps, result.terminated, result.flaw_counts, finals,
+                      problem.canon, result.sequence_ids, result.prefix_parent,
+                      result.prefix_flaw)
+
+
+def step_stats(
+    problem: SearchProblem,
+    run_indices: Sequence[int],
+    seed: int,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    collect_sequences: bool = False,
+) -> BatchStats:
+    """The step runner's fold: one ``iter_runs`` report per run index,
+    in order, into one row per run of ``BatchStats``.  ``run_many`` folds
+    ``range(runs)``; a ``--parallel`` worker folds its chunk.
+
+    Steps, flags and sequence ids collect in lists, and each array is
+    built once at the end.  Only a run that took a step has nonzero
+    address counts, so only its row of the zeroed count array is written,
+    as the run ends: no report outlives its run."""
+    counts = np.zeros((len(run_indices), problem.num_flaws), dtype=np.int32)
+    steps, terminated, finals, sequence_ids = [], [], {}, []
     # (parent id, flaw) -> prefix id, numbered from 1 in order of insertion
     prefix_id: dict[tuple[int, int], int] = {}
-    reports = iter_runs(problem, range(runs), seed, max_steps,
-                        record_trajectory=collect_sequences)
-    # filled row by row, so no report outlives its run: holding every
-    # report's count tuple until the end grows peak memory with the runs
+    reports = iter_runs(problem, run_indices, seed, max_steps, record_trajectory=collect_sequences)
     for k, rep in enumerate(reports):
-        steps[k], terminated[k] = rep.steps, rep.terminated
+        steps.append(rep.steps)
+        terminated.append(rep.terminated)
         if rep.steps:  # the counts sum to the steps, so a 0-step row stays zero
             counts[k] = rep.resample_counts
         finals[rep.final_state] = finals.get(rep.final_state, 0) + 1
-        if collect_sequences and rep.terminated:
-            node = 0
-            for flaw in rep.trajectory.witness_sequence:
-                node = prefix_id.setdefault((node, flaw), len(prefix_id) + 1)
-            sequence_ids[k] = node
-    trie = (sequence_ids, *np.array([(0, -1), *prefix_id]).T) if collect_sequences else ()
-    return BatchStats(runs, steps, terminated, counts, _output_counts(problem, finals.items()),
+        if collect_sequences:
+            node = -1
+            if rep.terminated:
+                node = 0
+                for flaw in rep.trajectory.witness_sequence:
+                    node = prefix_id.setdefault((node, flaw), len(prefix_id) + 1)
+            sequence_ids.append(node)
+    trie = (np.array(sequence_ids, dtype=np.int64), *np.array([(0, -1), *prefix_id]).T) \
+        if collect_sequences else ()
+    return BatchStats(len(steps), np.array(steps, dtype=np.int64),
+                      np.array(terminated, dtype=bool), counts, finals.items(), problem.canon,
                       *trie)
 
 

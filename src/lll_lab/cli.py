@@ -222,7 +222,7 @@ def _resamples(analysis, problem, spec: dict, args, psi):
     # workers sample only once the weights and the criterion have passed
     parallel = _processes(args.parallel, args.runs) > 1 and problem.enumerate_states is None
     sample = lambda: analysis.BatchStats(
-        args.runs, *parallel_run_counts(spec, args.runs, args.seed, args.parallel), outputs={})
+        args.runs, *parallel_run_counts(spec, args.runs, args.seed, args.parallel))
     return analysis.check_resample_bounds(problem, psi=psi, runs=args.runs, seed=args.seed,
                                           mode=args.mode or "cluster",
                                           sample=sample if parallel else None)
@@ -358,15 +358,13 @@ def cmd_gen(args) -> int:
 
 
 def _worker_counts(payload):
+    """One chunk's steps, termination flags and address counts, folded
+    by the serial runner's own ``step_stats``."""
     from . import analysis
 
     spec, seed, run_indices = payload
-    problem = build_problem(spec)
-    rows = [(rep.steps, rep.terminated, rep.resample_counts)
-            for rep in analysis.iter_runs(problem, run_indices, seed)]
-    steps, terminated, flaw_counts = zip(*rows)
-    return (np.array(steps, dtype=np.int64), np.array(terminated, dtype=bool),
-            np.array(flaw_counts, dtype=np.int64).reshape(len(rows), problem.num_flaws))
+    stats = analysis.step_stats(build_problem(spec), run_indices, seed)
+    return stats.steps, stats.terminated, stats.flaw_counts
 
 
 def _processes(workers: int, runs: int) -> int:

@@ -360,8 +360,10 @@ class Trajectory:
         return [self.initial_state] + [s for (_, s) in self.steps]
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
+    """What one ``run`` did: a tuple, so building one per run costs
+    little beside a short run's draws."""
+
     terminated: bool
     steps: int
     resample_counts: tuple[int, ...]
@@ -499,7 +501,9 @@ def run(
     ``affects(i, state, nxt)`` alone, and strategies that declare a
     ``priority`` pick from a heap of ranks with lazy deletion.
 
-    When ``sample_action`` is an ``InPlaceAction`` the run keeps one
+    A flawless initial state ends the run after its first scan: the
+    report holds the initial state itself and zero counts.  Otherwise,
+    when ``sample_action`` is an ``InPlaceAction``, the run keeps one
     working state and each step writes only the variables it changes;
     the flaw scans, ``affects`` and the strategy read that working state
     (see ``SearchProblem``).  It is frozen into a new immutable state only
@@ -514,20 +518,19 @@ def run(
     prio = strategy.priority(m)  # refuses a fixed order that is not a permutation
     rng = source_for_run(seed, run_index)
     initial = problem.sample_init(rng)
+    present = problem.present_flaws(initial)
+    if not present:
+        return RunReport(True, 0, (0,) * m, initial, seed,
+                         Trajectory(initial, ()) if record_trajectory else None)
     action = problem.sample_action
     if isinstance(action, InPlaceAction):
         update, freeze = action.update, action.frozen
         state = action.working(initial)
-
-        def advance(i, work, rng):
-            update(i, work, rng)
-            return work
     else:
-        advance, freeze, state = action, _unchanged, initial
+        update, freeze, state = None, _unchanged, initial
     counts = [0] * m
     steps_rec: list[tuple[int, State]] = []
 
-    present = problem.present_flaws(state)
     num_present = len(present)
     affects = problem.affects
     heap = None
@@ -555,12 +558,15 @@ def run(
             chose_present = i in present if affects is None else 0 <= i < m and flags[i]
             if not chose_present:
                 raise LllError("invalid strategy")
-        nxt = advance(i, state, rng)
+        if update is not None:  # the working state is both the state before and after
+            update(i, state, rng)
+            prev = state
+        else:
+            prev, state = state, action(i, state, rng)
         counts[i] += 1
         strategy.observe(i, steps)
         if record_trajectory:
-            steps_rec.append((i, freeze(nxt)))
-        prev, state = state, nxt
+            steps_rec.append((i, freeze(state)))
         steps += 1
         if affects is None:
             present = problem.present_flaws(state)

@@ -104,11 +104,18 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
     multiplicity margin 27n/128 is asymptotically sharp -- the closed
     form tends to (1 + 3*27/256)^4 / 3, about 1.0009, as n grows, while
     desk-scale instances clear it comfortably (0.74 at n = 10).
+
+    Refuses a conflict pair on fewer than 6 vertices: the switch walk
+    swaps each of the pair's edges with a third matching edge, and a
+    perfect matching of K4 has only the pair's two.
     """
     n2 = clique.num_vertices
     n = clique.half
     pairs = clique.conflict_pairs()
     m = len(pairs)
+    if m and n2 < 6:
+        raise LllError(f"the switch walk needs a third matching edge, and K{n2} has a "
+                       "conflict pair but no perfect matching with three edges")
     frozen = bytes if n2 <= 256 else tuple
     # filed[a][b]: (flaw, c, d) for each flaw whose first edge is (a, b)
     # and second (c, d); the flaws are sorted by first edge
@@ -143,9 +150,15 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
                 work[u], work[y], work[v], work[x] = y, u, x, v
 
     def sample_init(rng):
+        """A uniform perfect matching: shuffle the vertices and match
+        each consecutive pair, written straight into the partner array."""
         verts = list(range(n2))
         rng.shuffle(verts)
-        return _partners(zip(verts[0::2], verts[1::2]), n2, frozen)
+        work = [0] * n2
+        pairs_of = iter(verts)
+        for u, v in zip(pairs_of, pairs_of):
+            work[u], work[v] = v, u
+        return frozen(work)
 
     if n2 <= 256:
         def canon(matching):

@@ -567,6 +567,25 @@ def test_bad_instance_file_refused(tmp_path, capsys, argv, name, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# K4 whose disjoint edges 0-1 and 2-3 share color 0: a conflict pair, and
+# no third matching edge for the switch walk to swap either edge with
+K4_CONFLICT = "0 1 0\n0 2 1\n0 3 2\n1 2 3\n1 3 4\n2 3 0\n"
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "5"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "rainbow"],
+    ["solve", "rainbow-partial"],
+    ["verify", "rainbow", "--suite", "resamples", "--runs", "10"],
+], ids=["solve", "solve-partial", "verify"])
+def test_rainbow_k4_with_a_conflict_pair_refused(tmp_path, capsys, argv, seed):
+    """These seeds used to end in ``IndexError`` inside the switch walk."""
+    path = write(tmp_path, "k4.txt", K4_CONFLICT)
+    code, out, err = run_cli(argv[:2] + [path] + argv[2:] + ["--seed", seed], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "third matching edge" in err
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["colored-clique", "--n", "-1"], "--n"),
     (["ksat", "--n", "5", "--degree", "-1"], "--degree"),

@@ -7,8 +7,10 @@ from dataclasses import replace
 import pytest
 
 from lll_lab.core import (
+    InPlaceAction,
     LllError,
     SearchProblem,
+    Trajectory,
     all_charges,
     charge,
     computed_init_ratio,
@@ -45,6 +47,54 @@ def test_flawless_start_returns_immediately():
     if p.present_flaws(rep.final_state):
         assert not rep.terminated
         assert rep.steps == 0
+
+
+def one_flaw_stub(start, calls):
+    """One flaw, present while variable 0 is 1, addressed in place by
+    writing 0 there; ``sample_init`` returns ``start`` itself, and every
+    working copy and every update is logged in ``calls``."""
+
+    def update(i, work, rng):
+        calls.append("update")
+        work[0] = 0
+
+    action = InPlaceAction(update, tuple)
+    working = action.working
+    action.working = lambda state: calls.append("working") or working(state)
+    return SearchProblem(present=lambda i, s: s[0] == 1, sample_action=action,
+                         graph=DependencyGraph.from_neighbor_lists([[0]]),
+                         sample_init=lambda rng: start, canon=bytes)
+
+
+def test_flawless_start_makes_no_working_copy_and_calls_no_action():
+    """A flawless start ends the run after its first scan: no working copy,
+    no action, and the report holds the initial state itself."""
+    start, calls = (0, 1), []
+    problem = one_flaw_stub(start, calls)
+    for record in (False, True):
+        rep = run(problem, seed=3, record_trajectory=record)
+        assert (rep.terminated, rep.steps, rep.resample_counts) == (True, 0, (0,))
+        assert rep.final_state is start
+        if record:
+            assert rep.trajectory == Trajectory(start, ())
+            assert rep.trajectory.initial_state is start
+        else:
+            assert rep.trajectory is None
+    assert calls == []
+
+
+def test_flawed_start_at_zero_max_steps_is_censored():
+    start, calls = (1, 1), []
+    problem = one_flaw_stub(start, calls)
+    rep = run(problem, seed=3, max_steps=0, record_trajectory=True)
+    assert (rep.terminated, rep.steps, rep.resample_counts) == (False, 0, (0,))
+    assert rep.final_state == start and rep.trajectory == Trajectory(start, ())
+    assert calls == ["working"]
+    calls.clear()
+    rep = run(problem, seed=3)
+    assert (rep.terminated, rep.steps, rep.resample_counts, rep.final_state) == \
+        (True, 1, (1,), (0, 1))
+    assert calls == ["working", "update"]
 
 
 def test_run_determinism(two_clause_mt):

@@ -492,3 +492,33 @@ def test_partial_avoidance_refuses_censored_runs(two_clause_mt, one_step_runs):
     cfg = PartialAvoidanceConfig.build(two_clause_mt, [0.3, 0.3])
     with pytest.raises(LllError, match="censored"):
         partial_avoidance(two_clause_mt, cfg, runs=4_000, seed=2)
+
+
+def counting_canon(problem, calls):
+    """``problem`` with a ``canon`` that logs each state it encodes."""
+
+    def canon(state):
+        calls.append(state)
+        return problem.canon(state)
+
+    return replace(problem, canon=canon)
+
+
+def test_resample_and_witness_suites_call_no_canon(two_clause_mt):
+    """``BatchStats.outputs`` folds the final states by canon when first
+    read, and neither suite reads it: on the chain path, and on the step
+    path that a strategy with no fixed order takes."""
+    recency = replace(two_clause_mt, metadata={**two_clause_mt.metadata, "strategy": "recency"})
+    calls = []
+    for problem in (two_clause_mt, recency):
+        counted = counting_canon(problem, calls)
+        check_resample_bounds(counted, psi=[0.25, 0.25], runs=2_000, seed=1)
+        check_witness_tree_lemma(counted, runs=2_000, seed=1)
+    assert calls == []
+    for problem in (two_clause_mt, recency):
+        stats = run_many(counting_canon(problem, calls), 2_000, 1)
+        assert calls == []
+        outputs = stats.outputs  # one canon per distinct final state, once
+        assert len(calls) == len(outputs) > 1
+        assert stats.outputs is outputs and len(calls) == len(outputs)
+        calls.clear()

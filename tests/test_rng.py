@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from lll_lab import analysis, rng
 from lll_lab.core import run
-from lll_lab.rng import BATCH_TAG, INIT_TAG, RandomSource, run_stream
+from lll_lab.rng import BATCH_TAG, INIT_TAG, RandomSource, run_stream, source_for_run
 from lll_lab.solvers import CnfInstance, ksat_mt
 
 TAGS = st.sampled_from([0, BATCH_TAG, INIT_TAG])
@@ -152,3 +152,15 @@ def test_random_source_values_do_not_depend_on_block_sizes():
     small = RandomSource(run_stream(9, 0), block=1, cap=3)
     large = RandomSource(run_stream(9, 0))
     assert [small.u01() for _ in range(500)] == [large.u01() for _ in range(500)]
+
+
+@pytest.mark.parametrize("block", [1, 16, 64])
+def test_random_source_draws_are_the_stream_as_python_floats(block):
+    """Each buffered block is a list, so ``u01`` hands out Python floats:
+    the stream's consecutive doubles whatever the first block."""
+    ours = RandomSource(run_stream(13, 2), block=block)
+    draws = [ours.u01() for _ in range(300)]
+    assert draws == run_stream(13, 2).random(300).tolist()
+    assert all(type(u) is float for u in draws)
+    run_source = source_for_run(13, 2)
+    assert [run_source.u01() for _ in range(300)] == draws

@@ -7,7 +7,10 @@ weighted-output analyses; and for the backtracking satisfiability solvers
 a censored solve (``final_state`` holds -1 entries), a traced solve with
 its witness forest, a biased solve, and the witness suite on the
 exact-chain path; and a traced ``aec-backtrack`` solve whose run closes
-bichromatic cycles and backtracks.  A change that alters any of them changes the
+bichromatic cycles and backtracks; and one ``solve`` of each solver no
+other digest covers (``ksat-mt``, ``aec-clique-mt``, ``vertex-coloring``
+and plain ``rainbow``) on a small generated instance, each run long
+enough to draw past its stream's first buffered block.  A change that alters any of them changes the
 mapping from seed to output, and must say so.
 """
 
@@ -64,6 +67,14 @@ DIGESTS = {
         "acce89aa324aa9a8b61320d69e1bd8ea9f2d39ef1fba19def5a3c32ca8aecbde",
     "solve-aec-backtrack-trace":
         "494bb852b42b24e6c4e46047c620b124ce6995fe05ee9e38baa56b0a3e1e8fb9",
+    "solve-ksat-mt":
+        "9b8affd5e54b4efd35e5fb63c17d5ad1cd4fa809f0c5d614f20c3cce0e1fcd36",
+    "solve-aec-clique-mt":
+        "9e886ee3589a39a4f6db2feb8addc55c76f15876d3f512960bb4c3267bf96c24",
+    "solve-vertex-coloring":
+        "64c1626e4eab54263500f2b7a6c16d5c463aa13a835a0f8642b952a0ef50b895",
+    "solve-rainbow":
+        "5d91c24d2d6aa724aeacf1c4b3b21849fafd9ccdbe2dbc02b0dbf6e38128b209",
 }
 
 
@@ -188,3 +199,25 @@ def test_solve_aec_backtrack_trace_json(workdir, capsys):
                       "--seed", "16"], capsys)
     assert json.loads(out)["steps"] > 9  # a closed cycle uncolored edges at least once
     assert digest(out) == DIGESTS["solve-aec-backtrack-trace"]
+
+
+# solver -> (gen family and flags, extra solve flags, solve seed); each run
+# takes several steps, so its draws cross a refill of the stream's buffer
+GEN_SOLVES = {
+    "ksat-mt": (["ksat", "--n", "16", "--k", "3", "--degree", "4", "--seed", "7"], [], 5),
+    "aec-clique-mt": (["graph", "--n", "12", "--max-degree", "3", "--seed", "9"],
+                      ["--colors", "6"], 10),
+    "vertex-coloring": (["graph", "--n", "12", "--max-degree", "3", "--seed", "9"],
+                        ["--colors", "4"], 11),
+    "rainbow": (["colored-clique", "--n", "5", "--multiplicity", "4", "--seed", "12"], [], 1),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(GEN_SOLVES))
+def test_solve_generated_json(workdir, capsys, solver):
+    family, flags, seed = GEN_SOLVES[solver]
+    (workdir / "instance.txt").write_text(gen(family, capsys))
+    out = cli_stdout(["solve", solver, "instance.txt", *flags, "--seed", str(seed)], capsys)
+    doc = json.loads(out)
+    assert doc["valid"] and doc["steps"] > 0
+    assert digest(out) == DIGESTS[f"solve-{solver}"]

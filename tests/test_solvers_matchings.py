@@ -181,6 +181,26 @@ def test_rainbow_input_needs_no_steps():
     assert rep.steps == 0 and rep.terminated
 
 
+def test_k4_with_a_conflict_pair_refused():
+    """The switch walk swaps each edge of a conflict pair with a third
+    matching edge, which no perfect matching of K4 has."""
+    colors = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 0}
+    with pytest.raises(LllError, match="third matching edge"):
+        rainbow_matching(EdgeColoredClique(4, colors))
+
+
+def test_k4_without_conflict_pairs_solves():
+    # two edges of color 0 that share vertex 0 are no conflict pair
+    colors = {(0, 1): 0, (0, 2): 0, (0, 3): 2, (1, 2): 3, (1, 3): 4, (2, 3): 5}
+    clique = EdgeColoredClique(4, colors)
+    problem = rainbow_matching(clique)
+    assert problem.num_flaws == 0
+    for seed in range(5):
+        rep = run(problem, seed=seed)
+        assert rep.terminated and rep.steps == 0
+        assert rainbow_validity(clique, rep.final_state)
+
+
 def test_k20_terminates_with_rainbow_output():
     from lll_lab.solvers.matchings import closed_form_zeta
 
