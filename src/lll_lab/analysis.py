@@ -175,7 +175,7 @@ def build_oracle(problem: SearchProblem) -> OracleTables:
 # batched running (chain fast path with a generic fallback)
 
 
-def iter_runs(
+def _iter_runs(
     problem: SearchProblem,
     run_indices: Iterable[int],
     seed: int,
@@ -193,14 +193,12 @@ def iter_runs(
 
 @dataclass
 class BatchStats:
-    """Per-run step and address counts, the final states and the prefix
-    trie of the witness sequences (when collected).
+    """Per-run step and address counts, a reducer of the outputs and the
+    prefix trie of the witness sequences (when collected).
 
-    ``finals`` holds (final state, run count) pairs in order of first
-    occurrence, and ``outputs`` folds them by ``canon`` when first read:
-    each distinct final canon maps to (the first final state with that
-    canon, its run count), in order of first occurrence.  A suite that
-    reads no output calls no ``canon``.  The trie is the one of
+    ``outputs`` maps each distinct final canon to (the first final state
+    with that canon, its run count), in order of first occurrence; it is
+    empty when the outputs were not collected.  The trie is the one of
     ``chain.BatchResult``: per run a prefix id (0 is the empty sequence;
     -1 when censored or past ``chain.SEQUENCE_CAP``, which only the chain
     path applies), per prefix its parent and last flaw, a parent's id
@@ -211,8 +209,7 @@ class BatchStats:
     steps: np.ndarray
     terminated: np.ndarray
     flaw_counts: np.ndarray
-    finals: Iterable[tuple[object, int]] = ()
-    canon: Callable[[object], bytes] | None = None
+    outputs: dict[bytes, tuple[object, int]]
     sequence_ids: np.ndarray | None = None
     prefix_parent: np.ndarray | None = None
     prefix_flaw: np.ndarray | None = None
@@ -228,14 +225,16 @@ class BatchStats:
             return None
         return (None if k < 0 else k for k in self.sequence_ids.tolist())
 
-    @functools.cached_property
-    def outputs(self) -> dict[bytes, tuple[object, int]]:
-        out: dict[bytes, tuple[object, int]] = {}
-        for state, c in self.finals:
-            key = self.canon(state)
-            first, total = out.get(key, (state, 0))
-            out[key] = (first, total + c)
-        return out
+
+def _output_counts(problem: SearchProblem, finals: Iterable[tuple[object, int]]) -> dict:
+    """Fold (final state, runs) pairs, in order of first occurrence, into
+    canon -> (first state, runs)."""
+    out: dict[bytes, tuple[object, int]] = {}
+    for state, c in finals:
+        key = problem.canon(state)
+        first, total = out.get(key, (state, 0))
+        out[key] = (first, total + c)
+    return out
 
 
 def run_many(
@@ -244,23 +243,29 @@ def run_many(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     collect_sequences: bool = False,
+    collect_outputs: bool = True,
 ) -> BatchStats:
     """Sample independent runs under the problem's recommended strategy;
     uses the exact-chain sampler when the problem enumerates and the
     strategy is state-deterministic, else the step-by-step runner
     (``step_stats``).  Either way, no per-run state or sequence tuple
-    outlives the reducers and the prefix trie of ``BatchStats``."""
+    outlives the reducers and the prefix trie of ``BatchStats``.  A suite
+    that reads no output passes ``collect_outputs=False``: no final state
+    is then kept and no ``canon`` called."""
     # the chain needs a choice that is a fixed order of the flaws
     prio = recommended_strategy(problem).priority(problem.num_flaws)
     if problem.enumerate_states is None or prio is None:
-        return step_stats(problem, range(runs), seed, max_steps, collect_sequences)
+        return step_stats(problem, range(runs), seed, max_steps, collect_sequences,
+                          collect_outputs)
     tables = chain.build_chain_tables(problem, prio[1])
     result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=collect_sequences)
-    ids, mult = chain.final_counts(result.final_ids)
-    finals = [(tables.states[k], c) for k, c in zip(ids.tolist(), mult.tolist())]
-    return BatchStats(runs, result.steps, result.terminated, result.flaw_counts, finals,
-                      problem.canon, result.sequence_ids, result.prefix_parent,
-                      result.prefix_flaw)
+    outputs = {}
+    if collect_outputs:
+        ids, mult = chain.final_counts(result.final_ids)
+        outputs = _output_counts(problem, ((tables.states[k], c)
+                                           for k, c in zip(ids.tolist(), mult.tolist())))
+    return BatchStats(runs, result.steps, result.terminated, result.flaw_counts, outputs,
+                      result.sequence_ids, result.prefix_parent, result.prefix_flaw)
 
 
 def step_stats(
@@ -269,10 +274,12 @@ def step_stats(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     collect_sequences: bool = False,
+    collect_outputs: bool = True,
 ) -> BatchStats:
-    """The step runner's fold: one ``iter_runs`` report per run index,
+    """The step runner's fold: one ``_iter_runs`` report per run index,
     in order, into one row per run of ``BatchStats``.  ``run_many`` folds
-    ``range(runs)``; a ``--parallel`` worker folds its chunk.
+    ``range(runs)``; a ``--parallel`` worker folds its chunk, without
+    outputs.
 
     Steps, flags and sequence ids collect in lists, and each array is
     built once at the end.  Only a run that took a step has nonzero
@@ -282,13 +289,14 @@ def step_stats(
     steps, terminated, finals, sequence_ids = [], [], {}, []
     # (parent id, flaw) -> prefix id, numbered from 1 in order of insertion
     prefix_id: dict[tuple[int, int], int] = {}
-    reports = iter_runs(problem, run_indices, seed, max_steps, record_trajectory=collect_sequences)
+    reports = _iter_runs(problem, run_indices, seed, max_steps, record_trajectory=collect_sequences)
     for k, rep in enumerate(reports):
         steps.append(rep.steps)
         terminated.append(rep.terminated)
         if rep.steps:  # the counts sum to the steps, so a 0-step row stays zero
             counts[k] = rep.resample_counts
-        finals[rep.final_state] = finals.get(rep.final_state, 0) + 1
+        if collect_outputs:
+            finals[rep.final_state] = finals.get(rep.final_state, 0) + 1
         if collect_sequences:
             node = -1
             if rep.terminated:
@@ -299,8 +307,8 @@ def step_stats(
     trie = (np.array(sequence_ids, dtype=np.int64), *np.array([(0, -1), *prefix_id]).T) \
         if collect_sequences else ()
     return BatchStats(len(steps), np.array(steps, dtype=np.int64),
-                      np.array(terminated, dtype=bool), counts, finals.items(), problem.canon,
-                      *trie)
+                      np.array(terminated, dtype=bool), counts,
+                      _output_counts(problem, finals.items()), *trie)
 
 
 def refuse_censored(stats: BatchStats, op: str) -> None:
@@ -351,7 +359,7 @@ def check_witness_tree_lemma(
              for tw in enumerate_witness_trees(root, graph, charges, max_tree_nodes)]
     if not trees:
         raise LllError(f"no witness trees with at most {max_tree_nodes} nodes to check")
-    stats = run_many(problem, runs, seed, collect_sequences=True)
+    stats = run_many(problem, runs, seed, collect_sequences=True, collect_outputs=False)
     canon_to_slot = {t.canonical(): k for k, (t, _) in enumerate(trees)}
     known = stats.sequence_ids[stats.sequence_ids >= 0]
     # an unknown run (censored, or past the sequence record) is charged to every tree
@@ -421,7 +429,7 @@ def check_resample_bounds(
     refuse_single_run(runs)
     if problem.enumerate_states is not None:
         problem.space  # the state cap refuses before any run
-    stats = sample() if sample is not None else run_many(problem, runs, seed)
+    stats = run_many(problem, runs, seed, collect_outputs=False) if sample is None else sample()
     refuse_censored(stats, "check_resample_bounds")
     verdicts = []
     for i in range(problem.num_flaws):
@@ -470,7 +478,7 @@ def check_event_probability(
     bound = computed_init_ratio(problem) * gamma_e * zeta
     member = dict.fromkeys(space.states, False)
     member.update((space.states[k], True) for k in held)
-    reports = iter_runs(problem, range(runs), seed, record_trajectory=True)
+    reports = _iter_runs(problem, range(runs), seed, record_trajectory=True)
     hits = sum(
         member[rep.trajectory.initial_state] or any(member[s] for (_, s) in rep.trajectory.steps)
         for rep in uncensored(reports, "check_event_probability")
@@ -689,7 +697,7 @@ def rainbow_partial(clique: EdgeColoredClique, runs: int = 1, seed: int = 0,
         zeta_closed = (1.0 + (2 * n - 1) * (clique.multiplicity() - 1) * alpha) ** 4
         cfg = PartialAvoidanceConfig.build(problem, [alpha] * m, zeta=[zeta_closed] * m)
         outs = [(rep.terminated, strip_conflicts(clique, rep.final_state[0]))
-                for rep in iter_runs(labeled_problem(problem, cfg), range(runs), seed, max_steps)]
+                for rep in _iter_runs(labeled_problem(problem, cfg), range(runs), seed, max_steps)]
         exact_bound, asymptotic = rainbow_partial_bound(clique, alpha)
     else:  # already rainbow: one plain run stands for every run
         rep = run(problem, recommended_strategy(problem), max_steps, seed, 0)
@@ -818,7 +826,7 @@ def matching_weight_analysis(problem: SearchProblem, edge_weights: Mapping, runs
     total_w = sum(edge_weights.values())
     bound = (1.0 + 1.5 * lam) ** 2 / (n2 - 1) * total_w
     refuse_single_run(runs)
-    reports = uncensored(iter_runs(problem, range(runs), seed), "matching_weight_analysis")
+    reports = uncensored(_iter_runs(problem, range(runs), seed), "matching_weight_analysis")
     mean, se = mean_se(np.array(
         [sum(edge_weights.get(e, 0.0) for e in matching_edges(rep.final_state))
          for rep in reports], dtype=float))
@@ -844,7 +852,7 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
     proper = [s for s in problem.space.states if coloring_is_proper_vertex(g, s)]
     bounds = [local_weight_bound(g, q, spec, v, proper) for v in spec.vertices]
     refuse_single_run(runs)
-    reports = uncensored(iter_runs(problem, range(runs), seed), "coloring_weight_analysis")
+    reports = uncensored(_iter_runs(problem, range(runs), seed), "coloring_weight_analysis")
     outs = [rep.final_state for rep in reports]
     verdicts = []
     for v, (r_v, a_v, expectation) in zip(spec.vertices, bounds):

@@ -222,7 +222,7 @@ def _resamples(analysis, problem, spec: dict, args, psi):
     # workers sample only once the weights and the criterion have passed
     parallel = _processes(args.parallel, args.runs) > 1 and problem.enumerate_states is None
     sample = lambda: analysis.BatchStats(
-        args.runs, *parallel_run_counts(spec, args.runs, args.seed, args.parallel))
+        args.runs, *parallel_run_counts(spec, args.runs, args.seed, args.parallel), outputs={})
     return analysis.check_resample_bounds(problem, psi=psi, runs=args.runs, seed=args.seed,
                                           mode=args.mode or "cluster",
                                           sample=sample if parallel else None)
@@ -363,7 +363,7 @@ def _worker_counts(payload):
     from . import analysis
 
     spec, seed, run_indices = payload
-    stats = analysis.step_stats(build_problem(spec), run_indices, seed)
+    stats = analysis.step_stats(build_problem(spec), run_indices, seed, collect_outputs=False)
     return stats.steps, stats.terminated, stats.flaw_counts
 
 

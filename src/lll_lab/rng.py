@@ -198,9 +198,7 @@ class RandomSource:
 
     Hot loops consume ``u01``/``randint`` from pre-drawn blocks, which is
     roughly an order of magnitude faster than per-call Generator methods.
-    Each block is a Python list of floats, so a draw is a list read with
-    no numpy scalar made.  Blocks start small (``block``, cheap for short
-    runs) and double up to ``cap``; a list of 1024 floats holds 32 KB.
+    Blocks start small (cheap for short runs) and double up to a cap.
     ``Generator.random(k)`` draws the stream's next k doubles, so the
     values handed out, one per primitive call in call order, are the
     stream's consecutive doubles whatever the block sizes.
@@ -208,16 +206,16 @@ class RandomSource:
 
     __slots__ = ("_gen", "_buf", "_pos", "_block", "_cap")
 
-    def __init__(self, generator: np.random.Generator, block: int = 16, cap: int = 1024):
+    def __init__(self, generator: np.random.Generator, block: int = 64, cap: int = 8192):
         self._gen = generator
         self._block = block
         self._cap = cap
-        self._buf = generator.random(block).tolist()
+        self._buf = generator.random(block)
         self._pos = 0
 
     def _refill(self) -> None:
         self._block = min(self._block * 2, self._cap)
-        self._buf = self._gen.random(self._block).tolist()
+        self._buf = self._gen.random(self._block)
         self._pos = 0
 
     def u01(self) -> float:
@@ -259,7 +257,7 @@ class RandomSource:
             if self._pos >= self._block:
                 self._refill()
             take = min(i, self._block - self._pos)
-            draws = self._buf[self._pos:self._pos + take]
+            draws = self._buf[self._pos:self._pos + take].tolist()
             self._pos += take
             for u in draws:
                 j = int(u * (i + 1))
@@ -268,10 +266,7 @@ class RandomSource:
 
 
 def source_for_run(master_seed: int, run_index: int = 0) -> RandomSource:
-    """A ``RandomSource`` over ``run_stream(master_seed, run_index)``,
-    the tag-0 stream of one ``core.run``, seeded straight from the memo."""
-    words = _run_words(master_seed, run_index, 0)
-    return RandomSource(np.random.Generator(np.random.PCG64(_state_words_type()(words))))
+    return RandomSource(run_stream(master_seed, run_index))
 
 
 class _Replay:

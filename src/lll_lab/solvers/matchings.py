@@ -150,15 +150,9 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
                 work[u], work[y], work[v], work[x] = y, u, x, v
 
     def sample_init(rng):
-        """A uniform perfect matching: shuffle the vertices and match
-        each consecutive pair, written straight into the partner array."""
         verts = list(range(n2))
         rng.shuffle(verts)
-        work = [0] * n2
-        pairs_of = iter(verts)
-        for u, v in zip(pairs_of, pairs_of):
-            work[u], work[v] = v, u
-        return frozen(work)
+        return _partners(zip(verts[0::2], verts[1::2]), n2, frozen)
 
     if n2 <= 256:
         def canon(matching):

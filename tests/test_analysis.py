@@ -9,12 +9,12 @@ import pytest
 from lll_lab import chain, core, witness
 from lll_lab.analysis import (
     PartialAvoidanceConfig,
+    _iter_runs,
     build_oracle,
     check_event_probability,
     check_resample_bounds,
     check_witness_tree_lemma,
     empirical_distribution,
-    iter_runs,
     labeled_problem,
     output_distribution,
     partial_avoidance,
@@ -738,7 +738,7 @@ def test_harness_detects_violated_density_bound(two_clause_mt):
 def test_iter_runs_matches_run_per_index(two_clause_mt):
     """A strategy given by name is resolved once and reset per run, which
     reproduces a fresh strategy per run; indices need not start at 0."""
-    reports = list(iter_runs(with_strategy(two_clause_mt, "recency"), range(5, 25), 3,
+    reports = list(_iter_runs(with_strategy(two_clause_mt, "recency"), range(5, 25), 3,
                              record_trajectory=True))
     assert reports == [run(two_clause_mt, "recency", seed=3, run_index=r, record_trajectory=True)
                        for r in range(5, 25)]
@@ -778,7 +778,7 @@ def test_witness_lemma_refuses_empty_tree_set_before_sampling(two_clause_mt, mon
 
 @pytest.fixture
 def zero_step_cap(monkeypatch):
-    """Every run ``iter_runs`` makes is cut at zero steps, so a run whose
+    """Every run ``_iter_runs`` makes is cut at zero steps, so a run whose
     initial state has a flaw is censored."""
     import lll_lab.analysis as analysis
 

@@ -239,7 +239,6 @@ SURFACE_ALLOWLIST = {
     "analysis.problem_weights": "the one source of every suite's weights",
     "analysis.OracleTables": "what build_oracle returns",
     "analysis.build_oracle": "exact tables for tests; the benchmark's tracer times it",
-    "analysis.iter_runs": "the suites' one loop over run indices, under step_stats",
     "analysis.run_many": "the batched run driver of the suites",
     "analysis.refuse_censored": "the batched suites' censored-run refusal",
     "analysis.uncensored": "the step-runner suites' censored-run refusal",

@@ -1,6 +1,6 @@
 """Every suite checks its inputs before it samples.
 
-With ``analysis.run_many``, ``analysis.iter_runs`` and ``chain.run_batch``
+With ``analysis.run_many``, ``analysis._iter_runs`` and ``chain.run_batch``
 patched to raise, each input refusal of each suite still surfaces: as
 ``LllError`` from the library, and as ``error:`` with exit 1 from the
 CLI.  So no refusal waits on Monte-Carlo work.
@@ -44,7 +44,7 @@ def no_sampling(monkeypatch):
     def sampled(*args, **kwargs):
         raise AssertionError("sampled before refusing")
 
-    for owner, name in ((analysis, "run_many"), (analysis, "iter_runs"), (chain, "run_batch")):
+    for owner, name in ((analysis, "run_many"), (analysis, "_iter_runs"), (chain, "run_batch")):
         monkeypatch.setattr(owner, name, sampled)
 
 

@@ -28,9 +28,9 @@ import lll_lab.analysis as analysis
 from lll_lab import chain
 from lll_lab.analysis import (
     PartialAvoidanceConfig,
+    _iter_runs,
     check_resample_bounds,
     check_witness_tree_lemma,
-    iter_runs,
     output_distribution,
     partial_avoidance,
     run_core_truncated,
@@ -353,7 +353,7 @@ def test_step_path_reducers_match_per_run_reports(problem, seed, runs, strategy,
     # without an enumeration run_many takes the step path
     problem = replace(problem, enumerate_states=None)
     stats = run_many(problem, runs, seed, max_steps, collect_sequences=True)
-    reports = list(iter_runs(problem, range(runs), seed, max_steps, record_trajectory=True))
+    reports = list(_iter_runs(problem, range(runs), seed, max_steps, record_trajectory=True))
     outputs = Counter(problem.canon(rep.final_state) for rep in reports)
     assert {c: n for c, (_, n) in stats.outputs.items()} == outputs
     assert list(stats.outputs) == list(outputs)  # order of first occurrence
@@ -424,7 +424,7 @@ def test_witness_counts_on_the_step_path(monkeypatch):
     problem = ksat_mt(WITNESS_FORMULA)
     problem = replace(problem, metadata={**problem.metadata, "strategy": "recency"})
     runs, seed = 1_000, 12
-    reports = iter_runs(problem, range(runs), seed, record_trajectory=True)
+    reports = _iter_runs(problem, range(runs), seed, record_trajectory=True)
     sequences = [rep.trajectory.witness_sequence if rep.terminated else None
                  for rep in reports]
     assert max(map(len, sequences)) > 2
@@ -505,20 +505,20 @@ def counting_canon(problem, calls):
 
 
 def test_resample_and_witness_suites_call_no_canon(two_clause_mt):
-    """``BatchStats.outputs`` folds the final states by canon when first
-    read, and neither suite reads it: on the chain path, and on the step
-    path that a strategy with no fixed order takes."""
+    """Neither suite reads the outputs, so neither collects them: no
+    ``canon`` call on the chain path, nor on the step path that a
+    strategy with no fixed order takes.  Collecting them calls ``canon``
+    once per distinct final state."""
     recency = replace(two_clause_mt, metadata={**two_clause_mt.metadata, "strategy": "recency"})
     calls = []
     for problem in (two_clause_mt, recency):
         counted = counting_canon(problem, calls)
         check_resample_bounds(counted, psi=[0.25, 0.25], runs=2_000, seed=1)
         check_witness_tree_lemma(counted, runs=2_000, seed=1)
+        assert run_many(counted, 2_000, 1, collect_outputs=False).outputs == {}
     assert calls == []
     for problem in (two_clause_mt, recency):
         stats = run_many(counting_canon(problem, calls), 2_000, 1)
-        assert calls == []
-        outputs = stats.outputs  # one canon per distinct final state, once
-        assert len(calls) == len(outputs) > 1
-        assert stats.outputs is outputs and len(calls) == len(outputs)
+        assert len(calls) == len(stats.outputs) > 1
+        assert sum(c for _, c in stats.outputs.values()) == 2_000
         calls.clear()

@@ -68,13 +68,13 @@ DIGESTS = {
     "solve-aec-backtrack-trace":
         "494bb852b42b24e6c4e46047c620b124ce6995fe05ee9e38baa56b0a3e1e8fb9",
     "solve-ksat-mt":
-        "9b8affd5e54b4efd35e5fb63c17d5ad1cd4fa809f0c5d614f20c3cce0e1fcd36",
+        "7a18dc15751fd4885a57a490fe0958fc65fdb4091cc29118b87d4270c415f498",
     "solve-aec-clique-mt":
         "9e886ee3589a39a4f6db2feb8addc55c76f15876d3f512960bb4c3267bf96c24",
     "solve-vertex-coloring":
-        "64c1626e4eab54263500f2b7a6c16d5c463aa13a835a0f8642b952a0ef50b895",
+        "80a6a02481f7357bdaa9498c6f82abbae5329861f2642184ef86414bc6fddd5a",
     "solve-rainbow":
-        "5d91c24d2d6aa724aeacf1c4b3b21849fafd9ccdbe2dbc02b0dbf6e38128b209",
+        "476f5c76ceb75c726caf12fc685c30a28b6424c9cf06273bc5bf129a9862d7aa",
 }
 
 
@@ -202,14 +202,15 @@ def test_solve_aec_backtrack_trace_json(workdir, capsys):
 
 
 # solver -> (gen family and flags, extra solve flags, solve seed); each run
-# takes several steps, so its draws cross a refill of the stream's buffer
+# takes steps and draws more than the 64 doubles of its stream's first
+# buffered block, so its draws cross a refill
 GEN_SOLVES = {
-    "ksat-mt": (["ksat", "--n", "16", "--k", "3", "--degree", "4", "--seed", "7"], [], 5),
+    "ksat-mt": (["ksat", "--n", "40", "--k", "3", "--degree", "4", "--seed", "7"], [], 5),
     "aec-clique-mt": (["graph", "--n", "12", "--max-degree", "3", "--seed", "9"],
                       ["--colors", "6"], 10),
-    "vertex-coloring": (["graph", "--n", "12", "--max-degree", "3", "--seed", "9"],
+    "vertex-coloring": (["graph", "--n", "64", "--max-degree", "3", "--seed", "9"],
                         ["--colors", "4"], 11),
-    "rainbow": (["colored-clique", "--n", "5", "--multiplicity", "4", "--seed", "12"], [], 1),
+    "rainbow": (["colored-clique", "--n", "8", "--multiplicity", "10", "--seed", "12"], [], 1),
 }
 
 
