@@ -20,14 +20,17 @@ import numpy as np
 from . import chain, core
 from .core import (
     DEFAULT_MAX_STEPS,
+    BlockStart,
     LllError,
     RunReport,
     SearchProblem,
+    Trajectory,
     all_charges,
     computed_init_ratio,
     measure_of_flaws,
     recommended_strategy,
     run,
+    run_from,
 )
 from .criteria import (
     ShearerReport,
@@ -37,6 +40,7 @@ from .criteria import (
     shearer_polynomials,
 )
 from .dependency import DependencyGraph
+from .rng import StreamBlock
 from .witness import (
     CommutativityReport,
     check_commutativity,
@@ -184,11 +188,36 @@ def _iter_runs(
 ) -> Iterator[RunReport]:
     """One ``run`` report per run index, in order; the package's only loop
     over run indices.  The problem's recommended strategy is resolved
-    once; ``run`` resets it at the start of every run, whose stream is
-    keyed by (seed, run index)."""
+    once; ``run_from`` resets it before every walk.  A run's stream is
+    keyed by (seed, run index).
+
+    A problem whose ``sample_init`` is a ``BlockStart``, still with the
+    ``flaws_present`` it was declared with, starts its runs in blocks:
+    the run indices are cut into ``StreamBlock``s of consecutive indices,
+    and the start draws and scans every initial state of a block at
+    once.  A flawless start is its report; a run whose start holds a
+    flaw takes its ``RandomSource`` from the block and walks on in
+    ``run_from``.  Every report equals ``run``'s for its index.  Any other
+    problem calls ``run`` once per index."""
     strategy = recommended_strategy(problem)
-    for r in run_indices:
-        yield run(problem, strategy, max_steps, seed, r, record_trajectory=record_trajectory)
+    start = problem.sample_init
+    if not (isinstance(start, BlockStart) and problem.flaws_present is start.flaws_present):
+        for r in run_indices:
+            yield run(problem, strategy, max_steps, seed, r, record_trajectory=record_trajectory)
+        return
+    if max_steps < 0:
+        raise LllError("max_steps must be nonnegative")
+    prio = strategy.priority(problem.num_flaws)
+    zeros = (0,) * problem.num_flaws
+    for block in StreamBlock.cover(seed, run_indices):
+        states, presents = start.start(block)
+        for lane, (initial, present) in enumerate(zip(states, presents)):
+            if present:
+                yield run_from(problem, strategy, prio, max_steps, seed, block.source(lane),
+                               initial, present, record_trajectory)
+            else:  # run_from's flawless report, without a call per run
+                yield RunReport(True, 0, zeros, initial, seed,
+                                Trajectory(initial, ()) if record_trajectory else None)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dependency import DependencyGraph
 from .errors import LllError
-from .rng import RandomSource, exact_distribution, source_for_run
+from .rng import RandomSource, StreamBlock, exact_distribution, source_for_run
 
 PROB_TOL = 1e-12
 DEFAULT_MAX_STEPS = 10**6
@@ -75,6 +75,11 @@ class SearchProblem:
       keeps it, since the next step overwrites it;
     - an update that reads values from before its own write reads them
       before it writes.
+
+    A ``BlockStart`` as ``sample_init`` also starts a block of runs at
+    once, drawing and scanning every initial state with array operations;
+    ``analysis._iter_runs`` uses it while ``flaws_present`` is the scan it
+    was declared with.
 
     ``sample_init`` draws mu, the normalized ``weight``, unless
     ``init_distribution`` states its law theta; a sampler that does not
@@ -138,6 +143,24 @@ class InPlaceAction:
         work = self.working(state)
         self.update(i, work, rng)
         return self.frozen(work)
+
+
+class BlockStart:
+    """A ``sample_init`` that can also start a block of runs at once.
+    Called as ``sample_init(rng)`` it is ``sample``.  ``start(block)``
+    draws the initial state of every run of an ``rng.StreamBlock`` from
+    the block and makes each one's first scan: it returns the states and
+    their present lists, each equal to ``sample(block.source(lane))`` and
+    ``flaws_present`` of it.  The scan is the one of ``flaws_present``, so
+    the batched start stands only while a problem keeps that scan."""
+
+    def __init__(self, sample: Callable[[RandomSource], State],
+                 start: Callable[[StreamBlock], tuple[list[State], list[list[int]]]],
+                 flaws_present: Callable[[State], list[int]]):
+        self.sample, self.start, self.flaws_present = sample, start, flaws_present
+
+    def __call__(self, rng: RandomSource) -> State:
+        return self.sample(rng)
 
 
 class ScopeLaw:
@@ -509,16 +532,41 @@ def run(
     (see ``SearchProblem``).  It is frozen into a new immutable state only
     for each recorded trajectory step and for ``final_state``.  Any other
     action returns a new state at every step.
+
+    ``run`` draws the initial state through its own stream
+    (``source_for_run``) and walks in ``run_from``.  ``analysis._iter_runs``
+    starts the runs of a ``BlockStart`` problem in blocks instead, and
+    hands each start that holds a flaw to ``run_from`` with a stream from
+    its block; the reports are the same.
     """
     if max_steps < 0:
         raise LllError("max_steps must be nonnegative")
     strategy = make_strategy(strategy)
-    strategy.reset()
-    m = problem.num_flaws
-    prio = strategy.priority(m)  # refuses a fixed order that is not a permutation
+    prio = strategy.priority(problem.num_flaws)  # refuses a fixed order that is not a permutation
     rng = source_for_run(seed, run_index)
     initial = problem.sample_init(rng)
-    present = problem.present_flaws(initial)
+    return run_from(problem, strategy, prio, max_steps, seed, rng, initial,
+                    problem.present_flaws(initial), record_trajectory)
+
+
+def run_from(
+    problem: SearchProblem,
+    strategy: FlawChoiceStrategy,
+    prio: tuple[Sequence[int], Sequence[int]] | None,
+    max_steps: int,
+    seed: int,
+    rng: RandomSource,
+    initial: State,
+    present: list[int],
+    record_trajectory: bool = False,
+) -> RunReport:
+    """``run``'s walk from a drawn initial state: ``present`` is its first
+    scan, ``rng`` the run's stream just past the draws of ``sample_init``
+    and ``prio`` the strategy's ``priority``.  ``_iter_runs`` walks on
+    here each run of a batched start (``BlockStart``) whose initial state
+    holds a flaw."""
+    strategy.reset()
+    m = problem.num_flaws
     if not present:
         return RunReport(True, 0, (0,) * m, initial, seed,
                          Trajectory(initial, ()) if record_trajectory else None)

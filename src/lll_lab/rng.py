@@ -11,20 +11,30 @@ run owns an independent, reproducible stream.
 does that step itself, vectorized over a block of consecutive run
 indices: the same uint32 hash and mixing rounds on arrays, giving each
 run the four uint64 words that ``SeedSequence.generate_state(4,
-np.uint64)`` returns.  numpy's own ``PCG64`` is then seeded from those
-words, so every run still gets a bit generator of its own.  The last
-block computed for each (master seed, tag) is memoized per process; a
-run index that continues it doubles the block (up to ``_MAX_BLOCK``),
-any other computes that index alone, through ``SeedSequence`` itself,
-which costs less than the arrays for one index.  The memo is a pure cache: a
-stream depends only on its triple, never on the order in which indices
-are asked for.  The tests compare every word with ``SeedSequence``.
+np.uint64)`` returns.
+
+Those words seed a run's stream in one of two ways, with the same bits.
+``run_stream`` and ``source_for_run`` seed numpy's own ``PCG64`` from
+them, a bit generator per run.  Their words come from a per-process memo
+of the last block computed for each (master seed, tag): a run index that
+continues it doubles the block (up to ``_MAX_BLOCK``), any other
+computes that index alone, through ``SeedSequence`` itself, which costs
+less than the arrays for one index.  ``StreamBlock`` instead steps PCG64
+itself on uint64 arrays, one lane per run of a block, so a batched start
+draws the first doubles of every run at once and builds no generator.
+A run that needs more leaves the block as a ``RandomSource`` seeded from
+the block's words, past the doubles the block handed out.
+
+A stream depends only on its triple, never on the order in which indices
+are asked for or on the path that draws it.  The tests compare every
+word with ``SeedSequence`` and every block's draws with ``run_stream``.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -186,11 +196,109 @@ def _state_words_type() -> type:
     return StateWords
 
 
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """numpy's PCG64 seeded from a run's four seed words."""
+    return np.random.Generator(np.random.PCG64(_state_words_type()(words)))
+
+
 def run_stream(master_seed: int, run_index: int = 0, tag: int = 0) -> np.random.Generator:
     """Generator for one run, derived from (master_seed, run_index, tag):
     the stream of ``PCG64(SeedSequence((master_seed, run_index, tag)))``."""
-    words = _run_words(int(master_seed), int(run_index), int(tag))
-    return np.random.Generator(np.random.PCG64(_state_words_type()(words)))
+    return _generator(_run_words(int(master_seed), int(run_index), int(tag)))
+
+
+# PCG64 (O'Neill's XSL-RR 128/64, as numpy implements it) on uint64 arrays:
+# a 128-bit value is a (high, low) pair of arrays, one lane per run.  Every
+# constant is an np.uint64, so the arithmetic stays on arrays, which wrap
+# silently; 0-d scalars would warn on overflow.
+_MULT_HI = np.uint64(0x2360ED051FC65DA4)  # PCG_DEFAULT_MULTIPLIER_128, high half
+_MULT_LO = np.uint64(0x4385DF649FCCF645)  # low half, and its two 32-bit halves:
+_MULT_LO_0 = np.uint64(0x9FCCF645)
+_MULT_LO_1 = np.uint64(0x4385DF64)
+_LOW32 = np.uint64(_MASK32)
+_ONE, _U11, _U32 = np.uint64(1), np.uint64(11), np.uint64(32)
+_U58, _U63, _U64 = np.uint64(58), np.uint64(63), np.uint64(64)
+_DOUBLE_ULP = 1.0 / 9007199254740992.0  # 2^-53: a double from a draw's top 53 bits
+
+
+class StreamBlock:
+    """The streams of the ``count`` consecutive run indices from
+    ``start``, stepped together: one PCG64 lane per run, seeded from the
+    words ``_state_words`` computes for the block.  ``random(k)`` hands out
+    each lane's next k doubles, bit for bit those of ``run_stream(seed,
+    start + lane, tag)``, and no numpy ``Generator`` is built.  A run that
+    needs more draws leaves the block as ``source(lane)``.
+
+    The indices must share ``r >> 32``, as ``_state_words`` requires;
+    ``cover`` cuts a sequence of run indices into such blocks.
+    """
+
+    __slots__ = ("start", "count", "drawn", "_words", "_hi", "_lo", "_inc_hi", "_inc_lo")
+
+    def __init__(self, seed: int, start: int, count: int, tag: int = 0):
+        if min(seed, start, tag) < 0:
+            raise ValueError("expected non-negative integer")
+        if count < 1 or start >> 32 != (start + count - 1) >> 32:
+            raise ValueError("a block holds at least one run index, all with one r >> 32")
+        self.start, self.count, self.drawn = start, count, 0
+        self._words = words = _state_words(seed, tag, start, count)
+        # numpy's seeding: state 0 and increment 2 * initseq + 1, one step,
+        # add initstate, one step; initstate and initseq are words 0-1 and
+        # 2-3, high half first
+        state_hi, state_lo, seq_hi, seq_lo = words.T
+        self._inc_hi = (seq_hi << _ONE) | (seq_lo >> _U63)
+        self._inc_lo = (seq_lo << _ONE) | _ONE
+        self._lo = self._inc_lo + state_lo
+        self._hi = self._inc_hi + state_hi + (self._lo < state_lo)
+        self._step()
+
+    @classmethod
+    def cover(cls, seed: int, run_indices: Iterable[int]) -> Iterator[StreamBlock]:
+        """Tag-0 blocks over ``run_indices`` in order: each stretch of
+        consecutive indices, cut after ``_MAX_BLOCK`` indices and before
+        every multiple of 2^32."""
+        start = count = 0
+        for r in run_indices:
+            if count and r == start + count and count < _MAX_BLOCK and r & _MASK32:
+                count += 1
+                continue
+            if count:
+                yield cls(seed, start, count)
+            start, count = r, 1
+        if count:
+            yield cls(seed, start, count)
+
+    def _step(self) -> None:
+        """state <- state * multiplier + increment, modulo 2^128."""
+        lo = self._lo
+        lo_0, lo_1 = lo & _LOW32, lo >> _U32
+        p01, p10 = lo_0 * _MULT_LO_1, lo_1 * _MULT_LO_0
+        mid = ((lo_0 * _MULT_LO_0) >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+        carries = lo_1 * _MULT_LO_1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+        self._lo = lo * _MULT_LO + self._inc_lo
+        self._hi = (carries + lo * _MULT_HI + self._hi * _MULT_LO + self._inc_hi
+                    + (self._lo < self._inc_lo))
+
+    def random(self, k: int) -> np.ndarray:
+        """Each lane's next ``k`` doubles in [0, 1), one row per lane."""
+        out = np.empty((self.count, k), order="F")
+        for d in range(k):
+            self._step()
+            hi = self._hi
+            x = hi ^ self._lo
+            rot = hi >> _U58
+            out[:, d] = ((x >> rot) | (x << ((_U64 - rot) & _U63))) >> _U11
+        out *= _DOUBLE_ULP
+        self.drawn += k
+        return out
+
+    def source(self, lane: int) -> RandomSource:
+        """Run ``start + lane``'s ``RandomSource``, past the doubles the
+        block has handed out: numpy's PCG64 seeded from the block's words,
+        those doubles passed over through the source's own buffer."""
+        source = RandomSource(_generator(self._words[lane]))
+        source.skip(self.drawn)
+        return source
 
 
 class RandomSource:
@@ -225,6 +333,13 @@ class RandomSource:
         v = self._buf[self._pos]
         self._pos += 1
         return v
+
+    def skip(self, k: int) -> None:
+        """Pass over the stream's next ``k`` doubles."""
+        while k > self._block - self._pos:
+            k -= self._block - self._pos
+            self._refill()
+        self._pos += k
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n).  Scaling bias is O(2^-53), negligible
@@ -285,6 +400,13 @@ class _Replay:
 
     def u01(self):
         raise LllError("a raw u01() draw has no exact law")
+
+    def skip(self, k: int) -> None:
+        """Pass over the stream's next ``k`` doubles."""
+        while k > self._block - self._pos:
+            k -= self._block - self._pos
+            self._refill()
+        self._pos += k
 
     def randint(self, n: int) -> int:
         self.prob *= 1.0 / n

@@ -14,10 +14,13 @@ over perfect matchings, so each charge equals 1/((2n-1)(2n-3)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..core import InPlaceAction, LllError, SearchProblem
+import numpy as np
+
+from ..core import BlockStart, InPlaceAction, LllError, SearchProblem
 from ..dependency import DependencyGraph
 
 Edge = tuple[int, int]
@@ -113,6 +116,8 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
     n = clique.half
     pairs = clique.conflict_pairs()
     m = len(pairs)
+    # a conflict pair reads the partners of its four vertices
+    scopes = [e1 + e2 for e1, e2 in pairs]
     if m and n2 < 6:
         raise LllError(f"the switch walk needs a third matching edge, and K{n2} has a "
                        "conflict pair but no perfect matching with three edges")
@@ -154,6 +159,39 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         rng.shuffle(verts)
         return _partners(zip(verts[0::2], verts[1::2]), n2, frozen)
 
+    @functools.cache
+    def pair_columns():
+        """The vertices a, b, c, d of every flaw ((a, b), (c, d)), as four
+        index arrays; built on first use, not with the problem."""
+        return np.array(scopes, dtype=np.intp).reshape(m, 4).T
+
+    def start_block(block):
+        """``sample_init`` and ``flaws_present`` for every run of the
+        block: the shuffle is n2 - 1 column draws on a runs x n2 matrix,
+        swapping position i with ``int(u * (i + 1))`` from the last
+        position down, as ``RandomSource.shuffle`` does."""
+        count = block.count
+        draws = block.random(n2 - 1)
+        verts = np.tile(np.arange(n2, dtype=np.uint8), (count, 1))
+        lanes = np.arange(count)
+        for col, i in enumerate(range(n2 - 1, 0, -1)):
+            j = (draws[:, col] * (i + 1)).astype(np.intp)
+            moved = verts[:, i].copy()
+            verts[:, i] = verts[lanes, j]
+            verts[lanes, j] = moved
+        partners = np.empty((count, n2), dtype=np.uint8)
+        partners[lanes[:, None], verts[:, 0::2]] = verts[:, 1::2]
+        partners[lanes[:, None], verts[:, 1::2]] = verts[:, 0::2]
+        a, b, c, d = pair_columns()
+        held = (partners[:, a] == b) & (partners[:, c] == d)
+        flat = partners.tobytes()
+        states = [flat[k:k + n2] for k in range(0, count * n2, n2)]
+        presents: list[list[int]] = [[] for _ in range(count)]
+        runs, flaws = np.nonzero(held)  # row by row, ascending flaw ids
+        for k, i in zip(runs.tolist(), flaws.tolist()):
+            presents[k].append(i)
+        return states, presents
+
     if n2 <= 256:
         def canon(matching):
             return bytes([x for a, b in enumerate(matching) if a < b for x in (a, b)])
@@ -168,9 +206,10 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         present=present,
         flaws_present=flaws_present,
         sample_action=InPlaceAction(switch_walk, frozen),
-        # a conflict pair reads the partners of its four vertices
-        graph=DependencyGraph.from_scopes([e1 + e2 for e1, e2 in pairs]),
-        sample_init=sample_init,
+        graph=DependencyGraph.from_scopes(scopes),
+        # the batched start needs one byte per vertex
+        sample_init=BlockStart(sample_init, start_block, flaws_present) if 2 <= n2 <= 256
+        else sample_init,
         canon=canon,
         enumerate_states=(lambda: [_partners(edges, n2, frozen)
                                    for edges in perfect_matchings(range(n2))]) if n2 <= 10 else None,

@@ -779,15 +779,20 @@ def test_witness_lemma_refuses_empty_tree_set_before_sampling(two_clause_mt, mon
 @pytest.fixture
 def zero_step_cap(monkeypatch):
     """Every run ``_iter_runs`` makes is cut at zero steps, so a run whose
-    initial state has a flaw is censored."""
+    initial state has a flaw is censored: a run it calls ``run`` for, and
+    one of a batched start that walks on in ``run_from``."""
     import lll_lab.analysis as analysis
 
-    real_run = analysis.run
+    real_run, real_run_from = analysis.run, analysis.run_from
 
     def capped(problem, strategy, max_steps, *args, **kwargs):
         return real_run(problem, strategy, 0, *args, **kwargs)
 
+    def capped_from(problem, strategy, prio, max_steps, *args, **kwargs):
+        return real_run_from(problem, strategy, prio, 0, *args, **kwargs)
+
     monkeypatch.setattr(analysis, "run", capped)
+    monkeypatch.setattr(analysis, "run_from", capped_from)
 
 
 def test_event_probability_refuses_censored(two_clause_mt, zero_step_cap):

@@ -1,5 +1,6 @@
 """Per-run streams: the batched derivation against numpy's SeedSequence,
-the memo that holds its blocks, and the buffered RandomSource."""
+the memo that holds its blocks, the buffered RandomSource, and the
+StreamBlock lanes against run_stream, with their hand-off."""
 
 import dataclasses
 import random
@@ -163,3 +164,62 @@ def test_random_source_draws_are_the_stream_whatever_the_first_block(block):
     assert draws == run_stream(13, 2).random(300).tolist()
     run_source = source_for_run(13, 2)
     assert [run_source.u01() for _ in range(300)] == draws
+
+
+BLOCK_SEEDS = [0, 1, 2**40 + 3, 2**63]
+# (start, count): lone runs, a first block, a block ending at 2^32 - 1
+# and one starting at 2^32, where the run index gains an entropy word
+BLOCKS = [(0, 1), (2**32 - 1, 1), (0, 1024), (2**32 - 1024, 1024), (2**32, 1024)]
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+@pytest.mark.parametrize("tag", [0, INIT_TAG])
+@pytest.mark.parametrize("start,count", BLOCKS)
+def test_stream_block_draws_equal_run_streams(seed, tag, start, count):
+    """Each lane hands out its run's doubles bit for bit, across calls."""
+    block = rng.StreamBlock(seed, start, count, tag)
+    draws = np.hstack([block.random(5), block.random(0), block.random(7)])
+    assert draws.shape == (count, 12) and block.drawn == 12
+    for lane in range(count):
+        assert np.array_equal(draws[lane], run_stream(seed, start + lane, tag).random(12))
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+@pytest.mark.parametrize("lane", [0, 517, 1023])
+def test_stream_block_hands_off_a_source_where_the_run_stands(seed, lane):
+    """A run leaves the block as the ``RandomSource`` of its stream, past
+    the doubles handed out: draws 11 to 210 cross its buffer's refill."""
+    block = rng.StreamBlock(seed, 2**32 - 1024, 1024)
+    block.random(11)
+    source = block.source(lane)
+    expected = source_for_run(seed, 2**32 - 1024 + lane)
+    expected_draws = [expected.u01() for _ in range(211)][11:]
+    assert [source.u01() for _ in range(200)] == expected_draws
+
+
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 200])
+def test_skip_passes_over_the_streams_doubles(k):
+    source, reference_source = source_for_run(3, 8), source_for_run(3, 8)
+    source.skip(k)
+    for _ in range(k):
+        reference_source.u01()
+    assert [source.u01() for _ in range(100)] == [reference_source.u01() for _ in range(100)]
+
+
+def block_spans(run_indices):
+    return [(b.start, b.count) for b in rng.StreamBlock.cover(4, run_indices)]
+
+
+def test_cover_cuts_blocks_at_the_cap_and_at_multiples_of_2_32():
+    cap = rng._MAX_BLOCK
+    assert block_spans(range(0)) == []
+    assert block_spans(range(2 * cap + 5)) == [(0, cap), (cap, cap), (2 * cap, 5)]
+    assert block_spans(range(2**32 - 3, 2**32 + 2)) == [(2**32 - 3, 3), (2**32, 2)]
+    assert block_spans([7, 8, 9, 3, 4, 4, 2**32 - 1, 2**32]) == [
+        (7, 3), (3, 2), (4, 1), (2**32 - 1, 1), (2**32, 1)]
+
+
+def test_stream_block_refuses_negative_inputs_and_straddling_blocks():
+    for args in ((-1, 0, 1), (0, -1, 1), (0, 0, 1, -1), (0, 2**32 - 1, 2), (0, 5, 0)):
+        with pytest.raises(ValueError):
+            rng.StreamBlock(*args)
