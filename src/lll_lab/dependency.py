@@ -8,7 +8,8 @@ them without the criterion checkers of ``criteria``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Hashable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Collection, Hashable, Mapping, Sequence
 
 from .errors import LllError
 
@@ -16,10 +17,19 @@ from .errors import LllError
 @dataclass(frozen=True)
 class DependencyGraph:
     """Symmetric adjacency over m flaw indices; self-loops are meaningful
-    (i in adj[i] says addressing i can keep i present)."""
+    (i in adj[i] says addressing i can keep i present).  ``neighbors`` is
+    the tuple ``adj`` of the m neighborhoods, or a function of the flaw
+    that returns its neighborhood: ``adj`` is then built from it on its
+    first read, so a run that reads only ``m`` builds none of it."""
 
     m: int
-    adj: tuple[frozenset[int], ...]
+    neighbors: tuple[frozenset[int], ...] | Callable[[int], frozenset[int]]
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        if callable(self.neighbors):
+            return tuple(map(self.neighbors, range(self.m)))
+        return self.neighbors
 
     @staticmethod
     def from_edges(m: int, edges: Sequence[tuple[int, int]],

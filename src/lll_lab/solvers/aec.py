@@ -274,10 +274,11 @@ def aec_backtrack(g: GraphInstance, q: int) -> SearchProblem:
         return vals[v] not in near and not any(
             bichromatic_cycle_through(g, vals, v, c) for c in near)
 
+    # a closed cycle can run anywhere in the graph
+    every_edge = frozenset(range(m))
     return backtracking_setting(
         (UNCOLORED,) * m, range(q), draw, outcome,
-        # a closed cycle can run anywhere in the graph
-        reach=(frozenset(range(m)),) * m,
+        reach=lambda v: every_edge,
         consistent=consistent,
         enumerable=m <= 6 and q <= 10,
         flaw_labels=tuple(f"e{i}" for i in range(m)),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -130,14 +131,16 @@ def _backtracking_problem(cnf: CnfInstance, p0: Sequence[float], **declared) -> 
         entry = (vs, get, want if len(vs) > 1 else want[0])
         for u in vs:
             clauses_of[u].append(entry)
-    # a violated clause through x_{v+1} is unassigned whole; each set is
-    # filled clause by clause, which fixes its iteration order
-    reach = []
-    for v, entries in enumerate(clauses_of):
+
+    @cache
+    def reach(v):
+        """A violated clause through x_{v+1} is unassigned whole.  The set
+        is filled clause by clause, which fixes its iteration order, and
+        built only when a backtrack or a read of the graph asks for it."""
         through = {v}
-        for vs, _, _ in entries:
+        for vs, _, _ in clauses_of[v]:
             through.update(vs)
-        reach.append(frozenset(through))
+        return frozenset(through)
 
     def violated_clause(vals, v):
         """Variables of the lowest clause through x_{v+1} that ``vals``

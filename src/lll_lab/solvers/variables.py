@@ -51,7 +51,7 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
 
 
 def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outcome: Callable,
-                         reach: Sequence[frozenset], consistent: Callable, enumerable: bool,
+                         reach: Callable[[int], frozenset], consistent: Callable, enumerable: bool,
                          flaw_labels: Sequence[str], **declared) -> SearchProblem:
     """The backtracking setting of Grytczuk, Kozik and Micek and of
     Esperet and Parreau.  A state is a partial assignment of the
@@ -62,9 +62,12 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
     assignment and any backtrack in ``vals``, the working form of the
     state (a ``core.InPlaceAction``), reading the old values it needs
     before its first write.  A backtrack may unassign only the variables
-    in ``reach[i]``, ``i`` among them, and an outcome that leaves ``i``
-    assigned changed no other variable.  Runs start at ``blank`` under
-    the lowest-index strategy that the tail bound assumes.  The states are
+    in ``reach(i)``, ``i`` among them, and an outcome that leaves ``i``
+    assigned changed no other variable.  ``reach`` is a function that
+    ``affects`` calls on a backtrack; the dependency graph, in which
+    ``i``'s neighborhood is ``reach(i)``, calls it for every variable on
+    the first read of its ``adj``.  Runs start at ``blank`` under the
+    lowest-index strategy that the tail bound assumes.  The states are
     enumerated only when ``enumerable`` and the (len(domain) + 1)^n
     partial assignments fit ``STATE_CAP``: variable 0 varies slowest,
     unassigned first and then ``domain`` in order, and an assignment of
@@ -95,9 +98,9 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
         flaws_present=lambda state: [i for i in range(n) if state[i] == unset],
         sample_action=InPlaceAction(lambda i, vals, rng: outcome(i, vals, draw(i, vals, rng)),
                                     type(blank)),
-        graph=DependencyGraph(n, tuple(reach)),
+        graph=DependencyGraph(n, reach),
         # an outcome that leaves i assigned wrote variable i only
-        affects=lambda i, state, nxt: (i,) if nxt[i] != unset else reach[i],
+        affects=lambda i, state, nxt: (i,) if nxt[i] != unset else reach(i),
         sample_init=lambda rng: blank,
         enumerate_states=(
             enumerate_states if enumerable and (len(domain) + 1) ** n <= STATE_CAP else None),

@@ -10,6 +10,7 @@ ties by lowest node id, which makes the build deterministic.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Sequence
@@ -95,6 +96,7 @@ def build_witness_tree(sequence: Sequence[int], k: int, graph: DependencyGraph,
         raise LllError("witness-tree index out of range")
     if max_nodes is not None and max_nodes < 1:
         return None
+    adj = graph.adj
     labels = [sequence[k - 1]]
     parents = [-1]
     depths = [0]
@@ -103,7 +105,7 @@ def build_witness_tree(sequence: Sequence[int], k: int, graph: DependencyGraph,
         best = -1
         best_depth = -1
         for node, lab in enumerate(labels):
-            if graph.are_adjacent(lab, w) and depths[node] > best_depth:
+            if w in adj[lab] and depths[node] > best_depth:
                 best = node
                 best_depth = depths[node]
         if best >= 0:
@@ -213,17 +215,16 @@ def introduced_sets(trajectory: Trajectory, problem: SearchProblem) -> tuple[fro
     S_i = U(sigma_{i+1}) minus (U(sigma_i) minus {w_i})."""
     if problem.unassigned is None:
         raise LllError("problem does not expose unassigned variables")
-    states = trajectory.states()
-    s0 = problem.unassigned(states[0])
+    s0 = before = problem.unassigned(trajectory.initial_state)
     rec = []
     labels = problem.flaw_labels
-    for t, (w, _) in enumerate(trajectory.steps):
-        before = problem.unassigned(states[t])
-        after = problem.unassigned(states[t + 1])
+    for w, state in trajectory.steps:
+        after = problem.unassigned(state)
         var = labels[w] if labels is not None else w
         if var not in before:
             raise LllError("inconsistent backtracking record")
         rec.append((var, frozenset(after - (before - {var}))))
+        before = after
     return frozenset(s0), rec
 
 
@@ -234,21 +235,23 @@ def build_witness_forest(s0: frozenset, records: Sequence[tuple[object, frozense
     rank = {v: r for r, v in enumerate(order)}
     labels = sorted(s0, key=lambda v: rank[v])
     parents = [-1] * len(labels)
-    frontier = {k: labels[k] for k in range(len(labels))}
+    # the frontier nodes as a heap of (rank, node id): on a tie of ranks
+    # the node laid first comes first; the roots' list is sorted, so it
+    # is a heap already
+    frontier = [(rank[v], k) for k, v in enumerate(labels)]
     for step, (var, intro) in enumerate(records):
         if not frontier:
             raise LllError("inconsistent backtracking record: empty frontier")
-        k = min(frontier, key=lambda n: rank[frontier[n]])
-        if frontier[k] != var:
+        _, k = heapq.heappop(frontier)
+        if labels[k] != var:
             raise LllError(
                 f"inconsistent backtracking record at step {step}: "
-                f"expected {frontier[k]!r}, got {var!r}"
+                f"expected {labels[k]!r}, got {var!r}"
             )
-        del frontier[k]
         for u in sorted(intro, key=lambda v: rank[v]):
             labels.append(u)
             parents.append(k)
-            frontier[len(labels) - 1] = u
+            heapq.heappush(frontier, (rank[u], len(labels) - 1))
     return WitnessForest(labels, parents, tuple(order), len(records))
 
 
@@ -256,52 +259,6 @@ def forest_from_trajectory(trajectory: Trajectory, problem: SearchProblem) -> Wi
     s0, rec = introduced_sets(trajectory, problem)
     order = problem.flaw_labels if problem.flaw_labels is not None else list(range(problem.num_flaws))
     return build_witness_forest(s0, rec, order)
-
-
-# ---------------------------------------------------------------------------
-# stable sequences
-
-
-def stable_partition(reversed_sequence: Sequence[int], graph: DependencyGraph) -> list[frozenset[int]]:
-    """The unique greedy partition of a reversed stable sequence: open a
-    new segment exactly when the next index conflicts with the current one.
-
-    Raises when the input is not the flattening of a stable sequence
-    (repeated index inside a segment, or a segment escaping the previous
-    segment's neighborhood).
-    """
-    if not reversed_sequence:
-        raise LllError("empty sequence has no stable partition")
-    segments: list[list[int]] = [[reversed_sequence[0]]]
-    for w in reversed_sequence[1:]:
-        last = segments[-1]
-        if any(graph.are_adjacent(u, w) for u in last):
-            segments.append([w])
-        elif w in last:
-            raise LllError("not a stable sequence: repeated index within a segment")
-        else:
-            last.append(w)
-    out = [frozenset(seg) for seg in segments]
-    for r in range(len(out) - 1):
-        reachable = set()
-        for u in out[r]:
-            reachable |= set(graph.adj[u])
-        if not out[r + 1] <= reachable:
-            raise LllError("not a stable sequence: segment escapes neighborhood")
-    return out
-
-
-def tree_to_stable_sequence(tree: WitnessTree, order: Sequence[int]) -> tuple[int, ...]:
-    """Witness sequence whose reversal is the pi-stable flattening of the
-    tree's level label sets; the inverse of the tree construction."""
-    rank = {v: r for r, v in enumerate(order)}
-    levels = tree.level_labels()
-    flat: list[int] = []
-    for level in levels:
-        if len(set(level)) != len(level):
-            raise LllError("tree levels must carry distinct labels")
-        flat.extend(sorted(level, key=lambda v: rank[v]))
-    return tuple(reversed(flat))
 
 
 # ---------------------------------------------------------------------------

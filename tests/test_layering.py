@@ -307,8 +307,6 @@ SURFACE_ALLOWLIST = {
     "witness.WitnessForest": "what build_witness_forest returns",
     "witness.introduced_sets": "the introduced flaws behind a witness forest",
     "witness.build_witness_forest": "the forest of a backtracking trajectory",
-    "witness.stable_partition": "only tests call it: a tree's stable-set levels",
-    "witness.tree_to_stable_sequence": "only tests call it: a tree's stable-set sequence",
     "witness.enumerate_stable_set_sequences": "the sequences behind witness-tree enumeration",
     "witness.tree_from_level_sets": "the tree of one stable-set sequence",
 }

