@@ -17,19 +17,18 @@ from .errors import LllError
 @dataclass(frozen=True)
 class DependencyGraph:
     """Symmetric adjacency over m flaw indices; self-loops are meaningful
-    (i in adj[i] says addressing i can keep i present).  ``neighbors`` is
-    the tuple ``adj`` of the m neighborhoods, or a function of the flaw
-    that returns its neighborhood: ``adj`` is then built from it on its
-    first read, so a run that reads only ``m`` builds none of it."""
+    (i in adj[i] says addressing i can keep i present).  A graph made by
+    ``on_read`` builds ``adj`` on its first read."""
 
     m: int
-    neighbors: tuple[frozenset[int], ...] | Callable[[int], frozenset[int]]
+    adj: tuple[frozenset[int], ...]
 
-    @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        if callable(self.neighbors):
-            return tuple(map(self.neighbors, range(self.m)))
-        return self.neighbors
+    @staticmethod
+    def on_read(m: int, neighbors: Callable[[int], frozenset[int]]) -> "DependencyGraph":
+        """The graph whose ``adj`` is ``tuple(map(neighbors, range(m)))``,
+        built on the first read of ``adj``: a run that reads only ``m``
+        builds none of it."""
+        return _GraphOnRead(m, neighbors)
 
     @staticmethod
     def from_edges(m: int, edges: Sequence[tuple[int, int]],
@@ -75,6 +74,20 @@ class DependencyGraph:
 
     def are_adjacent(self, i: int, j: int) -> bool:
         return j in self.adj[i]
+
+
+class _GraphOnRead(DependencyGraph):
+    """A ``DependencyGraph`` whose ``adj`` is a ``cached_property``.  Only
+    this subclass carries the descriptor: it keeps CPython from
+    specializing ``adj`` reads, which an up-front graph pays nothing for."""
+
+    def __init__(self, m: int, neighbors: Callable[[int], frozenset[int]]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "neighbors", neighbors)
+
+    @cached_property
+    def adj(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(self.neighbors, range(self.m)))
 
 
 def scope_readers(scopes: Sequence[Collection[Hashable]]) -> dict[Hashable, list[int]]:

@@ -91,6 +91,7 @@ def vertex_coloring_greedy(
     incident = g.incident()
     near = [frozenset(incident[u] + incident[v]) for (u, v) in g.edges]
     graph = DependencyGraph.from_scopes([near[i // q] for i in range(m)])
+    dependents = graph.adj
 
     def present(i, state):
         e, c = divmod(i, q)
@@ -140,7 +141,7 @@ def vertex_coloring_greedy(
         graph=graph,
         # a repair recolors only the endpoints of its edge, so only flaws
         # on edges at those endpoints can change
-        affects=lambda i, s, t: graph.adj[i],
+        affects=lambda i, s, t: dependents[i],
         sample_init=sample_init,
         canon=lambda s: bytes(s),
         enumerate_states=enumerate_states if q ** n <= 500000 else None,

@@ -136,7 +136,9 @@ def _backtracking_problem(cnf: CnfInstance, p0: Sequence[float], **declared) -> 
     def reach(v):
         """A violated clause through x_{v+1} is unassigned whole.  The set
         is filled clause by clause, which fixes its iteration order, and
-        built only when a backtrack or a read of the graph asks for it."""
+        built only when a backtrack or a read of the graph asks for it.
+        A graph read keeps this cache: its ``adj`` holds the same sets, so
+        the cache costs only its dict."""
         through = {v}
         for vs, _, _ in clauses_of[v]:
             through.update(vs)

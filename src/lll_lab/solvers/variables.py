@@ -29,6 +29,7 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
     states are enumerated only when ``enumerable``; ``declared`` holds the
     remaining fields."""
     graph = DependencyGraph.from_scopes(scopes)
+    adj = graph.adj
 
     def redraw(i, vals, rng):
         for v in scopes[i]:
@@ -40,7 +41,7 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
         graph=graph,
         # addressing flaw i rewrites only its scope, so only the flaws
         # reading one of those variables can change
-        affects=lambda i, s, t: graph.adj[i],
+        affects=lambda i, s, t: adj[i],
         sample_init=lambda rng: tuple(draw(rng) for _ in range(num_vars)),
         canon=canon,
         action_distribution=ScopeLaw(num_vars, domain, scopes),
@@ -98,7 +99,7 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
         flaws_present=lambda state: [i for i in range(n) if state[i] == unset],
         sample_action=InPlaceAction(lambda i, vals, rng: outcome(i, vals, draw(i, vals, rng)),
                                     type(blank)),
-        graph=DependencyGraph(n, reach),
+        graph=DependencyGraph.on_read(n, reach),
         # an outcome that leaves i assigned wrote variable i only
         affects=lambda i, state, nxt: (i,) if nxt[i] != unset else reach(i),
         sample_init=lambda rng: blank,

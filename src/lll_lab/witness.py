@@ -368,14 +368,12 @@ def enumerate_stable_set_sequences(
     """Stable set sequences (I_1 = {root}, I_2, ...): nonempty independent
     sets, each contained in the previous set's neighborhood, with at most
     ``max_total`` elements overall."""
+    adj = graph.adj
 
     def independent_subsets(pool: list[int], limit: int) -> Iterator[frozenset[int]]:
         for size in range(1, limit + 1):
             for combo in itertools.combinations(pool, size):
-                if all(
-                    not graph.are_adjacent(a, b)
-                    for a, b in itertools.combinations(combo, 2)
-                ):
+                if all(b not in adj[a] for a, b in itertools.combinations(combo, 2)):
                     yield frozenset(combo)
 
     def rec(levels: tuple[frozenset[int], ...], used: int):
@@ -383,7 +381,7 @@ def enumerate_stable_set_sequences(
         budget = max_total - used
         if budget <= 0:
             return
-        pool = sorted(set().union(*(graph.adj[j] for j in levels[-1])))
+        pool = sorted(set().union(*(adj[j] for j in levels[-1])))
         for nxt in independent_subsets(pool, budget):
             yield from rec(levels + (nxt,), used + len(nxt))
 
