@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from lll_lab import cli
 from lll_lab.build import build_problem
 from lll_lab.core import recommended_strategy, run
-from lll_lab.solvers import CnfInstance, ksat_backtrack
+from lll_lab.dependency import DependencyGraph
+from lll_lab.solvers import CnfInstance, ksat_backtrack, ksat_mt
 
 
 def eager_reach(cnf):
@@ -102,3 +103,14 @@ def test_trace_and_verify_read_the_full_adjacency(tmp_path, capsys, monkeypatch)
     for problem in built:
         assert vars(problem.graph)["adj"] == eager_reach(cnf)
         assert problem.graph.neighbors.cache_info().currsize == cnf.num_vars
+
+
+def test_up_front_graphs_hold_adj_as_a_plain_field():
+    """Only an on-read graph's class carries ``adj`` as a property: on
+    ``DependencyGraph`` itself a class attribute of that name would keep
+    CPython from specializing the reads of every solver's graph."""
+    assert not hasattr(DependencyGraph, "adj")
+    graph = ksat_mt(CnfInstance(4, ((1, -2), (2, 3), (-4,)))).graph
+    assert type(graph) is DependencyGraph
+    assert vars(graph)["adj"] == (frozenset({0, 1}), frozenset({0, 1}), frozenset({2}))
+    assert type(ksat_backtrack(CnfInstance(3, ((1, -2),))).graph) is not DependencyGraph
