@@ -102,11 +102,11 @@ def verdict_report(op: str, verdicts: list[Verdict], **fields) -> dict:
             "all_pass": all(v.passed for v in verdicts)}
 
 
-def wilson_interval(successes: int, n: int, z: float = SE_SLACK) -> tuple[float, float]:
-    """Wilson score interval; z defaults to the package's 4-sigma slack."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval at z = the package's 4-sigma slack."""
     if n == 0:
         return 0.0, 1.0
-    p = successes / n
+    p, z = successes / n, SE_SLACK
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
@@ -213,10 +213,10 @@ def _iter_runs(
         states, presents = start.start(block)
         for lane, (initial, present) in enumerate(zip(states, presents)):
             if present:
-                yield run_from(problem, strategy, prio, max_steps, seed, block.source(lane),
+                yield run_from(problem, strategy, prio, max_steps, block.source(lane),
                                initial, present, record_trajectory)
             else:  # run_from's flawless report, without a call per run
-                yield RunReport(True, 0, zeros, initial, seed,
+                yield RunReport(True, 0, zeros, initial,
                                 Trajectory(initial, ()) if record_trajectory else None)
 
 

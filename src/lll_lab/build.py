@@ -16,12 +16,14 @@ from .core import LllError, SearchProblem
 class Solver(NamedTuple):
     """One solver as the CLI knows it: its build from a spec (refusals
     included), the spec fields past the instance that the build needs, each
-    set by its CLI flag, its engine-free output check, and its state's JSON."""
+    set by its CLI flag, its engine-free output check, its state's JSON and
+    whether ``solve --trace`` prints its witness forest (lowest-index only)."""
 
     build: Callable[[dict], SearchProblem]
     reads: tuple[str, ...]
     valid: Callable[[SearchProblem, object], bool]
     state_json: Callable[[object], object] = list
+    backtracking: bool = False
 
 
 # each solver module, loaded by the first entry that uses it
@@ -77,13 +79,13 @@ def _unset_as_minus_one(state) -> list[int]:
 SOLVERS = {
     "ksat-mt": Solver(lambda spec: _ksat().ksat_mt(_cnf(spec)), (), _satisfied),
     "ksat-backtrack": Solver(lambda spec: _ksat().ksat_backtrack(_cnf(spec)), (), _satisfied,
-                             _unset_as_minus_one),
+                             _unset_as_minus_one, backtracking=True),
     "ksat-backtrack-biased": Solver(
         lambda spec: _ksat().ksat_backtrack_biased(
             _cnf(spec), [{0: p0, 1: p1} for p0, p1 in spec["bias"]]),
-        ("bias",), _satisfied, _unset_as_minus_one),
+        ("bias",), _satisfied, _unset_as_minus_one, backtracking=True),
     "aec-backtrack": Solver(lambda spec: _aec().aec_backtrack(*_graph_and_colors(spec)),
-                            ("colors",), _acyclic),
+                            ("colors",), _acyclic, backtracking=True),
     "aec-clique-mt": Solver(lambda spec: _aec().aec_clique_mt(*_graph_and_colors(spec))[0],
                             ("colors",), _acyclic),
     "rainbow": Solver(

@@ -85,7 +85,7 @@ def _validate_output(spec: dict, problem, state) -> bool:
     return SOLVERS[spec["solver"]].valid(problem, state)
 
 
-def _trace_json(problem, report) -> dict:
+def _trace_json(problem, report, backtracking: bool) -> dict:
     """Witness machinery of one run: the addressed-flaw sequence, the
     witness trees it builds (capped), and for backtracking solvers the
     witness forest with its replay."""
@@ -98,7 +98,7 @@ def _trace_json(problem, report) -> dict:
         {"step": k, **tree.to_json_dict()}
         for k, tree in trees_of_sequence(seq, problem.graph, max_nodes=8)
     ]
-    if problem.unassigned is not None:
+    if backtracking:
         out["witness_forest"] = forest_from_trajectory(traj, problem).to_json_dict()
     return out
 
@@ -110,7 +110,8 @@ def cmd_solve(args) -> int:
     if args.solver == PIPELINE:
         return _solve_rainbow_partial(args, spec["instance_text"])
     problem = build_problem(spec)
-    if args.trace and problem.unassigned is not None and args.strategy not in (None, "lowest_index"):
+    backtracking = SOLVERS[args.solver].backtracking
+    if args.trace and backtracking and args.strategy not in (None, "lowest_index"):
         raise LllError(f"--trace needs --strategy lowest_index for {args.solver}, not "
                        f"{args.strategy}: its witness forest is defined only for that order")
     strategy = args.strategy if args.strategy else recommended_strategy(problem)
@@ -129,7 +130,7 @@ def cmd_solve(args) -> int:
         "resample_counts": list(report.resample_counts),
     }
     if args.trace:
-        doc["trace"] = _trace_json(problem, report)
+        doc["trace"] = _trace_json(problem, report, backtracking)
     _emit(doc, args.json)
     if not report.terminated:
         _info(f"censored after {report.steps} steps")

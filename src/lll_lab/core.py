@@ -54,11 +54,11 @@ class SearchProblem:
     unless ``action_distribution`` declares it; ``validate_problem``
     checks a declared law.  ``enumerate_states`` enables oracle mode.
 
-    ``affects(i, state, nxt)`` lists the flaws whose presence may differ
-    between ``state`` and ``nxt``, the outcome of addressing flaw ``i`` at
-    ``state``, with ``i`` included.  It must hold for every reachable
-    state and every action outcome; a static declaration ignores the two
-    states (e.g. the flaws that read a variable the action writes).
+    ``affects(i, state)`` lists the flaws whose presence may differ
+    between ``state``, the outcome of addressing flaw ``i``, and the state
+    it was addressed at, with ``i`` included.  It reads only the outcome,
+    and must hold for every reachable outcome; a static declaration
+    ignores it (e.g. the flaws that read a variable the action writes).
     ``validate_problem`` checks it on enumerable instances.  ``run`` then
     re-evaluates only those flaws after each step; ``None`` means a full
     rescan of the flaws at every step.
@@ -69,8 +69,6 @@ class SearchProblem:
     for ``bytes``), and ``present``, ``flaws_present``, ``affects`` and
     the strategy read it by index, under this contract:
 
-    - ``affects(i, state, nxt)`` reads only ``nxt``: ``state`` is the
-      same object, already updated;
     - a strategy's ``choose(present, state)`` copies ``state`` if it
       keeps it, since the next step overwrites it;
     - an update that reads values from before its own write reads them
@@ -95,11 +93,10 @@ class SearchProblem:
     action_distribution: Callable[[int, State], dict[State, float]] | None = None
     enumerate_states: Callable[[], Iterable[State]] | None = None
     flaws_present: Callable[[State], list[int]] | None = None
-    affects: Callable[[int, State, State], Iterable[int]] | None = None
+    affects: Callable[[int, State], Iterable[int]] | None = None
     init_distribution: Callable[[State], float] | None = None  # None: mu
     declared_charges: Sequence[float] | None = None
     default_weights: Sequence[float] | None = None  # prewired psi vector
-    unassigned: Callable[[State], frozenset] | None = None  # backtracking only
     flaw_labels: Sequence[str] | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -384,14 +381,13 @@ class Trajectory:
 
 
 class RunReport(NamedTuple):
-    """What one ``run`` did: a tuple, so building one per run costs
-    little beside a short run's draws."""
+    """What one ``run`` did, for a caller that knows its seed and run
+    index: a tuple, so building one costs little beside a short run's draws."""
 
     terminated: bool
     steps: int
     resample_counts: tuple[int, ...]
     final_state: State
-    seed: int
     trajectory: Trajectory | None = None
 
 
@@ -521,8 +517,8 @@ def run(
 
     Without ``problem.affects`` every step rescans all flaws.  With it,
     the initial scan fills a presence map that each step updates from
-    ``affects(i, state, nxt)`` alone, and strategies that declare a
-    ``priority`` pick from a heap of ranks with lazy deletion.
+    ``affects(i, state)`` of the new state alone, and strategies that
+    declare a ``priority`` pick from a heap of ranks with lazy deletion.
 
     A flawless initial state ends the run after its first scan: the
     report holds the initial state itself and zero counts.  Otherwise,
@@ -545,7 +541,7 @@ def run(
     prio = strategy.priority(problem.num_flaws)  # refuses a fixed order that is not a permutation
     rng = source_for_run(seed, run_index)
     initial = problem.sample_init(rng)
-    return run_from(problem, strategy, prio, max_steps, seed, rng, initial,
+    return run_from(problem, strategy, prio, max_steps, rng, initial,
                     problem.present_flaws(initial), record_trajectory)
 
 
@@ -554,7 +550,6 @@ def run_from(
     strategy: FlawChoiceStrategy,
     prio: tuple[Sequence[int], Sequence[int]] | None,
     max_steps: int,
-    seed: int,
     rng: RandomSource,
     initial: State,
     present: list[int],
@@ -562,13 +557,13 @@ def run_from(
 ) -> RunReport:
     """``run``'s walk from a drawn initial state: ``present`` is its first
     scan, ``rng`` the run's stream just past the draws of ``sample_init``
-    and ``prio`` the strategy's ``priority``.  ``_iter_runs`` walks on
-    here each run of a batched start (``BlockStart``) whose initial state
-    holds a flaw."""
+    and ``prio`` the strategy's ``priority``.  The walk reads the run's
+    seed only through ``rng``.  ``_iter_runs`` walks on here each run of a
+    batched start (``BlockStart``) whose initial state holds a flaw."""
     strategy.reset()
     m = problem.num_flaws
     if not present:
-        return RunReport(True, 0, (0,) * m, initial, seed,
+        return RunReport(True, 0, (0,) * m, initial,
                          Trajectory(initial, ()) if record_trajectory else None)
     action = problem.sample_action
     if isinstance(action, InPlaceAction):
@@ -606,11 +601,10 @@ def run_from(
             chose_present = i in present if affects is None else 0 <= i < m and flags[i]
             if not chose_present:
                 raise LllError("invalid strategy")
-        if update is not None:  # the working state is both the state before and after
+        if update is not None:
             update(i, state, rng)
-            prev = state
         else:
-            prev, state = state, action(i, state, rng)
+            state = action(i, state, rng)
         counts[i] += 1
         strategy.observe(i, steps)
         if record_trajectory:
@@ -620,7 +614,7 @@ def run_from(
             present = problem.present_flaws(state)
             num_present = len(present)
             continue
-        for j in affects(i, prev, state):
+        for j in affects(i, state):
             if is_present(j, state):
                 if flags[j] != 1:
                     if not flags[j] and heap is not None:
@@ -632,7 +626,7 @@ def run_from(
                 num_present -= 1
 
     traj = Trajectory(initial, tuple(steps_rec)) if record_trajectory else None
-    return RunReport(num_present == 0, steps, tuple(counts), freeze(state), seed, traj)
+    return RunReport(num_present == 0, steps, tuple(counts), freeze(state), traj)
 
 
 def _unchanged(state: State) -> State:
@@ -717,9 +711,10 @@ def validate_problem(problem: SearchProblem) -> None:
     declared, sum to one on every member state and stay inside the
     enumerated states, and the causality cover holds: every arc that
     leaves a flaw present-but-new (or re-present) lands the causing flaw
-    in the target flaw's neighborhood.  A declared ``affects`` must
+    in the target flaw's neighborhood.  A declared ``affects(i, t)`` must
     return, for every enumerated transition (s, t) of flaw i, a set that
-    contains i and every flaw whose presence differs between s and t.
+    contains i and every flaw whose presence differs between s and t,
+    reading ``t`` alone as ``run`` does.
     """
     m = problem.num_flaws
     problem.graph.check_symmetric()
@@ -760,7 +755,7 @@ def validate_problem(problem: SearchProblem) -> None:
                     continue
                 after = present[t]
                 if affects is not None:
-                    touched = frozenset(affects(i, s, states[t]))
+                    touched = frozenset(affects(i, states[t]))
                     if i not in touched:
                         raise LllError(f"affects({i}) must include {i}")
                     outside = (frozenset(listed) ^ frozenset(after)) - touched

@@ -204,7 +204,7 @@ class ShearerReport:
         }
 
 
-def enumerate_independent_sets(vertices: Sequence[int], adjacency, cap: int = SHEARER_FAMILY_CAP):
+def enumerate_independent_sets(vertices: Sequence[int], adjacency):
     """All independent subsets (self-loops ignored), empty set included."""
     verts = sorted(vertices)
     out = [frozenset()]
@@ -217,7 +217,7 @@ def enumerate_independent_sets(vertices: Sequence[int], adjacency, cap: int = SH
                 continue
             nxt = current | {v}
             out.append(nxt)
-            if len(out) > cap:
+            if len(out) > SHEARER_FAMILY_CAP:
                 raise LllError("independent-set family too large")
             stack.append((nxt, pos + 1))
     return out

@@ -401,13 +401,6 @@ class _Replay:
     def u01(self):
         raise LllError("a raw u01() draw has no exact law")
 
-    def skip(self, k: int) -> None:
-        """Pass over the stream's next ``k`` doubles."""
-        while k > self._block - self._pos:
-            k -= self._block - self._pos
-            self._refill()
-        self._pos += k
-
     def randint(self, n: int) -> int:
         self.prob *= 1.0 / n
         return self._branch(n)

@@ -32,6 +32,8 @@ from .variables import backtracking_setting, variable_setting
 UNCOLORED = -1
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 MAX_CYCLE_LENGTH = 400  # longest cycle the backtracking criterion's series adds
+EVEN_CYCLE_CAP = 200000  # most even cycles enumerate_even_cycles lists
+OPTIMUM_TOL = 1e-10  # golden-section tolerance of the clique-constant optimum
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,7 @@ def golden_section_minimum(fn: Callable[[float], float], lo: float, hi: float,
     return x, fn(x)
 
 
-def enumerate_even_cycles(g: GraphInstance, max_count: int = 200000) -> list[tuple[int, ...]]:
+def enumerate_even_cycles(g: GraphInstance) -> list[tuple[int, ...]]:
     """All simple even cycles as sorted edge-id tuples (each cycle once)."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
     for ei, (u, v) in enumerate(g.edges):
@@ -378,7 +380,7 @@ def enumerate_even_cycles(g: GraphInstance, max_count: int = 200000) -> list[tup
                 cyc = tuple(sorted(edge_path + [ei]))
                 if len(cyc) % 2 == 0:
                     cycles.add(cyc)
-                    if len(cycles) > max_count:
+                    if len(cycles) > EVEN_CYCLE_CAP:
                         raise LllError("even-cycle enumeration cap exceeded")
                 continue
             if nxt in visited or nxt < start:
@@ -397,7 +399,7 @@ def enumerate_even_cycles(g: GraphInstance, max_count: int = 200000) -> list[tup
     return sorted(cycles)
 
 
-def aec_charge_table(g: GraphInstance, q: int, max_count: int = 200000) -> BacktrackChargeTable:
+def aec_charge_table(g: GraphInstance, q: int) -> BacktrackChargeTable:
     """Exact sparse charge table for the backtracking solver on a desk
     instance: gamma_empty = 1/Q per edge, and for each cycle of length 2L
     through an edge, 1/Q on the introduced set of 2L-2 edge labels.
@@ -413,7 +415,7 @@ def aec_charge_table(g: GraphInstance, q: int, max_count: int = 200000) -> Backt
     m = len(g.edges)
     variables = tuple(f"e{i}" for i in range(m))
     entries: dict = {v: {frozenset(): 1.0 / Q} for v in variables}
-    for cyc in enumerate_even_cycles(g, max_count=max_count):
+    for cyc in enumerate_even_cycles(g):
         if len(cyc) < 6:
             continue  # 4-cycles never close under 4-available choice
         for ei in cyc:
@@ -450,7 +452,7 @@ def _cycle_order_from(g: GraphInstance, cycle_edges: tuple[int, ...], start_edge
 # resampling solver via the clique local lemma
 
 
-def clique_constant_optimum(tol: float = 1e-10) -> tuple[float, float, float]:
+def clique_constant_optimum() -> tuple[float, float, float]:
     """Minimize max((2/c)(1+e)e/(e-c), ((1+e)/sqrt(c))(e/(e-c))^1.5) over
     0 < c < e; returns (optimum, e, c).
 
@@ -468,10 +470,9 @@ def clique_constant_optimum(tol: float = 1e-10) -> tuple[float, float, float]:
         return max(a, b)
 
     def best_c(e: float) -> tuple[float, float]:
-        c, v = golden_section_minimum(lambda cc: val(e, cc), 1e-6, e - 1e-9, tol)
-        return c, v
+        return golden_section_minimum(lambda cc: val(e, cc), 1e-6, e - 1e-9, OPTIMUM_TOL)
 
-    e_opt, _ = golden_section_minimum(lambda e: best_c(e)[1], 0.5, 30.0, tol)
+    e_opt, _ = golden_section_minimum(lambda e: best_c(e)[1], 0.5, 30.0, OPTIMUM_TOL)
     c_opt, v_opt = best_c(e_opt)
     return v_opt, e_opt, c_opt
 

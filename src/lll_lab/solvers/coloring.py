@@ -19,6 +19,8 @@ from ..core import InPlaceAction, LllError, SearchProblem
 from ..dependency import DependencyGraph
 from .aec import GraphInstance
 
+MATCHING_CAP = 10**6  # most matchings the weight bound enumerates
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -141,7 +143,7 @@ def vertex_coloring_greedy(
         graph=graph,
         # a repair recolors only the endpoints of its edge, so only flaws
         # on edges at those endpoints can change
-        affects=lambda i, s, t: dependents[i],
+        affects=lambda i, s: dependents[i],
         sample_init=sample_init,
         canon=lambda s: bytes(s),
         enumerate_states=enumerate_states if q ** n <= 500000 else None,
@@ -167,7 +169,7 @@ def induced_subgraph(g: GraphInstance, vertices: frozenset[int]) -> GraphInstanc
     return GraphInstance.from_edge_list(len(keep), edges)
 
 
-def matchings_of(g: GraphInstance, cap: int = 10**6) -> list[frozenset[int]]:
+def matchings_of(g: GraphInstance) -> list[frozenset[int]]:
     """All matchings (edge-id sets, empty included): the proper
     independent sets of the local line graph used by the weight bound."""
     out = [frozenset()]
@@ -180,7 +182,7 @@ def matchings_of(g: GraphInstance, cap: int = 10**6) -> list[frozenset[int]]:
             chosen.append(e)
             used.update((u, v))
             out.append(frozenset(chosen))
-            if len(out) > cap:
+            if len(out) > MATCHING_CAP:
                 raise LllError("matching enumeration cap exceeded")
             rec(chosen, used, e + 1)
             used.difference_update((u, v))

@@ -41,7 +41,7 @@ def variable_setting(num_vars: int, domain: int, scopes: Sequence[Sequence[int]]
         graph=graph,
         # addressing flaw i rewrites only its scope, so only the flaws
         # reading one of those variables can change
-        affects=lambda i, s, t: adj[i],
+        affects=lambda i, s: adj[i],
         sample_init=lambda rng: tuple(draw(rng) for _ in range(num_vars)),
         canon=canon,
         action_distribution=ScopeLaw(num_vars, domain, scopes),
@@ -58,23 +58,24 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
     Esperet and Parreau.  A state is a partial assignment of the
     variables of ``blank``, the immutable state in which every variable
     holds the same unassigned marker, and flaw ``i`` is variable ``i``
-    unassigned.  Addressing it assigns ``draw(i, vals, rng)``, whose law
-    is replayed from its draws, and ``outcome(i, vals, value)`` makes that
+    unassigned (labelled by ``flaw_labels``, as a witness forest reads
+    it).  Addressing it assigns ``draw(i, vals, rng)``, whose law is
+    replayed from its draws, and ``outcome(i, vals, value)`` makes that
     assignment and any backtrack in ``vals``, the working form of the
     state (a ``core.InPlaceAction``), reading the old values it needs
     before its first write.  A backtrack may unassign only the variables
     in ``reach(i)``, ``i`` among them, and an outcome that leaves ``i``
-    assigned changed no other variable.  ``reach`` is a function that
-    ``affects`` calls on a backtrack; the dependency graph, in which
-    ``i``'s neighborhood is ``reach(i)``, calls it for every variable on
-    the first read of its ``adj``.  Runs start at ``blank`` under the
-    lowest-index strategy that the tail bound assumes.  The states are
-    enumerated only when ``enumerable`` and the (len(domain) + 1)^n
-    partial assignments fit ``STATE_CAP``: variable 0 varies slowest,
-    unassigned first and then ``domain`` in order, and an assignment of
-    variable ``v`` is kept when ``consistent(vals, v)`` holds for the
-    list ``vals`` with ``v``'s successors unassigned.  ``declared`` holds
-    the remaining fields."""
+    assigned changed no other variable, so ``affects`` reads the outcome
+    alone.  ``reach`` is a function that ``affects`` calls on a backtrack;
+    the dependency graph, in which ``i``'s neighborhood is ``reach(i)``,
+    calls it for every variable on the first read of its ``adj``.  Runs
+    start at ``blank`` under the lowest-index strategy that the tail
+    bound assumes.  The states are enumerated only when ``enumerable``
+    and the (len(domain) + 1)^n partial assignments fit ``STATE_CAP``:
+    variable 0 varies slowest, unassigned first and then ``domain`` in
+    order, and an assignment of variable ``v`` is kept when
+    ``consistent(vals, v)`` holds for the list ``vals`` with ``v``'s
+    successors unassigned.  ``declared`` holds the remaining fields."""
     n = len(blank)
     unset = blank[0] if n else None
     metadata = {**declared.pop("metadata", {}), "strategy": "lowest_index"}
@@ -101,12 +102,11 @@ def backtracking_setting(blank: Sequence, domain: Sequence, draw: Callable, outc
                                     type(blank)),
         graph=DependencyGraph.on_read(n, reach),
         # an outcome that leaves i assigned wrote variable i only
-        affects=lambda i, state, nxt: (i,) if nxt[i] != unset else reach(i),
+        affects=lambda i, state: (i,) if state[i] != unset else reach(i),
         sample_init=lambda rng: blank,
         enumerate_states=(
             enumerate_states if enumerable and (len(domain) + 1) ** n <= STATE_CAP else None),
         init_distribution=lambda s: 1.0 if s == blank else 0.0,
-        unassigned=lambda s: frozenset(flaw_labels[v] for v in range(n) if s[v] == unset),
         flaw_labels=flaw_labels,
         metadata=metadata,
         **declared,

@@ -212,20 +212,25 @@ class WitnessForest:
 
 def introduced_sets(trajectory: Trajectory, problem: SearchProblem) -> tuple[frozenset, list[tuple[object, frozenset]]]:
     """Per-step (variable, introduced set) records of a backtracking run:
-    S_i = U(sigma_{i+1}) minus (U(sigma_i) minus {w_i})."""
-    if problem.unassigned is None:
-        raise LllError("problem does not expose unassigned variables")
-    s0 = before = problem.unassigned(trajectory.initial_state)
+    S_i = U(sigma_{i+1}) minus (U(sigma_i) minus {w_i}), where U(sigma) is
+    the labels (else the indices) of sigma's present flaws.  Past the
+    initial scan, a step re-reads only the flaws that ``problem.affects``
+    lists for it (every flaw when it declares none), as ``run`` does."""
+    label = (lambda j: j) if problem.flaw_labels is None else problem.flaw_labels.__getitem__
+    present, affects = problem.present, problem.affects
+    s0 = frozenset(map(label, problem.present_flaws(trajectory.initial_state)))
+    unassigned = set(s0)
     rec = []
-    labels = problem.flaw_labels
     for w, state in trajectory.steps:
-        after = problem.unassigned(state)
-        var = labels[w] if labels is not None else w
-        if var not in before:
+        var = label(w)
+        if var not in unassigned:
             raise LllError("inconsistent backtracking record")
-        rec.append((var, frozenset(after - (before - {var}))))
-        before = after
-    return frozenset(s0), rec
+        touched = range(problem.num_flaws) if affects is None else tuple(affects(w, state))
+        now = {label(j) for j in touched if present(j, state)}
+        rec.append((var, frozenset(u for u in now if u == var or u not in unassigned)))
+        unassigned.difference_update(map(label, touched))
+        unassigned.update(now)
+    return s0, rec
 
 
 def build_witness_forest(s0: frozenset, records: Sequence[tuple[object, frozenset]],

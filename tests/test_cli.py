@@ -706,19 +706,47 @@ GEN_THEN_SOLVE = {
 }
 
 
-@pytest.mark.parametrize("solver", list(SOLVERS))
-def test_gen_then_solve_every_solver(tmp_path, capsys, solver):
-    gen_args, flags, check = GEN_THEN_SOLVE[solver]
+# the solvers stated in the backtracking setting: a traced solve of one
+# prints a witness forest, and refuses a strategy other than lowest_index
+BACKTRACKING_SOLVERS = {"ksat-backtrack", "ksat-backtrack-biased", "aec-backtrack"}
+
+
+def gen_for(tmp_path, capsys, solver):
+    """The instance text of ``solver``'s ``GEN_THEN_SOLVE`` entry and the
+    ``solve`` arguments past the solver that read it."""
+    gen_args, flags, _ = GEN_THEN_SOLVE[solver]
     code, text, _ = run_cli(["gen", *gen_args, "--seed", "3"], capsys)
     assert code == 0
     path = write(tmp_path, "instance.txt", text)
     write(tmp_path, "bias.json", json.dumps([[0.5, 0.5]] * 12))
     flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
-    code, out, _ = run_cli(["solve", solver, path, *flags, "--seed", "4"], capsys)
+    return text, [path, *flags, "--seed", "4"]
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_gen_then_solve_every_solver(tmp_path, capsys, solver):
+    text, args = gen_for(tmp_path, capsys, solver)
+    code, out, _ = run_cli(["solve", solver, *args], capsys)
     doc = json.loads(out)
     assert code == 0 and doc["terminated"] and doc["valid"]
     assert doc["max_steps"] == DEFAULT_MAX_STEPS
-    assert check(doc["final_state"], text)
+    assert GEN_THEN_SOLVE[solver][2](doc["final_state"], text)
+
+
+@pytest.mark.parametrize("solver", list(SOLVERS))
+def test_trace_forest_and_strategy_refusal_follow_the_setting(tmp_path, capsys, solver):
+    """Exactly the backtracking solvers print a ``witness_forest`` under
+    ``solve --trace`` and refuse ``--trace --strategy recency``."""
+    backtracking = solver in BACKTRACKING_SOLVERS
+    _, args = gen_for(tmp_path, capsys, solver)
+    code, out, _ = run_cli(["solve", solver, *args, "--trace"], capsys)
+    assert code == 0
+    assert ("witness_forest" in json.loads(out)["trace"]) == backtracking
+    code, out, err = run_cli(["solve", solver, *args, "--trace", "--strategy", "recency"], capsys)
+    if backtracking:
+        assert code == 1 and out == "" and err.startswith("error:")
+    else:
+        assert code == 0 and "witness_forest" not in json.loads(out)["trace"]
 
 
 def test_each_choice_list_is_its_table(capsys):

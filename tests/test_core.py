@@ -101,8 +101,6 @@ def test_run_determinism(two_clause_mt):
     a = run(two_clause_mt, seed=42, record_trajectory=True)
     b = run(two_clause_mt, seed=42, record_trajectory=True)
     assert a == b
-    c = run(two_clause_mt, seed=43)
-    assert a.seed != c.seed or a == c
 
 
 def test_run_report_invariants(two_clause_mt):
@@ -227,10 +225,10 @@ def test_validate_catches_affects_gap(two_clause_mt):
     from dataclasses import replace
 
     # resampling clause 0 rewrites x1 and x2, which can violate clause 1
-    bad = replace(two_clause_mt, affects=lambda i, s, t: frozenset({i}))
+    bad = replace(two_clause_mt, affects=lambda i, s: frozenset({i}))
     with pytest.raises(LllError, match="affects cover violated: flaw 0 changes 1"):
         validate_problem(bad)
-    without_self = replace(two_clause_mt, affects=lambda i, s, t: frozenset({1 - i}))
+    without_self = replace(two_clause_mt, affects=lambda i, s: frozenset({1 - i}))
     with pytest.raises(LllError, match="must include"):
         validate_problem(without_self)
 

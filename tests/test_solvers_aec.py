@@ -312,7 +312,7 @@ def test_validate_aec_backtrack_affects():
     p = aec_backtrack(six_cycle(), 3)
     assert p.enumerate_states is not None
     validate_problem(p)
-    narrow = replace(p, affects=lambda i, s, t: (i,))
+    narrow = replace(p, affects=lambda i, s: (i,))
     with pytest.raises(LllError, match="affects cover violated: flaw 0 changes 2"):
         validate_problem(narrow)
 

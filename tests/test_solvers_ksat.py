@@ -178,11 +178,15 @@ def exact_backtrack_charges(problem):
     mass sum_s mu(s) A(s, t) / mu(t), by enumeration."""
     mu = problem.space.mu
     got: dict = {}
+
+    def unassigned(state):
+        return frozenset(problem.label(j) for j in problem.present_flaws(state))
+
     for s in problem.space.states:
         for i in problem.present_flaws(s):
             for t, p in action_law(problem)(i, s).items():
-                before = problem.unassigned(s)
-                after = problem.unassigned(t)
+                before = unassigned(s)
+                after = unassigned(t)
                 intro = frozenset(after - (before - {f"x{i+1}"}))
                 key = (f"x{i+1}", intro)
                 got.setdefault(key, {})

@@ -50,7 +50,7 @@ def reference_ksat_mt(cnf):
     return dict(
         graph=graph,
         present=lambda i, state: cnf.violated(state, i),
-        affects=lambda i, s, t: graph.adj[i],
+        affects=lambda i, s: graph.adj[i],
         sample_action=sample_action,
         action_distribution=action_distribution,
         sample_init=sample_init,
@@ -108,7 +108,7 @@ def reference_aec_clique_mt(g, q):
     return dict(
         graph=graph,
         present=present,
-        affects=lambda i, s, t: graph.adj[i],
+        affects=lambda i, s: graph.adj[i],
         sample_action=sample_action,
         action_distribution=action_distribution,
         sample_init=sample_init,
@@ -158,7 +158,7 @@ def test_port_matches_the_hand_written_closures(problem, ref, q):
     states = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(6)]
     for s in states:
         for i in range(problem.num_flaws):
-            assert list(problem.affects(i, s, s)) == list(ref["affects"](i, s, s))
+            assert list(problem.affects(i, s)) == list(ref["affects"](i, s))
             assert bits(problem.action_distribution(i, s)) == bits(ref["action_distribution"](i, s))
     for run in range(4):
         ours, theirs = source_for_run(7, run), source_for_run(7, run)

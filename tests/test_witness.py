@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -175,12 +176,26 @@ def test_forest_successful_run_is_isolated_roots():
     assert f.terminal_unassigned() == frozenset()
 
 
+def scanned_introduced_sets(trajectory, problem):
+    """``introduced_sets`` by its definition, from a full scan of every
+    state of the run: the reference for its reads of ``affects``."""
+    def unassigned(state):
+        return frozenset(problem.label(j) for j in problem.present_flaws(state))
+
+    states = trajectory.states()
+    return unassigned(states[0]), [
+        (problem.label(w), unassigned(t) - (unassigned(s) - {problem.label(w)}))
+        for (w, t), s in zip(trajectory.steps, states)]
+
+
 def test_forest_roundtrip_from_real_runs():
     cnf = CnfInstance(6, ((1, 2, 3), (-3, 4, 5), (2, -5, 6)))
     problem = ksat_backtrack(cnf)
     for seed in range(25):
         rep = run(problem, "lowest_index", seed=seed, record_trajectory=True)
         s0, records = introduced_sets(rep.trajectory, problem)
+        assert (s0, records) == scanned_introduced_sets(rep.trajectory, problem)
+        assert (s0, records) == introduced_sets(rep.trajectory, replace(problem, affects=None))
         forest = forest_from_trajectory(rep.trajectory, problem)
         addressed, intro = forest.replay()
         assert addressed == [v for (v, _) in records]
@@ -496,6 +511,8 @@ def test_forest_roundtrip_aec_backtrack():
     for seed in range(40):
         rep = run(problem, "lowest_index", seed=seed, record_trajectory=True)
         s0, records = introduced_sets(rep.trajectory, problem)
+        assert (s0, records) == scanned_introduced_sets(rep.trajectory, problem)
+        assert (s0, records) == introduced_sets(rep.trajectory, replace(problem, affects=None))
         if any(intro for (_, intro) in records):
             saw_backtrack = True
         forest = forest_from_trajectory(rep.trajectory, problem)
