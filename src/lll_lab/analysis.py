@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import chain, core
+from .chain import BatchStats
 from .core import (
     DEFAULT_MAX_STEPS,
     BlockStart,
@@ -220,41 +221,6 @@ def _iter_runs(
                                 Trajectory(initial, ()) if record_trajectory else None)
 
 
-@dataclass
-class BatchStats:
-    """Per-run step and address counts, a reducer of the outputs and the
-    prefix trie of the witness sequences (when collected).
-
-    ``outputs`` maps each distinct final canon to (the first final state
-    with that canon, its run count), in order of first occurrence; it is
-    empty when the outputs were not collected.  The trie is the one of
-    ``chain.BatchResult``: per run a prefix id (0 is the empty sequence;
-    -1 when censored or past ``chain.SEQUENCE_CAP``, which only the chain
-    path applies), per prefix its parent and last flaw, a parent's id
-    below its children's.
-    """
-
-    runs: int
-    steps: np.ndarray
-    terminated: np.ndarray
-    flaw_counts: np.ndarray
-    outputs: dict[bytes, tuple[object, int]]
-    sequence_ids: np.ndarray | None = None
-    prefix_parent: np.ndarray | None = None
-    prefix_flaw: np.ndarray | None = None
-
-    @property
-    def censored(self) -> int:
-        return self.runs - int(np.count_nonzero(self.terminated))
-
-    @property
-    def sequences(self) -> Iterator[int | None] | None:
-        """One prefix id per run, in run order; ``None`` for an unknown run."""
-        if self.sequence_ids is None:
-            return None
-        return (None if k < 0 else k for k in self.sequence_ids.tolist())
-
-
 def _output_counts(problem: SearchProblem, finals: Iterable[tuple[object, int]]) -> dict:
     """Fold (final state, runs) pairs, in order of first occurrence, into
     canon -> (first state, runs)."""
@@ -287,14 +253,12 @@ def run_many(
         return step_stats(problem, range(runs), seed, max_steps, collect_sequences,
                           collect_outputs)
     tables = chain.build_chain_tables(problem, prio[1])
-    result = chain.run_batch(tables, runs, seed, max_steps, record_sequences=collect_sequences)
-    outputs = {}
+    stats = chain.run_batch(tables, runs, seed, max_steps, record_sequences=collect_sequences)
     if collect_outputs:
-        ids, mult = chain.final_counts(result.final_ids)
-        outputs = _output_counts(problem, ((tables.states[k], c)
-                                           for k, c in zip(ids.tolist(), mult.tolist())))
-    return BatchStats(runs, result.steps, result.terminated, result.flaw_counts, outputs,
-                      result.sequence_ids, result.prefix_parent, result.prefix_flaw)
+        ids, mult = chain.final_counts(stats.final_ids)
+        stats.outputs = _output_counts(problem, ((tables.states[k], c)
+                                                 for k, c in zip(ids.tolist(), mult.tolist())))
+    return stats
 
 
 def step_stats(
@@ -335,8 +299,7 @@ def step_stats(
             sequence_ids.append(node)
     trie = (np.array(sequence_ids, dtype=np.int64), *np.array([(0, -1), *prefix_id]).T) \
         if collect_sequences else ()
-    return BatchStats(len(steps), np.array(steps, dtype=np.int64),
-                      np.array(terminated, dtype=bool), counts,
+    return BatchStats(np.array(steps, dtype=np.int64), np.array(terminated, dtype=bool), counts,
                       _output_counts(problem, finals.items()), *trie)
 
 
@@ -499,11 +462,7 @@ def check_event_probability(
     if not check_commutativity(problem, rows, event_neighbors).commutative:
         raise LllError("event extension is not commutative; bound not applicable")
     gamma_e = core.charge_of_rows(space, rows())  # ``event_charge`` exactly
-    adj = problem.graph.adj
-    zeta = independent_weight_sum(
-        sorted(event_neighbors), {j: adj[j] for j in event_neighbors},
-        {j: psi[j] for j in event_neighbors},
-    )
+    zeta = independent_weight_sum(sorted(event_neighbors), problem.graph.adj, psi)
     bound = computed_init_ratio(problem) * gamma_e * zeta
     member = dict.fromkeys(space.states, False)
     member.update((space.states[k], True) for k in held)
@@ -576,9 +535,7 @@ def output_distribution(
     """
     psi = problem_weights(problem, psi, "needs a weight vector")
     mu = problem.space.mu
-    flaws = range(problem.num_flaws)
-    u_all = independent_weight_sum(
-        list(flaws), dict(enumerate(problem.graph.adj)), {j: psi[j] for j in flaws})
+    u_all = independent_weight_sum(range(problem.num_flaws), problem.graph.adj, psi)
     lam = computed_init_ratio(problem)
     factor = lam * u_all
     stats = run_many(problem, runs, seed)
@@ -812,8 +769,7 @@ def run_core_truncated(
     core_set = set(core)
     for i in range(problem.num_flaws):
         restricted = sorted(set(graph.adj[i]) & core_set)
-        z = independent_weight_sum(restricted, {j: graph.adj[j] for j in restricted},
-                                   {j: psi[j] for j in restricted})
+        z = independent_weight_sum(restricted, graph.adj, psi)
         if charges[i] * z > psi[i] + 1e-12:
             raise LllError("restricted criterion fails; truncation bound not applicable")
     flaw_measures = measure_of_flaws(problem)
@@ -824,14 +780,14 @@ def run_core_truncated(
         z = neighborhood_sum(i, graph, psi)
         bound += flaw_measures[i] * z
     tables = chain.build_chain_tables(problem, prio[1], flaw_subset=core_set)
-    result = chain.run_batch(tables, runs, seed)
-    ids, mult = chain.final_counts(result.final_ids)
+    stats = chain.run_batch(tables, runs, seed)
+    ids, mult = chain.final_counts(stats.final_ids)
     failures = sum(c for k, c in zip(ids.tolist(), mult.tolist())
                    if problem.present_flaws(tables.states[k]))
     p_hat = failures / runs
     verdict = upper_verdict("non_core_failure", p_hat, bound, proportion_se(p_hat, runs))
     return verdict_report("run_core_truncated", [verdict], runs=runs,
-                          mean_steps=float(result.steps.mean()))
+                          mean_steps=float(stats.steps.mean()))
 
 
 # ---------------------------------------------------------------------------
@@ -895,16 +851,12 @@ def coloring_weight_analysis(problem: SearchProblem, runs: int = 10**4, seed: in
 def report_to_json_dict(report: dict) -> dict:
     out = {}
     for k, v in report.items():
-        if isinstance(v, Verdict):
-            out[k] = v.to_json_dict()
-        elif isinstance(v, list) and v and isinstance(v[0], Verdict):
+        if isinstance(v, list) and v and isinstance(v[0], Verdict):
             out[k] = [x.to_json_dict() for x in v]
         elif isinstance(v, (DistributionReport, CommutativityReport)):
             out[k] = v.to_json_dict()
         elif isinstance(v, (bool, int, float, str)) or v is None:
             out[k] = v
-        elif isinstance(v, np.floating):
-            out[k] = float(v)
         else:
             out[k] = str(v)
     return out

@@ -17,8 +17,8 @@ taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -184,19 +184,55 @@ def _draw_starts(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class BatchResult:
+class BatchStats:
+    """One batch of runs, whichever sampler ran it: per-run step and
+    address counts and termination flags, a reducer of the outputs and
+    the prefix trie of the witness sequences (when collected).
+
+    ``outputs`` maps each distinct final canon to (the first final state
+    with that canon, its run count), in order of first occurrence; it is
+    empty when the outputs were not collected.  ``final_ids`` holds each
+    run's final state id on the chain path (``run_batch``) and is None on
+    the step path (``analysis.step_stats``).  The trie: per run a prefix
+    id (0 is the empty sequence; -1 when censored or past
+    ``SEQUENCE_CAP``, which only the chain path applies), per prefix its
+    parent and last flaw, a parent's id below its children's.
+    """
+
     steps: np.ndarray  # per-run step count (censored runs hit max_steps)
-    final_ids: np.ndarray
     terminated: np.ndarray
     flaw_counts: np.ndarray  # runs x m address counts
-    # per run, the prefix id of its recorded witness sequence (0: empty),
-    # or -1 when the sequence is unknown: the run stepped past
-    # ``SEQUENCE_CAP`` or was censored.  Prefix k extends prefix
-    # ``prefix_parent[k]`` by flaw ``prefix_flaw[k]``; a parent's id is
-    # below its children's
-    sequence_ids: np.ndarray | None
-    prefix_parent: np.ndarray | None
-    prefix_flaw: np.ndarray | None
+    outputs: dict[bytes, tuple[object, int]] = field(default_factory=dict)
+    sequence_ids: np.ndarray | None = None
+    prefix_parent: np.ndarray | None = None
+    prefix_flaw: np.ndarray | None = None
+    final_ids: np.ndarray | None = None
+
+    @property
+    def runs(self) -> int:
+        return len(self.steps)
+
+    @property
+    def censored(self) -> int:
+        return self.runs - int(np.count_nonzero(self.terminated))
+
+    @property
+    def sequences(self) -> Iterator[int | None] | None:
+        """One prefix id per run, in run order; ``None`` for an unknown run."""
+        if self.sequence_ids is None:
+            return None
+        return (None if k < 0 else k for k in self.sequence_ids.tolist())
+
+    @staticmethod
+    def concat(parts: Sequence[BatchStats]) -> BatchStats:
+        """The record of consecutive batches, run after run.  Only their
+        per-run counts and flags join: a part that holds outputs, final
+        ids or a trie is refused rather than dropped."""
+        if any(p.outputs or p.final_ids is not None or p.sequence_ids is not None
+               for p in parts):
+            raise LllError("only batches of bare run counts concatenate")
+        join = lambda name: np.concatenate([getattr(p, name) for p in parts])
+        return BatchStats(join("steps"), join("terminated"), join("flaw_counts"))
 
 
 def run_batch(
@@ -205,7 +241,7 @@ def run_batch(
     seed: int,
     max_steps: int = DEFAULT_MAX_STEPS,
     record_sequences: bool = False,
-) -> BatchResult:
+) -> BatchStats:
     """Sample ``runs`` independent chains; statistics only depend on
     (seed, runs), not on how callers batch them.
 
@@ -264,7 +300,8 @@ def run_batch(
     if record_sequences:
         seq_ids[~terminated | (steps > SEQUENCE_CAP)] = -1
         prefix_parent, prefix_flaw = np.concatenate(parents), np.concatenate(last_flaws)
-    return BatchResult(steps, current, terminated, counts, seq_ids, prefix_parent, prefix_flaw)
+    return BatchStats(steps, terminated, counts, {}, seq_ids, prefix_parent, prefix_flaw,
+                      final_ids=current)
 
 
 def final_counts(final_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -32,7 +32,6 @@ import os
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
 
 from . import formats
 from .build import PIPELINE, SOLVER_NAMES, SOLVERS, build_problem
@@ -222,8 +221,7 @@ def cmd_criteria(args) -> int:
 def _resamples(analysis, problem, spec: dict, args, psi):
     # workers sample only once the weights and the criterion have passed
     parallel = _processes(args.parallel, args.runs) > 1 and problem.enumerate_states is None
-    sample = lambda: analysis.BatchStats(
-        args.runs, *parallel_run_counts(spec, args.runs, args.seed, args.parallel), outputs={})
+    sample = lambda: parallel_run_counts(spec, args.runs, args.seed, args.parallel)
     return analysis.check_resample_bounds(problem, psi=psi, runs=args.runs, seed=args.seed,
                                           mode=args.mode or "cluster",
                                           sample=sample if parallel else None)
@@ -359,13 +357,12 @@ def cmd_gen(args) -> int:
 
 
 def _worker_counts(payload):
-    """One chunk's steps, termination flags and address counts, folded
-    by the serial runner's own ``step_stats``."""
+    """One chunk's ``BatchStats`` of steps, termination flags and address
+    counts, folded by the serial runner's own ``step_stats``."""
     from . import analysis
 
     spec, seed, run_indices = payload
-    stats = analysis.step_stats(build_problem(spec), run_indices, seed, collect_outputs=False)
-    return stats.steps, stats.terminated, stats.flaw_counts
+    return analysis.step_stats(build_problem(spec), run_indices, seed, collect_outputs=False)
 
 
 def _processes(workers: int, runs: int) -> int:
@@ -375,10 +372,11 @@ def _processes(workers: int, runs: int) -> int:
 
 
 def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
-    """Step/termination/address-count statistics fanned out over worker
-    processes; aggregation is in run-index order, so the result is
-    byte-identical to the single-process loop.  Each process gets one
-    chunk of run indices, so it builds the problem once."""
+    """The ``BatchStats`` of steps, termination flags and address counts,
+    with the runs fanned out over worker processes; the records join in
+    run-index order, so the result is byte-identical to the
+    single-process loop.  Each process gets one chunk of run indices, so
+    it builds the problem once."""
     chunk = -(-runs // _processes(workers, runs))
     indices = range(runs)
     payloads = [(spec, seed, indices[k:k + chunk]) for k in range(0, runs, chunk)]
@@ -390,10 +388,7 @@ def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
 
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_worker_counts, payloads))
-    steps = np.concatenate([p[0] for p in parts])
-    terminated = np.concatenate([p[1] for p in parts])
-    flaw_counts = np.concatenate([p[2] for p in parts])
-    return steps, terminated, flaw_counts
+    return parts[0].concat(parts)  # through a record: cli does not import chain
 
 
 # ---------------------------------------------------------------------------

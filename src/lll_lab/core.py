@@ -392,8 +392,10 @@ class RunReport(NamedTuple):
 
 
 class FlawChoiceStrategy:
-    """Picks which present flaw to address; ``observe`` lets a strategy
-    keep whatever part of the history it needs.
+    """Picks which present flaw to address.  ``run`` calls ``reset`` at
+    the start of each run, and ``choose`` once per step unless
+    ``priority`` lets it pick from a heap; a strategy that reads the
+    history keeps it itself, from its own ``choose`` calls.
 
     The commutative-setting theorems are strategy-agnostic; the
     backtracking tail bound and the greedy-coloring weight bound require
@@ -401,16 +403,11 @@ class FlawChoiceStrategy:
     docs).
     """
 
-    name = "abstract"
-
     def reset(self) -> None:
         pass
 
     def choose(self, present: list[int], state: State) -> int:
         raise NotImplementedError
-
-    def observe(self, i: int, step: int) -> None:
-        """Called after flaw ``i`` is addressed at step ``step``."""
 
     def priority(self, num_flaws: int) -> tuple[Sequence[int], Sequence[int]] | None:
         """``(rank, order)`` with ``order[rank[i]] == i`` when ``choose``
@@ -421,8 +418,6 @@ class FlawChoiceStrategy:
 
 class LowestIndexStrategy(FlawChoiceStrategy):
     """Lowest flaw index first; flaw list order is declaration order."""
-
-    name = "lowest_index"
 
     def choose(self, present, state):
         return min(present)
@@ -435,8 +430,6 @@ class FixedPriorityStrategy(FlawChoiceStrategy):
     """Addresses the present flaw that comes first in a fixed permutation.
     ``priority`` refuses an order that is not a permutation of the flaws:
     a flaw it omits would never be addressed."""
-
-    name = "fixed_priority"
 
     def __init__(self, permutation: Sequence[int]):
         self.order = list(permutation)
@@ -461,21 +454,22 @@ class FixedPriorityStrategy(FlawChoiceStrategy):
 
 class RecencyStrategy(FlawChoiceStrategy):
     """Most recently addressed present flaw first; never-addressed flaws
-    rank last and tie-break by lowest index."""
-
-    name = "recency"
+    rank last and tie-break by lowest index.  Each ``choose`` is one step
+    of the run: it stamps the flaw it returns with the step count since
+    ``reset``."""
 
     def __init__(self):
-        self.last_addressed: dict[int, int] = {}
+        self.reset()
 
     def reset(self):
-        self.last_addressed = {}
+        self.last_addressed: dict[int, int] = {}
+        self.steps = 0
 
     def choose(self, present, state):
-        return max(present, key=lambda i: (self.last_addressed.get(i, -1), -i))
-
-    def observe(self, i, step):
-        self.last_addressed[i] = step
+        i = max(present, key=lambda i: (self.last_addressed.get(i, -1), -i))
+        self.last_addressed[i] = self.steps
+        self.steps += 1
+        return i
 
 
 def make_strategy(spec: str | FlawChoiceStrategy | None) -> FlawChoiceStrategy:
@@ -606,7 +600,6 @@ def run_from(
         else:
             state = action(i, state, rng)
         counts[i] += 1
-        strategy.observe(i, steps)
         if record_trajectory:
             steps_rec.append((i, freeze(state)))
         steps += 1

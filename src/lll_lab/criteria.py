@@ -81,11 +81,16 @@ def _le_one(v) -> bool:
 # independent-set sums
 
 
-def independent_weight_sum(vertices: Sequence[int], adjacency: Mapping[int, frozenset[int]],
-                           weights: Mapping[int, float]):
+def independent_weight_sum(
+    vertices: Sequence[int],
+    adjacency: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
+    weights: Mapping[int, float] | Sequence[float],
+):
     """Sum over independent subsets S of ``vertices`` of the product of
     weights, counting the empty set as 1.  Independence ignores self-loops
     (a vertex never conflicts with itself for set membership).
+    ``adjacency`` and ``weights`` are read only at the vertices of the
+    set, so a whole graph's ``adj`` and weight vector serve as they are.
 
     Branch recursion on a maximum-degree vertex; edgeless residues close
     in product form, so dense and sparse neighborhoods both stay cheap.
@@ -116,8 +121,7 @@ def neighborhood_sum(i: int, graph: DependencyGraph, psi: Sequence, cap: int = N
     nbrs = graph.adj[i]
     if len(nbrs) > cap:
         raise LllError("neighborhood too large; supply closed form")
-    weights = {j: psi[j] for j in nbrs}
-    return independent_weight_sum(sorted(nbrs), {j: graph.adj[j] for j in nbrs}, weights)
+    return independent_weight_sum(sorted(nbrs), graph.adj, psi)
 
 
 def subset_product_sum(indices: Sequence[int], psi: Sequence):

@@ -72,9 +72,6 @@ class DependencyGraph:
                 if i not in self.adj[j]:
                     raise LllError(f"adjacency not symmetric at ({i},{j})")
 
-    def are_adjacent(self, i: int, j: int) -> bool:
-        return j in self.adj[i]
-
 
 class _GraphOnRead(DependencyGraph):
     """A ``DependencyGraph`` whose ``adj`` is a ``cached_property``.  Only

@@ -93,15 +93,6 @@ class GraphInstance:
 # validity checking
 
 
-def coloring_is_proper(g: GraphInstance, coloring: Sequence[int]) -> bool:
-    incident = g.incident()
-    for ids in incident:
-        used = [coloring[e] for e in ids if coloring[e] != UNCOLORED]
-        if len(used) != len(set(used)):
-            return False
-    return True
-
-
 def bichromatic_cycle_through(
     g: GraphInstance, coloring: Sequence[int], edge_id: int, other_color: int
 ) -> list[int] | None:

@@ -131,7 +131,7 @@ def _shearer_against_brute(g, gamma):
         frozenset(c)
         for r in range(g.m + 1)
         for c in itertools.combinations(range(g.m), r)
-        if all(not g.are_adjacent(a, b) for a, b in itertools.combinations(c, 2))
+        if all(b not in g.adj[a] for a, b in itertools.combinations(c, 2))
     ]
     brute = {}
     for s in all_ind:

@@ -132,9 +132,8 @@ def test_chain_and_slow_path_agree_in_distribution(two_clause_mt):
 
 
 class ReverseIndexStrategy(FlawChoiceStrategy):
-    """Highest index first: a fixed order under a name of its own."""
-
-    name = "reverse_index"
+    """Highest index first: a fixed order that ``make_strategy`` does not
+    build."""
 
     def choose(self, present, state):
         return max(present)
@@ -146,8 +145,8 @@ class ReverseIndexStrategy(FlawChoiceStrategy):
 
 def test_run_many_takes_the_chain_path_from_the_declared_priority(monkeypatch):
     """The chain path follows ``strategy.priority``, not the strategy's
-    name: a declared order under another name is sampled on the chain in
-    that order, and recency, which declares none, takes the step path."""
+    class: a declared order of a class of its own is sampled on the chain
+    in that order, and recency, which declares none, takes the step path."""
     built = []
     original = chain.build_chain_tables
 

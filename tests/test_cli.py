@@ -152,6 +152,37 @@ def test_criteria_rainbow_preset_cluster(tmp_path, capsys):
     assert rep["pass"] and max(rep["values"]) < 1.0
 
 
+@pytest.mark.parametrize("x,code,clique_sum", [(0.3, 0, 0.6), (0.6, 3, 1.2)])
+def test_criteria_clique_mode_by_hand(tmp_path, capsys, x, code, clique_sum):
+    """One clique {0, 1} with x = 0.3 at each flaw and charges 0.1: the
+    clique sum is 0.6 < 1 and each charge is 1/3 of its x.  At x = 0.6
+    the clique sum is 1.2 and the check fails."""
+    doc = {"m": 2, "adjacency": [[1], [0]], "gamma": [0.1, 0.1], "cliques": [[0, 1]],
+           "x": {"0,0": x, "1,0": x}, "mode": "clique"}
+    path = write(tmp_path, "c.json", json.dumps(doc))
+    got, out, _ = run_cli(["criteria", path], capsys)
+    rep = json.loads(out)
+    assert got == code and rep["pass"] == (code == 0) and rep["mode"] == "clique"
+    assert rep["details"]["clique_sums"] == [pytest.approx(clique_sum)]
+    assert rep["values"] == [pytest.approx(clique_sum), *[pytest.approx(0.1 / x)] * 2]
+
+
+@pytest.mark.parametrize("psi,code,zeta", [(1.5, 0, 17 / 24), (0.5, 3, 9 / 8)])
+def test_criteria_backtrack_mode_by_hand(tmp_path, capsys, psi, code, zeta):
+    """x1 with charges {{}: 0.5, {x1, x2}: 0.25} and psi on both
+    variables: zeta_x1 = (0.5 + 0.25 psi^2) / psi, 0.7083 at psi = 1.5
+    and 1.125 at psi = 0.5; x2 has no charges, so zeta_x2 = 0."""
+    doc = {"m": 0, "mode": "backtrack", "backtrack": {
+        "variables": ["x1", "x2"], "charges": {"x1": [[[], 0.5], [["x1", "x2"], 0.25]]},
+        "psi": {"x1": psi, "x2": psi}}}
+    path = write(tmp_path, "c.json", json.dumps(doc))
+    got, out, _ = run_cli(["criteria", path], capsys)
+    rep = json.loads(out)
+    assert got == code and rep["pass"] == (code == 0) and rep["mode"] == "backtrack"
+    assert rep["details"]["zeta"] == {"x1": pytest.approx(zeta), "x2": 0.0}
+    assert rep["details"]["delta"] == pytest.approx(1 - zeta)
+
+
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_criteria_cap_below_one_refused_before_reading(tmp_path, capsys, monkeypatch, cap):
     """A cap below one is named as the fault, not the neighborhood it
@@ -341,9 +372,11 @@ def test_parallel_counts_match_serial(tmp_path, capsys):
                                  "--multiplicity", "2", "--seed", "30"], capsys)
     path = write(tmp_path, "k8.txt", clique_text)
     spec = {"solver": "rainbow", "instance_text": clique_text}
-    s1, t1, f1 = parallel_run_counts(spec, 200, 31, workers=1)
-    s2, t2, f2 = parallel_run_counts(spec, 200, 31, workers=3)
-    assert (s1 == s2).all() and (t1 == t2).all() and (f1 == f2).all()
+    one = parallel_run_counts(spec, 200, 31, workers=1)
+    three = parallel_run_counts(spec, 200, 31, workers=3)
+    assert one.runs == three.runs == 200
+    for name in ("steps", "terminated", "flaw_counts"):
+        assert (getattr(one, name) == getattr(three, name)).all()
 
 
 @pytest.mark.parametrize("extra,message", [

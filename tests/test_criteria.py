@@ -55,7 +55,7 @@ def brute_independent_sum(vertices, graph, psi):
     total = 0
     for r in range(len(vertices) + 1):
         for combo in itertools.combinations(vertices, r):
-            if all(not graph.are_adjacent(a, b) for a, b in itertools.combinations(combo, 2)):
+            if all(b not in graph.adj[a] for a, b in itertools.combinations(combo, 2)):
                 prod = 1
                 for j in combo:
                     prod *= psi[j]
@@ -70,7 +70,7 @@ def brute_shearer(gamma, graph):
         frozenset(c)
         for r in range(m + 1)
         for c in itertools.combinations(vertices, r)
-        if all(not graph.are_adjacent(a, b) for a, b in itertools.combinations(c, 2))
+        if all(b not in graph.adj[a] for a, b in itertools.combinations(c, 2))
     ]
     q = {}
     for s in independents:

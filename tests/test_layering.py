@@ -251,7 +251,6 @@ SURFACE_ALLOWLIST = {
     "analysis.coloring_weight_analysis": "library-only suite: no verify suite runs it yet",
     "build.Solver": "the entry type of build.SOLVERS",
     "chain.ChainTables": "what build_chain_tables returns",
-    "chain.BatchResult": "what run_batch returns",
     "chain.ExactChainStats": "what exact_statistics returns",
     "chain.exact_statistics": "the exact chain solve; only tests compare the sampler with it",
     "cli.cmd_solve": "the solve command, dispatched by the parser",
@@ -278,7 +277,6 @@ SURFACE_ALLOWLIST = {
     "criteria.realizable_set_charge": "only tests call it: no criterion reads it yet",
     "criteria.asymmetric_ksat_criterion": "package export with no CLI mode yet",
     "criteria.counting_bound": "package export with no CLI mode yet",
-    "solvers.aec.coloring_is_proper": "only tests call it: coloring_is_acyclic checks it itself",
     "solvers.aec.bichromatic_cycle_through": "the step's cycle walk; the benchmark counts it",
     "solvers.aec.four_available": "the backtracking step's color choice",
     "solvers.aec.default_cycle_bound": "the default cycle bound of the aec criterion",

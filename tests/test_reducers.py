@@ -205,6 +205,24 @@ def test_sequence_record_memory_at_1e5_runs():
     assert peak < 15 * 2**20
 
 
+def test_concat_joins_bare_run_counts_and_refuses_more(two_clause_mt):
+    """``BatchStats.concat`` joins per-run counts run after run, as one
+    fold over all the indices makes them.  A part that holds outputs,
+    final ids or a trie is refused: the join would drop it."""
+    fold = lambda indices, **kw: analysis.step_stats(two_clause_mt, indices, 5, **kw)
+    joined = chain.BatchStats.concat([fold(range(k, k + 10), collect_outputs=False)
+                                      for k in (0, 10, 20)])
+    whole = fold(range(30), collect_outputs=False)
+    assert joined.runs == 30
+    for name in ("steps", "terminated", "flaw_counts"):
+        assert (getattr(joined, name) == getattr(whole, name)).all()
+    chained = chain.run_batch(chain.build_chain_tables(two_clause_mt), 10, 5)
+    for part in (fold(range(3)), fold(range(3), collect_sequences=True, collect_outputs=False),
+                 chained):
+        with pytest.raises(LllError, match="only batches of bare run counts"):
+            chain.BatchStats.concat([whole, part])
+
+
 # ---------------------------------------------------------------------------
 # stub problems: exact ends of rows and wide flaw ids
 

@@ -19,7 +19,6 @@ from lll_lab.solvers.aec import (
     bichromatic_cycle_through,
     clique_constant_optimum,
     coloring_is_acyclic,
-    coloring_is_proper,
     enumerate_even_cycles,
     enumerate_two_paths,
     four_available,
@@ -28,6 +27,15 @@ from lll_lab.solvers.aec import (
 )
 
 UNCOLORED = -1
+
+
+def coloring_is_proper(g, coloring):
+    """No two colored edges at a vertex share a color."""
+    for ids in g.incident():
+        used = [coloring[e] for e in ids if coloring[e] != UNCOLORED]
+        if len(used) != len(set(used)):
+            return False
+    return True
 
 
 def k4():

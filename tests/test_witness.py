@@ -80,7 +80,7 @@ def test_levels_are_independent_sets():
             for level in t.level_labels():
                 assert len(set(level)) == len(level)
                 for a, b in itertools.combinations(level, 2):
-                    assert not g.are_adjacent(a, b)
+                    assert b not in g.adj[a]
 
 
 def test_distinct_steps_give_distinct_trees():
@@ -124,7 +124,7 @@ def test_occurs_single_node_and_root_presence(two_clause_mt):
         seq = rep.trajectory.witness_sequence
         single = WitnessTree([0], [-1])
         expected = any(
-            w == 0 and not any(g.are_adjacent(prev, 0) for prev in seq[:k])
+            w == 0 and not any(0 in g.adj[prev] for prev in seq[:k])
             for k, w in enumerate(seq)
         )
         assert (occurs(single, rep.trajectory, g) is not None) == expected
@@ -226,7 +226,7 @@ def stable_partition(reversed_sequence, graph):
     segments = [[reversed_sequence[0]]]
     for w in reversed_sequence[1:]:
         last = segments[-1]
-        if any(graph.are_adjacent(u, w) for u in last):
+        if any(w in graph.adj[u] for u in last):
             segments.append([w])
         elif w in last:
             raise LllError("not a stable sequence: repeated index within a segment")
@@ -460,7 +460,7 @@ def test_enumerate_star_counts_match_recursion():
         pool = sorted(set().union(*(g.adj[j] for j in last_level)))
         for r in range(1, budget + 1):
             for combo in itertools.combinations(pool, r):
-                if any(g.are_adjacent(a, b) for a, b in itertools.combinations(combo, 2)):
+                if any(b in g.adj[a] for a, b in itertools.combinations(combo, 2)):
                     continue
                 total += count_from(frozenset(combo), budget - r)
         return total
