@@ -31,6 +31,7 @@ from .core import (
     measure_of_flaws,
     recommended_strategy,
     run,
+    run_block,
     run_from,
 )
 from .criteria import (
@@ -180,6 +181,17 @@ def build_oracle(problem: SearchProblem) -> OracleTables:
 # batched running (chain fast path with a generic fallback)
 
 
+def _block_start(problem: SearchProblem, walk: bool = False) -> BlockStart | None:
+    """The problem's ``BlockStart`` while it keeps the scan it was declared
+    with, and, for ``walk``, a declared step and its action; else None."""
+    start = problem.sample_init
+    if not (isinstance(start, BlockStart) and problem.flaws_present is start.flaws_present):
+        return None
+    if walk and (start.step is None or problem.sample_action is not start.action):
+        return None
+    return start
+
+
 def _iter_runs(
     problem: SearchProblem,
     run_indices: Iterable[int],
@@ -187,22 +199,23 @@ def _iter_runs(
     max_steps: int = DEFAULT_MAX_STEPS,
     record_trajectory: bool = False,
 ) -> Iterator[RunReport]:
-    """One ``run`` report per run index, in order; the package's only loop
-    over run indices.  The problem's recommended strategy is resolved
-    once; ``run_from`` resets it before every walk.  A run's stream is
-    keyed by (seed, run index).
+    """One ``run`` report per run index, in order, for the callers that
+    read reports (final states, trajectories); ``step_stats`` folds the
+    runs it can walk in blocks without them.  The problem's recommended
+    strategy is resolved once; ``run_from`` resets it before every walk.
+    A run's stream is keyed by (seed, run index).
 
-    A problem whose ``sample_init`` is a ``BlockStart``, still with the
-    ``flaws_present`` it was declared with, starts its runs in blocks:
-    the run indices are cut into ``StreamBlock``s of consecutive indices,
-    and the start draws and scans every initial state of a block at
-    once.  A flawless start is its report; a run whose start holds a
-    flaw takes its ``RandomSource`` from the block and walks on in
-    ``run_from``.  Every report equals ``run``'s for its index.  Any other
-    problem calls ``run`` once per index."""
+    A problem with a ``_block_start`` starts its runs in blocks: the run
+    indices are cut into ``StreamBlock``s of consecutive indices, the
+    start draws and scans every initial state of a block at once, and each
+    lane's state and present list are read off its rows of the arrays.  A
+    flawless start is its report; a run whose start holds a flaw takes its
+    ``RandomSource`` from the block and walks on in ``run_from``.  Every
+    report equals ``run``'s for its index.  Any other problem calls
+    ``run`` once per index."""
     strategy = recommended_strategy(problem)
-    start = problem.sample_init
-    if not (isinstance(start, BlockStart) and problem.flaws_present is start.flaws_present):
+    start = _block_start(problem)
+    if start is None:
         for r in run_indices:
             yield run(problem, strategy, max_steps, seed, r, record_trajectory=record_trajectory)
         return
@@ -211,8 +224,12 @@ def _iter_runs(
     prio = strategy.priority(problem.num_flaws)
     zeros = (0,) * problem.num_flaws
     for block in StreamBlock.cover(seed, run_indices):
-        states, presents = start.start(block)
-        for lane, (initial, present) in enumerate(zip(states, presents)):
+        rows, held = start.start(block)
+        presents: list[list[int]] = [[] for _ in range(block.count)]
+        lanes, flaws = np.nonzero(held)  # row by row, ascending flaw ids
+        for k, i in zip(lanes.tolist(), flaws.tolist()):
+            presents[k].append(i)
+        for lane, (initial, present) in enumerate(zip(start.states(rows), presents)):
             if present:
                 yield run_from(problem, strategy, prio, max_steps, block.source(lane),
                                initial, present, record_trajectory)
@@ -269,17 +286,36 @@ def step_stats(
     collect_sequences: bool = False,
     collect_outputs: bool = True,
 ) -> BatchStats:
-    """The step runner's fold: one ``_iter_runs`` report per run index,
-    in order, into one row per run of ``BatchStats``.  ``run_many`` folds
-    ``range(runs)``; a ``--parallel`` worker folds its chunk, without
-    outputs.
+    """The step runner's fold, one row per run index, in order, into
+    ``BatchStats``.  ``run_many`` folds ``range(runs)``; a ``--parallel``
+    worker folds its chunk, without outputs.
 
-    Steps, flags and sequence ids collect in lists, and each array is
-    built once at the end.  Only a run that took a step has nonzero
-    address counts, so only its row of the zeroed count array is written,
-    as the run ends: no report outlives its run."""
+    A problem whose ``_block_start`` declares a walk, under a strategy with
+    a fixed order, folds the records of ``core.run_block`` block by block
+    unless sequences are collected; its outputs, when collected, are the
+    final rows.  Any other fold reads one ``_iter_runs`` report per run:
+    steps, flags and sequence ids collect in lists, each array is built
+    once at the end, and only a run that took a step has its row of the
+    zeroed count array written, as the run ends, so no report outlives its
+    run.  Both folds give the same record."""
     counts = np.zeros((len(run_indices), problem.num_flaws), dtype=np.int32)
-    steps, terminated, finals, sequence_ids = [], [], {}, []
+    finals: dict = {}
+    prio = recommended_strategy(problem).priority(problem.num_flaws)
+    start = _block_start(problem, walk=True)
+    if start is not None and prio is not None and not collect_sequences:
+        steps = np.zeros(len(run_indices), dtype=np.int64)
+        terminated = np.zeros(len(run_indices), dtype=bool)
+        k = 0
+        for block in StreamBlock.cover(seed, run_indices):
+            lanes = slice(k, k + block.count)
+            steps[lanes], terminated[lanes], counts[lanes], rows = run_block(
+                problem, block, prio[1], max_steps)
+            if collect_outputs:
+                for state in start.states(rows):
+                    finals[state] = finals.get(state, 0) + 1
+            k += block.count
+        return BatchStats(steps, terminated, counts, _output_counts(problem, finals.items()))
+    steps, terminated, sequence_ids = [], [], []
     # (parent id, flaw) -> prefix id, numbered from 1 in order of insertion
     prefix_id: dict[tuple[int, int], int] = {}
     reports = _iter_runs(problem, run_indices, seed, max_steps, record_trajectory=collect_sequences)
@@ -356,26 +392,25 @@ def check_witness_tree_lemma(
     known = stats.sequence_ids[stats.sequence_ids >= 0]
     # an unknown run (censored, or past the sequence record) is charged to every tree
     hits = [runs - known.size] * len(trees)
-    ends = np.bincount(known, minlength=stats.prefix_parent.size)  # known runs per end
     parent, last_flaw = stats.prefix_parent.tolist(), stats.prefix_flaw.tolist()
-    # the prefixes some known run passes through: no tree is built for the rest
-    marked = {0}
-    for node in np.flatnonzero(ends).tolist():
-        while node not in marked:
-            marked.add(node)
-            node = parent[node]
-    # the tree of step k reads only the prefix seq[:k], so each marked
-    # prefix is matched once; a parent's id is below its children's, so
-    # its sequence and the slots of the trees along it are ready first
-    along: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {0: ((), frozenset())}
-    for node in sorted(marked)[1:]:
-        seq, slots = along[parent[node]]
-        seq += (last_flaw[node],)
-        found = trees_of_sequence(seq, graph, max_tree_nodes, [len(seq)])
-        slots |= {canon_to_slot.get(tree.canonical()) for _, tree in found} - {None}
-        along[node] = seq, slots
-        for slot in slots:
-            hits[slot] += ends[node]
+    # known runs through each prefix: those ending there, then each child's
+    # runs added to its parent's, children first (a parent's id is below
+    # its children's)
+    through = np.bincount(known, minlength=len(parent)).tolist()
+    for node in range(len(parent) - 1, 0, -1):
+        through[parent[node]] += through[node]
+    # a run meets the tree of each of its steps once, and distinct steps
+    # of a run build distinct trees (``witness.occurs``), so each prefix's
+    # runs count once for the tree its last step builds; the tree reads
+    # only the prefix, and a parent's sequence is ready before its children's
+    along: dict[int, tuple[int, ...]] = {0: ()}
+    for node in range(1, len(parent)):
+        if through[node]:
+            seq = along[node] = along[parent[node]] + (last_flaw[node],)
+            for _, tree in trees_of_sequence(seq, graph, max_tree_nodes, [len(seq)]):
+                slot = canon_to_slot.get(tree.canonical())
+                if slot is not None:
+                    hits[slot] += through[node]
     p_hats = np.array(hits) / runs
     verdicts = [upper_verdict(f"tree[{tree.canonical().decode()}]", p_hats[k], lam * w,
                               proportion_se(p_hats[k], runs))

@@ -376,7 +376,10 @@ def parallel_run_counts(spec: dict, runs: int, seed: int, workers: int):
     with the runs fanned out over worker processes; the records join in
     run-index order, so the result is byte-identical to the
     single-process loop.  Each process gets one chunk of run indices, so
-    it builds the problem once."""
+    it builds the problem once.  Refuses fewer than one run before any
+    process starts."""
+    if runs < 1:
+        raise LllError(f"parallel runs need at least one run, got {runs}")
     chunk = -(-runs // _processes(workers, runs))
     indices = range(runs)
     payloads = [(spec, seed, indices[k:k + chunk]) for k in range(0, runs, chunk)]

@@ -1,7 +1,9 @@
 """Deterministic randomness plumbing shared by the whole package.
 
-All randomness flows through numpy's PCG64.  A run is identified by the
-triple (master seed, run index, tag); its stream is bit for bit
+All randomness is PCG64 (O'Neill's XSL-RR 128/64, as numpy implements
+it), stepped by numpy's own ``PCG64`` or, a block of runs at a time, by
+``StreamBlock`` on arrays.  A run is identified by the triple (master
+seed, run index, tag); its stream is bit for bit
 ``PCG64(SeedSequence((master_seed, run_index, tag)))``, with tag 0 for
 the per-run streams of ``core.run``.  Monte-Carlo drivers may fan runs
 out across workers and still aggregate identical statistics because each
@@ -21,9 +23,12 @@ continues it doubles the block (up to ``_MAX_BLOCK``), any other
 computes that index alone, through ``SeedSequence`` itself, which costs
 less than the arrays for one index.  ``StreamBlock`` instead steps PCG64
 itself on uint64 arrays, one lane per run of a block, so a batched start
-draws the first doubles of every run at once and builds no generator.
-A run that needs more leaves the block as a ``RandomSource`` seeded from
-the block's words, past the doubles the block handed out.
+draws the first doubles of every run at once and builds no generator,
+and ``take`` keeps only the lanes still drawing, so a batched walk
+(``core.run_block``) draws on for the runs still going.  A run that
+walks alone instead leaves the block as a ``RandomSource`` seeded from
+the block's words, past the doubles the block handed out; only then is
+``numpy.random`` loaded.
 
 A stream depends only on its triple, never on the order in which indices
 are asked for or on the path that draws it.  The tests compare every
@@ -226,8 +231,9 @@ class StreamBlock:
     ``start``, stepped together: one PCG64 lane per run, seeded from the
     words ``_state_words`` computes for the block.  ``random(k)`` hands out
     each lane's next k doubles, bit for bit those of ``run_stream(seed,
-    start + lane, tag)``, and no numpy ``Generator`` is built.  A run that
-    needs more draws leaves the block as ``source(lane)``.
+    start + lane, tag)``, and no numpy ``Generator`` is built.  ``take``
+    narrows the block to some of its lanes, and a run that draws alone
+    leaves it as ``source(lane)``.
 
     The indices must share ``r >> 32``, as ``_state_words`` requires;
     ``cover`` cuts a sequence of run indices into such blocks.
@@ -291,6 +297,19 @@ class StreamBlock:
         out *= _DOUBLE_ULP
         self.drawn += k
         return out
+
+    def take(self, lanes: np.ndarray) -> StreamBlock:
+        """The block of the chosen ``lanes`` (a boolean mask or lane
+        indices), continuing their streams: each keeps its words and
+        position, and ``drawn`` is kept, so ``source`` still hands a lane
+        off past the doubles it has drawn.  Lanes are numbered anew, in the
+        order taken; ``start`` stays that of the block taken from."""
+        block = object.__new__(StreamBlock)
+        block.start, block.drawn = self.start, self.drawn
+        for name in ("_words", "_hi", "_lo", "_inc_hi", "_inc_lo"):
+            setattr(block, name, getattr(self, name)[lanes])
+        block.count = len(block._lo)
+        return block
 
     def source(self, lane: int) -> RandomSource:
         """Run ``start + lane``'s ``RandomSource``, past the doubles the

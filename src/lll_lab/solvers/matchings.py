@@ -166,10 +166,11 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         return np.array(scopes, dtype=np.intp).reshape(m, 4).T
 
     def start_block(block):
-        """``sample_init`` and ``flaws_present`` for every run of the
-        block: the shuffle is n2 - 1 column draws on a runs x n2 matrix,
-        swapping position i with ``int(u * (i + 1))`` from the last
-        position down, as ``RandomSource.shuffle`` does."""
+        """``sample_init`` for every run of the block, as a runs x n2
+        ``uint8`` partner array, with its ``scan_block``: the shuffle is
+        n2 - 1 column draws on a runs x n2 matrix, swapping position i with
+        ``int(u * (i + 1))`` from the last position down, as
+        ``RandomSource.shuffle`` does."""
         count = block.count
         draws = block.random(n2 - 1)
         verts = np.tile(np.arange(n2, dtype=np.uint8), (count, 1))
@@ -182,15 +183,31 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         partners = np.empty((count, n2), dtype=np.uint8)
         partners[lanes[:, None], verts[:, 0::2]] = verts[:, 1::2]
         partners[lanes[:, None], verts[:, 1::2]] = verts[:, 0::2]
+        return partners, scan_block(partners)
+
+    def scan_block(partners):
         a, b, c, d = pair_columns()
-        held = (partners[:, a] == b) & (partners[:, c] == d)
-        flat = partners.tobytes()
-        states = [flat[k:k + n2] for k in range(0, count * n2, n2)]
-        presents: list[list[int]] = [[] for _ in range(count)]
-        runs, flaws = np.nonzero(held)  # row by row, ascending flaw ids
-        for k, i in zip(runs.tolist(), flaws.tolist()):
-            presents[k].append(i)
-        return states, presents
+        return (partners[:, a] == b) & (partners[:, c] == d)
+
+    def step_block(partners, flaws, draws):
+        """``switch_walk`` on every row of a partner array in place, row k
+        addressing flaw ``flaws[k]`` with the six doubles of ``draws[k]``,
+        read as ``randint(r)``, ``coin``, ``bernoulli`` per pair edge; the
+        candidates are a mask over the vertices that start a matching edge,
+        and the k-th of them is the first vertex where the mask's running
+        count passes k."""
+        lanes, vertex = np.arange(len(flaws)), np.arange(n2)
+        u1, v1, u2, v2 = pair_columns()[:, flaws]
+        for u, v, (pick, coin, switch) in ((u1, v1, draws[:, :3].T), (u2, v2, draws[:, 3:].T)):
+            rest = (partners > vertex) & (vertex != u[:, None]) & (vertex != u2[:, None])
+            r = rest.sum(axis=1)
+            k = (pick * r).astype(np.intp)
+            x = (rest.cumsum(axis=1) <= k[:, None]).sum(axis=1)
+            y = partners[lanes, x].astype(np.intp)
+            x, y = np.where(coin < 0.5, x, y), np.where(coin < 0.5, y, x)
+            go = switch < 1.0 - 1.0 / (2 * r + 1)
+            at, u, v, x, y = lanes[go], u[go], v[go], x[go], y[go]
+            partners[at, u], partners[at, y], partners[at, v], partners[at, x] = y, u, x, v
 
     if n2 <= 256:
         def canon(matching):
@@ -202,13 +219,15 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
 
     charge = 1.0 / ((n2 - 1) * (n2 - 3)) if n2 >= 4 else 0.0
     psi = 3.0 / (4.0 * n * n)
+    action = InPlaceAction(switch_walk, frozen)
     return SearchProblem(
         present=present,
         flaws_present=flaws_present,
-        sample_action=InPlaceAction(switch_walk, frozen),
+        sample_action=action,
         graph=DependencyGraph.from_scopes(scopes),
         # the batched start needs one byte per vertex
-        sample_init=BlockStart(sample_init, start_block, flaws_present) if 2 <= n2 <= 256
+        sample_init=BlockStart(sample_init, start_block, scan_block, flaws_present,
+                               action, step_block, 6) if 2 <= n2 <= 256
         else sample_init,
         canon=canon,
         enumerate_states=(lambda: [_partners(edges, n2, frozen)

@@ -3,10 +3,12 @@
 run, its reports equal ``run``'s, trajectories included; a problem that
 replaced the start's scan falls back to one ``run`` per index; and the
 streams of the runs that walk on come from the block, not from the
-per-run memo."""
+per-run memo.  ``step_stats`` walks the runs of a block together
+(``core.run_block``), and its record equals the per-run fold."""
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from lll_lab import analysis, cli, rng
@@ -111,3 +113,80 @@ def test_runs_that_walk_on_take_their_words_from_the_block(k12_clique, tmp_path,
     assert [(start, count) for _, _, start, count in calls] == [
         (k * rng._MAX_BLOCK, min(rng._MAX_BLOCK, 10_000 - k * rng._MAX_BLOCK))
         for k in range(blocks)]
+
+
+def per_run(problem):
+    """The problem with its ``BlockStart`` hidden: one ``run`` per index."""
+    return replace(problem, sample_init=lambda source: problem.sample_init(source))
+
+
+def assert_same_record(got, want):
+    for name in ("steps", "terminated", "flaw_counts"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert list(got.outputs.items()) == list(want.outputs.items())
+
+
+def no_per_run_walks(*args, **kwargs):
+    raise AssertionError("a block walk built a per-run walk or stream")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_block_walk_folds_as_the_runs_do(k12, seed, monkeypatch):
+    """10^4 runs from index 1000, so every block boundary is crossed
+    mid-block, walked to the end with outputs and without; the block fold
+    builds no ``RandomSource``, report or per-run walk."""
+    indices = range(1000, 11_000)
+    want = analysis.step_stats(per_run(k12), indices, seed)
+    monkeypatch.setattr(rng.StreamBlock, "source", no_per_run_walks)
+    monkeypatch.setattr(analysis, "run_from", no_per_run_walks)
+    monkeypatch.setattr(analysis, "run", no_per_run_walks)
+    assert_same_record(analysis.step_stats(k12, indices, seed), want)
+    bare = analysis.step_stats(k12, indices, seed, collect_outputs=False)
+    assert bare.outputs == {}
+    assert np.array_equal(bare.flaw_counts, want.flaw_counts)
+    assert want.censored == 0 and 0 < np.count_nonzero(want.steps) < want.runs
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 2])
+@pytest.mark.parametrize("indices", [range(3000, 4500), range(2**32 - 700, 2**32 + 500)],
+                         ids=["across-blocks", "across-2^32"])
+def test_censored_block_walks_fold_as_the_runs_do(k12, max_steps, indices):
+    want = analysis.step_stats(per_run(k12), indices, SEED, max_steps)
+    assert want.censored > 0
+    assert_same_record(analysis.step_stats(k12, indices, SEED, max_steps), want)
+
+
+def test_block_walk_stands_only_for_its_action_and_a_fixed_order(k12, monkeypatch):
+    """A problem that replaced the action, or a strategy without a fixed
+    order, or a fold that collects sequences, reads per-run reports."""
+    calls, run_from = [], analysis.run_from
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_from(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_from", counted)
+    indices = range(600)
+    want = analysis.step_stats(per_run(k12), indices, SEED)
+    replaced = replace(k12, sample_action=lambda i, state, source: k12.sample_action(
+        i, state, source))
+    recency = replace(k12, metadata={**k12.metadata, "strategy": "recency"})
+    for problem, sequences in ((replaced, False), (recency, False), (k12, True)):
+        calls.clear()
+        got = analysis.step_stats(problem, indices, SEED, collect_sequences=sequences)
+        assert len(calls) == np.count_nonzero(want.steps)
+        if problem is not recency:
+            assert_same_record(got, want)
+    with pytest.raises(LllError, match="max_steps"):
+        analysis.step_stats(k12, indices, SEED, -1)
+
+
+def test_verify_resamples_stdout_is_the_same_on_two_processes(k12_clique, tmp_path, capsys):
+    path = tmp_path / "k12.txt"
+    path.write_text(serialize_colored_clique(k12_clique))
+    outs = []
+    for workers in ("1", "2"):
+        assert cli.main(["verify", "rainbow", str(path), "--suite", "resamples", "--runs",
+                         "10000", "--seed", "3", "--parallel", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "pass" in outs[0]

@@ -379,6 +379,23 @@ def test_parallel_counts_match_serial(tmp_path, capsys):
         assert (getattr(one, name) == getattr(three, name)).all()
 
 
+def test_parallel_counts_refuse_zero_runs_before_any_process(monkeypatch):
+    """No chunk size exists for zero runs: refused before a pool starts
+    or a problem is built."""
+    import concurrent.futures
+
+    from lll_lab.errors import LllError
+
+    def never(*args, **kwargs):
+        raise AssertionError("started work before refusing")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(cli, "build_problem", never)
+    spec = {"solver": "ksat-mt", "instance_text": "p cnf 3 1\n1 2 3 0\n"}
+    with pytest.raises(LllError, match="at least one run"):
+        cli.parallel_run_counts(spec, 0, 1, workers=2)
+
+
 @pytest.mark.parametrize("extra,message", [
     ([], "cluster mode needs a weight vector"),
     (["--psi", "0.001"], "cluster expansion condition fails"),

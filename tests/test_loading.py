@@ -112,6 +112,22 @@ def test_verify_ksat_loads_no_other_solver(tmp_path):
     assert {"lll_lab.analysis", "lll_lab.criteria"} <= set(modules)
 
 
+def test_verify_rainbow_resamples_loads_no_numpy_random(tmp_path):
+    """A K12 instance is past enumeration, so its runs take the step
+    runner, and its runs walk in blocks: no run builds a numpy
+    ``Generator``, so ``numpy.random`` is never loaded."""
+    from lll_lab.formats import generate_colored_clique, serialize_colored_clique
+    from lll_lab.rng import source_for_run
+
+    path = tmp_path / "k12.txt"
+    path.write_text(serialize_colored_clique(generate_colored_clique(6, 2, source_for_run(5, 0))))
+    argv = ["verify", "rainbow", str(path), "--suite", "resamples", "--runs", "3000",
+            "--seed", "3", "--json", str(tmp_path / "out.json")]
+    modules, random = loaded_after(f"assert cli.main({argv!r}) == 0")
+    assert "lll_lab.analysis" in modules and not random
+    assert json.loads((tmp_path / "out.json").read_text())["all_pass"]
+
+
 # every name ``lll_lab`` exported when it still imported its modules
 # eagerly, with the module that defines it
 PACKAGE_EXPORTS = {

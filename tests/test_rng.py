@@ -197,6 +197,49 @@ def test_stream_block_hands_off_a_source_where_the_run_stands(seed, lane):
     assert [source.u01() for _ in range(200)] == expected_draws
 
 
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+@pytest.mark.parametrize("tag", [0, INIT_TAG])
+@pytest.mark.parametrize("start,count", [(0, 300), (2**32 - 300, 300)])
+def test_taken_lanes_draw_on_their_run_streams(seed, tag, start, count):
+    """Ragged masks, taken twice in a row, then lane indices: each lane
+    still taken draws on from where its run's stream stands, and the lanes
+    left out draw nothing more."""
+    pick = np.random.default_rng(seed % 2**32 + tag)
+    block = rng.StreamBlock(seed, start, count, tag)
+    runs = np.arange(start, start + count)
+    drawn = dict(zip(runs.tolist(), block.random(2).tolist()))
+    for _ in range(2):
+        mask = pick.random(block.count) < 0.6
+        block, runs = block.take(mask), runs[mask]
+        assert block.count == len(runs) and block.drawn == len(drawn[int(runs[0])])
+        for k, row in enumerate(block.random(3).tolist()):
+            drawn[int(runs[k])] += row
+    lanes = np.array([len(runs) - 1, 0, len(runs) // 2])
+    block, runs = block.take(lanes), runs[lanes]
+    for k, row in enumerate(block.random(1).tolist()):
+        drawn[int(runs[k])] += row
+    for r, values in drawn.items():
+        assert values == run_stream(seed, r, tag).random(len(values)).tolist()
+    assert {len(values) for values in drawn.values()} == {2, 5, 8, 9}
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS)
+def test_a_taken_block_hands_off_a_source_where_the_run_stands(seed):
+    """``take(...).source(lane)`` continues the lane's stream past every
+    double drawn before and after the take."""
+    start = 2**32 - 1024
+    block = rng.StreamBlock(seed, start, 1024)
+    block.random(7)
+    lanes = np.array([1023, 5, 600])
+    taken = block.take(lanes)
+    taken.random(4)
+    for k, lane in enumerate(lanes.tolist()):
+        expected = source_for_run(seed, start + lane)
+        expected_draws = [expected.u01() for _ in range(111)][11:]
+        source = taken.source(k)
+        assert [source.u01() for _ in range(100)] == expected_draws
+
+
 @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 200])
 def test_skip_passes_over_the_streams_doubles(k):
     source, reference_source = source_for_run(3, 8), source_for_run(3, 8)
