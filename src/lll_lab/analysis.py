@@ -31,7 +31,6 @@ from .core import (
     measure_of_flaws,
     recommended_strategy,
     run,
-    run_block,
     run_from,
 )
 from .criteria import (
@@ -183,13 +182,19 @@ def build_oracle(problem: SearchProblem) -> OracleTables:
 
 def _block_start(problem: SearchProblem, walk: bool = False) -> BlockStart | None:
     """The problem's ``BlockStart`` while it keeps the scan it was declared
-    with, and, for ``walk``, a declared step and its action; else None."""
+    with, and, for ``walk``, its action too; else None."""
     start = problem.sample_init
     if not (isinstance(start, BlockStart) and problem.flaws_present is start.flaws_present):
         return None
-    if walk and (start.step is None or problem.sample_action is not start.action):
+    if walk and problem.sample_action is not start.action:
         return None
     return start
+
+
+def _row_states(rows: np.ndarray) -> list[bytes]:
+    """The ``bytes`` state of every row of a block's state array."""
+    flat, width = rows.tobytes(), rows.shape[1]
+    return [flat[k:k + width] for k in range(0, len(flat), width)]
 
 
 def _iter_runs(
@@ -229,7 +234,7 @@ def _iter_runs(
         lanes, flaws = np.nonzero(held)  # row by row, ascending flaw ids
         for k, i in zip(lanes.tolist(), flaws.tolist()):
             presents[k].append(i)
-        for lane, (initial, present) in enumerate(zip(start.states(rows), presents)):
+        for lane, (initial, present) in enumerate(zip(_row_states(rows), presents)):
             if present:
                 yield run_from(problem, strategy, prio, max_steps, block.source(lane),
                                initial, present, record_trajectory)
@@ -278,6 +283,44 @@ def run_many(
     return stats
 
 
+def _run_block(problem: SearchProblem, block: StreamBlock, order: Sequence[int],
+               max_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``run`` for every lane of ``block`` at once, under the strategy
+    that addresses the first present flaw in the fixed ``order``, on a
+    problem that keeps its ``BlockStart``'s scan and action
+    (``_block_start(problem, walk=True)``).  The lanes whose start holds
+    a flaw step together: ``argmax`` over the ``held`` columns permuted by
+    ``order`` picks each flaw, and ``block.take`` keeps drawing for the
+    lanes still going alone.  Returns each lane's step count, termination
+    flag (censored after ``max_steps``), address counts and final row,
+    equal to ``run``'s for its run index."""
+    if max_steps < 0:
+        raise LllError("max_steps must be nonnegative")
+    start = problem.sample_init
+    states, held = start.start(block)
+    order = np.asarray(order, dtype=np.intp)
+    steps = np.zeros(block.count, dtype=np.int64)
+    counts = np.zeros((block.count, problem.num_flaws), dtype=np.int32)
+    lanes = np.flatnonzero(held.any(axis=1))
+    block, rows, held = block.take(lanes), states[lanes], held[lanes]
+    for _ in range(max_steps):
+        if not lanes.size:
+            break
+        flaws = order[held[:, order].argmax(axis=1)]
+        start.step(rows, flaws, block)
+        counts[lanes, flaws] += 1
+        steps[lanes] += 1
+        held = start.scan(rows)
+        going = held.any(axis=1)
+        if not going.all():
+            states[lanes[~going]] = rows[~going]
+            lanes, rows, held, block = lanes[going], rows[going], held[going], block.take(going)
+    states[lanes] = rows
+    terminated = np.ones(steps.size, dtype=bool)
+    terminated[lanes] = False
+    return steps, terminated, counts, states
+
+
 def step_stats(
     problem: SearchProblem,
     run_indices: Sequence[int],
@@ -290,28 +333,28 @@ def step_stats(
     ``BatchStats``.  ``run_many`` folds ``range(runs)``; a ``--parallel``
     worker folds its chunk, without outputs.
 
-    A problem whose ``_block_start`` declares a walk, under a strategy with
-    a fixed order, folds the records of ``core.run_block`` block by block
-    unless sequences are collected; its outputs, when collected, are the
-    final rows.  Any other fold reads one ``_iter_runs`` report per run:
-    steps, flags and sequence ids collect in lists, each array is built
-    once at the end, and only a run that took a step has its row of the
-    zeroed count array written, as the run ends, so no report outlives its
-    run.  Both folds give the same record."""
+    A problem that keeps its ``BlockStart``'s scan and action, under a
+    strategy with a fixed order, folds the records of ``_run_block`` block
+    by block unless sequences are collected; its outputs, when collected,
+    are the final rows.  Any other fold reads one ``_iter_runs`` report
+    per run: steps, flags and sequence ids collect in lists, each array is
+    built once at the end, and only a run that took a step has its row of
+    the zeroed count array written, as the run ends, so no report outlives
+    its run.  Both folds give the same record."""
     counts = np.zeros((len(run_indices), problem.num_flaws), dtype=np.int32)
     finals: dict = {}
-    prio = recommended_strategy(problem).priority(problem.num_flaws)
-    start = _block_start(problem, walk=True)
-    if start is not None and prio is not None and not collect_sequences:
+    start = None if collect_sequences else _block_start(problem, walk=True)
+    prio = None if start is None else recommended_strategy(problem).priority(problem.num_flaws)
+    if prio is not None:
         steps = np.zeros(len(run_indices), dtype=np.int64)
         terminated = np.zeros(len(run_indices), dtype=bool)
         k = 0
         for block in StreamBlock.cover(seed, run_indices):
             lanes = slice(k, k + block.count)
-            steps[lanes], terminated[lanes], counts[lanes], rows = run_block(
+            steps[lanes], terminated[lanes], counts[lanes], rows = _run_block(
                 problem, block, prio[1], max_steps)
             if collect_outputs:
-                for state in start.states(rows):
+                for state in _row_states(rows):
                     finals[state] = finals.get(state, 0) + 1
             k += block.count
         return BatchStats(steps, terminated, counts, _output_counts(problem, finals.items()))

@@ -76,8 +76,8 @@ class SearchProblem:
 
     A ``BlockStart`` as ``sample_init`` also starts a block of runs at
     once, drawing and scanning every initial state with array operations,
-    and may walk the block on together (``run_block``); ``analysis`` uses
-    it while ``flaws_present`` is the scan it was declared with.
+    and walks the block on together (``analysis._run_block``); ``analysis``
+    uses it while ``flaws_present`` is the scan it was declared with.
 
     ``sample_init`` draws mu, the normalized ``weight``, unless
     ``init_distribution`` states its law theta; a sampler that does not
@@ -143,37 +143,30 @@ class InPlaceAction:
 
 
 class BlockStart:
-    """A ``sample_init`` that can also start, and may walk, a block of runs
-    at once; called as ``sample_init(rng)`` it is ``sample``.  A block's
-    runs are a lanes x width ``uint8`` array of ``bytes`` states
-    (``states`` freezes its rows) and a lanes x m ``held`` matrix.
-    ``start(block)`` draws the initial rows from an ``rng.StreamBlock``
-    and returns them with their ``held``: lane k is ``sample(
-    block.source(k))``.  ``scan(rows)`` is the ``held`` of some rows, the
-    scan of ``flaws_present``, so a block stands only while a problem keeps
-    that scan.  ``step(rows, flaws, draws)``, if declared, applies
-    ``action`` in place, row k addressing ``flaws[k]`` with row k of
-    ``draws``, the ``draws_per_step`` doubles that any step reads;
-    ``run_block`` walks on it while a problem keeps ``action`` too."""
+    """A ``sample_init`` that can also start and walk a block of runs at
+    once; called as ``sample_init(rng)`` it is ``sample``.  A block's runs
+    are a lanes x width ``uint8`` array of ``bytes`` states and a lanes x m
+    ``held`` matrix.  ``start(block)`` draws the initial rows from an
+    ``rng.StreamBlock`` and returns them with their ``held``: lane k is
+    ``sample(block.source(k))``.  ``scan(rows)`` is the ``held`` of some
+    rows, the scan of ``flaws_present``, so a block stands only while a
+    problem keeps that scan.  ``step(rows, flaws, block)`` applies
+    ``action`` in place, row k addressing ``flaws[k]`` with the doubles it
+    draws from lane k of ``block``, the same number at every step;
+    ``analysis._run_block`` walks on it while a problem keeps ``action``
+    too."""
 
     def __init__(self, sample: Callable[[RandomSource], State],
                  start: Callable[[StreamBlock], tuple[np.ndarray, np.ndarray]],
                  scan: Callable[[np.ndarray], np.ndarray],
                  flaws_present: Callable[[State], list[int]],
-                 action: InPlaceAction | None = None,
-                 step: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
-                 draws_per_step: int = 0):
+                 action: InPlaceAction,
+                 step: Callable[[np.ndarray, np.ndarray, StreamBlock], None]):
         self.sample, self.start, self.scan, self.flaws_present = sample, start, scan, flaws_present
-        self.action, self.step, self.draws_per_step = action, step, draws_per_step
+        self.action, self.step = action, step
 
     def __call__(self, rng: RandomSource) -> State:
         return self.sample(rng)
-
-    @staticmethod
-    def states(rows: np.ndarray) -> list[bytes]:
-        """The ``bytes`` state of every row."""
-        flat, width = rows.tobytes(), rows.shape[1]
-        return [flat[k:k + width] for k in range(0, len(flat), width)]
 
 
 class ScopeLaw:
@@ -543,8 +536,8 @@ def run(
     (``source_for_run``) and walks in ``run_from``.  ``analysis._iter_runs``
     starts the runs of a ``BlockStart`` problem in blocks instead, and
     hands each start that holds a flaw to ``run_from`` with a stream from
-    its block; ``run_block`` walks a block's runs together.  The reports
-    and records are the same.
+    its block; ``analysis._run_block`` walks a block's runs together.  The
+    reports and records are the same.
     """
     if max_steps < 0:
         raise LllError("max_steps must be nonnegative")
@@ -637,43 +630,6 @@ def run_from(
 
     traj = Trajectory(initial, tuple(steps_rec)) if record_trajectory else None
     return RunReport(num_present == 0, steps, tuple(counts), freeze(state), traj)
-
-
-def run_block(problem: SearchProblem, block: StreamBlock, order: Sequence[int],
-              max_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``run`` for every lane of ``block`` at once, under the strategy
-    that addresses the first present flaw in the fixed ``order``, on a
-    problem that keeps its ``BlockStart``'s scan and walk.  The lanes
-    whose start holds a flaw step together: ``argmax`` over the ``held``
-    columns permuted by ``order`` picks each flaw, and ``block.take``
-    draws for the lanes still going alone.  Returns each lane's step
-    count, termination flag (censored after ``max_steps``), address counts
-    and final row, equal to ``run``'s for its run index."""
-    if max_steps < 0:
-        raise LllError("max_steps must be nonnegative")
-    start = problem.sample_init
-    states, held = start.start(block)
-    order = np.asarray(order, dtype=np.intp)
-    steps = np.zeros(block.count, dtype=np.int64)
-    counts = np.zeros((block.count, problem.num_flaws), dtype=np.int32)
-    lanes = np.flatnonzero(held.any(axis=1))
-    block, rows, held = block.take(lanes), states[lanes], held[lanes]
-    for _ in range(max_steps):
-        if not lanes.size:
-            break
-        flaws = order[held[:, order].argmax(axis=1)]
-        start.step(rows, flaws, block.random(start.draws_per_step))
-        counts[lanes, flaws] += 1
-        steps[lanes] += 1
-        held = start.scan(rows)
-        going = held.any(axis=1)
-        if not going.all():
-            states[lanes[~going]] = rows[~going]
-            lanes, rows, held, block = lanes[going], rows[going], held[going], block.take(going)
-    states[lanes] = rows
-    terminated = np.ones(steps.size, dtype=bool)
-    terminated[lanes] = False
-    return steps, terminated, counts, states
 
 
 def _unchanged(state: State) -> State:

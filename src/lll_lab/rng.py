@@ -25,7 +25,7 @@ less than the arrays for one index.  ``StreamBlock`` instead steps PCG64
 itself on uint64 arrays, one lane per run of a block, so a batched start
 draws the first doubles of every run at once and builds no generator,
 and ``take`` keeps only the lanes still drawing, so a batched walk
-(``core.run_block``) draws on for the runs still going.  A run that
+(``analysis._run_block``) draws on for the runs still going.  A run that
 walks alone instead leaves the block as a ``RandomSource`` seeded from
 the block's words, past the doubles the block handed out; only then is
 ``numpy.random`` loaded.
@@ -233,7 +233,8 @@ class StreamBlock:
     each lane's next k doubles, bit for bit those of ``run_stream(seed,
     start + lane, tag)``, and no numpy ``Generator`` is built.  ``take``
     narrows the block to some of its lanes, and a run that draws alone
-    leaves it as ``source(lane)``.
+    leaves it as ``source(lane)``.  A taken block has no ``start``: its
+    lane k is no longer run ``start + k``.
 
     The indices must share ``r >> 32``, as ``_state_words`` requires;
     ``cover`` cuts a sequence of run indices into such blocks.
@@ -303,16 +304,16 @@ class StreamBlock:
         indices), continuing their streams: each keeps its words and
         position, and ``drawn`` is kept, so ``source`` still hands a lane
         off past the doubles it has drawn.  Lanes are numbered anew, in the
-        order taken; ``start`` stays that of the block taken from."""
+        order taken, and ``start`` is left unset."""
         block = object.__new__(StreamBlock)
-        block.start, block.drawn = self.start, self.drawn
+        block.drawn = self.drawn
         for name in ("_words", "_hi", "_lo", "_inc_hi", "_inc_lo"):
             setattr(block, name, getattr(self, name)[lanes])
         block.count = len(block._lo)
         return block
 
     def source(self, lane: int) -> RandomSource:
-        """Run ``start + lane``'s ``RandomSource``, past the doubles the
+        """The ``RandomSource`` of ``lane``'s run, past the doubles the
         block has handed out: numpy's PCG64 seeded from the block's words,
         those doubles passed over through the source's own buffer."""
         source = RandomSource(_generator(self._words[lane]))

@@ -189,13 +189,14 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         a, b, c, d = pair_columns()
         return (partners[:, a] == b) & (partners[:, c] == d)
 
-    def step_block(partners, flaws, draws):
+    def step_block(partners, flaws, block):
         """``switch_walk`` on every row of a partner array in place, row k
-        addressing flaw ``flaws[k]`` with the six doubles of ``draws[k]``,
-        read as ``randint(r)``, ``coin``, ``bernoulli`` per pair edge; the
-        candidates are a mask over the vertices that start a matching edge,
-        and the k-th of them is the first vertex where the mask's running
-        count passes k."""
+        addressing flaw ``flaws[k]`` with the next six doubles of lane k
+        of ``block``, read as ``randint(r)``, ``coin``, ``bernoulli`` per
+        pair edge; the candidates are a mask over the vertices that start a
+        matching edge, and the k-th of them is the first vertex where the
+        mask's running count passes k."""
+        draws = block.random(6)
         lanes, vertex = np.arange(len(flaws)), np.arange(n2)
         u1, v1, u2, v2 = pair_columns()[:, flaws]
         for u, v, (pick, coin, switch) in ((u1, v1, draws[:, :3].T), (u2, v2, draws[:, 3:].T)):
@@ -227,7 +228,7 @@ def rainbow_matching(clique: EdgeColoredClique) -> SearchProblem:
         graph=DependencyGraph.from_scopes(scopes),
         # the batched start needs one byte per vertex
         sample_init=BlockStart(sample_init, start_block, scan_block, flaws_present,
-                               action, step_block, 6) if 2 <= n2 <= 256
+                               action, step_block) if 2 <= n2 <= 256
         else sample_init,
         canon=canon,
         enumerate_states=(lambda: [_partners(edges, n2, frozen)

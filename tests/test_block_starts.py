@@ -4,7 +4,7 @@ run, its reports equal ``run``'s, trajectories included; a problem that
 replaced the start's scan falls back to one ``run`` per index; and the
 streams of the runs that walk on come from the block, not from the
 per-run memo.  ``step_stats`` walks the runs of a block together
-(``core.run_block``), and its record equals the per-run fold."""
+(``analysis._run_block``), and its record equals the per-run fold."""
 
 from dataclasses import replace
 

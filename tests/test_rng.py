@@ -212,6 +212,7 @@ def test_taken_lanes_draw_on_their_run_streams(seed, tag, start, count):
         mask = pick.random(block.count) < 0.6
         block, runs = block.take(mask), runs[mask]
         assert block.count == len(runs) and block.drawn == len(drawn[int(runs[0])])
+        assert not hasattr(block, "start")  # lane k is no longer run start + k
         for k, row in enumerate(block.random(3).tolist()):
             drawn[int(runs[k])] += row
     lanes = np.array([len(runs) - 1, 0, len(runs) // 2])
