@@ -37,7 +37,7 @@ from .criteria import (
     ShearerReport,
     cluster_expansion_check,
     independent_weight_sum,
-    neighborhood_sum,
+    neighborhood_sums,
     shearer_polynomials,
 )
 from .dependency import DependencyGraph
@@ -540,7 +540,7 @@ def check_event_probability(
     if not check_commutativity(problem, rows, event_neighbors).commutative:
         raise LllError("event extension is not commutative; bound not applicable")
     gamma_e = core.charge_of_rows(space, rows())  # ``event_charge`` exactly
-    zeta = independent_weight_sum(sorted(event_neighbors), problem.graph.adj, psi)
+    zeta = independent_weight_sum(event_neighbors, problem.graph.adj, psi)
     bound = computed_init_ratio(problem) * gamma_e * zeta
     member = dict.fromkeys(space.states, False)
     member.update((space.states[k], True) for k in held)
@@ -670,7 +670,7 @@ class PartialAvoidanceConfig:
         psi = problem_weights(problem, psi, "partial suite needs --psi or prewired weights")
         charges = problem_charges(problem)
         if zeta is None:
-            zeta = [neighborhood_sum(i, problem.graph, psi) for i in range(problem.num_flaws)]
+            zeta = neighborhood_sums(problem.graph, psi)
         keep = tuple(min(1.0, p / (z * g)) if g > 0 and z > 0 else 1.0
                      for p, g, z in zip(psi, charges, zeta))
         if not all(0.0 <= p <= 1.0 for p in keep):
@@ -845,17 +845,13 @@ def run_core_truncated(
     graph = problem.graph
     charges = problem_charges(problem)
     core_set = set(core)
-    for i in range(problem.num_flaws):
-        restricted = sorted(set(graph.adj[i]) & core_set)
-        z = independent_weight_sum(restricted, graph.adj, psi)
-        if charges[i] * z > psi[i] + 1e-12:
-            raise LllError("restricted criterion fails; truncation bound not applicable")
+    restricted = neighborhood_sums(graph, psi, cap=graph.m, within=core_set)
+    if any(g * z > p + 1e-12 for g, z, p in zip(charges, restricted, psi)):
+        raise LllError("restricted criterion fails; truncation bound not applicable")
     flaw_measures = measure_of_flaws(problem)
+    outside = [i for i in range(problem.num_flaws) if i not in core_set]
     bound = 0.0
-    for i in range(problem.num_flaws):
-        if i in core_set:
-            continue
-        z = neighborhood_sum(i, graph, psi)
+    for i, z in zip(outside, neighborhood_sums(graph, psi, outside)):
         bound += flaw_measures[i] * z
     tables = chain.build_chain_tables(problem, prio[1], flaw_subset=core_set)
     stats = chain.run_batch(tables, runs, seed)

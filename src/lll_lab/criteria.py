@@ -11,9 +11,10 @@ absolute tolerance of 1e-12; all arithmetic also works verbatim on
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .dependency import BacktrackChargeTable, CliqueLllConfig, DependencyGraph
 from .errors import LllError
@@ -81,47 +82,85 @@ def _le_one(v) -> bool:
 # independent-set sums
 
 
+def _weight_sums(
+    adjacency: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
+    weights: Mapping[int, float] | Sequence[float],
+) -> Callable[[Iterable[int]], object]:
+    """The independent-set weight sum over a vertex set, as a function of
+    the set, for one adjacency and one weight vector.  Sets are bitmasks
+    over vertex ids and every residual mask is evaluated once, so the
+    neighborhoods of one check share their residues."""
+    nbrs: dict[int, int] = {}  # vertex -> its neighbors as a mask, itself left out
+
+    @functools.cache
+    def rec(active: int):
+        best, best_degree = -1, 0
+        rest = active
+        while rest:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+            degree = (nbrs[v] & active).bit_count()
+            if degree > best_degree:  # ascending: the lowest id on ties
+                best, best_degree = v, degree
+            rest ^= bit
+        if best < 0:
+            prod = 1
+            rest = active
+            while rest:
+                bit = rest & -rest
+                prod = prod * (1 + weights[bit.bit_length() - 1])
+                rest ^= bit
+            return prod
+        without = active & ~(1 << best)
+        return rec(without) + weights[best] * rec(without & ~nbrs[best])
+
+    def total(vertices: Iterable[int]):
+        mask = 0
+        for v in vertices:
+            if v not in nbrs:
+                nbrs[v] = sum(1 << u for u in adjacency[v] if u != v)
+            mask |= 1 << v
+        return rec(mask)
+
+    return total
+
+
 def independent_weight_sum(
     vertices: Sequence[int],
     adjacency: Mapping[int, frozenset[int]] | Sequence[frozenset[int]],
     weights: Mapping[int, float] | Sequence[float],
 ):
-    """Sum over independent subsets S of ``vertices`` of the product of
-    weights, counting the empty set as 1.  Independence ignores self-loops
-    (a vertex never conflicts with itself for set membership).
-    ``adjacency`` and ``weights`` are read only at the vertices of the
-    set, so a whole graph's ``adj`` and weight vector serve as they are.
+    """Sum over independent subsets S of ``vertices`` (non-negative ints)
+    of the product of weights, counting the empty set as 1.  Independence
+    ignores self-loops (a vertex never conflicts with itself for set
+    membership).  ``adjacency`` and ``weights`` are read only at the
+    vertices of the set, so a whole graph's ``adj`` and weight vector
+    serve as they are.
 
-    Branch recursion on a maximum-degree vertex; edgeless residues close
-    in product form, so dense and sparse neighborhoods both stay cheap.
+    Branch recursion on a maximum-degree vertex, the lowest id on ties,
+    over bitmasks of vertex ids and memoized by residual mask; an
+    edgeless residue closes in product form, its factors (1 + w)
+    multiplied in ascending vertex order.  ``neighborhood_sums``,
+    ``cluster_expansion_check`` and ``shearer_polynomials`` run all
+    their sums through one memo.
     """
-    verts = frozenset(vertices)
-
-    def residual_degree(v, active):
-        return len((adjacency[v] & active) - {v})
-
-    def rec(active: frozenset[int]):
-        if not active:
-            return 1
-        v = max(active, key=lambda u: (residual_degree(u, active), -u))
-        if residual_degree(v, active) == 0:
-            prod = 1
-            for u in active:
-                prod = prod * (1 + weights[u])
-            return prod
-        without = rec(active - {v})
-        with_v = weights[v] * rec(active - ({v} | adjacency[v]))
-        return without + with_v
-
-    return rec(verts)
+    return _weight_sums(adjacency, weights)(vertices)
 
 
-def neighborhood_sum(i: int, graph: DependencyGraph, psi: Sequence, cap: int = NEIGHBORHOOD_CAP):
-    """zeta_i: the independent-set weight sum over the neighborhood of i."""
-    nbrs = graph.adj[i]
-    if len(nbrs) > cap:
-        raise LllError("neighborhood too large; supply closed form")
-    return independent_weight_sum(sorted(nbrs), graph.adj, psi)
+def neighborhood_sums(graph: DependencyGraph, psi: Sequence, flaws: Iterable[int] | None = None,
+                      cap: int = NEIGHBORHOOD_CAP, within: Collection[int] | None = None) -> list:
+    """zeta_i for each i of ``flaws`` (every flaw by default): the
+    independent-set weight sum over the neighborhood of i, or over its
+    part in ``within``, all through one memo.  A neighborhood of more
+    than ``cap`` flaws is refused."""
+    total = _weight_sums(graph.adj, psi)
+    out = []
+    for i in range(graph.m) if flaws is None else flaws:
+        nbrs = graph.adj[i] if within is None else graph.adj[i].intersection(within)
+        if len(nbrs) > cap:
+            raise LllError("neighborhood too large; supply closed form")
+        out.append(total(nbrs))
+    return out
 
 
 def subset_product_sum(indices: Sequence[int], psi: Sequence):
@@ -174,16 +213,11 @@ def cluster_expansion_check(gamma: Sequence, graph: DependencyGraph, psi: Sequen
     closed-form upper bound in ``zeta_override`` (checking against an
     upper bound on zeta is conservative)."""
     _check_sizes(gamma, graph, psi)
-    values = []
-    zetas = []
-    for i in range(graph.m):
-        if zeta_override is not None and i in zeta_override:
-            z = zeta_override[i]
-        else:
-            z = neighborhood_sum(i, graph, psi, cap)
-        zetas.append(z)
-        values.append(gamma[i] * z / psi[i])
-    values = tuple(values)
+    override = {} if zeta_override is None else zeta_override
+    free = [i for i in range(graph.m) if i not in override]
+    exact = dict(zip(free, neighborhood_sums(graph, psi, free, cap)))
+    zetas = [override[i] if i in override else exact[i] for i in range(graph.m)]
+    values = tuple(gamma[i] * z / psi[i] for i, z in enumerate(zetas))
     passed = _passes(values, strict=False)
     slack = 1.0 - max(float(v) for v in values) if values else 1.0
     return CriterionReport("cluster_expansion", passed, values, slack, False,
@@ -240,12 +274,11 @@ def shearer_polynomials(gamma: Sequence, graph: DependencyGraph) -> ShearerRepor
     if graph.m > SHEARER_FLAW_CAP:
         raise LllError(f"shearer_polynomials capped at m <= {SHEARER_FLAW_CAP}")
     all_v = list(range(graph.m))
-    neg = {i: -gamma[i] for i in all_v}
     ind_sets = enumerate_independent_sets(all_v, graph.adj)
+    signed_sum = _weight_sums(graph.adj, [-g for g in gamma])
 
     def alternating_sum(excluded: frozenset[int]):
-        rest = [v for v in all_v if v not in excluded]
-        return independent_weight_sum(rest, graph.adj, neg)
+        return signed_sum(v for v in all_v if v not in excluded)
 
     q: dict = {}
     for s in ind_sets:
@@ -373,11 +406,10 @@ def commutative_backtracking_criterion(
         adjacency[idx[s]] = frozenset(
             idx[t] for t in sets if s & t
         )
-    weights = {idx[s]: psi[s] for s in sets}
+    total = _weight_sums(adjacency, [psi[s] for s in sets])
     values = []
     for s in sets:
-        nbrs = sorted(adjacency[idx[s]])
-        z = independent_weight_sum(nbrs, adjacency, weights)
+        z = total(adjacency[idx[s]])
         values.append(set_charges[s] * z / psi[s])
     values = tuple(values)
     passed = _passes(values, strict=False)

@@ -19,10 +19,11 @@ Those words seed a run's stream in one of two ways, with the same bits.
 ``run_stream`` and ``source_for_run`` seed numpy's own ``PCG64`` from
 them, a bit generator per run.  Their words come from a per-process memo
 of the last block computed for each (master seed, tag): a run index that
-continues it doubles the block (up to ``_MAX_BLOCK``), any other
+continues it doubles the block (up to ``_MAX_BLOCK``, 4,096), any other
 computes that index alone, through ``SeedSequence`` itself, which costs
 less than the arrays for one index.  ``StreamBlock`` instead steps PCG64
-itself on uint64 arrays, one lane per run of a block, so a batched start
+itself on uint64 arrays, one lane per run of a block of up to
+``_MAX_BLOCK`` consecutive indices, so a batched start
 draws the first doubles of every run at once and builds no generator,
 and ``take`` keeps only the lanes still drawing, so a batched walk
 (``analysis._run_block``) draws on for the runs still going.  A run that
@@ -79,7 +80,12 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 _PCG64_WORDS = 4  # uint64 words PCG64 asks its seed sequence for
-_MAX_BLOCK = 1024
+# Indices per block, of the memo and of ``StreamBlock.cover``.  A wider
+# block pays numpy's per-call overhead over more lanes: 10^4 K12 rainbow
+# runs took 22 ms in blocks of 1,024, 16 ms in blocks of 2,048, 14 ms in
+# blocks of 4,096 and 12 ms in one of 8,192 (fastest of 15, 2-core host),
+# with a peak heap of 1.4, 1.7, 2.3 and 3.3 MB.
+_MAX_BLOCK = 4096
 _MEMO_KEYS = 16  # (seed, tag) pairs kept; a few streams interleave at most
 
 
@@ -263,7 +269,9 @@ class StreamBlock:
     def cover(cls, seed: int, run_indices: Iterable[int]) -> Iterator[StreamBlock]:
         """Tag-0 blocks over ``run_indices`` in order: each stretch of
         consecutive indices, cut after ``_MAX_BLOCK`` indices and before
-        every multiple of 2^32."""
+        every multiple of 2^32.  Each lane is its own run's stream, so
+        where the cuts fall never changes a run's draws; it only sets how
+        many lanes each array operation steps at once."""
         start = count = 0
         for r in run_indices:
             if count and r == start + count and count < _MAX_BLOCK and r & _MASK32:

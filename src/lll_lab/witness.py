@@ -10,6 +10,7 @@ ties by lowest node id, which makes the build deterministic.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass, field
@@ -24,6 +25,12 @@ PRODUCT_REL_TOL = 1e-9
 ENUM_TREE_NODE_CAP = 8
 MAX_VIOLATIONS = 3  # non-commuting pairs check_commutativity reports before it stops
 COMMUTATIVITY_STATE_CAP = 2 * 10**5  # largest state space check_commutativity enumerates
+# Longest prefix whose tree is built by scanning every earlier position;
+# a longer one walks only the positions of flaws that can attach.  A tree
+# of the n = 3,200 ksat-backtrack trace costs the same both ways at about
+# 16 steps; on six densely dependent flaws, capped at three nodes as the
+# witness suite's trees are, the scan is still ahead at 128.
+SCAN_STEPS = 32
 
 
 @dataclass
@@ -92,11 +99,38 @@ def build_witness_tree(sequence: Sequence[int], k: int, graph: DependencyGraph,
     tree only grows, so the build returns None as soon as it would attach
     a node past ``max_nodes``.
     """
+    return _tree(sequence, k, graph.adj, max_nodes, {})
+
+
+def trees_of_sequence(sequence: Sequence[int], graph: DependencyGraph,
+                      max_nodes: int | None = None,
+                      steps: Iterable[int] | None = None) -> Iterator[tuple[int, WitnessTree]]:
+    """The (k, tree) pairs of a sequence for k in ``steps`` (every step by
+    default), optionally capped by node count."""
+    adj = graph.adj
+    positions: dict[int, list[int]] = {}  # built once, for every step past SCAN_STEPS
+    for k in range(1, len(sequence) + 1) if steps is None else steps:
+        t = _tree(sequence, k, adj, max_nodes, positions)
+        if t is not None:
+            yield k, t
+
+
+def _tree(sequence: Sequence[int], k: int, adj, max_nodes: int | None,
+          positions: dict[int, list[int]]) -> WitnessTree | None:
+    """The tree of step k, or None past ``max_nodes``.  A prefix of at most
+    ``SCAN_STEPS`` steps is scanned position by position, each flaw
+    checked against every node.  A longer one walks only the positions of
+    the flaws that can attach (``_heap_tree``), from ``positions``, each
+    flaw's positions in the sequence, which the first such step fills."""
     if not (1 <= k <= len(sequence)):
         raise LllError("witness-tree index out of range")
     if max_nodes is not None and max_nodes < 1:
         return None
-    adj = graph.adj
+    if k > SCAN_STEPS:
+        if not positions:
+            for j, w in enumerate(sequence):
+                positions.setdefault(w, []).append(j)
+        return _heap_tree(positions, sequence[k - 1], k - 1, adj, max_nodes)
     labels = [sequence[k - 1]]
     parents = [-1]
     depths = [0]
@@ -117,15 +151,44 @@ def build_witness_tree(sequence: Sequence[int], k: int, graph: DependencyGraph,
     return WitnessTree(labels, parents)
 
 
-def trees_of_sequence(sequence: Sequence[int], graph: DependencyGraph,
-                      max_nodes: int | None = None,
-                      steps: Iterable[int] | None = None) -> Iterator[tuple[int, WitnessTree]]:
-    """The (k, tree) pairs of a sequence for k in ``steps`` (every step by
-    default), optionally capped by node count."""
-    for k in range(1, len(sequence) + 1) if steps is None else steps:
-        t = build_witness_tree(sequence, k, graph, max_nodes)
-        if t is not None:
-            yield k, t
+def _heap_tree(positions: dict[int, list[int]], root: int, end: int, adj,
+               max_nodes: int | None) -> WitnessTree | None:
+    """The tree rooted at ``root`` over the positions before ``end``, given
+    each flaw's positions in ascending order.  A heap holds, for each flaw
+    that neighbors a node's label, its latest position before the last
+    attachment; its top is the next flaw to attach.  ``deepest`` keeps,
+    per such flaw, the deepest node whose label neighbors it, the lowest
+    id on depth ties."""
+    labels = [root]
+    parents = [-1]
+    deepest: dict[int, tuple[int, int]] = {}  # flaw -> (depth, node)
+    heap: list[tuple[int, int, int]] = []  # (-position, its index in positions[flaw], flaw)
+    label, node, depth, before = root, 0, 0, end
+    while True:
+        for f in adj[label]:
+            held = deepest.get(f)
+            if held is None:
+                deepest[f] = (depth, node)
+                at = positions.get(f)
+                if at:
+                    i = bisect.bisect_left(at, before) - 1
+                    if i >= 0:
+                        heapq.heappush(heap, (-at[i], i, f))
+            elif depth > held[0]:
+                deepest[f] = (depth, node)
+        if not heap:
+            return WitnessTree(labels, parents)
+        neg_at, i, label = heapq.heappop(heap)
+        if len(labels) == max_nodes:
+            return None
+        depth, parent = deepest[label]
+        depth += 1
+        node = len(labels)
+        labels.append(label)
+        parents.append(parent)
+        if i:
+            heapq.heappush(heap, (-positions[label][i - 1], i - 1, label))
+        before = -neg_at
 
 
 def occurs(tree: WitnessTree, trajectory: Trajectory, graph: DependencyGraph) -> int | None:
@@ -133,10 +196,8 @@ def occurs(tree: WitnessTree, trajectory: Trajectory, graph: DependencyGraph) ->
     Distinct steps yield distinct trees, so the witnessing k is unique."""
     seq = trajectory.witness_sequence
     target = tree.canonical()
-    for k in range(1, len(seq) + 1):
-        if seq[k - 1] != tree.root_label:
-            continue
-        built = build_witness_tree(seq, k, graph)
+    steps = (k for k in range(1, len(seq) + 1) if seq[k - 1] == tree.root_label)
+    for k, built in trees_of_sequence(seq, graph, len(tree), steps):
         if len(built) == len(tree) and built.canonical() == target:
             return k
     return None

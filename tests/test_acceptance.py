@@ -25,7 +25,7 @@ from lll_lab.core import charge, run
 from lll_lab.criteria import (
     DependencyGraph,
     clique_lll_check,
-    neighborhood_sum,
+    neighborhood_sums,
     shearer_polynomials,
 )
 from lll_lab.formats import generate_colored_clique
@@ -281,7 +281,7 @@ def test_09_partial_avoidance_overconstrained():
         clauses.append(tuple((v + 1) * (1 if signs >> v & 1 else -1) for v in range(3)))
     p = ksat_mt(CnfInstance(3, tuple(clauses)))
     psi = [0.2] * 8
-    zetas = [neighborhood_sum(i, p.graph, psi) for i in range(8)]
+    zetas = neighborhood_sums(p.graph, psi)
     violated = any(p.declared_charges[i] * zetas[i] > psi[i] for i in range(8))
     cfg = PartialAvoidanceConfig.build(p, psi)
     report = partial_avoidance(p, cfg, runs=10**5, seed=99)

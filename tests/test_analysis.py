@@ -24,7 +24,7 @@ from lll_lab.analysis import (
     wilson_interval,
 )
 from lll_lab.core import FlawChoiceStrategy, LllError, RecencyStrategy, run
-from lll_lab.criteria import DependencyGraph, neighborhood_sum
+from lll_lab.criteria import DependencyGraph, neighborhood_sums
 from lll_lab.solvers import CnfInstance, ksat_mt
 from lll_lab.solvers.matchings import EdgeColoredClique, rainbow_matching
 from lll_lab.witness import check_commutativity
@@ -463,7 +463,7 @@ def test_partial_avoidance_overconstrained():
     p = ksat_mt(all_clauses_3sat())
     psi = [0.2] * 8
     graph = p.graph
-    zeta = [neighborhood_sum(i, graph, psi) for i in range(8)]
+    zeta = neighborhood_sums(graph, psi)
     cluster_lhs = [p.declared_charges[i] * zeta[i] for i in range(8)]
     assert any(l > psi[i] for i, l in enumerate(cluster_lhs))  # truly violated
     cfg = PartialAvoidanceConfig.build(p, psi)

@@ -156,6 +156,21 @@ def test_censored_block_walks_fold_as_the_runs_do(k12, max_steps, indices):
     assert_same_record(analysis.step_stats(k12, indices, SEED, max_steps), want)
 
 
+@pytest.mark.parametrize("width", [1, 7, 1024, rng._MAX_BLOCK])
+def test_block_width_never_changes_a_record(k12, width, monkeypatch):
+    """Each lane is its own run's stream, so the width at which ``cover``
+    cuts the blocks changes no record of ``step_stats`` and no report of
+    ``_iter_runs``: two full blocks and a part of one from index 500, and
+    the indices around 2^32, against one ``run`` per index."""
+    indices = [*range(500, 500 + 2 * width + 300), *range(2**32 - 9, 2**32 + 5)]
+    record = analysis.step_stats(per_run(k12), indices, SEED)
+    reports = single_runs(k12, indices, True)
+    monkeypatch.setattr(rng, "_MAX_BLOCK", width)
+    assert max(block.count for block in rng.StreamBlock.cover(SEED, indices)) == width
+    assert_same_record(analysis.step_stats(k12, indices, SEED), record)
+    assert list(analysis._iter_runs(k12, indices, SEED, record_trajectory=True)) == reports
+
+
 def test_block_walk_stands_only_for_its_action_and_a_fixed_order(k12, monkeypatch):
     """A problem that replaced the action, or a strategy without a fixed
     order, or a fold that collects sequences, reads per-run reports."""

@@ -1,14 +1,21 @@
 """Criterion checkers against brute-force enumeration and closed forms."""
 
+import functools
+import importlib.util
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lll_lab import criteria
+from lll_lab.analysis import problem_charges, problem_weights
 from lll_lab.build import build_problem
 from lll_lab.core import LllError
 from lll_lab.criteria import (
@@ -23,7 +30,7 @@ from lll_lab.criteria import (
     counting_bound,
     general_lll_check,
     independent_weight_sum,
-    neighborhood_sum,
+    neighborhood_sums,
     realizable_set_charge,
     shearer_polynomials,
     subset_product_sum,
@@ -115,7 +122,74 @@ def test_neighborhood_cap_error():
     m = 30
     g = DependencyGraph.from_edges(m, [(0, j) for j in range(1, m)])
     with pytest.raises(LllError, match="neighborhood too large"):
-        neighborhood_sum(0, g, [0.1] * m)
+        neighborhood_sums(g, [0.1] * m, [0])
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A graph with self-loops, exact weights of either sign, a vertex
+    subset in any order, and the adjacency and weights as a dict or as
+    sequences."""
+    m = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    g = DependencyGraph.from_edges(m, [e for e in pairs if draw(st.booleans())],
+                                   [i for i in range(m) if draw(st.booleans())])
+    psi = [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in range(m)]
+    subset = draw(st.lists(st.integers(0, m - 1), unique=True))
+    if draw(st.booleans()):
+        return g, psi, subset, dict(enumerate(g.adj)), dict(enumerate(psi))
+    return g, psi, subset, g.adj, psi
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=weighted_graphs())
+def test_memoized_sum_equals_enumeration(case):
+    """The memoized sum over a subset, and every neighborhood's sum, or
+    its part in the subset, through one memo, equal the brute-force sum
+    over independent subsets exactly."""
+    g, psi, subset, adjacency, weights = case
+    assert independent_weight_sum(subset, adjacency, weights) == brute_independent_sum(
+        subset, g, psi)
+    assert neighborhood_sums(g, psi) == [brute_independent_sum(sorted(g.adj[i]), g, psi)
+                                         for i in range(g.m)]
+    assert neighborhood_sums(g, psi, within=subset) == [
+        brute_independent_sum(sorted(g.adj[i] & set(subset)), g, psi) for i in range(g.m)]
+
+
+def load_workloads(monkeypatch):
+    """The benchmark's instance generators, read from ``perfbench/``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cluster_check_evaluates_each_residual_mask_once(monkeypatch):
+    """On the benchmark's K12 rainbow instance (seed 11), the check runs
+    every neighborhood through one memo: each residual mask is evaluated
+    once, fewer in all than one memo per neighborhood evaluates, and each
+    zeta is the one its neighborhood's own sum gives."""
+    text = load_workloads(monkeypatch).relabeled_clique(random.Random(11), 12, 2)
+    problem = build_problem({"solver": "rainbow", "instance_text": text})
+    charges = problem_charges(problem)
+    psi = problem_weights(problem, None, "the rainbow solver prewires its weights")
+    memos = []
+
+    def counted_cache(rec):
+        memos.append(evaluated := [])
+        return functools.cache(lambda mask: evaluated.append(mask) or rec(mask))
+
+    monkeypatch.setattr(criteria, "functools", SimpleNamespace(cache=counted_cache))
+    rep = cluster_expansion_check(charges, problem.graph, psi)
+    assert rep.passed and len(memos) == 1
+    (shared,) = memos
+    assert len(shared) == len(set(shared))
+    zetas = [independent_weight_sum(problem.graph.adj[i], problem.graph.adj, psi)
+             for i in range(problem.num_flaws)]
+    assert rep.details["zeta"] == zetas
+    assert len(shared) < sum(map(len, memos[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,10 @@ def test_consecutive_indices_double_the_block_and_lone_ones_do_not():
     run_stream(5, 100)
     assert len(rng._blocks[(5, 0)][1]) == 1
     sizes = []
-    for r in range(101, 5000):
+    for r in range(101, 101 + 2 * rng._MAX_BLOCK):
         run_stream(5, r)
         sizes.append(len(rng._blocks[(5, 0)][1]))
-    assert sorted(set(sizes)) == [2**k for k in range(1, 11)]
+    assert sorted(set(sizes)) == [2**k for k in range(1, rng._MAX_BLOCK.bit_length())]
     run_stream(5, 7)  # not a continuation: one index
     start, block = rng._blocks[(5, 0)]
     assert start == 7 and len(block) == 1

@@ -5,12 +5,15 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lll_lab.core import LllError, SearchProblem, action_law, event_rows, run
-from lll_lab.criteria import DependencyGraph, neighborhood_sum, shearer_polynomials
+from lll_lab.criteria import DependencyGraph, neighborhood_sums, shearer_polynomials
 from lll_lab.solvers import CnfInstance, ksat_backtrack, ksat_mt, vertex_coloring_greedy
 from lll_lab.solvers.aec import GraphInstance
 from lll_lab.witness import (
+    SCAN_STEPS,
     WitnessTree,
     build_witness_forest,
     build_witness_tree,
@@ -112,6 +115,53 @@ def test_capped_trees_equal_filtered_full_builds():
             full = [(k, t.labels, t.parents) for k in range(1, len(seq) + 1)
                     for t in [build_witness_tree(seq, k, g)] if len(t) <= max_nodes]
             assert capped == full
+
+
+def reference_witness_tree(sequence, k, graph, max_nodes=None):
+    """The backward construction as a scan over every earlier position:
+    each flaw attaches to the deepest node whose label neighbors it, the
+    lowest node id on depth ties."""
+    if max_nodes is not None and max_nodes < 1:
+        return None
+    labels, parents, depths = [sequence[k - 1]], [-1], [0]
+    for j in range(k - 2, -1, -1):
+        w = sequence[j]
+        best, best_depth = -1, -1
+        for node, lab in enumerate(labels):
+            if w in graph.adj[lab] and depths[node] > best_depth:
+                best, best_depth = node, depths[node]
+        if best >= 0:
+            if len(labels) == max_nodes:
+                return None
+            labels.append(w)
+            parents.append(best)
+            depths.append(best_depth + 1)
+    return WitnessTree(labels, parents)
+
+
+@st.composite
+def graphs_and_sequences(draw):
+    m = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    loops = [i for i in range(m) if draw(st.booleans())]
+    seq = draw(st.lists(st.integers(0, m - 1), min_size=SCAN_STEPS + 1, max_size=3 * SCAN_STEPS))
+    return DependencyGraph.from_edges(m, edges, loops), seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graphs_and_sequences(), max_nodes=st.sampled_from([None, 1, 3, 8]))
+def test_heap_walk_equals_the_backward_scan(case, max_nodes):
+    """``trees_of_sequence`` and ``build_witness_tree`` build every step's
+    tree, or its refusal past ``max_nodes``, as the scan does, on short
+    prefixes and on the longer ones that walk the heap."""
+    g, seq = case
+    want = [(k, t.labels, t.parents) for k in range(1, len(seq) + 1)
+            for t in [reference_witness_tree(seq, k, g, max_nodes)] if t is not None]
+    assert [(k, t.labels, t.parents)
+            for k, t in trees_of_sequence(seq, g, max_nodes=max_nodes)] == want
+    assert [(k, t.labels, t.parents) for k in range(1, len(seq) + 1)
+            for t in [build_witness_tree(seq, k, g, max_nodes)] if t is not None] == want
 
 
 def test_occurs_single_node_and_root_presence(two_clause_mt):
@@ -488,7 +538,7 @@ def test_truncated_sums_below_cluster_and_shearer_bounds():
         gamma = [rng.uniform(0.01, 0.12) for _ in range(m)]
         psi = [rng.uniform(0.2, 0.5) for _ in range(m)]
         cluster_ok = all(
-            gamma[i] * neighborhood_sum(i, g, psi) <= psi[i] for i in range(m)
+            gamma[i] * z <= psi[i] for i, z in enumerate(neighborhood_sums(g, psi))
         )
         srep = shearer_polynomials(gamma, g)
         if not cluster_ok or not srep.passed:
