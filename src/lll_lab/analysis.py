@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ from .core import (
     measure_of_flaws,
     recommended_strategy,
     run,
-    run_from,
 )
 from .criteria import (
     ShearerReport,
@@ -43,6 +43,7 @@ from .criteria import (
 from .dependency import DependencyGraph
 from .rng import StreamBlock
 from .witness import (
+    ENUM_TREE_NODE_CAP,
     CommutativityReport,
     check_commutativity,
     enumerate_witness_trees,
@@ -180,15 +181,14 @@ def build_oracle(problem: SearchProblem) -> OracleTables:
 # batched running (chain fast path with a generic fallback)
 
 
-def _block_start(problem: SearchProblem, walk: bool = False) -> BlockStart | None:
-    """The problem's ``BlockStart`` while it keeps the scan it was declared
-    with, and, for ``walk``, its action too; else None."""
+def _block_start(problem: SearchProblem) -> BlockStart | None:
+    """The problem's ``BlockStart`` while it keeps the scan and the action
+    it was declared with; else None."""
     start = problem.sample_init
-    if not (isinstance(start, BlockStart) and problem.flaws_present is start.flaws_present):
-        return None
-    if walk and problem.sample_action is not start.action:
-        return None
-    return start
+    if (isinstance(start, BlockStart) and problem.flaws_present is start.flaws_present
+            and problem.sample_action is start.action):
+        return start
+    return None
 
 
 def _row_states(rows: np.ndarray) -> list[bytes]:
@@ -207,40 +207,29 @@ def _iter_runs(
     """One ``run`` report per run index, in order, for the callers that
     read reports (final states, trajectories); ``step_stats`` folds the
     runs it can walk in blocks without them.  The problem's recommended
-    strategy is resolved once; ``run_from`` resets it before every walk.
-    A run's stream is keyed by (seed, run index).
+    strategy is resolved once.  A run's stream is keyed by (seed, run
+    index).
 
-    A problem with a ``_block_start`` starts its runs in blocks: the run
-    indices are cut into ``StreamBlock``s of consecutive indices, the
-    start draws and scans every initial state of a block at once, and each
-    lane's state and present list are read off its rows of the arrays.  A
-    flawless start is its report; a run whose start holds a flaw takes its
-    ``RandomSource`` from the block and walks on in ``run_from``.  Every
-    report equals ``run``'s for its index.  Any other problem calls
-    ``run`` once per index."""
+    A problem with a ``_block_start``, under a strategy with a fixed
+    order, walks its runs in ``_run_block``: the run indices are cut into
+    ``StreamBlock``s of consecutive indices, and each report is read off
+    its block's steps, flags, counts and final rows, with the block's
+    record of its trajectory.  Every report equals ``run``'s for its index.
+    Any other problem calls ``run`` once per index."""
+    if max_steps < 0:
+        raise LllError("max_steps must be nonnegative")
     strategy = recommended_strategy(problem)
-    start = _block_start(problem)
-    if start is None:
+    prio = strategy.priority(problem.num_flaws)
+    if prio is None or _block_start(problem) is None:
         for r in run_indices:
             yield run(problem, strategy, max_steps, seed, r, record_trajectory=record_trajectory)
         return
-    if max_steps < 0:
-        raise LllError("max_steps must be nonnegative")
-    prio = strategy.priority(problem.num_flaws)
-    zeros = (0,) * problem.num_flaws
     for block in StreamBlock.cover(seed, run_indices):
-        rows, held = start.start(block)
-        presents: list[list[int]] = [[] for _ in range(block.count)]
-        lanes, flaws = np.nonzero(held)  # row by row, ascending flaw ids
-        for k, i in zip(lanes.tolist(), flaws.tolist()):
-            presents[k].append(i)
-        for lane, (initial, present) in enumerate(zip(_row_states(rows), presents)):
-            if present:
-                yield run_from(problem, strategy, prio, max_steps, block.source(lane),
-                               initial, present, record_trajectory)
-            else:  # run_from's flawless report, without a call per run
-                yield RunReport(True, 0, zeros, initial,
-                                Trajectory(initial, ()) if record_trajectory else None)
+        steps, terminated, counts, rows, trajectories = _run_block(
+            problem, block, prio[1], max_steps, record_trajectory)
+        for report in zip(terminated.tolist(), steps.tolist(), map(tuple, counts.tolist()),
+                          _row_states(rows), trajectories or repeat(None)):
+            yield RunReport._make(report)
 
 
 def _output_counts(problem: SearchProblem, finals: Iterable[tuple[object, int]]) -> dict:
@@ -284,20 +273,24 @@ def run_many(
 
 
 def _run_block(problem: SearchProblem, block: StreamBlock, order: Sequence[int],
-               max_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+               max_steps: int, record: bool = False
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list | None]:
     """``run`` for every lane of ``block`` at once, under the strategy
     that addresses the first present flaw in the fixed ``order``, on a
-    problem that keeps its ``BlockStart``'s scan and action
-    (``_block_start(problem, walk=True)``).  The lanes whose start holds
-    a flaw step together: ``argmax`` over the ``held`` columns permuted by
+    problem with a ``_block_start``.  The lanes whose start holds a flaw
+    step together: ``argmax`` over the ``held`` columns permuted by
     ``order`` picks each flaw, and ``block.take`` keeps drawing for the
     lanes still going alone.  Returns each lane's step count, termination
     flag (censored after ``max_steps``), address counts and final row,
-    equal to ``run``'s for its run index."""
+    equal to ``run``'s for its run index, and, with ``record``, each
+    lane's ``Trajectory``: its initial row and its (flaw, row) steps, read
+    off the arrays at each step (else None)."""
     if max_steps < 0:
         raise LllError("max_steps must be nonnegative")
     start = problem.sample_init
     states, held = start.start(block)
+    trails = [[] for _ in range(block.count)] if record else None
+    initial = _row_states(states) if record else None
     order = np.asarray(order, dtype=np.intp)
     steps = np.zeros(block.count, dtype=np.int64)
     counts = np.zeros((block.count, problem.num_flaws), dtype=np.int32)
@@ -310,6 +303,9 @@ def _run_block(problem: SearchProblem, block: StreamBlock, order: Sequence[int],
         start.step(rows, flaws, block)
         counts[lanes, flaws] += 1
         steps[lanes] += 1
+        if trails is not None:
+            for lane, flaw, row in zip(lanes.tolist(), flaws.tolist(), _row_states(rows)):
+                trails[lane].append((flaw, row))
         held = start.scan(rows)
         going = held.any(axis=1)
         if not going.all():
@@ -318,7 +314,9 @@ def _run_block(problem: SearchProblem, block: StreamBlock, order: Sequence[int],
     states[lanes] = rows
     terminated = np.ones(steps.size, dtype=bool)
     terminated[lanes] = False
-    return steps, terminated, counts, states
+    trajectories = None if trails is None else [
+        Trajectory(state, tuple(trail)) for state, trail in zip(initial, trails)]
+    return steps, terminated, counts, states, trajectories
 
 
 def step_stats(
@@ -333,17 +331,17 @@ def step_stats(
     ``BatchStats``.  ``run_many`` folds ``range(runs)``; a ``--parallel``
     worker folds its chunk, without outputs.
 
-    A problem that keeps its ``BlockStart``'s scan and action, under a
-    strategy with a fixed order, folds the records of ``_run_block`` block
-    by block unless sequences are collected; its outputs, when collected,
-    are the final rows.  Any other fold reads one ``_iter_runs`` report
-    per run: steps, flags and sequence ids collect in lists, each array is
-    built once at the end, and only a run that took a step has its row of
-    the zeroed count array written, as the run ends, so no report outlives
-    its run.  Both folds give the same record."""
+    A problem with a ``_block_start``, under a strategy with a fixed
+    order, folds the records of ``_run_block`` block by block unless
+    sequences are collected; its outputs, when collected, are the final
+    rows.  Any other fold reads one ``_iter_runs`` report per run: steps,
+    flags and sequence ids collect in lists, each array is built once at
+    the end, and only a run that took a step has its row of the zeroed
+    count array written, as the run ends, so no report outlives its run.
+    Both folds give the same record."""
     counts = np.zeros((len(run_indices), problem.num_flaws), dtype=np.int32)
     finals: dict = {}
-    start = None if collect_sequences else _block_start(problem, walk=True)
+    start = None if collect_sequences else _block_start(problem)
     prio = None if start is None else recommended_strategy(problem).priority(problem.num_flaws)
     if prio is not None:
         steps = np.zeros(len(run_indices), dtype=np.int64)
@@ -351,7 +349,7 @@ def step_stats(
         k = 0
         for block in StreamBlock.cover(seed, run_indices):
             lanes = slice(k, k + block.count)
-            steps[lanes], terminated[lanes], counts[lanes], rows = _run_block(
+            steps[lanes], terminated[lanes], counts[lanes], rows, _ = _run_block(
                 problem, block, prio[1], max_steps)
             if collect_outputs:
                 for state in _row_states(rows):
@@ -414,9 +412,14 @@ def check_witness_tree_lemma(
     """Empirical occurrence frequency of every witness tree up to the node
     cap against its charge-product bound lambda_init * prod gamma.
 
-    Refuses non-commutative problems: the bound provably fails in
-    general without the swap property.
+    Refuses a node cap outside 1..``ENUM_TREE_NODE_CAP`` first, then
+    non-commutative problems: the bound provably fails in general without
+    the swap property.
     """
+    if max_tree_nodes > ENUM_TREE_NODE_CAP:
+        raise LllError(f"witness-tree enumeration capped at {ENUM_TREE_NODE_CAP} nodes")
+    if max_tree_nodes < 1:
+        raise LllError(f"no witness trees with at most {max_tree_nodes} nodes to check")
     if not check_commutativity(problem).commutative:
         raise LllError(
             "witness-tree bound requires a commutative problem: without "

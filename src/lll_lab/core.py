@@ -77,7 +77,8 @@ class SearchProblem:
     A ``BlockStart`` as ``sample_init`` also starts a block of runs at
     once, drawing and scanning every initial state with array operations,
     and walks the block on together (``analysis._run_block``); ``analysis``
-    uses it while ``flaws_present`` is the scan it was declared with.
+    uses it while ``flaws_present`` and ``sample_action`` are the scan and
+    action it was declared with, under a strategy with a fixed order.
 
     ``sample_init`` draws mu, the normalized ``weight``, unless
     ``init_distribution`` states its law theta; a sampler that does not
@@ -148,13 +149,12 @@ class BlockStart:
     are a lanes x width ``uint8`` array of ``bytes`` states and a lanes x m
     ``held`` matrix.  ``start(block)`` draws the initial rows from an
     ``rng.StreamBlock`` and returns them with their ``held``: lane k is
-    ``sample(block.source(k))``.  ``scan(rows)`` is the ``held`` of some
-    rows, the scan of ``flaws_present``, so a block stands only while a
-    problem keeps that scan.  ``step(rows, flaws, block)`` applies
-    ``action`` in place, row k addressing ``flaws[k]`` with the doubles it
-    draws from lane k of ``block``, the same number at every step;
-    ``analysis._run_block`` walks on it while a problem keeps ``action``
-    too."""
+    ``sample`` drawing on the stream of lane k.  ``scan(rows)`` is the
+    ``held`` of some rows, the scan of ``flaws_present``.  ``step(rows,
+    flaws, block)`` applies ``action`` in place, row k addressing
+    ``flaws[k]`` with the doubles it draws from lane k of ``block``, the
+    same number at every step.  ``analysis._run_block`` walks a block on
+    these only while a problem keeps both that scan and that action."""
 
     def __init__(self, sample: Callable[[RandomSource], State],
                  start: Callable[[StreamBlock], tuple[np.ndarray, np.ndarray]],
@@ -532,12 +532,10 @@ def run(
     for each recorded trajectory step and for ``final_state``.  Any other
     action returns a new state at every step.
 
-    ``run`` draws the initial state through its own stream
-    (``source_for_run``) and walks in ``run_from``.  ``analysis._iter_runs``
-    starts the runs of a ``BlockStart`` problem in blocks instead, and
-    hands each start that holds a flaw to ``run_from`` with a stream from
-    its block; ``analysis._run_block`` walks a block's runs together.  The
-    reports and records are the same.
+    ``run`` draws the initial state and every action through the run's
+    own stream (``source_for_run``).  ``analysis._run_block`` walks the
+    runs of a ``BlockStart`` problem a block at a time instead, each on its
+    lane of an ``rng.StreamBlock``; its records equal ``run``'s.
     """
     if max_steps < 0:
         raise LllError("max_steps must be nonnegative")
@@ -545,25 +543,7 @@ def run(
     prio = strategy.priority(problem.num_flaws)  # refuses a fixed order that is not a permutation
     rng = source_for_run(seed, run_index)
     initial = problem.sample_init(rng)
-    return run_from(problem, strategy, prio, max_steps, rng, initial,
-                    problem.present_flaws(initial), record_trajectory)
-
-
-def run_from(
-    problem: SearchProblem,
-    strategy: FlawChoiceStrategy,
-    prio: tuple[Sequence[int], Sequence[int]] | None,
-    max_steps: int,
-    rng: RandomSource,
-    initial: State,
-    present: list[int],
-    record_trajectory: bool = False,
-) -> RunReport:
-    """``run``'s walk from a drawn initial state: ``present`` is its first
-    scan, ``rng`` the run's stream just past the draws of ``sample_init``
-    and ``prio`` the strategy's ``priority``.  The walk reads the run's
-    seed only through ``rng``.  ``_iter_runs`` walks on here each run of a
-    batched start (``BlockStart``) whose initial state holds a flaw."""
+    present = problem.present_flaws(initial)
     strategy.reset()
     m = problem.num_flaws
     if not present:

@@ -31,17 +31,6 @@ class DependencyGraph:
         return _GraphOnRead(m, neighbors)
 
     @staticmethod
-    def from_edges(m: int, edges: Sequence[tuple[int, int]],
-                   self_loops: Sequence[int] = ()) -> "DependencyGraph":
-        nbrs = [set() for _ in range(m)]
-        for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        for v in self_loops:
-            nbrs[v].add(v)
-        return DependencyGraph(m, tuple(frozenset(s) for s in nbrs))
-
-    @staticmethod
     def from_scopes(scopes: Sequence[Collection[Hashable]]) -> "DependencyGraph":
         """Flaws are dependent when their scopes, the variables each one
         reads, share a variable; a flaw with a nonempty scope is its own

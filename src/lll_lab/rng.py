@@ -23,13 +23,11 @@ continues it doubles the block (up to ``_MAX_BLOCK``, 4,096), any other
 computes that index alone, through ``SeedSequence`` itself, which costs
 less than the arrays for one index.  ``StreamBlock`` instead steps PCG64
 itself on uint64 arrays, one lane per run of a block of up to
-``_MAX_BLOCK`` consecutive indices, so a batched start
-draws the first doubles of every run at once and builds no generator,
-and ``take`` keeps only the lanes still drawing, so a batched walk
-(``analysis._run_block``) draws on for the runs still going.  A run that
-walks alone instead leaves the block as a ``RandomSource`` seeded from
-the block's words, past the doubles the block handed out; only then is
-``numpy.random`` loaded.
+``_MAX_BLOCK`` consecutive indices, so a batched start draws the first
+doubles of every run at once, and ``take`` keeps only the lanes still
+drawing, so a batched walk (``analysis._run_block``) draws on for the
+runs still going.  A block builds no generator and never loads
+``numpy.random``.
 
 A stream depends only on its triple, never on the order in which indices
 are asked for or on the path that draws it.  The tests compare every
@@ -238,27 +236,25 @@ class StreamBlock:
     words ``_state_words`` computes for the block.  ``random(k)`` hands out
     each lane's next k doubles, bit for bit those of ``run_stream(seed,
     start + lane, tag)``, and no numpy ``Generator`` is built.  ``take``
-    narrows the block to some of its lanes, and a run that draws alone
-    leaves it as ``source(lane)``.  A taken block has no ``start``: its
-    lane k is no longer run ``start + k``.
+    narrows the block to some of its lanes; a taken block has no
+    ``start``: its lane k is no longer run ``start + k``.
 
     The indices must share ``r >> 32``, as ``_state_words`` requires;
     ``cover`` cuts a sequence of run indices into such blocks.
     """
 
-    __slots__ = ("start", "count", "drawn", "_words", "_hi", "_lo", "_inc_hi", "_inc_lo")
+    __slots__ = ("start", "count", "_hi", "_lo", "_inc_hi", "_inc_lo")
 
     def __init__(self, seed: int, start: int, count: int, tag: int = 0):
         if min(seed, start, tag) < 0:
             raise ValueError("expected non-negative integer")
         if count < 1 or start >> 32 != (start + count - 1) >> 32:
             raise ValueError("a block holds at least one run index, all with one r >> 32")
-        self.start, self.count, self.drawn = start, count, 0
-        self._words = words = _state_words(seed, tag, start, count)
+        self.start, self.count = start, count
         # numpy's seeding: state 0 and increment 2 * initseq + 1, one step,
         # add initstate, one step; initstate and initseq are words 0-1 and
         # 2-3, high half first
-        state_hi, state_lo, seq_hi, seq_lo = words.T
+        state_hi, state_lo, seq_hi, seq_lo = _state_words(seed, tag, start, count).T
         self._inc_hi = (seq_hi << _ONE) | (seq_lo >> _U63)
         self._inc_lo = (seq_lo << _ONE) | _ONE
         self._lo = self._inc_lo + state_lo
@@ -304,29 +300,17 @@ class StreamBlock:
             rot = hi >> _U58
             out[:, d] = ((x >> rot) | (x << ((_U64 - rot) & _U63))) >> _U11
         out *= _DOUBLE_ULP
-        self.drawn += k
         return out
 
     def take(self, lanes: np.ndarray) -> StreamBlock:
         """The block of the chosen ``lanes`` (a boolean mask or lane
-        indices), continuing their streams: each keeps its words and
-        position, and ``drawn`` is kept, so ``source`` still hands a lane
-        off past the doubles it has drawn.  Lanes are numbered anew, in the
-        order taken, and ``start`` is left unset."""
+        indices), continuing their streams where they stand.  Lanes are
+        numbered anew, in the order taken, and ``start`` is left unset."""
         block = object.__new__(StreamBlock)
-        block.drawn = self.drawn
-        for name in ("_words", "_hi", "_lo", "_inc_hi", "_inc_lo"):
+        for name in ("_hi", "_lo", "_inc_hi", "_inc_lo"):
             setattr(block, name, getattr(self, name)[lanes])
         block.count = len(block._lo)
         return block
-
-    def source(self, lane: int) -> RandomSource:
-        """The ``RandomSource`` of ``lane``'s run, past the doubles the
-        block has handed out: numpy's PCG64 seeded from the block's words,
-        those doubles passed over through the source's own buffer."""
-        source = RandomSource(_generator(self._words[lane]))
-        source.skip(self.drawn)
-        return source
 
 
 class RandomSource:
@@ -361,13 +345,6 @@ class RandomSource:
         v = self._buf[self._pos]
         self._pos += 1
         return v
-
-    def skip(self, k: int) -> None:
-        """Pass over the stream's next ``k`` doubles."""
-        while k > self._block - self._pos:
-            k -= self._block - self._pos
-            self._refill()
-        self._pos += k
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n).  Scaling bias is O(2^-53), negligible

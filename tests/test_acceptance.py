@@ -23,7 +23,6 @@ from lll_lab.analysis import (
 )
 from lll_lab.core import charge, run
 from lll_lab.criteria import (
-    DependencyGraph,
     clique_lll_check,
     neighborhood_sums,
     shearer_polynomials,
@@ -60,6 +59,8 @@ from lll_lab.solvers.matchings import (
 )
 from lll_lab.witness import check_commutativity
 from lll_lab.criteria import backtracking_criterion
+
+from graphs import from_edges
 
 
 def _line(num, ok, text):
@@ -158,7 +159,7 @@ def test_03_shearer_oracle_m_up_to_8():
         pairs = list(itertools.combinations(range(m), 2))
         for mask in range(1 << len(pairs)):
             edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-            g = DependencyGraph.from_edges(m, edges)
+            g = from_edges(m, edges)
             gamma = [rng.uniform(0.02, 0.4) for _ in range(m)]
             ok &= _shearer_against_brute(g, gamma)
             checked += 1
@@ -166,7 +167,7 @@ def test_03_shearer_oracle_m_up_to_8():
     for trial in range(40):
         m = rng.randint(5, 8)
         edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.45]
-        g = DependencyGraph.from_edges(m, edges)
+        g = from_edges(m, edges)
         gamma = [rng.uniform(0.02, 0.4) for _ in range(m)]
         ok &= _shearer_against_brute(g, gamma)
         checked += 1
@@ -319,7 +320,7 @@ def test_10_commutativity_certification():
     broken = SearchProblem(
         present=lambda i, s: s[i] == 1,
         sample_action=sample_action,
-        graph=DependencyGraph.from_edges(2, []),
+        graph=from_edges(2, []),
         sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s),
         action_distribution=action_distribution,

@@ -24,10 +24,12 @@ from lll_lab.analysis import (
     wilson_interval,
 )
 from lll_lab.core import FlawChoiceStrategy, LllError, RecencyStrategy, run
-from lll_lab.criteria import DependencyGraph, neighborhood_sums
+from lll_lab.criteria import neighborhood_sums
 from lll_lab.solvers import CnfInstance, ksat_mt
 from lll_lab.solvers.matchings import EdgeColoredClique, rainbow_matching
 from lll_lab.witness import check_commutativity
+
+from graphs import from_edges
 
 
 def colored_k6(pairs=1):
@@ -231,7 +233,7 @@ def test_witness_lemma_refuses_noncommutative():
     problem = SearchProblem(
         present=lambda i, s: s[i] == 1,
         sample_action=sample_action,
-        graph=DependencyGraph.from_edges(2, []),
+        graph=from_edges(2, []),
         sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s),
         action_distribution=action_distribution,
@@ -535,7 +537,7 @@ def test_shearer_blowup_direction():
     tends to zero and the measured expected address counts grow."""
     from lll_lab.criteria import shearer_polynomials
 
-    g = DependencyGraph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     prev_counts = 0.0
     prev_q = 1.0
     for total in (0.5, 0.8, 0.95):
@@ -630,7 +632,7 @@ def test_neighborhood_violating_tree_never_occurs(two_clause_mt):
 
     impossible = WitnessTree([0, 1], [-1, 0])  # fine shape...
     # make it violate the neighborhood by pruning the adjacency
-    pruned = DependencyGraph.from_edges(2, [], self_loops=[0, 1])
+    pruned = from_edges(2, [], self_loops=[0, 1])
     hits = 0
     for seed in range(200):
         rep = run(two_clause_mt, seed=seed, record_trajectory=True)
@@ -779,19 +781,19 @@ def test_witness_lemma_refuses_empty_tree_set_before_sampling(two_clause_mt, mon
 def zero_step_cap(monkeypatch):
     """Every run ``_iter_runs`` makes is cut at zero steps, so a run whose
     initial state has a flaw is censored: a run it calls ``run`` for, and
-    one of a batched start that walks on in ``run_from``."""
+    one it walks in a block (``_run_block``)."""
     import lll_lab.analysis as analysis
 
-    real_run, real_run_from = analysis.run, analysis.run_from
+    real_run, real_run_block = analysis.run, analysis._run_block
 
     def capped(problem, strategy, max_steps, *args, **kwargs):
         return real_run(problem, strategy, 0, *args, **kwargs)
 
-    def capped_from(problem, strategy, prio, max_steps, *args, **kwargs):
-        return real_run_from(problem, strategy, prio, 0, *args, **kwargs)
+    def capped_block(problem, block, order, max_steps, *args, **kwargs):
+        return real_run_block(problem, block, order, 0, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "run", capped)
-    monkeypatch.setattr(analysis, "run_from", capped_from)
+    monkeypatch.setattr(analysis, "_run_block", capped_block)
 
 
 def test_event_probability_refuses_censored(two_clause_mt, zero_step_cap):

@@ -1,10 +1,12 @@
-"""Batched starts: ``_iter_runs`` starts the runs of a problem whose
-``sample_init`` is a ``BlockStart`` a block of streams at a time.  Run by
-run, its reports equal ``run``'s, trajectories included; a problem that
-replaced the start's scan falls back to one ``run`` per index; and the
-streams of the runs that walk on come from the block, not from the
-per-run memo.  ``step_stats`` walks the runs of a block together
-(``analysis._run_block``), and its record equals the per-run fold."""
+"""Block walks: a problem whose ``sample_init`` is a ``BlockStart`` walks
+its runs a block of streams at a time (``analysis._run_block``).
+``_iter_runs`` reads its reports off the block, trajectories included,
+and run by run they equal ``run``'s; ``step_stats`` folds the block's
+arrays, and its record equals the per-run fold.  Each block's streams
+come from one derivation of its words, not from the per-run memo.  A
+problem that replaced the start's scan, its sampler or its action, or
+whose strategy has no fixed order, falls back to one ``run`` per
+index."""
 
 from dataclasses import replace
 
@@ -89,12 +91,10 @@ def test_a_replaced_scan_or_sampler_falls_back_to_single_runs(k12, replaced, mon
     assert got == single_runs(k12, indices, True)
 
 
-def test_runs_that_walk_on_take_their_words_from_the_block(k12_clique, tmp_path, capsys,
-                                                           monkeypatch):
-    """One ``_state_words`` call per block of a 10^4-run suite: a run whose
-    start holds a flaw is handed its block's words, and never rebuilds its
-    stream through the per-run memo, whose blocks its scattered indices
-    would keep missing."""
+def test_a_suite_derives_each_blocks_words_once(k12_clique, tmp_path, capsys, monkeypatch):
+    """One ``_state_words`` call per block of a 10^4-run suite: every run,
+    flawed at its start or not, walks on its lane of its block, and no
+    stream is rebuilt through the per-run memo."""
     path = tmp_path / "k12.txt"
     path.write_text(serialize_colored_clique(k12_clique))
     calls = []
@@ -134,11 +134,10 @@ def no_per_run_walks(*args, **kwargs):
 def test_block_walk_folds_as_the_runs_do(k12, seed, monkeypatch):
     """10^4 runs from index 1000, so every block boundary is crossed
     mid-block, walked to the end with outputs and without; the block fold
-    builds no ``RandomSource``, report or per-run walk."""
+    builds no ``RandomSource`` and calls no ``run``."""
     indices = range(1000, 11_000)
     want = analysis.step_stats(per_run(k12), indices, seed)
-    monkeypatch.setattr(rng.StreamBlock, "source", no_per_run_walks)
-    monkeypatch.setattr(analysis, "run_from", no_per_run_walks)
+    monkeypatch.setattr(rng.RandomSource, "__init__", no_per_run_walks)
     monkeypatch.setattr(analysis, "run", no_per_run_walks)
     assert_same_record(analysis.step_stats(k12, indices, seed), want)
     bare = analysis.step_stats(k12, indices, seed, collect_outputs=False)
@@ -172,24 +171,28 @@ def test_block_width_never_changes_a_record(k12, width, monkeypatch):
 
 
 def test_block_walk_stands_only_for_its_action_and_a_fixed_order(k12, monkeypatch):
-    """A problem that replaced the action, or a strategy without a fixed
-    order, or a fold that collects sequences, reads per-run reports."""
-    calls, run_from = [], analysis.run_from
+    """A problem that replaced the action or the scan, or whose strategy
+    has no fixed order, calls ``run`` once per index; a fold that collects
+    sequences reads its reports off the block walk, and calls it for none."""
+    calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return run_from(*args, **kwargs)
+        return run(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "run_from", counted)
+    monkeypatch.setattr(analysis, "run", counted)
     indices = range(600)
     want = analysis.step_stats(per_run(k12), indices, SEED)
     replaced = replace(k12, sample_action=lambda i, state, source: k12.sample_action(
         i, state, source))
+    rescanned = replace(k12, flaws_present=lambda state: k12.flaws_present(state))
     recency = replace(k12, metadata={**k12.metadata, "strategy": "recency"})
-    for problem, sequences in ((replaced, False), (recency, False), (k12, True)):
+    for problem, sequences, runs in ((replaced, False, len(indices)),
+                                     (rescanned, False, len(indices)),
+                                     (recency, False, len(indices)), (k12, True, 0)):
         calls.clear()
         got = analysis.step_stats(problem, indices, SEED, collect_sequences=sequences)
-        assert len(calls) == np.count_nonzero(want.steps)
+        assert len(calls) == runs
         if problem is not recency:
             assert_same_record(got, want)
     with pytest.raises(LllError, match="max_steps"):
@@ -205,3 +208,29 @@ def test_verify_resamples_stdout_is_the_same_on_two_processes(k12_clique, tmp_pa
                          "10000", "--seed", "3", "--parallel", workers]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1] and "pass" in outs[0]
+
+
+def test_verify_event_stdout_is_the_same_with_one_run_per_index(tmp_path, capsys, monkeypatch):
+    """``verify rainbow --suite event`` on the K8 of ``gen colored-clique
+    --n 4 --multiplicity 2 --seed 5`` reads its trajectories off the block
+    walk and calls ``run`` for no index; with the ``BlockStart`` hidden it
+    calls ``run`` once per index and prints the same report."""
+    path = tmp_path / "k8.txt"
+    path.write_text(serialize_colored_clique(generate_colored_clique(4, 2, source_for_run(5, 0))))
+    calls, real_run, build = [], analysis.run, cli.build_problem
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", counted)
+    argv = ["verify", "rainbow", str(path), "--suite", "event", "--runs", "20000", "--seed", "3"]
+    outs = []
+    for hidden in (False, True):
+        if hidden:
+            monkeypatch.setattr(cli, "build_problem", lambda spec: per_run(build(spec)))
+        calls.clear()
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        assert len(calls) == (20_000 if hidden else 0)
+    assert outs[0] == outs[1] and '"pass": true' in outs[0]

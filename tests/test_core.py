@@ -24,6 +24,8 @@ from lll_lab.solvers import CnfInstance, ksat_mt, vertex_coloring_greedy
 from lll_lab.solvers.aec import GraphInstance
 from lll_lab.solvers.matchings import EdgeColoredClique, rainbow_matching
 
+from graphs import from_edges
+
 
 def colored_k6_one_conflict():
     colors = {}
@@ -216,7 +218,7 @@ def test_validate_catches_asymmetric_neighbors(two_clause_mt):
 def test_validate_catches_causality_gap(two_clause_mt):
     from dataclasses import replace
 
-    bad = replace(two_clause_mt, graph=DependencyGraph.from_edges(2, [], self_loops=[0, 1]))
+    bad = replace(two_clause_mt, graph=from_edges(2, [], self_loops=[0, 1]))
     with pytest.raises(LllError, match="causality"):
         validate_problem(bad)
 
@@ -497,7 +499,7 @@ def test_exact_statistics_refuses_a_chain_never_absorbed():
         return SearchProblem(
             present=lambda i, s: s < 2, sample_action=lambda i, s, rng: s,
             action_distribution=lambda i, s: {2 if s == 0 else 1: 1.0},
-            graph=DependencyGraph.from_edges(1, [], self_loops=[0]), sample_init=lambda rng: 0,
+            graph=from_edges(1, [], self_loops=[0]), sample_init=lambda rng: 0,
             canon=lambda s: bytes([s]), enumerate_states=lambda: range(3),
             init_distribution=init_distribution)
 

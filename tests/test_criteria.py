@@ -46,6 +46,8 @@ from lll_lab.rng import source_for_run
 from lll_lab.solvers import aec_clique_mt, ksat_mt, rainbow_matching, vertex_coloring_greedy
 from lll_lab.solvers.aec import enumerate_even_cycles, enumerate_two_paths
 
+from graphs import from_edges
+
 
 def brute_subset_sum(indices, psi):
     total = 0
@@ -95,7 +97,7 @@ def brute_shearer(gamma, graph):
 def random_graph(m, rng, p=0.4, self_loops=True):
     edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < p]
     loops = [i for i in range(m) if self_loops and rng.random() < 0.5]
-    return DependencyGraph.from_edges(m, edges, loops)
+    return from_edges(m, edges, loops)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def test_independent_sum_matches_brute_force():
 
 def test_neighborhood_cap_error():
     m = 30
-    g = DependencyGraph.from_edges(m, [(0, j) for j in range(1, m)])
+    g = from_edges(m, [(0, j) for j in range(1, m)])
     with pytest.raises(LllError, match="neighborhood too large"):
         neighborhood_sums(g, [0.1] * m, [0])
 
@@ -132,7 +134,7 @@ def weighted_graphs(draw):
     sequences."""
     m = draw(st.integers(1, 9))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    g = DependencyGraph.from_edges(m, [e for e in pairs if draw(st.booleans())],
+    g = from_edges(m, [e for e in pairs if draw(st.booleans())],
                                    [i for i in range(m) if draw(st.booleans())])
     psi = [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))) for _ in range(m)]
     subset = draw(st.lists(st.integers(0, m - 1), unique=True))
@@ -197,7 +199,7 @@ def test_cluster_check_evaluates_each_residual_mask_once(monkeypatch):
 
 
 def test_general_certain_flaw_fails():
-    g = DependencyGraph.from_edges(1, [])
+    g = from_edges(1, [])
     for psi in (0.1, 1.0, 7.3):
         rep = general_lll_check([1.0], g, [psi])
         assert not rep.passed
@@ -209,11 +211,11 @@ def test_general_certain_flaw_fails():
 def test_weights_that_are_not_finite_refused(check, w):
     """An infinite weight made every value NaN (inf / inf), and the report FAIL."""
     with pytest.raises(LllError, match="^weights must be positive and finite$"):
-        check([0.1, 0.1], DependencyGraph.from_edges(2, [(0, 1)]), [w, w])
+        check([0.1, 0.1], from_edges(2, [(0, 1)]), [w, w])
 
 
 def test_general_isolated_flaw():
-    g = DependencyGraph.from_edges(1, [], self_loops=[0])
+    g = from_edges(1, [], self_loops=[0])
     rep = general_lll_check([0.25], g, [1.0])
     assert rep.passed
     assert abs(rep.values[0] - 0.5) < 1e-12
@@ -226,7 +228,7 @@ def test_general_symmetric_ksat_table():
         for d in (2, 4, 8):
             gamma = 2.0 ** -k
             psi = 1.0 / d
-            g = DependencyGraph.from_edges(d + 1, [(0, j) for j in range(1, d + 1)])
+            g = from_edges(d + 1, [(0, j) for j in range(1, d + 1)])
             rep = general_lll_check([gamma] * (d + 1), g, [psi] * (d + 1))
             expected = gamma * d * (1 + 1.0 / d) ** (d + 1)
             assert abs(rep.values[0] - expected) < 1e-12
@@ -239,7 +241,7 @@ def test_general_symmetric_ksat_table():
 
 
 def test_cluster_no_neighborhood():
-    g = DependencyGraph.from_edges(1, [])
+    g = from_edges(1, [])
     rep = cluster_expansion_check([0.3], g, [0.3])
     assert rep.passed
     assert abs(rep.details["zeta"][0] - 1.0) < 1e-12
@@ -248,7 +250,7 @@ def test_cluster_no_neighborhood():
 def test_cluster_clique_neighborhood():
     m = 5
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    g = DependencyGraph.from_edges(m, edges)
+    g = from_edges(m, edges)
     psi = [0.2, 0.3, 0.1, 0.25, 0.15]
     rep = cluster_expansion_check([0.01] * m, g, psi)
     for i in range(m):
@@ -316,7 +318,7 @@ def test_general_pass_implies_cluster_pass():
 
 
 def test_shearer_single_flaw():
-    g = DependencyGraph.from_edges(1, [])
+    g = from_edges(1, [])
     rep = shearer_polynomials([Fraction(1, 3)], g)
     assert rep.q[frozenset()] == Fraction(2, 3)
     assert rep.q[frozenset({0})] == Fraction(1, 3)
@@ -324,11 +326,11 @@ def test_shearer_single_flaw():
 
 
 def test_shearer_two_flaws():
-    g1 = DependencyGraph.from_edges(2, [(0, 1)])
+    g1 = from_edges(2, [(0, 1)])
     rep = shearer_polynomials([Fraction(1, 8), Fraction(1, 8)], g1)
     assert rep.q[frozenset()] == Fraction(3, 4)
     assert rep.q[frozenset({0})] == Fraction(1, 8)
-    g2 = DependencyGraph.from_edges(2, [])
+    g2 = from_edges(2, [])
     rep2 = shearer_polynomials([Fraction(1, 4), Fraction(1, 3)], g2)
     assert rep2.q[frozenset()] == Fraction(3, 4) * Fraction(2, 3)
 
@@ -349,7 +351,7 @@ def test_shearer_matches_signed_sum_enumeration():
 
 
 def test_shearer_flaw_cap():
-    g = DependencyGraph.from_edges(30, [])
+    g = from_edges(30, [])
     with pytest.raises(LllError, match="capped"):
         shearer_polynomials([0.01] * 30, g)
 
@@ -359,7 +361,7 @@ def test_shearer_flaw_cap():
 
 
 def test_clique_single_flaw():
-    g = DependencyGraph.from_edges(1, [], self_loops=[0])
+    g = from_edges(1, [], self_loops=[0])
     cfg = CliqueLllConfig(g, (frozenset({0}),), {(0, 0): 0.5})
     rep = clique_lll_check([0.4], cfg)
     assert rep.passed
@@ -368,7 +370,7 @@ def test_clique_single_flaw():
 def test_clique_symmetric_one_clique():
     m = 4
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    g = DependencyGraph.from_edges(m, edges)
+    g = from_edges(m, edges)
     gammas = [0.05] * m
     x = {(i, 0): 0.1 for i in range(m)}
     cfg = CliqueLllConfig(g, (frozenset(range(m)),), x)
@@ -379,7 +381,7 @@ def test_clique_symmetric_one_clique():
 
 
 def test_clique_cover_incomplete():
-    g = DependencyGraph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     cfg = CliqueLllConfig(g, (frozenset({0}), frozenset({1})),
                           {(0, 0): 0.2, (1, 1): 0.2})
     with pytest.raises(LllError, match="cover incomplete"):
@@ -387,7 +389,7 @@ def test_clique_cover_incomplete():
 
 
 def test_clique_ratio_bound_reported():
-    g = DependencyGraph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     cfg = CliqueLllConfig(g, (frozenset({0, 1}),), {(0, 0): 0.3, (1, 0): 0.2})
     rep = clique_lll_check([0.05, 0.05], cfg)
     assert abs(rep.details["ratio_bounds"][0] - 0.3 / (1 - 0.2)) < 1e-12
@@ -537,7 +539,7 @@ def test_counting_bound_aec_shape():
 
 
 def test_exact_fraction_mode():
-    g = DependencyGraph.from_edges(2, [(0, 1)], self_loops=[0, 1])
+    g = from_edges(2, [(0, 1)], self_loops=[0, 1])
     gamma = [Fraction(1, 8), Fraction(1, 8)]
     psi = [Fraction(1, 4), Fraction(1, 4)]
     rep = cluster_expansion_check(gamma, g, psi)
@@ -555,7 +557,7 @@ def test_clique_symmetric_gamma_over_one_minus_sum():
     x_val = [gv / (1 - total) for gv in gammas]
     m = len(gammas)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    g = DependencyGraph.from_edges(m, edges)
+    g = from_edges(m, edges)
     cfg = CliqueLllConfig(g, (frozenset(range(m)),),
                           {(i, 0): x_val[i] for i in range(m)})
     rep = clique_lll_check(gammas, cfg)
@@ -607,7 +609,7 @@ def test_clique_full_ratio_bounds_dominate_shearer_ratios():
         edges = []
         for cl in cliques:
             edges.extend((a, b) for a in cl for b in cl if a < b)
-        g = DependencyGraph.from_edges(m, edges)
+        g = from_edges(m, edges)
         x = {}
         for v, cl in enumerate(cliques):
             for i in cl:
@@ -639,7 +641,7 @@ def test_clique_trimmed_ratio_bound_single_clique_counterexample():
     """Documents why the full-sum form is the certified one: at gamma = x
     on one clique the exact q-ratio exceeds the trimmed-denominator form
     and equals the full-sum form."""
-    g = DependencyGraph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     x = {(0, 0): 0.4, (1, 0): 0.4}
     cfg = CliqueLllConfig(g, (frozenset({0, 1}),), x)
     rep = clique_lll_check([0.4, 0.4], cfg)

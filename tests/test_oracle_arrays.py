@@ -17,11 +17,12 @@ from lll_lab import chain, core
 from lll_lab.analysis import PartialAvoidanceConfig, labeled_problem
 from lll_lab.core import (LllError, SearchProblem, action_law, all_charges, charge,
                           event_charge, measure_of_flaws)
-from lll_lab.criteria import DependencyGraph
 from lll_lab.solvers import (CnfInstance, GraphInstance, ksat_backtrack, ksat_mt,
                              vertex_coloring_greedy)
 from lll_lab.solvers.matchings import EdgeColoredClique, rainbow_matching
 from lll_lab.witness import PRODUCT_REL_TOL, check_commutativity
+
+from graphs import from_edges
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -54,7 +55,7 @@ def random_rows():
 
     return SearchProblem(
         present=lambda i, s: s % (i + 2) == 0,
-        sample_action=lambda i, s, rng: s, graph=DependencyGraph.from_edges(3, []),
+        sample_action=lambda i, s, rng: s, graph=from_edges(3, []),
         sample_init=lambda rng: 0, canon=lambda s: bytes([s]),
         weight=lambda s: 1.0 + s % 7, action_distribution=action_distribution,
         enumerate_states=lambda: range(n), init_distribution=lambda s: 1.0 / n)
@@ -317,7 +318,7 @@ def escaping(flaw_leaves: int):
     return SearchProblem(
         present=lambda i, s: s[i] == 1,
         sample_action=lambda i, s, rng: tuple(0 if k == i else v for k, v in enumerate(s)),
-        graph=DependencyGraph.from_edges(2, []), sample_init=lambda rng: (1, 1),
+        graph=from_edges(2, []), sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s), action_distribution=action_distribution,
         enumerate_states=lambda: list(states), init_distribution=lambda s: 0.25)
 

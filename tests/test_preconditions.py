@@ -147,6 +147,23 @@ def test_library_refusals_come_before_sampling(no_sampling, case):
         refuse()
 
 
+@pytest.mark.parametrize("cap,message", [
+    (0, "^no witness trees with at most 0 nodes to check$"),
+    (-1, "^no witness trees with at most -1 nodes to check$"),
+    (9, "^witness-tree enumeration capped at 8 nodes$"),
+], ids=["zero", "negative", "past-the-cap"])
+def test_a_bad_tree_cap_is_refused_before_commutativity(monkeypatch, cap, message):
+    """The witness suite refuses a node cap outside 1..8 before
+    ``check_commutativity`` builds the state space, which on a large
+    instance costs far more than the refusal."""
+    def checked(*args, **kwargs):
+        raise AssertionError("checked commutativity before refusing")
+
+    monkeypatch.setattr(analysis, "check_commutativity", checked)
+    with pytest.raises(LllError, match=message):
+        check_witness_tree_lemma(two_clauses(), runs=100, max_tree_nodes=cap)
+
+
 def test_weights_of_the_wrong_length_refused(no_sampling):
     """ψ holds one weight per flaw: too few used to end in ``IndexError``,
     too many passed unread."""

@@ -37,10 +37,11 @@ from lll_lab.analysis import (
     run_many,
 )
 from lll_lab.core import DEFAULT_MAX_STEPS, LllError, SearchProblem, Trajectory
-from lll_lab.criteria import DependencyGraph
 from lll_lab.rng import BATCH_TAG, run_stream
 from lll_lab.solvers import CnfInstance, ksat_mt
 from lll_lab.witness import enumerate_witness_trees, occurs
+
+from graphs import from_edges
 
 
 @st.composite
@@ -233,7 +234,7 @@ def fan_out(outcomes):
     return SearchProblem(
         present=lambda i, s: s == 0,
         sample_action=lambda i, s, rng: 1 + rng.randint(outcomes),
-        graph=DependencyGraph.from_edges(1, [], self_loops=[0]),
+        graph=from_edges(1, [], self_loops=[0]),
         sample_init=lambda rng: 0,
         canon=lambda s: bytes([s]),
         action_distribution=lambda i, s: {t: 1.0 / outcomes for t in range(1, outcomes + 1)},
@@ -275,7 +276,7 @@ def test_flaw_ids_beyond_int16_are_recorded():
     problem = SearchProblem(
         present=lambda i, s: s == 0 and i == m - 1,
         sample_action=lambda i, s, rng: 1,
-        graph=DependencyGraph.from_edges(m, [], self_loops=range(m)),
+        graph=from_edges(m, [], self_loops=range(m)),
         sample_init=lambda rng: 0,
         canon=lambda s: bytes([s]),
         action_distribution=lambda i, s: {1: 1.0},
@@ -297,7 +298,7 @@ def loop_or_exit(init_distribution, sample_init):
         present=lambda i, s: s < 2,
         sample_action=lambda i, s, rng: 2 if s == 0 else 1,
         action_distribution=lambda i, s: {2 if s == 0 else 1: 1.0},
-        graph=DependencyGraph.from_edges(1, [], self_loops=[0]),
+        graph=from_edges(1, [], self_loops=[0]),
         sample_init=sample_init,
         canon=lambda s: bytes([s]),
         enumerate_states=lambda: range(3),
@@ -339,7 +340,7 @@ def test_chain_that_can_reach_a_stuck_state_is_refused_before_drawing(monkeypatc
         present=lambda i, s: s < 2,
         sample_action=lambda i, s, rng: 1 + rng.randint(2) if s == 0 else 1,
         action_distribution=lambda i, s: {1: 0.5, 2: 0.5} if s == 0 else {1: 1.0},
-        graph=DependencyGraph.from_edges(1, [], self_loops=[0]),
+        graph=from_edges(1, [], self_loops=[0]),
         sample_init=lambda rng: 0,
         canon=lambda s: bytes([s]),
         enumerate_states=lambda: range(3),

@@ -25,20 +25,22 @@ from lll_lab.witness import (
     trees_of_sequence,
 )
 
+from graphs import from_edges
+
 
 # ---------------------------------------------------------------------------
 # witness tree construction
 
 
 def test_single_step_tree():
-    g = DependencyGraph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     t = build_witness_tree([0], 1, g)
     assert t.labels == [0] and t.parents == [-1]
 
 
 def test_chain_tree_by_hand():
     # sequence (1, 2, 2) with 1~2 and 2~2 builds the path 2 -> 2 -> 1
-    g = DependencyGraph.from_edges(2, [(0, 1)], self_loops=[1])
+    g = from_edges(2, [(0, 1)], self_loops=[1])
     t = build_witness_tree([0, 1, 1], 3, g)
     assert t.labels == [1, 1, 0]
     assert t.parents == [-1, 0, 1]
@@ -46,7 +48,7 @@ def test_chain_tree_by_hand():
 
 
 def test_three_isolated_flaws():
-    g = DependencyGraph.from_edges(3, [])
+    g = from_edges(3, [])
     t = build_witness_tree([0, 1, 2], 3, g)
     assert len(t) == 1 and t.root_label == 2
 
@@ -76,7 +78,7 @@ def test_levels_are_independent_sets():
         m = rng.randint(2, 6)
         edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5]
         loops = [i for i in range(m) if rng.random() < 0.5]
-        g = DependencyGraph.from_edges(m, edges, loops)
+        g = from_edges(m, edges, loops)
         seq = realizable_sequence(g, rng, rng.randint(1, 12))
         for k in range(1, len(seq) + 1):
             t = build_witness_tree(seq, k, g)
@@ -92,7 +94,7 @@ def test_distinct_steps_give_distinct_trees():
         m = rng.randint(2, 5)
         edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5]
         loops = [i for i in range(m) if rng.random() < 0.5]
-        g = DependencyGraph.from_edges(m, edges, loops)
+        g = from_edges(m, edges, loops)
         seq = realizable_sequence(g, rng, rng.randint(1, 10))
         canons = [build_witness_tree(seq, k, g).canonical() for k in range(1, len(seq) + 1)]
         assert len(set(canons)) == len(canons)
@@ -107,7 +109,7 @@ def test_capped_trees_equal_filtered_full_builds():
         m = rng.randint(1, 6)
         edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5]
         loops = [i for i in range(m) if rng.random() < 0.5]
-        g = DependencyGraph.from_edges(m, edges, loops)
+        g = from_edges(m, edges, loops)
         seq = [rng.randrange(m) for _ in range(rng.randint(1, 14))]
         for max_nodes in range(0, 7):
             capped = [(k, t.labels, t.parents)
@@ -146,7 +148,7 @@ def graphs_and_sequences(draw):
     edges = [e for e in pairs if draw(st.booleans())]
     loops = [i for i in range(m) if draw(st.booleans())]
     seq = draw(st.lists(st.integers(0, m - 1), min_size=SCAN_STEPS + 1, max_size=3 * SCAN_STEPS))
-    return DependencyGraph.from_edges(m, edges, loops), seq
+    return from_edges(m, edges, loops), seq
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,7 +185,7 @@ def test_occurs_single_node_and_root_presence(two_clause_mt):
 
 
 def test_occurs_hand_tree():
-    g = DependencyGraph.from_edges(2, [(0, 1)], self_loops=[1])
+    g = from_edges(2, [(0, 1)], self_loops=[1])
     t = build_witness_tree([0, 1, 1], 3, g)
 
     class FakeTraj:
@@ -305,34 +307,34 @@ def tree_to_stable_sequence(tree, order):
 
 
 def test_stable_partition_examples():
-    g_disjoint = DependencyGraph.from_edges(2, [])
+    g_disjoint = from_edges(2, [])
     assert stable_partition([0, 1], g_disjoint) == [frozenset({0, 1})]
-    g_edge = DependencyGraph.from_edges(2, [(0, 1)])
+    g_edge = from_edges(2, [(0, 1)])
     assert stable_partition([0, 1], g_edge) == [frozenset({0}), frozenset({1})]
     assert stable_partition([1], g_edge) == [frozenset({1})]
 
 
 def test_stable_partition_rejects_repeat_in_segment():
-    g = DependencyGraph.from_edges(1, [])  # no self-loop: 0 !~ 0
+    g = from_edges(1, [])  # no self-loop: 0 !~ 0
     with pytest.raises(LllError, match="repeated index"):
         stable_partition([0, 0], g)
 
 
 def test_stable_partition_rejects_escaping_segment():
-    g = DependencyGraph.from_edges(3, [(0, 1)])
+    g = from_edges(3, [(0, 1)])
     # reversal (0, 1) then 2: segment {2} not inside the neighborhood of {1}
     with pytest.raises(LllError, match="escapes"):
         stable_partition([0, 1, 2], g)
 
 
 def test_tree_stable_bijection_trivial():
-    g = DependencyGraph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     t = WitnessTree([1], [-1])
     assert tree_to_stable_sequence(t, [0, 1]) == (1,)
 
 
 def test_tree_stable_bijection_hand_example():
-    g = DependencyGraph.from_edges(2, [(0, 1)], self_loops=[1])
+    g = from_edges(2, [(0, 1)], self_loops=[1])
     t = build_witness_tree([0, 1, 1], 3, g)
     seq = tree_to_stable_sequence(t, [0, 1])
     assert seq == (0, 1, 1)
@@ -346,7 +348,7 @@ def test_tree_stable_roundtrip_random():
         m = rng.randint(2, 6)
         edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.4]
         loops = [i for i in range(m) if rng.random() < 0.4]
-        g = DependencyGraph.from_edges(m, edges, loops)
+        g = from_edges(m, edges, loops)
         seq = realizable_sequence(g, rng, rng.randint(1, 8))
         if not seq:
             continue
@@ -415,7 +417,7 @@ def test_constructed_product_mismatch_fails():
     problem = SearchProblem(
         present=present,
         sample_action=sample_action,
-        graph=DependencyGraph.from_edges(2, []),
+        graph=from_edges(2, []),
         sample_init=lambda rng: (1, 1),
         canon=lambda s: bytes(s),
         action_distribution=action_distribution,
@@ -475,7 +477,7 @@ def test_event_pairs_equal_the_extended_problem(problem, event, actions, neighbo
 
 
 def test_enumerate_single_node():
-    g = DependencyGraph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     trees = list(enumerate_witness_trees(0, g, [0.3, 0.5], 1))
     assert len(trees) == 1
     tree, w = trees[0]
@@ -483,7 +485,7 @@ def test_enumerate_single_node():
 
 
 def test_enumerate_no_neighbors_only_root():
-    g = DependencyGraph.from_edges(1, [])
+    g = from_edges(1, [])
     trees = list(enumerate_witness_trees(0, g, [0.4], 6))
     assert len(trees) == 1
 
@@ -494,7 +496,7 @@ def test_enumerate_star_counts_match_recursion():
     choices for the next one)."""
     leaves = 3
     m = leaves + 1
-    g = DependencyGraph.from_edges(m, [(0, j) for j in range(1, m)])
+    g = from_edges(m, [(0, j) for j in range(1, m)])
     counts: dict[int, int] = {}
     seen = set()
     for tree, _ in enumerate_witness_trees(0, g, [0.1] * m, 7):
@@ -520,7 +522,7 @@ def test_enumerate_star_counts_match_recursion():
 
 
 def test_enumeration_cap():
-    g = DependencyGraph.from_edges(1, [], self_loops=[0])
+    g = from_edges(1, [], self_loops=[0])
     with pytest.raises(LllError, match="capped"):
         list(enumerate_witness_trees(0, g, [0.5], 9))
 
@@ -534,7 +536,7 @@ def test_truncated_sums_below_cluster_and_shearer_bounds():
         m = rng.randint(2, 5)
         edges = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5]
         loops = [i for i in range(m) if rng.random() < 0.6]
-        g = DependencyGraph.from_edges(m, edges, loops)
+        g = from_edges(m, edges, loops)
         gamma = [rng.uniform(0.01, 0.12) for _ in range(m)]
         psi = [rng.uniform(0.2, 0.5) for _ in range(m)]
         cluster_ok = all(
@@ -587,7 +589,7 @@ def test_forest_json_roundtrip():
 
 
 def test_tree_json_roundtrip():
-    g = DependencyGraph.from_edges(2, [(0, 1)], self_loops=[1])
+    g = from_edges(2, [(0, 1)], self_loops=[1])
     t = build_witness_tree([0, 1, 1], 3, g)
     from lll_lab.witness import WitnessTree
 
